@@ -33,6 +33,13 @@ import time
 import traceback
 from pathlib import Path
 
+# One thread, as the workloads are defined: numpy's BLAS would otherwise
+# start a thread per core, and on a small shared machine a second thread
+# that loses its core stalls every matrix-vector product, which the
+# single-threaded reference kernel cannot see.  Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -88,8 +95,8 @@ def run_loop(workload, res, clock, seconds: float, args_source,
         try:
             out = workload.run(res, arg)
             b = time.perf_counter()
-            ok = workload.check(arg, out)
             digest = workload.digest(out)
+            ok = workload.check(arg, out, digest)
         except Exception:  # an operation that raises counts as failed
             b = time.perf_counter()
             ok, digest = False, b""
@@ -113,7 +120,18 @@ def timed_setup(workload) -> tuple[object, tuple[float, float]]:
     return res, (start, time.perf_counter())
 
 
-def end_to_end(workload, clock, seconds: float) -> tuple[dict, list[Phase], list[str]]:
+def repeat_check(workload, res, phase: Phase) -> dict[str, bool]:
+    if not workload.repeat_first:
+        return {}
+    try:
+        same = workload.final_check(res, (phase.args[0], phase.digests[0]))
+    except Exception:  # a repeat that raises fails the check
+        traceback.print_exc(limit=3)
+        same = False
+    return {"a repeat of the first operation gives the same output": same}
+
+
+def end_to_end(workload, clock, seconds: float) -> tuple[dict, list[Phase], dict[str, bool]]:
     """Untraced run: set-up repeats, then the timed loop."""
     setups: list[tuple[float, float]] = []
     with clock.interleaved():
@@ -124,7 +142,7 @@ def end_to_end(workload, clock, seconds: float) -> tuple[dict, list[Phase], list
             res, interval = timed_setup(workload)
             setups.append(interval)
         phase = run_loop(workload, res, clock, seconds, workload.schedule())
-        problems = workload.final_check(res, (phase.args[0], phase.digests[0]))
+        checks = repeat_check(workload, res, phase)
     s = phase.stats(clock)
     setup_times = clock.normalize(setups)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -135,13 +153,12 @@ def end_to_end(workload, clock, seconds: float) -> tuple[dict, list[Phase], list
         "setup_s": (statistics.median(n for _, n in setup_times),
                     statistics.median(r for r, _ in setup_times)),
         "peak_rss_mb": (rss, rss),
-        "ok_ratio": (s["good"] / s["ops"],) * 2,
     }
-    return values, [phase], problems
+    return values, [phase], checks
 
 
 def per_layer(workload, clock, seconds: float, per_layer_spec: list[dict],
-              trace_file: Path) -> tuple[dict, list[Phase], list[str]]:
+              trace_file: Path) -> tuple[dict, list[Phase], dict[str, bool]]:
     """Traced run: traced set-up, an untraced half, then the same operations traced."""
     from spans import Tracer
 
@@ -159,16 +176,16 @@ def per_layer(workload, clock, seconds: float, per_layer_spec: list[dict],
                              on_start=tracer.next_op)
         finally:
             tracer.uninstall()
-        problems = workload.final_check(res, (phase.args[0], phase.digests[0]))
-    if phase.digests != plain.digests[:len(phase.digests)]:
-        problems.append("traced outputs differ from untraced outputs")
+        checks = repeat_check(workload, res, phase)
+    checks["traced outputs equal untraced outputs"] = (
+        phase.digests == plain.digests[:len(phase.digests)])
     tracer.write(trace_file)
     report = tracer.report()
     print_spans(report)
     s, s_plain = phase.stats(clock), plain.stats(clock)
     ratio = s["throughput"] / s_plain["throughput"] if s_plain["good"] else 0.0
     values = layer_values(report, per_layer_spec, s["ops"], ratio)
-    return {k: (v, v) for k, v in values.items()}, [plain, phase], problems
+    return {k: (v, v) for k, v in values.items()}, [plain, phase], checks
 
 
 def run_workload(name: str, seed: int, seconds: float, traced: bool) -> int:
@@ -194,22 +211,26 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool) -> int:
     clock = RefClock()
     if traced:
         metrics_spec = spec["per_layer"]
-        values, phases, problems = per_layer(workload, clock, seconds, metrics_spec,
-                                             CACHE / f"trace-{name}.jsonl")
+        values, phases, checks = per_layer(workload, clock, seconds, metrics_spec,
+                                           CACHE / f"trace-{name}.jsonl")
     else:
         metrics_spec = spec["end_to_end"]
-        values, phases, problems = end_to_end(workload, clock, seconds)
+        values, phases, checks = end_to_end(workload, clock, seconds)
+    checks["the reference kernel gives its result"] = clock.bad_results == 0
 
-    if clock.bad_results:
-        problems.append(f"reference kernel gave a wrong result {clock.bad_results} times")
     for err in [e for phase in phases for e in phase.errors][:3]:
         print(err, file=sys.stderr)
-    attempted = sum(len(phase.ok) for phase in phases)
-    failed = attempted - sum(sum(phase.ok) for phase in phases) + len(problems)
+    # Each run-level check counts as one more operation, failed if it fails.
+    ops = sum(len(phase.ok) for phase in phases)
+    attempted = ops + len(checks)
+    failed = ops - sum(sum(phase.ok) for phase in phases) + list(checks.values()).count(False)
+    values["ok_ratio"] = (1.0 - failed / attempted,) * 2
     correct = failed == 0
     last = phases[-1]
-    print(f"perfbench {name} seed={seed} trace={int(traced)}: {attempted} ops, "
-          f"{failed} failed, checks {'ok' if correct else 'FAILED: ' + '; '.join(problems)}")
+    problems = [text for text, ok in checks.items() if not ok]
+    print(f"perfbench {name} seed={seed} trace={int(traced)}: {ops} ops and "
+          f"{len(checks)} checks, {failed} failed"
+          + ("" if not problems else "; FAILED: " + "; ".join(problems)))
     print(f"  reference kernel: {clock.rate():.1f} runs/s (median "
           f"{clock.median_kernel_s() * 1e6:.1f} us, nominal "
           f"{NOMINAL_KERNEL_S * 1e6:.0f} us), {len(clock.ends)} runs, "
@@ -222,7 +243,7 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool) -> int:
         print(f"  {name}/{m['name']:<46} {value:14.6g} {m['unit']}{note}")
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
                       "metrics": metrics}))
-    return 0
+    return 0 if correct else 1
 
 
 def layer_values(report: dict, per_layer: list[dict], ops: int,
@@ -277,18 +298,19 @@ def run_all(seed: int, seconds: float, traced: bool) -> int:
             cwd=ROOT, stdout=subprocess.PIPE, text=True, check=False)
         lines = proc.stdout.splitlines()
         print("\n".join(lines[:-1]))
-        if proc.returncode != 0 or not lines:
+        status |= proc.returncode != 0
+        try:  # a run whose checks fail still prints its result
+            result = json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
             print(f"perfbench: workload {w['name']} exited with {proc.returncode}")
             status = 1
             continue
-        result = json.loads(lines[-1])
         failed_ratio = result["failed"] / result["attempted"]
         rows.append(f"{w['name']}: correct={result['correct']} attempted="
                     f"{result['attempted']} failed={result['failed']} "
                     f"failed_ratio={failed_ratio:.4f}")
         for metric, entry in result["metrics"].items():
             rows.append(f"  {w['name']}/{metric} {entry['value']:.6g} {entry['unit']}")
-        status |= 0 if result["correct"] else 1
     print("\n".join(rows))
     return status
 

@@ -2,9 +2,10 @@
 
 Each workload loads its resources through the package's public loaders,
 as the CLI does (``setup``, timed as a whole), yields its operations in
-blocks of a fixed mix (``schedule``), runs one operation (``run``), checks
-and digests its output (``check``, ``digest``) and makes a final check
-after the timed loop (``final_check``).
+blocks of a fixed mix (``schedule``), runs one operation (``run``), and
+digests and checks its output (``digest``, ``check``).  After the timed
+loop, ``final_check`` repeats the first operation, which must give the
+same digest, unless ``repeat_first`` is off.
 Calls go through module attributes looked up at call time, so the tracer's
 wrappers see them in the traced run.
 """
@@ -52,6 +53,7 @@ def _rounds(rng: random.Random, items: list) -> Iterator[Any]:
 class Workload:
     name = ""
     block = 1  # operations per block of the schedule
+    repeat_first = True  # whether ``final_check`` runs
 
     def __init__(self, inp: inputs.Inputs, seed: int, work_dir: Path):
         self.inp = inp
@@ -67,15 +69,16 @@ class Workload:
     def run(self, res: Any, arg: Any) -> Any:
         raise NotImplementedError
 
-    def check(self, arg: Any, out: Any) -> bool:
-        raise NotImplementedError
-
     def digest(self, out: Any) -> bytes:
         raise NotImplementedError
 
-    def final_check(self, res: Any, first: tuple[Any, bytes]) -> list[str]:
-        """Problems found after the timed loop; empty when all is well."""
-        return []
+    def check(self, arg: Any, out: Any, digest: bytes) -> bool:
+        raise NotImplementedError
+
+    def final_check(self, res: Any, first: tuple[Any, bytes]) -> bool:
+        """Whether a repeat of the first operation gives the same digest."""
+        arg, expected = first
+        return self.digest(self.run(res, arg)) == expected
 
 
 class Score(Workload):
@@ -92,13 +95,8 @@ class Score(Workload):
         return lm, sg, uni
 
     def schedule(self) -> Iterator[Any]:
-        records = []
-        with open(self.inp.records, encoding="utf-8") as fh:
-            for line in fh:
-                r = json.loads(line)
-                records.append((PunPair(r["pun_word"], r["alt_word"]),
-                                r["tokens"], r["pun_position"]))
-        return itertools.cycle(records)
+        return ((PunPair(pun, alt), tokens, position)
+                for pun, alt, tokens, position in inputs.score_records(self.seed))
 
     def run(self, res: Any, arg: Any) -> Any:
         lm, sg, uni = res
@@ -108,7 +106,7 @@ class Score(Workload):
                                      sg.relatedness_by_id)
         return report, meaning
 
-    def check(self, arg: Any, out: Any) -> bool:
+    def check(self, arg: Any, out: Any, digest: bytes) -> bool:
         report, meaning = out
         # the entropy may round one step above ln 2 at an even posterior
         return (_finite_ratio(report.s_ratio)
@@ -152,7 +150,7 @@ class Generate(Workload):
     def run(self, res: Any, arg: Any) -> Any:
         return generator.generate(arg, res, generator.GenerationConfig(rerank=True))
 
-    def check(self, arg: Any, out: Any) -> bool:
+    def check(self, arg: Any, out: Any, digest: bytes) -> bool:
         for cand in out.candidates:
             tokens = cand.final_tokens
             if (tokens.count(arg.pun_word) != 1 or arg.alt_word in tokens
@@ -170,11 +168,6 @@ class Generate(Workload):
               c.report.unusualness, c.report.degenerate]]
             for c in out.candidates]], sort_keys=True).encode("utf-8")
 
-    def final_check(self, res: Any, first: tuple[Any, bytes]) -> list[str]:
-        arg, expected = first
-        again = self.digest(self.run(res, arg))
-        return [] if again == expected else ["repeat of the first pair differs"]
-
 
 class Train(Workload):
     """Index, LM training and skip-gram training of one corpus shard."""
@@ -185,22 +178,25 @@ class Train(Workload):
 
     def __init__(self, inp: inputs.Inputs, seed: int, work_dir: Path):
         super().__init__(inp, seed, work_dir)
-        lines = self.inp.text.read_text(encoding="utf-8").count("\n")
-        self.block = lines // self.SHARD  # a block trains every shard once
-        self.skipgram = skipgram.SkipGramConfig(dim=32, epochs=1, seed=seed)
-        (work_dir / "again").mkdir(parents=True, exist_ok=True)
+        self.block = len(self.setup())  # a block trains every shard once
+        # the prepared model's dimension; one epoch keeps an operation short
+        self.skipgram = skipgram.SkipGramConfig(dim=inputs.SKIPGRAM_DIM, epochs=1,
+                                                seed=seed)
+        self.first_digests: dict[int, bytes] = {}
+        work_dir.mkdir(parents=True, exist_ok=True)
 
     def setup(self) -> Any:
-        lines = self.inp.text.read_text(encoding="utf-8").splitlines()
-        return ["\n".join(lines[i:i + self.SHARD])
-                for i in range(0, len(lines) - self.SHARD + 1, self.SHARD)]
+        # the package's sentence splitter, as ``ingest`` reads raw text
+        text = self.inp.text.read_text(encoding="utf-8")
+        sentences = corpus.split_sentences(text)
+        return ["\n".join(sentences[i:i + self.SHARD])
+                for i in range(0, len(sentences) - self.SHARD + 1, self.SHARD)]
 
     def schedule(self) -> Iterator[Any]:
         return _rounds(random.Random(f"train:{self.seed}"), list(range(self.block)))
 
-    def run(self, res: Any, arg: Any, out_dir: Path | None = None) -> Any:
-        out_dir = out_dir or self.work_dir
-        pgc, pglm, pgsg = (out_dir / f"shard.{ext}" for ext in ("pgc", "pglm", "pgsg"))
+    def run(self, res: Any, arg: Any) -> Any:
+        pgc, pglm, pgsg = (self.work_dir / f"shard.{ext}" for ext in ("pgc", "pglm", "pgsg"))
         sentences, vocab = corpus.ingest(res[arg])
         index = retrieval.build_index(sentences)
         corpus.save_corpus(pgc, corpus.Corpus(sentences, vocab, index.postings))
@@ -208,22 +204,22 @@ class Train(Workload):
         skipgram.train_skipgram(sentences[:self.SLICE], vocab, self.skipgram).save(pgsg)
         return pgc, pglm, pgsg
 
-    def check(self, arg: Any, out: Any) -> bool:
-        return all(path.stat().st_size > 0 for path in out)
-
     def digest(self, out: Any) -> bytes:
         return b"".join(hashlib.sha256(path.read_bytes()).digest() for path in out)
 
-    def final_check(self, res: Any, first: tuple[Any, bytes]) -> list[str]:
-        arg, expected = first
-        again = self.digest(self.run(res, arg, self.work_dir / "again"))
-        return [] if again == expected else ["retraining the first shard changed the files"]
+    def check(self, arg: Any, out: Any, digest: bytes) -> bool:
+        # every later round must rebuild byte-identical files from the shard
+        return (all(path.stat().st_size > 0 for path in out)
+                and self.first_digests.setdefault(arg, digest) == digest)
 
 
 class Correlate(Workload):
     """``punforge correlate``: one metric column per operation."""
 
     name = "correlate"
+    # One operation takes seconds, so it is not repeated; the traced run
+    # still compares the outputs of its two halves.
+    repeat_first = False
 
     def setup(self) -> Any:
         table = stats.RatingsTable.load_csv(self.inp.ratings)
@@ -251,7 +247,7 @@ class Correlate(Workload):
         p = stats.permutation_pvalue(xs, ys, seed=self.seed)
         return rho, p
 
-    def check(self, arg: Any, out: Any) -> bool:
+    def check(self, arg: Any, out: Any, digest: bytes) -> bool:
         rho, p = out
         return -1.0 <= rho <= 1.0 and 0.0 < p <= 1.0
 
