@@ -17,20 +17,21 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, TextIO
 
 import numpy as np
 
 from . import stats
-from .corpus import Corpus, TagLexicon, ingest, load_corpus, save_corpus, tokenize
+from .corpus import (DEFAULT_MIN_COUNT, Corpus, TagLexicon, check_min_count,
+                     ingest, load_corpus, save_corpus, tokenize)
 from .errors import PunforgeError, ResourceError
 from .generator import (GenerationConfig, GenerationResources, STAGE_SWAP,
                         STAGE_TOPIC, generate)
-from .kao import meaning_report
-from .ngram_lm import NGramModel, train_lm
-from .retrieval import InvertedIndex, build_index
+from .kao import check_pair_words, meaning_report
+from .ngram_lm import (DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, NGramModel,
+                       check_order, train_lm)
+from .retrieval import build_index
 from .skipgram import SkipGramConfig, SkipGramModel, train_skipgram
 from .surprisal import PunOccurrence, PunPair, score_occurrence
 from .wordnet import load_wordnet
@@ -44,31 +45,32 @@ EXIT_DATA = 2
 ENV_PREFIX = "PUNGEN_"
 
 
-@dataclass
-class RunConfig:
-    """All tunables with their defaults; see the module docstring for precedence."""
+# The library configs own the defaults and range checks of their fields.
+_LIBRARY_CONFIGS = (SkipGramConfig, GenerationConfig)
+# Tunables outside those configs: (name, type, default, range check or None),
+# each default and check taken from the module that uses the value.
+_CLI_FIELDS = [
+    ("order", int, DEFAULT_ORDER, check_order),
+    ("min_count", int, DEFAULT_MIN_COUNT, check_min_count),
+    ("wordnet", str | None, None, None),
+    ("min_rater_corr", float, stats.DEFAULT_MIN_CORR, None),
+    ("permutations", int, stats.DEFAULT_PERMUTATIONS, stats.check_permutations),
+    ("clip", float, stats.DEFAULT_CLIP, stats.check_clip),
+]
 
-    order: int = 4
-    window: int = 2
-    d1: int = 5
-    d2: int = 10
-    dim: int = 300
-    epochs: int = 15
-    negatives: int = 5
-    step_size: float = 0.025
-    seed: int = 1
-    min_count: int = 1
-    pool: int = 500
-    keep: int = 100
-    topic_k: int = 100
-    threshold: float = 0.3
-    max_outputs: int = 10
-    stage: str = STAGE_TOPIC
-    rerank: bool = False
-    wordnet: str | None = None
-    min_rater_corr: float = 0.2
-    permutations: int = 10000
-    clip: float = 2.0
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, f.default)
+     for owner in _LIBRARY_CONFIGS for f in dataclasses.fields(owner)]
+    + [(name, type_, default) for name, type_, default, _ in _CLI_FIELDS],
+    namespace={"__doc__": "All tunables with their defaults; see the module "
+                          "docstring for precedence."},
+)
+
+
+def _owner_config(cfg: RunConfig, owner: type):
+    """An ``owner`` config holding ``cfg``'s values for the owner's fields."""
+    return owner(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(owner)})
 
 
 class UsageError(Exception):
@@ -130,32 +132,15 @@ def resolve_config(flag_values: Mapping[str, object],
         else:
             values[name] = spec.default
     cfg = RunConfig(**values)
-    _validate_config(cfg)
+    try:  # a TypeError is a value of the wrong type, such as a JSON null
+        for owner in _LIBRARY_CONFIGS:
+            _owner_config(cfg, owner)
+        for name, _, _, check in _CLI_FIELDS:
+            if check is not None:
+                check(getattr(cfg, name))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
     return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    checks = [
-        (2 <= cfg.order <= 6, "order must be in 2..6"),
-        (cfg.window >= 1, "window must be >= 1"),
-        (1 <= cfg.d1 <= cfg.d2, "need 1 <= d1 <= d2"),
-        (cfg.dim >= 1, "dim must be >= 1"),
-        (cfg.epochs >= 0, "epochs must be >= 0"),
-        (cfg.negatives >= 1, "negatives must be >= 1"),
-        (cfg.step_size > 0, "step-size must be positive"),
-        (cfg.min_count >= 1, "min-count must be >= 1"),
-        (cfg.pool >= 1 and cfg.keep >= 1, "pool and keep must be >= 1"),
-        (cfg.topic_k >= 1, "topic-k must be >= 1"),
-        (cfg.threshold >= 0, "threshold must be >= 0"),
-        (cfg.max_outputs >= 1, "max-outputs must be >= 1"),
-        (cfg.permutations >= 1, "permutations must be >= 1"),
-        (cfg.clip > 0, "clip must be positive"),
-        (cfg.stage in (STAGE_SWAP, STAGE_TOPIC),
-         f"stage must be {STAGE_SWAP} or {STAGE_TOPIC}"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise UsageError(message)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,7 +175,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("train-lm", help="train the n-gram language model")
     p.add_argument("--corpus", required=True, help="corpus file from 'index'")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--order", type=int, help="n-gram order (2..6)")
+    p.add_argument("--order", type=int, help=f"n-gram order ({MIN_ORDER}..{MAX_ORDER})")
     _add_common(p)
 
     p = subs.add_parser("train-skipgram", help="train distant skip-gram embeddings")
@@ -287,10 +272,8 @@ def _cmd_train_lm(args, cfg: RunConfig) -> int:
 
 def _cmd_train_skipgram(args, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
-    sg_config = SkipGramConfig(dim=cfg.dim, d1=cfg.d1, d2=cfg.d2,
-                               epochs=cfg.epochs, negatives=cfg.negatives,
-                               step_size=cfg.step_size, seed=cfg.seed)
-    model = train_skipgram(corpus.sentences, corpus.vocab, sg_config)
+    model = train_skipgram(corpus.sentences, corpus.vocab,
+                           _owner_config(cfg, SkipGramConfig))
     model.save(args.out)
     if args.export_text:
         model.export_text(args.export_text)
@@ -300,6 +283,7 @@ def _cmd_train_skipgram(args, cfg: RunConfig) -> int:
 def _score_record(record: dict, lm: NGramModel, skipgram: SkipGramModel | None,
                   unigram_probs: np.ndarray | None, window: int) -> dict:
     pair = PunPair(record["pun_word"], record["alt_word"])
+    check_pair_words(pair, lm.vocab)
     if "tokens" in record:
         tokens = [str(t).lower() for t in record["tokens"]]
     elif "sentence" in record:
@@ -316,13 +300,7 @@ def _score_record(record: dict, lm: NGramModel, skipgram: SkipGramModel | None,
             )
         position = slots[0]
     report = score_occurrence(lm, PunOccurrence(tokens, position), pair, window)
-    out = {
-        "s_local": report.s_local,
-        "s_global": report.s_global,
-        "s_ratio": report.s_ratio,
-        "unusualness": report.unusualness,
-        "degenerate": report.degenerate,
-    }
+    out = dataclasses.asdict(report)
     if skipgram is not None:
         meaning = meaning_report(tokens, position, pair, lm.vocab,
                                  unigram_probs, skipgram.relatedness_by_id)
@@ -372,12 +350,18 @@ def _read_pairs(args) -> list[PunPair]:
                     raise ResourceError(
                         f"{args.pairs}:{lineno}: expected pun<TAB>alternative"
                     )
-                pairs.append(PunPair(parts[0].lower(), parts[1].lower()))
+                try:
+                    pairs.append(PunPair(parts[0].lower(), parts[1].lower()))
+                except ValueError as exc:
+                    raise ResourceError(f"{args.pairs}:{lineno}: {exc}") from None
         if not pairs:
             raise ResourceError(f"{args.pairs}: no pairs found")
         return pairs
     if args.pun and args.alt:
-        return [PunPair(args.pun.lower(), args.alt.lower())]
+        try:
+            return [PunPair(args.pun.lower(), args.alt.lower())]
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     raise UsageError("pass --pairs FILE or both --pun and --alt")
 
 
@@ -385,13 +369,6 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
     pairs = _read_pairs(args)
     corpus = load_corpus(args.corpus)
     vocab_hash = corpus.vocab.hash_bytes()
-    if corpus.postings is None:
-        log.info("corpus has no index section; building one in memory")
-        index = build_index(corpus.sentences)
-    else:
-        index = InvertedIndex(corpus.postings,
-                              {s.sent_id: len(s.tokens) for s in corpus.sentences})
-
     lm = NGramModel.load(args.lm, expected_vocab_hash=vocab_hash) if args.lm else None
     skipgram = None
     graph = None
@@ -409,12 +386,10 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
     if cfg.rerank and lm is None:
         raise UsageError("--rerank needs --lm")
 
-    resources = GenerationResources(corpus=corpus, index=index, skipgram=skipgram,
-                                    graph=graph, lexicon=lexicon, lm=lm)
-    gen_config = GenerationConfig(pool=cfg.pool, keep=cfg.keep, topic_k=cfg.topic_k,
-                                  threshold=cfg.threshold,
-                                  max_outputs=cfg.max_outputs, window=cfg.window,
-                                  stage=cfg.stage, rerank=cfg.rerank)
+    resources = GenerationResources(corpus=corpus, index=corpus.inverted_index(),
+                                    skipgram=skipgram, graph=graph,
+                                    lexicon=lexicon, lm=lm)
+    gen_config = _owner_config(cfg, GenerationConfig)
     out = _open_out(args.output)
     for pair in pairs:
         result = generate(pair, resources, gen_config)
@@ -430,29 +405,13 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
             "seed": cfg.seed,
         })
         for cand in result.candidates:
-            record = {
-                "record": "candidate",
-                "pun_word": pair.pun_word,
-                "alt_word": pair.alt_word,
-                "seed_id": cand.seed_id,
-                "seed_rank": cand.seed_rank,
-                "pun_position": cand.pun_position,
-                "stage": cand.stage,
-                "deleted_word": cand.deleted_word,
-                "topic_word": cand.topic_word,
-                "topic_score": cand.topic_score,
-                "tokens": cand.final_tokens,
-                "text": " ".join(cand.final_tokens),
-            }
-            if cand.report is not None:
-                record["scores"] = {
-                    "s_local": cand.report.s_local,
-                    "s_global": cand.report.s_global,
-                    "s_ratio": cand.report.s_ratio,
-                    "unusualness": cand.report.unusualness,
-                    "degenerate": cand.report.degenerate,
-                }
-            _emit(out, record)
+            record = dataclasses.asdict(cand)
+            record["tokens"] = record.pop("final_tokens")
+            if (scores := record.pop("report")) is not None:
+                record["scores"] = scores
+            _emit(out, {"record": "candidate", "pun_word": pair.pun_word,
+                        "alt_word": pair.alt_word,
+                        "text": " ".join(cand.final_tokens), **record})
     if out is not sys.stdout:
         out.close()
     return EXIT_OK

@@ -17,22 +17,29 @@ wins, then noun-index membership, then verb-index membership, else OTHER.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
+import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 from . import binio
-from .errors import FormatError
+from .errors import FormatError, ResourceError
+
+if TYPE_CHECKING:
+    from .retrieval import InvertedIndex
+
+log = logging.getLogger(__name__)
 
 CORPUS_MAGIC = b"PGC1"
 INDEX_MAGIC = b"PGIX"
 
 UNK = "<unk>"
+DEFAULT_MIN_COUNT = 1
 
 # Closed class used for the PRONOUN tag.  Indefinite pronouns are included
 # because they behave like person-denoting noun phrases downstream.
@@ -105,6 +112,12 @@ def detokenize(sentence: Sentence) -> str:
     return " ".join(t.surface for t in sentence.tokens)
 
 
+def check_min_count(min_count: int) -> None:
+    """Raise ValueError unless ``min_count`` is a usable frequency floor."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+
+
 class Vocabulary:
     """Frequency-ordered word/id mapping with a reserved unknown id.
 
@@ -113,9 +126,8 @@ class Vocabulary:
     Lookups for unmapped words return the unknown id rather than raising.
     """
 
-    def __init__(self, counts: dict[str, int], min_count: int = 1):
-        if min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {min_count}")
+    def __init__(self, counts: dict[str, int], min_count: int = DEFAULT_MIN_COUNT):
+        check_min_count(min_count)
         kept = {w: c for w, c in counts.items() if c >= min_count and w != UNK}
         dropped = sum(c for w, c in counts.items() if w not in kept)
         self._words: list[str] = [UNK]
@@ -151,6 +163,11 @@ class Vocabulary:
 
     def encode(self, surfaces: Iterable[str]) -> list[int]:
         return [self.id_of(s) for s in surfaces]
+
+    def encode_sentences(self, sentences: Iterable) -> list[list[int]]:
+        """Id lists for Sentence objects; id sequences pass through as lists."""
+        return [self.encode(s.surfaces()) if isinstance(s, Sentence) else list(s)
+                for s in sentences]
 
     def items(self) -> Iterator[tuple[str, int, int]]:
         """Yield (word, id, count) in id order."""
@@ -239,7 +256,7 @@ def _parse_tagged_line(line: str, lineno: int, sent_id: int) -> Sentence:
     return Sentence(sent_id, tokens)
 
 
-def ingest(source: str | Path | Iterable[str], min_count: int = 1,
+def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUNT,
            tagged: bool = False) -> tuple[list[Sentence], Vocabulary]:
     """Read raw or pre-tagged text into sentences plus a vocabulary.
 
@@ -290,6 +307,48 @@ class Corpus:
     vocab: Vocabulary
     postings: Postings | None = None
 
+    @functools.cached_property
+    def by_id(self) -> dict[int, Sentence]:
+        """Sentences keyed by id, built on first use of an unchanging corpus."""
+        return {s.sent_id: s for s in self.sentences}
+
+    def inverted_index(self) -> "InvertedIndex":
+        """The stored postings as an index, or one built from the sentences."""
+        from .retrieval import InvertedIndex, build_index
+
+        if self.postings is None:
+            log.info("corpus has no index section; building one in memory")
+            return build_index(self.sentences)
+        return InvertedIndex(self.postings,
+                             {i: len(s) for i, s in self.by_id.items()})
+
+
+def write_vocab(fh: BinaryIO, vocab: Vocabulary, hashed: bool = True) -> None:
+    """Embed a vocabulary: its hash (when ``hashed``), line count, then lines."""
+    if hashed:
+        binio.write_bytes(fh, vocab.hash_bytes())
+    lines = vocab.dump_lines()
+    binio.write_u32(fh, len(lines))
+    for line in lines:
+        binio.write_str(fh, line)
+
+
+def read_vocab(fh: BinaryIO, path: str | Path, hashed: bool = True,
+               what: str = "model", expected_hash: bytes | None = None) -> Vocabulary:
+    """Read what :func:`write_vocab` wrote; a stored hash other than
+    ``expected_hash`` is a ResourceError, lines that fail it a FormatError."""
+    stored = None
+    if hashed:
+        stored = binio.read_bytes(fh)
+        if expected_hash is not None and stored != expected_hash:
+            raise ResourceError(f"{what} was trained on a different vocabulary "
+                                f"({path}); retrain or pass matching resources")
+    vocab = Vocabulary.from_dump_lines(
+        [binio.read_str(fh) for _ in range(binio.read_u32(fh))])
+    if stored is not None and vocab.hash_bytes() != stored:
+        raise FormatError(f"embedded vocabulary is corrupt in {path}")
+    return vocab
+
 
 def _write_postings(fh: BinaryIO, postings: Postings) -> None:
     fh.write(INDEX_MAGIC)
@@ -323,11 +382,7 @@ def save_corpus(path: str | Path, corpus: Corpus) -> None:
     with open(path, "wb") as fh:
         fh.write(CORPUS_MAGIC)
         binio.write_u8(fh, 1 if corpus.postings is not None else 0)
-
-        vocab_lines = corpus.vocab.dump_lines()
-        binio.write_u32(fh, len(vocab_lines))
-        for line in vocab_lines:
-            binio.write_str(fh, line)
+        write_vocab(fh, corpus.vocab, hashed=False)
 
         surfaces: dict[str, int] = {}
         for sentence in corpus.sentences:
@@ -353,9 +408,7 @@ def load_corpus(path: str | Path) -> Corpus:
     with open(path, "rb") as fh:
         binio.check_magic(fh, CORPUS_MAGIC, "corpus")
         flags = binio.read_u8(fh)
-
-        vocab_lines = [binio.read_str(fh) for _ in range(binio.read_u32(fh))]
-        vocab = Vocabulary.from_dump_lines(vocab_lines)
+        vocab = read_vocab(fh, path, hashed=False)
 
         surfaces = [binio.read_str(fh) for _ in range(binio.read_u32(fh))]
 

@@ -28,11 +28,11 @@ from .corpus import Corpus, Pos, Sentence, TagLexicon, tag
 from .errors import UnknownWordError
 from .ngram_lm import NGramModel
 from .retrieval import (DEFAULT_KEEP, DEFAULT_POOL, InvertedIndex,
-                        retrieve_seeds)
-from .skipgram import SkipGramModel
+                        check_pool_keep, retrieve_seeds)
+from .skipgram import SkipGramModel, check_topic_k
 from .surprisal import (DEFAULT_WINDOW, PunOccurrence, PunPair,
-                        SurprisalReport, score_occurrence)
-from .wordnet import SynsetGraph, type_consistent
+                        SurprisalReport, check_window, score_occurrence)
+from .wordnet import DEFAULT_THRESHOLD, SynsetGraph, type_consistent
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +40,6 @@ STAGE_SWAP = "SWAP"
 STAGE_TOPIC = "SWAP+TOPIC"
 
 DEFAULT_TOPIC_K = 100
-DEFAULT_THRESHOLD = 0.3
 DEFAULT_MAX_OUTPUTS = 10
 
 # machine-readable failure reasons
@@ -61,6 +60,13 @@ class GenerationConfig:
     rerank: bool = False
 
     def __post_init__(self) -> None:
+        check_pool_keep(self.pool, self.keep)
+        check_topic_k(self.topic_k)
+        check_window(self.window)
+        if not self.threshold >= 0:
+            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if self.max_outputs < 1:
+            raise ValueError(f"max_outputs must be >= 1, got {self.max_outputs}")
         if self.stage not in (STAGE_SWAP, STAGE_TOPIC):
             raise ValueError(f"unknown stage {self.stage!r}")
 
@@ -184,9 +190,8 @@ def generate(pair: PunPair, resources: GenerationResources,
             result.failure = NO_TOPIC_WORDS
             return result
 
-    by_id = {s.sent_id: s for s in resources.corpus.sentences}
     for seed in seeds:
-        sentence = by_id[seed.sent_id]
+        sentence = resources.corpus.by_id[seed.sent_id]
         surfaces = sentence.surfaces()
         if pair.pun_word in surfaces:
             continue  # swapping would leave two pun words

@@ -95,6 +95,13 @@ def distinctiveness_of(f_pun: Sequence[float], f_alt: Sequence[float]) -> float:
     )
 
 
+def check_pair_words(pair: PunPair, vocab: Vocabulary) -> None:
+    """Raise UnknownWordError unless both pair words are in the vocabulary."""
+    for word in (pair.pun_word, pair.alt_word):
+        if word not in vocab:
+            raise UnknownWordError(f"pair word {word!r} is not in the model vocabulary")
+
+
 def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
                    vocab: Vocabulary, unigram_probs: np.ndarray,
                    relatedness: Callable[[int], np.ndarray]) -> MeaningReport:
@@ -107,11 +114,7 @@ def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
     """
     if not 0 <= pun_position < len(tokens):
         raise ValueError(f"pun_position {pun_position} out of range")
-    for word in (pair.pun_word, pair.alt_word):
-        if word not in vocab:
-            raise UnknownWordError(
-                f"pair word {word!r} is not in the model vocabulary"
-            )
+    check_pair_words(pair, vocab)
     rel_pun = relatedness(vocab.id_of(pair.pun_word))
     rel_alt = relatedness(vocab.id_of(pair.alt_word))
 

@@ -32,14 +32,21 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import binio
-from .corpus import Sentence, Vocabulary
-from .errors import FormatError, ResourceError, TrainingError
+from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
+from .errors import TrainingError
 
 LM_MAGIC = b"PGLM"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
+DEFAULT_ORDER = 4
 FALLBACK_DISCOUNT = 0.75
+
+
+def check_order(order: int) -> None:
+    """Raise ValueError unless ``order`` is a supported n-gram order."""
+    if not MIN_ORDER <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
 
 
 def estimate_discounts(counts: Iterable[int]) -> tuple[float, float, float]:
@@ -78,8 +85,7 @@ class NGramModel:
 
     def __init__(self, order: int, vocab: Vocabulary,
                  top_counts: dict[tuple[int, ...], dict[int, int]]):
-        if not MIN_ORDER <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
+        check_order(order)
         self.order = order
         self.vocab = vocab
         self.bos_id = len(vocab)
@@ -179,11 +185,7 @@ class NGramModel:
         with open(path, "wb") as fh:
             fh.write(LM_MAGIC)
             binio.write_u8(fh, self.order)
-            binio.write_bytes(fh, self.vocab.hash_bytes())
-            vocab_lines = self.vocab.dump_lines()
-            binio.write_u32(fh, len(vocab_lines))
-            for line in vocab_lines:
-                binio.write_str(fh, line)
+            write_vocab(fh, self.vocab)
             binio.write_u32(fh, len(self._top_counts))
             for ctx in sorted(self._top_counts):
                 for t in ctx:
@@ -200,16 +202,8 @@ class NGramModel:
         with open(path, "rb") as fh:
             binio.check_magic(fh, LM_MAGIC, "language model")
             order = binio.read_u8(fh)
-            vocab_hash = binio.read_bytes(fh)
-            if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
-                raise ResourceError(
-                    "language model was trained on a different vocabulary "
-                    f"({path}); retrain or pass matching resources"
-                )
-            vocab_lines = [binio.read_str(fh) for _ in range(binio.read_u32(fh))]
-            vocab = Vocabulary.from_dump_lines(vocab_lines)
-            if vocab.hash_bytes() != vocab_hash:
-                raise FormatError(f"embedded vocabulary is corrupt in {path}")
+            vocab = read_vocab(fh, path, what="language model",
+                               expected_hash=expected_vocab_hash)
             top: dict[tuple[int, ...], dict[int, int]] = {}
             for _ in range(binio.read_u32(fh)):
                 ctx = tuple(binio.read_u32(fh) for _ in range(order - 1))
@@ -222,16 +216,10 @@ class NGramModel:
 
 
 def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
-             vocab: Vocabulary, order: int = 4) -> NGramModel:
+             vocab: Vocabulary, order: int = DEFAULT_ORDER) -> NGramModel:
     """Count n-grams over marker-padded sentences and build the model."""
-    if not MIN_ORDER <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
-    encoded: list[list[int]] = []
-    for s in sentences:
-        if isinstance(s, Sentence):
-            encoded.append(vocab.encode(s.surfaces()))
-        else:
-            encoded.append(list(s))
+    check_order(order)
+    encoded = vocab.encode_sentences(sentences)
     n_tokens = sum(len(s) for s in encoded)
     if n_tokens < order:
         raise TrainingError(

@@ -32,6 +32,12 @@ class SeedCandidate:
     rank: int
 
 
+def check_pool_keep(pool: int, keep: int) -> None:
+    """Raise ValueError unless both seed limits are positive."""
+    if pool < 1 or keep < 1:
+        raise ValueError(f"pool and keep must be >= 1, got pool={pool}, keep={keep}")
+
+
 class InvertedIndex:
     def __init__(self, postings: Postings, lengths: dict[int, int]):
         self.postings = postings
@@ -69,8 +75,7 @@ def retrieve_seeds(index: InvertedIndex, alt_word: str,
     absolute with ``relative=False``), then length ascending, then sentence
     id ascending.  Deterministic for a fixed index.
     """
-    if pool < 1 or keep < 1:
-        raise ValueError("pool and keep must be >= 1")
+    check_pool_keep(pool, keep)
     gathered: list[tuple[int, int, int]] = []  # (sent_id, position, length)
     for sent_id, positions in index.lookup(alt_word):
         if len(positions) != 1:

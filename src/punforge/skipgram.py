@@ -19,16 +19,15 @@ the remaining candidates.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import binio
-from .corpus import Sentence, Vocabulary
-from .errors import FormatError, ResourceError, TrainingError, UnknownWordError
+from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
+from .errors import FormatError, TrainingError, UnknownWordError
 
 SKIPGRAM_MAGIC = b"PGSG"
 
@@ -44,10 +43,27 @@ class SkipGramConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.d1 < 1 or self.d2 < self.d1:
-            raise ValueError(f"need 1 <= d1 <= d2, got d1={self.d1}, d2={self.d2}")
-        if self.dim < 1 or self.epochs < 0 or self.negatives < 0:
-            raise ValueError("dim must be >= 1, epochs and negatives >= 0")
+        check_band(self.d1, self.d2)
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.negatives < 1:
+            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
+        if not self.step_size > 0:
+            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+
+
+def check_band(d1: int, d2: int) -> None:
+    """Raise ValueError unless [d1, d2] is a usable co-occurrence band."""
+    if d1 < 1 or d2 < d1:
+        raise ValueError(f"need 1 <= d1 <= d2, got d1={d1}, d2={d2}")
+
+
+def check_topic_k(k: int) -> None:
+    """Raise ValueError unless ``k`` topic predictions can be returned."""
+    if k < 1:
+        raise ValueError(f"topic_k must be >= 1, got {k}")
 
 
 def extract_pairs(sentences: Sequence[Sequence[int]], d1: int, d2: int) -> np.ndarray:
@@ -58,8 +74,7 @@ def extract_pairs(sentences: Sequence[Sequence[int]], d1: int, d2: int) -> np.nd
     order, i ascending, j ascending, which fixes the pair order used by
     training.  Returns an (n, 2) int64 array.
     """
-    if d1 < 1 or d2 < d1:
-        raise ValueError(f"need 1 <= d1 <= d2, got d1={d1}, d2={d2}")
+    check_band(d1, d2)
     out: list[tuple[int, int]] = []
     for ids in sentences:
         n = len(ids)
@@ -120,8 +135,7 @@ class SkipGramModel:
         Probabilities are renormalized over the eligible candidates.  Ties
         break by word, ascending, so output order is deterministic.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        check_topic_k(k)
         dist = self.relatedness_dist(word)
         skip = {self.vocab.id_of(word), self.vocab.unk_id}
         eligible = [i for i in range(len(dist)) if i not in skip]
@@ -145,11 +159,7 @@ class SkipGramModel:
             binio.write_u32(fh, c.negatives)
             binio.write_f64(fh, c.step_size)
             binio.write_u64(fh, c.seed)
-            binio.write_bytes(fh, self.vocab.hash_bytes())
-            vocab_lines = self.vocab.dump_lines()
-            binio.write_u32(fh, len(vocab_lines))
-            for line in vocab_lines:
-                binio.write_str(fh, line)
+            write_vocab(fh, self.vocab)
             for table in (self.vec_in, self.vec_out):
                 binio.write_bytes(fh, np.ascontiguousarray(table, dtype="<f8").tobytes())
 
@@ -158,25 +168,17 @@ class SkipGramModel:
              expected_vocab_hash: bytes | None = None) -> "SkipGramModel":
         with open(path, "rb") as fh:
             binio.check_magic(fh, SKIPGRAM_MAGIC, "skip-gram model")
-            dim = binio.read_u32(fh)
-            d1 = binio.read_u32(fh)
-            d2 = binio.read_u32(fh)
-            epochs = binio.read_u32(fh)
-            negatives = binio.read_u32(fh)
-            step_size = binio.read_f64(fh)
-            seed = binio.read_u64(fh)
-            vocab_hash = binio.read_bytes(fh)
-            if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
-                raise ResourceError(
-                    "skip-gram model was trained on a different vocabulary "
-                    f"({path}); retrain or pass matching resources"
-                )
-            vocab_lines = [binio.read_str(fh) for _ in range(binio.read_u32(fh))]
-            vocab = Vocabulary.from_dump_lines(vocab_lines)
-            if vocab.hash_bytes() != vocab_hash:
-                raise FormatError(f"embedded vocabulary is corrupt in {path}")
-            config = SkipGramConfig(dim=dim, d1=d1, d2=d2, epochs=epochs,
-                                    negatives=negatives, step_size=step_size, seed=seed)
+            try:  # arguments are read in file order
+                config = SkipGramConfig(
+                    dim=binio.read_u32(fh), d1=binio.read_u32(fh),
+                    d2=binio.read_u32(fh), epochs=binio.read_u32(fh),
+                    negatives=binio.read_u32(fh), step_size=binio.read_f64(fh),
+                    seed=binio.read_u64(fh))
+            except ValueError as exc:
+                raise FormatError(f"bad skip-gram header in {path}: {exc}") from None
+            vocab = read_vocab(fh, path, what="skip-gram model",
+                               expected_hash=expected_vocab_hash)
+            dim = config.dim
             tables = []
             for _ in range(2):
                 raw = binio.read_bytes(fh)
@@ -199,13 +201,7 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
                    config: SkipGramConfig | None = None) -> SkipGramModel:
     """Train band skip-gram embeddings; equal seeds give equal models."""
     config = config or SkipGramConfig()
-    encoded: list[list[int]] = []
-    for s in sentences:
-        if isinstance(s, Sentence):
-            encoded.append(vocab.encode(s.surfaces()))
-        else:
-            encoded.append(list(s))
-    pairs = extract_pairs(encoded, config.d1, config.d2)
+    pairs = extract_pairs(vocab.encode_sentences(sentences), config.d1, config.d2)
     if len(pairs) == 0:
         raise TrainingError(
             f"no training pairs: no two tokens at distance in "

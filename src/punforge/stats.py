@@ -169,8 +169,21 @@ def item_means(table: RatingsTable) -> dict[str, float]:
     }
 
 
+def check_clip(clip: float) -> None:
+    """Raise ValueError unless ``clip`` is a positive bound."""
+    if not clip > 0:
+        raise ValueError(f"clip must be > 0, got {clip}")
+
+
+def check_permutations(permutations: int) -> None:
+    """Raise ValueError unless at least one permutation is asked for."""
+    if permutations < 1:
+        raise ValueError(f"permutations must be >= 1, got {permutations}")
+
+
 def clip_standardize(values: Sequence[float], clip: float = DEFAULT_CLIP) -> np.ndarray:
     """Z-score (population std) then clamp to [-clip, clip]."""
+    check_clip(clip)
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot standardize an empty vector")
@@ -218,8 +231,7 @@ def permutation_pvalue(x: Sequence[float], y: Sequence[float],
                        permutations: int = DEFAULT_PERMUTATIONS,
                        seed: int = 1) -> float:
     """Two-sided permutation p-value for the Spearman correlation."""
-    if permutations < 1:
-        raise ValueError("need at least one permutation")
+    check_permutations(permutations)
     observed = abs(spearman(x, y))
     y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(seed)

@@ -67,6 +67,12 @@ class SurprisalReport:
     degenerate: bool
 
 
+def check_window(window: int) -> None:
+    """Raise ValueError unless ``window`` is a usable context half-width."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+
+
 def surprisal(model, left: Sequence[str], right: Sequence[str], pair: PunPair) -> float:
     """S for the discontiguous context (left, right), no boundary markers.
 
@@ -88,8 +94,14 @@ def local_global(model, occ: PunOccurrence, pair: PunPair,
     global score covers the whole sentence with markers, so sentence-typical
     openings and endings count toward it.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    return _surprisals(model, occ, pair, window)[:2]
+
+
+def _surprisals(model, occ: PunOccurrence, pair: PunPair,
+                window: int) -> tuple[float, float, list[int], float]:
+    """s_local, s_global, the pun sentence's ids and their marker-padded
+    log-probability, which :func:`score_occurrence` reuses for unusualness."""
+    check_window(window)
     if occ.tokens[occ.pun_position] != pair.pun_word:
         raise ValueError(
             f"token at pun_position is {occ.tokens[occ.pun_position]!r}, "
@@ -102,9 +114,9 @@ def local_global(model, occ: PunOccurrence, pair: PunPair,
     enc = model.vocab.encode
     with_alt = enc(occ.tokens[:p] + [pair.alt_word] + occ.tokens[p + 1:])
     with_pun = enc(occ.tokens)
-    s_global = (model.logprob_seq(with_alt, use_boundary_markers=True)
-                - model.logprob_seq(with_pun, use_boundary_markers=True))
-    return s_local, s_global
+    joint = model.logprob_seq(with_pun, use_boundary_markers=True)
+    s_global = model.logprob_seq(with_alt, use_boundary_markers=True) - joint
+    return s_local, s_global, with_pun, joint
 
 
 def s_ratio(s_local: float, s_global: float) -> float:
@@ -133,7 +145,10 @@ def unusualness(model, tokens: Sequence[str]) -> float:
     if not tokens:
         raise ValueError("cannot score an empty sentence")
     ids = model.vocab.encode(list(tokens))
-    joint = model.logprob_seq(ids, use_boundary_markers=True)
+    return _unusualness(model, ids, model.logprob_seq(ids, use_boundary_markers=True))
+
+
+def _unusualness(model, ids: list[int], joint: float) -> float:
     independent = sum(model.unigram_logprob(i) for i in ids)
     return -(joint - independent) / len(ids)
 
@@ -141,7 +156,7 @@ def unusualness(model, tokens: Sequence[str]) -> float:
 def score_occurrence(model, occ: PunOccurrence, pair: PunPair,
                      window: int = DEFAULT_WINDOW) -> SurprisalReport:
     """All surprisal measures for one pun occurrence."""
-    s_loc, s_glob = local_global(model, occ, pair, window)
+    s_loc, s_glob, ids, joint = _surprisals(model, occ, pair, window)
     ratio = s_ratio(s_loc, s_glob)
     degenerate = (
         not (math.isfinite(s_loc) and math.isfinite(s_glob))
@@ -151,6 +166,6 @@ def score_occurrence(model, occ: PunOccurrence, pair: PunPair,
         s_local=s_loc,
         s_global=s_glob,
         s_ratio=ratio,
-        unusualness=unusualness(model, occ.tokens),
+        unusualness=_unusualness(model, ids, joint),
         degenerate=degenerate,
     )

@@ -40,6 +40,7 @@ from .errors import FormatError, ResourceError
 
 NOUN = "n"
 VERB = "v"
+DEFAULT_THRESHOLD = 0.3
 
 HYPERNYM_SYMBOLS = {"@", "@i"}
 
@@ -134,8 +135,8 @@ def path_similarity(graph: SynsetGraph, a: Synset, b: Synset) -> float:
     return 1.0 / (1.0 + dist)
 
 
-def type_consistent(graph: SynsetGraph, word: str, word_tag: Pos,
-                    other: str, other_tag: Pos, threshold: float = 0.3) -> bool:
+def type_consistent(graph: SynsetGraph, word: str, word_tag: Pos, other: str,
+                    other_tag: Pos, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """True if any sense pair has path similarity strictly above threshold."""
     senses_a = graph.synsets_of(word, word_tag)
     senses_b = graph.synsets_of(other, other_tag)

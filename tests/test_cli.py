@@ -1,10 +1,15 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from punforge import cli
+from punforge import cli, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
-from punforge.corpus import Vocabulary
+from punforge.corpus import Vocabulary, check_min_count, ingest
+from punforge.generator import GenerationConfig
+from punforge.ngram_lm import check_order, train_lm
+from punforge.skipgram import SkipGramConfig
 
 
 def _run(tmp_path, argv):
@@ -88,6 +93,44 @@ class TestResolveConfig:
             resolve_config(bad, None, env={})
 
 
+class TestLibraryOwnsRules:
+    """The CLI's defaults and range checks are the library's own."""
+
+    @pytest.mark.parametrize("owner,bad", [
+        (check_order, {"order": 7}), (check_order, {"order": 1}),
+        (GenerationConfig, {"window": 0}),
+        (SkipGramConfig, {"d1": 6, "d2": 5}), (SkipGramConfig, {"d1": 0}),
+        (SkipGramConfig, {"epochs": -1}), (SkipGramConfig, {"negatives": 0}),
+        (SkipGramConfig, {"step_size": 0.0}), (SkipGramConfig, {"dim": 0}),
+        (check_min_count, {"min_count": 0}),
+        (GenerationConfig, {"pool": 0}), (GenerationConfig, {"keep": 0}),
+        (GenerationConfig, {"topic_k": 0}),
+        (GenerationConfig, {"threshold": -0.1}),
+        (GenerationConfig, {"max_outputs": 0}),
+        (stats.check_permutations, {"permutations": 0}),
+        (stats.check_clip, {"clip": 0.0}),
+        (GenerationConfig, {"stage": "POLISH"}),
+    ])
+    def test_out_of_range_values_rejected_by_owner(self, owner, bad):
+        with pytest.raises(ValueError):
+            owner(**bad)
+
+    def test_run_config_defaults_are_the_owners(self):
+        cfg = RunConfig()
+        for owner in (SkipGramConfig, GenerationConfig):
+            for field in dataclasses.fields(owner):
+                assert getattr(cfg, field.name) == field.default, field.name
+        owners = {"order": (train_lm, "order"),
+                  "min_count": (ingest, "min_count"),
+                  "min_rater_corr": (stats.filter_raters, "min_corr"),
+                  "permutations": (stats.permutation_pvalue, "permutations"),
+                  "clip": (stats.clip_standardize, "clip")}
+        for name, (func, param) in owners.items():
+            default = inspect.signature(func).parameters[param].default
+            assert getattr(cfg, name) == default, name
+        assert cfg.wordnet is None
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage(self, capsys):
         assert cli.main([]) == 1
@@ -113,6 +156,29 @@ class TestExitCodes:
         code = cli.main(["train-lm", "--corpus", str(tmp_path / "no.pgc"),
                          "--out", str(tmp_path / "m")])
         assert code == 2
+
+    def test_generate_same_pun_and_alt_is_usage(self, pipeline, capsys):
+        code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),
+                         "--pun", "hare", "--alt", "Hare"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must differ" in err
+
+    def test_bad_skipgram_header_is_one_line_data_error(self, pipeline,
+                                                        tmp_path, capsys):
+        bad = tmp_path / "dim0.pgsg"
+        blob = pipeline["skipgram"].read_bytes()
+        bad.write_bytes(blob[:4] + bytes(4) + blob[8:])  # dim = 0
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"sentence": "a hare cut .",
+                                   "pun_word": "hare",
+                                   "alt_word": "hair"}) + "\n")
+        code = cli.main(["score", "--lm", str(pipeline["lm"]),
+                         "--skipgram", str(bad), "--input", str(src),
+                         "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dim must be" in err
 
     def test_generate_without_pair_is_usage(self, pipeline, capsys):
         code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),
@@ -160,6 +226,17 @@ class TestScore:
                                 "unusualness", "degenerate"}
             assert "ambiguity" not in rec
         assert "error" in records[2] and "s_local" not in records[2]
+
+    def test_unknown_pair_word_is_an_inline_error(self, pipeline, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({
+            "id": "x", "sentence": "The greyhound got a hare cut downtown.",
+            "pun_word": "hare", "alt_word": "hairz"}) + "\n")
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--input", str(src)])
+        assert code == 0
+        record = json.loads(lines[0])
+        assert "hairz" in record["error"] and "s_local" not in record
 
     def test_skipgram_adds_meaning_fields(self, pipeline, tmp_path):
         src = self._write_input(tmp_path)
@@ -305,6 +382,16 @@ class TestGenerate:
                  if json.loads(line)["record"] == "meta"]
         assert [(m["pun_word"], m["alt_word"]) for m in metas] == \
             [("hare", "hair"), ("flee", "flea")]
+
+    def test_pairs_file_line_with_equal_words_is_data_error(self, pipeline,
+                                                            tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("hare\thair\nflea\tflea\n")
+        code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),
+                         "--pairs", str(pairs), "--stage", "SWAP",
+                         "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert f"{pairs}:2:" in capsys.readouterr().err
 
     def test_malformed_pairs_file_is_data_error(self, pipeline, tmp_path):
         pairs = tmp_path / "pairs.tsv"

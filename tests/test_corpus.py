@@ -178,6 +178,23 @@ class TestCorpusFile:
         save_corpus(path, corpus)
         assert load_corpus(path).postings is None
 
+    def test_by_id_maps_sentence_ids(self):
+        corpus = self._corpus()
+        assert {i: s.surfaces() for i, s in corpus.by_id.items()} == \
+            {s.sent_id: s.surfaces() for s in corpus.sentences}
+
+    def test_inverted_index_uses_stored_postings(self):
+        corpus = self._corpus()
+        index = corpus.inverted_index()
+        assert index.postings is corpus.postings
+        assert index.lengths == {0: 4, 1: 4}
+
+    def test_inverted_index_built_when_postings_absent(self):
+        corpus = self._corpus()
+        index = Corpus(corpus.sentences, corpus.vocab, None).inverted_index()
+        assert index.lookup("dog") == [(0, (1,)), (1, (1,))]
+        assert index.lengths == {0: 4, 1: 4}
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "c.pgc"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,21 @@ class TestPersistence:
         model.save(path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(FormatError):
+            SkipGramModel.load(path)
+
+    # byte offset and packed zero of each header field the config rejects at 0
+    @pytest.mark.parametrize("offset,zero", [
+        (4, struct.pack("<I", 0)),    # dim
+        (20, struct.pack("<I", 0)),   # negatives
+        (24, struct.pack("<d", 0.0)),  # step_size
+    ], ids=["dim", "negatives", "step_size"])
+    def test_rejected_header_value_is_format_error(self, model, tmp_path,
+                                                   offset, zero):
+        path = tmp_path / "m.pgsg"
+        model.save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:offset] + zero + blob[offset + len(zero):])
+        with pytest.raises(FormatError, match="header"):
             SkipGramModel.load(path)
 
     def test_export_text_round_trips_values(self, model, tmp_path):
