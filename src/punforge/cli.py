@@ -25,7 +25,7 @@ import numpy as np
 from . import stats
 from .corpus import (DEFAULT_MIN_COUNT, Corpus, TagLexicon, check_min_count,
                      ingest, load_corpus, save_corpus, tokenize)
-from .errors import PunforgeError, ResourceError
+from .errors import FormatError, PunforgeError, ResourceError, open_text
 from .generator import (GenerationConfig, GenerationResources, STAGE_SWAP,
                         STAGE_TOPIC, generate)
 from .kao import check_pair_words, meaning_report
@@ -91,6 +91,15 @@ def _coerce(name: str, raw: str, target_type: type) -> object:
         raise UsageError(f"bad value for {name}: {raw!r}") from None
 
 
+def _json_fits(raw: int | float | bool, field_type: type) -> bool:
+    """Whether a JSON number or boolean is a value of ``field_type``.
+
+    An integer fits a float field; a float never fits an int field, and a
+    boolean fits only a bool field (``bool`` subclasses ``int``).
+    """
+    return type(raw) is field_type or (field_type is float and type(raw) is int)
+
+
 def resolve_config(flag_values: Mapping[str, object],
                    config_path: str | None,
                    env: Mapping[str, str] | None = None) -> RunConfig:
@@ -122,6 +131,9 @@ def resolve_config(flag_values: Mapping[str, object],
             raw = file_values[name]
             if raw is not None and not isinstance(raw, (int, float, bool, str)):
                 raise UsageError(f"config key {name!r} has a non-scalar value")
+            if isinstance(raw, (int, float, bool)) and not _json_fits(raw, base_type):
+                raise UsageError(f"config key {name!r} needs a {base_type.__name__} "
+                                 f"value, got {json.dumps(raw)}")
             values[name] = (
                 None if raw is None
                 else _coerce(name, str(raw), base_type) if isinstance(raw, str)
@@ -424,17 +436,23 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
     means = stats.item_means(filtered.table)
 
     metric_values: dict[str, dict[str, float]] = {}
-    with open(args.scores, encoding="utf-8") as fh:
-        for line in fh:
+    with open_text(args.scores) as fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"found {type(record).__name__}")
+                metrics = {key: float(value) for key, value in record.items()
+                           if key != "id" and isinstance(value, (int, float))
+                           and not isinstance(value, bool)}
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(f"{args.scores}:{lineno}: not a JSON object "
+                                  f"of metrics ({exc})") from None
             item = str(record.get("id"))
-            for key, value in record.items():
-                if key == "id" or isinstance(value, bool):
-                    continue
-                if isinstance(value, (int, float)):
-                    metric_values.setdefault(key, {})[item] = float(value)
+            for key, value in metrics.items():
+                metric_values.setdefault(key, {})[item] = value
 
     out = _open_out(args.output)
     out.write("metric\tn\tspearman\tp_value\n")
@@ -445,9 +463,12 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
             raise ResourceError(
                 f"metric {metric!r} shares {len(shared)} items with the ratings"
             )
-        xs = stats.clip_standardize([per_item[i] for i in shared], cfg.clip)
-        ys = [means[i] for i in shared]
-        rho = stats.spearman(xs, ys)
+        try:  # a constant column or constant ratings have no correlation
+            xs = stats.clip_standardize([per_item[i] for i in shared], cfg.clip)
+            ys = [means[i] for i in shared]
+            rho = stats.spearman(xs, ys)
+        except ValueError as exc:
+            raise ResourceError(f"metric {metric!r}: {exc}") from None
         p = stats.permutation_pvalue(xs, ys, permutations=cfg.permutations,
                                      seed=cfg.seed)
         out.write(f"{metric}\t{len(shared)}\t{rho:.6f}\t{p:.6f}\n")

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 from . import binio
-from .errors import FormatError, ResourceError
+from .errors import FormatError, ResourceError, open_text
 
 if TYPE_CHECKING:
     from .retrieval import InvertedIndex
@@ -265,7 +265,8 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
     Sentence ids number the sentences in input order starting at 0.
     """
     if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
+        with open_text(source) as fh:
+            text = fh.read()
     elif isinstance(source, str):
         text = source
     else:

@@ -5,6 +5,12 @@ mismatched vocabulary, impossible training input).  Plain ValueError /
 TypeError keep their usual meaning of a caller bug.
 """
 
+from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, TextIO
+
 
 class PunforgeError(Exception):
     """Base class for data and resource errors."""
@@ -24,3 +30,13 @@ class TrainingError(PunforgeError):
 
 class UnknownWordError(PunforgeError):
     """A query word is not in the model vocabulary."""
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file; bytes that do not decode raise FormatError."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

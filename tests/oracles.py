@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class ReferenceKN:
     """Interpolated modified Kneser-Ney over explicit n-gram dictionaries.
@@ -142,6 +144,48 @@ def reference_spearman(x, y):
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+def _loop_ranks(arr):
+    """Average ranks by walking tie groups in stable sorted order."""
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(arr.size, dtype=np.float64)
+    i = 0
+    while i < arr.size:
+        j = i
+        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def _loop_spearman(x, y):
+    """Spearman rho in float64, with the package's rounding steps."""
+    rx = _loop_ranks(np.asarray(x, dtype=np.float64))
+    ry = _loop_ranks(np.asarray(y, dtype=np.float64))
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    sx = float(np.sqrt((dx * dx).sum()))
+    sy = float(np.sqrt((dy * dy).sum()))
+    return float((dx * dy).sum() / (sx * sy))
+
+
+def reference_permutation_pvalue(x, y, permutations, seed):
+    """Permutation p-value that re-ranks every permuted draw of ``y``.
+
+    Draws come from ``np.random.default_rng(seed).permutation(y)``, one per
+    permutation, and the count is add-one on both sides.
+    """
+    observed = abs(_loop_spearman(x, y))
+    y = np.asarray(y, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(permutations):
+        rho = _loop_spearman(x, rng.permutation(y))
+        if abs(rho) >= observed:
+            hits += 1
+    return (hits + 1) / (permutations + 1)
 
 
 def reference_meaning(p_uni, rel_pun, rel_alt, prior_pun=0.5, mixture=0.5):

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import random
 
 import pytest
 
@@ -80,6 +81,21 @@ class TestResolveConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"wordnet": None}))
         assert resolve_config({}, str(path), env={}).wordnet is None
+
+    @pytest.mark.parametrize("bad", [
+        {"order": 3.5}, {"order": 3.0}, {"dim": True}, {"clip": False},
+        {"stage": 2}, {"rerank": 1},
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, bad):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(UsageError, match="needs a"):
+            resolve_config({}, str(path), env={})
+
+    def test_config_integer_for_float_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"clip": 3}))
+        assert resolve_config({}, str(path), env={}).clip == 3
 
     @pytest.mark.parametrize("bad", [
         {"order": 7}, {"order": 1}, {"window": 0}, {"d1": 6, "d2": 5},
@@ -185,6 +201,28 @@ class TestExitCodes:
                          "--pun", "hare"])
         assert code == 1
         assert "--alt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,argv", [
+        ({"order": 3.5}, ["train-lm", "--corpus", "c.pgc", "--out", "c.pglm"]),
+        ({"permutations": True},
+         ["correlate", "--ratings", "r.csv", "--scores", "s.jsonl"]),
+    ])
+    def test_config_value_of_wrong_type_is_usage(self, tmp_path, capsys,
+                                                  value, argv):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(value))
+        assert cli.main(argv + ["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(next(iter(value))) in err
+
+    def test_corpus_not_utf8_is_one_line_data_error(self, tmp_path, capsys):
+        text = tmp_path / "bad.txt"
+        text.write_bytes(b"\xff\xfethe hare got a hair cut .\n")
+        code = cli.main(["index", "--corpus", str(text),
+                         "--out", str(tmp_path / "bad.pgc")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(text) in err and "UTF-8" in err
 
 
 class TestIndex:
@@ -455,3 +493,60 @@ class TestCorrelate:
                          "--scores", str(scores),
                          "--output", str(tmp_path / "o.tsv")])
         assert code == 2
+
+    @pytest.mark.parametrize("name,text,where", [
+        ("ratings.csv", "item_id,rater_id,score\na,r1,x\n", ":2: score is not a number"),
+        ("ratings.csv", "item_id,rater_id,score\na,r1,nan\n", ":2: score is not finite"),
+        ("ratings.csv", "item_id,rater_id,score\na\n", ":2: expected item_id"),
+        ("ratings.csv", "item,rater,score\na,r1,1\n", ":1: header must name"),
+        ("scores.jsonl", '{"id": "a", "s_ratio": 1.0}\nnot json\n', ":2: not a JSON"),
+        ("scores.jsonl", "[1, 2]\n", ":1: not a JSON object"),
+    ])
+    def test_malformed_input_is_one_line_data_error(self, tmp_path, capsys,
+                                                    name, text, where):
+        ratings, scores = self._fixture_files(tmp_path, None)
+        (tmp_path / name).write_text(text)
+        code = cli.main(["correlate", "--ratings", str(ratings),
+                         "--scores", str(scores),
+                         "--output", str(tmp_path / "o.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{tmp_path / name}{where}" in err
+
+    def test_constant_metric_column_is_data_error(self, tmp_path, capsys):
+        ratings, scores = self._fixture_files(tmp_path, None)
+        scores.write_text("".join(json.dumps({"id": item, "flat": 1.0}) + "\n"
+                                  for item in "abcde"))
+        code = cli.main(["correlate", "--ratings", str(ratings),
+                         "--scores", str(scores),
+                         "--output", str(tmp_path / "o.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'flat'" in err and "constant" in err
+
+    def test_mutated_inputs_exit_0_or_2_without_traceback(self, tmp_path,
+                                                         capsys):
+        ratings, scores = self._fixture_files(tmp_path, None)
+        originals = {ratings: ratings.read_bytes(), scores: scores.read_bytes()}
+        rng = random.Random(2024)
+        codes = set()
+        for _ in range(200):
+            target = rng.choice(list(originals))
+            blob = bytearray(originals[target])
+            if rng.random() < 0.3:
+                del blob[rng.randrange(len(blob)):]
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    blob[rng.randrange(len(blob))] ^= rng.randrange(1, 256)
+            for path, original in originals.items():
+                path.write_bytes(bytes(blob) if path == target else original)
+            try:
+                code = cli.main(["correlate", "--ratings", str(ratings),
+                                 "--scores", str(scores), "--permutations", "20",
+                                 "--output", str(tmp_path / "o.tsv")])
+            except Exception as exc:  # report the input that escaped
+                pytest.fail(f"{target.name} {bytes(blob)!r}: {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2) and "Traceback" not in err, bytes(blob)
+            codes.add(code)
+        assert codes == {0, 2}

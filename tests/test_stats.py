@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from oracles import reference_ranks, reference_spearman
-from punforge.stats import (FilterReport, Rating, RatingsTable, average_ranks,
-                            clip_standardize, filter_raters, item_means,
-                            pairwise_compare, permutation_pvalue, spearman,
-                            zscore_raters)
+from oracles import (reference_permutation_pvalue, reference_ranks,
+                     reference_spearman)
+from punforge.stats import (_PERMUTATION_BLOCK, FilterReport, Rating,
+                            RatingsTable, average_ranks, clip_standardize,
+                            filter_raters, item_means, pairwise_compare,
+                            permutation_pvalue, spearman, zscore_raters)
 
 
 def _table(rows):
@@ -146,6 +147,9 @@ class TestRanksAndSpearman:
             n = rng.randrange(2, 12)
             values = [float(rng.randrange(0, 5)) for _ in range(n)]
             assert average_ranks(values).tolist() == reference_ranks(values)
+        for n in (0, 1, 500, *(rng.randrange(12, 500) for _ in range(8))):
+            values = [float(rng.randrange(0, max(1, n // 4))) for _ in range(n)]
+            assert average_ranks(values).tolist() == reference_ranks(values)
 
     def test_spearman_matches_reference_on_tied_data(self):
         rng = random.Random(23)
@@ -205,6 +209,33 @@ class TestPermutationPValue:
         a = permutation_pvalue(x, y, permutations=200, seed=9)
         b = permutation_pvalue(x, y, permutations=200, seed=9)
         assert a == b
+
+    @staticmethod
+    def _vectors(rng, n, tied):
+        """Two non-constant vectors of length n, drawn from few values if tied."""
+        while True:
+            if tied:
+                x = [float(rng.randrange(0, 4)) for _ in range(n)]
+                y = [float(rng.randrange(0, 4)) for _ in range(n)]
+            else:
+                x = [rng.random() for _ in range(n)]
+                y = [rng.random() for _ in range(n)]
+            if len(set(x)) > 1 and len(set(y)) > 1:
+                return x, y
+
+    def test_equals_rerank_every_draw_oracle(self):
+        block = _PERMUTATION_BLOCK
+        counts = (1, block - 1, block, block + 1, 2000)
+        rng = random.Random(31)
+        # The oracle re-ranks 200 items per draw, so that size runs each
+        # count once, alternating tied and untied data.
+        cases = [(n, k, tied) for n in (2, 3, 17) for k in counts
+                 for tied in (False, True)]
+        cases += [(200, k, k % 2 == 0) for k in counts]
+        for seed, (n, k, tied) in enumerate(cases, start=1):
+            x, y = self._vectors(rng, n, tied)
+            assert permutation_pvalue(x, y, permutations=k, seed=seed) == \
+                reference_permutation_pvalue(x, y, k, seed), (n, k, seed, tied)
 
     def test_permutation_count_validated(self):
         with pytest.raises(ValueError):
