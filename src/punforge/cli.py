@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Mapping, TextIO
+from typing import ContextManager, Mapping, TextIO
 
 import numpy as np
 
@@ -110,10 +110,11 @@ def resolve_config(flag_values: Mapping[str, object],
     file_values: dict[str, object] = {}
     if config_path:
         try:
-            file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            with open_text(config_path) as fh:
+                file_values = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, FormatError) as exc:  # JSON text is UTF-8
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
@@ -252,8 +253,8 @@ def _open_out(path: str) -> TextIO:
     return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
 
 
-def _open_in(path: str) -> TextIO:
-    return sys.stdin if path == "-" else open(path, encoding="utf-8")
+def _open_in(path: str) -> ContextManager[TextIO]:
+    return sys.stdin if path == "-" else open_text(path)
 
 
 def _emit(fh: TextIO, record: dict) -> None:
@@ -352,7 +353,7 @@ def _cmd_score(args, cfg: RunConfig) -> int:
 def _read_pairs(args) -> list[PunPair]:
     if args.pairs:
         pairs = []
-        with open(args.pairs, encoding="utf-8") as fh:
+        with open_text(args.pairs) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -447,9 +448,11 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
                 metrics = {key: float(value) for key, value in record.items()
                            if key != "id" and isinstance(value, (int, float))
                            and not isinstance(value, bool)}
+                if not np.isfinite(list(metrics.values())).all():
+                    raise ValueError("NaN or infinite value")
             except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{args.scores}:{lineno}: not a JSON object "
-                                  f"of metrics ({exc})") from None
+                                  f"of finite metrics ({exc})") from None
             item = str(record.get("id"))
             for key, value in metrics.items():
                 metric_values.setdefault(key, {})[item] = value

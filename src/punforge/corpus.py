@@ -27,6 +27,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
+import numpy as np
+
 from . import binio
 from .errors import FormatError, ResourceError, open_text
 
@@ -35,8 +37,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = b"PGC1"
-INDEX_MAGIC = b"PGIX"
+CORPUS_MAGIC = b"PGC2"
 
 UNK = "<unk>"
 DEFAULT_MIN_COUNT = 1
@@ -200,8 +201,8 @@ class Vocabulary:
                 idx, count = int(idx_s), int(count_s)
             except ValueError as exc:
                 raise FormatError(f"bad vocabulary line {lineno + 1}: {line!r}") from exc
-            if idx != len(vocab._words):
-                raise FormatError(f"vocabulary ids out of order at line {lineno + 1}")
+            if idx != len(vocab._words) or count < 0:
+                raise FormatError(f"bad vocabulary id or count at line {lineno + 1}")
             vocab._words.append(word)
             vocab._counts.append(count)
         if not vocab._words or vocab._words[0] != UNK:
@@ -294,10 +295,12 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 
 # --- binary container ------------------------------------------------------
 #
-# Layout: magic PGC1, flags byte (bit 0: index section present), vocabulary
-# dump, surface table, sentences as surface-table references, then the
-# optional PGIX postings section.  Sentences keep their full surfaces so that
-# rare words survive a min_count-collapsed vocabulary.
+# Layout (binio blocks): magic PGC2, flags byte (bit 0: postings present),
+# vocabulary dump, surface table, then one array each of sentence ids,
+# lengths, and every token's surface-table index and POS code.  Postings are
+# the terms' surface indexes, entries per term, each entry's sentence row and
+# position count, and the positions.  Sentences keep their full surfaces so
+# that rare words survive a min_count-collapsed vocabulary.
 
 Postings = dict[str, list[tuple[int, tuple[int, ...]]]]
 
@@ -325,107 +328,93 @@ class Corpus:
 
 
 def write_vocab(fh: BinaryIO, vocab: Vocabulary, hashed: bool = True) -> None:
-    """Embed a vocabulary: its hash (when ``hashed``), line count, then lines."""
+    """Embed a vocabulary: its hash (when ``hashed``), then its dump lines."""
     if hashed:
-        binio.write_bytes(fh, vocab.hash_bytes())
-    lines = vocab.dump_lines()
-    binio.write_u32(fh, len(lines))
-    for line in lines:
-        binio.write_str(fh, line)
+        binio.write_array(fh, list(vocab.hash_bytes()), "u1")
+    binio.write_strings(fh, vocab.dump_lines())
 
 
-def read_vocab(fh: BinaryIO, path: str | Path, hashed: bool = True,
-               what: str = "model", expected_hash: bytes | None = None) -> Vocabulary:
+def read_vocab(fh: BinaryIO, hashed: bool = True, what: str = "model",
+               expected_hash: bytes | None = None) -> Vocabulary:
     """Read what :func:`write_vocab` wrote; a stored hash other than
     ``expected_hash`` is a ResourceError, lines that fail it a FormatError."""
     stored = None
     if hashed:
-        stored = binio.read_bytes(fh)
+        stored = binio.read_array(fh, "u1").tobytes()
         if expected_hash is not None and stored != expected_hash:
             raise ResourceError(f"{what} was trained on a different vocabulary "
-                                f"({path}); retrain or pass matching resources")
-    vocab = Vocabulary.from_dump_lines(
-        [binio.read_str(fh) for _ in range(binio.read_u32(fh))])
+                                f"({fh.name}); retrain or pass matching resources")
+    vocab = Vocabulary.from_dump_lines(binio.read_strings(fh))
     if stored is not None and vocab.hash_bytes() != stored:
-        raise FormatError(f"embedded vocabulary is corrupt in {path}")
+        raise FormatError(f"embedded vocabulary is corrupt in {fh.name}")
     return vocab
 
 
-def _write_postings(fh: BinaryIO, postings: Postings) -> None:
-    fh.write(INDEX_MAGIC)
-    binio.write_u32(fh, len(postings))
-    for term in sorted(postings):
-        binio.write_str(fh, term)
-        entries = postings[term]
-        binio.write_u32(fh, len(entries))
-        for sent_id, positions in entries:
-            binio.write_u32(fh, sent_id)
-            binio.write_u32(fh, len(positions))
-            for p in positions:
-                binio.write_u32(fh, p)
-
-
-def _read_postings(fh: BinaryIO) -> Postings:
-    binio.check_magic(fh, INDEX_MAGIC, "postings section")
-    postings: Postings = {}
-    for _ in range(binio.read_u32(fh)):
-        term = binio.read_str(fh)
-        entries = []
-        for _ in range(binio.read_u32(fh)):
-            sent_id = binio.read_u32(fh)
-            npos = binio.read_u32(fh)
-            entries.append((sent_id, tuple(binio.read_u32(fh) for _ in range(npos))))
-        postings[term] = entries
-    return postings
-
-
 def save_corpus(path: str | Path, corpus: Corpus) -> None:
+    """Write ``corpus``; its postings must refer to its own sentences."""
+    surfaces: dict[str, int] = {}
+    tokens = [t for s in corpus.sentences for t in s.tokens]
+    surface_idx = [surfaces.setdefault(t.surface, len(surfaces)) for t in tokens]
     with open(path, "wb") as fh:
         fh.write(CORPUS_MAGIC)
-        binio.write_u8(fh, 1 if corpus.postings is not None else 0)
+        binio.pack(fh, "<B", 0 if corpus.postings is None else 1)
         write_vocab(fh, corpus.vocab, hashed=False)
-
-        surfaces: dict[str, int] = {}
-        for sentence in corpus.sentences:
-            for token in sentence.tokens:
-                surfaces.setdefault(token.surface, len(surfaces))
-        binio.write_u32(fh, len(surfaces))
-        for surface in surfaces:  # insertion order == index order
-            binio.write_str(fh, surface)
-
-        binio.write_u32(fh, len(corpus.sentences))
-        for sentence in corpus.sentences:
-            binio.write_u32(fh, sentence.sent_id)
-            binio.write_u32(fh, len(sentence.tokens))
-            for token in sentence.tokens:
-                binio.write_u32(fh, surfaces[token.surface])
-                binio.write_u8(fh, token.pos.value)
-
+        binio.write_strings(fh, list(surfaces))  # insertion order == index order
+        binio.write_array(fh, [s.sent_id for s in corpus.sentences], "<u4")
+        binio.write_array(fh, [len(s.tokens) for s in corpus.sentences], "<u4")
+        binio.write_array(fh, surface_idx, "<u4")
+        binio.write_array(fh, [t.pos.value for t in tokens], "u1")
         if corpus.postings is not None:
-            _write_postings(fh, corpus.postings)
+            terms = sorted(corpus.postings)
+            entries = [e for term in terms for e in corpus.postings[term]]
+            row_of = {s.sent_id: row for row, s in enumerate(corpus.sentences)}
+            binio.write_array(fh, [surfaces[t] for t in terms], "<u4")
+            binio.write_array(fh, [len(corpus.postings[t]) for t in terms], "<u4")
+            binio.write_array(fh, [row_of[sent_id] for sent_id, _ in entries], "<u4")
+            binio.write_array(fh, [len(ps) for _, ps in entries], "<u4")
+            binio.write_array(fh, [p for _, ps in entries for p in ps], "<u4")
 
 
 def load_corpus(path: str | Path) -> Corpus:
+    """Read a corpus file, checking that its arrays agree with each other."""
     with open(path, "rb") as fh:
         binio.check_magic(fh, CORPUS_MAGIC, "corpus")
-        flags = binio.read_u8(fh)
-        vocab = read_vocab(fh, path, hashed=False)
+        (flags,) = binio.unpack(fh, "<B")
+        vocab = read_vocab(fh, hashed=False)
+        surfaces = binio.read_strings(fh)
+        sent_ids, lengths, surface_idx = (binio.read_array(fh, "<u4")
+                                          for _ in range(3))
+        pos_codes = binio.read_array(fh, "u1")
+        if flags & 1:
+            terms, n_entries, rows, n_positions, positions = (
+                binio.read_array(fh, "<u4") for _ in range(5))
+    if not (len(sent_ids) == len(lengths) == len(np.unique(sent_ids))
+            and lengths.sum(dtype=np.int64) == len(surface_idx) == len(pos_codes)
+            and (surface_idx < len(surfaces)).all()
+            and (pos_codes < len(Pos)).all()):  # Pos values are 0 .. len(Pos) - 1
+        raise FormatError(f"corrupt corpus file {path}: sentence arrays disagree")
+    # One Token per distinct (surface, POS) pair; the sentences share them.
+    keys, inverse = np.unique(surface_idx.astype(np.int64) << 8 | pos_codes,
+                              return_inverse=True)
+    kinds = [Token(surfaces[k >> 8], Pos(k & 0xFF)) for k in keys.tolist()]
+    tokens = list(map(kinds.__getitem__, inverse.tolist()))
+    sentences = list(map(Sentence, sent_ids.tolist(), binio.split(tokens, lengths)))
+    if not flags & 1:
+        return Corpus(sentences, vocab)
 
-        surfaces = [binio.read_str(fh) for _ in range(binio.read_u32(fh))]
-
-        sentences: list[Sentence] = []
-        for _ in range(binio.read_u32(fh)):
-            sent_id = binio.read_u32(fh)
-            ntok = binio.read_u32(fh)
-            tokens = []
-            for _ in range(ntok):
-                surface_idx = binio.read_u32(fh)
-                pos_code = binio.read_u8(fh)
-                try:
-                    tokens.append(Token(surfaces[surface_idx], Pos(pos_code)))
-                except (IndexError, ValueError) as exc:
-                    raise FormatError(f"corrupt corpus file {path}") from exc
-            sentences.append(Sentence(sent_id, tokens))
-
-        postings = _read_postings(fh) if flags & 1 else None
-    return Corpus(sentences, vocab, postings)
+    # Each position must lie inside its entry's sentence and hold the term.
+    if not (len(n_entries) == len(terms) and (terms < len(surfaces)).all()
+            and (rows < len(sentences)).all()
+            and n_entries.sum(dtype=np.int64) == len(rows) == len(n_positions)
+            and n_positions.sum(dtype=np.int64) == len(positions)):
+        raise FormatError(f"corrupt corpus file {path}: postings arrays disagree")
+    row = np.repeat(rows, n_positions)
+    starts = np.cumsum(lengths, dtype=np.int64) - lengths
+    if not ((positions < lengths[row]).all() and (surface_idx[starts[row] + positions]
+            == np.repeat(np.repeat(terms, n_entries), n_positions)).all()):
+        raise FormatError(f"corrupt corpus file {path}: postings do not match "
+                          f"the sentences")
+    entries = list(zip(sent_ids[rows].tolist(),
+                       binio.split(tuple(positions.tolist()), n_positions)))
+    return Corpus(sentences, vocab, dict(zip([surfaces[t] for t in terms.tolist()],
+                                             binio.split(entries, n_entries))))

@@ -28,14 +28,17 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
+
+import numpy as np
 
 from . import binio
 from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
-from .errors import TrainingError
+from .errors import FormatError, TrainingError
 
-LM_MAGIC = b"PGLM"
+LM_MAGIC = b"PGL2"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
@@ -182,37 +185,54 @@ class NGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the counts as sorted n-gram rows and their counts, built as
+        arrays (not a tuple per n-gram) to need little memory beyond the model."""
+        top, contexts = self._top_counts, sorted(self._top_counts)
+        sizes = [len(top[ctx]) for ctx in contexts]
+        targets = np.fromiter(
+            chain.from_iterable(sorted(top[ctx].items()) for ctx in contexts),
+            dtype=[("w", "<u4"), ("c", "<u8")], count=sum(sizes))
+        ctx_ids = np.array(contexts, dtype=np.uint32).reshape(-1, self.order - 1)
+        grams = np.column_stack([np.repeat(ctx_ids, sizes, axis=0), targets["w"]])
         with open(path, "wb") as fh:
             fh.write(LM_MAGIC)
-            binio.write_u8(fh, self.order)
+            binio.pack(fh, "<B", self.order)
             write_vocab(fh, self.vocab)
-            binio.write_u32(fh, len(self._top_counts))
-            for ctx in sorted(self._top_counts):
-                for t in ctx:
-                    binio.write_u32(fh, t)
-                words = self._top_counts[ctx]
-                binio.write_u32(fh, len(words))
-                for w in sorted(words):
-                    binio.write_u32(fh, w)
-                    binio.write_u64(fh, words[w])
+            binio.write_array(fh, grams, "<u4")
+            binio.write_array(fh, targets["c"], "<u8")
 
     @classmethod
     def load(cls, path: str | Path,
              expected_vocab_hash: bytes | None = None) -> "NGramModel":
         with open(path, "rb") as fh:
             binio.check_magic(fh, LM_MAGIC, "language model")
-            order = binio.read_u8(fh)
-            vocab = read_vocab(fh, path, what="language model",
+            (order,) = binio.unpack(fh, "<B")
+            vocab = read_vocab(fh, what="language model",
                                expected_hash=expected_vocab_hash)
-            top: dict[tuple[int, ...], dict[int, int]] = {}
-            for _ in range(binio.read_u32(fh)):
-                ctx = tuple(binio.read_u32(fh) for _ in range(order - 1))
-                words = {}
-                for _ in range(binio.read_u32(fh)):
-                    w = binio.read_u32(fh)
-                    words[w] = binio.read_u64(fh)
-                top[ctx] = words
+            top = _read_top_counts(fh, order, bos=len(vocab))
         return cls(order, vocab, top)
+
+
+def _read_top_counts(fh: BinaryIO, order: int, bos: int) -> dict[tuple, dict]:
+    """Read and check the count blocks; a function of its own so that the
+    arrays are freed before the model builds its tables (peak memory)."""
+    grams, counts = binio.read_array(fh, "<u4"), binio.read_array(fh, "<u8")
+    try:  # an order out of range, or not one row of ids per count
+        check_order(order)
+        grams = grams.reshape(len(counts), order)
+    except ValueError as exc:
+        raise FormatError(f"corrupt language model {fh.name}: {exc}") from None
+    ctx, words = grams[:, :-1], grams[:, -1]
+    if not ((ctx <= bos).all() and (words <= bos + 1).all()
+            and (words != bos).all() and (counts >= 1).all()
+            and (np.lexsort(grams.T[::-1]) == np.arange(len(grams))).all()
+            and (grams[1:] != grams[:-1]).any(axis=1).all()):
+        raise FormatError(f"corrupt language model {fh.name}: n-gram ids outside "
+                          f"the event space, unsorted, repeated or zero counts")
+    top: dict[tuple, dict] = {}
+    for key, w, c in zip(zip(*ctx.T.tolist()), words.tolist(), counts.tolist()):
+        top.setdefault(key, {})[w] = c
+    return top
 
 
 def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],

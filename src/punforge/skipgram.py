@@ -19,7 +19,7 @@ the remaining candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +30,8 @@ from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
 from .errors import FormatError, TrainingError, UnknownWordError
 
 SKIPGRAM_MAGIC = b"PGSG"
+# The fields of SkipGramConfig in order: five u32, then f64 step_size, u64 seed.
+_HEADER = "<5IdQ"
 
 
 @dataclass
@@ -149,43 +151,28 @@ class SkipGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        c = self.config
         with open(path, "wb") as fh:
             fh.write(SKIPGRAM_MAGIC)
-            binio.write_u32(fh, c.dim)
-            binio.write_u32(fh, c.d1)
-            binio.write_u32(fh, c.d2)
-            binio.write_u32(fh, c.epochs)
-            binio.write_u32(fh, c.negatives)
-            binio.write_f64(fh, c.step_size)
-            binio.write_u64(fh, c.seed)
+            binio.pack(fh, _HEADER, *astuple(self.config))
             write_vocab(fh, self.vocab)
             for table in (self.vec_in, self.vec_out):
-                binio.write_bytes(fh, np.ascontiguousarray(table, dtype="<f8").tobytes())
+                binio.write_array(fh, table, "<f8")
 
     @classmethod
     def load(cls, path: str | Path,
              expected_vocab_hash: bytes | None = None) -> "SkipGramModel":
         with open(path, "rb") as fh:
             binio.check_magic(fh, SKIPGRAM_MAGIC, "skip-gram model")
-            try:  # arguments are read in file order
-                config = SkipGramConfig(
-                    dim=binio.read_u32(fh), d1=binio.read_u32(fh),
-                    d2=binio.read_u32(fh), epochs=binio.read_u32(fh),
-                    negatives=binio.read_u32(fh), step_size=binio.read_f64(fh),
-                    seed=binio.read_u64(fh))
+            try:
+                config = SkipGramConfig(*binio.unpack(fh, _HEADER))
             except ValueError as exc:
                 raise FormatError(f"bad skip-gram header in {path}: {exc}") from None
-            vocab = read_vocab(fh, path, what="skip-gram model",
+            vocab = read_vocab(fh, what="skip-gram model",
                                expected_hash=expected_vocab_hash)
-            dim = config.dim
-            tables = []
-            for _ in range(2):
-                raw = binio.read_bytes(fh)
-                if len(raw) != len(vocab) * dim * 8:
-                    raise FormatError(f"embedding table has wrong size in {path}")
-                tables.append(np.frombuffer(raw, dtype="<f8").reshape(len(vocab), dim).copy())
-        return cls(vocab, config, tables[0], tables[1])
+            tables = [binio.read_array(fh, "<f8") for _ in range(2)]
+        if any(t.size != len(vocab) * config.dim for t in tables):
+            raise FormatError(f"embedding table has wrong size in {path}")
+        return cls(vocab, config, *(t.reshape(len(vocab), config.dim) for t in tables))
 
     def export_text(self, path: str | Path) -> None:
         """Input embeddings as text: header 'V dim', then word + values."""

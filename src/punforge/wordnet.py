@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Pos
-from .errors import FormatError, ResourceError
+from .errors import FormatError, ResourceError, open_text
 
 NOUN = "n"
 VERB = "v"
@@ -166,7 +166,7 @@ def _index_path(dict_dir: Path, pos: str) -> Path:
 def _parse_data_file(path: Path, pos: str,
                      hypernyms: dict[Synset, tuple[Synset, ...]],
                      lemmas: dict[Synset, tuple[str, ...]]) -> None:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith(" ") or not line.strip():
                 continue  # license header
@@ -192,7 +192,7 @@ def _parse_data_file(path: Path, pos: str,
 
 def _parse_index_file(path: Path, pos: str,
                       senses: dict[tuple[str, str], tuple[Synset, ...]]) -> None:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith(" ") or not line.strip():
                 continue

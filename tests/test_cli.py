@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import random
+import shutil
 
 import pytest
 
@@ -550,3 +551,132 @@ class TestCorrelate:
             assert code in (0, 2) and "Traceback" not in err, bytes(blob)
             codes.add(code)
         assert codes == {0, 2}
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_metric_is_one_line_data_error(self, tmp_path, capsys,
+                                                      value):
+        ratings, scores = self._fixture_files(tmp_path, None)
+        lines = scores.read_text().splitlines()
+        lines[2] = '{"id": "c", "s_ratio": %s}' % value
+        scores.write_text("\n".join(lines) + "\n")
+        code = cli.main(["correlate", "--ratings", str(ratings),
+                         "--scores", str(scores),
+                         "--output", str(tmp_path / "o.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{scores}:3:" in err and "finite" in err
+
+
+class TestTextInputsNotUtf8:
+    @pytest.mark.parametrize("what,expected", [
+        ("config", 1), ("pairs", 2), ("input", 2), ("wordnet", 2)])
+    def test_one_line_error_naming_the_file(self, pipeline, miniwn_dir,
+                                            tmp_path, capsys, what, expected):
+        wordnet = tmp_path / "wn"
+        shutil.copytree(miniwn_dir, wordnet)
+        bad = wordnet / "index.noun" if what == "wordnet" else tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe" + (bad.read_bytes() if bad.exists() else b""))
+        corpus, lm = str(pipeline["corpus"]), str(pipeline["lm"])
+        argv = {
+            "config": ["train-lm", "--corpus", corpus, "--out",
+                       str(tmp_path / "m.pglm"), "--config", str(bad)],
+            "pairs": ["generate", "--corpus", corpus, "--pairs", str(bad),
+                      "--stage", "SWAP"],
+            "input": ["score", "--lm", lm, "--input", str(bad)],
+            "wordnet": ["generate", "--corpus", corpus, "--pun", "hare",
+                        "--alt", "hair", "--skipgram", str(pipeline["skipgram"]),
+                        "--wordnet", str(wordnet)],
+        }[what]
+        assert cli.main(argv + ["--output", str(tmp_path / "o")]
+                        if what != "config" else argv) == expected
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bad}: not UTF-8" in err
+
+
+_FUZZ_TEXT = """
+the barber gave the man a hair cut today .
+she brushed her long hair before the show .
+a hare ran across the green field at dawn .
+the old dog chased a hare into the woods .
+my hair turned grey in the cold winter .
+the farmer saw the hare near the barn again .
+"""
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """A six-sentence corpus with its LM and skip-gram, built by the CLI."""
+    root = tmp_path_factory.mktemp("small")
+    text = root / "small.txt"
+    text.write_text(_FUZZ_TEXT)
+    files = {ext: root / f"small.{ext}" for ext in ("pgc", "pglm", "pgsg")}
+    assert cli.main(["index", "--corpus", str(text), "--out", str(files["pgc"])]) == 0
+    assert cli.main(["train-lm", "--corpus", str(files["pgc"]), "--order", "3",
+                     "--out", str(files["pglm"])]) == 0
+    assert cli.main(["train-skipgram", "--corpus", str(files["pgc"]),
+                     "--out", str(files["pgsg"]), "--dim", "4", "--epochs", "1",
+                     "--d1", "2", "--d2", "4"]) == 0
+    records = root / "in.jsonl"
+    records.write_text(json.dumps({"sentence": "the barber gave a hare cut .",
+                                   "pun_word": "hare", "alt_word": "hair"}) + "\n")
+    return files, records
+
+
+class TestModelFiles:
+    def _command(self, small_models, ext, path, out):
+        files, records = small_models
+        if ext == "pgc":
+            return ["generate", "--corpus", str(path), "--pun", "hare",
+                    "--alt", "hair", "--stage", "SWAP", "--output", str(out)]
+        skipgram = ["--skipgram", str(path)] if ext == "pgsg" else []
+        lm = path if ext == "pglm" else files["pglm"]
+        return ["score", "--lm", str(lm), "--input", str(records),
+                "--output", str(out)] + skipgram
+
+    @pytest.mark.parametrize("ext", ["pgc", "pglm", "pgsg"])
+    def test_bad_utf8_in_embedded_vocabulary(self, small_models, tmp_path,
+                                             capsys, ext):
+        blob = small_models[0][ext].read_bytes()
+        at = blob.index(b"hare\t")
+        bad = tmp_path / f"bad.{ext}"
+        bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        code = cli.main(self._command(small_models, ext, bad, tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bad} is not UTF-8" in err
+
+    @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pglm", b"PGLM")])
+    def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
+                                               capsys, ext, magic):
+        old = tmp_path / f"old.{ext}"
+        old.write_bytes(magic + small_models[0][ext].read_bytes()[4:])
+        code = cli.main(self._command(small_models, ext, old, tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"bad magic {magic!r}" in err
+
+    def test_mutated_files_exit_0_or_2_without_traceback(self, small_models,
+                                                         tmp_path, capsys):
+        originals = {ext: path.read_bytes() for ext, path in small_models[0].items()}
+        rng = random.Random(2025)
+        codes = set()
+        for _ in range(300):
+            ext = rng.choice(sorted(originals))
+            blob = bytearray(originals[ext])
+            if rng.random() < 0.3:
+                del blob[rng.randrange(len(blob)):]
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            bad = tmp_path / f"bad.{ext}"
+            bad.write_bytes(bytes(blob))
+            try:
+                code = cli.main(self._command(small_models, ext, bad, tmp_path / "o"))
+            except Exception as exc:  # report the input that escaped
+                pytest.fail(f"{ext} {bytes(blob)!r}: {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2) and "Traceback" not in err, bytes(blob)
+            if code == 2:
+                assert err.count("\n") == 1, err
+            codes.add((ext, code))
+        assert codes == {(ext, code) for ext in originals for code in (0, 2)}
