@@ -14,7 +14,8 @@ from .errors import (FormatError, PunforgeError, ResourceError, TrainingError,
                      UnknownWordError)
 from .generator import (GenerationCandidate, GenerationConfig,
                         GenerationResources, GenerationResult, generate,
-                        select_deletion, swap, topic_insert)
+                        insertable_topics, select_deletion, swap,
+                        topic_insert)
 from .kao import MeaningReport, ambiguity_of, distinctiveness_of, meaning_report
 from .ngram_lm import NGramModel, estimate_discounts, train_lm
 from .retrieval import InvertedIndex, SeedCandidate, build_index, retrieve_seeds
@@ -36,7 +37,8 @@ __all__ = [
     "FormatError", "PunforgeError", "ResourceError", "TrainingError",
     "UnknownWordError",
     "GenerationCandidate", "GenerationConfig", "GenerationResources",
-    "GenerationResult", "generate", "select_deletion", "swap", "topic_insert",
+    "GenerationResult", "generate", "insertable_topics", "select_deletion",
+    "swap", "topic_insert",
     "MeaningReport", "ambiguity_of", "distinctiveness_of", "meaning_report",
     "NGramModel", "estimate_discounts", "train_lm",
     "InvertedIndex", "SeedCandidate", "build_index", "retrieve_seeds",

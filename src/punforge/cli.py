@@ -13,19 +13,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import ContextManager, Mapping, TextIO
+from typing import ContextManager, Iterator, Mapping, TextIO
 
 import numpy as np
 
 from . import stats
 from .corpus import (DEFAULT_MIN_COUNT, Corpus, TagLexicon, check_min_count,
                      ingest, load_corpus, save_corpus, tokenize)
-from .errors import FormatError, PunforgeError, ResourceError, open_text
+from .errors import (FormatError, PunforgeError, ResourceError, open_text,
+                     strict_utf8)
 from .generator import (GenerationConfig, GenerationResources, STAGE_SWAP,
                         STAGE_TOPIC, generate)
 from .kao import check_pair_words, meaning_report
@@ -253,8 +256,19 @@ def _open_out(path: str) -> TextIO:
     return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
 
 
+@contextmanager
+def _stdin_text() -> Iterator[TextIO]:
+    """Standard input decoded as strict UTF-8, whatever the locale says."""
+    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+    try:
+        with strict_utf8("<stdin>"):
+            yield fh
+    finally:
+        fh.detach()  # sys.stdin keeps its buffer open
+
+
 def _open_in(path: str) -> ContextManager[TextIO]:
-    return sys.stdin if path == "-" else open_text(path)
+    return _stdin_text() if path == "-" else open_text(path)
 
 
 def _emit(fh: TextIO, record: dict) -> None:

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = b"PGC2"
+CORPUS_MAGIC = b"PGC3"
 
 UNK = "<unk>"
 DEFAULT_MIN_COUNT = 1
@@ -179,11 +179,8 @@ class Vocabulary:
         return [f"{w}\t{i}\t{c}" for w, i, c in self.items()]
 
     def hash_bytes(self) -> bytes:
-        h = hashlib.sha256()
-        for line in self.dump_lines():
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
-        return h.digest()[:16]
+        text = "".join(line + "\n" for line in self.dump_lines())
+        return hashlib.sha256(text.encode("utf-8")).digest()[:16]
 
     def save_text(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.dump_lines()) + "\n", encoding="utf-8")
@@ -295,11 +292,11 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 
 # --- binary container ------------------------------------------------------
 #
-# Layout (binio blocks): magic PGC2, flags byte (bit 0: postings present),
-# vocabulary dump, surface table, then one array each of sentence ids,
-# lengths, and every token's surface-table index and POS code.  Postings are
-# the terms' surface indexes, entries per term, each entry's sentence row and
-# position count, and the positions.  Sentences keep their full surfaces so
+# Layout (binio blocks): magic PGC3, flags byte (bit 0: postings present),
+# hashed vocabulary (see write_vocab), surface table, then one array each of
+# sentence ids, lengths, and every token's surface-table index and POS code.
+# Postings are the terms' surface indexes, entries per term, each entry's
+# sentence row and position count, and the positions.  Sentences keep their full surfaces so
 # that rare words survive a min_count-collapsed vocabulary.
 
 Postings = dict[str, list[tuple[int, tuple[int, ...]]]]
@@ -327,25 +324,22 @@ class Corpus:
                              {i: len(s) for i, s in self.by_id.items()})
 
 
-def write_vocab(fh: BinaryIO, vocab: Vocabulary, hashed: bool = True) -> None:
-    """Embed a vocabulary: its hash (when ``hashed``), then its dump lines."""
-    if hashed:
-        binio.write_array(fh, list(vocab.hash_bytes()), "u1")
+def write_vocab(fh: BinaryIO, vocab: Vocabulary) -> None:
+    """Embed a vocabulary: its hash, then its dump lines."""
+    binio.write_array(fh, list(vocab.hash_bytes()), "u1")
     binio.write_strings(fh, vocab.dump_lines())
 
 
-def read_vocab(fh: BinaryIO, hashed: bool = True, what: str = "model",
+def read_vocab(fh: BinaryIO, what: str = "model",
                expected_hash: bytes | None = None) -> Vocabulary:
     """Read what :func:`write_vocab` wrote; a stored hash other than
     ``expected_hash`` is a ResourceError, lines that fail it a FormatError."""
-    stored = None
-    if hashed:
-        stored = binio.read_array(fh, "u1").tobytes()
-        if expected_hash is not None and stored != expected_hash:
-            raise ResourceError(f"{what} was trained on a different vocabulary "
-                                f"({fh.name}); retrain or pass matching resources")
+    stored = binio.read_array(fh, "u1").tobytes()
+    if expected_hash is not None and stored != expected_hash:
+        raise ResourceError(f"{what} was trained on a different vocabulary "
+                            f"({fh.name}); retrain or pass matching resources")
     vocab = Vocabulary.from_dump_lines(binio.read_strings(fh))
-    if stored is not None and vocab.hash_bytes() != stored:
+    if vocab.hash_bytes() != stored:
         raise FormatError(f"embedded vocabulary is corrupt in {fh.name}")
     return vocab
 
@@ -358,7 +352,7 @@ def save_corpus(path: str | Path, corpus: Corpus) -> None:
     with open(path, "wb") as fh:
         fh.write(CORPUS_MAGIC)
         binio.pack(fh, "<B", 0 if corpus.postings is None else 1)
-        write_vocab(fh, corpus.vocab, hashed=False)
+        write_vocab(fh, corpus.vocab)
         binio.write_strings(fh, list(surfaces))  # insertion order == index order
         binio.write_array(fh, [s.sent_id for s in corpus.sentences], "<u4")
         binio.write_array(fh, [len(s.tokens) for s in corpus.sentences], "<u4")
@@ -380,7 +374,7 @@ def load_corpus(path: str | Path) -> Corpus:
     with open(path, "rb") as fh:
         binio.check_magic(fh, CORPUS_MAGIC, "corpus")
         (flags,) = binio.unpack(fh, "<B")
-        vocab = read_vocab(fh, hashed=False)
+        vocab = read_vocab(fh, what="corpus")
         surfaces = binio.read_strings(fh)
         sent_ids, lengths, surface_idx = (binio.read_array(fh, "<u4")
                                           for _ in range(3))

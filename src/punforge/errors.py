@@ -33,10 +33,16 @@ class UnknownWordError(PunforgeError):
 
 
 @contextmanager
+def strict_utf8(name: str) -> Iterator[None]:
+    """Raise a UnicodeDecodeError from the block as a FormatError on ``name``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """Open a UTF-8 text file; bytes that do not decode raise FormatError."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with open(path, encoding="utf-8", newline=newline) as fh, strict_utf8(str(path)):
+        yield fh

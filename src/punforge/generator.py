@@ -12,23 +12,27 @@ Stages for a (pun word, alternative word) pair:
 A smoothing rewrite stage would slot in after topic insertion; here it is an
 identity pass-through, so candidates leave stage 3 unchanged.
 
-Candidates are ordered by (seed rank ascending, topic score descending) and
-capped at ``max_outputs`` per pair; an optional re-rank sorts the same
-capped set by surprisal ratio.  Every emitted candidate contains the pun
-word exactly once, the alternative word not at all, and its topic word
-strictly before the pun slot.
+Candidates come out in (seed rank ascending, topic score descending) order,
+and the seed and topic loops stop as soon as ``max_outputs`` candidates
+exist, so later seeds are never tagged or type-checked; an optional re-rank
+sorts the same capped set by surprisal ratio.  The topic filters that do
+not depend on the seed (not a pair word, tagged a noun) run once per pair.
+Every emitted candidate contains the pun word exactly once, the alternative
+word not at all, and its topic word strictly before the pun slot.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from .corpus import Corpus, Pos, Sentence, TagLexicon, tag
 from .errors import UnknownWordError
 from .ngram_lm import NGramModel
 from .retrieval import (DEFAULT_KEEP, DEFAULT_POOL, InvertedIndex,
-                        check_pool_keep, retrieve_seeds)
+                        SeedCandidate, check_pool_keep, retrieve_seeds)
 from .skipgram import SkipGramModel, check_topic_k
 from .surprisal import (DEFAULT_WINDOW, PunOccurrence, PunPair,
                         SurprisalReport, check_window, score_occurrence)
@@ -126,30 +130,65 @@ def select_deletion(sentence: Sentence, pun_position: int) -> int | None:
     return None
 
 
-def topic_insert(swapped: list[str], tagged: Sentence, pun_position: int,
-                 deletion: int, pair: PunPair,
-                 topics: list[tuple[str, float]], lexicon: TagLexicon,
-                 graph: SynsetGraph,
-                 threshold: float = DEFAULT_THRESHOLD) -> list[tuple[list[str], str, float]]:
-    """All topic-word insertions for one seed, in topic-score order.
+def insertable_topics(topics: list[tuple[str, float]], pair: PunPair,
+                      lexicon: TagLexicon) -> list[tuple[str, float]]:
+    """The topic predictions that may replace a word, in the same order.
 
-    A topic word survives when the lexicon tags it as a noun, it is neither
-    word of the pair, and it is type-consistent with the word it replaces.
+    A topic word qualifies when it is neither word of the pair and the
+    lexicon tags it as a noun; neither test depends on the seed.
+    """
+    return [(word, score) for word, score in topics
+            if word not in (pair.pun_word, pair.alt_word)
+            and lexicon.tag_word(word) == Pos.NOUN]
+
+
+def topic_insert(swapped: list[str], tagged: Sentence, deletion: int,
+                 topics: list[tuple[str, float]], graph: SynsetGraph,
+                 threshold: float = DEFAULT_THRESHOLD
+                 ) -> Iterator[tuple[list[str], str, float]]:
+    """Topic-word insertions for one seed, lazily, in topic-score order.
+
+    ``topics`` comes from :func:`insertable_topics`; of those, a topic word
+    survives when it is type-consistent with the word it replaces.
     """
     deleted = tagged.tokens[deletion]
-    out: list[tuple[list[str], str, float]] = []
     for topic_word, score in topics:
-        if topic_word in (pair.pun_word, pair.alt_word):
+        if type_consistent(graph, topic_word, Pos.NOUN,
+                           deleted.surface, deleted.pos, threshold):
+            tokens = list(swapped)
+            tokens[deletion] = topic_word
+            yield tokens, topic_word, score
+
+
+def _candidates(pair: PunPair, seeds: list[SeedCandidate],
+                topics: list[tuple[str, float]], resources: GenerationResources,
+                config: GenerationConfig) -> Iterator[GenerationCandidate]:
+    """Candidates in (seed rank, topic score) order, produced lazily."""
+    for seed in seeds:
+        sentence = resources.corpus.by_id[seed.sent_id]
+        surfaces = sentence.surfaces()
+        if pair.pun_word in surfaces:
+            continue  # swapping would leave two pun words
+        swapped, position = swap(surfaces, pair)
+        if config.stage == STAGE_SWAP:
+            yield GenerationCandidate(
+                seed_id=seed.sent_id, seed_rank=seed.rank,
+                pun_position=position, final_tokens=swapped, stage=STAGE_SWAP,
+            )
             continue
-        if lexicon.tag_word(topic_word) != Pos.NOUN:
+        tagged = tag(sentence, resources.lexicon)
+        deletion = select_deletion(tagged, position)
+        if deletion is None:
             continue
-        if not type_consistent(graph, topic_word, Pos.NOUN,
-                               deleted.surface, deleted.pos, threshold):
-            continue
-        tokens = list(swapped)
-        tokens[deletion] = topic_word
-        out.append((tokens, topic_word, score))
-    return out
+        for tokens, topic_word, score in topic_insert(
+                swapped, tagged, deletion, topics, resources.graph,
+                config.threshold):
+            yield GenerationCandidate(
+                seed_id=seed.sent_id, seed_rank=seed.rank,
+                pun_position=position, final_tokens=tokens, stage=STAGE_TOPIC,
+                deleted_word=tagged.tokens[deletion].surface,
+                topic_word=topic_word, topic_score=score,
+            )
 
 
 def generate(pair: PunPair, resources: GenerationResources,
@@ -189,35 +228,10 @@ def generate(pair: PunPair, resources: GenerationResources,
         if not topics:
             result.failure = NO_TOPIC_WORDS
             return result
+        topics = insertable_topics(topics, pair, lexicon)
 
-    for seed in seeds:
-        sentence = resources.corpus.by_id[seed.sent_id]
-        surfaces = sentence.surfaces()
-        if pair.pun_word in surfaces:
-            continue  # swapping would leave two pun words
-        swapped, position = swap(surfaces, pair)
-        if config.stage == STAGE_SWAP:
-            result.candidates.append(GenerationCandidate(
-                seed_id=seed.sent_id, seed_rank=seed.rank,
-                pun_position=position, final_tokens=swapped, stage=STAGE_SWAP,
-            ))
-            continue
-        tagged = tag(sentence, lexicon)
-        deletion = select_deletion(tagged, position)
-        if deletion is None:
-            continue
-        for tokens, topic_word, score in topic_insert(
-                swapped, tagged, position, deletion, pair, topics,
-                lexicon, resources.graph, config.threshold):
-            result.candidates.append(GenerationCandidate(
-                seed_id=seed.sent_id, seed_rank=seed.rank,
-                pun_position=position, final_tokens=tokens, stage=STAGE_TOPIC,
-                deleted_word=tagged.tokens[deletion].surface,
-                topic_word=topic_word, topic_score=score,
-            ))
-
-    # already in (seed rank asc, topic score desc) order by construction
-    result.candidates = result.candidates[:config.max_outputs]
+    result.candidates = list(islice(
+        _candidates(pair, seeds, topics, resources, config), config.max_outputs))
     if not result.candidates:
         result.failure = NO_CANDIDATES
         return result

@@ -19,6 +19,7 @@ the remaining candidates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -131,6 +132,14 @@ class SkipGramModel:
             raise UnknownWordError(f"{word!r} is not in the vocabulary")
         return self.relatedness_by_id(self.vocab.id_of(word))
 
+    @functools.cached_property
+    def _word_rank(self) -> np.ndarray:
+        """Each id's position in Python's ``sorted`` order of the words."""
+        order = sorted(range(len(self.vocab)), key=self.vocab.word_of)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank
+
     def predict_topics(self, word: str, k: int) -> list[tuple[str, float]]:
         """Top-k topically related words, query word and unknown excluded.
 
@@ -139,14 +148,19 @@ class SkipGramModel:
         """
         check_topic_k(k)
         dist = self.relatedness_dist(word)
-        skip = {self.vocab.id_of(word), self.vocab.unk_id}
-        eligible = [i for i in range(len(dist)) if i not in skip]
-        total = float(sum(dist[i] for i in eligible))
+        keep = np.ones(len(dist), dtype=bool)
+        keep[[self.vocab.id_of(word), self.vocab.unk_id]] = False
+        eligible = np.flatnonzero(keep)
+        p = dist[eligible]
+        # cumsum adds in index order, as a Python sum would; np.sum adds
+        # pairwise and can differ in the last bit
+        total = float(np.cumsum(p)[-1]) if len(p) else 0.0
         if total <= 0.0:
             return []
-        eligible.sort(key=lambda i: (-dist[i], self.vocab.word_of(i)))
-        return [(self.vocab.word_of(i), float(dist[i]) / total)
-                for i in eligible[:k]]
+        top = np.lexsort((self._word_rank[eligible], -p))[:k]
+        probs = (p[top] / total).tolist()
+        return [(self.vocab.word_of(i), prob)
+                for i, prob in zip(eligible[top].tolist(), probs)]
 
     # --- persistence -------------------------------------------------------
 

@@ -13,7 +13,7 @@ hypernym is attached to a per-part-of-speech virtual root, and
 so identical synsets score 1 and unreachable pairs (different parts of
 speech) score 0.  ``type_consistent`` asks whether any sense pair of two
 words clears a similarity threshold strictly; pronouns stand in for the
-first sense of "person".
+first sense of "person".  Its answers are memoized on the graph.
 
 Index file grammar (one line per lemma, license header indented):
 
@@ -30,6 +30,7 @@ pointer symbol):
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,15 @@ VERB = "v"
 DEFAULT_THRESHOLD = 0.3
 
 HYPERNYM_SYMBOLS = {"@", "@i"}
+
+# Entries a graph's type_consistent memo may hold before it is cleared.  An
+# entry takes about 120 bytes (key tuple and dict slot; the strings belong
+# to the corpus and the models), so a full memo holds under 8 MiB.
+TYPE_MEMO_LIMIT = 1 << 16
+# Distance bounds above this search the whole graph instead; any graph that
+# fits in memory has shorter paths, and the float arithmetic of the bound
+# stays exact below it.
+_BOUND_CUTOFF = 1 << 32
 
 # (pos, offset) identifies a synset; offset -1 is the virtual root of a pos.
 Synset = tuple[str, int]
@@ -61,6 +71,9 @@ class SynsetGraph:
     lemmas: dict[Synset, tuple[str, ...]] = field(default_factory=dict)
     version: str = "unversioned"
     _adjacency: dict[Synset, set[Synset]] = field(default_factory=dict, repr=False)
+    # type_consistent answers keyed by all of its arguments but the graph
+    _type_memo: dict[tuple, bool] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         adj: dict[Synset, set[Synset]] = {s: set() for s in self.hypernyms}
@@ -135,15 +148,53 @@ def path_similarity(graph: SynsetGraph, a: Synset, b: Synset) -> float:
     return 1.0 / (1.0 + dist)
 
 
+def max_passing_distance(threshold: float) -> int | None:
+    """Largest distance d with ``1 / (1 + d) > threshold``.
+
+    -1 when no distance passes (threshold 1 or more, or NaN); None when the
+    bound is too large to matter, so a search should not be cut short.
+    """
+    if not threshold < 1.0:
+        return -1
+    bound = 1.0 / threshold - 1.0 if threshold > 0.0 else math.inf
+    if bound > _BOUND_CUTOFF:
+        return None
+    # d < bound in exact arithmetic; the float quotient can be off by an
+    # ulp, so step to the exact edge of the comparison the caller makes.
+    d = math.ceil(bound) - 1
+    while d >= 0 and not 1.0 / (1.0 + d) > threshold:
+        d -= 1
+    while 1.0 / (2.0 + d) > threshold:
+        d += 1
+    return d
+
+
 def type_consistent(graph: SynsetGraph, word: str, word_tag: Pos, other: str,
                     other_tag: Pos, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True if any sense pair has path similarity strictly above threshold."""
+    """True if any sense pair has path similarity strictly above threshold.
+
+    Answers are memoized on ``graph``, keyed by every other argument, and
+    the memo is cleared whenever it reaches ``TYPE_MEMO_LIMIT`` entries.
+    """
+    key = (word, word_tag, other, other_tag, threshold)
+    memo = graph._type_memo
+    answer = memo.get(key)
+    if answer is None:
+        if len(memo) >= TYPE_MEMO_LIMIT:
+            memo.clear()
+        answer = memo[key] = _any_sense_pair_passes(graph, *key)
+    return answer
+
+
+def _any_sense_pair_passes(graph: SynsetGraph, word: str, word_tag: Pos,
+                           other: str, other_tag: Pos, threshold: float) -> bool:
     senses_a = graph.synsets_of(word, word_tag)
     senses_b = graph.synsets_of(other, other_tag)
-    if not senses_a or not senses_b:
+    # similarity > t exactly when distance <= max_passing_distance(t), so
+    # the BFS stops at that depth (2 at the default 0.3)
+    limit = max_passing_distance(threshold)
+    if not senses_a or not senses_b or limit == -1:
         return False
-    # similarity > t means distance < 1/t - 1, so the BFS can stop early
-    limit = int(1.0 / threshold) + 1 if threshold > 0.0 else None
     for sa in senses_a:
         for sb in senses_b:
             dist = graph.shortest_path(sa, sb, limit=limit)

@@ -125,6 +125,100 @@ def reference_bfs(adjacency, start, goal):
     return None
 
 
+def reference_predict_topics(dist, words, query_id, unk_id, k):
+    """Top-k (word, renormalized probability) by a Python sort of tuples.
+
+    ``dist`` is the query's relatedness distribution and ``words[i]`` the
+    word of id i.  The query and the unknown id are skipped, the total is a
+    left-to-right sum, and ties break by word, ascending.
+    """
+    skip = {query_id, unk_id}
+    eligible = [i for i in range(len(dist)) if i not in skip]
+    total = float(sum(dist[i] for i in eligible))
+    if total <= 0.0:
+        return []
+    eligible.sort(key=lambda i: (-dist[i], words[i]))
+    return [(words[i], float(dist[i]) / total) for i in eligible[:k]]
+
+
+def _reference_senses(senses, word, tag_name):
+    """Synsets of a word under a tag name; pronouns stand for person, sense 1."""
+    if tag_name == "PRONOUN":
+        return [senses[("person", "n")][0]]
+    pos = {"NOUN": "n", "VERB": "v"}.get(tag_name)
+    return list(senses.get((word, pos), ())) if pos else []
+
+
+def reference_type_consistent(hypernyms, senses, word, word_tag, other,
+                              other_tag, threshold):
+    """Exhaustive sense-pair scan with an unbounded BFS for every pair.
+
+    ``hypernyms`` maps each synset (pos, offset) to its parents; synsets
+    without one hang under the virtual root (pos, -1).
+    """
+    adjacency = {}
+
+    def connect(a, b):
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+
+    for node, parents in hypernyms.items():
+        for parent in parents or [(node[0], -1)]:
+            connect(node, parent)
+    for sa in _reference_senses(senses, word, word_tag):
+        for sb in _reference_senses(senses, other, other_tag):
+            dist = reference_bfs(adjacency, sa, sb)
+            if dist is not None and 1.0 / (1.0 + dist) > threshold:
+                return True
+    return False
+
+
+def reference_generate(pun_word, alt_word, seeds, surfaces_of, topics,
+                       tag_name, hypernyms, senses, threshold, max_outputs,
+                       swap_only=False):
+    """Every candidate of every seed, ordered, then cut to ``max_outputs``.
+
+    ``seeds`` lists (sentence id, rank) in rank order, ``surfaces_of`` maps
+    a sentence id to its words, ``topics`` holds (word, score) predictions
+    and ``tag_name`` gives a word's lexicon tag name.  Each candidate is
+    (sentence id, rank, pun position, words, stage, deleted word, topic
+    word, topic score); the stage is "SWAP" or "SWAP+TOPIC".
+    """
+    out = []
+    for sent_id, rank in seeds:
+        surfaces = list(surfaces_of[sent_id])
+        if pun_word in surfaces:
+            continue
+        position = surfaces.index(alt_word)
+        swapped = list(surfaces)
+        swapped[position] = pun_word
+        if swap_only:
+            out.append((sent_id, rank, position, swapped, "SWAP",
+                        None, None, None))
+            continue
+        tags = [tag_name(w) for w in surfaces]
+        deletions = [i for i in range(position)
+                     if tags[i] in ("NOUN", "PRONOUN")]
+        if not deletions:
+            continue
+        deletion = deletions[0]
+        deleted = surfaces[deletion]
+        for topic_word, score in topics:
+            if topic_word in (pun_word, alt_word):
+                continue
+            if tag_name(topic_word) != "NOUN":
+                continue
+            if not reference_type_consistent(hypernyms, senses, topic_word,
+                                             "NOUN", deleted, tags[deletion],
+                                             threshold):
+                continue
+            tokens = list(swapped)
+            tokens[deletion] = topic_word
+            out.append((sent_id, rank, position, tokens, "SWAP+TOPIC",
+                        deleted, topic_word, score))
+    return out[:max_outputs]
+
+
 def reference_ranks(values):
     """Average ranks (1-based) by counting, ties share the mean rank."""
     ranks = []

@@ -93,6 +93,7 @@ def _read_corpus_sections(path):
     with open(path, "rb") as fh:
         fh.read(4)
         sections = {"flags": binio.unpack(fh, "<B")[0],
+                    "vocab_hash": binio.read_array(fh, "u1"),
                     "vocab": binio.read_strings(fh),
                     "surfaces": binio.read_strings(fh)}
         for name in ("sent_ids", "lengths", "surface_idx"):
@@ -106,8 +107,9 @@ def _read_corpus_sections(path):
 
 def _write_corpus_sections(path, s):
     with open(path, "wb") as fh:
-        fh.write(b"PGC2")
+        fh.write(b"PGC3")
         binio.pack(fh, "<B", s["flags"])
+        binio.write_array(fh, s["vocab_hash"], "u1")
         binio.write_strings(fh, s["vocab"])
         binio.write_strings(fh, s["surfaces"])
         for name in ("sent_ids", "lengths", "surface_idx"):
@@ -171,11 +173,21 @@ class TestCorpusFile:
         with pytest.raises(FormatError, match="bad vocabulary id or count at line 4"):
             load_corpus(path)
 
+    def test_one_byte_vocabulary_edit_rejected(self, demo, tmp_path):
+        path = tmp_path / "c.pgc"
+        save_corpus(path, demo)
+        blob = path.read_bytes()
+        at = blob.index(b"hare\t") + 1
+        path.write_bytes(blob[:at] + b"b" + blob[at + 1:])  # hare -> hbre
+        with pytest.raises(FormatError, match="embedded vocabulary is corrupt"):
+            load_corpus(path)
+
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pgc"
-        path.write_bytes(b"PGC1" + bytes(32))
-        with pytest.raises(FormatError, match="bad magic b'PGC1'"):
-            load_corpus(path)
+        for magic in (b"PGC1", b"PGC2"):
+            path.write_bytes(magic + bytes(32))
+            with pytest.raises(FormatError, match=f"bad magic {magic!r}"):
+                load_corpus(path)
 
 
 @pytest.fixture(scope="module")

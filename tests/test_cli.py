@@ -1,8 +1,10 @@
 import dataclasses
 import inspect
+import io
 import json
 import random
 import shutil
+import sys
 
 import pytest
 
@@ -277,6 +279,24 @@ class TestScore:
         record = json.loads(lines[0])
         assert "hairz" in record["error"] and "s_local" not in record
 
+    @pytest.mark.parametrize("data,code,lines", [
+        (b'{"sentence": "a hare cut .", "pun_word": "hare", '
+         b'"alt_word": "hair"}\n', 0, 1),
+        (b"\xff\n", 2, 0)])
+    def test_stdin_is_strict_utf8(self, pipeline, tmp_path, capsys,
+                                  monkeypatch, data, code, lines):
+        # latin-1 decodes any byte, so only a strict reader can reject \xff
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="latin-1"))
+        got, out = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                   "--input", "-"])
+        assert (got, len(out)) == (code, lines)
+        err = capsys.readouterr().err
+        if code:
+            assert err.count("\n") == 1 and "<stdin>: not UTF-8" in err
+        else:
+            assert "error" not in json.loads(out[0])
+
     def test_skipgram_adds_meaning_fields(self, pipeline, tmp_path):
         src = self._write_input(tmp_path)
         code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
@@ -351,6 +371,14 @@ class TestGenerate:
             assert cand["tokens"].count("hare") == 1
             assert "hair" not in cand["tokens"]
             assert cand["tokens"][cand["pun_position"]] == "hare"
+
+    def test_tiny_threshold_runs_unbounded(self, pipeline, miniwn_dir,
+                                           tmp_path, capsys):
+        code, lines = _run(tmp_path, self._topic_args(pipeline, miniwn_dir)
+                           + ["--threshold", "5e-324"])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(lines[0])["failure"] is None
 
     def test_same_seed_output_is_byte_identical(self, pipeline, miniwn_dir,
                                                 tmp_path):

@@ -3,14 +3,18 @@ import logging
 import numpy as np
 import pytest
 
-from punforge.corpus import (Pos, Sentence, TagLexicon, Token, ingest, tag)
+from oracles import reference_generate
+from punforge import generator
+from punforge.corpus import (Pos, Sentence, TagLexicon, Token, ingest,
+                             load_corpus, tag)
 from punforge.generator import (NO_CANDIDATES, NO_SEEDS, NO_TOPIC_WORDS,
                                 STAGE_SWAP, STAGE_TOPIC, GenerationConfig,
-                                GenerationResources, generate, select_deletion,
-                                swap, topic_insert)
+                                GenerationResources, generate,
+                                insertable_topics, select_deletion, swap,
+                                topic_insert)
 from punforge.corpus import Corpus
 from punforge.ngram_lm import train_lm
-from punforge.retrieval import build_index
+from punforge.retrieval import build_index, retrieve_seeds
 from punforge.skipgram import SkipGramConfig, SkipGramModel
 from punforge.surprisal import PunPair
 from punforge.wordnet import NOUN, SynsetGraph
@@ -125,11 +129,11 @@ class TestSelectDeletion:
 class TestTopicInsert:
     def test_filters_and_preserves_score_order(self):
         resources = _resources()
-        topics = resources.skipgram.predict_topics("bass", 100)
+        topics = insertable_topics(resources.skipgram.predict_topics("bass", 100),
+                                   PAIR, LEXICON)
         tagged = _tagged("our team guarded the base today .")
         swapped = ["our", "team", "guarded", "the", "bass", "today", "."]
-        out = topic_insert(swapped, tagged, 4, 1, PAIR, topics,
-                           LEXICON, GRAPH)
+        out = list(topic_insert(swapped, tagged, 1, topics, GRAPH))
         # 'team' survives as a zero-score self-replacement; verbs, pair
         # words, and type-inconsistent nouns are all gone
         assert [(words[1], words[4]) for words, _, _ in out] == [
@@ -139,11 +143,9 @@ class TestTopicInsert:
         assert scores == sorted(scores, reverse=True)
 
     def test_pair_words_never_inserted(self):
-        tagged = _tagged("our team guarded the base today .")
-        swapped = ["our", "team", "guarded", "the", "bass", "today", "."]
-        out = topic_insert(swapped, tagged, 4, 1, PAIR,
-                           [("base", 0.9), ("bass", 0.8)], LEXICON, GRAPH)
-        assert out == []
+        # nor non-nouns: both filters run once per pair, before any seed
+        topics = [("base", 0.9), ("verby", 0.85), ("bass", 0.8), ("fish", 0.7)]
+        assert insertable_topics(topics, PAIR, LEXICON) == [("fish", 0.7)]
 
 
 class TestGenerate:
@@ -177,6 +179,26 @@ class TestGenerate:
         assert [(c.seed_id, c.topic_word) for c in result.candidates] == [
             (4, "fish"), (4, "person"), (4, "team"), (1, "fish"),
         ]
+
+    def test_later_seeds_are_not_examined_once_the_cap_is_met(self, monkeypatch):
+        tagged, checked = [], []
+        real_check = generator.type_consistent
+
+        def counting_tag(sentence, lexicon):
+            tagged.append(sentence.sent_id)
+            return tag(sentence, lexicon)
+
+        def counting_check(*args):
+            checked.append(args[1])
+            return real_check(*args)
+
+        monkeypatch.setattr(generator, "tag", counting_tag)
+        monkeypatch.setattr(generator, "type_consistent", counting_check)
+        result = generate(PAIR, _resources(), GenerationConfig(max_outputs=2))
+        assert [c.topic_word for c in result.candidates] == ["fish", "person"]
+        # seed 4 alone supplies both candidates; 'drum' sits between them
+        assert tagged == [4]
+        assert checked == ["fish", "drum", "person"]
 
     def test_topic_k_truncates_the_prediction_list(self):
         # top-2 predictions are fish and verby; only fish survives the filter
@@ -264,3 +286,42 @@ class TestGenerate:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
             GenerationConfig(stage="POLISH")
+
+
+class TestAgainstOracle:
+    """The candidate loop against a re-implementation that filters every
+    topic for every seed, checks types by exhaustive BFS and cuts last."""
+
+    @pytest.fixture(scope="class")
+    def demo(self, pipeline, miniwn):
+        corpus = load_corpus(pipeline["corpus"])
+        return GenerationResources(
+            corpus=corpus, index=corpus.inverted_index(),
+            skipgram=SkipGramModel.load(pipeline["skipgram"]), graph=miniwn,
+            lexicon=TagLexicon(nouns=miniwn.noun_lemmas(),
+                               verbs=miniwn.verb_lemmas()))
+
+    @pytest.mark.parametrize("pun,alt,threshold", [
+        ("hare", "hair", 0.3), ("hare", "hair", 0.2), ("hair", "hare", 0.3),
+        ("person", "care", 0.25), ("dog", "field", 0.5)])
+    @pytest.mark.parametrize("stage", [STAGE_TOPIC, STAGE_SWAP])
+    def test_demo_candidates_equal_the_oracle(self, demo, pun, alt, threshold,
+                                              stage):
+        config = GenerationConfig(threshold=threshold, stage=stage)
+        seeds = [(s.sent_id, s.rank) for s in retrieve_seeds(
+            demo.index, alt, pool=config.pool, keep=config.keep)]
+        topics = demo.skipgram.predict_topics(pun, config.topic_k)
+        expected = reference_generate(
+            pun, alt, seeds, {i: s.surfaces() for i, s in demo.corpus.by_id.items()},
+            topics, lambda w: demo.lexicon.tag_word(w).name,
+            demo.graph.hypernyms, demo.graph.senses, threshold, 100,
+            swap_only=stage == STAGE_SWAP)
+        assert len(expected) > 10  # every cap below cuts a longer list
+        for cap in (1, 3, 10, 100):
+            result = generate(PunPair(pun, alt), demo,
+                              GenerationConfig(threshold=threshold, stage=stage,
+                                               max_outputs=cap))
+            got = [(c.seed_id, c.seed_rank, c.pun_position, c.final_tokens,
+                    c.stage, c.deleted_word, c.topic_word, c.topic_score)
+                   for c in result.candidates]
+            assert got == expected[:cap], cap

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import reference_predict_topics
 from punforge.corpus import Vocabulary, ingest
 from punforge.errors import (FormatError, ResourceError, TrainingError,
                              UnknownWordError)
@@ -185,6 +186,36 @@ class TestQueries:
         top = model.predict_topics("nu", 3)
         assert [w for w, _ in top] == ["mu", "om", "xi"]
         assert all(p == pytest.approx(1 / 3) for _, p in top)
+
+
+def _oracle_topics(model, word, k):
+    words = [model.vocab.word_of(i) for i in range(len(model.vocab))]
+    return reference_predict_topics(model.relatedness_dist(word), words,
+                                    model.vocab.id_of(word), model.vocab.unk_id, k)
+
+
+class TestPredictTopicsOracle:
+    """``predict_topics`` against a Python sort of (-probability, word)."""
+
+    def test_exact_ties_break_as_python_sorts_words(self):
+        # ids follow frequency, not spelling; words mix case, digits and
+        # non-ASCII letters, and many share one of four exact probabilities
+        words = ["zeta", "Zeta", "alpha", "älpha", "b", "B", "a1", "a_",
+                 "émile", "omega", "x", "x2", "mu", "nu", "Mu", "ß"]
+        vocab = Vocabulary({w: 100 - i for i, w in enumerate(words)})
+        rng = np.random.default_rng(3)
+        vec_out = rng.choice([0.0, 1.0, 2.0, -3.0], size=(len(vocab), 1))
+        model = SkipGramModel(vocab, SkipGramConfig(dim=1),
+                              np.ones((len(vocab), 1)), vec_out)
+        assert len(np.unique(vec_out)) < len(vocab) // 3
+        for word in ("zeta", "b", "ß", "<unk>"):
+            for k in (1, 5, len(vocab)):
+                assert model.predict_topics(word, k) == _oracle_topics(model, word, k)
+
+    def test_trained_model(self, trained):
+        for word, _, _ in trained.vocab.items():
+            assert (trained.predict_topics(word, len(trained.vocab))
+                    == _oracle_topics(trained, word, len(trained.vocab)))
 
 
 class TestPersistence:

@@ -4,10 +4,12 @@ import shutil
 import pytest
 
 from oracles import reference_bfs
+from punforge import wordnet
 from punforge.corpus import Pos
 from punforge.errors import FormatError, ResourceError
 from punforge.wordnet import (NOUN, VERB, SynsetGraph, load_wordnet,
-                              path_similarity, type_consistent, virtual_root)
+                              max_passing_distance, path_similarity,
+                              type_consistent, virtual_root)
 
 
 def _random_graph(seed, n=20):
@@ -133,7 +135,7 @@ class TestTypeConsistency:
     def test_cross_pos_is_never_consistent(self, miniwn):
         assert not type_consistent(miniwn, "chase", Pos.VERB, "hare", Pos.NOUN)
 
-    @pytest.mark.parametrize("threshold", [0.15, 0.3, 0.5])
+    @pytest.mark.parametrize("threshold", [0.15, 0.3, 0.5, 1 / 3, 0.25, 1.0, 2.0])
     def test_early_exit_matches_unbounded_scan(self, miniwn, threshold):
         words = ["man", "woman", "greyhound", "hare", "barber", "ship",
                  "hair", "field", "book", "person"]
@@ -147,6 +149,62 @@ class TestTypeConsistency:
                 got = type_consistent(miniwn, a, Pos.NOUN, b, Pos.NOUN,
                                       threshold=threshold)
                 assert got == naive, (a, b, threshold)
+
+
+class TestDistanceBound:
+    @pytest.mark.parametrize("threshold", [
+        0.3, 1 / 3, 0.25, 0.5, 0.2, 0.15, 1 / 7, 0.1, 1e-3, 0.999,
+        1 - 2**-53, 2**-32, 1e-9])
+    def test_largest_passing_distance_exactly(self, threshold):
+        d = max_passing_distance(threshold)
+        assert 1.0 / (1.0 + d) > threshold
+        assert not 1.0 / (2.0 + d) > threshold
+
+    def test_default_threshold_searches_two_levels(self):
+        assert max_passing_distance(0.3) == 2
+
+    @pytest.mark.parametrize("threshold", [1.0, 2.0, float("inf"), float("nan")])
+    def test_no_distance_passes(self, threshold):
+        assert max_passing_distance(threshold) == -1
+
+    @pytest.mark.parametrize("threshold", [0.0, 5e-324, 1e-300, 2**-40])
+    def test_tiny_threshold_searches_unbounded(self, threshold):
+        assert max_passing_distance(threshold) is None
+
+    @pytest.mark.parametrize("threshold,expected", [
+        (5e-324, True), (float("inf"), False), (1.0, False)])
+    def test_extreme_thresholds(self, miniwn, threshold, expected):
+        # barber and hare are three hops apart
+        assert type_consistent(miniwn, "barber", Pos.NOUN, "hare", Pos.NOUN,
+                               threshold=threshold) is expected
+
+
+class TestMemo:
+    def test_one_graph_at_two_thresholds_in_a_row(self, miniwn_dir):
+        graph = load_wordnet(miniwn_dir)
+        # man and greyhound sit at similarity exactly 1/3
+        args = (graph, "man", Pos.NOUN, "greyhound", Pos.NOUN)
+        assert type_consistent(*args, threshold=0.33)
+        assert not type_consistent(*args, threshold=1 / 3)
+        assert type_consistent(*args, threshold=0.33)
+        assert not type_consistent(*args[:3], "greyhound", Pos.VERB,
+                                   threshold=0.33)
+
+    def test_memo_is_cleared_at_its_limit(self, miniwn_dir, monkeypatch):
+        monkeypatch.setattr(wordnet, "TYPE_MEMO_LIMIT", 3)
+        graph = load_wordnet(miniwn_dir)
+        words = ["man", "woman", "greyhound", "hare", "barber", "ship"]
+        for _ in range(2):
+            for word in words:
+                expected = word != "ship"
+                assert type_consistent(graph, word, Pos.NOUN, "hare",
+                                       Pos.NOUN, threshold=0.2) is expected
+                assert 1 <= len(graph._type_memo) <= 3
+
+    def test_graphs_do_not_share_answers(self, miniwn, miniwn_dir):
+        assert type_consistent(miniwn, "man", Pos.NOUN, "hare", Pos.NOUN)
+        bare = SynsetGraph(load_wordnet(miniwn_dir).hypernyms, senses={})
+        assert not type_consistent(bare, "man", Pos.NOUN, "hare", Pos.NOUN)
 
 
 class TestLoading:
