@@ -4,9 +4,10 @@ Subcommands: index, train-lm, train-skipgram, score, generate, correlate.
 
 Option values resolve in precedence order: explicit flag, then JSON config
 file (--config), then environment variable (prefix PUNGEN_, e.g.
-PUNGEN_WORDNET), then built-in default.  Exit codes: 0 success, 1 usage
-error, 2 data or resource error.  Per-record failures in batch scoring are
-reported inline in the output stream and do not abort the run.
+PUNGEN_WORDNET), then built-in default.  Exit codes: 0 success (also when
+the reader of standard output closes the pipe early), 1 usage error, 2 data
+or resource error.  Per-record failures in batch scoring are reported inline
+in the output stream and do not abort the run.
 """
 
 from __future__ import annotations
@@ -520,6 +521,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"punforge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop quietly, as a filter
+        # does.  Output still buffered goes to devnull, so the flush at exit
+        # cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (PunforgeError, OSError) as exc:
         print(f"punforge: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -18,6 +18,19 @@ The model is count-based and fully deterministic.  Conventions:
   no token, unknown included, ever has zero probability, and for every
   context the probabilities over the event space sum to one.
 
+Training evaluates the recursion once, into one table per order (the
+ARPA/KenLM layout of Heafield 2011): the final probability
+``kept + γ/total · p_lower`` of every stored (context, word) pair and the
+backoff weight ``γ/total`` of every stored context.  A query walks from its
+longest context down: a stored n-gram returns its value, a stored context
+on the way multiplies in its weight, innermost first, so the floats equal
+the recursion's bit for bit.  A file keeps each order as sorted rows of
+token ids with their values, so loading builds no table from counts.  In
+memory each order is one dict from packed integer keys to values, and
+``logprob_seq`` carries the longest stored n-gram from one token to the
+next, as KenLM's state does, so each walk starts at the longest context
+that can be stored.
+
 ``unigram_logprob`` is deliberately not the Kneser-Ney unigram: it is a plain
 relative-frequency estimate with add-one smoothing, used as the independence
 baseline when measuring how atypical a whole sentence is.
@@ -25,12 +38,12 @@ baseline when measuring how atypical a whole sentence is.
 
 from __future__ import annotations
 
+import logging
 import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,12 +51,19 @@ from . import binio
 from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
 from .errors import FormatError, TrainingError
 
-LM_MAGIC = b"PGL2"
+log = logging.getLogger(__name__)
+
+LM_MAGIC = b"PGL3"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
 FALLBACK_DISCOUNT = 0.75
+
+# One order's tables: context rows (order - 1 ids each) with their backoff
+# weights, then n-gram rows (context ids, word) with their probabilities;
+# both sets of rows sorted and distinct.
+Tables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def check_order(order: int) -> None:
@@ -52,18 +72,14 @@ def check_order(order: int) -> None:
         raise ValueError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
 
 
-def estimate_discounts(counts: Iterable[int]) -> tuple[float, float, float]:
+def _discounts_in_range(d1: float, d2: float, d3: float) -> bool:
+    return 0.0 < d1 <= 1.0 and 0.0 < d2 <= 2.0 and 0.0 < d3 <= 3.0
+
+
+def estimate_discounts(counts: Sequence[int] | np.ndarray) -> tuple[float, float, float]:
     """Discounts (D1, D2, D3+) for one order from its count-of-counts."""
-    n1 = n2 = n3 = n4 = 0
-    for c in counts:
-        if c == 1:
-            n1 += 1
-        elif c == 2:
-            n2 += 1
-        elif c == 3:
-            n3 += 1
-        elif c == 4:
-            n4 += 1
+    clipped = np.minimum(np.asarray(counts, dtype=np.int64), 5)
+    n1, n2, n3, n4 = np.bincount(clipped, minlength=6)[1:5].tolist()
     fallback = (FALLBACK_DISCOUNT,) * 3
     if n1 == 0 or n2 == 0 or n3 == 0 or n4 == 0:
         return fallback
@@ -71,88 +87,98 @@ def estimate_discounts(counts: Iterable[int]) -> tuple[float, float, float]:
     d1 = 1.0 - 2.0 * y * n2 / n1
     d2 = 2.0 - 3.0 * y * n3 / n2
     d3 = 3.0 - 4.0 * y * n4 / n3
-    if not (0.0 < d1 <= 1.0 and 0.0 < d2 <= 2.0 and 0.0 < d3 <= 3.0):
-        return fallback
-    return d1, d2, d3
-
-
-@dataclass
-class _ContextEntry:
-    words: dict[int, int]
-    total: int
-    gamma_num: float  # total discount mass removed, the backoff numerator
+    return (d1, d2, d3) if _discounts_in_range(d1, d2, d3) else fallback
 
 
 class NGramModel:
-    """Kneser-Ney model over token ids; see the module docstring for rules."""
+    """Kneser-Ney model over token ids; see the module docstring for rules.
+
+    ``tables`` holds one :data:`Tables` per order, lowest first, as
+    :func:`train_lm` builds them and ``.pglm`` files store them.
+    """
 
     def __init__(self, order: int, vocab: Vocabulary,
-                 top_counts: dict[tuple[int, ...], dict[int, int]]):
+                 discounts: Sequence[tuple[float, float, float]],
+                 tables: Sequence[Tables]):
         check_order(order)
         self.order = order
         self.vocab = vocab
         self.bos_id = len(vocab)
         self.eos_id = len(vocab) + 1
         self.n_events = len(vocab) + 1  # vocabulary plus the end marker
-        self._top_counts = top_counts
-        self._build_tables()
+        self.discounts = [tuple(d) for d in discounts]
+        self._uniform = 1.0 / self.n_events
+        # One dict per order: context key -> backoff weight and n-gram key ->
+        # probability, in file order.  A run of ids packs as base-``radix``
+        # digits after a leading 1, so runs of different lengths never share
+        # a key and a query extends a key by one id with one multiply-add.
+        self._radix = self.eos_id + 1
+        self._tables: list[dict[int, float]] = [
+            dict(zip(chain(self._pack(ctx_rows), self._pack(gram_rows)),
+                     chain(backoff.tolist(), probs.tolist())))
+            for ctx_rows, backoff, gram_rows, probs in tables
+        ]
+        self._bos_keys = [1]  # the keys of 0, 1, ... order - 1 begin markers
+        for _ in range(order - 1):
+            self._bos_keys.append(self._bos_keys[-1] * self._radix + self.bos_id)
         n = vocab.total_count
         v = len(vocab)
         self._uni_denom = math.log(n + v)
         self._uni_counts = [vocab.count_of_id(i) for i in range(v)]
 
-    def _build_tables(self) -> None:
-        counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-            self._top_counts
-        ]
-        # Continuation counts: distinct left extensions, derived level by level.
-        for _ in range(self.order - 1):
-            higher = counts[-1]
-            lower: dict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
-            for ctx, words in higher.items():
-                shortened = ctx[1:]
-                row = lower[shortened]
-                for w in words:
-                    row[w] = row.get(w, 0) + 1
-            counts.append(dict(lower))
-        counts.reverse()  # counts[k - 1] is the order-k table
+    def _key_dtype(self) -> type:
+        """uint64 while every key fits, else Python ints in object arrays."""
+        return np.uint64 if self._radix ** self.order < 2 ** 63 else object
 
-        self.discounts: list[tuple[float, float, float]] = []
-        self._levels: list[dict[tuple[int, ...], _ContextEntry]] = []
-        for table in counts:
-            d1, d2, d3 = estimate_discounts(
-                c for words in table.values() for c in words.values()
-            )
-            self.discounts.append((d1, d2, d3))
-            level: dict[tuple[int, ...], _ContextEntry] = {}
-            for ctx, words in table.items():
-                total = sum(words.values())
-                gamma = 0.0
-                for c in words.values():
-                    gamma += d1 if c == 1 else d2 if c == 2 else d3
-                level[ctx] = _ContextEntry(words, total, gamma)
-            self._levels.append(level)
+    def _pack(self, rows: np.ndarray) -> list[int]:
+        """The keys of rows of ids (see ``__init__``)."""
+        dtype = self._key_dtype()
+        keys = np.ones(len(rows), dtype=dtype)
+        for column in rows.T:
+            keys = keys * self._radix + column.astype(dtype)
+        return keys.tolist()
 
-    def _discount(self, level: int, count: int) -> float:
-        d1, d2, d3 = self.discounts[level - 1]
-        return d1 if count == 1 else d2 if count == 2 else d3
+    def _unpack(self, keys: np.ndarray, width: int) -> np.ndarray:
+        """The rows of ids that ``width``-id keys pack."""
+        rows = np.empty((len(keys), width), dtype=np.uint32)
+        for j in range(width - 1, -1, -1):  # np.divmod has no object loop
+            rows[:, j] = keys % self._radix
+            keys = keys // self._radix
+        return rows
 
     def prob(self, word_id: int, context: Sequence[int]) -> float:
         """p(word | context); context may be any length and is right-trimmed."""
         if not (0 <= word_id < len(self.vocab) or word_id == self.eos_id):
             raise ValueError(f"word id {word_id} outside the event space")
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
-        return self._p(len(ctx) + 1, ctx, word_id)
+        ctx = list(context[-(self.order - 1):])
+        for i in range(len(ctx) - 1, -1, -1):
+            if not 0 <= ctx[i] <= self.bos_id:  # no stored context holds it
+                del ctx[:i + 1]
+                break
+        radix = self._radix
+        ctx_keys = [reduce(lambda key, t: key * radix + int(t), ctx[i:], 1)
+                    for i in range(len(ctx), -1, -1)]
+        return self._prob(ctx_keys, [c * radix + int(word_id) for c in ctx_keys])[0]
 
-    def _p(self, level: int, ctx: tuple[int, ...], w: int) -> float:
-        if level == 0:
-            return 1.0 / self.n_events
-        entry = self._levels[level - 1].get(ctx)
-        if entry is None:
-            return self._p(level - 1, ctx[1:], w)
-        c = entry.words.get(w, 0)
-        kept = (c - self._discount(level, c)) / entry.total if c else 0.0
-        return kept + entry.gamma_num / entry.total * self._p(level - 1, ctx[1:], w)
+    def _prob(self, ctx_keys: list[int], gram_keys: list[int]) -> tuple[float, int]:
+        """p(w | ctx), and how many ids end the longest stored n-gram that
+        ends in w.  The arguments are the keys of ctx's suffixes and of the
+        n-grams that extend them by w, shortest first; the walk starts at the
+        longest of them."""
+        weights = []
+        for k in range(len(gram_keys) - 1, -1, -1):
+            table = self._tables[k]
+            p = table.get(gram_keys[k])
+            if p is not None:
+                break
+            weight = table.get(ctx_keys[k])
+            if weight is not None:
+                weights.append(weight)
+        else:
+            p, k = self._uniform, -1
+        for weight in reversed(weights):  # innermost first, as the recursion nests
+            p = weight * p
+        return p, k + 1
 
     def logprob_seq(self, token_ids: Sequence[int], use_boundary_markers: bool) -> float:
         """Sum of ln p(x_i | preceding context) over the sequence.
@@ -164,16 +190,19 @@ class NGramModel:
         for t in token_ids:
             if not 0 <= t < len(self.vocab):
                 raise ValueError(f"token id {t} outside the vocabulary")
-        total = 0.0
+        radix, longest = self._radix, self.order - 1
         if use_boundary_markers:
-            seq = [self.bos_id] * (self.order - 1) + list(token_ids) + [self.eos_id]
-            for i in range(self.order - 1, len(seq)):
-                total += math.log(self._p(self.order, tuple(seq[i - self.order + 1:i]), seq[i]))
+            ctx_keys, seq = self._bos_keys, chain(map(int, token_ids), (self.eos_id,))
         else:
-            seq = list(token_ids)
-            for i in range(len(seq)):
-                ctx = tuple(seq[max(0, i - self.order + 1):i])
-                total += math.log(self._p(len(ctx) + 1, ctx, seq[i]))
+            ctx_keys, seq = [1], map(int, token_ids)
+        total = 0.0
+        for w in seq:
+            gram_keys = [c * radix + w for c in ctx_keys]
+            p, stored = self._prob(ctx_keys, gram_keys)
+            total += math.log(p)
+            # A context is stored only if it is a stored n-gram (or all begin
+            # markers), so the next walk starts at the longest one found here.
+            ctx_keys = [1] + gram_keys[:min(stored, longest)]
         return total
 
     def unigram_logprob(self, word_id: int) -> float:
@@ -185,21 +214,20 @@ class NGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the counts as sorted n-gram rows and their counts, built as
-        arrays (not a tuple per n-gram) to need little memory beyond the model."""
-        top, contexts = self._top_counts, sorted(self._top_counts)
-        sizes = [len(top[ctx]) for ctx in contexts]
-        targets = np.fromiter(
-            chain.from_iterable(sorted(top[ctx].items()) for ctx in contexts),
-            dtype=[("w", "<u4"), ("c", "<u8")], count=sum(sizes))
-        ctx_ids = np.array(contexts, dtype=np.uint32).reshape(-1, self.order - 1)
-        grams = np.column_stack([np.repeat(ctx_ids, sizes, axis=0), targets["w"]])
+        """Write the order, its discounts and the vocabulary, then each
+        order's :data:`Tables` as four array blocks, lowest order first."""
         with open(path, "wb") as fh:
             fh.write(LM_MAGIC)
             binio.pack(fh, "<B", self.order)
+            binio.pack(fh, f"<{3 * self.order}d", *chain.from_iterable(self.discounts))
             write_vocab(fh, self.vocab)
-            binio.write_array(fh, grams, "<u4")
-            binio.write_array(fh, targets["c"], "<u8")
+            for k, table in enumerate(self._tables, start=1):
+                keys = np.fromiter(table, self._key_dtype(), len(table))
+                values = np.fromiter(table.values(), np.float64, len(table))
+                is_gram = keys >= self._radix ** k
+                for width, rows in ((k - 1, ~is_gram), (k, is_gram)):  # contexts first
+                    binio.write_array(fh, self._unpack(keys[rows], width), "<u4")
+                    binio.write_array(fh, values[rows], "<f8")
 
     @classmethod
     def load(cls, path: str | Path,
@@ -207,52 +235,180 @@ class NGramModel:
         with open(path, "rb") as fh:
             binio.check_magic(fh, LM_MAGIC, "language model")
             (order,) = binio.unpack(fh, "<B")
+            try:
+                check_order(order)
+            except ValueError as exc:
+                raise FormatError(f"corrupt language model {fh.name}: {exc}") from None
+            flat = binio.unpack(fh, f"<{3 * order}d")
+            discounts = [flat[i:i + 3] for i in range(0, len(flat), 3)]
             vocab = read_vocab(fh, what="language model",
                                expected_hash=expected_vocab_hash)
-            top = _read_top_counts(fh, order, bos=len(vocab))
-        return cls(order, vocab, top)
+            tables = []
+            for k in range(1, order + 1):
+                ctx_rows, backoff = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
+                gram_rows, probs = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
+                try:  # one row of ids per value
+                    tables.append((ctx_rows.reshape(len(backoff), k - 1), backoff,
+                                   gram_rows.reshape(len(probs), k), probs))
+                except ValueError:
+                    raise FormatError(f"corrupt language model {fh.name}: order {k}: "
+                                      f"block lengths disagree") from None
+            problem = _table_problem(discounts, tables, bos=len(vocab))
+            if problem:
+                raise FormatError(f"corrupt language model {fh.name}: {problem}")
+        return cls(order, vocab, discounts, tables)
 
 
-def _read_top_counts(fh: BinaryIO, order: int, bos: int) -> dict[tuple, dict]:
-    """Read and check the count blocks; a function of its own so that the
-    arrays are freed before the model builds its tables (peak memory)."""
-    grams, counts = binio.read_array(fh, "<u4"), binio.read_array(fh, "<u8")
-    try:  # an order out of range, or not one row of ids per count
-        check_order(order)
-        grams = grams.reshape(len(counts), order)
-    except ValueError as exc:
-        raise FormatError(f"corrupt language model {fh.name}: {exc}") from None
-    ctx, words = grams[:, :-1], grams[:, -1]
-    if not ((ctx <= bos).all() and (words <= bos + 1).all()
-            and (words != bos).all() and (counts >= 1).all()
-            and (np.lexsort(grams.T[::-1]) == np.arange(len(grams))).all()
-            and (grams[1:] != grams[:-1]).any(axis=1).all()):
-        raise FormatError(f"corrupt language model {fh.name}: n-gram ids outside "
-                          f"the event space, unsorted, repeated or zero counts")
-    top: dict[tuple, dict] = {}
-    for key, w, c in zip(zip(*ctx.T.tolist()), words.tolist(), counts.tolist()):
-        top.setdefault(key, {})[w] = c
-    return top
+def _increasing_rows(rows: np.ndarray) -> bool:
+    """Whether each row is lexicographically greater than the one before."""
+    if len(rows) < 2:
+        return True
+    if rows.shape[1] == 0:
+        return False
+    step = np.sign(rows[1:].astype(np.int64) - rows[:-1])
+    first = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    return bool((first == 1).all())
+
+
+def _table_problem(discounts: Sequence[tuple[float, float, float]],
+                   tables: Sequence[Tables], bos: int) -> str | None:
+    """What is wrong with a file's discounts and tables, or None."""
+    for k, d in enumerate(discounts, start=1):
+        if not _discounts_in_range(*d):
+            return f"order {k}: discounts {d} out of range"
+    for k, (ctx_rows, backoff, gram_rows, probs) in enumerate(tables, start=1):
+        words = gram_rows[:, -1]
+        problem = (
+            "rows unsorted or repeated"
+            if not (_increasing_rows(ctx_rows) and _increasing_rows(gram_rows))
+            else "ids outside the event space"
+            if (ctx_rows > bos).any() or (gram_rows[:, :-1] > bos).any()
+            or ((words >= bos) & (words != bos + 1)).any()
+            else "a probability outside (0, 1]"
+            if not ((probs > 0.0) & (probs <= 1.0)).all()
+            else "a backoff weight outside (0, 1]"  # γ <= total, as D(c) <= c
+            if not ((backoff > 0.0) & (backoff <= 1.0)).all()
+            else None
+        )
+        if problem:
+            return f"order {k}: {problem}"
+    return None
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, the index of each input row
+    among them, and how often each occurs."""
+    order = np.lexsort(rows.T[::-1])
+    starts, group = _runs(rows[order])
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = group
+    return rows[order[starts]], inverse, np.bincount(group)
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal consecutive rows (or items) starts, and the
+    run each one is in."""
+    new = np.ones(len(values), dtype=bool)
+    differs = values[1:] != values[:-1]
+    new[1:] = differs.any(axis=1) if differs.ndim > 1 else differs
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _sequential_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``values`` (runs begin at ``starts``), added
+    left to right as a Python loop adds; ``np.add.reduceat`` adds pairwise.
+
+    Runs are padded with zeros to the next power of two and summed by
+    ``np.cumsum`` along the rows, a few calls whatever the run lengths.
+    """
+    lengths = np.diff(np.r_[starts, len(values)])
+    sums = np.empty(len(starts))
+    widths = 1 << np.ceil(np.log2(lengths)).astype(np.int64)
+    for width in np.unique(widths).tolist():
+        runs = np.flatnonzero(widths == width)
+        cols = np.arange(width)
+        inside = cols < lengths[runs, None]
+        at = np.where(inside, starts[runs, None] + cols, 0)
+        sums[runs] = np.cumsum(np.where(inside, values[at], 0.0), axis=1)[:, -1]
+    return sums
+
+
+def _kneser_ney_tables(grams: np.ndarray, n_events: int,
+                       ) -> tuple[list[tuple[float, float, float]], list[Tables]]:
+    """Every order's discounts and :data:`Tables` from the top-order n-gram
+    of every training token (one row each, the token last).
+
+    Each order is computed from the stored probabilities of the order below.
+    The backoff numerator γ of a context adds its words' discounts in a
+    fixed order: the top order's words in sorted order, each lower order's
+    words as first met when walking the order above in its own such order.
+    This is the order in which a model that stored only top-order counts
+    rebuilt its tables when loaded, so these floats are that model's.
+    """
+    # Top down: each order's sorted distinct rows, their counts, their
+    # contexts (runs of rows), the order γ adds them in, and each row's
+    # projection (its row one order down).
+    rows, _, counts = _unique_rows(grams)
+    met = np.arange(len(rows))  # the top order is walked in sorted order
+    levels = []
+    while True:
+        starts, ctx_of = _runs(rows[:, :-1])
+        _, first_met = np.unique(met, return_index=True)
+        walk = np.lexsort((first_met, np.minimum.reduceat(first_met, starts)[ctx_of]))
+        if rows.shape[1] == 1:
+            levels.append((rows, counts, starts, ctx_of, walk, None))
+            break
+        lower, proj, lower_counts = _unique_rows(rows[:, 1:])
+        levels.append((rows, counts, starts, ctx_of, walk, proj))
+        met = proj[walk]
+        rows, counts = lower, lower_counts
+
+    discounts: list[tuple[float, float, float]] = []
+    tables: list[Tables] = []
+    probs = None  # of the order below
+    for rows, counts, starts, ctx_of, walk, proj in reversed(levels):
+        d = estimate_discounts(counts)
+        discounts.append(d)
+        discount = np.array(d)[np.minimum(counts, 3) - 1]
+        walked = ctx_of[walk]  # each context's rows form one run of the walk
+        runs, _ = _runs(walked)
+        gamma = np.empty(len(starts))
+        gamma[walked[runs]] = _sequential_sums(discount[walk], runs)
+        total = np.add.reduceat(counts, starts)
+        backoff = gamma / total
+        kept = (counts - discount) / total[ctx_of]
+        p_lower = 1.0 / n_events if proj is None else probs[proj]
+        probs = kept + backoff[ctx_of] * p_lower
+        tables.append((rows[starts, :-1], backoff, rows, probs))
+    return discounts, tables
 
 
 def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
              vocab: Vocabulary, order: int = DEFAULT_ORDER) -> NGramModel:
     """Count n-grams over marker-padded sentences and build the model."""
     check_order(order)
-    encoded = vocab.encode_sentences(sentences)
-    n_tokens = sum(len(s) for s in encoded)
+    encoded = [ids for ids in vocab.encode_sentences(sentences) if ids]
+    n_tokens = sum(map(len, encoded))
     if n_tokens < order:
         raise TrainingError(
             f"corpus has {n_tokens} tokens, fewer than the model order {order}"
         )
     bos = len(vocab)
     eos = len(vocab) + 1
-    top: dict[tuple[int, ...], dict[int, int]] = defaultdict(Counter)
-    for ids in encoded:
-        if not ids:
-            continue
-        padded = [bos] * (order - 1) + ids + [eos]
-        for i in range(order - 1, len(padded)):
-            top[tuple(padded[i - order + 1:i])][padded[i]] += 1
-    plain = {ctx: dict(words) for ctx, words in top.items()}
-    return NGramModel(order, vocab, plain)
+    pad = [bos] * (order - 1)
+    flat = np.fromiter(chain.from_iterable(pad + ids + [eos] for ids in encoded),
+                       dtype=np.int64, count=n_tokens + len(encoded) * order)
+    if flat.min() < 0 or np.count_nonzero(flat < bos) != n_tokens:
+        raise ValueError("a token id outside the vocabulary")
+    targets = np.flatnonzero(flat != bos)
+    grams = flat[targets[:, None] + np.arange(1 - order, 1)]
+    discounts, tables = _kneser_ney_tables(grams, len(vocab) + 1)
+    for k, (d1, d2, d3) in enumerate(discounts, start=1):
+        log.info("order %d discounts: D1 %.6g, D2 %.6g, D3+ %.6g", k, d1, d2, d3)
+    fell_back = [k for k, d in enumerate(discounts, start=1)
+                 if d == (FALLBACK_DISCOUNT,) * 3]
+    if fell_back:
+        log.info("order%s %s fell back to the fixed discount %g "
+                 "(degenerate count-of-counts)", "s" if len(fell_back) > 1 else "",
+                 ", ".join(map(str, fell_back)), FALLBACK_DISCOUNT)
+    return NGramModel(order, vocab, discounts, tables)

@@ -104,6 +104,86 @@ class ReferenceKN:
         return total
 
 
+class CountTablesKN:
+    """Kneser-Ney by recursion over count tables, summed in file order.
+
+    The count-based model as it was once loaded from a file of sorted
+    top-order counts: the top-order table holds contexts and words in sorted
+    order, each lower table is rebuilt by walking the table above in its
+    own order, and each context's backoff numerator is summed in its
+    table's order.  ``prob`` and ``logprob_seq`` reproduce that model's
+    floats bit for bit, so a model with precomputed probabilities must
+    equal them exactly, not only to a tolerance.  ``levels[k - 1]`` maps
+    each stored order-k context to (word counts, total, numerator).
+    """
+
+    def __init__(self, sentences, vocab_size, order):
+        self.order = order
+        self.n_events = vocab_size + 1
+        self.bos = vocab_size
+        self.eos = vocab_size + 1
+        top = {}
+        for sent in sentences:
+            if not sent:
+                continue
+            seq = [self.bos] * (order - 1) + list(sent) + [self.eos]
+            for i in range(order - 1, len(seq)):
+                row = top.setdefault(tuple(seq[i - order + 1:i]), {})
+                row[seq[i]] = row.get(seq[i], 0) + 1
+        counts = [{ctx: dict(sorted(top[ctx].items())) for ctx in sorted(top)}]
+        for _ in range(order - 1):
+            lower = {}
+            for ctx, words in counts[-1].items():
+                row = lower.setdefault(ctx[1:], {})
+                for w in words:
+                    row[w] = row.get(w, 0) + 1
+            counts.append(lower)
+        counts.reverse()
+        self.discounts = []
+        self.levels = []
+        for table in counts:
+            d1, d2, d3 = ReferenceKN._discounts(
+                {(ctx, w): c for ctx, words in table.items() for w, c in words.items()})
+            self.discounts.append((d1, d2, d3))
+            level = {}
+            for ctx, words in table.items():
+                gamma = 0.0
+                for c in words.values():
+                    gamma += d1 if c == 1 else d2 if c == 2 else d3
+                level[ctx] = (words, sum(words.values()), gamma)
+            self.levels.append(level)
+
+    def prob(self, word, context):
+        ctx = tuple(context[-(self.order - 1):])
+        return self._p(len(ctx) + 1, ctx, word)
+
+    def _p(self, level, ctx, w):
+        if level == 0:
+            return 1.0 / self.n_events
+        entry = self.levels[level - 1].get(ctx)
+        if entry is None:
+            return self._p(level - 1, ctx[1:], w)
+        words, total, gamma = entry
+        d1, d2, d3 = self.discounts[level - 1]
+        c = words.get(w, 0)
+        kept = (c - (d1 if c == 1 else d2 if c == 2 else d3)) / total if c else 0.0
+        return kept + gamma / total * self._p(level - 1, ctx[1:], w)
+
+    def logprob_seq(self, ids, use_boundary_markers):
+        total = 0.0
+        if use_boundary_markers:
+            seq = [self.bos] * (self.order - 1) + list(ids) + [self.eos]
+            for i in range(self.order - 1, len(seq)):
+                total += math.log(self._p(self.order, tuple(seq[i - self.order + 1:i]),
+                                          seq[i]))
+        else:
+            seq = list(ids)
+            for i in range(len(seq)):
+                ctx = tuple(seq[max(0, i - self.order + 1):i])
+                total += math.log(self._p(len(ctx) + 1, ctx, seq[i]))
+        return total
+
+
 def reference_bfs(adjacency, start, goal):
     """Undirected shortest path length by breadth-first layers, or None."""
     if start == goal:

@@ -195,70 +195,136 @@ def demo_lm(demo):
     return train_lm(demo.sentences, demo.vocab, order=3)
 
 
-def _rewrite_lm(src, dst, order=None, grams=None, counts=None):
-    with open(src, "rb") as fh:
+def _read_lm_sections(path):
+    """Every section of a language model file, in file order; each order's
+    tables as [context rows, backoff weights, n-gram rows, probabilities]."""
+    with open(path, "rb") as fh:
         fh.read(4)
-        (stored_order,) = binio.unpack(fh, "<B")
-        hash_, lines = binio.read_array(fh, "u1"), binio.read_strings(fh)
-        old_grams, old_counts = binio.read_array(fh, "<u4"), binio.read_array(fh, "<u8")
-    old_grams = old_grams.reshape(-1, stored_order)
-    with open(dst, "wb") as fh:
+        (order,) = binio.unpack(fh, "<B")
+        s = {"order": order, "discounts": list(binio.unpack(fh, f"<{3 * order}d")),
+             "vocab_hash": binio.read_array(fh, "u1"), "vocab": binio.read_strings(fh),
+             "tables": []}
+        for k in range(1, order + 1):
+            ctx, backoff = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
+            grams, probs = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
+            s["tables"].append([ctx.reshape(-1, k - 1) if k > 1 else ctx, backoff,
+                                grams.reshape(-1, k), probs])
+        assert fh.read() == b""
+    return s
+
+
+def _write_lm_sections(path, s):
+    with open(path, "wb") as fh:
         fh.write(LM_MAGIC)
-        binio.pack(fh, "<B", stored_order if order is None else order)
-        binio.write_array(fh, hash_, "u1")
-        binio.write_strings(fh, lines)
-        binio.write_array(fh, old_grams if grams is None else grams(old_grams), "<u4")
-        binio.write_array(fh, old_counts if counts is None else counts(old_counts), "<u8")
-    return old_grams, old_counts
+        binio.pack(fh, "<B", s["order"])
+        binio.pack(fh, f"<{len(s['discounts'])}d", *s["discounts"])
+        binio.write_array(fh, s["vocab_hash"], "u1")
+        binio.write_strings(fh, s["vocab"])
+        for ctx, backoff, grams, probs in s["tables"]:
+            binio.write_array(fh, ctx, "<u4")
+            binio.write_array(fh, backoff, "<f8")
+            binio.write_array(fh, grams, "<u4")
+            binio.write_array(fh, probs, "<f8")
+
+
+def _top(index, change):
+    """Apply ``change(array, bos)`` to one array of the top-order tables."""
+    def mutate(s, bos):
+        s["tables"][-1][index] = change(s["tables"][-1][index], bos)
+    return mutate
 
 
 class TestLanguageModelFile:
     def test_counts_are_sorted_rows(self, demo_lm, tmp_path):
+        """Each order's tables are sorted distinct rows whose values are the
+        model's own: an n-gram's probability is ``prob``, and a context's
+        backoff weight scales ``prob`` one order down for a word it lacks."""
         path = tmp_path / "m.pglm"
         demo_lm.save(path)
-        grams, counts = _rewrite_lm(path, tmp_path / "copy.pglm")
+        s = _read_lm_sections(path)
+        _write_lm_sections(tmp_path / "copy.pglm", s)
         assert (tmp_path / "copy.pglm").read_bytes() == path.read_bytes()
-        rows = [tuple(r) for r in grams.tolist()]
-        assert rows == sorted(set(rows))
-        top = demo_lm._top_counts
-        assert counts.tolist() == [top[r[:-1]][r[-1]] for r in rows]
+        assert s["order"] == 3 and len(s["discounts"]) == 9
+        events = set(range(len(demo_lm.vocab))) | {demo_lm.eos_id}
+        for k, (ctx, backoff, grams, probs) in enumerate(s["tables"], start=1):
+            ctx_rows = [tuple(r) for r in ctx.tolist()] if k > 1 else [()] * len(backoff)
+            gram_rows = [tuple(r) for r in grams.tolist()]
+            assert ctx_rows == sorted(set(ctx_rows)) and len(ctx_rows) == len(backoff)
+            assert gram_rows == sorted(set(gram_rows))
+            assert sorted({r[:-1] for r in gram_rows}) == ctx_rows
+            assert probs.tolist() == [demo_lm.prob(r[-1], r[:-1]) for r in gram_rows]
+            for row, weight in zip(ctx_rows, backoff.tolist()):
+                unseen = min(events - {r[-1] for r in gram_rows if r[:-1] == row},
+                             default=None)
+                if unseen is not None:
+                    lower = (demo_lm.prob(unseen, row[1:]) if k > 1
+                             else 1.0 / demo_lm.n_events)
+                    assert demo_lm.prob(unseen, row) == weight * lower
 
     def test_round_trip_keeps_every_probability(self, demo_lm, tmp_path):
         path = tmp_path / "m.pglm"
         demo_lm.save(path)
         loaded = NGramModel.load(path)
-        assert loaded._top_counts == demo_lm._top_counts
+        assert loaded.discounts == demo_lm.discounts
         events = list(range(len(demo_lm.vocab))) + [demo_lm.eos_id]
-        for ctx in list(demo_lm._top_counts)[:40]:
-            for w in events:
-                assert loaded.prob(w, ctx) == demo_lm.prob(w, ctx)
+        for ctx, _, _, _ in _read_lm_sections(path)["tables"]:
+            for row in ctx.tolist() if ctx.ndim > 1 else [[]]:  # order 1: the empty one
+                for w in events:
+                    assert loaded.prob(w, row) == demo_lm.prob(w, row)
         loaded.save(tmp_path / "again.pglm")
         assert (tmp_path / "again.pglm").read_bytes() == path.read_bytes()
 
-    # each keeps the row count unless it is about the counts
+    # Each corrupts one section and keeps the rest of the file readable.
     @pytest.mark.parametrize("change", [
-        {"order": 1},                                         # check_order
-        {"order": 4},                                         # rows of 3 ids
-        {"counts": lambda c, bos: c[:-1]},                    # fewer counts
-        {"counts": lambda c, bos: np.r_[0, c[1:]]},           # zero count
-        {"grams": lambda g, bos: g[::-1]},                    # unsorted
-        {"grams": lambda g, bos: np.r_[g[:1], g[:1], g[2:]]},  # repeated row
-        {"grams": lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]]},  # bos target
-        {"grams": lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]]},  # past eos
-        {"grams": lambda g, bos: np.r_[[[bos + 1, 0, 0]], g[1:]]},  # eos context
+        {"order": 1},                                              # check_order
+        {"order": 4},                                              # 3-id rows read as 4
+        {"mutate": _top(3, lambda p, bos: p[:-1])},                # fewer probabilities
+        {"mutate": _top(3, lambda p, bos: np.r_[0.0, p[1:]])},     # zero probability
+        {"mutate": _top(2, lambda g, bos: g[::-1])},               # unsorted rows
+        {"mutate": _top(2, lambda g, bos: np.r_[g[:1], g[:1], g[2:]])},  # repeated row
+        {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]])},  # bos word
+        {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]])},  # past eos
+        {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos + 1, 0, 0]]])},  # eos context
+        {"mutate": _top(3, lambda p, bos: np.r_[1.5, p[1:]])},     # probability above 1
+        {"mutate": _top(3, lambda p, bos: np.r_[np.nan, p[1:]])},  # not finite
+        {"mutate": _top(3, lambda p, bos: np.r_[np.inf, p[1:]])},
+        {"mutate": _top(1, lambda b, bos: np.r_[-0.5, b[1:]])},    # negative weight
+        {"mutate": _top(1, lambda b, bos: np.r_[0.0, b[1:]])},     # zero weight
+        {"mutate": _top(1, lambda b, bos: np.r_[np.nan, b[1:]])},  # not finite
+        {"mutate": _top(1, lambda b, bos: np.r_[np.inf, b[1:]])},
+        {"mutate": _top(1, lambda b, bos: b[:-1])},                # fewer weights
+        {"mutate": _top(0, lambda c, bos: c[::-1])},               # unsorted contexts
+        {"mutate": _top(0, lambda c, bos: np.r_[c[:-1], [[bos + 1, 0]]])},  # eos context
+        {"discounts": lambda d: [np.nan] + d[1:]},                 # bad discount header
+        {"discounts": lambda d: d[:3] + [1.5] + d[4:]},            # D1 above 1
     ])
     def test_bad_counts_rejected(self, demo_lm, tmp_path, change):
         path, bad = tmp_path / "m.pglm", tmp_path / "bad.pglm"
         demo_lm.save(path)
-        bos = demo_lm.bos_id
-        _rewrite_lm(path, bad, **{k: v if k == "order" else
-                                  (lambda a, f=v: f(a, bos))
-                                  for k, v in change.items()})
-        with pytest.raises(FormatError):
+        s = _read_lm_sections(path)
+        s["order"] = change.get("order", s["order"])
+        if "discounts" in change:
+            s["discounts"] = change["discounts"](s["discounts"])
+        if "mutate" in change:
+            change["mutate"](s, demo_lm.bos_id)
+        _write_lm_sections(bad, s)
+        with pytest.raises(FormatError, match="bad.pglm"):
             NGramModel.load(bad)
+
+    def test_truncated_file_rejected(self, demo_lm, tmp_path):
+        path, bad = tmp_path / "m.pglm", tmp_path / "bad.pglm"
+        demo_lm.save(path)
+        blob = path.read_bytes()
+        for cut in (5, 40, len(blob) // 2, len(blob) - 1):
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(FormatError, match="bad.pglm"):
+                NGramModel.load(bad)
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
-        path.write_bytes(b"PGLM" + bytes(64))
-        with pytest.raises(FormatError, match="bad magic b'PGLM'"):
-            NGramModel.load(path)
+        for magic in (b"PGLM", b"PGL2"):
+            path.write_bytes(magic + bytes(64))
+            with pytest.raises(FormatError, match=f"old.pglm is not a language model "
+                                                  f"file: bad magic {magic!r}") as err:
+                NGramModel.load(path)
+            assert "\n" not in str(err.value)

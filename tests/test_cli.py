@@ -2,17 +2,22 @@ import dataclasses
 import inspect
 import io
 import json
+import logging
+import os
 import random
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import punforge
 from punforge import cli, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
 from punforge.corpus import Vocabulary, check_min_count, ingest
 from punforge.generator import GenerationConfig
-from punforge.ngram_lm import check_order, train_lm
+from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
 from punforge.skipgram import SkipGramConfig
 
 
@@ -673,7 +678,8 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bad} is not UTF-8" in err
 
-    @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pglm", b"PGLM")])
+    @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pglm", b"PGLM"),
+                                           ("pglm", b"PGL2")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"
@@ -708,3 +714,51 @@ class TestModelFiles:
                 assert err.count("\n") == 1, err
             codes.add((ext, code))
         assert codes == {(ext, code) for ext in originals for code in (0, 2)}
+
+
+class TestTrainLmLog:
+    def test_verbose_logs_discounts_and_fallbacks(self, small_models, tmp_path,
+                                                  capsys, caplog):
+        corpus = str(small_models[0]["pgc"])
+        quiet, verbose = tmp_path / "quiet.pglm", tmp_path / "verbose.pglm"
+        assert cli.main(["train-lm", "--corpus", corpus, "--out", str(quiet)]) == 0
+        quiet_out = capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="punforge.ngram_lm"):
+            assert cli.main(["train-lm", "--corpus", corpus, "--out", str(verbose),
+                             "-v"]) == 0
+        assert capsys.readouterr().out == quiet_out == ""
+        assert verbose.read_bytes() == quiet.read_bytes()
+        discounts = NGramModel.load(quiet).discounts
+        fell_back = [k for k, d in enumerate(discounts, start=1)
+                     if d == (FALLBACK_DISCOUNT,) * 3]
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "punforge.ngram_lm"]
+        assert messages[:len(discounts)] == [
+            f"order {k} discounts: D1 {d1:.6g}, D2 {d2:.6g}, D3+ {d3:.6g}"
+            for k, (d1, d2, d3) in enumerate(discounts, start=1)]
+        assert fell_back  # six sentences are too few for n1..n4 at some order
+        assert messages[len(discounts):] == [
+            f"orders {', '.join(map(str, fell_back))} fell back to the fixed "
+            f"discount 0.75 (degenerate count-of-counts)"]
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_0_quietly(self, small_models, tmp_path):
+        """``punforge score ... | head -c 300``: no message, exit code 0."""
+        record = json.dumps({"sentence": "the barber gave a hare cut .",
+                             "pun_word": "hare", "alt_word": "hair"})
+        records = tmp_path / "many.jsonl"
+        records.write_text((record + "\n") * 5000)  # far more than a pipe holds
+        src = str(Path(punforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "punforge.cli", "score", "--lm",
+             str(small_models[0]["pglm"]), "--input", str(records)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert len(head) == 300 and err == b""

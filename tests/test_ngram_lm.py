@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from oracles import ReferenceKN
+from oracles import CountTablesKN, ReferenceKN
 from punforge.corpus import ingest
+from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError, ResourceError, TrainingError
 from punforge.ngram_lm import (FALLBACK_DISCOUNT, NGramModel,
                                estimate_discounts, train_lm)
@@ -14,6 +15,14 @@ CORPORA = [
     "one fish two fish . red fish blue fish . one red dog .",
     "a a a b . b a c a b . c c a . a b c d e .",
 ]
+
+# 300 seeded sentences over 30 words: enough repeats that contexts hold
+# words with counts 1, 2 and 3+ in many different orders.
+_RNG = random.Random(5)
+RANDOM_TEXT = "\n".join(
+    " ".join(_RNG.choice([f"w{i}" for i in range(30)])
+             for _ in range(_RNG.randrange(1, 12))) + " ."
+    for _ in range(300))
 
 
 def _fit(text, order):
@@ -88,6 +97,55 @@ class TestAgainstReference:
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
+class TestAgainstCountTables:
+    """The stored probabilities against the count recursion, compared with
+    ``==``: the tables must give the floats of the model they replaced."""
+
+    @pytest.mark.parametrize("text", [pytest.param(CORPORA[2], id="abc"),
+                                      pytest.param(RANDOM_TEXT, id="random300")])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_prob_equals_recursion_for_every_event(self, text, order):
+        sentences, vocab = ingest(text)
+        model = train_lm(sentences, vocab, order=order)
+        oracle = CountTablesKN(vocab.encode_sentences(sentences), len(vocab), order)
+        assert model.discounts == oracle.discounts
+        rng = random.Random(order)
+        contexts = [ctx for level in oracle.levels for ctx in level]
+        contexts += [_random_context(rng, model, order - 1) for _ in range(100)]
+        events = list(range(len(vocab))) + [model.eos_id]
+        assert [(w, ctx) for ctx in contexts for w in events
+                if model.prob(w, ctx) != oracle.prob(w, ctx)] == []
+
+    def test_keys_wider_than_64_bits(self, tmp_path):
+        """2,000 words at order 6 pack into keys past 64 bits."""
+        text = "\n".join(" ".join(f"w{i}" for i in range(start, start + 10)) + " ."
+                         for start in range(0, 2000, 10))
+        sentences, vocab = ingest(text + "\n" + text.replace(" .", " end ."))
+        model = train_lm(sentences, vocab, order=6)
+        assert (len(vocab) + 2) ** 6 > 2 ** 64
+        path = tmp_path / "m.pglm"
+        model.save(path)
+        loaded = NGramModel.load(path)
+        oracle = CountTablesKN(vocab.encode_sentences(sentences), len(vocab), 6)
+        rng = random.Random(6)
+        sampled = rng.sample(range(len(vocab)), 10) + [model.eos_id]
+        for level in oracle.levels:
+            for ctx in list(level)[::25]:
+                for w in list(level[ctx][0]) + sampled:  # stored words first
+                    assert model.prob(w, ctx) == loaded.prob(w, ctx) == oracle.prob(w, ctx)
+        loaded.save(tmp_path / "again.pglm")
+        assert (tmp_path / "again.pglm").read_bytes() == path.read_bytes()
+
+    def test_logprob_seq_equals_recursion_on_demo_corpus(self):
+        sentences, vocab = ingest(build_demo_corpus())
+        model = train_lm(sentences, vocab)
+        encoded = vocab.encode_sentences(sentences)
+        oracle = CountTablesKN(encoded, len(vocab), model.order)
+        assert [(ids, markers) for ids in encoded for markers in (True, False)
+                if model.logprob_seq(ids, markers) != oracle.logprob_seq(ids, markers)
+                ] == []
+
+
 class TestQuerySemantics:
     def test_context_is_right_trimmed(self, tiny_lm):
         long_ctx = [3, 1, 2, 5, 1, 4]
@@ -159,6 +217,21 @@ class TestPersistence:
             w = rng.choice(events)
             assert loaded.prob(w, ctx) == tiny_lm.prob(w, ctx)
 
+    def test_reloaded_model_equals_trained_model(self, tmp_path):
+        sentences, vocab = ingest(RANDOM_TEXT)
+        model = train_lm(sentences, vocab, order=4)
+        path = tmp_path / "m.pglm"
+        model.save(path)
+        loaded = NGramModel.load(path)
+        encoded = vocab.encode_sentences(sentences)
+        oracle = CountTablesKN(encoded, len(vocab), 4)
+        events = list(range(len(vocab))) + [model.eos_id]
+        assert [(w, ctx) for level in oracle.levels for ctx in level for w in events
+                if loaded.prob(w, ctx) != model.prob(w, ctx)] == []
+        assert [(ids, markers) for ids in encoded for markers in (True, False)
+                if loaded.logprob_seq(ids, markers) != model.logprob_seq(ids, markers)
+                ] == []
+
     def test_save_is_deterministic(self, tiny_lm, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         tiny_lm.save(a)
@@ -185,7 +258,8 @@ class TestPersistence:
         tiny_lm.save(path)
         blob = path.read_bytes()
         # Rewrite one vocabulary word in place; the embedded hash must catch it.
-        header_len = 4 + 1 + 4 + 16  # magic, order, hash length prefix, hash
+        # magic, order, discounts, hash length prefix, hash
+        header_len = 4 + 1 + 3 * 8 * tiny_lm.order + 4 + 16
         at = blob.index(b"cat\t", header_len)
         path.write_bytes(blob[:at] + b"caX" + blob[at + 3:])
         with pytest.raises(FormatError):
