@@ -118,7 +118,8 @@ def resolve_config(flag_values: Mapping[str, object],
                 file_values = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        except (json.JSONDecodeError, FormatError) as exc:  # JSON text is UTF-8
+        except (json.JSONDecodeError, FormatError, RecursionError) as exc:
+            # JSON text is UTF-8; a RecursionError is JSON nested too deeply
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
@@ -308,18 +309,46 @@ def _cmd_train_skipgram(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _describe(value: object) -> str:
+    """A JSON value as an error message shows it; containers by kind only."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "an array"
+    return json.dumps(value)
+
+
+def _string_field(record: dict, name: str) -> str:
+    value = record[name]
+    if not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a string, got {_describe(value)}")
+    return value
+
+
 def _score_record(record: dict, lm: NGramModel, skipgram: SkipGramModel | None,
                   unigram_probs: np.ndarray | None, window: int) -> dict:
-    pair = PunPair(record["pun_word"], record["alt_word"])
+    pair = PunPair(_string_field(record, "pun_word"),
+                   _string_field(record, "alt_word"))
     check_pair_words(pair, lm.vocab)
     if "tokens" in record:
-        tokens = [str(t).lower() for t in record["tokens"]]
+        tokens = record["tokens"]
+        if not isinstance(tokens, list):
+            raise ValueError(f"'tokens' must be a list of strings, "
+                             f"got {_describe(tokens)}")
+        for token in tokens:
+            if not isinstance(token, str):
+                raise ValueError(f"'tokens' must hold strings only, "
+                                 f"got {_describe(token)}")
+        tokens = [t.lower() for t in tokens]
     elif "sentence" in record:
-        tokens = tokenize(record["sentence"])
+        tokens = tokenize(_string_field(record, "sentence"))
     else:
         raise ValueError("record needs a 'tokens' list or a 'sentence' string")
     if "pun_position" in record:
-        position = int(record["pun_position"])
+        position = record["pun_position"]
+        if type(position) is not int:  # bool subclasses int
+            raise ValueError(f"'pun_position' must be an integer, "
+                             f"got {_describe(position)}")
     else:
         slots = [i for i, t in enumerate(tokens) if t == pair.pun_word]
         if len(slots) != 1:
@@ -354,14 +383,20 @@ def _cmd_score(args, cfg: RunConfig) -> int:
             record_id = lineno
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"record must be a JSON object, "
+                                     f"got {_describe(record)}")
                 record_id = record.get("id", lineno)
                 result = _score_record(record, lm, skipgram, unigram_probs,
                                        cfg.window)
                 _emit(out, {"id": record_id, **result})
-            except (PunforgeError, ValueError, KeyError, TypeError) as exc:
+            except (PunforgeError, ValueError, KeyError, TypeError,
+                    RecursionError) as exc:  # JSON nested too deeply
                 _emit(out, {"id": record_id, "error": str(exc)})
     if out is not sys.stdout:
         out.close()
+    if skipgram is not None:
+        skipgram.log_relatedness_counts()
     return EXIT_OK
 
 
@@ -442,6 +477,8 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
                         "text": " ".join(cand.final_tokens), **record})
     if out is not sys.stdout:
         out.close()
+    if skipgram is not None:
+        skipgram.log_relatedness_counts()
     return EXIT_OK
 
 
@@ -465,7 +502,7 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
                            and not isinstance(value, bool)}
                 if not np.isfinite(list(metrics.values())).all():
                     raise ValueError("NaN or infinite value")
-            except (ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError, RecursionError) as exc:
                 raise FormatError(f"{args.scores}:{lineno}: not a JSON object "
                                   f"of finite metrics ({exc})") from None
             item = str(record.get("id"))

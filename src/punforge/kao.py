@@ -119,19 +119,21 @@ def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
     rel_alt = relatedness(vocab.id_of(pair.alt_word))
 
     positions = content_positions(tokens, pun_position)
+    ids = [vocab.id_of(tokens[i]) for i in positions]
     log_like_pun = math.log(PRIOR_PUN)
     log_like_alt = math.log(1.0 - PRIOR_PUN)
     f_pun: list[float] = []
     f_alt: list[float] = []
-    for i in positions:
-        x = vocab.id_of(tokens[i])
-        base = (1.0 - MIXTURE_WEIGHT) * unigram_probs[x]
-        m_pun = base + MIXTURE_WEIGHT * rel_pun[x]
-        m_alt = base + MIXTURE_WEIGHT * rel_alt[x]
+    # one gather per table; Python floats round as numpy scalars do
+    for uni, r_pun, r_alt in zip(unigram_probs[ids].tolist(),
+                                 rel_pun[ids].tolist(), rel_alt[ids].tolist()):
+        base = (1.0 - MIXTURE_WEIGHT) * uni
+        m_pun = base + MIXTURE_WEIGHT * r_pun
+        m_alt = base + MIXTURE_WEIGHT * r_alt
         log_like_pun += math.log(m_pun)
         log_like_alt += math.log(m_alt)
-        f_pun.append(MIXTURE_WEIGHT * rel_pun[x] / m_pun)
-        f_alt.append(MIXTURE_WEIGHT * rel_alt[x] / m_alt)
+        f_pun.append(MIXTURE_WEIGHT * r_pun / m_pun)
+        f_alt.append(MIXTURE_WEIGHT * r_alt / m_alt)
 
     # normalize the two-point posterior in log space
     top = max(log_like_pun, log_like_alt)

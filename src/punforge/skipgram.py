@@ -20,6 +20,8 @@ the remaining candidates.
 from __future__ import annotations
 
 import functools
+import logging
+from collections import OrderedDict
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -30,9 +32,14 @@ from . import binio
 from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
 from .errors import FormatError, TrainingError, UnknownWordError
 
+log = logging.getLogger(__name__)
+
 SKIPGRAM_MAGIC = b"PGSG"
 # The fields of SkipGramConfig in order: five u32, then f64 step_size, u64 seed.
 _HEADER = "<5IdQ"
+# Bytes of finished relatedness vectors one model keeps: 65 vectors of an
+# 8,000-word vocabulary, and never fewer than one.
+_RELATEDNESS_CACHE_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -111,23 +118,55 @@ def step_loss_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
 
 
 class SkipGramModel:
+    """Trained embeddings and the queries on them.
+
+    ``vec_in`` and ``vec_out`` must not change after construction: the
+    relatedness vectors already computed from them are kept and reused.
+    """
+
     def __init__(self, vocab: Vocabulary, config: SkipGramConfig,
                  vec_in: np.ndarray, vec_out: np.ndarray):
         self.vocab = vocab
         self.config = config
         self.vec_in = vec_in
         self.vec_out = vec_out
+        # least recently used first
+        self._relatedness: OrderedDict[int, np.ndarray] = OrderedDict()
+        self.relatedness_computed = 0
+        self.relatedness_reused = 0
 
     def relatedness_by_id(self, word_id: int) -> np.ndarray:
-        """Softmax over the whole vocabulary for one query id; sums to 1."""
+        """Softmax over the whole vocabulary for one query id; sums to 1.
+
+        The array is read-only and may be handed out again: the model keeps
+        up to ``_RELATEDNESS_CACHE_BYTES`` of the most recently used ones.
+        """
         if not 0 <= word_id < len(self.vocab):
             raise UnknownWordError(f"word id {word_id} outside the vocabulary")
+        cache = self._relatedness
+        dist = cache.get(word_id)
+        if dist is not None:
+            cache.move_to_end(word_id)
+            self.relatedness_reused += 1
+            return dist
         scores = self.vec_out @ self.vec_in[word_id]
         scores -= scores.max()
         exp = np.exp(scores)
-        return exp / exp.sum()
+        dist = exp / exp.sum()
+        dist.flags.writeable = False
+        cache[word_id] = dist
+        if len(cache) > max(1, _RELATEDNESS_CACHE_BYTES // dist.nbytes):
+            cache.popitem(last=False)
+        self.relatedness_computed += 1
+        return dist
+
+    def log_relatedness_counts(self) -> None:
+        """Log at INFO how many relatedness vectors were computed and reused."""
+        log.info("relatedness vectors: %d computed, %d reused from the cache",
+                 self.relatedness_computed, self.relatedness_reused)
 
     def relatedness_dist(self, word: str) -> np.ndarray:
+        """``relatedness_by_id`` of a word; the array is read-only."""
         if word not in self.vocab:
             raise UnknownWordError(f"{word!r} is not in the vocabulary")
         return self.relatedness_by_id(self.vocab.id_of(word))

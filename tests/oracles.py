@@ -205,6 +205,18 @@ def reference_bfs(adjacency, start, goal):
     return None
 
 
+def reference_relatedness(vec_in, vec_out, word_id):
+    """Softmax of one query's scores against every output embedding.
+
+    Computed afresh on every call: scores shifted by their maximum,
+    exponentiated and divided by their sum.
+    """
+    scores = vec_out @ vec_in[word_id]
+    scores -= scores.max()
+    exp = np.exp(scores)
+    return exp / exp.sum()
+
+
 def reference_predict_topics(dist, words, query_id, unk_id, k):
     """Top-k (word, renormalized probability) by a Python sort of tuples.
 

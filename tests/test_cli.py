@@ -71,9 +71,10 @@ class TestResolveConfig:
 
     def test_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text("order: 3")
-        with pytest.raises(UsageError, match="JSON"):
-            resolve_config({}, str(path), env={})
+        for text in ("order: 3", "[" * 100_000):  # the second nests too deeply
+            path.write_text(text)
+            with pytest.raises(UsageError, match="JSON"):
+                resolve_config({}, str(path), env={})
 
     def test_config_not_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -334,6 +335,77 @@ class TestScore:
         assert code == 0
         assert "pun_position" in json.loads(lines[0])["error"]
 
+    @pytest.mark.parametrize("bad,message", [
+        ("[1]", "record must be a JSON object, got an array"),
+        ('"x"', 'record must be a JSON object, got "x"'),
+        ({"pun_position": float("inf")},  # JSON Infinity
+         "'pun_position' must be an integer, got Infinity"),
+        ({"pun_position": True}, "'pun_position' must be an integer, got true"),
+        ({"pun_position": 1.9}, "'pun_position' must be an integer, got 1.9"),
+        ({"tokens": "hare cut"},
+         "'tokens' must be a list of strings, got \"hare cut\""),
+        ({"tokens": ["hare", 1]}, "'tokens' must hold strings only, got 1"),
+        ({"tokens": None}, "'tokens' must be a list of strings, got null"),
+        ({"pun_word": ["hare"]}, "'pun_word' must be a string, got an array"),
+        ({"alt_word": {"w": "hair"}}, "'alt_word' must be a string, got an object"),
+    ], ids=["array", "string", "infinite-position", "bool-position",
+            "float-position", "string-tokens", "number-token", "null-tokens",
+            "list-pun-word", "object-alt-word"])
+    def test_malformed_record_is_an_inline_error(self, pipeline, tmp_path,
+                                                 capsys, bad, message):
+        good = {"id": "ok", "tokens": ["a", "hare", "cut", "."],
+                "pun_word": "hare", "alt_word": "hair", "pun_position": 1}
+        line = bad if isinstance(bad, str) else json.dumps({**good, "id": "bad", **bad})
+        src = tmp_path / "in.jsonl"
+        src.write_text(line + "\n" + json.dumps(good) + "\n")
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--skipgram", str(pipeline["skipgram"]),
+                                      "--input", str(src)])
+        assert code == 0 and capsys.readouterr().err == ""
+        bad_id = 1 if isinstance(bad, str) else "bad"
+        assert json.loads(lines[0]) == {"id": bad_id, "error": message}
+        assert "ambiguity" in json.loads(lines[1])
+
+    def test_deeply_nested_line_is_an_inline_error(self, pipeline, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text("[" * 100_000 + "\n")
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--input", str(src)])
+        assert code == 0
+        record = json.loads(lines[0])
+        assert record["id"] == 1 and "recursion" in record["error"]
+
+    def test_non_string_sentence_is_an_inline_error(self, pipeline, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"sentence": 5, "pun_word": "hare",
+                                   "alt_word": "hair"}) + "\n")
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--input", str(src)])
+        assert code == 0
+        assert json.loads(lines[0]) == {"id": 1,
+                                        "error": "'sentence' must be a string, got 5"}
+
+    def test_verbose_logs_relatedness_counts(self, pipeline, tmp_path, capsys,
+                                            caplog):
+        records = [json.dumps({"id": i, "sentence": sentence, "pun_word": "hare",
+                               "alt_word": "hair"})
+                   for i, sentence in enumerate(["a hare cut .", "the hare ran ."])]
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(records) + "\n")
+        args = ["score", "--lm", str(pipeline["lm"]),
+                "--skipgram", str(pipeline["skipgram"]), "--input", str(src)]
+        assert cli.main(args) == 0
+        quiet = capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="punforge.skipgram"):
+            assert cli.main(args + ["-v"]) == 0
+        assert capsys.readouterr().out == quiet.out and quiet.err == ""
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "punforge.skipgram"]
+        # two records of one pair: two vectors computed, two reused
+        assert messages == ["relatedness vectors: 2 computed, 2 reused from the cache"]
+        assert all(r.levelno == logging.INFO for r in caplog.records
+                   if r.name == "punforge.skipgram")
+
     def test_mismatched_model_vocabularies_rejected(self, pipeline, tmp_path,
                                                     capsys):
         other_text = tmp_path / "other.txt"
@@ -391,6 +463,19 @@ class TestGenerate:
         _, first = _run(tmp_path, args)
         _, second = _run(tmp_path, args)
         assert first == second
+
+    def test_verbose_logs_relatedness_counts(self, pipeline, miniwn_dir,
+                                            tmp_path, capsys, caplog):
+        args = self._topic_args(pipeline, miniwn_dir)
+        assert cli.main(args) == 0
+        quiet = capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="punforge.skipgram"):
+            assert cli.main(args + ["-v"]) == 0
+        assert capsys.readouterr().out == quiet != ""
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "punforge.skipgram"]
+        # predict_topics asks once for the pun word's vector
+        assert messages == ["relatedness vectors: 1 computed, 0 reused from the cache"]
 
     def test_swap_stage_needs_no_topic_resources(self, pipeline, tmp_path):
         code, lines = _run(tmp_path, ["generate",
@@ -535,6 +620,8 @@ class TestCorrelate:
         ("ratings.csv", "item,rater,score\na,r1,1\n", ":1: header must name"),
         ("scores.jsonl", '{"id": "a", "s_ratio": 1.0}\nnot json\n', ":2: not a JSON"),
         ("scores.jsonl", "[1, 2]\n", ":1: not a JSON object"),
+        pytest.param("scores.jsonl", "[" * 100_000 + "\n", ":1: not a JSON object",
+                     id="scores.jsonl-nested-too-deeply"),
     ])
     def test_malformed_input_is_one_line_data_error(self, tmp_path, capsys,
                                                     name, text, where):

@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import reference_predict_topics
+from oracles import reference_predict_topics, reference_relatedness
+from punforge import skipgram
 from punforge.corpus import Vocabulary, ingest
 from punforge.errors import (FormatError, ResourceError, TrainingError,
                              UnknownWordError)
@@ -216,6 +217,113 @@ class TestPredictTopicsOracle:
         for word, _, _ in trained.vocab.items():
             assert (trained.predict_topics(word, len(trained.vocab))
                     == _oracle_topics(trained, word, len(trained.vocab)))
+
+
+def _fresh(model, vec_out=None):
+    """A model over the same arrays as ``model``, with nothing cached."""
+    return SkipGramModel(model.vocab, model.config, model.vec_in,
+                         model.vec_out if vec_out is None else vec_out)
+
+
+def _lru_misses(queries, capacity):
+    """How many of ``queries`` a least-recently-used cache must compute."""
+    held, misses = [], 0
+    for q in queries:
+        if q in held:
+            held.remove(q)
+        else:
+            misses += 1
+            if len(held) == capacity:
+                held.pop(0)
+        held.append(q)
+    return misses
+
+
+class TestRelatednessCache:
+    """Kept relatedness vectors against a softmax computed afresh."""
+
+    def _oracle(self, model, word_id):
+        return reference_relatedness(model.vec_in, model.vec_out, word_id).tobytes()
+
+    def test_every_query_equals_oracle_first_and_on_repeat(self, trained):
+        model = _fresh(trained)
+        ids = list(range(len(model.vocab)))
+        for word_id in ids + ids[::-1]:
+            assert (model.relatedness_by_id(word_id).tobytes()
+                    == self._oracle(model, word_id))
+        for word, word_id, _ in model.vocab.items():
+            assert model.relatedness_dist(word).tobytes() == self._oracle(model, word_id)
+        assert model.relatedness_computed == len(ids)
+        assert model.relatedness_reused == 2 * len(ids)
+
+    @pytest.mark.parametrize("vectors", [1, 2, 3])
+    def test_eviction_recomputes_equal_bytes(self, trained, monkeypatch, vectors):
+        v = len(trained.vocab)
+        monkeypatch.setattr(skipgram, "_RELATEDNESS_CACHE_BYTES", vectors * 8 * v)
+        model = _fresh(trained)
+        rng = np.random.default_rng(vectors)
+        # id 0 between every other id: kept by recency, dropped by age
+        hot = [q for other in range(1, v) for q in (0, other)]
+        queries = 2 * hot + rng.integers(0, v, size=60).tolist()
+        for word_id in queries:
+            assert (model.relatedness_by_id(word_id).tobytes()
+                    == self._oracle(model, word_id))
+        misses = _lru_misses(queries, vectors)
+        assert len(set(queries)) < misses < len(queries)
+        assert model.relatedness_computed == misses
+        assert model.relatedness_reused == len(queries) - misses
+
+    def test_budget_below_one_vector_keeps_one(self, trained, monkeypatch):
+        monkeypatch.setattr(skipgram, "_RELATEDNESS_CACHE_BYTES", 1)
+        model = _fresh(trained)
+        for word_id in (1, 1, 2, 2, 1):
+            model.relatedness_by_id(word_id)
+        assert (model.relatedness_computed, model.relatedness_reused) == (3, 2)
+
+    def test_returned_arrays_are_read_only(self, trained):
+        model = _fresh(trained)
+        for dist in (model.relatedness_by_id(1), model.relatedness_by_id(1),
+                     model.relatedness_dist("alpha")):
+            with pytest.raises(ValueError, match="read-only"):
+                dist[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                dist *= 2.0
+        assert model.relatedness_by_id(1).tobytes() == self._oracle(model, 1)
+
+    def test_two_models_share_no_entries(self, trained):
+        first = _fresh(trained)
+        second = _fresh(trained, vec_out=trained.vec_out[::-1].copy())
+        for word_id in (1, 2, 1, 2):
+            for model in (first, second):
+                assert (model.relatedness_by_id(word_id).tobytes()
+                        == self._oracle(model, word_id))
+        assert (first.relatedness_by_id(1).tobytes()
+                != second.relatedness_by_id(1).tobytes())
+        for model in (first, second):
+            assert (model.relatedness_computed, model.relatedness_reused) == (2, 3)
+
+    def test_out_of_range_id_raises_when_warm(self, trained):
+        model = _fresh(trained)
+        model.relatedness_by_id(0)
+        for word_id in (-1, len(model.vocab)):
+            with pytest.raises(UnknownWordError):
+                model.relatedness_by_id(word_id)
+        assert (model.relatedness_computed, model.relatedness_reused) == (1, 0)
+
+    def test_predict_topics_matches_oracle_cold_and_warm(self, trained,
+                                                         monkeypatch):
+        monkeypatch.setattr(skipgram, "_RELATEDNESS_CACHE_BYTES", 1)
+        model = _fresh(trained)
+        v = len(model.vocab)
+        words = [model.vocab.word_of(i) for i in range(v)]
+        for _ in range(2):
+            for word, word_id, _ in model.vocab.items():
+                want = reference_predict_topics(
+                    reference_relatedness(model.vec_in, model.vec_out, word_id),
+                    words, word_id, model.vocab.unk_id, v)
+                assert model.predict_topics(word, v) == want
+                assert model.predict_topics(word, v) == want
+        assert model.relatedness_computed == 2 * v
 
 
 class TestPersistence:
