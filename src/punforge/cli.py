@@ -35,7 +35,6 @@ from .generator import (GenerationConfig, GenerationResources, STAGE_SWAP,
 from .kao import check_pair_words, meaning_report
 from .ngram_lm import (DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, NGramModel,
                        check_order, train_lm)
-from .retrieval import build_index
 from .skipgram import SkipGramConfig, SkipGramModel, train_skipgram
 from .surprisal import PunOccurrence, PunPair, score_occurrence
 from .wordnet import load_wordnet
@@ -283,8 +282,7 @@ def _emit(fh: TextIO, record: dict) -> None:
 def _cmd_index(args, cfg: RunConfig) -> int:
     sentences, vocab = ingest(Path(args.corpus), min_count=cfg.min_count,
                               tagged=args.tagged)
-    index = build_index(sentences)
-    save_corpus(args.out, Corpus(sentences, vocab, index.postings))
+    save_corpus(args.out, Corpus(sentences, vocab))
     vocab.save_text(args.out + ".vocab")
     log.info("indexed %d sentences, vocabulary %d", len(sentences), len(vocab))
     return EXIT_OK
@@ -327,8 +325,8 @@ def _string_field(record: dict, name: str) -> str:
 
 def _score_record(record: dict, lm: NGramModel, skipgram: SkipGramModel | None,
                   unigram_probs: np.ndarray | None, window: int) -> dict:
-    pair = PunPair(_string_field(record, "pun_word"),
-                   _string_field(record, "alt_word"))
+    pair = PunPair(_string_field(record, "pun_word").lower(),
+                   _string_field(record, "alt_word").lower())
     check_pair_words(pair, lm.vocab)
     if "tokens" in record:
         tokens = record["tokens"]

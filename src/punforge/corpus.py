@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = b"PGC3"
+CORPUS_MAGIC = b"PGC4"
 
 UNK = "<unk>"
 DEFAULT_MIN_COUNT = 1
@@ -292,12 +292,11 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 
 # --- binary container ------------------------------------------------------
 #
-# Layout (binio blocks): magic PGC3, flags byte (bit 0: postings present),
-# hashed vocabulary (see write_vocab), surface table, then one array each of
-# sentence ids, lengths, and every token's surface-table index and POS code.
-# Postings are the terms' surface indexes, entries per term, each entry's
-# sentence row and position count, and the positions.  Sentences keep their full surfaces so
-# that rare words survive a min_count-collapsed vocabulary.
+# Layout (binio blocks): magic PGC4, hashed vocabulary (see write_vocab),
+# surface table, then one array each of sentence ids, lengths, and every
+# token's surface-table index and POS code.  Sentences keep their full
+# surfaces so that rare words survive a min_count-collapsed vocabulary.  The
+# inverted index is not stored: it is derived from these arrays at load.
 
 Postings = dict[str, list[tuple[int, tuple[int, ...]]]]
 
@@ -314,14 +313,56 @@ class Corpus:
         return {s.sent_id: s for s in self.sentences}
 
     def inverted_index(self) -> "InvertedIndex":
-        """The stored postings as an index, or one built from the sentences."""
+        """The postings as an index, built from the sentences if there are none."""
         from .retrieval import InvertedIndex, build_index
 
         if self.postings is None:
-            log.info("corpus has no index section; building one in memory")
+            log.info("corpus holds no postings; building them from its sentences")
             return build_index(self.sentences)
         return InvertedIndex(self.postings,
                              {i: len(s) for i, s in self.by_id.items()})
+
+
+def _number_surfaces(sentences: Iterable[Sentence]) -> tuple[list[str], list[int]]:
+    """The distinct surfaces in order of first appearance, and each token's
+    index into that table."""
+    table: dict[str, int] = {}
+    idx = [table.setdefault(t.surface, len(table)) for s in sentences for t in s.tokens]
+    return list(table), idx
+
+
+def _group_postings(sent_ids: np.ndarray, lengths: np.ndarray,
+                    surface_idx: np.ndarray, surfaces: list[str]) -> Postings:
+    """Every surface's postings from the flat sentence arrays.
+
+    Terms come in surface-table order, entries in sentence order, positions
+    ascending: one sort of (surface index, token index) keys, then a split
+    wherever the term or the sentence changes.
+    """
+    n = len(surface_idx)
+    keys = np.sort(surface_idx.astype(np.int64) << 32 | np.arange(n))
+    term, token = keys >> 32, keys & 0xFFFFFFFF
+    row = np.repeat(np.arange(len(lengths)), lengths)[token]
+    position = token - (np.cumsum(lengths, dtype=np.int64) - lengths)[row]
+    new_term = np.ones(n, dtype=bool)
+    new_term[1:] = term[1:] != term[:-1]
+    new_entry = new_term.copy()
+    new_entry[1:] |= row[1:] != row[:-1]
+    first = np.flatnonzero(new_entry)  # each entry's first token
+    term_first = np.flatnonzero(new_term[first])  # each term's first entry
+    entries = list(zip(sent_ids[row[first]].tolist(),
+                       binio.split(tuple(position.tolist()), np.diff(first, append=n))))
+    return dict(zip([surfaces[t] for t in term[first[term_first]].tolist()],
+                    binio.split(entries, np.diff(term_first, append=len(first)))))
+
+
+def postings_of(sentences: Sequence[Sentence]) -> Postings:
+    """The postings of ``sentences``, keyed by surface in order of first
+    appearance, as :func:`load_corpus` derives them from a saved corpus."""
+    surfaces, surface_idx = _number_surfaces(sentences)
+    return _group_postings(np.array([s.sent_id for s in sentences], dtype=np.int64),
+                           np.array([len(s.tokens) for s in sentences], dtype=np.int64),
+                           np.array(surface_idx, dtype=np.int64), surfaces)
 
 
 def write_vocab(fh: BinaryIO, vocab: Vocabulary) -> None:
@@ -345,45 +386,31 @@ def read_vocab(fh: BinaryIO, what: str = "model",
 
 
 def save_corpus(path: str | Path, corpus: Corpus) -> None:
-    """Write ``corpus``; its postings must refer to its own sentences."""
-    surfaces: dict[str, int] = {}
-    tokens = [t for s in corpus.sentences for t in s.tokens]
-    surface_idx = [surfaces.setdefault(t.surface, len(surfaces)) for t in tokens]
+    """Write ``corpus``'s vocabulary and sentences; load derives its postings."""
+    surfaces, surface_idx = _number_surfaces(corpus.sentences)
     with open(path, "wb") as fh:
         fh.write(CORPUS_MAGIC)
-        binio.pack(fh, "<B", 0 if corpus.postings is None else 1)
         write_vocab(fh, corpus.vocab)
-        binio.write_strings(fh, list(surfaces))  # insertion order == index order
+        binio.write_strings(fh, surfaces)
         binio.write_array(fh, [s.sent_id for s in corpus.sentences], "<u4")
         binio.write_array(fh, [len(s.tokens) for s in corpus.sentences], "<u4")
         binio.write_array(fh, surface_idx, "<u4")
-        binio.write_array(fh, [t.pos.value for t in tokens], "u1")
-        if corpus.postings is not None:
-            terms = sorted(corpus.postings)
-            entries = [e for term in terms for e in corpus.postings[term]]
-            row_of = {s.sent_id: row for row, s in enumerate(corpus.sentences)}
-            binio.write_array(fh, [surfaces[t] for t in terms], "<u4")
-            binio.write_array(fh, [len(corpus.postings[t]) for t in terms], "<u4")
-            binio.write_array(fh, [row_of[sent_id] for sent_id, _ in entries], "<u4")
-            binio.write_array(fh, [len(ps) for _, ps in entries], "<u4")
-            binio.write_array(fh, [p for _, ps in entries for p in ps], "<u4")
+        binio.write_array(fh, [t.pos.value for s in corpus.sentences
+                               for t in s.tokens], "u1")
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a corpus file, checking that its arrays agree with each other."""
+    """Read a corpus file, check that its arrays agree and derive its postings."""
     with open(path, "rb") as fh:
         binio.check_magic(fh, CORPUS_MAGIC, "corpus")
-        (flags,) = binio.unpack(fh, "<B")
         vocab = read_vocab(fh, what="corpus")
         surfaces = binio.read_strings(fh)
         sent_ids, lengths, surface_idx = (binio.read_array(fh, "<u4")
                                           for _ in range(3))
         pos_codes = binio.read_array(fh, "u1")
-        if flags & 1:
-            terms, n_entries, rows, n_positions, positions = (
-                binio.read_array(fh, "<u4") for _ in range(5))
     if not (len(sent_ids) == len(lengths) == len(np.unique(sent_ids))
             and lengths.sum(dtype=np.int64) == len(surface_idx) == len(pos_codes)
+            and len(set(surfaces)) == len(surfaces)
             and (surface_idx < len(surfaces)).all()
             and (pos_codes < len(Pos)).all()):  # Pos values are 0 .. len(Pos) - 1
         raise FormatError(f"corrupt corpus file {path}: sentence arrays disagree")
@@ -393,22 +420,5 @@ def load_corpus(path: str | Path) -> Corpus:
     kinds = [Token(surfaces[k >> 8], Pos(k & 0xFF)) for k in keys.tolist()]
     tokens = list(map(kinds.__getitem__, inverse.tolist()))
     sentences = list(map(Sentence, sent_ids.tolist(), binio.split(tokens, lengths)))
-    if not flags & 1:
-        return Corpus(sentences, vocab)
-
-    # Each position must lie inside its entry's sentence and hold the term.
-    if not (len(n_entries) == len(terms) and (terms < len(surfaces)).all()
-            and (rows < len(sentences)).all()
-            and n_entries.sum(dtype=np.int64) == len(rows) == len(n_positions)
-            and n_positions.sum(dtype=np.int64) == len(positions)):
-        raise FormatError(f"corrupt corpus file {path}: postings arrays disagree")
-    row = np.repeat(rows, n_positions)
-    starts = np.cumsum(lengths, dtype=np.int64) - lengths
-    if not ((positions < lengths[row]).all() and (surface_idx[starts[row] + positions]
-            == np.repeat(np.repeat(terms, n_entries), n_positions)).all()):
-        raise FormatError(f"corrupt corpus file {path}: postings do not match "
-                          f"the sentences")
-    entries = list(zip(sent_ids[rows].tolist(),
-                       binio.split(tuple(positions.tolist()), n_positions)))
-    return Corpus(sentences, vocab, dict(zip([surfaces[t] for t in terms.tolist()],
-                                             binio.split(entries, n_entries))))
+    return Corpus(sentences, vocab,
+                  _group_postings(sent_ids, lengths, surface_idx, surfaces))

@@ -2,8 +2,9 @@
 
 Postings are keyed by exact surface form so a rare word stays retrievable
 even when the vocabulary has collapsed it to the unknown id.  Each posting
-is (sentence id, positions ascending); postings lists are in sentence-id
-order because sentences are scanned in order.
+is (sentence id, positions ascending); postings lists are in corpus order.
+``corpus.postings_of`` builds them, the routine that also derives a loaded
+corpus's postings.
 
 A seed for an alternative word is a sentence that contains the word exactly
 once and has an acceptable length.  Candidates are gathered in corpus order
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Postings, Sentence
+from .corpus import Postings, Sentence, postings_of
 
 DEFAULT_POOL = 500
 DEFAULT_KEEP = 100
@@ -51,29 +52,16 @@ class InvertedIndex:
 
 
 def build_index(sentences: Sequence[Sentence]) -> InvertedIndex:
-    postings: Postings = {}
-    lengths: dict[int, int] = {}
-    for sentence in sentences:
-        lengths[sentence.sent_id] = len(sentence.tokens)
-        seen: dict[str, list[int]] = {}
-        for position, token in enumerate(sentence.tokens):
-            seen.setdefault(token.surface, []).append(position)
-        for surface, positions in seen.items():
-            postings.setdefault(surface, []).append(
-                (sentence.sent_id, tuple(positions))
-            )
-    return InvertedIndex(postings, lengths)
+    return InvertedIndex(postings_of(sentences),
+                         {s.sent_id: len(s.tokens) for s in sentences})
 
 
-def retrieve_seeds(index: InvertedIndex, alt_word: str,
-                   pool: int = DEFAULT_POOL, keep: int = DEFAULT_KEEP,
-                   min_len: int = MIN_SEED_LEN, max_len: int = MAX_SEED_LEN,
-                   relative: bool = True) -> list[SeedCandidate]:
+def retrieve_seeds(index: InvertedIndex, alt_word: str, pool: int = DEFAULT_POOL,
+                   keep: int = DEFAULT_KEEP) -> list[SeedCandidate]:
     """Ranked seed sentences for one alternative word.
 
-    Ranking key: slot position descending (relative to length by default,
-    absolute with ``relative=False``), then length ascending, then sentence
-    id ascending.  Deterministic for a fixed index.
+    Ranking key: slot position relative to length descending, then length
+    ascending, then sentence id ascending.  Deterministic for a fixed index.
     """
     check_pool_keep(pool, keep)
     gathered: list[tuple[int, int, int]] = []  # (sent_id, position, length)
@@ -81,18 +69,13 @@ def retrieve_seeds(index: InvertedIndex, alt_word: str,
         if len(positions) != 1:
             continue
         length = index.lengths[sent_id]
-        if not min_len <= length <= max_len:
+        if not MIN_SEED_LEN <= length <= MAX_SEED_LEN:
             continue
         gathered.append((sent_id, positions[0], length))
         if len(gathered) >= pool:
             break
 
-    def sort_key(entry: tuple[int, int, int]) -> tuple[float, int, int]:
-        sent_id, position, length = entry
-        slot = position / length if relative else float(position)
-        return (-slot, length, sent_id)
-
-    gathered.sort(key=sort_key)
+    gathered.sort(key=lambda e: (-e[1] / e[2], e[2], e[0]))
     return [
         SeedCandidate(sent_id=s, position=p, length=n, rank=rank)
         for rank, (s, p, n) in enumerate(gathered[:keep])

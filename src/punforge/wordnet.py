@@ -68,7 +68,6 @@ class SynsetGraph:
 
     hypernyms: dict[Synset, tuple[Synset, ...]]
     senses: dict[tuple[str, str], tuple[Synset, ...]]  # (lemma, pos) -> sense order
-    lemmas: dict[Synset, tuple[str, ...]] = field(default_factory=dict)
     version: str = "unversioned"
     _adjacency: dict[Synset, set[Synset]] = field(default_factory=dict, repr=False)
     # type_consistent answers keyed by all of its arguments but the graph
@@ -215,8 +214,7 @@ def _index_path(dict_dir: Path, pos: str) -> Path:
 
 
 def _parse_data_file(path: Path, pos: str,
-                     hypernyms: dict[Synset, tuple[Synset, ...]],
-                     lemmas: dict[Synset, tuple[str, ...]]) -> None:
+                     hypernyms: dict[Synset, tuple[Synset, ...]]) -> None:
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith(" ") or not line.strip():
@@ -224,9 +222,7 @@ def _parse_data_file(path: Path, pos: str,
             fields = line.split()
             try:
                 offset = int(fields[0])
-                w_cnt = int(fields[3], 16)
-                words = [fields[4 + 2 * i].lower() for i in range(w_cnt)]
-                p_idx = 4 + 2 * w_cnt
+                p_idx = 4 + 2 * int(fields[3], 16)  # past w_cnt (hex) word/lex_id pairs
                 p_cnt = int(fields[p_idx])
                 parents = []
                 for i in range(p_cnt):
@@ -236,9 +232,7 @@ def _parse_data_file(path: Path, pos: str,
                         parents.append((target_pos, int(target)))
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed data line") from exc
-            synset = (pos, offset)
-            hypernyms[synset] = tuple(parents)
-            lemmas[synset] = tuple(words)
+            hypernyms[(pos, offset)] = tuple(parents)
 
 
 def _parse_index_file(path: Path, pos: str,
@@ -270,7 +264,6 @@ def load_wordnet(dict_dir: str | Path) -> SynsetGraph:
     if not dict_dir.is_dir():
         raise ResourceError(f"dictionary directory not found: {dict_dir}")
     hypernyms: dict[Synset, tuple[Synset, ...]] = {}
-    lemmas: dict[Synset, tuple[str, ...]] = {}
     senses: dict[tuple[str, str], tuple[Synset, ...]] = {}
     for pos in (NOUN, VERB):
         data, index = _data_path(dict_dir, pos), _index_path(dict_dir, pos)
@@ -278,7 +271,7 @@ def load_wordnet(dict_dir: str | Path) -> SynsetGraph:
             if pos == NOUN:
                 raise ResourceError(f"noun database missing under {dict_dir}")
             continue
-        _parse_data_file(data, pos, hypernyms, lemmas)
+        _parse_data_file(data, pos, hypernyms)
         _parse_index_file(index, pos, senses)
     for (lemma, pos), targets in senses.items():
         for target in targets:
@@ -289,7 +282,7 @@ def load_wordnet(dict_dir: str | Path) -> SynsetGraph:
     n_nouns = sum(1 for s in hypernyms if s[0] == NOUN)
     n_verbs = sum(1 for s in hypernyms if s[0] == VERB)
     graph = SynsetGraph(
-        hypernyms, senses, lemmas,
+        hypernyms, senses,
         version=f"{dict_dir.name}:{n_nouns}n+{n_verbs}v",
     )
     graph.person_synset()  # required by the pronoun mapping; fail on load

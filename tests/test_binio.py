@@ -92,31 +92,25 @@ def _read_corpus_sections(path):
     """Every section of a corpus file, in file order."""
     with open(path, "rb") as fh:
         fh.read(4)
-        sections = {"flags": binio.unpack(fh, "<B")[0],
-                    "vocab_hash": binio.read_array(fh, "u1"),
+        sections = {"vocab_hash": binio.read_array(fh, "u1"),
                     "vocab": binio.read_strings(fh),
                     "surfaces": binio.read_strings(fh)}
         for name in ("sent_ids", "lengths", "surface_idx"):
             sections[name] = binio.read_array(fh, "<u4")
         sections["pos"] = binio.read_array(fh, "u1")
-        for name in ("terms", "n_entries", "rows", "n_positions", "positions"):
-            sections[name] = binio.read_array(fh, "<u4")
         assert fh.read() == b""
     return sections
 
 
 def _write_corpus_sections(path, s):
     with open(path, "wb") as fh:
-        fh.write(b"PGC3")
-        binio.pack(fh, "<B", s["flags"])
+        fh.write(b"PGC4")
         binio.write_array(fh, s["vocab_hash"], "u1")
         binio.write_strings(fh, s["vocab"])
         binio.write_strings(fh, s["surfaces"])
         for name in ("sent_ids", "lengths", "surface_idx"):
             binio.write_array(fh, s[name], "<u4")
         binio.write_array(fh, s["pos"], "u1")
-        for name in ("terms", "n_entries", "rows", "n_positions", "positions"):
-            binio.write_array(fh, s[name], "<u4")
 
 
 class TestCorpusFile:
@@ -128,6 +122,7 @@ class TestCorpusFile:
         loaded = load_corpus(a)
         assert loaded.sentences == demo.sentences
         assert loaded.postings == demo.postings
+        assert list(loaded.postings) == list(demo.postings)
         assert loaded.vocab.dump_lines() == demo.vocab.dump_lines()
         save_corpus(b, loaded)
         assert a.read_bytes() == b.read_bytes()
@@ -138,8 +133,7 @@ class TestCorpusFile:
         s = _read_corpus_sections(path)
         assert s["sent_ids"].tolist() == [x.sent_id for x in demo.sentences]
         assert s["lengths"].sum() == len(s["surface_idx"]) == len(s["pos"])
-        assert [s["surfaces"][t] for t in s["terms"]] == sorted(demo.postings)
-        assert s["n_positions"].sum() == len(s["positions"])
+        assert s["surfaces"] == list(demo.postings)  # in order of first appearance
 
     @pytest.mark.parametrize("name,mutate", [
         ("lengths", lambda a: np.r_[a[:-1], a[-1] + 1]),  # sum != token count
@@ -147,12 +141,7 @@ class TestCorpusFile:
         ("sent_ids", lambda a: a[:-1]),                    # fewer ids than lengths
         ("surface_idx", lambda a: np.r_[len(a) * 4, a[1:]]),  # out of range
         ("pos", lambda a: np.r_[9, a[1:]]),                # no such POS code
-        ("terms", lambda a: np.r_[a[1], a[1:]]),          # another term's entries
-        ("terms", lambda a: a[:-1]),                      # fewer terms than counts
-        ("n_entries", lambda a: np.r_[a[0] + 1, a[1:]]),   # sum != entry count
-        ("rows", lambda a: np.r_[10**6, a[1:]]),           # no such sentence
-        ("positions", lambda a: np.r_[a[0] + 1, a[1:]]),   # token is another term
-        ("positions", lambda a: np.r_[999, a[1:]]),        # past the sentence end
+        ("surfaces", lambda a: [a[1]] + a[1:]),            # repeated surface
     ])
     def test_arrays_that_disagree_rejected(self, demo, tmp_path, name, mutate):
         path = tmp_path / "c.pgc"
@@ -184,7 +173,7 @@ class TestCorpusFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pgc"
-        for magic in (b"PGC1", b"PGC2"):
+        for magic in (b"PGC1", b"PGC2", b"PGC3"):
             path.write_bytes(magic + bytes(32))
             with pytest.raises(FormatError, match=f"bad magic {magic!r}"):
                 load_corpus(path)

@@ -285,6 +285,19 @@ class TestScore:
         record = json.loads(lines[0])
         assert "hairz" in record["error"] and "s_local" not in record
 
+    def test_pair_words_are_lowercased(self, pipeline, tmp_path):
+        sentence = "The greyhound got a Hare cut downtown."
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"id": 1, "sentence": sentence,
+                                   "pun_word": "Hare", "alt_word": "hair"}) + "\n"
+                       + json.dumps({"id": 1, "sentence": sentence.lower(),
+                                     "pun_word": "hare", "alt_word": "hair"}) + "\n")
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--skipgram", str(pipeline["skipgram"]),
+                                      "--input", str(src)])
+        assert code == 0
+        assert "error" not in json.loads(lines[0]) and lines[0] == lines[1]
+
     @pytest.mark.parametrize("data,code,lines", [
         (b'{"sentence": "a hare cut .", "pun_word": "hare", '
          b'"alt_word": "hair"}\n', 0, 1),
@@ -765,8 +778,8 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bad} is not UTF-8" in err
 
-    @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pglm", b"PGLM"),
-                                           ("pglm", b"PGL2")])
+    @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pgc", b"PGC3"),
+                                           ("pglm", b"PGLM"), ("pglm", b"PGL2")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, Sentence, TagLexicon,
                              Token, Vocabulary, detokenize, ingest,
                              load_corpus, save_corpus, split_sentences, tag,
                              tokenize)
+from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
+from punforge.retrieval import build_index
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -151,6 +155,18 @@ class TestIngest:
         assert len(sentences) == 2
 
 
+def _postings_by_scan(sentences):
+    """Postings from a scan of the sentences in order: the reference."""
+    postings = {}
+    for sentence in sentences:
+        seen = {}
+        for position, token in enumerate(sentence.tokens):
+            seen.setdefault(token.surface, []).append(position)
+        for surface, positions in seen.items():
+            postings.setdefault(surface, []).append((sentence.sent_id, tuple(positions)))
+    return postings
+
+
 class TestCorpusFile:
     def _corpus(self):
         sentences, vocab = ingest("the_OTHER dog_NOUN ran_VERB ._OTHER\n"
@@ -159,8 +175,9 @@ class TestCorpusFile:
         postings = {"dog": [(0, (1,)), (1, (1,))], "ran": [(0, (2,))]}
         return Corpus(sentences, vocab, postings)
 
-    def test_round_trip_with_postings(self, tmp_path):
+    def test_round_trip_without_postings(self, tmp_path):
         corpus = self._corpus()
+        corpus = Corpus(corpus.sentences, corpus.vocab, None)
         path = tmp_path / "c.pgc"
         save_corpus(path, corpus)
         loaded = load_corpus(path)
@@ -169,14 +186,28 @@ class TestCorpusFile:
         assert [[t.pos for t in s.tokens] for s in loaded.sentences] == \
             [[t.pos for t in s.tokens] for s in corpus.sentences]
         assert loaded.vocab.dump_lines() == corpus.vocab.dump_lines()
-        assert loaded.postings == corpus.postings
+        assert loaded.postings == build_index(corpus.sentences).postings
 
-    def test_round_trip_without_postings(self, tmp_path):
-        corpus = self._corpus()
-        corpus = Corpus(corpus.sentences, corpus.vocab, None)
+    @pytest.mark.parametrize("make", ["demo", "random", "empty_sentence"])
+    def test_loaded_postings_equal_built_index(self, tmp_path, make):
+        if make == "demo":
+            sentences, vocab = ingest(build_demo_corpus())
+        elif make == "random":  # few words, so most sentences repeat one
+            rng = random.Random(7)
+            sentences, vocab = ingest([" ".join(rng.choice("abcdefg")
+                                                for _ in range(rng.randrange(1, 30)))
+                                       for _ in range(300)])
+        else:
+            sentences = [Sentence(5, [Token("a"), Token("b"), Token("a")]),
+                         Sentence(2, []),
+                         Sentence(9, [Token("b"), Token("c")])]
+            vocab = Vocabulary({"a": 2, "b": 2, "c": 1})
         path = tmp_path / "c.pgc"
-        save_corpus(path, corpus)
-        assert load_corpus(path).postings is None
+        save_corpus(path, Corpus(sentences, vocab))
+        loaded, built = load_corpus(path).postings, build_index(sentences).postings
+        want = _postings_by_scan(sentences)
+        assert loaded == built == want
+        assert list(loaded) == list(built) == list(want)
 
     def test_by_id_maps_sentence_ids(self):
         corpus = self._corpus()

@@ -60,10 +60,6 @@ class TestRetrieveSeeds:
         assert [s.sent_id for s in seeds] == [2, 5, 1, 0]
         assert [s.rank for s in seeds] == [0, 1, 2, 3]
 
-    def test_absolute_positions_change_the_order(self):
-        seeds = retrieve_seeds(self._index(), "pin", relative=False)
-        assert [s.sent_id for s in seeds] == [2, 1, 5, 0]
-
     def test_keep_truncates_after_ranking(self):
         seeds = retrieve_seeds(self._index(), "pin", keep=2)
         assert [s.sent_id for s in seeds] == [2, 5]

@@ -84,9 +84,6 @@ class TestMiniDictionary:
         assert miniwn.synsets_of("greyhound", Pos.VERB) == []
         assert miniwn.synsets_of("the", Pos.OTHER) == []
 
-    def test_multiword_synset_lemmas(self, miniwn):
-        assert miniwn.lemmas[(NOUN, 7)] == ("dog", "hound")
-
     def test_pronouns_map_to_first_person_sense(self, miniwn):
         assert miniwn.synsets_of("he", Pos.PRONOUN) == [(NOUN, 2)]
         assert miniwn.synsets_of("someone", Pos.PRONOUN) == [(NOUN, 2)]
@@ -262,12 +259,13 @@ class TestLoading:
     def test_hex_word_count_is_honored(self, tmp_path):
         words = " ".join(f"w{i} 0" for i in range(12))
         (tmp_path / "data.noun").write_text(
-            f"00000001 03 n 0c {words} 000 | twelve lemmas\n"
-            "00000002 03 n 01 person 0 001 @ 00000001 n 0000 | gloss\n"
+            f"00000001 03 n 0c {words} 001 @ 00000002 n 0000 | twelve lemmas\n"
+            "00000002 03 n 01 person 0 000 | gloss\n"
         )
         (tmp_path / "index.noun").write_text(
-            "person n 1 1 @ 1 1 00000002\nw11 n 1 0 1 1 00000001\n"
+            "person n 1 0 1 1 00000002\nw11 n 1 1 @ 1 1 00000001\n"
         )
         graph = load_wordnet(tmp_path)
-        assert len(graph.lemmas[(NOUN, 1)]) == 12
+        # 0c is twelve words, so the pointer count is read after the twelfth
+        assert graph.hypernyms[(NOUN, 1)] == ((NOUN, 2),)
         assert graph.synsets_of("w11", Pos.NOUN) == [(NOUN, 1)]
