@@ -14,7 +14,13 @@ sequential, so equal seeds give bitwise-equal embeddings.
 
 Queries use a full softmax over the output embeddings.  ``predict_topics``
 excludes the query word itself and the unknown symbol and renormalizes over
-the remaining candidates.
+the remaining candidates.  It picks its top k with a partition and then
+sorts only the words at or above the k-th probability, by probability and
+then word, so the boundary ties come out as a full sort would order them.
+
+A model file must hold finite embeddings: ``load`` refuses NaN and
+infinite values, and ``train_skipgram`` raises TrainingError when SGD
+diverges to them.
 """
 
 from __future__ import annotations
@@ -183,7 +189,10 @@ class SkipGramModel:
         """Top-k topically related words, query word and unknown excluded.
 
         Probabilities are renormalized over the eligible candidates.  Ties
-        break by word, ascending, so output order is deterministic.
+        break by word, ascending, so output order is deterministic.  A
+        partition finds the k-th largest probability first, and only the
+        words that reach it are sorted, exactly, ties at the boundary
+        included; so the list equals that of a sort of every candidate.
         """
         check_topic_k(k)
         dist = self.relatedness_dist(word)
@@ -196,7 +205,15 @@ class SkipGramModel:
         total = float(np.cumsum(p)[-1]) if len(p) else 0.0
         if total <= 0.0:
             return []
-        top = np.lexsort((self._word_rank[eligible], -p))[:k]
+        neg = -p
+        if k < len(p):
+            # A word past the k-th smallest sorts after k others.  The test
+            # keeps every tie at kth, and everything when kth is NaN (NaN
+            # sorts last in both routines: fewer than k values are finite).
+            kth = np.partition(neg, k - 1)[k - 1]
+            cand = np.flatnonzero(~(neg > kth))
+            eligible, p, neg = eligible[cand], p[cand], neg[cand]
+        top = np.lexsort((self._word_rank[eligible], neg))[:k]
         probs = (p[top] / total).tolist()
         return [(self.vocab.word_of(i), prob)
                 for i, prob in zip(eligible[top].tolist(), probs)]
@@ -225,6 +242,8 @@ class SkipGramModel:
             tables = [binio.read_array(fh, "<f8") for _ in range(2)]
         if any(t.size != len(vocab) * config.dim for t in tables):
             raise FormatError(f"embedding table has wrong size in {path}")
+        if not all(np.isfinite(t).all() for t in tables):
+            raise FormatError(f"non-finite embedding value in {path}")
         return cls(vocab, config, *(t.reshape(len(vocab), config.dim) for t in tables))
 
     def export_text(self, path: str | Path) -> None:
@@ -263,25 +282,33 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
     labels = np.zeros(config.negatives + 1)
     labels[0] = 1.0
     step = 0
-    for _epoch in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        # The clip guards against a draw landing past the last cumulative
-        # value, which float rounding can leave a hair below one.
-        negatives = np.minimum(
-            np.searchsorted(noise_cdf, rng.random((len(pairs), config.negatives))),
-            v_size - 1,
-        )
-        for row in range(len(pairs)):
-            center, context = pairs[order[row]]
-            lr = config.step_size * max(1.0 - step / total_steps, 1e-4)
-            step += 1
-            targets = np.empty(config.negatives + 1, dtype=np.int64)
-            targets[0] = context
-            targets[1:] = negatives[row]
-            _, grad_center, grad_out = step_loss_grads(
-                vec_in[center], vec_out[targets], labels
+    # A step size that diverges overflows to inf and then NaN; that is
+    # reported once, below, instead of as a warning per update.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(config.epochs):
+            order = rng.permutation(len(pairs))
+            # The clip guards against a draw landing past the last cumulative
+            # value, which float rounding can leave a hair below one.
+            negatives = np.minimum(
+                np.searchsorted(noise_cdf, rng.random((len(pairs), config.negatives))),
+                v_size - 1,
             )
-            # np.add.at accumulates over repeated target rows
-            np.add.at(vec_out, targets, -lr * grad_out)
-            vec_in[center] -= lr * grad_center
+            for row in range(len(pairs)):
+                center, context = pairs[order[row]]
+                lr = config.step_size * max(1.0 - step / total_steps, 1e-4)
+                step += 1
+                targets = np.empty(config.negatives + 1, dtype=np.int64)
+                targets[0] = context
+                targets[1:] = negatives[row]
+                _, grad_center, grad_out = step_loss_grads(
+                    vec_in[center], vec_out[targets], labels
+                )
+                # np.add.at accumulates over repeated target rows
+                np.add.at(vec_out, targets, -lr * grad_out)
+                vec_in[center] -= lr * grad_center
+    if not (np.isfinite(vec_in).all() and np.isfinite(vec_out).all()):
+        raise TrainingError(
+            f"skip-gram training diverged to non-finite embeddings at step "
+            f"size {config.step_size!r}; use a smaller one"
+        )
     return SkipGramModel(vocab, config, vec_in, vec_out)

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from punforge.cli import RunConfig, UsageError, resolve_config
 from punforge.corpus import Vocabulary, check_min_count, ingest
 from punforge.generator import GenerationConfig
 from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
-from punforge.skipgram import SkipGramConfig
+from punforge.skipgram import SkipGramConfig, SkipGramModel
 
 
 def _run(tmp_path, argv):
@@ -204,6 +205,43 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "dim must be" in err
+
+    @pytest.mark.parametrize("command", ["generate", "score"])
+    def test_non_finite_skipgram_is_one_line_data_error(self, pipeline, miniwn_dir,
+                                                        tmp_path, capsys, command):
+        model = SkipGramModel.load(pipeline["skipgram"])
+        model.vec_in[model.vocab.id_of("hare"), 0] = float("nan")
+        bad = tmp_path / "nan.pgsg"
+        model.save(bad)
+        out = tmp_path / "o.jsonl"
+        if command == "generate":
+            argv = ["generate", "--corpus", str(pipeline["corpus"]),
+                    "--wordnet", str(miniwn_dir), "--pun", "hare", "--alt", "hair"]
+        else:
+            src = tmp_path / "in.jsonl"
+            src.write_text(json.dumps({"sentence": "a greyhound got a hare cut .",
+                                       "pun_word": "hare",
+                                       "alt_word": "hair"}) + "\n")
+            argv = ["score", "--lm", str(pipeline["lm"]), "--input", str(src)]
+        code = cli.main(argv + ["--skipgram", str(bad), "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"non-finite embedding value in {bad}" in err
+        assert not out.exists() or "NaN" not in out.read_text()
+
+    def test_diverging_train_skipgram_is_one_line_data_error(self, pipeline,
+                                                             tmp_path, capsys):
+        out = tmp_path / "x.pgsg"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train-skipgram", "--corpus", str(pipeline["corpus"]),
+                             "--out", str(out), "--step-size", "1e308",
+                             "--dim", "4", "--epochs", "1"])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "diverged" in err
+        assert not out.exists()
 
     def test_generate_without_pair_is_usage(self, pipeline, capsys):
         code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from oracles import reference_generate
+from oracles import reference_generate, reference_predict_topics
 from punforge import generator
 from punforge.corpus import (Pos, Sentence, TagLexicon, Token, ingest,
                              load_corpus, tag)
@@ -325,3 +325,23 @@ class TestAgainstOracle:
                     c.stage, c.deleted_word, c.topic_word, c.topic_score)
                    for c in result.candidates]
             assert got == expected[:cap], cap
+
+    @pytest.mark.parametrize("pun,alt", [("hare", "hair"), ("hair", "hare"),
+                                         ("person", "care"), ("dog", "field")])
+    def test_topic_k_output_equals_oracle_predictions(self, demo, monkeypatch,
+                                                      pun, alt):
+        vocab = demo.skipgram.vocab
+        words = [vocab.word_of(i) for i in range(len(vocab))]
+
+        def oracle(model, word, k):
+            return reference_predict_topics(model.relatedness_dist(word), words,
+                                            vocab.id_of(word), vocab.unk_id, k)
+
+        pair = PunPair(pun, alt)
+        for k in (1, 3, 100, len(vocab)):
+            config = GenerationConfig(topic_k=k, max_outputs=1000)
+            got = generate(pair, demo, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(SkipGramModel, "predict_topics", oracle)
+                want = generate(pair, demo, config)
+            assert got == want, k

@@ -218,6 +218,68 @@ class TestPredictTopicsOracle:
             assert (trained.predict_topics(word, len(trained.vocab))
                     == _oracle_topics(trained, word, len(trained.vocab)))
 
+    def test_tie_runs_across_the_kth_place_at_every_k(self):
+        # 200 words over five output values: every boundary cuts a run of
+        # equal probabilities, and ids do not follow spelling
+        rng = np.random.default_rng(11)
+        words = [f"w{n:03d}" for n in rng.permutation(200)]
+        vocab = Vocabulary({w: 1000 - i for i, w in enumerate(words)})
+        vec_out = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=(len(vocab), 1))
+        model = SkipGramModel(vocab, SkipGramConfig(dim=1),
+                              np.ones((len(vocab), 1)), vec_out)
+        v = len(vocab)
+        for word in (words[0], words[57], words[-1], "<unk>"):
+            for k in range(1, v + 2):
+                assert model.predict_topics(word, k) == _oracle_topics(model, word, k)
+
+    def test_all_zero_output_gives_first_words_by_spelling(self):
+        words = ["kiwi", "fig", "apple", "date", "cherry", "banana", "elder"]
+        vocab = _vocab(words)
+        model = SkipGramModel(vocab, SkipGramConfig(dim=3),
+                              np.ones((len(vocab), 3)), np.zeros((len(vocab), 3)))
+        eligible = sorted(w for w in words if w != "date")
+        for k in range(1, len(vocab) + 2):
+            top = model.predict_topics("date", k)
+            assert [w for w, _ in top] == eligible[:k]
+            assert all(p == 1 / len(eligible) for _, p in top)
+            assert top == _oracle_topics(model, "date", k)
+
+    @staticmethod
+    def _full_sort(model, word, k):
+        """Every eligible word in one lexsort of (-p, word); probabilities as
+        repr, since NaN equals nothing."""
+        words = [model.vocab.word_of(i) for i in range(len(model.vocab))]
+        rank = np.empty(len(words), dtype=np.int64)
+        rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+        dist = model.relatedness_dist(word)
+        eligible = np.array([i for i in range(len(words))
+                             if i not in (model.vocab.id_of(word), model.vocab.unk_id)])
+        p = dist[eligible]
+        total = float(np.cumsum(p)[-1])
+        order = np.lexsort((rank[eligible], -p))[:k]
+        return [(words[eligible[i]], repr(float(p[i] / total))) for i in order]
+
+    def test_nan_row_equals_a_full_sort(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        words = [f"t{n}" for n in rng.permutation(30)]
+        vocab = _vocab(words)
+        v = len(vocab)
+        model = SkipGramModel(vocab, SkipGramConfig(dim=2),
+                              rng.random((v, 2)), rng.choice([0.0, 1.0], size=(v, 2)))
+        model.vec_out[vocab.id_of("t7")] = np.nan  # every softmax value is NaN
+        # a distribution with NaN beside finite ties, as no softmax makes one
+        mixed = rng.choice([0.0, 0.25, 0.5], size=v)
+        mixed[rng.choice(v, size=8, replace=False)] = np.nan
+        for word in ("t3", "t7", "<unk>"):
+            for k in range(1, v + 2):
+                got = [(w, repr(p)) for w, p in model.predict_topics(word, k)]
+                assert got == self._full_sort(model, word, k)
+        monkeypatch.setattr(model, "relatedness_dist", lambda word: mixed)
+        for word in ("t3", "<unk>"):
+            for k in range(1, v + 2):
+                got = [(w, repr(p)) for w, p in model.predict_topics(word, k)]
+                assert got == self._full_sort(model, word, k)
+
 
 def _fresh(model, vec_out=None):
     """A model over the same arrays as ``model``, with nothing cached."""
@@ -368,6 +430,15 @@ class TestPersistence:
         blob = path.read_bytes()
         path.write_bytes(blob[:offset] + zero + blob[offset + len(zero):])
         with pytest.raises(FormatError, match="header"):
+            SkipGramModel.load(path)
+
+    @pytest.mark.parametrize("table", ["vec_in", "vec_out"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_format_error(self, model, tmp_path, table, value):
+        getattr(model, table)[2, 3] = value
+        path = tmp_path / "m.pgsg"
+        model.save(path)
+        with pytest.raises(FormatError, match=f"non-finite embedding value in {path}"):
             SkipGramModel.load(path)
 
     def test_export_text_round_trips_values(self, model, tmp_path):
