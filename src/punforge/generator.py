@@ -24,6 +24,7 @@ word not at all, and its topic word strictly before the pun slot.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
@@ -69,8 +70,9 @@ class GenerationConfig:
         check_window(self.window)
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.max_outputs < 1:
-            raise ValueError(f"max_outputs must be >= 1, got {self.max_outputs}")
+        if not 1 <= self.max_outputs <= sys.maxsize:  # islice's limit
+            raise ValueError(f"max_outputs must be in [1, {sys.maxsize}], "
+                             f"got {self.max_outputs}")
         if self.stage not in (STAGE_SWAP, STAGE_TOPIC):
             raise ValueError(f"unknown stage {self.stage!r}")
 

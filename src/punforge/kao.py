@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -104,13 +104,14 @@ def check_pair_words(pair: PunPair, vocab: Vocabulary) -> None:
 
 def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
                    vocab: Vocabulary, unigram_probs: np.ndarray,
-                   relatedness: Callable[[int], np.ndarray]) -> MeaningReport:
+                   relatedness: Callable[[int], Any]) -> MeaningReport:
     """Posterior, ambiguity and distinctiveness for one pun occurrence.
 
     ``unigram_probs`` is a positive probability vector over the vocabulary;
-    ``relatedness(word_id)`` returns the relatedness distribution of a
-    meaning given its anchor word.  Both pair words must be in-vocabulary,
-    since an unknown anchor has no relatedness distribution of its own.
+    ``relatedness(word_id)`` returns anything that a list of word ids indexes
+    to their relatedness probabilities given that anchor word (a vector, or a
+    ``RelatednessRow``).  Both pair words must be in-vocabulary, since an
+    unknown anchor has no relatedness distribution of its own.
     """
     if not 0 <= pun_position < len(tokens):
         raise ValueError(f"pun_position {pun_position} out of range")

@@ -187,8 +187,9 @@ class NGramModel:
         context and the end marker is scored; without markers the context is
         clipped at the sequence start and nothing is added at either end.
         """
+        size = len(self.vocab)
         for t in token_ids:
-            if not 0 <= t < len(self.vocab):
+            if not 0 <= t < size:
                 raise ValueError(f"token id {t} outside the vocabulary")
         radix, longest = self._radix, self.order - 1
         if use_boundary_markers:

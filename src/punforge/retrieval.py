@@ -14,6 +14,7 @@ sentence id), and the top ``keep`` are returned.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,9 +35,10 @@ class SeedCandidate:
 
 
 def check_pool_keep(pool: int, keep: int) -> None:
-    """Raise ValueError unless both seed limits are positive."""
-    if pool < 1 or keep < 1:
-        raise ValueError(f"pool and keep must be >= 1, got pool={pool}, keep={keep}")
+    """Raise ValueError unless both seed limits are in [1, sys.maxsize]."""
+    if not (1 <= pool <= sys.maxsize and 1 <= keep <= sys.maxsize):
+        raise ValueError(f"pool and keep must be in [1, {sys.maxsize}], "
+                         f"got pool={pool}, keep={keep}")
 
 
 class InvertedIndex:

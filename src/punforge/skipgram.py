@@ -12,11 +12,11 @@ linearly decaying step size.  All randomness comes from one seeded
 generator, pairs are visited in a seeded shuffle, and updates are
 sequential, so equal seeds give bitwise-equal embeddings.
 
-Queries use a full softmax over the output embeddings.  ``predict_topics``
-excludes the query word itself and the unknown symbol and renormalizes over
-the remaining candidates.  It picks its top k with a partition and then
-sorts only the words at or above the k-th probability, by probability and
-then word, so the boundary ties come out as a full sort would order them.
+Queries use a softmax over the output embeddings.  ``predict_topics``
+computes it in full, renormalizes it without the query word and the unknown
+symbol, and sorts only the words at or above the k-th probability (found by
+a partition), by probability and then word, as a full sort would.  Rows from
+``relatedness_by_id`` compute only the entries read, from a kept max and sum.
 
 A model file must hold finite embeddings: ``load`` refuses NaN and
 infinite values, and ``train_skipgram`` raises TrainingError when SGD
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from collections import OrderedDict
+import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -43,9 +43,6 @@ log = logging.getLogger(__name__)
 SKIPGRAM_MAGIC = b"PGSG"
 # The fields of SkipGramConfig in order: five u32, then f64 step_size, u64 seed.
 _HEADER = "<5IdQ"
-# Bytes of finished relatedness vectors one model keeps: 65 vectors of an
-# 8,000-word vocabulary, and never fewer than one.
-_RELATEDNESS_CACHE_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -60,14 +57,15 @@ class SkipGramConfig:
 
     def __post_init__(self) -> None:
         check_band(self.d1, self.d2)
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.negatives < 1:
-            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
+        # what the file header holds: the counts as u32, the seed as u64
+        for name, low in (("dim", 1), ("d1", 1), ("d2", 1), ("epochs", 0),
+                          ("negatives", 1)):
+            if not low <= (value := getattr(self, name)) <= 2**32 - 1:
+                raise ValueError(f"{name} must be in [{low}, {2**32 - 1}], got {value}")
         if not self.step_size > 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def check_band(d1: int, d2: int) -> None:
@@ -78,8 +76,8 @@ def check_band(d1: int, d2: int) -> None:
 
 def check_topic_k(k: int) -> None:
     """Raise ValueError unless ``k`` topic predictions can be returned."""
-    if k < 1:
-        raise ValueError(f"topic_k must be >= 1, got {k}")
+    if not 1 <= k <= sys.maxsize:
+        raise ValueError(f"topic_k must be in [1, {sys.maxsize}], got {k}")
 
 
 def extract_pairs(sentences: Sequence[Sequence[int]], d1: int, d2: int) -> np.ndarray:
@@ -123,11 +121,26 @@ def step_loss_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
     return loss, residual @ out_vecs, np.outer(residual, center_vec)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class RelatednessRow:
+    """One anchor word's relatedness softmax: ``row[ids]`` is
+    exp(vec_out[ids] @ anchor - top) / total, ``top`` and ``total`` being the
+    full softmax's maximum score and sum of exponentials."""
+
+    vec_out: np.ndarray
+    anchor: np.ndarray
+    top: float
+    total: float
+
+    def __getitem__(self, ids) -> np.ndarray:
+        return np.exp(self.vec_out[ids] @ self.anchor - self.top) / self.total
+
+
 class SkipGramModel:
     """Trained embeddings and the queries on them.
 
-    ``vec_in`` and ``vec_out`` must not change after construction: the
-    relatedness vectors already computed from them are kept and reused.
+    ``vec_in`` and ``vec_out`` must not change after construction: each
+    anchor word's softmax maximum and sum are computed from them once.
     """
 
     def __init__(self, vocab: Vocabulary, config: SkipGramConfig,
@@ -136,46 +149,39 @@ class SkipGramModel:
         self.config = config
         self.vec_in = vec_in
         self.vec_out = vec_out
-        # least recently used first
-        self._relatedness: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.relatedness_computed = 0
-        self.relatedness_reused = 0
+        self._normalizers: dict[int, tuple[float, float]] = {}  # never evicted
+        self.relatedness_lookups = 0
 
-    def relatedness_by_id(self, word_id: int) -> np.ndarray:
-        """Softmax over the whole vocabulary for one query id; sums to 1.
+    def _softmax_terms(self, word_id: int) -> tuple[float, np.ndarray]:
+        """One anchor's maximum score and exp(score - maximum) of every word."""
+        scores = self.vec_out @ self.vec_in[word_id]
+        top = scores.max()
+        scores -= top
+        return top, np.exp(scores)
 
-        The array is read-only and may be handed out again: the model keeps
-        up to ``_RELATEDNESS_CACHE_BYTES`` of the most recently used ones.
-        """
+    def relatedness_by_id(self, word_id: int) -> RelatednessRow:
+        """One anchor id's softmax over the vocabulary, as a row computed where read."""
         if not 0 <= word_id < len(self.vocab):
             raise UnknownWordError(f"word id {word_id} outside the vocabulary")
-        cache = self._relatedness
-        dist = cache.get(word_id)
-        if dist is not None:
-            cache.move_to_end(word_id)
-            self.relatedness_reused += 1
-            return dist
-        scores = self.vec_out @ self.vec_in[word_id]
-        scores -= scores.max()
-        exp = np.exp(scores)
-        dist = exp / exp.sum()
-        dist.flags.writeable = False
-        cache[word_id] = dist
-        if len(cache) > max(1, _RELATEDNESS_CACHE_BYTES // dist.nbytes):
-            cache.popitem(last=False)
-        self.relatedness_computed += 1
-        return dist
+        self.relatedness_lookups += 1
+        if word_id not in self._normalizers:
+            top, exp = self._softmax_terms(word_id)
+            self._normalizers[word_id] = (top, exp.sum())
+        return RelatednessRow(self.vec_out, self.vec_in[word_id],
+                              *self._normalizers[word_id])
 
     def log_relatedness_counts(self) -> None:
-        """Log at INFO how many relatedness vectors were computed and reused."""
-        log.info("relatedness vectors: %d computed, %d reused from the cache",
-                 self.relatedness_computed, self.relatedness_reused)
+        """Log at INFO how many softmax normalizers were computed and reused."""
+        computed = len(self._normalizers)
+        log.info("relatedness normalizers: %d computed, %d reused",
+                 computed, self.relatedness_lookups - computed)
 
     def relatedness_dist(self, word: str) -> np.ndarray:
-        """``relatedness_by_id`` of a word; the array is read-only."""
+        """The full softmax of a word, computed afresh; sums to 1."""
         if word not in self.vocab:
             raise UnknownWordError(f"{word!r} is not in the vocabulary")
-        return self.relatedness_by_id(self.vocab.id_of(word))
+        _, exp = self._softmax_terms(self.vocab.id_of(word))
+        return exp / exp.sum()
 
     @functools.cached_property
     def _word_rank(self) -> np.ndarray:
@@ -196,9 +202,8 @@ class SkipGramModel:
         """
         check_topic_k(k)
         dist = self.relatedness_dist(word)
-        keep = np.ones(len(dist), dtype=bool)
-        keep[[self.vocab.id_of(word), self.vocab.unk_id]] = False
-        eligible = np.flatnonzero(keep)
+        eligible = np.delete(np.arange(len(dist)),
+                             [self.vocab.id_of(word), self.vocab.unk_id])
         p = dist[eligible]
         # cumsum adds in index order, as a Python sum would; np.sum adds
         # pairwise and can differ in the last bit

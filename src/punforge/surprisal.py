@@ -126,11 +126,7 @@ def s_ratio(s_local: float, s_global: float) -> float:
     is below RATIO_EPS.  An overflowing ratio is clamped to the largest
     finite float, so the result is always -1 or a finite real.
     """
-    if math.isnan(s_local) or math.isnan(s_global):
-        return -1.0
-    if s_local < 0.0 or s_global < 0.0:
-        return -1.0
-    if s_global < RATIO_EPS:
+    if not (s_local >= 0.0 and s_global >= RATIO_EPS):  # NaN fails both
         return -1.0
     ratio = s_local / s_global
     if math.isnan(ratio):  # inf / inf

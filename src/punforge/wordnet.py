@@ -205,14 +205,6 @@ def _any_sense_pair_passes(graph: SynsetGraph, word: str, word_tag: Pos,
 # --- database file parsing --------------------------------------------------
 
 
-def _data_path(dict_dir: Path, pos: str) -> Path:
-    return dict_dir / ("data.noun" if pos == NOUN else "data.verb")
-
-
-def _index_path(dict_dir: Path, pos: str) -> Path:
-    return dict_dir / ("index.noun" if pos == NOUN else "index.verb")
-
-
 def _parse_data_file(path: Path, pos: str,
                      hypernyms: dict[Synset, tuple[Synset, ...]]) -> None:
     with open_text(path) as fh:
@@ -266,7 +258,8 @@ def load_wordnet(dict_dir: str | Path) -> SynsetGraph:
     hypernyms: dict[Synset, tuple[Synset, ...]] = {}
     senses: dict[tuple[str, str], tuple[Synset, ...]] = {}
     for pos in (NOUN, VERB):
-        data, index = _data_path(dict_dir, pos), _index_path(dict_dir, pos)
+        name = "noun" if pos == NOUN else "verb"
+        data, index = dict_dir / f"data.{name}", dict_dir / f"index.{name}"
         if not data.is_file() or not index.is_file():
             if pos == NOUN:
                 raise ResourceError(f"noun database missing under {dict_dir}")

@@ -136,10 +136,27 @@ class TestLibraryOwnsRules:
         (stats.check_permutations, {"permutations": 0}),
         (stats.check_clip, {"clip": 0.0}),
         (GenerationConfig, {"stage": "POLISH"}),
+        # what the skip-gram header's u32 fields and u64 seed cannot hold
+        (SkipGramConfig, {"dim": 2**32}), (SkipGramConfig, {"d2": 2**32}),
+        (SkipGramConfig, {"d1": 2**32, "d2": 2**32}),
+        (SkipGramConfig, {"epochs": 2**32}), (SkipGramConfig, {"negatives": 2**32}),
+        (SkipGramConfig, {"seed": -1}), (SkipGramConfig, {"seed": 2**64}),
+        (GenerationConfig, {"pool": sys.maxsize + 1}),
+        (GenerationConfig, {"keep": sys.maxsize + 1}),
+        (GenerationConfig, {"topic_k": sys.maxsize + 1}),
+        (GenerationConfig, {"max_outputs": sys.maxsize + 1}),
     ])
     def test_out_of_range_values_rejected_by_owner(self, owner, bad):
         with pytest.raises(ValueError):
             owner(**bad)
+
+    def test_largest_values_the_formats_hold_are_accepted(self):
+        top = 2**32 - 1
+        SkipGramConfig(dim=top, d1=top, d2=top, epochs=top, negatives=top,
+                       seed=2**64 - 1)
+        SkipGramConfig(seed=0)
+        GenerationConfig(pool=sys.maxsize, keep=sys.maxsize,
+                         topic_k=sys.maxsize, max_outputs=sys.maxsize)
 
     def test_run_config_defaults_are_the_owners(self):
         cfg = RunConfig()
@@ -242,6 +259,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "diverged" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--seed", str(2**64)), ("--d2", str(2**32)),
+    ])
+    def test_train_skipgram_value_the_header_cannot_hold_is_usage(
+            self, pipeline, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.pgsg"
+        code = cli.main(["train-skipgram", "--corpus", str(pipeline["corpus"]),
+                         "--out", str(out), "--dim", "4", "--epochs", "1",
+                         flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert flag.lstrip("-") in err
+        assert not out.exists()
+
+    def test_generate_count_beyond_maxsize_is_usage(self, pipeline, tmp_path,
+                                                     capsys):
+        code, lines = _run(tmp_path, ["generate", "--corpus", str(pipeline["corpus"]),
+                                      "--pun", "hare", "--alt", "hair",
+                                      "--stage", "SWAP",
+                                      "--max-outputs", str(10**20)])
+        assert (code, lines) == (1, [])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_outputs must be in" in err
 
     def test_generate_without_pair_is_usage(self, pipeline, capsys):
         code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),
@@ -452,8 +494,8 @@ class TestScore:
         assert capsys.readouterr().out == quiet.out and quiet.err == ""
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "punforge.skipgram"]
-        # two records of one pair: two vectors computed, two reused
-        assert messages == ["relatedness vectors: 2 computed, 2 reused from the cache"]
+        # two records of one pair: two normalizers computed, two reused
+        assert messages == ["relatedness normalizers: 2 computed, 2 reused"]
         assert all(r.levelno == logging.INFO for r in caplog.records
                    if r.name == "punforge.skipgram")
 
@@ -525,8 +567,8 @@ class TestGenerate:
         assert capsys.readouterr().out == quiet != ""
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "punforge.skipgram"]
-        # predict_topics asks once for the pun word's vector
-        assert messages == ["relatedness vectors: 1 computed, 0 reused from the cache"]
+        # predict_topics computes the pun word's full vector, not a normalizer
+        assert messages == ["relatedness normalizers: 0 computed, 0 reused"]
 
     def test_swap_stage_needs_no_topic_resources(self, pipeline, tmp_path):
         code, lines = _run(tmp_path, ["generate",

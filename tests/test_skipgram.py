@@ -1,10 +1,10 @@
+import logging
 import struct
 
 import numpy as np
 import pytest
 
 from oracles import reference_predict_topics, reference_relatedness
-from punforge import skipgram
 from punforge.corpus import Vocabulary, ingest
 from punforge.errors import (FormatError, ResourceError, TrainingError,
                              UnknownWordError)
@@ -287,94 +287,96 @@ def _fresh(model, vec_out=None):
                          model.vec_out if vec_out is None else vec_out)
 
 
-def _lru_misses(queries, capacity):
-    """How many of ``queries`` a least-recently-used cache must compute."""
-    held, misses = [], 0
-    for q in queries:
-        if q in held:
-            held.remove(q)
-        else:
-            misses += 1
-            if len(held) == capacity:
-                held.pop(0)
-        held.append(q)
-    return misses
-
-
 class TestRelatednessCache:
-    """Kept relatedness vectors against a softmax computed afresh."""
+    """Rows built from kept softmax normalizers against a softmax computed
+    afresh: a gather may round its dot products differently from the full
+    product, so values agree to 1e-12 relative."""
 
-    def _oracle(self, model, word_id):
-        return reference_relatedness(model.vec_in, model.vec_out, word_id).tobytes()
+    @staticmethod
+    def _assert_matches_oracle(model, word_id, ids):
+        want = reference_relatedness(model.vec_in, model.vec_out, word_id)[ids]
+        got = model.relatedness_by_id(word_id)[ids]
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_every_query_equals_oracle_first_and_on_repeat(self, trained):
-        model = _fresh(trained)
-        ids = list(range(len(model.vocab)))
-        for word_id in ids + ids[::-1]:
-            assert (model.relatedness_by_id(word_id).tobytes()
-                    == self._oracle(model, word_id))
-        for word, word_id, _ in model.vocab.items():
-            assert model.relatedness_dist(word).tobytes() == self._oracle(model, word_id)
-        assert model.relatedness_computed == len(ids)
-        assert model.relatedness_reused == 2 * len(ids)
+    @pytest.fixture()
+    def wide(self):
+        """300 words with random embeddings, so gathers round differently."""
+        rng = np.random.default_rng(5)
+        vocab = _vocab([f"w{n}" for n in range(299)])
+        v = len(vocab)
+        return SkipGramModel(vocab, SkipGramConfig(dim=16),
+                             rng.normal(size=(v, 16)), rng.normal(size=(v, 16)))
 
-    @pytest.mark.parametrize("vectors", [1, 2, 3])
-    def test_eviction_recomputes_equal_bytes(self, trained, monkeypatch, vectors):
-        v = len(trained.vocab)
-        monkeypatch.setattr(skipgram, "_RELATEDNESS_CACHE_BYTES", vectors * 8 * v)
-        model = _fresh(trained)
-        rng = np.random.default_rng(vectors)
-        # id 0 between every other id: kept by recency, dropped by age
-        hot = [q for other in range(1, v) for q in (0, other)]
-        queries = 2 * hot + rng.integers(0, v, size=60).tolist()
-        for word_id in queries:
-            assert (model.relatedness_by_id(word_id).tobytes()
-                    == self._oracle(model, word_id))
-        misses = _lru_misses(queries, vectors)
-        assert len(set(queries)) < misses < len(queries)
-        assert model.relatedness_computed == misses
-        assert model.relatedness_reused == len(queries) - misses
+    def test_every_query_equals_oracle_first_and_on_repeat(self, trained, wide):
+        for model in (_fresh(trained), wide):
+            v = len(model.vocab)
+            rng = np.random.default_rng(v)
+            for _ in range(2):  # cold, then warm
+                for word_id in range(v):
+                    self._assert_matches_oracle(model, word_id, list(range(v)))
+                    self._assert_matches_oracle(
+                        model, word_id, rng.integers(0, v, size=7).tolist())
+            assert len(model._normalizers) == v
+            assert model.relatedness_lookups == 4 * v
 
-    def test_budget_below_one_vector_keeps_one(self, trained, monkeypatch):
-        monkeypatch.setattr(skipgram, "_RELATEDNESS_CACHE_BYTES", 1)
+    def test_full_vectors_equal_oracle_bitwise(self, trained, wide):
+        for model in (_fresh(trained), wide):
+            for word, word_id, _ in model.vocab.items():
+                want = reference_relatedness(model.vec_in, model.vec_out, word_id)
+                assert model.relatedness_dist(word).tobytes() == want.tobytes()
+            assert not model._normalizers
+
+    def test_rows_index_like_a_vector(self, wide):
+        want = reference_relatedness(wide.vec_in, wide.vec_out, 3)
+        row = wide.relatedness_by_id(3)
+        assert row[[]].shape == (0,)
+        np.testing.assert_allclose(row[[5, 1, 5]], want[[5, 1, 5]], rtol=1e-12)
+        assert row[7] == pytest.approx(want[7], rel=1e-12, abs=0)
+
+    def test_counts_each_anchor_once(self, trained, caplog):
         model = _fresh(trained)
         for word_id in (1, 1, 2, 2, 1):
             model.relatedness_by_id(word_id)
-        assert (model.relatedness_computed, model.relatedness_reused) == (3, 2)
+        model.relatedness_dist("alpha")  # a full vector, no normalizer
+        model.predict_topics("beta", 2)
+        assert sorted(model._normalizers) == [1, 2]
+        assert model.relatedness_lookups == 5
+        with caplog.at_level(logging.INFO, logger="punforge.skipgram"):
+            model.log_relatedness_counts()
+        assert caplog.messages == ["relatedness normalizers: 2 computed, 3 reused"]
 
-    def test_returned_arrays_are_read_only(self, trained):
-        model = _fresh(trained)
-        for dist in (model.relatedness_by_id(1), model.relatedness_by_id(1),
-                     model.relatedness_dist("alpha")):
-            with pytest.raises(ValueError, match="read-only"):
-                dist[0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                dist *= 2.0
-        assert model.relatedness_by_id(1).tobytes() == self._oracle(model, 1)
+    def test_returned_rows_are_read_only(self, trained):
+        row = _fresh(trained).relatedness_by_id(1)
+        with pytest.raises(AttributeError):
+            row.top = 0.0
+        with pytest.raises(TypeError):
+            row[0] = 1.0
 
     def test_two_models_share_no_entries(self, trained):
         first = _fresh(trained)
-        second = _fresh(trained, vec_out=trained.vec_out[::-1].copy())
+        # doubled scores: a permutation of the rows would keep max and sum
+        second = _fresh(trained, vec_out=2.0 * trained.vec_out)
+        ids = list(range(len(trained.vocab)))
         for word_id in (1, 2, 1, 2):
             for model in (first, second):
-                assert (model.relatedness_by_id(word_id).tobytes()
-                        == self._oracle(model, word_id))
-        assert (first.relatedness_by_id(1).tobytes()
-                != second.relatedness_by_id(1).tobytes())
+                self._assert_matches_oracle(model, word_id, ids)
+        assert not np.allclose(first.relatedness_by_id(1)[ids],
+                               second.relatedness_by_id(1)[ids])
+        assert first._normalizers[1] != second._normalizers[1]
         for model in (first, second):
-            assert (model.relatedness_computed, model.relatedness_reused) == (2, 3)
+            assert (len(model._normalizers), model.relatedness_lookups) == (2, 5)
 
     def test_out_of_range_id_raises_when_warm(self, trained):
         model = _fresh(trained)
-        model.relatedness_by_id(0)
-        for word_id in (-1, len(model.vocab)):
-            with pytest.raises(UnknownWordError):
-                model.relatedness_by_id(word_id)
-        assert (model.relatedness_computed, model.relatedness_reused) == (1, 0)
+        for _ in range(2):  # cold, then warm
+            for word_id in (-1, len(model.vocab), len(model.vocab) + 5):
+                with pytest.raises(UnknownWordError):
+                    model.relatedness_by_id(word_id)
+            model.relatedness_by_id(0)
+        assert (len(model._normalizers), model.relatedness_lookups) == (1, 2)
 
-    def test_predict_topics_matches_oracle_cold_and_warm(self, trained,
-                                                         monkeypatch):
-        monkeypatch.setattr(skipgram, "_RELATEDNESS_CACHE_BYTES", 1)
+    def test_predict_topics_matches_oracle_cold_and_warm(self, trained):
         model = _fresh(trained)
         v = len(model.vocab)
         words = [model.vocab.word_of(i) for i in range(v)]
@@ -384,8 +386,8 @@ class TestRelatednessCache:
                     reference_relatedness(model.vec_in, model.vec_out, word_id),
                     words, word_id, model.vocab.unk_id, v)
                 assert model.predict_topics(word, v) == want
+                model.relatedness_by_id(word_id)  # a kept normalizer changes nothing
                 assert model.predict_topics(word, v) == want
-        assert model.relatedness_computed == 2 * v
 
 
 class TestPersistence:
