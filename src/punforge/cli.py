@@ -567,6 +567,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PunforgeError, OSError) as exc:
         print(f"punforge: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"punforge: out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -12,6 +12,17 @@ linearly decaying step size.  All randomness comes from one seeded
 generator, pairs are visited in a seeded shuffle, and updates are
 sequential, so equal seeds give bitwise-equal embeddings.
 
+Each epoch lays out its updates' targets (the context, then the negatives)
+as one array and marks, with a row-wise sort, the rows whose targets are
+distinct.  An update gathers its target rows once; a distinct row is written
+back as gathered + (-lr * gradient), which is the sum ``np.add.at`` forms
+when no row repeats, and only rows that repeat a target use ``np.add.at``.
+The sigmoid is one division by 1 + e^-|s|, which gives the doubles of a
+branch per sign, and the loss is computed only when INFO logging is on,
+to log each epoch's mean.  So the embeddings are byte-equal to those of a
+plain loop of one ``np.add.at`` per pair (``reference_train_skipgram`` in
+the test oracles).
+
 Queries use a softmax over the output embeddings.  ``predict_topics``
 computes it in full, renormalizes it without the query word and the unknown
 symbol, and sorts only the words at or above the k-th probability (found by
@@ -26,6 +37,7 @@ diverges to them.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import sys
 from dataclasses import astuple, dataclass
@@ -89,36 +101,48 @@ def extract_pairs(sentences: Sequence[Sequence[int]], d1: int, d2: int) -> np.nd
     training.  Returns an (n, 2) int64 array.
     """
     check_band(d1, d2)
-    out: list[tuple[int, int]] = []
-    for ids in sentences:
-        n = len(ids)
-        for i in range(n):
-            for j in range(i + d1, min(i + d2, n - 1) + 1):
-                out.append((ids[i], ids[j]))
-                out.append((ids[j], ids[i]))
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    lengths = [len(ids) for ids in sentences]
+    flat = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64,
+                       count=sum(lengths))
+    sent = np.repeat(np.arange(len(lengths)), lengths)
+    # valid[i, d - d1]: position i + d exists and lies in i's sentence
+    top = min(d2, max(lengths, default=0) - 1)
+    valid = np.zeros((len(flat), max(top - d1 + 1, 0)), dtype=bool)
+    for d in range(d1, top + 1):
+        valid[:-d, d - d1] = sent[:-d] == sent[d:]
+    # nonzero walks C order: by i, then by distance, as the pair order wants
+    i, col = np.nonzero(valid)
+    j = i + d1 + col
+    return np.stack([flat[i], flat[j], flat[j], flat[i]], axis=1).reshape(-1, 2)
+
+
+def step_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
+               labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores and analytic negative-sampling gradients for one update.
+
+    ``out_vecs`` holds the output embeddings of the true context (label 1)
+    and the sampled negatives (label 0).  Repeated rows are legal and simply
+    contribute their term twice.  Returns (scores, d/d center, d/d out rows).
+    """
+    # ndarray.dot makes the BLAS call of ``@``, with less dispatch
+    scores = out_vecs.dot(center_vec)
+    # sigma(s) is 1 / (1 + e^-s) for s >= 0 and e^s / (1 + e^s) below: with
+    # e = e^-|s| both are one division that cannot overflow
+    e = np.exp(-np.abs(scores))
+    residual = np.where(scores >= 0.0, 1.0, e) / (1.0 + e) - labels
+    return scores, residual.dot(out_vecs), residual[:, None] * center_vec
 
 
 def step_loss_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
                     labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative-sampling loss and analytic gradients for one update.
+    """Negative-sampling loss and the gradients of ``step_grads``.
 
-    ``out_vecs`` holds the output embeddings of the true context (label 1)
-    and the sampled negatives (label 0).  Repeated rows are legal and simply
-    contribute their term twice.  Returns (loss, d/d center, d/d out rows).
+    Returns (loss, d/d center, d/d out rows).
     """
-    scores = out_vecs @ center_vec
+    scores, grad_center, grad_out = step_grads(center_vec, out_vecs, labels)
     # log sigma(s) = -log(1 + e^-s), computed stably for either sign
     loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -scores, scores))))
-    sig = np.empty_like(scores)
-    pos = scores >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
-    exp_neg = np.exp(scores[~pos])
-    sig[~pos] = exp_neg / (1.0 + exp_neg)
-    residual = sig - labels
-    return loss, residual @ out_vecs, np.outer(residual, center_vec)
+    return loss, grad_center, grad_out
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -283,34 +307,46 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
         noise[:] = 1.0
     noise_cdf = np.cumsum(noise / noise.sum())
 
-    total_steps = config.epochs * len(pairs)
-    labels = np.zeros(config.negatives + 1)
+    n, k, step_size = len(pairs), config.negatives, config.step_size
+    total_steps = config.epochs * n
+    labels = np.zeros(k + 1)
     labels[0] = 1.0
+    track_loss = log.isEnabledFor(logging.INFO)
     step = 0
     # A step size that diverges overflows to inf and then NaN; that is
     # reported once, below, instead of as a warning per update.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _epoch in range(config.epochs):
-            order = rng.permutation(len(pairs))
-            # The clip guards against a draw landing past the last cumulative
-            # value, which float rounding can leave a hair below one.
-            negatives = np.minimum(
-                np.searchsorted(noise_cdf, rng.random((len(pairs), config.negatives))),
-                v_size - 1,
-            )
-            for row in range(len(pairs)):
-                center, context = pairs[order[row]]
-                lr = config.step_size * max(1.0 - step / total_steps, 1e-4)
+        for epoch in range(config.epochs):
+            shuffled = pairs[rng.permutation(n)]
+            # Row r's targets: its context, then its negatives.  The clip
+            # guards against a draw landing past the last cumulative value,
+            # which float rounding can leave a hair below one.
+            targets = np.empty((n, k + 1), dtype=np.int64)
+            targets[:, 0] = shuffled[:, 1]
+            targets[:, 1:] = np.minimum(
+                np.searchsorted(noise_cdf, rng.random((n, k))), v_size - 1)
+            # a row's targets are distinct when its sorted ids all differ
+            distinct = np.diff(np.sort(targets, axis=1)).all(axis=1).tolist()
+            epoch_loss = 0.0
+            for center, rows, once in zip(shuffled[:, 0].tolist(), targets, distinct):
+                lr = step_size * max(1.0 - step / total_steps, 1e-4)
                 step += 1
-                targets = np.empty(config.negatives + 1, dtype=np.int64)
-                targets[0] = context
-                targets[1:] = negatives[row]
-                _, grad_center, grad_out = step_loss_grads(
-                    vec_in[center], vec_out[targets], labels
-                )
-                # np.add.at accumulates over repeated target rows
-                np.add.at(vec_out, targets, -lr * grad_out)
-                vec_in[center] -= lr * grad_center
+                in_vec, out_vecs = vec_in[center], vec_out.take(rows, axis=0)
+                if track_loss:
+                    loss, grad_center, grad_out = step_loss_grads(in_vec, out_vecs, labels)
+                    epoch_loss += loss
+                else:
+                    _, grad_center, grad_out = step_grads(in_vec, out_vecs, labels)
+                if once:
+                    # each target row gets one term: a plain write adds it
+                    # exactly as np.add.at would
+                    vec_out[rows] = out_vecs + (-lr * grad_out)
+                else:
+                    np.add.at(vec_out, rows, -lr * grad_out)
+                in_vec -= lr * grad_center
+            if track_loss:
+                log.info("skip-gram epoch %d/%d: mean loss %.6f over %d pairs",
+                         epoch + 1, config.epochs, epoch_loss / n, n)
     if not (np.isfinite(vec_in).all() and np.isfinite(vec_out).all()):
         raise TrainingError(
             f"skip-gram training diverged to non-finite embeddings at step "

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -202,9 +203,9 @@ def check_clip(clip: float) -> None:
 
 
 def check_permutations(permutations: int) -> None:
-    """Raise ValueError unless at least one permutation is asked for."""
-    if permutations < 1:
-        raise ValueError(f"permutations must be >= 1, got {permutations}")
+    """Raise ValueError unless ``permutations`` is in [1, sys.maxsize]."""
+    if not 1 <= permutations <= sys.maxsize:
+        raise ValueError(f"permutations must be in [1, {sys.maxsize}], got {permutations}")
 
 
 def clip_standardize(values: Sequence[float], clip: float = DEFAULT_CLIP) -> np.ndarray:

@@ -233,6 +233,79 @@ def reference_predict_topics(dist, words, query_id, unk_id, k):
     return [(words[i], float(dist[i]) / total) for i in eligible[:k]]
 
 
+def reference_step_loss_grads(center_vec, out_vecs, labels):
+    """Negative-sampling loss and gradients, sigmoid by masked branches."""
+    scores = out_vecs @ center_vec
+    loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -scores, scores))))
+    sig = np.empty_like(scores)
+    pos = scores >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
+    exp_neg = np.exp(scores[~pos])
+    sig[~pos] = exp_neg / (1.0 + exp_neg)
+    residual = sig - labels
+    return loss, residual @ out_vecs, np.outer(residual, center_vec)
+
+
+def reference_train_skipgram(encoded, counts, dim, d1, d2, epochs, negatives,
+                             step_size, seed):
+    """Band skip-gram SGD, one row of numpy calls per pair.
+
+    ``encoded`` holds id lists and ``counts[i]`` the corpus count of id i.
+    Pairs come from a double loop over positions, every update gathers its
+    targets afresh and ``np.add.at`` writes every output row.  Returns
+    (vec_in, vec_out, updates whose targets repeat a row, each epoch's mean
+    loss).
+    """
+    out = []
+    for ids in encoded:
+        n = len(ids)
+        for i in range(n):
+            for j in range(i + d1, min(i + d2, n - 1) + 1):
+                out.append((ids[i], ids[j]))
+                out.append((ids[j], ids[i]))
+    pairs = np.array(out, dtype=np.int64)
+
+    v_size = len(counts)
+    rng = np.random.default_rng(seed)
+    vec_in = (rng.random((v_size, dim)) - 0.5) / dim
+    vec_out = np.zeros((v_size, dim))
+
+    noise = np.array(counts, dtype=np.float64)
+    noise **= 0.75
+    if noise.sum() <= 0.0:
+        noise[:] = 1.0
+    noise_cdf = np.cumsum(noise / noise.sum())
+
+    total_steps = epochs * len(pairs)
+    labels = np.zeros(negatives + 1)
+    labels[0] = 1.0
+    step = 0
+    repeated, epoch_losses = 0, []
+    for _epoch in range(epochs):
+        epoch_loss = 0.0
+        order = rng.permutation(len(pairs))
+        drawn = np.minimum(
+            np.searchsorted(noise_cdf, rng.random((len(pairs), negatives))),
+            v_size - 1,
+        )
+        for row in range(len(pairs)):
+            center, context = pairs[order[row]]
+            lr = step_size * max(1.0 - step / total_steps, 1e-4)
+            step += 1
+            targets = np.empty(negatives + 1, dtype=np.int64)
+            targets[0] = context
+            targets[1:] = drawn[row]
+            loss, grad_center, grad_out = reference_step_loss_grads(
+                vec_in[center], vec_out[targets], labels
+            )
+            np.add.at(vec_out, targets, -lr * grad_out)
+            vec_in[center] -= lr * grad_center
+            epoch_loss += loss
+            repeated += len(set(targets.tolist())) < len(targets)
+        epoch_losses.append(epoch_loss / len(pairs))
+    return vec_in, vec_out, repeated, epoch_losses
+
+
 def _reference_senses(senses, word, tag_name):
     """Synsets of a word under a tag name; pronouns stand for person, sense 1."""
     if tag_name == "PRONOUN":

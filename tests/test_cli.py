@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -145,6 +146,7 @@ class TestLibraryOwnsRules:
         (GenerationConfig, {"keep": sys.maxsize + 1}),
         (GenerationConfig, {"topic_k": sys.maxsize + 1}),
         (GenerationConfig, {"max_outputs": sys.maxsize + 1}),
+        (stats.check_permutations, {"permutations": sys.maxsize + 1}),
     ])
     def test_out_of_range_values_rejected_by_owner(self, owner, bad):
         with pytest.raises(ValueError):
@@ -157,6 +159,7 @@ class TestLibraryOwnsRules:
         SkipGramConfig(seed=0)
         GenerationConfig(pool=sys.maxsize, keep=sys.maxsize,
                          topic_k=sys.maxsize, max_outputs=sys.maxsize)
+        stats.check_permutations(sys.maxsize)
 
     def test_run_config_defaults_are_the_owners(self):
         cfg = RunConfig()
@@ -284,6 +287,35 @@ class TestExitCodes:
         assert (code, lines) == (1, [])
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "max_outputs must be in" in err
+
+    def test_correlate_permutations_beyond_maxsize_is_usage(self, tmp_path, capsys):
+        # rejected as a usage error before either (missing) file is opened
+        code = cli.main(["correlate", "--ratings", str(tmp_path / "r.csv"),
+                         "--scores", str(tmp_path / "s.jsonl"),
+                         "--permutations", str(10**20)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "permutations must be in" in err
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 32.0 GiB for an array with shape (4, 4294967295)",
+         "punforge: out of memory: Unable to allocate 32.0 GiB for an array "
+         "with shape (4, 4294967295)"),
+        ("", "punforge: out of memory"),
+    ])
+    def test_memory_error_is_one_line_data_error(self, pipeline, tmp_path, capsys,
+                                                 monkeypatch, message, line):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        # stands in for the allocation of --dim 4294967295; nothing large is made
+        monkeypatch.setattr(cli, "train_skipgram", exhausted)
+        out = tmp_path / "x.pgsg"
+        code = cli.main(["train-skipgram", "--corpus", str(pipeline["corpus"]),
+                         "--out", str(out), "--dim", str(2**32 - 1)])
+        assert code == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
 
     def test_generate_without_pair_is_usage(self, pipeline, capsys):
         code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),
@@ -920,6 +952,26 @@ class TestTrainLmLog:
         assert messages[len(discounts):] == [
             f"orders {', '.join(map(str, fell_back))} fell back to the fixed "
             f"discount 0.75 (degenerate count-of-counts)"]
+
+
+class TestTrainSkipgramLog:
+    def test_verbose_logs_epoch_losses_and_keeps_bytes(self, small_models, tmp_path,
+                                                       capsys, caplog):
+        args = ["train-skipgram", "--corpus", str(small_models[0]["pgc"]),
+                "--dim", "4", "--epochs", "3", "--d1", "2", "--d2", "4"]
+        quiet, verbose = tmp_path / "quiet.pgsg", tmp_path / "verbose.pgsg"
+        assert cli.main(args + ["--out", str(quiet)]) == 0
+        with caplog.at_level(logging.INFO, logger="punforge.skipgram"):
+            assert cli.main(args + ["--out", str(verbose), "-v"]) == 0
+        assert capsys.readouterr().out == ""
+        assert verbose.read_bytes() == quiet.read_bytes()
+        records = [r for r in caplog.records if r.name == "punforge.skipgram"]
+        assert [r.levelno for r in records] == [logging.INFO] * 3
+        found = [re.fullmatch(r"skip-gram epoch (\d)/3: mean loss (\d+\.\d{6}) "
+                              r"over (\d+) pairs", r.getMessage()) for r in records]
+        assert [m.group(1) for m in found] == ["1", "2", "3"]
+        assert all(0 < float(m.group(2)) for m in found)
+        assert len({m.group(3) for m in found}) == 1
 
 
 class TestBrokenPipe:

@@ -1,15 +1,17 @@
+import dataclasses
 import logging
 import struct
 
 import numpy as np
 import pytest
 
-from oracles import reference_predict_topics, reference_relatedness
+from oracles import (reference_predict_topics, reference_relatedness,
+                     reference_step_loss_grads, reference_train_skipgram)
 from punforge.corpus import Vocabulary, ingest
 from punforge.errors import (FormatError, ResourceError, TrainingError,
                              UnknownWordError)
 from punforge.skipgram import (SkipGramConfig, SkipGramModel, extract_pairs,
-                               step_loss_grads, train_skipgram)
+                               step_grads, step_loss_grads, train_skipgram)
 
 
 def _vocab(words):
@@ -141,6 +143,77 @@ class TestTraining:
         model = train_skipgram(sentences, vocab, SkipGramConfig(dim=16, epochs=10, seed=1))
         top = [w for w, _ in model.predict_topics("signal", 2)]
         assert "echo" in top
+
+
+def _oracle_case(words, negatives, epochs):
+    """Id sentences, vocabulary and config for a training-equality case.
+
+    Sentences include empty ones, ones shorter than d1, and one whose first
+    and last ids are equal and d1 apart, so a center is its own context.
+    """
+    rng = np.random.default_rng(words * 100 + negatives)
+    vocab = Vocabulary({f"w{i:03d}": int(c)
+                        for i, c in enumerate(rng.integers(1, 50, size=words))})
+    sentences = [rng.integers(1, words + 1, size=int(rng.integers(0, 16))).tolist()
+                 for _ in range(30)]
+    sentences += [[], [1], [2, 1], [3, 2, 1, 3]]
+    config = SkipGramConfig(dim=6, d1=3, d2=5, epochs=epochs, negatives=negatives,
+                            step_size=0.2, seed=words + epochs)
+    return sentences, vocab, config
+
+
+class TestTrainingEqualsOracle:
+    """``train_skipgram`` against ``reference_train_skipgram``, today's loop
+    of one gather, one masked-branch sigmoid with its loss and one
+    ``np.add.at`` per pair: every embedding byte must be equal."""
+
+    @pytest.mark.parametrize("words,negatives,epochs", [
+        # 21 targets over 3 words: every row repeats one, so np.add.at
+        (3, 20, 0), (3, 20, 1), (3, 20, 3),
+        # 6 targets over 300 words: nearly every row is distinct
+        (300, 5, 1), (300, 5, 3),
+    ])
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_embeddings_are_bytewise_equal(self, caplog, words, negatives, epochs,
+                                           verbose):
+        sentences, vocab, config = _oracle_case(words, negatives, epochs)
+        pairs = extract_pairs(sentences, config.d1, config.d2)
+        assert (pairs[:, 0] == pairs[:, 1]).any()  # a center is its own context
+        counts = [vocab.count_of_id(i) for i in range(len(vocab))]
+        vec_in, vec_out, repeated, losses = reference_train_skipgram(
+            sentences, counts, *dataclasses.astuple(config))
+        level = logging.INFO if verbose else logging.WARNING
+        with caplog.at_level(level, logger="punforge.skipgram"):
+            model = train_skipgram(sentences, vocab, config)
+        assert model.vec_in.tobytes() == vec_in.tobytes()
+        assert model.vec_out.tobytes() == vec_out.tobytes()
+        updates = epochs * len(pairs)
+        if words == 3:
+            assert repeated == updates
+        else:
+            assert 0 < repeated < updates / 10
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "punforge.skipgram"]
+        assert messages == [
+            f"skip-gram epoch {e}/{epochs}: mean loss {loss:.6f} over {len(pairs)} pairs"
+            for e, loss in enumerate(losses, start=1)] * verbose
+
+    def test_step_equals_masked_branch_sigmoid(self):
+        rng = np.random.default_rng(8)
+        labels = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        for scale in (1e-300, 1e-3, 1.0, 30.0, 800.0):
+            center = rng.standard_normal(4) * scale
+            out = rng.standard_normal((5, 4))
+            out[3] = 0.0  # a score of exactly zero
+            got = step_loss_grads(center, out, labels)
+            want = reference_step_loss_grads(center, out, labels)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.tobytes() == b.tobytes()
+            scores, *grads = step_grads(center, out, labels)
+            assert scores.tobytes() == (out @ center).tobytes()
+            for a, b in zip(grads, got[1:]):
+                assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
