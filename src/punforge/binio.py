@@ -2,17 +2,27 @@
 
 After a 4-byte magic tag, a file is a sequence of little-endian sections:
 fixed headers (one ``struct`` format each, :func:`pack`/:func:`unpack`),
-array blocks (a u32 byte length, then raw items of a dtype the reader
-names) and string tables (a u32 count, then u32-length-prefixed UTF-8).
-A short read, a block that is not a whole number of items or a string that
-is not UTF-8 raises FormatError naming the file; whether the arrays of one
-file agree is checked by the module that owns the format.
+blobs (a u32 byte length, then the bytes), array blocks (a blob of raw
+items of a dtype the reader names) and string tables (an array block of
+u32 byte lengths, then one blob of the strings' UTF-8 concatenated).  A
+short read, a block that is not a whole number of items, a string table
+whose lengths do not cover its blob or a string that is not UTF-8 raises
+FormatError naming the file; whether the arrays of one file agree is
+checked by the module that owns the format.
+
+Every model file and the ``.vocab`` sidecar is written through
+:func:`replace_file`: into a temporary file beside the target that replaces
+it only once it is whole.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
-from typing import BinaryIO, Sequence
+from contextlib import contextmanager
+from pathlib import Path
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +35,27 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
         raise FormatError(f"truncated file {fh.name}: "
                           f"wanted {n} bytes, got {len(data)}")
     return data
+
+
+@contextmanager
+def replace_file(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a new file beside ``path`` for binary writing; it replaces
+    ``path`` when the block ends and is removed if the block raises, so a
+    failed write leaves neither a partial target nor a temporary file.
+
+    There is no fsync: this guards against a failed or interrupted writer,
+    not against a crash of the machine.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def check_magic(fh: BinaryIO, magic: bytes, what: str) -> None:
@@ -45,19 +76,38 @@ def unpack(fh: BinaryIO, fmt: str) -> tuple:
     return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
+def write_blob(fh: BinaryIO, data: bytes) -> None:
+    """Write ``data`` behind its u32 byte length."""
+    fh.write(struct.pack("<I", len(data)) + data)
+
+
+def read_blob(fh: BinaryIO) -> bytes:
+    """Read the bytes :func:`write_blob` wrote."""
+    (size,) = unpack(fh, "<I")
+    return _read_exact(fh, size)
+
+
+def decode(data: bytes, fh: BinaryIO, what: str) -> str:
+    """``data`` as UTF-8; bytes that are not raise FormatError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} in {fh.name} is not UTF-8 "
+                          f"({exc.reason})") from None
+
+
 def write_array(fh: BinaryIO, values: np.typing.ArrayLike, dtype: str) -> None:
     """Write ``values`` as one array block of ``dtype`` items, row-major."""
-    data = np.ascontiguousarray(values, dtype=dtype).tobytes()
-    fh.write(struct.pack("<I", len(data)) + data)
+    write_blob(fh, np.ascontiguousarray(values, dtype=dtype).tobytes())
 
 
 def read_array(fh: BinaryIO, dtype: str) -> np.ndarray:
     """Read one array block as a flat, writable array of ``dtype``."""
-    (size,) = unpack(fh, "<I")
-    if size % np.dtype(dtype).itemsize:
-        raise FormatError(f"corrupt array block in {fh.name}: {size} bytes "
+    data = read_blob(fh)
+    if len(data) % np.dtype(dtype).itemsize:
+        raise FormatError(f"corrupt array block in {fh.name}: {len(data)} bytes "
                           f"is not a whole number of {dtype} items")
-    return np.frombuffer(_read_exact(fh, size), dtype=dtype).copy()
+    return np.frombuffer(data, dtype=dtype).copy()
 
 
 def split(flat: Sequence, lengths: np.ndarray) -> list[Sequence]:
@@ -67,18 +117,24 @@ def split(flat: Sequence, lengths: np.ndarray) -> list[Sequence]:
 
 
 def write_strings(fh: BinaryIO, strings: Sequence[str]) -> None:
-    """Write a string table: count, then length-prefixed UTF-8 strings."""
+    """Write a string table: the UTF-8 byte lengths, then one blob."""
     encoded = [s.encode("utf-8") for s in strings]
-    fh.write(struct.pack("<I", len(encoded))
-             + b"".join(struct.pack("<I", len(b)) + b for b in encoded))
+    write_array(fh, [len(b) for b in encoded], "<u4")
+    write_blob(fh, b"".join(encoded))
 
 
 def read_strings(fh: BinaryIO) -> list[str]:
-    """Read a string table; bytes that are not UTF-8 raise FormatError."""
-    (count,) = unpack(fh, "<I")
-    raw = [_read_exact(fh, unpack(fh, "<I")[0]) for _ in range(count)]
+    """Read a string table; lengths that do not add up to the blob's, or a
+    string that is not UTF-8, raise FormatError."""
+    lengths = read_array(fh, "<u4")
+    blob = read_blob(fh)
+    if lengths.sum(dtype=np.int64) != len(blob):
+        raise FormatError(f"corrupt string table in {fh.name}: lengths add up "
+                          f"to {lengths.sum(dtype=np.int64)} bytes, not {len(blob)}")
+    # each string decodes on its own: a length may end inside a character
     try:
-        return [b.decode("utf-8") for b in raw]
-    except UnicodeDecodeError as exc:
+        return [b.decode("utf-8") for b in split(blob, lengths)]
+    except UnicodeDecodeError:
+        decode(blob, fh, "string table")  # names the reason if the blob is bad
         raise FormatError(f"string table in {fh.name} is not UTF-8 "
-                          f"({exc.reason})") from None
+                          f"(a length ends inside a character)") from None

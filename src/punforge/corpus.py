@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = b"PGC4"
+CORPUS_MAGIC = b"PGC5"
 
 UNK = "<unk>"
 DEFAULT_MIN_COUNT = 1
@@ -178,39 +178,65 @@ class Vocabulary:
     def dump_lines(self) -> list[str]:
         return [f"{w}\t{i}\t{c}" for w, i, c in self.items()]
 
+    def dump_text(self) -> str:
+        """The dump lines, each ended by a newline: what files store."""
+        return "".join(line + "\n" for line in self.dump_lines())
+
+    _hash: bytes | None = None  # of dump_text, kept once known
+
     def hash_bytes(self) -> bytes:
-        text = "".join(line + "\n" for line in self.dump_lines())
-        return hashlib.sha256(text.encode("utf-8")).digest()[:16]
+        if self._hash is None:
+            self._hash = _vocab_hash(self.dump_text().encode("utf-8"))
+        return self._hash
 
     def save_text(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.dump_lines()) + "\n", encoding="utf-8")
+        with binio.replace_file(path) as fh:
+            fh.write(self.dump_text().encode("utf-8"))
 
     @classmethod
     def from_dump_lines(cls, lines: Iterable[str]) -> "Vocabulary":
+        """Parse dump lines, one ``word<TAB>id<TAB>count`` each, written as
+        :meth:`dump_lines` writes them: ids 0, 1, ... in decimal, counts
+        non-negative decimals without signs or padding, ``<unk>`` first."""
+        lines = list(lines)
+        rows = [line.split("\t") for line in lines]
+        if set(map(len, rows)) != {3}:
+            raise _dump_error(lines)
+        words, ids, counts = zip(*rows)
+        try:
+            values = list(map(int, counts))
+        except ValueError:
+            raise _dump_error(lines) from None
+        if (ids != tuple(map(str, range(len(ids)))) or min(values) < 0
+                or counts != tuple(map(str, values)) or words[0] != UNK):
+            raise _dump_error(lines)
         vocab = cls.__new__(cls)
-        vocab._words, vocab._counts = [], []
-        for lineno, line in enumerate(lines):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                word, idx_s, count_s = line.split("\t")
-                idx, count = int(idx_s), int(count_s)
-            except ValueError as exc:
-                raise FormatError(f"bad vocabulary line {lineno + 1}: {line!r}") from exc
-            if idx != len(vocab._words) or count < 0:
-                raise FormatError(f"bad vocabulary id or count at line {lineno + 1}")
-            vocab._words.append(word)
-            vocab._counts.append(count)
-        if not vocab._words or vocab._words[0] != UNK:
-            raise FormatError(f"vocabulary must start with {UNK!r} at id 0")
+        vocab._words, vocab._counts = list(words), values
         vocab._ids = {w: i for i, w in enumerate(vocab._words)}
         return vocab
 
     @classmethod
     def load_text(cls, path: str | Path) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dump_lines(fh)
+            return cls.from_dump_lines(fh.read().removesuffix("\n").split("\n"))
+
+
+def _vocab_hash(dump: bytes) -> bytes:
+    return hashlib.sha256(dump).digest()[:16]
+
+
+def _dump_error(lines: list[str]) -> FormatError:
+    """The error for the first dump line :meth:`Vocabulary.from_dump_lines`
+    refuses."""
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            _word, idx, count = line.split("\t")
+            value = int(count)
+        except ValueError:
+            return FormatError(f"bad vocabulary line {lineno}: {line!r}")
+        if idx != str(lineno - 1) or count != str(value) or value < 0:
+            return FormatError(f"bad vocabulary id or count at line {lineno}")
+    return FormatError(f"vocabulary must start with {UNK!r} at id 0")
 
 
 class TagLexicon:
@@ -292,13 +318,14 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 
 # --- binary container ------------------------------------------------------
 #
-# Layout (binio blocks): magic PGC4, hashed vocabulary (see write_vocab),
-# surface table, then one array each of sentence ids, lengths, and every
-# token's surface-table index and POS code.  Sentences keep their full
-# surfaces so that rare words survive a min_count-collapsed vocabulary.  The
-# inverted index is not stored: it is derived from these arrays at load.
+# Layout (binio blocks): magic PGC5, hashed vocabulary (see write_vocab),
+# surface table (a string table), then one array each of sentence ids,
+# lengths, and every token's surface-table index and POS code.  Sentences
+# keep their full surfaces so that rare words survive a min_count-collapsed
+# vocabulary.  The inverted index is not stored: it is derived from these
+# arrays, each term's postings when first looked up.
 
-Postings = dict[str, list[tuple[int, tuple[int, ...]]]]
+Postings = Mapping[str, list[tuple[int, tuple[int, ...]]]]
 
 
 @dataclass
@@ -323,6 +350,52 @@ class Corpus:
                              {i: len(s) for i, s in self.by_id.items()})
 
 
+class PostingsView(Postings):
+    """Every surface's postings, derived from the flat sentence arrays.
+
+    Terms come in surface-table order, entries in sentence order, positions
+    ascending.  One sort of (surface index, token index) keys runs here; a
+    term's entries are sliced out of it on its first lookup and kept, so a
+    command pays only for the terms it looks up.  The view is read-only and
+    equals the dict of the same entries.
+    """
+
+    def __init__(self, sent_ids: np.ndarray, lengths: np.ndarray,
+                 surface_idx: np.ndarray, surfaces: list[str]):
+        n = len(surface_idx)
+        keys = np.sort(surface_idx.astype(np.int64) << 32 | np.arange(n))
+        self._tokens = keys & 0xFFFFFFFF  # token indices, grouped by term
+        counts = np.bincount(surface_idx, minlength=len(surfaces))
+        self._starts = np.r_[0, np.cumsum(counts)].tolist()  # of each term's group
+        self._ends = np.cumsum(lengths, dtype=np.int64)  # of each sentence's tokens
+        self._firsts = self._ends - lengths
+        self._sent_ids = sent_ids
+        self._terms = {surfaces[t]: t for t in np.flatnonzero(counts).tolist()}
+        self._built: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
+
+    def __getitem__(self, term: str) -> list[tuple[int, tuple[int, ...]]]:
+        entries = self._built.get(term)
+        if entries is None:
+            t = self._terms[term]
+            tokens = self._tokens[self._starts[t]:self._starts[t + 1]]
+            rows = np.searchsorted(self._ends, tokens, side="right")
+            first = np.flatnonzero(np.diff(rows, prepend=-1))  # each entry's first token
+            positions = tuple((tokens - self._firsts[rows]).tolist())
+            entries = list(zip(self._sent_ids[rows[first]].tolist(),
+                               binio.split(positions, np.diff(first, append=len(rows)))))
+            self._built[term] = entries
+        return entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._terms
+
+
 def _number_surfaces(sentences: Iterable[Sentence]) -> tuple[list[str], list[int]]:
     """The distinct surfaces in order of first appearance, and each token's
     index into that table."""
@@ -331,64 +404,45 @@ def _number_surfaces(sentences: Iterable[Sentence]) -> tuple[list[str], list[int
     return list(table), idx
 
 
-def _group_postings(sent_ids: np.ndarray, lengths: np.ndarray,
-                    surface_idx: np.ndarray, surfaces: list[str]) -> Postings:
-    """Every surface's postings from the flat sentence arrays.
-
-    Terms come in surface-table order, entries in sentence order, positions
-    ascending: one sort of (surface index, token index) keys, then a split
-    wherever the term or the sentence changes.
-    """
-    n = len(surface_idx)
-    keys = np.sort(surface_idx.astype(np.int64) << 32 | np.arange(n))
-    term, token = keys >> 32, keys & 0xFFFFFFFF
-    row = np.repeat(np.arange(len(lengths)), lengths)[token]
-    position = token - (np.cumsum(lengths, dtype=np.int64) - lengths)[row]
-    new_term = np.ones(n, dtype=bool)
-    new_term[1:] = term[1:] != term[:-1]
-    new_entry = new_term.copy()
-    new_entry[1:] |= row[1:] != row[:-1]
-    first = np.flatnonzero(new_entry)  # each entry's first token
-    term_first = np.flatnonzero(new_term[first])  # each term's first entry
-    entries = list(zip(sent_ids[row[first]].tolist(),
-                       binio.split(tuple(position.tolist()), np.diff(first, append=n))))
-    return dict(zip([surfaces[t] for t in term[first[term_first]].tolist()],
-                    binio.split(entries, np.diff(term_first, append=len(first)))))
-
-
-def postings_of(sentences: Sequence[Sentence]) -> Postings:
+def postings_of(sentences: Sequence[Sentence]) -> PostingsView:
     """The postings of ``sentences``, keyed by surface in order of first
     appearance, as :func:`load_corpus` derives them from a saved corpus."""
     surfaces, surface_idx = _number_surfaces(sentences)
-    return _group_postings(np.array([s.sent_id for s in sentences], dtype=np.int64),
-                           np.array([len(s.tokens) for s in sentences], dtype=np.int64),
-                           np.array(surface_idx, dtype=np.int64), surfaces)
+    return PostingsView(np.array([s.sent_id for s in sentences], dtype=np.int64),
+                        np.array([len(s.tokens) for s in sentences], dtype=np.int64),
+                        np.array(surface_idx, dtype=np.int64), surfaces)
 
 
 def write_vocab(fh: BinaryIO, vocab: Vocabulary) -> None:
-    """Embed a vocabulary: its hash, then its dump lines."""
+    """Embed a vocabulary: its hash, then its dump text as one UTF-8 blob."""
     binio.write_array(fh, list(vocab.hash_bytes()), "u1")
-    binio.write_strings(fh, vocab.dump_lines())
+    binio.write_blob(fh, vocab.dump_text().encode("utf-8"))
 
 
 def read_vocab(fh: BinaryIO, what: str = "model",
                expected_hash: bytes | None = None) -> Vocabulary:
     """Read what :func:`write_vocab` wrote; a stored hash other than
-    ``expected_hash`` is a ResourceError, lines that fail it a FormatError."""
+    ``expected_hash`` is a ResourceError, a dump that fails it or does not
+    parse a FormatError."""
     stored = binio.read_array(fh, "u1").tobytes()
     if expected_hash is not None and stored != expected_hash:
         raise ResourceError(f"{what} was trained on a different vocabulary "
                             f"({fh.name}); retrain or pass matching resources")
-    vocab = Vocabulary.from_dump_lines(binio.read_strings(fh))
-    if vocab.hash_bytes() != stored:
+    dump = binio.read_blob(fh)
+    text = binio.decode(dump, fh, "embedded vocabulary")
+    if _vocab_hash(dump) != stored or not text.endswith("\n"):
         raise FormatError(f"embedded vocabulary is corrupt in {fh.name}")
+    # the parse accepts only lines as dump_lines writes them, so the stored
+    # hash is the parsed vocabulary's own
+    vocab = Vocabulary.from_dump_lines(text[:-1].split("\n"))
+    vocab._hash = stored
     return vocab
 
 
 def save_corpus(path: str | Path, corpus: Corpus) -> None:
     """Write ``corpus``'s vocabulary and sentences; load derives its postings."""
     surfaces, surface_idx = _number_surfaces(corpus.sentences)
-    with open(path, "wb") as fh:
+    with binio.replace_file(path) as fh:
         fh.write(CORPUS_MAGIC)
         write_vocab(fh, corpus.vocab)
         binio.write_strings(fh, surfaces)
@@ -400,7 +454,8 @@ def save_corpus(path: str | Path, corpus: Corpus) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a corpus file, check that its arrays agree and derive its postings."""
+    """Read a corpus file and check that its arrays agree; its postings are
+    derived as they are looked up."""
     with open(path, "rb") as fh:
         binio.check_magic(fh, CORPUS_MAGIC, "corpus")
         vocab = read_vocab(fh, what="corpus")
@@ -415,10 +470,14 @@ def load_corpus(path: str | Path) -> Corpus:
             and (pos_codes < len(Pos)).all()):  # Pos values are 0 .. len(Pos) - 1
         raise FormatError(f"corrupt corpus file {path}: sentence arrays disagree")
     # One Token per distinct (surface, POS) pair; the sentences share them.
-    keys, inverse = np.unique(surface_idx.astype(np.int64) << 8 | pos_codes,
-                              return_inverse=True)
-    kinds = [Token(surfaces[k >> 8], Pos(k & 0xFF)) for k in keys.tolist()]
-    tokens = list(map(kinds.__getitem__, inverse.tolist()))
+    # A pair's code is surface * len(Pos) + POS, so a mask finds them all.
+    codes = surface_idx.astype(np.int64) * len(Pos) + pos_codes
+    used = np.zeros(len(surfaces) * len(Pos), dtype=bool)
+    used[codes] = True
+    poses = tuple(Pos)
+    kinds = np.array([Token(surfaces[c // len(Pos)], poses[c % len(Pos)])
+                      for c in np.flatnonzero(used).tolist()], dtype=object)
+    tokens = kinds[(np.cumsum(used) - 1)[codes]].tolist()
     sentences = list(map(Sentence, sent_ids.tolist(), binio.split(tokens, lengths)))
     return Corpus(sentences, vocab,
-                  _group_postings(sent_ids, lengths, surface_idx, surfaces))
+                  PostingsView(sent_ids, lengths, surface_idx, surfaces))

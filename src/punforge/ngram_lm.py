@@ -53,7 +53,7 @@ from .errors import FormatError, TrainingError
 
 log = logging.getLogger(__name__)
 
-LM_MAGIC = b"PGL3"
+LM_MAGIC = b"PGL4"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
@@ -217,7 +217,7 @@ class NGramModel:
     def save(self, path: str | Path) -> None:
         """Write the order, its discounts and the vocabulary, then each
         order's :data:`Tables` as four array blocks, lowest order first."""
-        with open(path, "wb") as fh:
+        with binio.replace_file(path) as fh:
             fh.write(LM_MAGIC)
             binio.pack(fh, "<B", self.order)
             binio.pack(fh, f"<{3 * self.order}d", *chain.from_iterable(self.discounts))

@@ -3,8 +3,8 @@
 Postings are keyed by exact surface form so a rare word stays retrievable
 even when the vocabulary has collapsed it to the unknown id.  Each posting
 is (sentence id, positions ascending); postings lists are in corpus order.
-``corpus.postings_of`` builds them, the routine that also derives a loaded
-corpus's postings.
+``corpus.postings_of`` builds them as a ``corpus.PostingsView``, the view a
+loaded corpus also has, which builds a term's list on its first lookup.
 
 A seed for an alternative word is a sentence that contains the word exactly
 once and has an acceptable length.  Candidates are gathered in corpus order

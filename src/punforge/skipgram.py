@@ -18,10 +18,10 @@ distinct.  An update gathers its target rows once; a distinct row is written
 back as gathered + (-lr * gradient), which is the sum ``np.add.at`` forms
 when no row repeats, and only rows that repeat a target use ``np.add.at``.
 The sigmoid is one division by 1 + e^-|s|, which gives the doubles of a
-branch per sign, and the loss is computed only when INFO logging is on,
-to log each epoch's mean.  So the embeddings are byte-equal to those of a
-plain loop of one ``np.add.at`` per pair (``reference_train_skipgram`` in
-the test oracles).
+branch per sign.  So the embeddings are byte-equal to those of a plain
+loop of one ``np.add.at`` per pair (``reference_train_skipgram`` in the
+test oracles).  When INFO logging is on, each update's scores are kept and
+the epoch's mean loss is computed from them once, at the epoch's end.
 
 Queries use a softmax over the output embeddings.  ``predict_topics``
 computes it in full, renormalizes it without the query word and the unknown
@@ -52,7 +52,7 @@ from .errors import FormatError, TrainingError, UnknownWordError
 
 log = logging.getLogger(__name__)
 
-SKIPGRAM_MAGIC = b"PGSG"
+SKIPGRAM_MAGIC = b"PGS2"
 # The fields of SkipGramConfig in order: five u32, then f64 step_size, u64 seed.
 _HEADER = "<5IdQ"
 
@@ -140,9 +140,14 @@ def step_loss_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
     Returns (loss, d/d center, d/d out rows).
     """
     scores, grad_center, grad_out = step_grads(center_vec, out_vecs, labels)
+    return sampling_loss(scores, labels), grad_center, grad_out
+
+
+def sampling_loss(scores: np.ndarray, labels: np.ndarray) -> float:
+    """The negative-sampling loss of the scores of one update, or of a stack
+    of updates' scores (one row each): -Σ log σ(±s), + for the label-1 target."""
     # log sigma(s) = -log(1 + e^-s), computed stably for either sign
-    loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -scores, scores))))
-    return loss, grad_center, grad_out
+    return float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -scores, scores))))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -250,7 +255,7 @@ class SkipGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
+        with binio.replace_file(path) as fh:
             fh.write(SKIPGRAM_MAGIC)
             binio.pack(fh, _HEADER, *astuple(self.config))
             write_vocab(fh, self.vocab)
@@ -327,16 +332,16 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
                 np.searchsorted(noise_cdf, rng.random((n, k))), v_size - 1)
             # a row's targets are distinct when its sorted ids all differ
             distinct = np.diff(np.sort(targets, axis=1)).all(axis=1).tolist()
-            epoch_loss = 0.0
-            for center, rows, once in zip(shuffled[:, 0].tolist(), targets, distinct):
+            if track_loss:
+                epoch_scores = np.empty((n, k + 1))
+            for r, (center, rows, once) in enumerate(zip(shuffled[:, 0].tolist(),
+                                                         targets, distinct)):
                 lr = step_size * max(1.0 - step / total_steps, 1e-4)
                 step += 1
                 in_vec, out_vecs = vec_in[center], vec_out.take(rows, axis=0)
+                scores, grad_center, grad_out = step_grads(in_vec, out_vecs, labels)
                 if track_loss:
-                    loss, grad_center, grad_out = step_loss_grads(in_vec, out_vecs, labels)
-                    epoch_loss += loss
-                else:
-                    _, grad_center, grad_out = step_grads(in_vec, out_vecs, labels)
+                    epoch_scores[r] = scores
                 if once:
                     # each target row gets one term: a plain write adds it
                     # exactly as np.add.at would
@@ -346,7 +351,8 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
                 in_vec -= lr * grad_center
             if track_loss:
                 log.info("skip-gram epoch %d/%d: mean loss %.6f over %d pairs",
-                         epoch + 1, config.epochs, epoch_loss / n, n)
+                         epoch + 1, config.epochs,
+                         sampling_loss(epoch_scores, labels) / n, n)
     if not (np.isfinite(vec_in).all() and np.isfinite(vec_out).all()):
         raise TrainingError(
             f"skip-gram training diverged to non-finite embeddings at step "

@@ -184,6 +184,19 @@ class CountTablesKN:
         return total
 
 
+def reference_postings(sentences):
+    """Postings from a scan of the sentences in order: each surface's
+    (sentence id, positions) entries, surfaces in order of first appearance."""
+    postings = {}
+    for sentence in sentences:
+        seen = {}
+        for position, token in enumerate(sentence.tokens):
+            seen.setdefault(token.surface, []).append(position)
+        for surface, positions in seen.items():
+            postings.setdefault(surface, []).append((sentence.sent_id, tuple(positions)))
+    return postings
+
+
 def reference_bfs(adjacency, start, goal):
     """Undirected shortest path length by breadth-first layers, or None."""
     if start == goal:

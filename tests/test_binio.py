@@ -1,17 +1,25 @@
 """The block codec, and the consistency checks of the files written in it."""
 
+import ast
+import errno
+import hashlib
+import inspect
 import io
+import random
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from punforge import binio
-from punforge.corpus import Corpus, ingest, load_corpus, save_corpus
+from oracles import reference_postings
+from punforge import binio, skipgram
+from punforge.corpus import CORPUS_MAGIC, Corpus, ingest, load_corpus, save_corpus
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
 from punforge.ngram_lm import LM_MAGIC, NGramModel, train_lm
 from punforge.retrieval import build_index
+from punforge.skipgram import SkipGramConfig, SkipGramModel, train_skipgram
 
 
 class _Named(io.BytesIO):
@@ -50,19 +58,37 @@ class TestCodec:
         with pytest.raises(FormatError, match="truncated file mem.bin"):
             binio.read_array(_reader(struct.pack("<I", 8) + bytes(5)), "<u4")
 
-    def test_strings_are_count_then_length_prefixed_utf8(self):
+    def test_strings_are_lengths_then_one_utf8_blob(self):
         fh = io.BytesIO()
         binio.write_strings(fh, ["a", "", "héé"])
-        expected = (struct.pack("<I", 3) + struct.pack("<I", 1) + b"a"
-                    + struct.pack("<I", 0) + struct.pack("<I", 5)
-                    + "héé".encode("utf-8"))
+        expected = (struct.pack("<4I", 12, 1, 0, 5)
+                    + struct.pack("<I", 6) + "a".encode("utf-8") + "héé".encode("utf-8"))
         assert fh.getvalue() == expected
         assert binio.read_strings(_reader(expected)) == ["a", "", "héé"]
+        assert binio.read_strings(_reader(struct.pack("<2I", 0, 0))) == []
 
     def test_string_that_is_not_utf8_rejected(self):
-        data = struct.pack("<I", 1) + struct.pack("<I", 2) + b"\xff\xfe"
+        data = struct.pack("<2I", 4, 2) + struct.pack("<I", 2) + b"\xff\xfe"
         with pytest.raises(FormatError, match="mem.bin is not UTF-8"):
             binio.read_strings(_reader(data))
+
+    def test_length_ending_inside_a_character_rejected(self):
+        blob = "hé".encode("utf-8")  # 3 bytes, valid as a whole
+        data = struct.pack("<3I", 8, 2, 1) + struct.pack("<I", 3) + blob
+        with pytest.raises(FormatError, match="mem.bin is not UTF-8 .a length ends"):
+            binio.read_strings(_reader(data))
+
+    @pytest.mark.parametrize("lengths,blob", [
+        ([1, 2], b"ab"),    # the lengths ask for more than the blob holds
+        ([1], b"ab"),       # and for less
+        ([2**32 - 1], b""),
+    ])
+    def test_lengths_that_miss_the_blob_rejected(self, lengths, blob):
+        fh = io.BytesIO()
+        binio.write_array(fh, lengths, "<u4")
+        binio.write_blob(fh, blob)
+        with pytest.raises(FormatError, match="corrupt string table in mem.bin"):
+            binio.read_strings(_reader(fh.getvalue()))
 
     def test_pack_unpack_header(self):
         fh = io.BytesIO()
@@ -88,12 +114,27 @@ def demo():
     return Corpus(sentences, vocab, build_index(sentences).postings)
 
 
+def _read_vocab_section(fh):
+    """The hash and the dump lines of an embedded vocabulary."""
+    stored = binio.read_array(fh, "u1")
+    text = binio.read_blob(fh).decode("utf-8")
+    assert text.endswith("\n")
+    return stored, text[:-1].split("\n")
+
+
+def _write_vocab_section(fh, lines, end="\n"):
+    """Embed ``lines`` behind their own hash, so that a loader checks them."""
+    dump = ("\n".join(lines) + end).encode("utf-8")
+    binio.write_array(fh, list(hashlib.sha256(dump).digest()[:16]), "u1")
+    binio.write_blob(fh, dump)
+
+
 def _read_corpus_sections(path):
     """Every section of a corpus file, in file order."""
     with open(path, "rb") as fh:
-        fh.read(4)
-        sections = {"vocab_hash": binio.read_array(fh, "u1"),
-                    "vocab": binio.read_strings(fh),
+        assert fh.read(4) == CORPUS_MAGIC
+        stored, lines = _read_vocab_section(fh)
+        sections = {"vocab_hash": stored, "vocab": lines,
                     "surfaces": binio.read_strings(fh)}
         for name in ("sent_ids", "lengths", "surface_idx"):
             sections[name] = binio.read_array(fh, "<u4")
@@ -102,11 +143,10 @@ def _read_corpus_sections(path):
     return sections
 
 
-def _write_corpus_sections(path, s):
+def _write_corpus_sections(path, s, vocab_end="\n"):
     with open(path, "wb") as fh:
-        fh.write(b"PGC4")
-        binio.write_array(fh, s["vocab_hash"], "u1")
-        binio.write_strings(fh, s["vocab"])
+        fh.write(CORPUS_MAGIC)
+        _write_vocab_section(fh, s["vocab"], vocab_end)
         binio.write_strings(fh, s["surfaces"])
         for name in ("sent_ids", "lengths", "surface_idx"):
             binio.write_array(fh, s[name], "<u4")
@@ -134,6 +174,8 @@ class TestCorpusFile:
         assert s["sent_ids"].tolist() == [x.sent_id for x in demo.sentences]
         assert s["lengths"].sum() == len(s["surface_idx"]) == len(s["pos"])
         assert s["surfaces"] == list(demo.postings)  # in order of first appearance
+        assert s["vocab"] == demo.vocab.dump_lines()
+        assert s["vocab_hash"].tobytes() == demo.vocab.hash_bytes()
 
     @pytest.mark.parametrize("name,mutate", [
         ("lengths", lambda a: np.r_[a[:-1], a[-1] + 1]),  # sum != token count
@@ -162,6 +204,18 @@ class TestCorpusFile:
         with pytest.raises(FormatError, match="bad vocabulary id or count at line 4"):
             load_corpus(path)
 
+    def test_vocabulary_without_final_newline_rejected(self, demo, tmp_path):
+        """Its hash would not be the parsed vocabulary's, whose dump ends
+        every line with a newline."""
+        path = tmp_path / "c.pgc"
+        save_corpus(path, demo)
+        sections = _read_corpus_sections(path)
+        _write_corpus_sections(path, sections)
+        assert load_corpus(path).vocab.hash_bytes() == demo.vocab.hash_bytes()
+        _write_corpus_sections(path, sections, vocab_end="")
+        with pytest.raises(FormatError, match="embedded vocabulary is corrupt"):
+            load_corpus(path)
+
     def test_one_byte_vocabulary_edit_rejected(self, demo, tmp_path):
         path = tmp_path / "c.pgc"
         save_corpus(path, demo)
@@ -173,7 +227,7 @@ class TestCorpusFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pgc"
-        for magic in (b"PGC1", b"PGC2", b"PGC3"):
+        for magic in (b"PGC1", b"PGC2", b"PGC3", b"PGC4"):
             path.write_bytes(magic + bytes(32))
             with pytest.raises(FormatError, match=f"bad magic {magic!r}"):
                 load_corpus(path)
@@ -188,11 +242,12 @@ def _read_lm_sections(path):
     """Every section of a language model file, in file order; each order's
     tables as [context rows, backoff weights, n-gram rows, probabilities]."""
     with open(path, "rb") as fh:
-        fh.read(4)
+        assert fh.read(4) == LM_MAGIC
         (order,) = binio.unpack(fh, "<B")
-        s = {"order": order, "discounts": list(binio.unpack(fh, f"<{3 * order}d")),
-             "vocab_hash": binio.read_array(fh, "u1"), "vocab": binio.read_strings(fh),
-             "tables": []}
+        discounts = list(binio.unpack(fh, f"<{3 * order}d"))
+        stored, lines = _read_vocab_section(fh)
+        s = {"order": order, "discounts": discounts, "vocab_hash": stored,
+             "vocab": lines, "tables": []}
         for k in range(1, order + 1):
             ctx, backoff = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
             grams, probs = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
@@ -207,8 +262,7 @@ def _write_lm_sections(path, s):
         fh.write(LM_MAGIC)
         binio.pack(fh, "<B", s["order"])
         binio.pack(fh, f"<{len(s['discounts'])}d", *s["discounts"])
-        binio.write_array(fh, s["vocab_hash"], "u1")
-        binio.write_strings(fh, s["vocab"])
+        _write_vocab_section(fh, s["vocab"])
         for ctx, backoff, grams, probs in s["tables"]:
             binio.write_array(fh, ctx, "<u4")
             binio.write_array(fh, backoff, "<f8")
@@ -311,9 +365,151 @@ class TestLanguageModelFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
-        for magic in (b"PGLM", b"PGL2"):
+        for magic in (b"PGLM", b"PGL2", b"PGL3"):
             path.write_bytes(magic + bytes(64))
             with pytest.raises(FormatError, match=f"old.pglm is not a language model "
                                                   f"file: bad magic {magic!r}") as err:
                 NGramModel.load(path)
             assert "\n" not in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def demo_files(demo, demo_lm, tmp_path_factory):
+    """The demo corpus, language model and a small skip-gram, as files."""
+    root = tmp_path_factory.mktemp("files")
+    files = {ext: root / f"m.{ext}" for ext in ("pgc", "pglm", "pgsg")}
+    save_corpus(files["pgc"], demo)
+    demo_lm.save(files["pglm"])
+    train_skipgram(demo.sentences[:40], demo.vocab,
+                   SkipGramConfig(dim=4, d1=2, d2=4, epochs=1)).save(files["pgsg"])
+    return files
+
+
+_LOADERS = {"pgc": load_corpus, "pglm": NGramModel.load, "pgsg": SkipGramModel.load}
+
+
+def _block_spans(path):
+    """The byte spans of a file's embedded vocabulary and, for a corpus, of
+    its surface table."""
+    blob = path.read_bytes()
+    fh = _reader(blob)
+    fh.seek({"pgc": 4, "pglm": 4 + 1 + 3 * 8 * blob[4],
+             "pgsg": 4 + struct.calcsize(skipgram._HEADER)}[path.suffix[1:]])
+    start = fh.tell()
+    _read_vocab_section(fh)
+    spans = {"vocab": (start, fh.tell())}
+    if path.suffix == ".pgc":
+        start = fh.tell()
+        binio.read_strings(fh)
+        spans["strings"] = (start, fh.tell())
+    return spans
+
+
+class TestNewBlocksFuzz:
+    def test_mutated_vocabulary_or_string_table_fails_at_load(self, demo_files,
+                                                              tmp_path):
+        """A truncated or bit-flipped vocabulary is refused by load.  A flip in
+        the surface table is refused by load or yields a corpus every term of
+        which can be looked up: no check is deferred to a lookup."""
+        rng = random.Random(13)
+        spans = {ext: _block_spans(path) for ext, path in demo_files.items()}
+        seen = set()
+        for _ in range(240):
+            ext = rng.choice(sorted(spans))
+            block = rng.choice(sorted(spans[ext]))
+            start, end = spans[ext][block]
+            blob = bytearray(demo_files[ext].read_bytes())
+            truncate = rng.random() < 0.25
+            if truncate:
+                del blob[rng.randrange(start, end):]
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    blob[rng.randrange(start, end)] ^= 1 << rng.randrange(8)
+            bad = tmp_path / f"bad.{ext}"
+            bad.write_bytes(bytes(blob))
+            try:
+                loaded = _LOADERS[ext](bad)
+            except FormatError as exc:
+                assert "\n" not in str(exc)
+                seen.add((ext, block, "refused"))
+                continue
+            assert block == "strings" and not truncate, (ext, block, bytes(blob))
+            assert dict(loaded.postings.items()) == reference_postings(loaded.sentences)
+            seen.add((ext, block, "loaded"))
+        assert {(ext, block, "refused") for ext in spans for block in spans[ext]} <= seen
+
+
+class _HalfWrite(io.FileIO):
+    """A file whose first write stores half its bytes and fails."""
+
+    def write(self, data):
+        super().write(bytes(data)[:len(data) // 2 + 1])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda models, path: save_corpus(path, models[0]),
+        lambda models, path: models[1].save(path),
+        lambda models, path: train_skipgram(
+            models[0].sentences[:20], models[0].vocab,
+            SkipGramConfig(dim=2, d1=2, d2=3, epochs=1)).save(path),
+        lambda models, path: models[0].vocab.save_text(path),
+    ], ids=["corpus", "lm", "skipgram", "vocab"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_file(self, demo, demo_lm, tmp_path, monkeypatch,
+                                         write, existing):
+        target = tmp_path / "out.bin"
+        if existing:
+            target.write_bytes(b"old")
+        monkeypatch.setattr(binio, "open",
+                            lambda path, mode: _HalfWrite(path, mode.replace("b", "")),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write((demo, demo_lm), target)
+        assert [p.name for p in tmp_path.iterdir()] == (["out.bin"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old"
+        monkeypatch.undo()
+        write((demo, demo_lm), target)  # and a write that succeeds replaces it
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert target.read_bytes() != b"old"
+
+    def test_interrupted_block_removes_its_temporary_file(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with binio.replace_file(tmp_path / "x") as fh:
+                fh.write(b"partial")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+    def test_binary_files_are_written_only_through_replace_file(self):
+        """Every ``open`` in the package that may write binary is the one in
+        ``binio.replace_file``, and no module calls ``write_bytes``."""
+        package = Path(binio.__file__).parent
+        allowed = ast.parse(inspect.getsource(binio.replace_file)).body[0]
+        allowed_lines = range(inspect.getsourcelines(binio.replace_file)[1],
+                              inspect.getsourcelines(binio.replace_file)[1]
+                              + allowed.end_lineno)
+        writers = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                if name.endswith("write_bytes"):
+                    writers.append((path.name, node.lineno))
+                # os.open makes a descriptor (cli points stdout at devnull)
+                if name != "open" and not name.endswith((".open", ".fdopen")) \
+                        or name == "os.open":
+                    continue
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                if mode is None:
+                    continue  # reading text
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                    writers.append((path.name, node.lineno))  # a mode not known here
+                elif "b" in mode.value and set(mode.value) & set("wax+"):
+                    writers.append((path.name, node.lineno))
+        assert [(name, line) for name, line in writers
+                if not (name == "binio.py" and line in allowed_lines)] == []
+        assert len(writers) == 1  # the one open of replace_file

@@ -147,6 +147,8 @@ class TestLibraryOwnsRules:
         (GenerationConfig, {"topic_k": sys.maxsize + 1}),
         (GenerationConfig, {"max_outputs": sys.maxsize + 1}),
         (stats.check_permutations, {"permutations": sys.maxsize + 1}),
+        (stats.check_permutations, {"permutations": stats.MAX_PERMUTATIONS + 1}),
+        (stats.check_permutations, {"permutations": sys.maxsize}),
     ])
     def test_out_of_range_values_rejected_by_owner(self, owner, bad):
         with pytest.raises(ValueError):
@@ -159,7 +161,7 @@ class TestLibraryOwnsRules:
         SkipGramConfig(seed=0)
         GenerationConfig(pool=sys.maxsize, keep=sys.maxsize,
                          topic_k=sys.maxsize, max_outputs=sys.maxsize)
-        stats.check_permutations(sys.maxsize)
+        stats.check_permutations(stats.MAX_PERMUTATIONS)
 
     def test_run_config_defaults_are_the_owners(self):
         cfg = RunConfig()
@@ -288,14 +290,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "max_outputs must be in" in err
 
-    def test_correlate_permutations_beyond_maxsize_is_usage(self, tmp_path, capsys):
+    @pytest.mark.parametrize("permutations", [10**20, sys.maxsize,
+                                              stats.MAX_PERMUTATIONS + 1])
+    def test_correlate_permutations_beyond_maximum_is_usage(self, tmp_path, capsys,
+                                                            permutations):
         # rejected as a usage error before either (missing) file is opened
         code = cli.main(["correlate", "--ratings", str(tmp_path / "r.csv"),
                          "--scores", str(tmp_path / "s.jsonl"),
-                         "--permutations", str(10**20)])
+                         "--permutations", str(permutations)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "permutations must be in" in err
+        assert err.count("\n") == 1
+        assert f"permutations must be in [1, {stats.MAX_PERMUTATIONS}]" in err
 
     @pytest.mark.parametrize("message,line", [
         ("Unable to allocate 32.0 GiB for an array with shape (4, 4294967295)",
@@ -891,7 +897,9 @@ class TestModelFiles:
         assert err.count("\n") == 1 and f"{bad} is not UTF-8" in err
 
     @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pgc", b"PGC3"),
-                                           ("pglm", b"PGLM"), ("pglm", b"PGL2")])
+                                           ("pglm", b"PGLM"), ("pglm", b"PGL2"),
+                                           ("pgc", b"PGC4"), ("pglm", b"PGL3"),
+                                           ("pgsg", b"PGSG")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"

@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
-from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, Sentence, TagLexicon,
-                             Token, Vocabulary, detokenize, ingest,
-                             load_corpus, save_corpus, split_sentences, tag,
-                             tokenize)
+from oracles import reference_postings
+from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, PostingsView, Sentence,
+                             TagLexicon, Token, Vocabulary, detokenize, ingest,
+                             load_corpus, postings_of, save_corpus,
+                             split_sentences, tag, tokenize)
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
 from punforge.retrieval import build_index
@@ -91,10 +93,40 @@ class TestVocabulary:
         ["<unk>\t0\t0", "cat\t2\t3"],         # id gap
         ["<unk>\t0\t0", "cat\tx\t3"],         # non-integer id
         ["<unk>\t0\t0", "cat 1 3"],           # wrong separator
+        [],                                   # empty
+        ["<unk>\t0\t0", "cat\t1\t+3"],        # not as dump_lines writes them
+        ["<unk>\t0\t0", "cat\t1\t 3"],
+        ["<unk>\t0\t0", "cat\t01\t3"],
+        ["<unk>\t0\t0", "cat\t1\t3_0"],
+        ["<unk>\t0\t0", "", "cat\t1\t3"],      # a blank line
+        ["<unk>\t0\t0", "cat\t1\t3\t4"],      # four fields
+        ["<unk>\t0\t0", "cat\t1\t-3"],        # negative count
     ])
     def test_bad_dumps_rejected(self, lines):
         with pytest.raises(FormatError):
             Vocabulary.from_dump_lines(lines)
+
+    @pytest.mark.parametrize("lines,message", [
+        (["<unk>\t0\t0", "cat\t1\t3", "dog\t2"], r"bad vocabulary line 3: 'dog\\t2'"),
+        (["<unk>\t0\t0", "cat\t1\tx"], r"bad vocabulary line 2: 'cat\\t1\\tx'"),
+        (["<unk>\t0\t0", "cat\t2\t3"], "bad vocabulary id or count at line 2"),
+        (["<unk>\t0\t0", "cat\t1\t3", "dog\t2\t-1"],
+         "bad vocabulary id or count at line 3"),
+        (["cat\t0\t3"], "vocabulary must start with '<unk>' at id 0"),
+    ])
+    def test_bad_dump_names_its_first_bad_line(self, lines, message):
+        with pytest.raises(FormatError, match=message):
+            Vocabulary.from_dump_lines(lines)
+
+    def test_saved_text_is_the_hashed_dump(self, tmp_path):
+        vocab = Vocabulary({"cat": 3, "héé": 1})
+        path = tmp_path / "v.txt"
+        vocab.save_text(path)
+        assert path.read_bytes() == vocab.dump_text().encode("utf-8")
+        assert hashlib.sha256(path.read_bytes()).digest()[:16] == vocab.hash_bytes()
+        assert Vocabulary.load_text(path).hash_bytes() == vocab.hash_bytes()
+        path.write_bytes(path.read_bytes()[:-1])  # no final newline
+        assert Vocabulary.load_text(path).dump_lines() == vocab.dump_lines()
 
     def test_min_count_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -155,18 +187,6 @@ class TestIngest:
         assert len(sentences) == 2
 
 
-def _postings_by_scan(sentences):
-    """Postings from a scan of the sentences in order: the reference."""
-    postings = {}
-    for sentence in sentences:
-        seen = {}
-        for position, token in enumerate(sentence.tokens):
-            seen.setdefault(token.surface, []).append(position)
-        for surface, positions in seen.items():
-            postings.setdefault(surface, []).append((sentence.sent_id, tuple(positions)))
-    return postings
-
-
 class TestCorpusFile:
     def _corpus(self):
         sentences, vocab = ingest("the_OTHER dog_NOUN ran_VERB ._OTHER\n"
@@ -205,9 +225,50 @@ class TestCorpusFile:
         path = tmp_path / "c.pgc"
         save_corpus(path, Corpus(sentences, vocab))
         loaded, built = load_corpus(path).postings, build_index(sentences).postings
-        want = _postings_by_scan(sentences)
+        want = reference_postings(sentences)
         assert loaded == built == want
         assert list(loaded) == list(built) == list(want)
+
+    @pytest.mark.parametrize("make", ["demo", "bench_style"])
+    def test_lazy_postings_equal_every_term_in_key_order(self, tmp_path, make):
+        if make == "demo":
+            sentences, vocab = ingest(build_demo_corpus())
+        else:  # Zipf-drawn words, empty sentences, ids out of order and gapped
+            rng = random.Random(11)
+            words = [f"w{i}" for i in range(400)]
+            weights = [1.0 / (i + 1) for i in range(len(words))]
+            ids = rng.sample(range(5000), 600)
+            sentences = [Sentence(i, [Token(w) for w in rng.choices(
+                             words, weights, k=rng.choice([0, rng.randrange(1, 41)]))])
+                         for i in ids]
+            vocab = Vocabulary(dict.fromkeys(words, 1))
+        path = tmp_path / "c.pgc"
+        save_corpus(path, Corpus(sentences, vocab))
+        want = reference_postings(sentences)
+        for view in (load_corpus(path).postings, postings_of(sentences)):
+            assert isinstance(view, PostingsView) and len(view) == len(want)
+            assert list(view) == list(want)
+            for term, entries in want.items():  # each built on this lookup
+                assert term in view and view[term] == entries
+                assert view[term] is view[term]
+            assert view == want and want == view
+            assert view.get("no-such-term") is None
+            assert view.get("no-such-term", []) == [] and "no-such-term" not in view
+            with pytest.raises(KeyError):
+                view["no-such-term"]
+            with pytest.raises(TypeError):
+                view["new"] = []  # read-only
+        assert Corpus(sentences, vocab, postings_of(sentences)).inverted_index() \
+            .lookup("no-such-term") == []
+
+    def test_postings_are_built_on_lookup(self, tmp_path):
+        sentences, vocab = ingest(build_demo_corpus()[::7])
+        path = tmp_path / "c.pgc"
+        save_corpus(path, Corpus(sentences, vocab))
+        view = load_corpus(path).postings
+        assert view._built == {}
+        view.get("hair")
+        assert list(view._built) == ["hair"]
 
     def test_by_id_maps_sentence_ids(self):
         corpus = self._corpus()

@@ -192,11 +192,13 @@ class TestTrainingEqualsOracle:
             assert repeated == updates
         else:
             assert 0 < repeated < updates / 10
-        messages = [r.getMessage() for r in caplog.records
-                    if r.name == "punforge.skipgram"]
-        assert messages == [
+        records = [r for r in caplog.records if r.name == "punforge.skipgram"]
+        assert [r.getMessage() for r in records] == [
             f"skip-gram epoch {e}/{epochs}: mean loss {loss:.6f} over {len(pairs)} pairs"
             for e, loss in enumerate(losses, start=1)] * verbose
+        # summed once per epoch, not per update: equal to 1e-9, not bitwise
+        assert [r.args[2] for r in records] == pytest.approx(losses * verbose,
+                                                             rel=1e-9, abs=0)
 
     def test_step_equals_masked_branch_sigmoid(self):
         rng = np.random.default_rng(8)
