@@ -56,7 +56,7 @@ _CLI_FIELDS = [
     ("order", int, DEFAULT_ORDER, check_order),
     ("min_count", int, DEFAULT_MIN_COUNT, check_min_count),
     ("wordnet", str | None, None, None),
-    ("min_rater_corr", float, stats.DEFAULT_MIN_CORR, None),
+    ("min_rater_corr", float, stats.DEFAULT_MIN_CORR, stats.check_min_corr),
     ("permutations", int, stats.DEFAULT_PERMUTATIONS, stats.check_permutations),
     ("clip", float, stats.DEFAULT_CLIP, stats.check_clip),
 ]

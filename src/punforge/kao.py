@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import UNK, Vocabulary
 from .errors import UnknownWordError
 from .surprisal import PunPair
 
@@ -96,9 +96,10 @@ def distinctiveness_of(f_pun: Sequence[float], f_alt: Sequence[float]) -> float:
 
 
 def check_pair_words(pair: PunPair, vocab: Vocabulary) -> None:
-    """Raise UnknownWordError unless both pair words are in the vocabulary."""
+    """Raise UnknownWordError unless both pair words are vocabulary words;
+    the unknown-word symbol stands for no word of its own."""
     for word in (pair.pun_word, pair.alt_word):
-        if word not in vocab:
+        if word == UNK or word not in vocab:
             raise UnknownWordError(f"pair word {word!r} is not in the model vocabulary")
 
 

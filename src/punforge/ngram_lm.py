@@ -21,12 +21,14 @@ The model is count-based and fully deterministic.  Conventions:
 Training evaluates the recursion once, into one table per order (the
 ARPA/KenLM layout of Heafield 2011): the final probability
 ``kept + γ/total · p_lower`` of every stored (context, word) pair and the
-backoff weight ``γ/total`` of every stored context.  A query walks from its
-longest context down: a stored n-gram returns its value, a stored context
-on the way multiplies in its weight, innermost first, so the floats equal
-the recursion's bit for bit.  A file keeps each order as sorted rows of
-token ids with their values, so loading builds no table from counts.  In
-memory each order is one dict from packed integer keys to values, and
+backoff weight ``γ/total`` of every stored context, whose numerator γ adds
+its words' discounts left to right in sorted word order.  A query walks
+from its longest context down: a stored n-gram returns its value, a stored
+context on the way multiplies in its weight, innermost first, so the floats
+equal the recursion's bit for bit.  A file keeps each order as sorted,
+distinct rows of token ids with their values, so loading builds no table
+from counts; the row order is checked on the packed keys.  In memory
+each order is one dict from packed integer keys to values, and
 ``logprob_seq`` carries the longest stored n-gram from one token to the
 next, as KenLM's state does, so each walk starts at the longest context
 that can be stored.
@@ -94,7 +96,8 @@ class NGramModel:
     """Kneser-Ney model over token ids; see the module docstring for rules.
 
     ``tables`` holds one :data:`Tables` per order, lowest first, as
-    :func:`train_lm` builds them and ``.pglm`` files store them.
+    :func:`train_lm` builds them and ``.pglm`` files store them; rows that
+    are not sorted and distinct raise ValueError.
     """
 
     def __init__(self, order: int, vocab: Vocabulary,
@@ -112,12 +115,16 @@ class NGramModel:
         # probability, in file order.  A run of ids packs as base-``radix``
         # digits after a leading 1, so runs of different lengths never share
         # a key and a query extends a key by one id with one multiply-add.
+        # Every context key is below every n-gram key of its order, so the
+        # rows are sorted and distinct exactly when the keys increase.
         self._radix = self.eos_id + 1
-        self._tables: list[dict[int, float]] = [
-            dict(zip(chain(self._pack(ctx_rows), self._pack(gram_rows)),
-                     chain(backoff.tolist(), probs.tolist())))
-            for ctx_rows, backoff, gram_rows, probs in tables
-        ]
+        self._tables: list[dict[int, float]] = []
+        for k, (ctx_rows, backoff, gram_rows, probs) in enumerate(tables, start=1):
+            keys = np.concatenate([self._pack(ctx_rows), self._pack(gram_rows)])
+            if not (keys[1:] > keys[:-1]).all():
+                raise ValueError(f"order {k}: rows unsorted or repeated")
+            self._tables.append(dict(zip(keys.tolist(),
+                                         chain(backoff.tolist(), probs.tolist()))))
         self._bos_keys = [1]  # the keys of 0, 1, ... order - 1 begin markers
         for _ in range(order - 1):
             self._bos_keys.append(self._bos_keys[-1] * self._radix + self.bos_id)
@@ -130,13 +137,14 @@ class NGramModel:
         """uint64 while every key fits, else Python ints in object arrays."""
         return np.uint64 if self._radix ** self.order < 2 ** 63 else object
 
-    def _pack(self, rows: np.ndarray) -> list[int]:
-        """The keys of rows of ids (see ``__init__``)."""
+    def _pack(self, rows: np.ndarray) -> np.ndarray:
+        """The keys of rows of ids (see ``__init__``); while every id is below
+        the radix, the keys are in the rows' lexicographic order."""
         dtype = self._key_dtype()
         keys = np.ones(len(rows), dtype=dtype)
         for column in rows.T:
             keys = keys * self._radix + column.astype(dtype)
-        return keys.tolist()
+        return keys
 
     def _unpack(self, keys: np.ndarray, width: int) -> np.ndarray:
         """The rows of ids that ``width``-id keys pack."""
@@ -257,18 +265,10 @@ class NGramModel:
             problem = _table_problem(discounts, tables, bos=len(vocab))
             if problem:
                 raise FormatError(f"corrupt language model {fh.name}: {problem}")
-        return cls(order, vocab, discounts, tables)
-
-
-def _increasing_rows(rows: np.ndarray) -> bool:
-    """Whether each row is lexicographically greater than the one before."""
-    if len(rows) < 2:
-        return True
-    if rows.shape[1] == 0:
-        return False
-    step = np.sign(rows[1:].astype(np.int64) - rows[:-1])
-    first = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-    return bool((first == 1).all())
+        try:  # every id is below the radix, so the keys show the row order
+            return cls(order, vocab, discounts, tables)
+        except ValueError as exc:
+            raise FormatError(f"corrupt language model {fh.name}: {exc}") from None
 
 
 def _table_problem(discounts: Sequence[tuple[float, float, float]],
@@ -280,9 +280,7 @@ def _table_problem(discounts: Sequence[tuple[float, float, float]],
     for k, (ctx_rows, backoff, gram_rows, probs) in enumerate(tables, start=1):
         words = gram_rows[:, -1]
         problem = (
-            "rows unsorted or repeated"
-            if not (_increasing_rows(ctx_rows) and _increasing_rows(gram_rows))
-            else "ids outside the event space"
+            "ids outside the event space"
             if (ctx_rows > bos).any() or (gram_rows[:, :-1] > bos).any()
             or ((words >= bos) & (words != bos + 1)).any()
             else "a probability outside (0, 1]"
@@ -306,32 +304,12 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[order[starts]], inverse, np.bincount(group)
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal consecutive rows (or items) starts, and the
-    run each one is in."""
-    new = np.ones(len(values), dtype=bool)
-    differs = values[1:] != values[:-1]
-    new[1:] = differs.any(axis=1) if differs.ndim > 1 else differs
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal consecutive rows starts, and the run each row
+    is in."""
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return np.flatnonzero(new), np.cumsum(new) - 1
-
-
-def _sequential_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The sum of each run of ``values`` (runs begin at ``starts``), added
-    left to right as a Python loop adds; ``np.add.reduceat`` adds pairwise.
-
-    Runs are padded with zeros to the next power of two and summed by
-    ``np.cumsum`` along the rows, a few calls whatever the run lengths.
-    """
-    lengths = np.diff(np.r_[starts, len(values)])
-    sums = np.empty(len(starts))
-    widths = 1 << np.ceil(np.log2(lengths)).astype(np.int64)
-    for width in np.unique(widths).tolist():
-        runs = np.flatnonzero(widths == width)
-        cols = np.arange(width)
-        inside = cols < lengths[runs, None]
-        at = np.where(inside, starts[runs, None] + cols, 0)
-        sums[runs] = np.cumsum(np.where(inside, values[at], 0.0), axis=1)[:, -1]
-    return sums
 
 
 def _kneser_ney_tables(grams: np.ndarray, n_events: int,
@@ -340,41 +318,29 @@ def _kneser_ney_tables(grams: np.ndarray, n_events: int,
     of every training token (one row each, the token last).
 
     Each order is computed from the stored probabilities of the order below.
-    The backoff numerator γ of a context adds its words' discounts in a
-    fixed order: the top order's words in sorted order, each lower order's
-    words as first met when walking the order above in its own such order.
-    This is the order in which a model that stored only top-order counts
-    rebuilt its tables when loaded, so these floats are that model's.
+    The backoff numerator γ of a context adds its words' discounts left to
+    right in sorted word order, as a loop over the stored rows would.
     """
-    # Top down: each order's sorted distinct rows, their counts, their
-    # contexts (runs of rows), the order γ adds them in, and each row's
-    # projection (its row one order down).
+    # Top down: each order's sorted distinct rows, their counts and each
+    # row's projection (its row one order down).
     rows, _, counts = _unique_rows(grams)
-    met = np.arange(len(rows))  # the top order is walked in sorted order
     levels = []
-    while True:
-        starts, ctx_of = _runs(rows[:, :-1])
-        _, first_met = np.unique(met, return_index=True)
-        walk = np.lexsort((first_met, np.minimum.reduceat(first_met, starts)[ctx_of]))
-        if rows.shape[1] == 1:
-            levels.append((rows, counts, starts, ctx_of, walk, None))
-            break
+    while rows.shape[1] > 1:
         lower, proj, lower_counts = _unique_rows(rows[:, 1:])
-        levels.append((rows, counts, starts, ctx_of, walk, proj))
-        met = proj[walk]
+        levels.append((rows, counts, proj))
         rows, counts = lower, lower_counts
+    levels.append((rows, counts, None))
 
     discounts: list[tuple[float, float, float]] = []
     tables: list[Tables] = []
     probs = None  # of the order below
-    for rows, counts, starts, ctx_of, walk, proj in reversed(levels):
+    for rows, counts, proj in reversed(levels):
         d = estimate_discounts(counts)
         discounts.append(d)
         discount = np.array(d)[np.minimum(counts, 3) - 1]
-        walked = ctx_of[walk]  # each context's rows form one run of the walk
-        runs, _ = _runs(walked)
-        gamma = np.empty(len(starts))
-        gamma[walked[runs]] = _sequential_sums(discount[walk], runs)
+        starts, ctx_of = _runs(rows[:, :-1])
+        # bincount adds each bin's weights in index order, not pairwise
+        gamma = np.bincount(ctx_of, weights=discount, minlength=len(starts))
         total = np.add.reduceat(counts, starts)
         backoff = gamma / total
         kept = (counts - discount) / total[ctx_of]

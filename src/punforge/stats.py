@@ -161,6 +161,7 @@ def filter_raters(table: RatingsTable, min_corr: float = DEFAULT_MIN_CORR,
     non-constant shared scores on both sides.  Raters with no computable
     correlation at all are kept and flagged rather than judged.
     """
+    check_min_corr(min_corr)
     scores = table.by_rater()
     raters = list(scores)
     best: dict[str, float | None] = {r: None for r in raters}
@@ -202,6 +203,12 @@ def check_clip(clip: float) -> None:
     """Raise ValueError unless ``clip`` is a positive bound."""
     if not clip > 0:
         raise ValueError(f"clip must be > 0, got {clip}")
+
+
+def check_min_corr(min_corr: float) -> None:
+    """Raise ValueError unless ``min_corr`` is a Spearman floor in [-1, 1]."""
+    if not -1.0 <= min_corr <= 1.0:
+        raise ValueError(f"min_rater_corr must be in [-1, 1], got {min_corr}")
 
 
 def check_permutations(permutations: int) -> None:

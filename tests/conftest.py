@@ -16,6 +16,23 @@ cats and dogs run fast . the mat was old .
 the old dog saw a bird . a bird sat on the old mat .
 """
 
+# 2,000 words, each sentence ten of them in a row, twice with different
+# endings: at order 6 the packed keys pass 64 bits.
+WIDE_TEXT = "\n".join(" ".join(f"w{i}" for i in range(start, start + 10)) + " ."
+                      for start in range(0, 2000, 10))
+
+
+@pytest.fixture(scope="session")
+def wide():
+    """(sentences, vocab) whose order-6 keys are Python ints."""
+    return ingest(WIDE_TEXT + "\n" + WIDE_TEXT.replace(" .", " end ."))
+
+
+@pytest.fixture(scope="session")
+def wide_lm(wide):
+    sentences, vocab = wide
+    return train_lm(sentences, vocab, order=6)
+
 
 @pytest.fixture(scope="session")
 def tiny():

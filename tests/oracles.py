@@ -105,16 +105,14 @@ class ReferenceKN:
 
 
 class CountTablesKN:
-    """Kneser-Ney by recursion over count tables, summed in file order.
+    """Kneser-Ney by recursion over count tables, summed in sorted order.
 
-    The count-based model as it was once loaded from a file of sorted
-    top-order counts: the top-order table holds contexts and words in sorted
-    order, each lower table is rebuilt by walking the table above in its
-    own order, and each context's backoff numerator is summed in its
-    table's order.  ``prob`` and ``logprob_seq`` reproduce that model's
-    floats bit for bit, so a model with precomputed probabilities must
-    equal them exactly, not only to a tolerance.  ``levels[k - 1]`` maps
-    each stored order-k context to (word counts, total, numerator).
+    Every table holds its contexts and words in sorted order, and each
+    context's backoff numerator adds its words' discounts left to right in
+    that order.  ``prob`` and ``logprob_seq`` give that model's floats bit
+    for bit, so a model with precomputed probabilities must equal them
+    exactly, not only to a tolerance.  ``levels[k - 1]`` maps each stored
+    order-k context to (word counts, total, numerator).
     """
 
     def __init__(self, sentences, vocab_size, order):
@@ -137,7 +135,7 @@ class CountTablesKN:
                 row = lower.setdefault(ctx[1:], {})
                 for w in words:
                     row[w] = row.get(w, 0) + 1
-            counts.append(lower)
+            counts.append({ctx: dict(sorted(lower[ctx].items())) for ctx in sorted(lower)})
         counts.reverse()
         self.discounts = []
         self.levels = []

@@ -270,10 +270,12 @@ def _write_lm_sections(path, s):
             binio.write_array(fh, probs, "<f8")
 
 
-def _top(index, change):
-    """Apply ``change(array, bos)`` to one array of the top-order tables."""
+def _top(index, change, k=None):
+    """Apply ``change(array, bos)`` to one array of the top-order tables, or
+    of order ``k``'s."""
     def mutate(s, bos):
-        s["tables"][-1][index] = change(s["tables"][-1][index], bos)
+        table = s["tables"][-1 if k is None else k - 1]
+        table[index] = change(table[index], bos)
     return mutate
 
 
@@ -323,8 +325,10 @@ class TestLanguageModelFile:
         {"order": 4},                                              # 3-id rows read as 4
         {"mutate": _top(3, lambda p, bos: p[:-1])},                # fewer probabilities
         {"mutate": _top(3, lambda p, bos: np.r_[0.0, p[1:]])},     # zero probability
-        {"mutate": _top(2, lambda g, bos: g[::-1])},               # unsorted rows
-        {"mutate": _top(2, lambda g, bos: np.r_[g[:1], g[:1], g[2:]])},  # repeated row
+        {"mutate": _top(2, lambda g, bos: g[::-1]),                # unsorted rows
+         "error": "order 3: rows unsorted or repeated"},
+        {"mutate": _top(2, lambda g, bos: np.r_[g[:1], g[:1], g[2:]]),  # repeated row
+         "error": "order 3: rows unsorted or repeated"},
         {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]])},  # bos word
         {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]])},  # past eos
         {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos + 1, 0, 0]]])},  # eos context
@@ -336,22 +340,29 @@ class TestLanguageModelFile:
         {"mutate": _top(1, lambda b, bos: np.r_[np.nan, b[1:]])},  # not finite
         {"mutate": _top(1, lambda b, bos: np.r_[np.inf, b[1:]])},
         {"mutate": _top(1, lambda b, bos: b[:-1])},                # fewer weights
-        {"mutate": _top(0, lambda c, bos: c[::-1])},               # unsorted contexts
+        {"mutate": _top(0, lambda c, bos: c[::-1]),                # unsorted contexts
+         "error": "order 3: rows unsorted or repeated"},
         {"mutate": _top(0, lambda c, bos: np.r_[c[:-1], [[bos + 1, 0]]])},  # eos context
         {"discounts": lambda d: [np.nan] + d[1:]},                 # bad discount header
         {"discounts": lambda d: d[:3] + [1.5] + d[4:]},            # D1 above 1
+        {"mutate": _top(1, lambda b, bos: np.r_[b, b], k=1),       # two empty contexts
+         "error": "order 1: rows unsorted or repeated"},
+        {"mutate": _top(2, lambda g, bos: g[[1, 0, *range(2, len(g))]]),  # swapped rows
+         "model": "wide_lm", "error": "order 6: rows unsorted or repeated"},
     ])
-    def test_bad_counts_rejected(self, demo_lm, tmp_path, change):
+    def test_bad_counts_rejected(self, request, tmp_path, change):
+        model = request.getfixturevalue(change.get("model", "demo_lm"))
         path, bad = tmp_path / "m.pglm", tmp_path / "bad.pglm"
-        demo_lm.save(path)
+        model.save(path)
         s = _read_lm_sections(path)
         s["order"] = change.get("order", s["order"])
         if "discounts" in change:
             s["discounts"] = change["discounts"](s["discounts"])
         if "mutate" in change:
-            change["mutate"](s, demo_lm.bos_id)
+            change["mutate"](s, model.bos_id)
         _write_lm_sections(bad, s)
-        with pytest.raises(FormatError, match="bad.pglm"):
+        error = f": {change['error']}$" if "error" in change else ""
+        with pytest.raises(FormatError, match=f"bad.pglm{error}"):
             NGramModel.load(bad)
 
     def test_truncated_file_rejected(self, demo_lm, tmp_path):

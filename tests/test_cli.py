@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -149,6 +150,12 @@ class TestLibraryOwnsRules:
         (stats.check_permutations, {"permutations": sys.maxsize + 1}),
         (stats.check_permutations, {"permutations": stats.MAX_PERMUTATIONS + 1}),
         (stats.check_permutations, {"permutations": sys.maxsize}),
+        # a Spearman floor outside [-1, 1] turns rater filtering off or on for all
+        (stats.check_min_corr, {"min_corr": float("nan")}),
+        (stats.check_min_corr, {"min_corr": -math.inf}),
+        (stats.check_min_corr, {"min_corr": math.inf}),
+        (stats.check_min_corr, {"min_corr": 1e308}),
+        (stats.check_min_corr, {"min_corr": -1.5}),
     ])
     def test_out_of_range_values_rejected_by_owner(self, owner, bad):
         with pytest.raises(ValueError):
@@ -303,6 +310,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert f"permutations must be in [1, {stats.MAX_PERMUTATIONS}]" in err
 
+    @pytest.mark.parametrize("source,raw", [
+        ("flag", "nan"), ("flag", "inf"), ("flag", "1e308"),
+        ("config", "NaN"), ("config", "-Infinity"), ("config", "1.5"),
+        ("env", "nan"), ("env", "-inf"), ("env", "1e308"),
+    ])
+    def test_correlate_min_rater_corr_out_of_range_is_usage(self, tmp_path, capsys,
+                                                            monkeypatch, source, raw):
+        # rejected as a usage error before either (missing) file is opened
+        argv = ["correlate", "--ratings", str(tmp_path / "r.csv"),
+                "--scores", str(tmp_path / "s.jsonl")]
+        if source == "flag":
+            argv += ["--min-rater-corr", raw]
+        elif source == "config":
+            (tmp_path / "c.json").write_text(f'{{"min_rater_corr": {raw}}}')
+            argv += ["--config", str(tmp_path / "c.json")]
+        else:
+            monkeypatch.setenv("PUNGEN_MIN_RATER_CORR", raw)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "min_rater_corr must be in [-1, 1]" in err
+
     @pytest.mark.parametrize("message,line", [
         ("Unable to allocate 32.0 GiB for an array with shape (4, 4294967295)",
          "punforge: out of memory: Unable to allocate 32.0 GiB for an array "
@@ -393,15 +421,21 @@ class TestScore:
         assert "error" in records[2] and "s_local" not in records[2]
 
     def test_unknown_pair_word_is_an_inline_error(self, pipeline, tmp_path):
+        # the unknown-word symbol has no relatedness distribution of its own
         src = tmp_path / "in.jsonl"
         src.write_text(json.dumps({
             "id": "x", "sentence": "The greyhound got a hare cut downtown.",
-            "pun_word": "hare", "alt_word": "hairz"}) + "\n")
-        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
-                                      "--input", str(src)])
-        assert code == 0
-        record = json.loads(lines[0])
-        assert "hairz" in record["error"] and "s_local" not in record
+            "pun_word": "hare", "alt_word": "hairz"}) + "\n" + json.dumps({
+            "id": "y", "tokens": ["the", "greyhound", "got", "a", "<unk>", "cut"],
+            "pun_word": "<unk>", "alt_word": "hair"}) + "\n")
+        for models in ([], ["--skipgram", str(pipeline["skipgram"])]):
+            code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                          "--input", str(src)] + models)
+            assert code == 0
+            records = [json.loads(line) for line in lines]
+            assert "'hairz' is not in the model vocabulary" in records[0]["error"]
+            assert "'<unk>' is not in the model vocabulary" in records[1]["error"]
+            assert all(set(r) == {"id", "error"} for r in records)
 
     def test_pair_words_are_lowercased(self, pipeline, tmp_path):
         sentence = "The greyhound got a Hare cut downtown."

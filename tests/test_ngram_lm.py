@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -99,7 +100,8 @@ class TestAgainstReference:
 
 class TestAgainstCountTables:
     """The stored probabilities against the count recursion, compared with
-    ``==``: the tables must give the floats of the model they replaced."""
+    ``==``: both add each backoff numerator in sorted word order, so the
+    tables must give the recursion's floats exactly."""
 
     @pytest.mark.parametrize("text", [pytest.param(CORPORA[2], id="abc"),
                                       pytest.param(RANDOM_TEXT, id="random300")])
@@ -116,12 +118,10 @@ class TestAgainstCountTables:
         assert [(w, ctx) for ctx in contexts for w in events
                 if model.prob(w, ctx) != oracle.prob(w, ctx)] == []
 
-    def test_keys_wider_than_64_bits(self, tmp_path):
+    def test_keys_wider_than_64_bits(self, wide, wide_lm, tmp_path):
         """2,000 words at order 6 pack into keys past 64 bits."""
-        text = "\n".join(" ".join(f"w{i}" for i in range(start, start + 10)) + " ."
-                         for start in range(0, 2000, 10))
-        sentences, vocab = ingest(text + "\n" + text.replace(" .", " end ."))
-        model = train_lm(sentences, vocab, order=6)
+        sentences, vocab = wide
+        model = wide_lm
         assert (len(vocab) + 2) ** 6 > 2 ** 64
         path = tmp_path / "m.pglm"
         model.save(path)
@@ -231,6 +231,16 @@ class TestPersistence:
         assert [(ids, markers) for ids in encoded for markers in (True, False)
                 if loaded.logprob_seq(ids, markers) != model.logprob_seq(ids, markers)
                 ] == []
+
+    # The walkthrough's outputs rest on these files, byte for byte.
+    @pytest.mark.parametrize("order,digest", [
+        (2, "45eec9554a259f28"), (3, "8f4693e44290e93c"), (4, "dc4e02653480138b"),
+        (5, "aa01200bb3e7ef77"), (6, "341c4bb5521b4ab7")])
+    def test_demo_model_bytes_are_pinned(self, tmp_path, order, digest):
+        sentences, vocab = ingest(build_demo_corpus())
+        path = tmp_path / "demo.pglm"
+        train_lm(sentences, vocab, order=order).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
     def test_save_is_deterministic(self, tiny_lm, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
