@@ -371,8 +371,7 @@ def _cmd_score(args, cfg: RunConfig) -> int:
     if args.skipgram:
         skipgram = SkipGramModel.load(args.skipgram,
                                       expected_vocab_hash=lm.vocab.hash_bytes())
-        unigram_probs = np.exp([lm.unigram_logprob(i)
-                                for i in range(len(lm.vocab))])
+        unigram_probs = np.exp(lm.unigram_logprobs)
     out = _open_out(args.output)
     with _open_in(args.input) as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
 
-from .corpus import Corpus, Pos, Sentence, TagLexicon, tag
+from .corpus import UNK, Corpus, Pos, Sentence, TagLexicon, tag
 from .errors import UnknownWordError
 from .ngram_lm import NGramModel
 from .retrieval import (DEFAULT_KEEP, DEFAULT_POOL, InvertedIndex,
@@ -223,10 +223,11 @@ def generate(pair: PunPair, resources: GenerationResources,
             raise ValueError(
                 "topic stage needs skip-gram, synset graph, and lexicon resources"
             )
-        try:
-            topics = resources.skipgram.predict_topics(pair.pun_word, config.topic_k)
-        except UnknownWordError:
-            topics = []
+        if pair.pun_word != UNK:  # the unknown-word symbol is no word of its own
+            try:
+                topics = resources.skipgram.predict_topics(pair.pun_word, config.topic_k)
+            except UnknownWordError:
+                pass
         if not topics:
             result.failure = NO_TOPIC_WORDS
             return result

@@ -33,6 +33,13 @@ each order is one dict from packed integer keys to values, and
 next, as KenLM's state does, so each walk starts at the longest context
 that can be stored.
 
+``logprob_pair`` scores two sequences that differ in one slot, as the
+surprisal measures do, in one shared walk: the prefix before the slot is
+walked once, the two sequences walk apart from the slot until their carried
+contexts agree (at most ``order - 1`` tokens past it), and the rest is
+walked once for both.  Each total adds its tokens' log-probabilities left
+to right, so both equal their own ``logprob_seq`` bit for bit.
+
 ``unigram_logprob`` is deliberately not the Kneser-Ney unigram: it is a plain
 relative-frequency estimate with add-one smoothing, used as the independence
 baseline when measuring how atypical a whole sentence is.
@@ -45,7 +52,7 @@ import math
 from functools import reduce
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,7 +104,8 @@ class NGramModel:
 
     ``tables`` holds one :data:`Tables` per order, lowest first, as
     :func:`train_lm` builds them and ``.pglm`` files store them; rows that
-    are not sorted and distinct raise ValueError.
+    are not sorted and distinct raise ValueError.  ``unigram_logprobs``
+    lists :meth:`unigram_logprob` by id; it is read, never written.
     """
 
     def __init__(self, order: int, vocab: Vocabulary,
@@ -128,10 +136,9 @@ class NGramModel:
         self._bos_keys = [1]  # the keys of 0, 1, ... order - 1 begin markers
         for _ in range(order - 1):
             self._bos_keys.append(self._bos_keys[-1] * self._radix + self.bos_id)
-        n = vocab.total_count
-        v = len(vocab)
-        self._uni_denom = math.log(n + v)
-        self._uni_counts = [vocab.count_of_id(i) for i in range(v)]
+        denom = math.log(vocab.total_count + len(vocab))
+        self.unigram_logprobs = [math.log(vocab.count_of_id(i) + 1) - denom
+                                 for i in range(len(vocab))]
 
     def _key_dtype(self) -> type:
         """uint64 while every key fits, else Python ints in object arrays."""
@@ -188,6 +195,31 @@ class NGramModel:
             p = weight * p
         return p, k + 1
 
+    def _check_ids(self, token_ids: Sequence[int]) -> None:
+        """Raise ValueError unless every id is a vocabulary id; the markers
+        are not."""
+        size = len(self.vocab)
+        for t in token_ids:
+            if not 0 <= t < size:
+                raise ValueError(f"token id {t} outside the vocabulary")
+
+    def _start(self, use_boundary_markers: bool) -> list[int]:
+        """The context keys a sequence's walk starts from."""
+        return self._bos_keys if use_boundary_markers else [1]
+
+    def _walk(self, ctx_keys: list[int], seq: Iterable[int]
+              ) -> Iterator[tuple[float, list[int]]]:
+        """ln p of each token of ``seq`` walked from ``ctx_keys``, with the
+        context keys that the next token's walk starts from."""
+        radix, longest = self._radix, self.order - 1
+        for w in seq:
+            gram_keys = [c * radix + w for c in ctx_keys]
+            p, stored = self._prob(ctx_keys, gram_keys)
+            # A context is stored only if it is a stored n-gram (or all begin
+            # markers), so the next walk starts at the longest one found here.
+            ctx_keys = [1] + gram_keys[:min(stored, longest)]
+            yield math.log(p), ctx_keys
+
     def logprob_seq(self, token_ids: Sequence[int], use_boundary_markers: bool) -> float:
         """Sum of ln p(x_i | preceding context) over the sequence.
 
@@ -195,30 +227,55 @@ class NGramModel:
         context and the end marker is scored; without markers the context is
         clipped at the sequence start and nothing is added at either end.
         """
-        size = len(self.vocab)
-        for t in token_ids:
-            if not 0 <= t < size:
-                raise ValueError(f"token id {t} outside the vocabulary")
-        radix, longest = self._radix, self.order - 1
+        self._check_ids(token_ids)
+        seq = map(int, token_ids)
         if use_boundary_markers:
-            ctx_keys, seq = self._bos_keys, chain(map(int, token_ids), (self.eos_id,))
-        else:
-            ctx_keys, seq = [1], map(int, token_ids)
+            seq = chain(seq, (self.eos_id,))
         total = 0.0
-        for w in seq:
-            gram_keys = [c * radix + w for c in ctx_keys]
-            p, stored = self._prob(ctx_keys, gram_keys)
-            total += math.log(p)
-            # A context is stored only if it is a stored n-gram (or all begin
-            # markers), so the next walk starts at the longest one found here.
-            ctx_keys = [1] + gram_keys[:min(stored, longest)]
+        for logp, _ in self._walk(self._start(use_boundary_markers), seq):
+            total += logp
         return total
+
+    def logprob_pair(self, token_ids: Sequence[int], position: int, alt_id: int,
+                     use_boundary_markers: bool) -> tuple[float, float]:
+        """``logprob_seq`` of the sequence with ``alt_id`` at ``position``
+        and of the sequence itself, in that order, each bit for bit.
+
+        The two sequences share one walk up to the slot, walk apart from it
+        until their carried contexts agree, and share one walk again from
+        there: each total still adds its tokens' log-probabilities left to
+        right, as ``logprob_seq`` does.
+        """
+        ids = list(map(int, token_ids))
+        if not 0 <= position < len(ids):
+            raise ValueError(f"position {position} outside a sequence of length {len(ids)}")
+        self._check_ids(ids + [alt_id])
+        tail = ids[position + 1:]
+        if use_boundary_markers:
+            tail.append(self.eos_id)
+        prefix, ctx_keys = 0.0, self._start(use_boundary_markers)
+        for logp, ctx_keys in self._walk(ctx_keys, ids[:position]):
+            prefix += logp
+        alt_walk = self._walk(ctx_keys, chain((int(alt_id),), tail))
+        pun_walk = self._walk(ctx_keys, chain((ids[position],), tail))
+        alt = pun = prefix
+        for (alt_logp, alt_ctx), (pun_logp, pun_ctx) in zip(alt_walk, pun_walk):
+            alt += alt_logp
+            pun += pun_logp
+            # A key packs a run and its length, so equal last keys mean
+            # equal contexts, and every later token has one probability.
+            if alt_ctx[-1] == pun_ctx[-1]:
+                break
+        for logp, _ in pun_walk:
+            alt += logp
+            pun += logp
+        return alt, pun
 
     def unigram_logprob(self, word_id: int) -> float:
         """Add-one smoothed relative-frequency log probability."""
         if not 0 <= word_id < len(self.vocab):
             raise ValueError(f"word id {word_id} outside the vocabulary")
-        return math.log(self._uni_counts[word_id] + 1) - self._uni_denom
+        return self.unigram_logprobs[word_id]
 
     # --- persistence -------------------------------------------------------
 

@@ -14,6 +14,14 @@ any degenerate case (negative surprisal, near-zero or non-finite global
 surprisal) yields the sentinel -1, and the gate never returns NaN or an
 infinity.
 
+A model here is anything with ``vocab.encode`` and ``logprob_seq(ids,
+use_boundary_markers)``, plus the per-id list ``unigram_logprobs`` for
+unusualness.  Each S needs the log-probabilities of two sequences that
+differ in the slot.  A model with ``logprob_pair(ids, position, alt_id,
+use_boundary_markers)``, as :class:`~punforge.ngram_lm.NGramModel` has,
+gives both from one walk that shares the tokens before and after the slot;
+any other model takes two ``logprob_seq`` calls, with the same floats.
+
 ``unusualness`` is a per-token log ratio between the model probability of
 the sentence and the product of add-one unigram probabilities: zero when the
 model sees no structure beyond word frequency, positive when the sentence is
@@ -80,10 +88,22 @@ def surprisal(model, left: Sequence[str], right: Sequence[str], pair: PunPair) -
     one contiguous sequence.
     """
     enc = model.vocab.encode
-    with_alt = enc(list(left) + [pair.alt_word] + list(right))
-    with_pun = enc(list(left) + [pair.pun_word] + list(right))
-    return (model.logprob_seq(with_alt, use_boundary_markers=False)
-            - model.logprob_seq(with_pun, use_boundary_markers=False))
+    ids = enc(list(left) + [pair.pun_word] + list(right))
+    alt, pun = _pair_logprobs(model, ids, len(left), enc([pair.alt_word])[0], False)
+    return alt - pun
+
+
+def _pair_logprobs(model, ids: list[int], position: int, alt_id: int,
+                   markers: bool) -> tuple[float, float]:
+    """(ln p of ``ids`` with ``alt_id`` at ``position``, ln p of ``ids``):
+    one shared walk through the model's ``logprob_pair`` when it has one,
+    else two ``logprob_seq`` calls, which give the same floats."""
+    logprob_pair = getattr(model, "logprob_pair", None)
+    if logprob_pair is not None:
+        return logprob_pair(ids, position, alt_id, markers)
+    with_alt = ids[:position] + [alt_id] + ids[position + 1:]
+    return (model.logprob_seq(with_alt, use_boundary_markers=markers),
+            model.logprob_seq(ids, use_boundary_markers=markers))
 
 
 def local_global(model, occ: PunOccurrence, pair: PunPair,
@@ -100,7 +120,10 @@ def local_global(model, occ: PunOccurrence, pair: PunPair,
 def _surprisals(model, occ: PunOccurrence, pair: PunPair,
                 window: int) -> tuple[float, float, list[int], float]:
     """s_local, s_global, the pun sentence's ids and their marker-padded
-    log-probability, which :func:`score_occurrence` reuses for unusualness."""
+    log-probability, which :func:`score_occurrence` reuses for unusualness.
+
+    The sentence is encoded once; the local window is a slice of its ids.
+    """
     check_window(window)
     if occ.tokens[occ.pun_position] != pair.pun_word:
         raise ValueError(
@@ -108,15 +131,13 @@ def _surprisals(model, occ: PunOccurrence, pair: PunPair,
             f"expected {pair.pun_word!r}"
         )
     p = occ.pun_position
-    s_local = surprisal(
-        model, occ.tokens[max(0, p - window):p], occ.tokens[p + 1:p + 1 + window], pair
-    )
     enc = model.vocab.encode
-    with_alt = enc(occ.tokens[:p] + [pair.alt_word] + occ.tokens[p + 1:])
-    with_pun = enc(occ.tokens)
-    joint = model.logprob_seq(with_pun, use_boundary_markers=True)
-    s_global = model.logprob_seq(with_alt, use_boundary_markers=True) - joint
-    return s_local, s_global, with_pun, joint
+    ids = enc(occ.tokens)
+    alt_id = enc([pair.alt_word])[0]
+    lo = max(0, p - window)
+    alt, pun = _pair_logprobs(model, ids[lo:p + 1 + window], p - lo, alt_id, False)
+    alt_joint, joint = _pair_logprobs(model, ids, p, alt_id, True)
+    return alt - pun, alt_joint - joint, ids, joint
 
 
 def s_ratio(s_local: float, s_global: float) -> float:
@@ -145,7 +166,7 @@ def unusualness(model, tokens: Sequence[str]) -> float:
 
 
 def _unusualness(model, ids: list[int], joint: float) -> float:
-    independent = sum(model.unigram_logprob(i) for i in ids)
+    independent = sum(map(model.unigram_logprobs.__getitem__, ids))
     return -(joint - independent) / len(ids)
 
 

@@ -614,6 +614,18 @@ class TestGenerate:
             assert "hair" not in cand["tokens"]
             assert cand["tokens"][cand["pun_position"]] == "hare"
 
+    def test_unknown_word_symbol_as_pun_is_no_topic_words(self, pipeline, miniwn_dir,
+                                                          tmp_path):
+        """``<unk>`` stands for no word, so it has no topics of its own."""
+        args = self._topic_args(pipeline, miniwn_dir)
+        metas = {}
+        for pun in ("<unk>", "zzzz"):
+            code, lines = _run(tmp_path, args[:-4] + ["--pun", pun, "--alt", "hair"])
+            meta = json.loads(lines[0])
+            assert (code, len(lines), meta["failure"]) == (0, 1, "NO_TOPIC_WORDS")
+            metas[pun] = json.dumps(meta).replace(pun, "PUN")
+        assert metas["<unk>"] == metas["zzzz"]
+
     def test_tiny_threshold_runs_unbounded(self, pipeline, miniwn_dir,
                                            tmp_path, capsys):
         code, lines = _run(tmp_path, self._topic_args(pipeline, miniwn_dir)

@@ -224,6 +224,11 @@ class TestGenerate:
         result = generate(PunPair("zzz", "base"), _resources())
         assert result.failure == NO_TOPIC_WORDS
 
+    def test_unknown_word_symbol_as_pun_is_no_topic_words(self):
+        # the skip-gram has a row for it, but it stands for no word
+        result = generate(PunPair("<unk>", "base"), _resources())
+        assert result.failure == NO_TOPIC_WORDS
+
     def test_all_seeds_skipped_is_no_candidates(self):
         sentences, vocab = ingest("a bass swam by the base .")
         resources = _resources()

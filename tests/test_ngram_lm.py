@@ -146,6 +146,108 @@ class TestAgainstCountTables:
                 ] == []
 
 
+@pytest.fixture(scope="module")
+def demo():
+    """(sentences, vocab, encoded sentences) of the demo corpus."""
+    sentences, vocab = ingest(build_demo_corpus())
+    return sentences, vocab, vocab.encode_sentences(sentences)
+
+
+def _pair_cases(model, sequences, rng):
+    """(ids, position, alt id) at every slot of every sequence; the alt id is
+    a random word, the unknown id or the slot's own id."""
+    size = len(model.vocab)
+    for ids in sequences:
+        for position in range(len(ids)):
+            yield ids, position, rng.choice([rng.randrange(size), 0, ids[position]])
+
+
+def _pair_mismatches(model, oracle, sequences, rng):
+    """The cases where ``logprob_pair`` differs from two ``logprob_seq``
+    calls of the model or of the oracle."""
+    bad = []
+    for ids, position, alt in _pair_cases(model, sequences, rng):
+        with_alt = ids[:position] + [alt] + ids[position + 1:]
+        for markers in (False, True):
+            got = model.logprob_pair(ids, position, alt, markers)
+            if (got != (model.logprob_seq(with_alt, markers), model.logprob_seq(ids, markers))
+                    or got != (oracle.logprob_seq(with_alt, markers),
+                               oracle.logprob_seq(ids, markers))):
+                bad.append((ids, position, alt, markers))
+    return bad
+
+
+def _random_sequences(rng, size, count):
+    """Sequences of 1 to 12 ids, about half of them the unknown id."""
+    return [[rng.choice([0, rng.randrange(size)]) for _ in range(rng.randrange(1, 13))]
+            for _ in range(count)]
+
+
+class TestLogprobPair:
+    """The shared walk of a pair of sequences against a walk of each, and
+    against the count recursion, compared with ``==``."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_equals_two_walks_on_demo_corpus(self, demo, order):
+        sentences, vocab, encoded = demo
+        model = train_lm(sentences, vocab, order=order)
+        oracle = CountTablesKN(encoded, len(vocab), order)
+        rng = random.Random(order)
+        sequences = encoded[::12] + _random_sequences(rng, len(vocab), 60)
+        assert _pair_mismatches(model, oracle, sequences, rng) == []
+
+    def test_equals_two_walks_with_wide_keys(self, wide, wide_lm):
+        sentences, vocab = wide
+        encoded = vocab.encode_sentences(sentences)
+        oracle = CountTablesKN(encoded, len(vocab), 6)
+        rng = random.Random(6)
+        sequences = encoded[::10] + _random_sequences(rng, len(vocab), 40)
+        assert _pair_mismatches(wide_lm, oracle, sequences, rng) == []
+
+    def test_short_sequences_and_slots_at_the_end(self, tiny_lm):
+        """Length 1, and slots whose walks end before they could rejoin."""
+        enc = tiny_lm.vocab.encode
+        for ids in (enc(["cat"]), [0], enc(["the", "cat"]), enc(["the", "old", "cat"])):
+            for position in range(len(ids)):
+                for alt in (0, ids[position], enc(["dog"])[0]):
+                    with_alt = ids[:position] + [alt] + ids[position + 1:]
+                    for markers in (False, True):
+                        assert tiny_lm.logprob_pair(ids, position, alt, markers) == (
+                            tiny_lm.logprob_seq(with_alt, markers),
+                            tiny_lm.logprob_seq(ids, markers))
+
+    def test_suffix_is_walked_once_after_rejoining(self, demo, monkeypatch):
+        sentences, vocab, encoded = demo
+        model = train_lm(sentences, vocab, order=3)
+        walks = 0
+        walk = model._prob
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return walk(*args)
+
+        monkeypatch.setattr(model, "_prob", counted)
+        ids = vocab.encode("the woman got a hair cut downtown .".split())
+        model.logprob_pair(ids, 4, vocab.id_of("hare"), True)
+        # the prefix once; the slot, "cut" and "downtown" (whose context
+        # still holds the slot) twice; "." and the end marker once
+        assert walks == 4 + 2 * 3 + 2
+
+    def test_rejects_ids_outside_the_vocabulary(self, tiny_lm):
+        ids = tiny_lm.vocab.encode(["the", "cat", "sat"])
+        for bad in (tiny_lm.bos_id, tiny_lm.eos_id, -1):
+            with pytest.raises(ValueError, match=f"token id {bad} outside the vocabulary"):
+                tiny_lm.logprob_pair(ids, 1, bad, True)
+            with pytest.raises(ValueError, match=f"token id {bad} outside the vocabulary"):
+                tiny_lm.logprob_pair([ids[0], bad, ids[2]], 0, ids[1], False)
+
+    @pytest.mark.parametrize("position", [-1, 3])
+    def test_rejects_a_slot_outside_the_sequence(self, tiny_lm, position):
+        with pytest.raises(ValueError, match="outside a sequence of length 3"):
+            tiny_lm.logprob_pair([1, 2, 3], position, 4, True)
+
+
 class TestQuerySemantics:
     def test_context_is_right_trimmed(self, tiny_lm):
         long_ctx = [3, 1, 2, 5, 1, 4]

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from punforge.corpus import ingest
+from punforge.demo_corpus import build_demo_corpus
 from punforge.ngram_lm import train_lm
 from punforge.surprisal import (RATIO_EPS, PunOccurrence, PunPair,
                                 local_global, s_ratio, score_occurrence,
@@ -24,6 +25,16 @@ def _manual_logprob(model, ids, markers):
     for i in range(start, len(seq)):
         total += math.log(model.prob(seq[i], seq[max(0, i - model.order + 1):i]))
     return total
+
+
+class _SeqOnly:
+    """A model without ``logprob_pair``: the surprisals take two walks.
+    ``unigram_logprobs`` is there for unusualness."""
+
+    def __init__(self, model):
+        self.vocab = model.vocab
+        self.logprob_seq = model.logprob_seq
+        self.unigram_logprobs = model.unigram_logprobs
 
 
 class TestPairAndOccurrence:
@@ -176,3 +187,33 @@ class TestScoreOccurrence:
         assert abs(report.s_global) < 1e-9
         assert report.degenerate
         assert report.s_ratio == -1.0
+
+
+@pytest.fixture(scope="module")
+def demo_lm():
+    sentences, vocab = ingest(build_demo_corpus())
+    return sentences, train_lm(sentences, vocab)
+
+
+class TestModelWithoutPairWalk:
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_two_walks_equal_the_shared_walk(self, demo_lm, window):
+        sentences, model = demo_lm
+        plain = _SeqOnly(model)
+        size = len(model.vocab)
+        mismatches = []
+        for k, sentence in enumerate(sentences[::15]):
+            tokens = sentence.surfaces()
+            for p, word in enumerate(tokens):
+                alt = "zzzz" if p == 2 else model.vocab.word_of(1 + (31 * k + p) % (size - 1))
+                if alt == word:
+                    continue
+                pair, occ = PunPair(word, alt), PunOccurrence(tokens, p)
+                left, right = tokens[max(0, p - window):p], tokens[p + 1:p + 1 + window]
+                if (surprisal(model, left, right, pair) != surprisal(plain, left, right, pair)
+                        or local_global(model, occ, pair, window)
+                        != local_global(plain, occ, pair, window)
+                        or score_occurrence(model, occ, pair, window)
+                        != score_occurrence(plain, occ, pair, window)):
+                    mismatches.append((tokens, p, pair))
+        assert mismatches == []
