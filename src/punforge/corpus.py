@@ -152,9 +152,6 @@ class Vocabulary:
     def word_of(self, idx: int) -> str:
         return self._words[idx]
 
-    def count_of(self, word: str) -> int:
-        return self._counts[self.id_of(word)]
-
     def count_of_id(self, idx: int) -> int:
         return self._counts[idx]
 

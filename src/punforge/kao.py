@@ -90,9 +90,10 @@ def distinctiveness_of(f_pun: Sequence[float], f_alt: Sequence[float]) -> float:
     """Sum of symmetrized Bernoulli KL divergences over content words."""
     if len(f_pun) != len(f_alt):
         raise ValueError("assignment posteriors must have equal length")
-    return sum(
-        _bernoulli_kl(a, b) + _bernoulli_kl(b, a) for a, b in zip(f_pun, f_alt)
-    )
+    total = 0  # as sum() starts: no content words give the int 0
+    for a, b in zip(f_pun, f_alt):  # left to right; sum() is compensated from 3.12
+        total += _bernoulli_kl(a, b) + _bernoulli_kl(b, a)
+    return total
 
 
 def check_pair_words(pair: PunPair, vocab: Vocabulary) -> None:

@@ -27,11 +27,12 @@ from its longest context down: a stored n-gram returns its value, a stored
 context on the way multiplies in its weight, innermost first, so the floats
 equal the recursion's bit for bit.  A file keeps each order as sorted,
 distinct rows of token ids with their values, so loading builds no table
-from counts; the row order is checked on the packed keys.  In memory
-each order is one dict from packed integer keys to values, and
-``logprob_seq`` carries the longest stored n-gram from one token to the
-next, as KenLM's state does, so each walk starts at the longest context
-that can be stored.
+from counts; the row order is checked on the packed keys.  Queries read
+one dict per order from packed keys to values.  A trained model builds
+them on its first query and saves its rows; a loaded one builds them at
+load, keeps only them and is not saved again.  ``logprob_seq`` carries
+the longest stored n-gram from one token to the next, as KenLM's state
+does, so each walk starts at the longest context that can be stored.
 
 ``logprob_pair`` scores two sequences that differ in one slot, as the
 surprisal measures do, in one shared walk: the prefix before the slot is
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -104,8 +105,9 @@ class NGramModel:
 
     ``tables`` holds one :data:`Tables` per order, lowest first, as
     :func:`train_lm` builds them and ``.pglm`` files store them; rows that
-    are not sorted and distinct raise ValueError.  ``unigram_logprobs``
-    lists :meth:`unigram_logprob` by id; it is read, never written.
+    are not sorted and distinct raise ValueError; :meth:`save` writes them.
+    ``unigram_logprobs`` lists :meth:`unigram_logprob` by id; it is read,
+    never written.
     """
 
     def __init__(self, order: int, vocab: Vocabulary,
@@ -119,20 +121,18 @@ class NGramModel:
         self.n_events = len(vocab) + 1  # vocabulary plus the end marker
         self.discounts = [tuple(d) for d in discounts]
         self._uniform = 1.0 / self.n_events
-        # One dict per order: context key -> backoff weight and n-gram key ->
-        # probability, in file order.  A run of ids packs as base-``radix``
-        # digits after a leading 1, so runs of different lengths never share
-        # a key and a query extends a key by one id with one multiply-add.
-        # Every context key is below every n-gram key of its order, so the
-        # rows are sorted and distinct exactly when the keys increase.
+        # A run of ids packs as base-``radix`` digits after a leading 1, so
+        # runs of different lengths never share a key and a query extends a
+        # key by one id with one multiply-add.  Every context key is below
+        # every n-gram key of its order, so the rows are sorted and distinct
+        # exactly when the keys increase; the query dicts reuse these keys.
         self._radix = self.eos_id + 1
-        self._tables: list[dict[int, float]] = []
-        for k, (ctx_rows, backoff, gram_rows, probs) in enumerate(tables, start=1):
-            keys = np.concatenate([self._pack(ctx_rows), self._pack(gram_rows)])
+        self._rows: Sequence[Tables] | None = tables
+        self._keys = [np.concatenate([self._pack(ctx_rows), self._pack(gram_rows)])
+                      for ctx_rows, _, gram_rows, _ in tables]
+        for k, keys in enumerate(self._keys, start=1):
             if not (keys[1:] > keys[:-1]).all():
                 raise ValueError(f"order {k}: rows unsorted or repeated")
-            self._tables.append(dict(zip(keys.tolist(),
-                                         chain(backoff.tolist(), probs.tolist()))))
         self._bos_keys = [1]  # the keys of 0, 1, ... order - 1 begin markers
         for _ in range(order - 1):
             self._bos_keys.append(self._bos_keys[-1] * self._radix + self.bos_id)
@@ -140,26 +140,23 @@ class NGramModel:
         self.unigram_logprobs = [math.log(vocab.count_of_id(i) + 1) - denom
                                  for i in range(len(vocab))]
 
-    def _key_dtype(self) -> type:
-        """uint64 while every key fits, else Python ints in object arrays."""
-        return np.uint64 if self._radix ** self.order < 2 ** 63 else object
+    @cached_property
+    def _tables(self) -> list[dict[int, float]]:
+        """Per order, a dict from context keys to backoff weights and n-gram
+        keys to probabilities; it uses up the checked keys order by order."""
+        keys = self.__dict__.pop("_keys")
+        return [dict(zip(keys.pop(0).tolist(), chain(backoff.tolist(), probs.tolist())))
+                for _, backoff, _, probs in self._rows]
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
         """The keys of rows of ids (see ``__init__``); while every id is below
-        the radix, the keys are in the rows' lexicographic order."""
-        dtype = self._key_dtype()
+        the radix, the keys are in the rows' lexicographic order.  They are
+        uint64 while every key fits, else Python ints in object arrays."""
+        dtype = np.uint64 if self._radix ** self.order < 2 ** 63 else object
         keys = np.ones(len(rows), dtype=dtype)
         for column in rows.T:
             keys = keys * self._radix + column.astype(dtype)
         return keys
-
-    def _unpack(self, keys: np.ndarray, width: int) -> np.ndarray:
-        """The rows of ids that ``width``-id keys pack."""
-        rows = np.empty((len(keys), width), dtype=np.uint32)
-        for j in range(width - 1, -1, -1):  # np.divmod has no object loop
-            rows[:, j] = keys % self._radix
-            keys = keys // self._radix
-        return rows
 
     def prob(self, word_id: int, context: Sequence[int]) -> float:
         """p(word | context); context may be any length and is right-trimmed."""
@@ -180,9 +177,10 @@ class NGramModel:
         ends in w.  The arguments are the keys of ctx's suffixes and of the
         n-grams that extend them by w, shortest first; the walk starts at the
         longest of them."""
-        weights = []
+        # read once: a cached property reads slower than a plain attribute
+        weights, tables = [], self._tables
         for k in range(len(gram_keys) - 1, -1, -1):
-            table = self._tables[k]
+            table = tables[k]
             p = table.get(gram_keys[k])
             if p is not None:
                 break
@@ -280,20 +278,18 @@ class NGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the order, its discounts and the vocabulary, then each
-        order's :data:`Tables` as four array blocks, lowest order first."""
+        """Write the order, its discounts and the vocabulary, then each order's
+        :data:`Tables` as four array blocks, lowest first; a loaded model has none."""
+        if self._rows is None:
+            raise ValueError("a loaded language model is not saved again")
         with binio.replace_file(path) as fh:
             fh.write(LM_MAGIC)
             binio.pack(fh, "<B", self.order)
             binio.pack(fh, f"<{3 * self.order}d", *chain.from_iterable(self.discounts))
             write_vocab(fh, self.vocab)
-            for k, table in enumerate(self._tables, start=1):
-                keys = np.fromiter(table, self._key_dtype(), len(table))
-                values = np.fromiter(table.values(), np.float64, len(table))
-                is_gram = keys >= self._radix ** k
-                for width, rows in ((k - 1, ~is_gram), (k, is_gram)):  # contexts first
-                    binio.write_array(fh, self._unpack(keys[rows], width), "<u4")
-                    binio.write_array(fh, values[rows], "<f8")
+            for table in self._rows:  # contexts, weights, n-grams, probabilities
+                for array, dtype in zip(table, ("<u4", "<f8", "<u4", "<f8")):
+                    binio.write_array(fh, array, dtype)
 
     @classmethod
     def load(cls, path: str | Path,
@@ -323,9 +319,12 @@ class NGramModel:
             if problem:
                 raise FormatError(f"corrupt language model {fh.name}: {problem}")
         try:  # every id is below the radix, so the keys show the row order
-            return cls(order, vocab, discounts, tables)
+            model = cls(order, vocab, discounts, tables)
         except ValueError as exc:
             raise FormatError(f"corrupt language model {fh.name}: {exc}") from None
+        model._tables  # build the query dicts now, and keep no arrays beside them
+        model._rows = None
+        return model
 
 
 def _table_problem(discounts: Sequence[tuple[float, float, float]],

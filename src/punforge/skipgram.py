@@ -55,6 +55,10 @@ log = logging.getLogger(__name__)
 SKIPGRAM_MAGIC = b"PGS2"
 # The fields of SkipGramConfig in order: five u32, then f64 step_size, u64 seed.
 _HEADER = "<5IdQ"
+# An epoch walks every band pair once, and training runs 15 by default.  A
+# thousand take about 13 minutes on the walkthrough's 31,344 pairs at dim 40
+# (2-vCPU VM), where the header's u32 limit would run for about a century.
+MAX_EPOCHS = 1_000
 
 
 @dataclass
@@ -70,10 +74,11 @@ class SkipGramConfig:
     def __post_init__(self) -> None:
         check_band(self.d1, self.d2)
         # what the file header holds: the counts as u32, the seed as u64
-        for name, low in (("dim", 1), ("d1", 1), ("d2", 1), ("epochs", 0),
-                          ("negatives", 1)):
-            if not low <= (value := getattr(self, name)) <= 2**32 - 1:
-                raise ValueError(f"{name} must be in [{low}, {2**32 - 1}], got {value}")
+        for name, low, high in (("dim", 1, 2**32 - 1), ("d1", 1, 2**32 - 1),
+                                ("d2", 1, 2**32 - 1), ("epochs", 0, MAX_EPOCHS),
+                                ("negatives", 1, 2**32 - 1)):
+            if not low <= (value := getattr(self, name)) <= high:
+                raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
         if not self.step_size > 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not 0 <= self.seed < 2**64:

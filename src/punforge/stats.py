@@ -107,16 +107,6 @@ class RatingsTable:
                 raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
         return cls(records)
 
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item_id", "rater_id", "score"])
-            for r in self.records:
-                writer.writerow([
-                    r.item_id, r.rater_id,
-                    MISSING if r.score is None else repr(r.score),
-                ])
-
 
 def zscore_raters(table: RatingsTable) -> RatingsTable:
     """Standardize scores within each rater; constant raters are dropped."""

@@ -166,7 +166,9 @@ def unusualness(model, tokens: Sequence[str]) -> float:
 
 
 def _unusualness(model, ids: list[int], joint: float) -> float:
-    independent = sum(map(model.unigram_logprobs.__getitem__, ids))
+    independent = 0.0
+    for i in ids:  # left to right; sum() is compensated from Python 3.12
+        independent += model.unigram_logprobs[i]
     return -(joint - independent) / len(ids)
 
 

@@ -21,7 +21,7 @@ from punforge.cli import RunConfig, UsageError, resolve_config
 from punforge.corpus import Vocabulary, check_min_count, ingest
 from punforge.generator import GenerationConfig
 from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
-from punforge.skipgram import SkipGramConfig, SkipGramModel
+from punforge.skipgram import MAX_EPOCHS, SkipGramConfig, SkipGramModel
 
 
 def _run(tmp_path, argv):
@@ -142,6 +142,7 @@ class TestLibraryOwnsRules:
         (SkipGramConfig, {"dim": 2**32}), (SkipGramConfig, {"d2": 2**32}),
         (SkipGramConfig, {"d1": 2**32, "d2": 2**32}),
         (SkipGramConfig, {"epochs": 2**32}), (SkipGramConfig, {"negatives": 2**32}),
+        (SkipGramConfig, {"epochs": MAX_EPOCHS + 1}),
         (SkipGramConfig, {"seed": -1}), (SkipGramConfig, {"seed": 2**64}),
         (GenerationConfig, {"pool": sys.maxsize + 1}),
         (GenerationConfig, {"keep": sys.maxsize + 1}),
@@ -163,7 +164,7 @@ class TestLibraryOwnsRules:
 
     def test_largest_values_the_formats_hold_are_accepted(self):
         top = 2**32 - 1
-        SkipGramConfig(dim=top, d1=top, d2=top, epochs=top, negatives=top,
+        SkipGramConfig(dim=top, d1=top, d2=top, epochs=MAX_EPOCHS, negatives=top,
                        seed=2**64 - 1)
         SkipGramConfig(seed=0)
         GenerationConfig(pool=sys.maxsize, keep=sys.maxsize,
@@ -285,6 +286,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert flag.lstrip("-") in err
+        assert not out.exists()
+
+    def test_train_skipgram_epochs_beyond_maximum_is_usage(self, pipeline, tmp_path,
+                                                           capsys):
+        out = tmp_path / "x.pgsg"
+        code = cli.main(["train-skipgram", "--corpus", str(pipeline["corpus"]),
+                         "--out", str(out), "--dim", "4",
+                         "--epochs", str(MAX_EPOCHS + 1)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"epochs must be in [0, {MAX_EPOCHS}]" in err
         assert not out.exists()
 
     def test_generate_count_beyond_maxsize_is_usage(self, pipeline, tmp_path,

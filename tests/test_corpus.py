@@ -157,8 +157,8 @@ class TestIngest:
             ["the", "cat", "sat", "."], ["the", "cat", "ran", "."],
         ]
         assert [s.sent_id for s in sentences] == [0, 1]
-        assert vocab.count_of("the") == 2
-        assert vocab.count_of(".") == 2
+        assert vocab.count_of_id(vocab.id_of("the")) == 2
+        assert vocab.count_of_id(vocab.id_of(".")) == 2
 
     def test_min_count_applies(self):
         sentences, vocab = ingest("a a a b", min_count=2)

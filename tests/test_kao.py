@@ -77,6 +77,15 @@ class TestScalarMeasures:
         )
         assert distinctiveness_of(a, b) == pytest.approx(expected, abs=1e-12)
 
+    def test_distinctiveness_adds_left_to_right(self):
+        """One large term, then a hundred below half its last-place step:
+        left to right they vanish, compensated (Python 3.12's sum) not."""
+        a, b = [1.0 - 1e-9] + [0.5] * 100, [1e-9] + [0.5 + 1e-8] * 100
+        big = distinctiveness_of(a[:1], b[:1])
+        small = distinctiveness_of(a[1:2], b[1:2])
+        assert distinctiveness_of(a, b) == big
+        assert math.fsum([big] + [small] * 100) != big
+
     def test_distinctiveness_clamps_extreme_parameters(self):
         value = distinctiveness_of([0.0, 1.0], [1.0, 0.0])
         assert math.isfinite(value)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import CountTablesKN, ReferenceKN
+from test_binio import assert_file_holds_tables
 from punforge.corpus import ingest
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError, ResourceError, TrainingError
@@ -133,8 +134,7 @@ class TestAgainstCountTables:
             for ctx in list(level)[::25]:
                 for w in list(level[ctx][0]) + sampled:  # stored words first
                     assert model.prob(w, ctx) == loaded.prob(w, ctx) == oracle.prob(w, ctx)
-        loaded.save(tmp_path / "again.pglm")
-        assert (tmp_path / "again.pglm").read_bytes() == path.read_bytes()
+        assert_file_holds_tables(path, model)
 
     def test_logprob_seq_equals_recursion_on_demo_corpus(self):
         sentences, vocab = ingest(build_demo_corpus())
@@ -343,6 +343,31 @@ class TestPersistence:
         path = tmp_path / "demo.pglm"
         train_lm(sentences, vocab, order=order).save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+    def test_save_builds_no_query_dicts(self, tmp_path):
+        sentences, vocab = ingest(RANDOM_TEXT)
+        model = train_lm(sentences, vocab, order=3)
+        model.save(tmp_path / "m.pglm")
+        assert "_tables" not in vars(model)
+
+    def test_save_gives_the_same_bytes_before_and_after_a_query(self, tmp_path):
+        sentences, vocab = ingest(RANDOM_TEXT)
+        model = train_lm(sentences, vocab, order=3)
+        before, after = tmp_path / "before.pglm", tmp_path / "after.pglm"
+        model.save(before)
+        model.logprob_seq(vocab.encode_sentences(sentences)[0], True)
+        assert "_tables" in vars(model)
+        model.save(after)
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_loaded_model_is_not_saved_again(self, tiny_lm, tmp_path):
+        path, again = tmp_path / "m.pglm", tmp_path / "again.pglm"
+        tiny_lm.save(path)
+        loaded = NGramModel.load(path)
+        assert "_tables" in vars(loaded) and "_keys" not in vars(loaded)
+        with pytest.raises(ValueError, match="^a loaded language model is not saved"):
+            loaded.save(again)
+        assert not again.exists()
 
     def test_save_is_deterministic(self, tiny_lm, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

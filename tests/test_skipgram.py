@@ -10,8 +10,9 @@ from oracles import (reference_predict_topics, reference_relatedness,
 from punforge.corpus import Vocabulary, ingest
 from punforge.errors import (FormatError, ResourceError, TrainingError,
                              UnknownWordError)
-from punforge.skipgram import (SkipGramConfig, SkipGramModel, extract_pairs,
-                               step_grads, step_loss_grads, train_skipgram)
+from punforge.skipgram import (MAX_EPOCHS, SkipGramConfig, SkipGramModel,
+                               extract_pairs, step_grads, step_loss_grads,
+                               train_skipgram)
 
 
 def _vocab(words):
@@ -508,6 +509,16 @@ class TestPersistence:
         path.write_bytes(blob[:offset] + zero + blob[offset + len(zero):])
         with pytest.raises(FormatError, match="header"):
             SkipGramModel.load(path)
+
+    def test_epochs_above_the_maximum_is_format_error(self, model, tmp_path):
+        path = tmp_path / "m.pgsg"
+        model.save(path)
+        blob = path.read_bytes()  # epochs is the fourth u32 after the magic
+        path.write_bytes(blob[:16] + struct.pack("<I", MAX_EPOCHS + 1) + blob[20:])
+        with pytest.raises(FormatError) as exc:
+            SkipGramModel.load(path)
+        assert str(exc.value) == (f"bad skip-gram header in {path}: epochs must be "
+                                  f"in [0, {MAX_EPOCHS}], got {MAX_EPOCHS + 1}")
 
     @pytest.mark.parametrize("table", ["vec_in", "vec_out"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

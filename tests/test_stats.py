@@ -18,13 +18,13 @@ def _table(rows):
 
 
 class TestRatingsTable:
-    def test_csv_round_trip_with_missing_values(self, tmp_path):
-        table = _table([("i1", "r1", 4.0), ("i2", "r1", None),
-                        ("i1", "r2", 3.5)])
+    def test_csv_with_missing_values(self, tmp_path):
         path = tmp_path / "r.csv"
-        table.save_csv(path)
-        loaded = RatingsTable.load_csv(path)
-        assert loaded.records == table.records
+        path.write_text("item_id,rater_id,score\ni1,r1,4.0\ni2,r1,NA\n"
+                        "i3,r1,\ni1,r2,3.5\n", encoding="utf-8")
+        assert RatingsTable.load_csv(path).records == [
+            Rating("i1", "r1", 4.0), Rating("i2", "r1", None),
+            Rating("i3", "r1", None), Rating("i1", "r2", 3.5)]
 
     def test_raters_and_items_preserve_first_seen_order(self):
         table = _table([("b", "y", 1.0), ("a", "x", 2.0), ("b", "x", 3.0)])

@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,6 +162,19 @@ class TestUnusualness:
     def test_empty_sentence_rejected(self, tiny_lm):
         with pytest.raises(ValueError):
             unusualness(tiny_lm, [])
+
+    def test_baseline_adds_left_to_right(self):
+        """Unigram terms 1, 1e100, 1, -1e100 add to 0.0 left to right and
+        to 2.0 compensated, as sum() adds floats from Python 3.12."""
+        class Stub:
+            vocab = SimpleNamespace(encode=lambda tokens: list(map(int, tokens)))
+            unigram_logprobs = [1.0, 1e100, -1e100]
+
+            def logprob_seq(self, ids, use_boundary_markers):
+                return 0.0
+
+        assert math.fsum([1.0, 1e100, 1.0, -1e100]) == 2.0
+        assert unusualness(Stub(), ["0", "1", "0", "2"]) == 0.0
 
 
 class TestScoreOccurrence:
