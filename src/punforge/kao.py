@@ -14,8 +14,8 @@ Bernoulli in closed form; no enumeration over assignments is needed.
 
 Ambiguity is the entropy (nats) of the meaning posterior, in [0, ln 2].
 Distinctiveness sums, over content words, the symmetrized KL divergence
-between the two assignment posteriors; Bernoulli parameters are clamped away
-from 0 and 1 before the divergence.
+between the two assignment posteriors, each parameter clamped away from 0
+and 1 once; ``meaning_report`` adds them left to right as it computes them.
 
 Content words are all tokens except punctuation, the pun slot itself, and a
 fixed 50-word function-word list.
@@ -49,7 +49,8 @@ STOPWORDS = frozenset(
 
 
 def is_punctuation(surface: str) -> bool:
-    return not any(ch.isalnum() for ch in surface)
+    # a whole-word isalnum() settles most words without the character scan
+    return not (surface.isalnum() or any(ch.isalnum() for ch in surface))
 
 
 def content_positions(tokens: Sequence[str], pun_position: int) -> list[int]:
@@ -71,10 +72,12 @@ class MeaningReport:
     f_alt: list[float]
 
 
-def _bernoulli_kl(a: float, b: float) -> float:
+def _symmetric_kl(a: float, b: float) -> float:
+    """KL(a || b) + KL(b || a) of two Bernoulli parameters, each clamped once."""
     a = min(max(a, BERNOULLI_EPS), 1.0 - BERNOULLI_EPS)
     b = min(max(b, BERNOULLI_EPS), 1.0 - BERNOULLI_EPS)
-    return a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    return (a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+            + (b * math.log(b / a) + (1.0 - b) * math.log((1.0 - b) / (1.0 - a))))
 
 
 def ambiguity_of(posterior_pun: float) -> float:
@@ -90,9 +93,9 @@ def distinctiveness_of(f_pun: Sequence[float], f_alt: Sequence[float]) -> float:
     """Sum of symmetrized Bernoulli KL divergences over content words."""
     if len(f_pun) != len(f_alt):
         raise ValueError("assignment posteriors must have equal length")
-    total = 0  # as sum() starts: no content words give the int 0
+    total = 0.0
     for a, b in zip(f_pun, f_alt):  # left to right; sum() is compensated from 3.12
-        total += _bernoulli_kl(a, b) + _bernoulli_kl(b, a)
+        total += _symmetric_kl(a, b)
     return total
 
 
@@ -125,6 +128,7 @@ def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
     ids = [vocab.id_of(tokens[i]) for i in positions]
     log_like_pun = math.log(PRIOR_PUN)
     log_like_alt = math.log(1.0 - PRIOR_PUN)
+    distinctiveness = 0.0
     f_pun: list[float] = []
     f_alt: list[float] = []
     # one gather per table; Python floats round as numpy scalars do
@@ -137,6 +141,7 @@ def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
         log_like_alt += math.log(m_alt)
         f_pun.append(MIXTURE_WEIGHT * r_pun / m_pun)
         f_alt.append(MIXTURE_WEIGHT * r_alt / m_alt)
+        distinctiveness += _symmetric_kl(f_pun[-1], f_alt[-1])  # as distinctiveness_of
 
     # normalize the two-point posterior in log space
     top = max(log_like_pun, log_like_alt)
@@ -147,7 +152,7 @@ def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
     return MeaningReport(
         posterior_pun=posterior_pun,
         ambiguity=ambiguity_of(posterior_pun),
-        distinctiveness=distinctiveness_of(f_pun, f_alt),
+        distinctiveness=distinctiveness,
         content_positions=positions,
         f_pun=f_pun,
         f_alt=f_alt,

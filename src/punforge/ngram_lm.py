@@ -170,28 +170,7 @@ class NGramModel:
         radix = self._radix
         ctx_keys = [reduce(lambda key, t: key * radix + int(t), ctx[i:], 1)
                     for i in range(len(ctx), -1, -1)]
-        return self._prob(ctx_keys, [c * radix + int(word_id) for c in ctx_keys])[0]
-
-    def _prob(self, ctx_keys: list[int], gram_keys: list[int]) -> tuple[float, int]:
-        """p(w | ctx), and how many ids end the longest stored n-gram that
-        ends in w.  The arguments are the keys of ctx's suffixes and of the
-        n-grams that extend them by w, shortest first; the walk starts at the
-        longest of them."""
-        # read once: a cached property reads slower than a plain attribute
-        weights, tables = [], self._tables
-        for k in range(len(gram_keys) - 1, -1, -1):
-            table = tables[k]
-            p = table.get(gram_keys[k])
-            if p is not None:
-                break
-            weight = table.get(ctx_keys[k])
-            if weight is not None:
-                weights.append(weight)
-        else:
-            p, k = self._uniform, -1
-        for weight in reversed(weights):  # innermost first, as the recursion nests
-            p = weight * p
-        return p, k + 1
+        return next(self._walk(ctx_keys, (int(word_id),)))[0]
 
     def _check_ids(self, token_ids: Sequence[int]) -> None:
         """Raise ValueError unless every id is a vocabulary id; the markers
@@ -207,16 +186,29 @@ class NGramModel:
 
     def _walk(self, ctx_keys: list[int], seq: Iterable[int]
               ) -> Iterator[tuple[float, list[int]]]:
-        """ln p of each token of ``seq`` walked from ``ctx_keys``, with the
-        context keys that the next token's walk starts from."""
-        radix, longest = self._radix, self.order - 1
+        """p, not ln p, of each token of ``seq`` walked from ``ctx_keys`` (its
+        suffixes' keys, shortest first), with the next token's ``ctx_keys``."""
+        # read once: a cached property reads slower than a plain attribute
+        radix, longest, tables = self._radix, self.order - 1, self._tables
         for w in seq:
             gram_keys = [c * radix + w for c in ctx_keys]
-            p, stored = self._prob(ctx_keys, gram_keys)
+            weights = []
+            for k in range(len(gram_keys) - 1, -1, -1):  # longest first
+                table = tables[k]
+                p = table.get(gram_keys[k])
+                if p is not None:
+                    break
+                weight = table.get(ctx_keys[k])
+                if weight is not None:
+                    weights.append(weight)
+            else:
+                p, k = self._uniform, -1
+            for weight in reversed(weights):  # innermost first, as the recursion nests
+                p = weight * p
             # A context is stored only if it is a stored n-gram (or all begin
             # markers), so the next walk starts at the longest one found here.
-            ctx_keys = [1] + gram_keys[:min(stored, longest)]
-            yield math.log(p), ctx_keys
+            ctx_keys = [1] + gram_keys[:min(k + 1, longest)]
+            yield p, ctx_keys
 
     def logprob_seq(self, token_ids: Sequence[int], use_boundary_markers: bool) -> float:
         """Sum of ln p(x_i | preceding context) over the sequence.
@@ -230,8 +222,8 @@ class NGramModel:
         if use_boundary_markers:
             seq = chain(seq, (self.eos_id,))
         total = 0.0
-        for logp, _ in self._walk(self._start(use_boundary_markers), seq):
-            total += logp
+        for p, _ in self._walk(self._start(use_boundary_markers), seq):
+            total += math.log(p)
         return total
 
     def logprob_pair(self, token_ids: Sequence[int], position: int, alt_id: int,
@@ -252,19 +244,20 @@ class NGramModel:
         if use_boundary_markers:
             tail.append(self.eos_id)
         prefix, ctx_keys = 0.0, self._start(use_boundary_markers)
-        for logp, ctx_keys in self._walk(ctx_keys, ids[:position]):
-            prefix += logp
+        for p, ctx_keys in self._walk(ctx_keys, ids[:position]):
+            prefix += math.log(p)
         alt_walk = self._walk(ctx_keys, chain((int(alt_id),), tail))
         pun_walk = self._walk(ctx_keys, chain((ids[position],), tail))
         alt = pun = prefix
-        for (alt_logp, alt_ctx), (pun_logp, pun_ctx) in zip(alt_walk, pun_walk):
-            alt += alt_logp
-            pun += pun_logp
+        for (alt_p, alt_ctx), (pun_p, pun_ctx) in zip(alt_walk, pun_walk):
+            alt += math.log(alt_p)
+            pun += math.log(pun_p)
             # A key packs a run and its length, so equal last keys mean
             # equal contexts, and every later token has one probability.
             if alt_ctx[-1] == pun_ctx[-1]:
                 break
-        for logp, _ in pun_walk:
+        for p, _ in pun_walk:
+            logp = math.log(p)
             alt += logp
             pun += logp
         return alt, pun

@@ -500,3 +500,44 @@ def reference_bernoulli_kl(a, b, eps=1e-9):
     a = min(max(a, eps), 1.0 - eps)
     b = min(max(b, eps), 1.0 - eps)
     return (a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b)))
+
+
+def reference_meaning_report(tokens, pun_position, pun_id, alt_id, id_of,
+                             unigram_probs, relatedness, stopwords,
+                             prior_pun=0.5, mixture=0.5):
+    """The two-pass meaning layer, kept as the bit-exact reference.
+
+    Content words by a character scan; the posteriors in one loop over the
+    gathered tables; then distinctiveness in a second pass, one clamped
+    Bernoulli KL call per direction, added left to right.  Returns
+    (posterior_pun, ambiguity, distinctiveness, positions, f_pun, f_alt).
+    """
+    positions = [i for i, tok in enumerate(tokens)
+                 if i != pun_position and any(ch.isalnum() for ch in tok)
+                 and tok not in stopwords]
+    ids = [id_of(tokens[i]) for i in positions]
+    rel_pun, rel_alt = relatedness(pun_id), relatedness(alt_id)
+    log_like_pun = math.log(prior_pun)
+    log_like_alt = math.log(1.0 - prior_pun)
+    f_pun, f_alt = [], []
+    for uni, r_pun, r_alt in zip(unigram_probs[ids].tolist(),
+                                 rel_pun[ids].tolist(), rel_alt[ids].tolist()):
+        base = (1.0 - mixture) * uni
+        m_pun = base + mixture * r_pun
+        m_alt = base + mixture * r_alt
+        log_like_pun += math.log(m_pun)
+        log_like_alt += math.log(m_alt)
+        f_pun.append(mixture * r_pun / m_pun)
+        f_alt.append(mixture * r_alt / m_alt)
+    top = max(log_like_pun, log_like_alt)
+    w_pun = math.exp(log_like_pun - top)
+    w_alt = math.exp(log_like_alt - top)
+    posterior = w_pun / (w_pun + w_alt)
+    ambiguity = 0.0
+    for p in (posterior, 1.0 - posterior):
+        if p > 0.0:
+            ambiguity -= p * math.log(p)
+    distinctiveness = 0.0
+    for a, b in zip(f_pun, f_alt):
+        distinctiveness += reference_bernoulli_kl(a, b) + reference_bernoulli_kl(b, a)
+    return posterior, ambiguity, distinctiveness, positions, f_pun, f_alt

@@ -490,6 +490,32 @@ class TestScore:
         assert 0.0 <= rec["ambiguity"] <= 0.6931471805599454
         assert rec["distinctiveness"] >= 0.0
 
+    def test_no_content_words_print_a_float_distinctiveness(self, pipeline, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"id": 1, "tokens": ["hare", "."],
+                                   "pun_word": "hare", "alt_word": "hair"}) + "\n")
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--skipgram", str(pipeline["skipgram"]),
+                                      "--input", str(src)])
+        assert code == 0
+        assert '"distinctiveness": 0.0,' in lines[0]
+
+    def test_readme_walkthrough_lm_fields(self, pipeline, tmp_path):
+        """The surprisal fields of the README walkthrough's score line.  They
+        depend only on the .pglm bytes and left-to-right sums; the skip-gram
+        fields also depend on the CPU's numpy dispatch, so they are not pinned."""
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({
+            "id": 1, "sentence": "The greyhound got a hare cut downtown.",
+            "pun_word": "hare", "alt_word": "hair"}) + "\n")
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--input", str(src)])
+        assert code == 0
+        assert json.loads(lines[0]) == {
+            "degenerate": False, "id": 1,
+            "s_global": 5.511363764777904, "s_local": 13.78491679434577,
+            "s_ratio": 2.501180720902982, "unusualness": -1.3441139660425014}
+
     def test_explicit_position_overrides_search(self, pipeline, tmp_path):
         tokens = ["a", "hare", "saw", "a", "hare", "."]
         src = tmp_path / "in.jsonl"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_bernoulli_kl, reference_meaning
+from oracles import (reference_bernoulli_kl, reference_meaning,
+                     reference_meaning_report)
 from punforge.corpus import Vocabulary
 from punforge.errors import UnknownWordError
 from punforge.kao import (STOPWORDS, ambiguity_of, content_positions,
@@ -37,6 +38,13 @@ class TestContentWords:
         assert not is_punctuation("a")
         assert not is_punctuation("3")
         assert not is_punctuation("o'clock")
+        assert is_punctuation("")
+        assert not is_punctuation("é")
+        assert not is_punctuation("²")  # a digit to str.isalnum
+        assert is_punctuation("--")
+        assert is_punctuation("…")
+        assert not is_punctuation("a.b")
+        assert is_punctuation("_")
 
     def test_positions_drop_slot_stopwords_and_punctuation(self):
         tokens = ["the", "greyhound", "got", "a", "hare", "cut", ",", "fast", "."]
@@ -76,6 +84,13 @@ class TestScalarMeasures:
             for x, y in zip(a, b)
         )
         assert distinctiveness_of(a, b) == pytest.approx(expected, abs=1e-12)
+
+    def test_distinctiveness_equals_two_kl_calls_at_the_clamp(self):
+        edges = [0.0, 1e-12, 1e-9, 0.3, 1.0 - 1e-9, 1.0 - 1e-13, 1.0]
+        for a in edges:
+            for b in edges:
+                expected = 0.0 + (reference_bernoulli_kl(a, b) + reference_bernoulli_kl(b, a))
+                assert distinctiveness_of([a], [b]) == expected
 
     def test_distinctiveness_adds_left_to_right(self):
         """One large term, then a hundred below half its last-place step:
@@ -126,6 +141,42 @@ class TestMeaningReport:
         )
         assert report.content_positions == positions
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_two_pass_reference(self, seed):
+        """Every field ``==`` the two-pass layer, on seeded sentences mixing
+        content words, stopwords, unknown, non-ASCII, empty and punctuation
+        tokens."""
+        vocab, unigram, rel = _resources(seed)
+        rng = np.random.default_rng(seed)
+        pool = WORDS + ["the", "of", "qqq", "naïve", "é", "日本", "", ".", "?!",
+                        "--", "…", "²", "o'clock", "a.b", "_"]
+        tokens = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 16))]
+        position = int(rng.integers(len(tokens)))
+        tokens[position] = "hare"
+        _assert_equals_reference(tokens, position, vocab, unigram, rel)
+
+    def test_equals_the_two_pass_reference_at_the_clamp(self):
+        """f-values at and beyond the clamp: 0, 1, about 1e-9, 1 - 1e-9, and
+        smaller still on either side."""
+        vocab, _, _ = _resources(0)
+        unigram = np.full(len(vocab), 0.1)
+        rows = np.full((len(vocab), len(vocab)), 0.1)
+        pun, alt = vocab.id_of("hare"), vocab.id_of("hair")
+        # word: (unigram, relatedness given the pun, given the alternative)
+        for word, (u, r_pun, r_alt) in {
+            "greyhound": (0.1, 0.0, 0.1), "barber": (0.0, 0.1, 0.2),
+            "track": (0.1, 1e-10, 0.1), "comb": (1e-10, 0.1, 1e-13),
+            "race": (0.1, 1e-13, 1e-14), "salon": (1e-14, 0.1, 0.1),
+            "fast": (0.1, 0.0, 0.0), "trim": (0.0, 0.3, 0.1),
+        }.items():
+            i = vocab.id_of(word)
+            unigram[i], rows[pun, i], rows[alt, i] = u, r_pun, r_alt
+        tokens = ["the", "greyhound", "barber", "hare", "track", "comb", "race",
+                  "salon", "fast", "trim", "zzz", "é", "", "...", "…", "²"]
+        report = _assert_equals_reference(tokens, 3, vocab, unigram,
+                                          lambda word_id: rows[word_id])
+        assert {0.0, 1.0} <= set(report.f_pun) | set(report.f_alt)
+
     def test_no_content_words_gives_even_posterior(self):
         vocab, unigram, rel = _resources(3)
         report = meaning_report(["the", "hare", "."], 1,
@@ -133,6 +184,8 @@ class TestMeaningReport:
         assert report.posterior_pun == pytest.approx(0.5, abs=1e-15)
         assert report.ambiguity == pytest.approx(math.log(2), abs=1e-12)
         assert report.distinctiveness == 0.0
+        assert type(report.distinctiveness) is float
+        assert type(distinctiveness_of([], [])) is float
 
     def test_pair_words_must_be_known(self):
         vocab, unigram, rel = _resources(4)
@@ -152,3 +205,21 @@ class TestMeaningReport:
         a = meaning_report(["qqq", "hare", "race"], 1, pair, vocab, unigram, rel)
         b = meaning_report(["zzz", "hare", "race"], 1, pair, vocab, unigram, rel)
         assert a.posterior_pun == b.posterior_pun
+
+
+def _assert_equals_reference(tokens, position, vocab, unigram, rel):
+    """Check ``meaning_report`` field by field, and ``distinctiveness_of`` on
+    its posteriors, with ``==`` against the two-pass reference."""
+    report = meaning_report(tokens, position, PunPair("hare", "hair"), vocab,
+                            unigram, rel)
+    posterior, ambiguity, distinct, positions, f_pun, f_alt = reference_meaning_report(
+        tokens, position, vocab.id_of("hare"), vocab.id_of("hair"), vocab.id_of,
+        unigram, rel, STOPWORDS)
+    assert report.posterior_pun == posterior
+    assert report.ambiguity == ambiguity
+    assert report.distinctiveness == distinct
+    assert type(report.distinctiveness) is float
+    assert distinctiveness_of(report.f_pun, report.f_alt) == distinct
+    assert report.content_positions == positions
+    assert report.f_pun == f_pun and report.f_alt == f_alt
+    return report

@@ -220,14 +220,15 @@ class TestLogprobPair:
         sentences, vocab, encoded = demo
         model = train_lm(sentences, vocab, order=3)
         walks = 0
-        walk = model._prob
+        walk = model._walk
 
         def counted(*args):
             nonlocal walks
-            walks += 1
-            return walk(*args)
+            for step in walk(*args):
+                walks += 1
+                yield step
 
-        monkeypatch.setattr(model, "_prob", counted)
+        monkeypatch.setattr(model, "_walk", counted)
         ids = vocab.encode("the woman got a hair cut downtown .".split())
         model.logprob_pair(ids, 4, vocab.id_of("hare"), True)
         # the prefix once; the slot, "cut" and "downtown" (whose context
