@@ -7,22 +7,25 @@ items of a dtype the reader names) and string tables (an array block of
 u32 byte lengths, then one blob of the strings' UTF-8 concatenated).  A
 short read, a block that is not a whole number of items, a string table
 whose lengths do not cover its blob or a string that is not UTF-8 raises
-FormatError naming the file; whether the arrays of one file agree is
-checked by the module that owns the format.
+FormatError naming the file, and so do bytes after the last block
+(:func:`check_end`); whether the arrays of one file agree is checked by the
+module that owns the format.
 
-Every model file and the ``.vocab`` sidecar is written through
+Every file the package writes, binary or text, is written through
 :func:`replace_file`: into a temporary file beside the target that replaces
-it only once it is whole.
+it only once it is whole.  A target that exists and is not a regular file,
+such as a FIFO, is written in place instead.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import secrets
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import IO, BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -38,24 +41,37 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
 
 
 @contextmanager
-def replace_file(path: str | Path) -> Iterator[BinaryIO]:
-    """Open a new file beside ``path`` for binary writing; it replaces
-    ``path`` when the block ends and is removed if the block raises, so a
-    failed write leaves neither a partial target nor a temporary file.
+def replace_file(path: str | Path, encoding: str | None = None) -> Iterator[IO]:
+    """Open a new file beside ``path`` for writing, binary or, with
+    ``encoding``, text; it replaces ``path`` when the block ends and is
+    removed if the block raises, so a failed write leaves neither a partial
+    target nor a temporary file.
 
-    There is no fsync: this guards against a failed or interrupted writer,
-    not against a crash of the machine.
+    A target that exists and is not a regular file (a FIFO, a device) is
+    opened and written in place: renaming over it would put a regular file
+    where it was.  A directory target fails as the open does.  There is no
+    fsync: this guards against a failed or interrupted writer, not against a
+    crash of the machine.
     """
-    head, name = os.path.split(os.fspath(path))
+    path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with _writer(open(path, "wb"), encoding) as fh:
+            yield fh
+        return
+    head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
     fh = open(tmp, "xb")
     try:
-        with fh:
-            yield fh
+        with _writer(fh, encoding) as out:
+            yield out
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _writer(fh: BinaryIO, encoding: str | None) -> IO:
+    return fh if encoding is None else io.TextIOWrapper(fh, encoding=encoding)
 
 
 def check_magic(fh: BinaryIO, magic: bytes, what: str) -> None:
@@ -64,6 +80,12 @@ def check_magic(fh: BinaryIO, magic: bytes, what: str) -> None:
     if got != magic:
         raise FormatError(f"{fh.name} is not a {what} file: "
                           f"bad magic {got!r}, expected {magic!r}")
+
+
+def check_end(fh: BinaryIO) -> None:
+    """Raise FormatError if ``fh`` holds bytes after the last block read."""
+    if fh.read(1):
+        raise FormatError(f"corrupt file {fh.name}: bytes after the last block")
 
 
 def pack(fh: BinaryIO, fmt: str, *values) -> None:

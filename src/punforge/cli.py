@@ -25,7 +25,7 @@ from typing import ContextManager, Iterator, Mapping, TextIO
 
 import numpy as np
 
-from . import stats
+from . import binio, stats
 from .corpus import (DEFAULT_MIN_COUNT, Corpus, TagLexicon, check_min_count,
                      ingest, load_corpus, save_corpus, tokenize)
 from .errors import (FormatError, PunforgeError, ResourceError, open_text,
@@ -186,7 +186,8 @@ def build_parser() -> _Parser:
     p.add_argument("--min-count", dest="min_count", type=int,
                    help="words rarer than this map to the unknown id")
     p.add_argument("--tagged", action="store_true",
-                   help="input is one sentence per line of surface_TAG tokens")
+                   help="input is one sentence per line of surface_TAG tokens; "
+                        "the tags are checked, not stored")
     _add_common(p)
 
     p = subs.add_parser("train-lm", help="train the n-gram language model")
@@ -253,8 +254,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _open_out(path: str) -> TextIO:
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """Standard output for ``-``; else a UTF-8 file that replaces ``path``
+    only once the command has written all of it (``binio.replace_file``)."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with binio.replace_file(path, encoding="utf-8") as fh:
+            yield fh
 
 
 @contextmanager
@@ -372,8 +380,7 @@ def _cmd_score(args, cfg: RunConfig) -> int:
         skipgram = SkipGramModel.load(args.skipgram,
                                       expected_vocab_hash=lm.vocab.hash_bytes())
         unigram_probs = np.exp(lm.unigram_logprobs)
-    out = _open_out(args.output)
-    with _open_in(args.input) as fh:
+    with _open_in(args.input) as fh, _output(args.output) as out:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -390,8 +397,6 @@ def _cmd_score(args, cfg: RunConfig) -> int:
             except (PunforgeError, ValueError, KeyError, TypeError,
                     RecursionError) as exc:  # JSON nested too deeply
                 _emit(out, {"id": record_id, "error": str(exc)})
-    if out is not sys.stdout:
-        out.close()
     if skipgram is not None:
         skipgram.log_relatedness_counts()
     return EXIT_OK
@@ -450,30 +455,28 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
                                     skipgram=skipgram, graph=graph,
                                     lexicon=lexicon, lm=lm)
     gen_config = _owner_config(cfg, GenerationConfig)
-    out = _open_out(args.output)
-    for pair in pairs:
-        result = generate(pair, resources, gen_config)
-        _emit(out, {
-            "record": "meta",
-            "pun_word": pair.pun_word,
-            "alt_word": pair.alt_word,
-            "candidates": len(result.candidates),
-            "failure": result.failure,
-            "warnings": result.warnings,
-            "wordnet": graph.version if graph is not None else None,
-            "stage": cfg.stage,
-            "seed": cfg.seed,
-        })
-        for cand in result.candidates:
-            record = dataclasses.asdict(cand)
-            record["tokens"] = record.pop("final_tokens")
-            if (scores := record.pop("report")) is not None:
-                record["scores"] = scores
-            _emit(out, {"record": "candidate", "pun_word": pair.pun_word,
-                        "alt_word": pair.alt_word,
-                        "text": " ".join(cand.final_tokens), **record})
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.output) as out:
+        for pair in pairs:
+            result = generate(pair, resources, gen_config)
+            _emit(out, {
+                "record": "meta",
+                "pun_word": pair.pun_word,
+                "alt_word": pair.alt_word,
+                "candidates": len(result.candidates),
+                "failure": result.failure,
+                "warnings": result.warnings,
+                "wordnet": graph.version if graph is not None else None,
+                "stage": cfg.stage,
+                "seed": cfg.seed,
+            })
+            for cand in result.candidates:
+                record = dataclasses.asdict(cand)
+                record["tokens"] = record.pop("final_tokens")
+                if (scores := record.pop("report")) is not None:
+                    record["scores"] = scores
+                _emit(out, {"record": "candidate", "pun_word": pair.pun_word,
+                            "alt_word": pair.alt_word,
+                            "text": " ".join(cand.final_tokens), **record})
     if skipgram is not None:
         skipgram.log_relatedness_counts()
     return EXIT_OK
@@ -506,26 +509,24 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
             for key, value in metrics.items():
                 metric_values.setdefault(key, {})[item] = value
 
-    out = _open_out(args.output)
-    out.write("metric\tn\tspearman\tp_value\n")
-    for metric in sorted(metric_values):
-        per_item = metric_values[metric]
-        shared = sorted(set(per_item) & set(means))
-        if len(shared) < 2:
-            raise ResourceError(
-                f"metric {metric!r} shares {len(shared)} items with the ratings"
-            )
-        try:  # a constant column or constant ratings have no correlation
-            xs = stats.clip_standardize([per_item[i] for i in shared], cfg.clip)
-            ys = [means[i] for i in shared]
-            rho = stats.spearman(xs, ys)
-        except ValueError as exc:
-            raise ResourceError(f"metric {metric!r}: {exc}") from None
-        p = stats.permutation_pvalue(xs, ys, permutations=cfg.permutations,
-                                     seed=cfg.seed)
-        out.write(f"{metric}\t{len(shared)}\t{rho:.6f}\t{p:.6f}\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.output) as out:
+        out.write("metric\tn\tspearman\tp_value\n")
+        for metric in sorted(metric_values):
+            per_item = metric_values[metric]
+            shared = sorted(set(per_item) & set(means))
+            if len(shared) < 2:
+                raise ResourceError(
+                    f"metric {metric!r} shares {len(shared)} items with the ratings"
+                )
+            try:  # a constant column or constant ratings have no correlation
+                xs = stats.clip_standardize([per_item[i] for i in shared], cfg.clip)
+                ys = [means[i] for i in shared]
+                rho = stats.spearman(xs, ys)
+            except ValueError as exc:
+                raise ResourceError(f"metric {metric!r}: {exc}") from None
+            p = stats.permutation_pvalue(xs, ys, permutations=cfg.permutations,
+                                         seed=cfg.seed)
+            out.write(f"{metric}\t{len(shared)}\t{rho:.6f}\t{p:.6f}\n")
     return EXIT_OK
 
 

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = b"PGC5"
+CORPUS_MAGIC = b"PGC6"
 
 UNK = "<unk>"
 DEFAULT_MIN_COUNT = 1
@@ -315,12 +315,14 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 
 # --- binary container ------------------------------------------------------
 #
-# Layout (binio blocks): magic PGC5, hashed vocabulary (see write_vocab),
+# Layout (binio blocks): magic PGC6, hashed vocabulary (see write_vocab),
 # surface table (a string table), then one array each of sentence ids,
-# lengths, and every token's surface-table index and POS code.  Sentences
-# keep their full surfaces so that rare words survive a min_count-collapsed
-# vocabulary.  The inverted index is not stored: it is derived from these
-# arrays, each term's postings when first looked up.
+# lengths, and every token's surface-table index.  Sentences keep their full
+# surfaces so that rare words survive a min_count-collapsed vocabulary.  POS
+# tags are not stored: generation tags each seed with its dictionary, so a
+# loaded token's tag is Pos.UNKNOWN.  The inverted index is not stored
+# either: it is derived from these arrays, each term's postings when first
+# looked up.
 
 Postings = Mapping[str, list[tuple[int, tuple[int, ...]]]]
 
@@ -446,8 +448,6 @@ def save_corpus(path: str | Path, corpus: Corpus) -> None:
         binio.write_array(fh, [s.sent_id for s in corpus.sentences], "<u4")
         binio.write_array(fh, [len(s.tokens) for s in corpus.sentences], "<u4")
         binio.write_array(fh, surface_idx, "<u4")
-        binio.write_array(fh, [t.pos.value for s in corpus.sentences
-                               for t in s.tokens], "u1")
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -459,22 +459,14 @@ def load_corpus(path: str | Path) -> Corpus:
         surfaces = binio.read_strings(fh)
         sent_ids, lengths, surface_idx = (binio.read_array(fh, "<u4")
                                           for _ in range(3))
-        pos_codes = binio.read_array(fh, "u1")
+        binio.check_end(fh)
     if not (len(sent_ids) == len(lengths) == len(np.unique(sent_ids))
-            and lengths.sum(dtype=np.int64) == len(surface_idx) == len(pos_codes)
+            and lengths.sum(dtype=np.int64) == len(surface_idx)
             and len(set(surfaces)) == len(surfaces)
-            and (surface_idx < len(surfaces)).all()
-            and (pos_codes < len(Pos)).all()):  # Pos values are 0 .. len(Pos) - 1
+            and (surface_idx < len(surfaces)).all()):
         raise FormatError(f"corrupt corpus file {path}: sentence arrays disagree")
-    # One Token per distinct (surface, POS) pair; the sentences share them.
-    # A pair's code is surface * len(Pos) + POS, so a mask finds them all.
-    codes = surface_idx.astype(np.int64) * len(Pos) + pos_codes
-    used = np.zeros(len(surfaces) * len(Pos), dtype=bool)
-    used[codes] = True
-    poses = tuple(Pos)
-    kinds = np.array([Token(surfaces[c // len(Pos)], poses[c % len(Pos)])
-                      for c in np.flatnonzero(used).tolist()], dtype=object)
-    tokens = kinds[(np.cumsum(used) - 1)[codes]].tolist()
+    # one Token per surface-table entry, shared by the sentences
+    tokens = np.array([Token(s) for s in surfaces], dtype=object)[surface_idx].tolist()
     sentences = list(map(Sentence, sent_ids.tolist(), binio.split(tokens, lengths)))
     return Corpus(sentences, vocab,
                   PostingsView(sent_ids, lengths, surface_idx, surfaces))

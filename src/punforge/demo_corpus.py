@@ -26,6 +26,8 @@ import random
 import sys
 from pathlib import Path
 
+from . import binio
+
 DEMO_PAIR = ("hare", "hair")
 DEMO_TOPIC = "greyhound"
 
@@ -102,7 +104,8 @@ def build_demo_corpus() -> list[str]:
 
 def write_demo_corpus(path: str | Path) -> int:
     sentences = build_demo_corpus()
-    Path(path).write_text("\n".join(sentences) + "\n", encoding="utf-8")
+    with binio.replace_file(path, encoding="utf-8") as fh:
+        fh.write("\n".join(sentences) + "\n")
     return len(sentences)
 
 

@@ -308,6 +308,7 @@ class NGramModel:
                 except ValueError:
                     raise FormatError(f"corrupt language model {fh.name}: order {k}: "
                                       f"block lengths disagree") from None
+            binio.check_end(fh)
             problem = _table_problem(discounts, tables, bos=len(vocab))
             if problem:
                 raise FormatError(f"corrupt language model {fh.name}: {problem}")

@@ -279,6 +279,7 @@ class SkipGramModel:
             vocab = read_vocab(fh, what="skip-gram model",
                                expected_hash=expected_vocab_hash)
             tables = [binio.read_array(fh, "<f8") for _ in range(2)]
+            binio.check_end(fh)
         if any(t.size != len(vocab) * config.dim for t in tables):
             raise FormatError(f"embedding table has wrong size in {path}")
         if not all(np.isfinite(t).all() for t in tables):
@@ -287,7 +288,7 @@ class SkipGramModel:
 
     def export_text(self, path: str | Path) -> None:
         """Input embeddings as text: header 'V dim', then word + values."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with binio.replace_file(path, encoding="utf-8") as fh:
             fh.write(f"{len(self.vocab)} {self.config.dim}\n")
             for word, idx, _count in self.vocab.items():
                 values = " ".join(repr(float(v)) for v in self.vec_in[idx])

@@ -69,7 +69,8 @@ class SynsetGraph:
     hypernyms: dict[Synset, tuple[Synset, ...]]
     senses: dict[tuple[str, str], tuple[Synset, ...]]  # (lemma, pos) -> sense order
     version: str = "unversioned"
-    _adjacency: dict[Synset, set[Synset]] = field(default_factory=dict, repr=False)
+    _adjacency: dict[Synset, set[Synset]] = field(init=False, repr=False,
+                                                  compare=False)
     # type_consistent answers keyed by all of its arguments but the graph
     _type_memo: dict[tuple, bool] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)

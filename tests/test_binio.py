@@ -5,7 +5,9 @@ import errno
 import hashlib
 import inspect
 import io
+import os
 import random
+import stat
 import struct
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from oracles import reference_postings
 from punforge import binio, skipgram
 from punforge.corpus import CORPUS_MAGIC, Corpus, ingest, load_corpus, save_corpus
-from punforge.demo_corpus import build_demo_corpus
+from punforge.demo_corpus import build_demo_corpus, write_demo_corpus
 from punforge.errors import FormatError
 from punforge.ngram_lm import LM_MAGIC, NGramModel, train_lm
 from punforge.retrieval import build_index
@@ -102,6 +104,13 @@ class TestCodec:
         with pytest.raises(FormatError, match="mem.bin is not a thing file"):
             binio.check_magic(_reader(b"NOPE"), b"GOOD", "thing")
 
+    def test_bytes_after_the_last_block_rejected(self):
+        fh = _reader(b"\x01\x00\x00\x00z" + b"\x00")
+        assert binio.read_blob(fh) == b"z"
+        with pytest.raises(FormatError, match="mem.bin: bytes after the last block"):
+            binio.check_end(fh)
+        binio.check_end(_reader(b""))
+
     def test_split(self):
         assert binio.split([1, 2, 3, 4, 5], np.array([2, 0, 3])) == \
             [[1, 2], [], [3, 4, 5]]
@@ -138,7 +147,6 @@ def _read_corpus_sections(path):
                     "surfaces": binio.read_strings(fh)}
         for name in ("sent_ids", "lengths", "surface_idx"):
             sections[name] = binio.read_array(fh, "<u4")
-        sections["pos"] = binio.read_array(fh, "u1")
         assert fh.read() == b""
     return sections
 
@@ -150,7 +158,6 @@ def _write_corpus_sections(path, s, vocab_end="\n"):
         binio.write_strings(fh, s["surfaces"])
         for name in ("sent_ids", "lengths", "surface_idx"):
             binio.write_array(fh, s[name], "<u4")
-        binio.write_array(fh, s["pos"], "u1")
 
 
 class TestCorpusFile:
@@ -172,7 +179,7 @@ class TestCorpusFile:
         save_corpus(path, demo)
         s = _read_corpus_sections(path)
         assert s["sent_ids"].tolist() == [x.sent_id for x in demo.sentences]
-        assert s["lengths"].sum() == len(s["surface_idx"]) == len(s["pos"])
+        assert s["lengths"].sum() == len(s["surface_idx"])
         assert s["surfaces"] == list(demo.postings)  # in order of first appearance
         assert s["vocab"] == demo.vocab.dump_lines()
         assert s["vocab_hash"].tobytes() == demo.vocab.hash_bytes()
@@ -182,7 +189,6 @@ class TestCorpusFile:
         ("sent_ids", lambda a: np.r_[a[1], a[1:]]),        # repeated id
         ("sent_ids", lambda a: a[:-1]),                    # fewer ids than lengths
         ("surface_idx", lambda a: np.r_[len(a) * 4, a[1:]]),  # out of range
-        ("pos", lambda a: np.r_[9, a[1:]]),                # no such POS code
         ("surfaces", lambda a: [a[1]] + a[1:]),            # repeated surface
     ])
     def test_arrays_that_disagree_rejected(self, demo, tmp_path, name, mutate):
@@ -227,7 +233,7 @@ class TestCorpusFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pgc"
-        for magic in (b"PGC1", b"PGC2", b"PGC3", b"PGC4"):
+        for magic in (b"PGC1", b"PGC2", b"PGC3", b"PGC4", b"PGC5"):
             path.write_bytes(magic + bytes(32))
             with pytest.raises(FormatError, match=f"bad magic {magic!r}"):
                 load_corpus(path)
@@ -474,7 +480,12 @@ class TestAtomicWrites:
             models[0].sentences[:20], models[0].vocab,
             SkipGramConfig(dim=2, d1=2, d2=3, epochs=1)).save(path),
         lambda models, path: models[0].vocab.save_text(path),
-    ], ids=["corpus", "lm", "skipgram", "vocab"])
+        lambda models, path: SkipGramModel(
+            models[0].vocab, SkipGramConfig(dim=2),
+            np.zeros((len(models[0].vocab), 2)),
+            np.zeros((len(models[0].vocab), 2))).export_text(path),
+        lambda models, path: write_demo_corpus(path),
+    ], ids=["corpus", "lm", "skipgram", "vocab", "export_text", "demo_corpus"])
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_file(self, demo, demo_lm, tmp_path, monkeypatch,
                                          write, existing):
@@ -501,9 +512,29 @@ class TestAtomicWrites:
                 raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("encoding", [None, "utf-8"])
+    def test_fifo_target_is_written_in_place(self, tmp_path, encoding):
+        """A rename would put a regular file where the FIFO was, and its
+        reader would get nothing.  The output stays far below a pipe's
+        capacity, so the writer never waits for the reader."""
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        data = "hare é\n" * 100
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with binio.replace_file(fifo, encoding) as fh:
+                fh.write(data if encoding else data.encode("utf-8"))
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert got == data.encode("utf-8")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
     def test_binary_files_are_written_only_through_replace_file(self):
-        """Every ``open`` in the package that may write binary is the one in
-        ``binio.replace_file``, and no module calls ``write_bytes``."""
+        """Every ``open`` in the package that may write, binary or text, is
+        one in ``binio.replace_file``, and no module calls ``write_bytes`` or
+        ``write_text``."""
         package = Path(binio.__file__).parent
         allowed = ast.parse(inspect.getsource(binio.replace_file)).body[0]
         allowed_lines = range(inspect.getsourcelines(binio.replace_file)[1],
@@ -515,7 +546,7 @@ class TestAtomicWrites:
                 if not isinstance(node, ast.Call):
                     continue
                 name = ast.unparse(node.func)
-                if name.endswith("write_bytes"):
+                if name.endswith(("write_bytes", "write_text")):
                     writers.append((path.name, node.lineno))
                 # os.open makes a descriptor (cli points stdout at devnull)
                 if name != "open" and not name.endswith((".open", ".fdopen")) \
@@ -527,8 +558,8 @@ class TestAtomicWrites:
                     continue  # reading text
                 if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
                     writers.append((path.name, node.lineno))  # a mode not known here
-                elif "b" in mode.value and set(mode.value) & set("wax+"):
+                elif set(mode.value) & set("wax+"):
                     writers.append((path.name, node.lineno))
         assert [(name, line) for name, line in writers
                 if not (name == "binio.py" and line in allowed_lines)] == []
-        assert len(writers) == 1  # the one open of replace_file
+        assert len(writers) == 2  # replace_file's: in place, and the new file

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ import pytest
 import punforge
 from punforge import cli, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
-from punforge.corpus import Vocabulary, check_min_count, ingest
+from punforge.corpus import Pos, TagLexicon, Vocabulary, check_min_count, ingest
 from punforge.generator import GenerationConfig
 from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
 from punforge.skipgram import MAX_EPOCHS, SkipGramConfig, SkipGramModel
@@ -400,6 +401,85 @@ class TestIndex:
         vocab = Vocabulary.load_text(sidecar)
         assert "hare" in vocab and "hair" in vocab
 
+    @pytest.fixture(scope="class")
+    def tagged(self, pipeline, miniwn, tmp_path_factory):
+        """The demo corpus indexed from two tagged inputs that differ only in
+        their tags: the dictionary's, and the tags in turn by position."""
+        root = tmp_path_factory.mktemp("tagged")
+        sentences, _ = ingest(pipeline["text"])
+        lexicon = TagLexicon(nouns=miniwn.noun_lemmas(), verbs=miniwn.verb_lemmas())
+        tag_of = {"lexicon": lambda i, word: lexicon.tag_word(word),
+                  "rotated": lambda i, word: list(Pos)[i % len(Pos)]}
+        corpora = {}
+        for name, tag in tag_of.items():
+            text = root / f"{name}.txt"
+            text.write_text("".join(
+                " ".join(f"{t.surface}_{tag(i, t.surface).name}"
+                         for i, t in enumerate(s.tokens)) + "\n"
+                for s in sentences), encoding="utf-8")
+            corpora[name] = root / f"{name}.pgc"
+            assert cli.main(["index", "--tagged", "--corpus", str(text),
+                             "--out", str(corpora[name])]) == 0
+        return corpora
+
+    def test_tags_are_checked_not_stored(self, pipeline, tagged):
+        assert (tagged["lexicon"].read_bytes() == tagged["rotated"].read_bytes()
+                == pipeline["corpus"].read_bytes())
+
+    def test_tagged_corpora_generate_the_same(self, pipeline, miniwn_dir, tagged,
+                                              tmp_path):
+        """Generation tags each seed with its dictionary, whatever the input's
+        tags were."""
+        outputs = []
+        for corpus in (tagged["lexicon"], tagged["rotated"], pipeline["corpus"]):
+            code, lines = _run(tmp_path, [
+                "generate", "--corpus", str(corpus), "--skipgram",
+                str(pipeline["skipgram"]), "--lm", str(pipeline["lm"]),
+                "--wordnet", str(miniwn_dir), "--pun", "hare", "--alt", "hair",
+                "--rerank"])
+            assert code == 0
+            outputs.append(lines)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert any(json.loads(line).get("stage") == "SWAP+TOPIC"
+                   for line in outputs[0][1:])
+
+    def test_bad_tag_is_one_line_data_error(self, tmp_path, capsys):
+        text = tmp_path / "t.txt"
+        text.write_text("the_OTHER dog_NOUNISH ran_VERB\n", encoding="utf-8")
+        out = tmp_path / "t.pgc"
+        assert cli.main(["index", "--tagged", "--corpus", str(text),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown tag 'NOUNISH'" in err
+        assert not out.exists()
+
+    def test_fifo_out_stays_a_fifo_and_gets_the_corpus(self, tmp_path):
+        """The reader opens first and the file stays far below a pipe's
+        capacity, so the writer never waits."""
+        text = tmp_path / "t.txt"
+        text.write_text("the cat sat .\nthe dog ran .\n", encoding="utf-8")
+        regular, fifo = tmp_path / "r.pgc", tmp_path / "f.pgc"
+        assert cli.main(["index", "--corpus", str(text), "--out", str(regular)]) == 0
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli.main(["index", "--corpus", str(text), "--out", str(fifo)]) == 0
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == regular.read_bytes()
+
+    def test_directory_out_is_one_line_data_error(self, tmp_path, capsys):
+        text = tmp_path / "t.txt"
+        text.write_text("the cat sat .\n", encoding="utf-8")
+        out = tmp_path / "d"
+        out.mkdir()
+        assert cli.main(["index", "--corpus", str(text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "t.txt"]
+        assert list(out.iterdir()) == []
+
 
 class TestScore:
     def _records(self):
@@ -418,6 +498,16 @@ class TestScore:
         path = tmp_path / "in.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in self._records()))
         return path
+
+    def test_input_file_as_output_is_read_first(self, pipeline, tmp_path):
+        src = self._write_input(tmp_path)
+        code, expected = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                         "--input", str(src)])
+        assert code == 0 and len(expected) == 3
+        assert cli.main(["score", "--lm", str(pipeline["lm"]), "--input", str(src),
+                         "--output", str(src)]) == 0
+        assert src.read_text(encoding="utf-8").splitlines() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
 
     def test_scores_and_inline_errors(self, pipeline, tmp_path):
         src = self._write_input(tmp_path)
@@ -849,6 +939,28 @@ class TestCorrelate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{tmp_path / name}{where}" in err
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failing_metric_leaves_output_unchanged(self, tmp_path, capsys,
+                                                    existing):
+        """The second metric fails after the header and the first metric's
+        row are written: a new file is not left, an old one keeps its bytes."""
+        ratings, scores = self._fixture_files(tmp_path, None)
+        scores.write_text("".join(
+            json.dumps({"id": item, "a_rank": float(i), "z_flat": 1.0}) + "\n"
+            for i, item in enumerate("abcde")))
+        out = tmp_path / "o.tsv"
+        if existing:
+            out.write_text("old\n")
+        code = cli.main(["correlate", "--ratings", str(ratings),
+                         "--scores", str(scores), "--permutations", "50",
+                         "--output", str(out)])
+        assert code == 2
+        assert "'z_flat'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["o.tsv", "ratings.csv", "scores.jsonl"][not existing:]
+        if existing:
+            assert out.read_text() == "old\n"
+
     def test_constant_metric_column_is_data_error(self, tmp_path, capsys):
         ratings, scores = self._fixture_files(tmp_path, None)
         scores.write_text("".join(json.dumps({"id": item, "flat": 1.0}) + "\n"
@@ -983,7 +1095,7 @@ class TestModelFiles:
     @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pgc", b"PGC3"),
                                            ("pglm", b"PGLM"), ("pglm", b"PGL2"),
                                            ("pgc", b"PGC4"), ("pglm", b"PGL3"),
-                                           ("pgsg", b"PGSG")])
+                                           ("pgsg", b"PGSG"), ("pgc", b"PGC5")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"
@@ -992,6 +1104,18 @@ class TestModelFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"bad magic {magic!r}" in err
+
+    @pytest.mark.parametrize("ext", ["pgc", "pglm", "pgsg"])
+    def test_bytes_after_the_last_block_are_one_line_data_error(
+            self, small_models, tmp_path, capsys, ext):
+        padded = tmp_path / f"padded.{ext}"
+        padded.write_bytes(small_models[0][ext].read_bytes() + bytes(28))
+        out = tmp_path / "o"
+        code = cli.main(self._command(small_models, ext, padded, out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{padded}: bytes after the last block" in err
+        assert not out.exists()
 
     def test_mutated_files_exit_0_or_2_without_traceback(self, small_models,
                                                          tmp_path, capsys):

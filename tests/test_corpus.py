@@ -203,8 +203,10 @@ class TestCorpusFile:
         loaded = load_corpus(path)
         assert [s.surfaces() for s in loaded.sentences] == \
             [s.surfaces() for s in corpus.sentences]
-        assert [[t.pos for t in s.tokens] for s in loaded.sentences] == \
-            [[t.pos for t in s.tokens] for s in corpus.sentences]
+        # the tags of a tagged input are checked, not stored
+        assert {t.pos for s in corpus.sentences for t in s.tokens} == \
+            {Pos.OTHER, Pos.NOUN, Pos.VERB}
+        assert {t.pos for s in loaded.sentences for t in s.tokens} == {Pos.UNKNOWN}
         assert loaded.vocab.dump_lines() == corpus.vocab.dump_lines()
         assert loaded.postings == build_index(corpus.sentences).postings
 
