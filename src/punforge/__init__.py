@@ -7,9 +7,8 @@ the alternative word, swapping in the pun word, and planting a supporting
 topic word predicted by long-range skip-gram embeddings.
 """
 
-from .corpus import (Corpus, Pos, Sentence, TagLexicon, Token, Vocabulary,
-                     detokenize, ingest, load_corpus, save_corpus,
-                     split_sentences, tag, tokenize)
+from .corpus import (Corpus, Pos, Sentence, TagLexicon, Vocabulary, ingest,
+                     load_corpus, save_corpus, split_sentences, tag, tokenize)
 from .errors import (FormatError, PunforgeError, ResourceError, TrainingError,
                      UnknownWordError)
 from .generator import (GenerationCandidate, GenerationConfig,
@@ -31,9 +30,8 @@ from .wordnet import SynsetGraph, load_wordnet
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "Pos", "Sentence", "TagLexicon", "Token", "Vocabulary",
-    "detokenize", "ingest", "load_corpus", "save_corpus", "split_sentences",
-    "tag", "tokenize",
+    "Corpus", "Pos", "Sentence", "TagLexicon", "Vocabulary", "ingest",
+    "load_corpus", "save_corpus", "split_sentences", "tag", "tokenize",
     "FormatError", "PunforgeError", "ResourceError", "TrainingError",
     "UnknownWordError",
     "GenerationCandidate", "GenerationConfig", "GenerationResources",

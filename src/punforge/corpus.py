@@ -9,10 +9,13 @@ Conventions, fixed once and used everywhere downstream:
 * the vocabulary assigns ids by descending frequency, ties broken
   lexicographically, with id 0 reserved for the unknown-word symbol;
 * words rarer than ``min_count`` map to the unknown id, whose stored count is
-  the number of out-of-vocabulary token instances.
+  the number of out-of-vocabulary token instances;
+* a sentence's tokens are its surface strings; no tag is kept with them.
 
 Tagging is lexicon lookup, not context disambiguation: a closed pronoun list
 wins, then noun-index membership, then verb-index membership, else OTHER.
+:func:`tag` tags one sentence when generation rewrites it; the tags of
+pre-tagged input are checked and then dropped.
 """
 
 from __future__ import annotations
@@ -66,19 +69,14 @@ class Pos(Enum):
     OTHER = 4
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    pos: Pos = Pos.UNKNOWN
-
-
 @dataclass
 class Sentence:
     sent_id: int
-    tokens: list[Token]
+    tokens: list[str]  # surface strings
 
     def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+        """The token list itself, not a copy."""
+        return self.tokens
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -102,15 +100,6 @@ def split_sentences(text: str) -> list[str]:
             if piece:
                 pieces.append(piece)
     return pieces
-
-
-def detokenize(sentence: Sentence) -> str:
-    """Inverse of tokenization up to whitespace: join surfaces with spaces.
-
-    For sentences produced by :func:`tokenize`, re-tokenizing the result
-    yields the identical surface list.
-    """
-    return " ".join(t.surface for t in sentence.tokens)
 
 
 def check_min_count(min_count: int) -> None:
@@ -164,7 +153,7 @@ class Vocabulary:
 
     def encode_sentences(self, sentences: Iterable) -> list[list[int]]:
         """Id lists for Sentence objects; id sequences pass through as lists."""
-        return [self.encode(s.surfaces()) if isinstance(s, Sentence) else list(s)
+        return [self.encode(s.tokens) if isinstance(s, Sentence) else list(s)
                 for s in sentences]
 
     def items(self) -> Iterator[tuple[str, int, int]]:
@@ -177,9 +166,13 @@ class Vocabulary:
 
     def dump_text(self) -> str:
         """The dump lines, each ended by a newline: what files store."""
-        return "".join(line + "\n" for line in self.dump_lines())
+        if self._text is None:
+            self._text = "".join(line + "\n" for line in self.dump_lines())
+        return self._text
 
-    _hash: bytes | None = None  # of dump_text, kept once known
+    # dump_text and its hash, kept once known
+    _text: str | None = None
+    _hash: bytes | None = None
 
     def hash_bytes(self) -> bytes:
         if self._hash is None:
@@ -194,7 +187,8 @@ class Vocabulary:
     def from_dump_lines(cls, lines: Iterable[str]) -> "Vocabulary":
         """Parse dump lines, one ``word<TAB>id<TAB>count`` each, written as
         :meth:`dump_lines` writes them: ids 0, 1, ... in decimal, counts
-        non-negative decimals without signs or padding, ``<unk>`` first."""
+        non-negative decimals without signs or padding, ``<unk>`` first, no
+        word twice."""
         lines = list(lines)
         rows = [line.split("\t") for line in lines]
         if set(map(len, rows)) != {3}:
@@ -210,6 +204,8 @@ class Vocabulary:
         vocab = cls.__new__(cls)
         vocab._words, vocab._counts = list(words), values
         vocab._ids = {w: i for i, w in enumerate(vocab._words)}
+        if len(vocab._ids) != len(words):
+            raise _dump_error(lines)
         return vocab
 
     @classmethod
@@ -225,14 +221,18 @@ def _vocab_hash(dump: bytes) -> bytes:
 def _dump_error(lines: list[str]) -> FormatError:
     """The error for the first dump line :meth:`Vocabulary.from_dump_lines`
     refuses."""
+    seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         try:
-            _word, idx, count = line.split("\t")
+            word, idx, count = line.split("\t")
             value = int(count)
         except ValueError:
             return FormatError(f"bad vocabulary line {lineno}: {line!r}")
         if idx != str(lineno - 1) or count != str(value) or value < 0:
             return FormatError(f"bad vocabulary id or count at line {lineno}")
+        if word in seen:
+            return FormatError(f"repeated vocabulary word {word!r} at line {lineno}")
+        seen.add(word)
     return FormatError(f"vocabulary must start with {UNK!r} at id 0")
 
 
@@ -255,25 +255,23 @@ class TagLexicon:
         return Pos.OTHER
 
 
-def tag(sentence: Sentence, lexicon: TagLexicon) -> Sentence:
-    """Return a copy of the sentence with lexicon-assigned tags."""
-    return Sentence(
-        sentence.sent_id,
-        [Token(t.surface, lexicon.tag_word(t.surface)) for t in sentence.tokens],
-    )
+def tag(sentence: Sentence, lexicon: TagLexicon) -> list[Pos]:
+    """The lexicon's tag for each token of the sentence."""
+    return [lexicon.tag_word(t) for t in sentence.tokens]
 
 
 def _parse_tagged_line(line: str, lineno: int, sent_id: int) -> Sentence:
-    tokens: list[Token] = []
+    """A pre-tagged line's sentence; its tags are checked, then dropped."""
+    tokens: list[str] = []
     for chunk in line.split():
         surface, sep, tag_name = chunk.rpartition("_")
         if not sep:
             raise FormatError(f"line {lineno}: token {chunk!r} lacks a _TAG suffix")
-        try:
-            pos = Pos[tag_name.upper()]
-        except KeyError:
-            raise FormatError(f"line {lineno}: unknown tag {tag_name!r}") from None
-        tokens.append(Token(surface.lower(), pos))
+        if not surface:
+            raise FormatError(f"line {lineno}: token {chunk!r} has an empty surface")
+        if tag_name.upper() not in Pos.__members__:
+            raise FormatError(f"line {lineno}: unknown tag {tag_name!r}")
+        tokens.append(surface.lower())
     return Sentence(sent_id, tokens)
 
 
@@ -303,13 +301,11 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
             sent_id += 1
     else:
         for sent_id, piece in enumerate(split_sentences(text)):
-            sentences.append(
-                Sentence(sent_id, [Token(s) for s in tokenize(piece)])
-            )
+            sentences.append(Sentence(sent_id, tokenize(piece)))
 
     counts: Counter[str] = Counter()
     for sentence in sentences:
-        counts.update(t.surface for t in sentence.tokens)
+        counts.update(sentence.tokens)
     return sentences, Vocabulary(counts, min_count=min_count)
 
 
@@ -319,10 +315,9 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 # surface table (a string table), then one array each of sentence ids,
 # lengths, and every token's surface-table index.  Sentences keep their full
 # surfaces so that rare words survive a min_count-collapsed vocabulary.  POS
-# tags are not stored: generation tags each seed with its dictionary, so a
-# loaded token's tag is Pos.UNKNOWN.  The inverted index is not stored
-# either: it is derived from these arrays, each term's postings when first
-# looked up.
+# tags are not stored: generation tags each seed with its dictionary.  The
+# inverted index is not stored either: it is derived from these arrays, each
+# term's postings when first looked up.
 
 Postings = Mapping[str, list[tuple[int, tuple[int, ...]]]]
 
@@ -399,7 +394,7 @@ def _number_surfaces(sentences: Iterable[Sentence]) -> tuple[list[str], list[int
     """The distinct surfaces in order of first appearance, and each token's
     index into that table."""
     table: dict[str, int] = {}
-    idx = [table.setdefault(t.surface, len(table)) for s in sentences for t in s.tokens]
+    idx = [table.setdefault(t, len(table)) for s in sentences for t in s.tokens]
     return list(table), idx
 
 
@@ -431,10 +426,10 @@ def read_vocab(fh: BinaryIO, what: str = "model",
     text = binio.decode(dump, fh, "embedded vocabulary")
     if _vocab_hash(dump) != stored or not text.endswith("\n"):
         raise FormatError(f"embedded vocabulary is corrupt in {fh.name}")
-    # the parse accepts only lines as dump_lines writes them, so the stored
-    # hash is the parsed vocabulary's own
+    # the parse accepts only lines as dump_lines writes them, so the text and
+    # the stored hash are the parsed vocabulary's own
     vocab = Vocabulary.from_dump_lines(text[:-1].split("\n"))
-    vocab._hash = stored
+    vocab._text, vocab._hash = text, stored
     return vocab
 
 
@@ -465,8 +460,7 @@ def load_corpus(path: str | Path) -> Corpus:
             and len(set(surfaces)) == len(surfaces)
             and (surface_idx < len(surfaces)).all()):
         raise FormatError(f"corrupt corpus file {path}: sentence arrays disagree")
-    # one Token per surface-table entry, shared by the sentences
-    tokens = np.array([Token(s) for s in surfaces], dtype=object)[surface_idx].tolist()
+    tokens = np.array(surfaces, dtype=object)[surface_idx].tolist()
     sentences = list(map(Sentence, sent_ids.tolist(), binio.split(tokens, lengths)))
     return Corpus(sentences, vocab,
                   PostingsView(sent_ids, lengths, surface_idx, surfaces))

@@ -4,10 +4,12 @@ Stages for a (pun word, alternative word) pair:
 
 1. retrieve seed sentences containing the alternative word exactly once;
 2. swap the alternative word for the pun word (stage SWAP);
-3. replace the leftmost noun or pronoun before the pun slot with a topic
-   word predicted from the pun word by the distant skip-gram model, keeping
-   only predictions the lexicon tags as nouns that are type-consistent with
-   the replaced word (stage SWAP+TOPIC).
+3. tag the seed's tokens with the lexicon, then replace the leftmost noun or
+   pronoun before the pun slot with a topic word predicted from the pun word
+   by the distant skip-gram model, keeping only predictions the lexicon tags
+   as nouns that are type-consistent with the replaced word (stage
+   SWAP+TOPIC).  Seeds are plain surface lists; this is the only stage that
+   tags one.
 
 A smoothing rewrite stage would slot in after topic insertion; here it is an
 identity pass-through, so candidates leave stage 3 unchanged.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
 
-from .corpus import UNK, Corpus, Pos, Sentence, TagLexicon, tag
+from .corpus import UNK, Corpus, Pos, TagLexicon, tag
 from .errors import UnknownWordError
 from .ngram_lm import NGramModel
 from .retrieval import (DEFAULT_KEEP, DEFAULT_POOL, InvertedIndex,
@@ -124,10 +126,10 @@ def swap(tokens: list[str], pair: PunPair) -> tuple[list[str], int]:
     return out, slots[0]
 
 
-def select_deletion(sentence: Sentence, pun_position: int) -> int | None:
+def select_deletion(tags: list[Pos], pun_position: int) -> int | None:
     """Index of the leftmost noun or pronoun strictly before the pun slot."""
     for i in range(pun_position):
-        if sentence.tokens[i].pos in (Pos.NOUN, Pos.PRONOUN):
+        if tags[i] in (Pos.NOUN, Pos.PRONOUN):
             return i
     return None
 
@@ -144,19 +146,20 @@ def insertable_topics(topics: list[tuple[str, float]], pair: PunPair,
             and lexicon.tag_word(word) == Pos.NOUN]
 
 
-def topic_insert(swapped: list[str], tagged: Sentence, deletion: int,
+def topic_insert(swapped: list[str], deletion: int, deleted_tag: Pos,
                  topics: list[tuple[str, float]], graph: SynsetGraph,
                  threshold: float = DEFAULT_THRESHOLD
                  ) -> Iterator[tuple[list[str], str, float]]:
     """Topic-word insertions for one seed, lazily, in topic-score order.
 
     ``topics`` comes from :func:`insertable_topics`; of those, a topic word
-    survives when it is type-consistent with the word it replaces.
+    survives when it is type-consistent with ``swapped[deletion]``, the word
+    it replaces, tagged ``deleted_tag``.
     """
-    deleted = tagged.tokens[deletion]
+    deleted = swapped[deletion]
     for topic_word, score in topics:
         if type_consistent(graph, topic_word, Pos.NOUN,
-                           deleted.surface, deleted.pos, threshold):
+                           deleted, deleted_tag, threshold):
             tokens = list(swapped)
             tokens[deletion] = topic_word
             yield tokens, topic_word, score
@@ -168,27 +171,26 @@ def _candidates(pair: PunPair, seeds: list[SeedCandidate],
     """Candidates in (seed rank, topic score) order, produced lazily."""
     for seed in seeds:
         sentence = resources.corpus.by_id[seed.sent_id]
-        surfaces = sentence.surfaces()
-        if pair.pun_word in surfaces:
+        if pair.pun_word in sentence.tokens:
             continue  # swapping would leave two pun words
-        swapped, position = swap(surfaces, pair)
+        swapped, position = swap(sentence.tokens, pair)
         if config.stage == STAGE_SWAP:
             yield GenerationCandidate(
                 seed_id=seed.sent_id, seed_rank=seed.rank,
                 pun_position=position, final_tokens=swapped, stage=STAGE_SWAP,
             )
             continue
-        tagged = tag(sentence, resources.lexicon)
-        deletion = select_deletion(tagged, position)
+        tags = tag(sentence, resources.lexicon)
+        deletion = select_deletion(tags, position)
         if deletion is None:
             continue
         for tokens, topic_word, score in topic_insert(
-                swapped, tagged, deletion, topics, resources.graph,
+                swapped, deletion, tags[deletion], topics, resources.graph,
                 config.threshold):
             yield GenerationCandidate(
                 seed_id=seed.sent_id, seed_rank=seed.rank,
                 pun_position=position, final_tokens=tokens, stage=STAGE_TOPIC,
-                deleted_word=tagged.tokens[deletion].surface,
+                deleted_word=swapped[deletion],
                 topic_word=topic_word, topic_score=score,
             )
 

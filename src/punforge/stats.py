@@ -66,18 +66,6 @@ def _parse_score(raw: str, path: str | Path, line: int) -> float | None:
 class RatingsTable:
     records: list[Rating]
 
-    def raters(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.rater_id, None)
-        return list(seen)
-
-    def items(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.item_id, None)
-        return list(seen)
-
     def by_rater(self) -> dict[str, dict[str, float]]:
         """rater -> {item: score}, missing scores skipped."""
         out: dict[str, dict[str, float]] = {}

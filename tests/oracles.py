@@ -189,7 +189,7 @@ def reference_postings(sentences):
     for sentence in sentences:
         seen = {}
         for position, token in enumerate(sentence.tokens):
-            seen.setdefault(token.surface, []).append(position)
+            seen.setdefault(token, []).append(position)
         for surface, positions in seen.items():
             postings.setdefault(surface, []).append((sentence.sent_id, tuple(positions)))
     return postings

@@ -536,7 +536,7 @@ def test_criterion_07_seed_retrieval(capsys):
     raw.append([pool_words[2]] + [pool_words[3]] * 40)   # length 41
     sentences, _ = ingest(" ".join(tokens) for tokens in raw)
     index = build_index(sentences)
-    cache = [(s.sent_id, [t.surface for t in s.tokens]) for s in sentences]
+    cache = [(s.sent_id, s.surfaces()) for s in sentences]
 
     def brute(word, pool, keep):
         gathered = []

@@ -16,7 +16,8 @@ import pytest
 
 from oracles import reference_postings
 from punforge import binio, skipgram
-from punforge.corpus import CORPUS_MAGIC, Corpus, ingest, load_corpus, save_corpus
+from punforge.corpus import (CORPUS_MAGIC, Corpus, Vocabulary, ingest, load_corpus,
+                             save_corpus)
 from punforge.demo_corpus import build_demo_corpus, write_demo_corpus
 from punforge.errors import FormatError
 from punforge.ngram_lm import LM_MAGIC, NGramModel, train_lm
@@ -462,6 +463,43 @@ class TestNewBlocksFuzz:
             assert dict(loaded.postings.items()) == reference_postings(loaded.sentences)
             seen.add((ext, block, "loaded"))
         assert {(ext, block, "refused") for ext in spans for block in spans[ext]} <= seen
+
+
+class TestEmbeddedVocabulary:
+    @pytest.mark.parametrize("ext", ["pgc", "pglm", "pgsg"])
+    def test_repeated_word_rejected(self, demo_files, tmp_path, ext):
+        """A dump that names a word twice, behind its own hash, would leave
+        the first id's statistics out of reach of every lookup."""
+        blob = demo_files[ext].read_bytes()
+        start, end = _block_spans(demo_files[ext])["vocab"]
+        _stored, lines = _read_vocab_section(_reader(blob[start:end]))
+        lines[3] = lines[1].split("\t")[0] + lines[3][lines[3].index("\t"):]
+        fh = io.BytesIO()
+        _write_vocab_section(fh, lines)
+        bad = tmp_path / f"bad.{ext}"
+        bad.write_bytes(blob[:start] + fh.getvalue() + blob[end:])
+        word = lines[1].split("\t")[0]
+        with pytest.raises(FormatError,
+                           match=f"repeated vocabulary word '{word}' at line 4"):
+            _LOADERS[ext](bad)
+
+    def test_dump_text_is_built_once_for_the_hash_and_every_file(
+            self, tmp_path, monkeypatch):
+        calls = []
+        dump_lines = Vocabulary.dump_lines
+        monkeypatch.setattr(Vocabulary, "dump_lines",
+                            lambda self: calls.append(1) or dump_lines(self))
+        sentences, vocab = ingest(build_demo_corpus()[::40])
+        vocab.hash_bytes()
+        save_corpus(tmp_path / "m.pgc", Corpus(sentences, vocab))
+        train_lm(sentences, vocab, order=3).save(tmp_path / "m.pglm")
+        train_skipgram(sentences[:20], vocab, SkipGramConfig(dim=4, epochs=1)) \
+            .save(tmp_path / "m.pgsg")
+        assert len(calls) == 1
+        for ext in ("pgc", "pglm", "pgsg"):  # and the text a load kept is the file's
+            loaded = _LOADERS[ext](tmp_path / f"m.{ext}")
+            assert loaded.vocab.dump_text() == vocab.dump_text()
+        assert len(calls) == 1
 
 
 class _HalfWrite(io.FileIO):

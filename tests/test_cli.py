@@ -414,8 +414,8 @@ class TestIndex:
         for name, tag in tag_of.items():
             text = root / f"{name}.txt"
             text.write_text("".join(
-                " ".join(f"{t.surface}_{tag(i, t.surface).name}"
-                         for i, t in enumerate(s.tokens)) + "\n"
+                " ".join(f"{t}_{tag(i, t).name}" for i, t in enumerate(s.tokens))
+                + "\n"
                 for s in sentences), encoding="utf-8")
             corpora[name] = root / f"{name}.pgc"
             assert cli.main(["index", "--tagged", "--corpus", str(text),
@@ -452,6 +452,17 @@ class TestIndex:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown tag 'NOUNISH'" in err
         assert not out.exists()
+
+    def test_empty_surface_is_one_line_data_error(self, tmp_path, capsys):
+        text = tmp_path / "t.txt"
+        text.write_text("the_OTHER dog_NOUN\n_NOUN ran_VERB\n", encoding="utf-8")
+        out = tmp_path / "t.pgc"
+        assert cli.main(["index", "--tagged", "--corpus", str(text),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 2: token '_NOUN' has an empty surface" in err
+        assert list(tmp_path.iterdir()) == [text]
 
     def test_fifo_out_stays_a_fifo_and_gets_the_corpus(self, tmp_path):
         """The reader opens first and the file stays far below a pipe's

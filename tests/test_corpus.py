@@ -5,9 +5,9 @@ import pytest
 
 from oracles import reference_postings
 from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, PostingsView, Sentence,
-                             TagLexicon, Token, Vocabulary, detokenize, ingest,
-                             load_corpus, postings_of, save_corpus,
-                             split_sentences, tag, tokenize)
+                             TagLexicon, Vocabulary, ingest, load_corpus,
+                             postings_of, save_corpus, split_sentences, tag,
+                             tokenize)
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
 from punforge.retrieval import build_index
@@ -32,11 +32,10 @@ def test_split_sentences_on_terminators_and_newlines():
     ]
 
 
-def test_detokenize_round_trip():
+def test_space_joined_tokens_tokenize_back():
     for raw in ["The cat sat.", "Who, me?", "a 2-for-1 deal!"]:
         surfaces = tokenize(raw)
-        sent = Sentence(0, [Token(s) for s in surfaces])
-        assert tokenize(detokenize(sent)) == surfaces
+        assert tokenize(" ".join(surfaces)) == surfaces
 
 
 def test_pronoun_list_is_the_fixed_closed_class():
@@ -113,10 +112,19 @@ class TestVocabulary:
         (["<unk>\t0\t0", "cat\t1\t3", "dog\t2\t-1"],
          "bad vocabulary id or count at line 3"),
         (["cat\t0\t3"], "vocabulary must start with '<unk>' at id 0"),
+        (["<unk>\t0\t0", "a\t1\t3", "b\t2\t2", "a\t3\t1"],
+         "repeated vocabulary word 'a' at line 4"),
+        (["<unk>\t0\t0", "<unk>\t1\t3"], "repeated vocabulary word '<unk>' at line 2"),
     ])
     def test_bad_dump_names_its_first_bad_line(self, lines, message):
         with pytest.raises(FormatError, match=message):
             Vocabulary.from_dump_lines(lines)
+
+    def test_text_file_with_a_repeated_word_rejected(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("<unk>\t0\t0\na\t1\t3\nb\t2\t2\na\t3\t1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="repeated vocabulary word 'a' at line 4"):
+            Vocabulary.load_text(path)
 
     def test_saved_text_is_the_hashed_dump(self, tmp_path):
         vocab = Vocabulary({"cat": 3, "héé": 1})
@@ -141,13 +149,11 @@ class TestTagging:
         assert lex.tag_word("run") is Pos.NOUN
         assert lex.tag_word("blue") is Pos.OTHER
 
-    def test_tag_returns_tagged_copy(self):
+    def test_tag_gives_one_tag_per_token(self):
         lex = TagLexicon(nouns={"dog"}, verbs={"ran"})
-        sent = Sentence(7, [Token("the"), Token("dog"), Token("ran")])
-        tagged = tag(sent, lex)
-        assert [t.pos for t in tagged.tokens] == [Pos.OTHER, Pos.NOUN, Pos.VERB]
-        assert all(t.pos is Pos.UNKNOWN for t in sent.tokens)
-        assert tagged.sent_id == 7
+        sent = Sentence(7, ["the", "dog", "ran"])
+        assert tag(sent, lex) == [Pos.OTHER, Pos.NOUN, Pos.VERB]
+        assert sent.tokens == ["the", "dog", "ran"]
 
 
 class TestIngest:
@@ -164,23 +170,36 @@ class TestIngest:
         sentences, vocab = ingest("a a a b", min_count=2)
         assert vocab.encode(sentences[0].surfaces()) == [1, 1, 1, 0]
 
-    def test_tagged_input_parses_tags_and_underscored_surfaces(self):
+    def test_tagged_input_keeps_underscored_surfaces_and_drops_tags(self):
         sentences, vocab = ingest(
-            "the_OTHER ice_cream_NOUN melted_VERB ._OTHER", tagged=True
+            "The_OTHER ice_cream_NOUN melted_verb ._OTHER", tagged=True
         )
-        toks = sentences[0].tokens
-        assert [t.surface for t in toks] == ["the", "ice_cream", "melted", "."]
-        assert [t.pos for t in toks] == [
-            Pos.OTHER, Pos.NOUN, Pos.VERB, Pos.OTHER,
-        ]
+        assert sentences[0].tokens == ["the", "ice_cream", "melted", "."]
+        assert ingest("the_NOUN ice_cream_VERB melted_OTHER ._UNKNOWN",
+                      tagged=True)[0] == sentences
+        assert vocab.dump_lines() == ingest("the ice_cream melted .")[1].dump_lines()
 
     def test_tagged_input_rejects_unknown_tag(self):
-        with pytest.raises(FormatError):
-            ingest("dog_NOUNISH", tagged=True)
+        with pytest.raises(FormatError, match="line 2: unknown tag 'NOUNISH'"):
+            ingest("cat_NOUN\ndog_NOUNISH", tagged=True)
 
     def test_tagged_input_rejects_missing_tag(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="line 1: token 'dog' lacks a _TAG"):
             ingest("dog", tagged=True)
+
+    @pytest.mark.parametrize("chunk", ["_NOUN", "_", "_bogus"])
+    def test_tagged_input_rejects_empty_surface(self, chunk):
+        with pytest.raises(FormatError,
+                           match=f"line 1: token '{chunk}' has an empty surface"):
+            ingest(f"a_OTHER {chunk} b_OTHER", tagged=True)
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_tokens_are_strings(self, tagged):
+        text = "a_OTHER dog_NOUN ran_VERB" if tagged else "a dog ran"
+        sentences, _ = ingest(text, tagged=tagged)
+        assert sentences == [Sentence(0, ["a", "dog", "ran"])]
+        assert all(type(t) is str for t in sentences[0].tokens)
+        assert sentences[0].surfaces() is sentences[0].tokens
 
     def test_iterable_of_lines_accepted(self):
         sentences, _ = ingest(iter(["one line here", "two lines here"]))
@@ -201,12 +220,8 @@ class TestCorpusFile:
         path = tmp_path / "c.pgc"
         save_corpus(path, corpus)
         loaded = load_corpus(path)
-        assert [s.surfaces() for s in loaded.sentences] == \
-            [s.surfaces() for s in corpus.sentences]
-        # the tags of a tagged input are checked, not stored
-        assert {t.pos for s in corpus.sentences for t in s.tokens} == \
-            {Pos.OTHER, Pos.NOUN, Pos.VERB}
-        assert {t.pos for s in loaded.sentences for t in s.tokens} == {Pos.UNKNOWN}
+        assert loaded.sentences == corpus.sentences
+        assert all(type(t) is str for s in loaded.sentences for t in s.tokens)
         assert loaded.vocab.dump_lines() == corpus.vocab.dump_lines()
         assert loaded.postings == build_index(corpus.sentences).postings
 
@@ -220,9 +235,8 @@ class TestCorpusFile:
                                                 for _ in range(rng.randrange(1, 30)))
                                        for _ in range(300)])
         else:
-            sentences = [Sentence(5, [Token("a"), Token("b"), Token("a")]),
-                         Sentence(2, []),
-                         Sentence(9, [Token("b"), Token("c")])]
+            sentences = [Sentence(5, ["a", "b", "a"]), Sentence(2, []),
+                         Sentence(9, ["b", "c"])]
             vocab = Vocabulary({"a": 2, "b": 2, "c": 1})
         path = tmp_path / "c.pgc"
         save_corpus(path, Corpus(sentences, vocab))
@@ -240,8 +254,8 @@ class TestCorpusFile:
             words = [f"w{i}" for i in range(400)]
             weights = [1.0 / (i + 1) for i in range(len(words))]
             ids = rng.sample(range(5000), 600)
-            sentences = [Sentence(i, [Token(w) for w in rng.choices(
-                             words, weights, k=rng.choice([0, rng.randrange(1, 41)]))])
+            sentences = [Sentence(i, rng.choices(
+                             words, weights, k=rng.choice([0, rng.randrange(1, 41)])))
                          for i in ids]
             vocab = Vocabulary(dict.fromkeys(words, 1))
         path = tmp_path / "c.pgc"

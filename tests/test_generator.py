@@ -5,8 +5,7 @@ import pytest
 
 from oracles import reference_generate, reference_predict_topics
 from punforge import generator
-from punforge.corpus import (Pos, Sentence, TagLexicon, Token, ingest,
-                             load_corpus, tag)
+from punforge.corpus import Pos, Sentence, TagLexicon, ingest, load_corpus, tag
 from punforge.generator import (NO_CANDIDATES, NO_SEEDS, NO_TOPIC_WORDS,
                                 STAGE_SWAP, STAGE_TOPIC, GenerationConfig,
                                 GenerationResources, generate,
@@ -88,9 +87,8 @@ def _resources(with_lm=False):
     )
 
 
-def _tagged(text, sent_id=0):
-    sent = Sentence(sent_id, [Token(w) for w in text.split()])
-    return tag(sent, LEXICON)
+def _tags(text):
+    return tag(Sentence(0, text.split()), LEXICON)
 
 
 class TestSwap:
@@ -110,20 +108,16 @@ class TestSwap:
 
 class TestSelectDeletion:
     def test_leftmost_noun_before_the_slot(self):
-        sent = _tagged("the camp near the lake base")
-        assert select_deletion(sent, 5) == 1
+        assert select_deletion(_tags("the camp near the lake base"), 5) == 1
 
     def test_pronouns_count(self):
-        sent = _tagged("they built a base")
-        assert select_deletion(sent, 3) == 0
+        assert select_deletion(_tags("they built a base"), 3) == 0
 
     def test_must_be_strictly_before(self):
-        sent = _tagged("the cold base today")
-        assert select_deletion(sent, 2) is None
+        assert select_deletion(_tags("the cold base today"), 2) is None
 
     def test_no_candidate_gives_none(self):
-        sent = _tagged("so very cold base")
-        assert select_deletion(sent, 3) is None
+        assert select_deletion(_tags("so very cold base"), 3) is None
 
 
 class TestTopicInsert:
@@ -131,9 +125,9 @@ class TestTopicInsert:
         resources = _resources()
         topics = insertable_topics(resources.skipgram.predict_topics("bass", 100),
                                    PAIR, LEXICON)
-        tagged = _tagged("our team guarded the base today .")
+        tags = _tags("our team guarded the base today .")
         swapped = ["our", "team", "guarded", "the", "bass", "today", "."]
-        out = list(topic_insert(swapped, tagged, 1, topics, GRAPH))
+        out = list(topic_insert(swapped, 1, tags[1], topics, GRAPH))
         # 'team' survives as a zero-score self-replacement; verbs, pair
         # words, and type-inconsistent nouns are all gone
         assert [(words[1], words[4]) for words, _, _ in out] == [

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from punforge.corpus import Sentence, Token, ingest
+from punforge.corpus import Sentence, ingest
 from punforge.retrieval import (InvertedIndex, SeedCandidate, build_index,
                                 retrieve_seeds)
 
 
 def _sentences(lines):
-    return [Sentence(i, [Token(w) for w in line.split()])
-            for i, line in enumerate(lines)]
+    return [Sentence(i, line.split()) for i, line in enumerate(lines)]
 
 
 class TestBuildIndex:
@@ -102,7 +101,7 @@ class TestAgainstBruteForce:
 
             exact = []
             for s in sentences:
-                hits = [i for i, t in enumerate(s.tokens) if t.surface == query]
+                hits = [i for i, t in enumerate(s.tokens) if t == query]
                 if len(hits) == 1 and 4 <= len(s.tokens) <= 40:
                     exact.append((s.sent_id, hits[0], len(s.tokens)))
             exact.sort(key=lambda e: (-(e[1] / e[2]), e[2], e[0]))

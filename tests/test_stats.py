@@ -28,8 +28,8 @@ class TestRatingsTable:
 
     def test_raters_and_items_preserve_first_seen_order(self):
         table = _table([("b", "y", 1.0), ("a", "x", 2.0), ("b", "x", 3.0)])
-        assert table.raters() == ["y", "x"]
-        assert table.items() == ["b", "a"]
+        assert list(table.by_rater()) == ["y", "x"]
+        assert list(item_means(table)) == ["b", "a"]
 
     def test_by_rater_skips_missing(self):
         table = _table([("i1", "r1", 4.0), ("i2", "r1", None)])
@@ -50,7 +50,7 @@ class TestZScoreRaters:
                         ("i1", "r2", 1.0), ("i2", "r2", 2.0)])
         with caplog.at_level(logging.WARNING, logger="punforge.stats"):
             z = zscore_raters(table)
-        assert z.raters() == ["r2"]
+        assert list(z.by_rater()) == ["r2"]
         assert any("r1" in rec.message for rec in caplog.records)
 
     def test_missing_scores_pass_through(self):
@@ -70,7 +70,7 @@ class TestFilterRaters:
         report = filter_raters(_table(rows))
         assert report.dropped == {"r3"}
         assert report.uncheckable == set()
-        assert set(report.table.raters()) == {"r1", "r2"}
+        assert set(report.table.by_rater()) == {"r1", "r2"}
 
     def test_low_overlap_rater_kept_and_flagged(self, caplog):
         rows = [(i, "r1", float(s)) for i, s in zip("abcde", range(5))]
@@ -79,7 +79,7 @@ class TestFilterRaters:
         with caplog.at_level(logging.WARNING, logger="punforge.stats"):
             report = filter_raters(_table(rows))
         assert report.uncheckable == {"r9"}
-        assert "r9" in {r for r in report.table.raters()}
+        assert "r9" in report.table.by_rater()
 
     def test_constant_shared_slice_is_not_a_correlation(self):
         # r2 is constant on the shared items, so the pair is skipped and
