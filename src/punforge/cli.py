@@ -484,11 +484,15 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
 
 def _cmd_correlate(args, cfg: RunConfig) -> int:
     ratings = stats.RatingsTable.load_csv(args.ratings)
-    filtered = stats.filter_raters(stats.zscore_raters(ratings),
-                                   min_corr=cfg.min_rater_corr)
+    try:
+        zscored = stats.zscore_raters(ratings)
+    except ValueError as exc:
+        raise ResourceError(f"{args.ratings}: {exc}") from None
+    filtered = stats.filter_raters(zscored, min_corr=cfg.min_rater_corr)
     means = stats.item_means(filtered.table)
 
     metric_values: dict[str, dict[str, float]] = {}
+    id_lines: dict[str, int] = {}  # item -> line of its metrics
     with open_text(args.scores) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -505,7 +509,15 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
             except (ValueError, OverflowError, RecursionError) as exc:
                 raise FormatError(f"{args.scores}:{lineno}: not a JSON object "
                                   f"of finite metrics ({exc})") from None
-            item = str(record.get("id"))
+            if not metrics:
+                continue
+            if record.get("id") is None:
+                raise FormatError(f"{args.scores}:{lineno}: metrics without an id")
+            item = str(record["id"])
+            if item in id_lines:
+                raise FormatError(f"{args.scores}:{lineno}: id {item!r} repeats "
+                                  f"line {id_lines[item]}")
+            id_lines[item] = lineno
             for key, value in metrics.items():
                 metric_values.setdefault(key, {})[item] = value
 

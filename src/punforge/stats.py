@@ -37,7 +37,7 @@ DEFAULT_MIN_SHARED = 3
 DEFAULT_CLIP = 2.0
 DEFAULT_PERMUTATIONS = 10_000
 # A p-value resolves 1 / (permutations + 1); a million draws resolve 1e-6
-# and take 5 to 10 s a column at 200 items.  More would run for hours.
+# and take 2.5 to 4 s a column at 200 items.  More would run for hours.
 MAX_PERMUTATIONS = 1_000_000
 MISSING = "NA"
 
@@ -96,8 +96,22 @@ class RatingsTable:
         return cls(records)
 
 
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and population standard deviation; ValueError unless both are
+    finite, as when the values' sum or squares overflow float64."""
+    arr = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(arr.mean()), float(arr.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError("mean or standard deviation is not finite in float64")
+    return mean, std
+
+
 def zscore_raters(table: RatingsTable) -> RatingsTable:
-    """Standardize scores within each rater; constant raters are dropped."""
+    """Standardize scores within each rater; constant raters are dropped.
+
+    A rater whose mean or standard deviation is not finite is a ValueError.
+    """
     by_rater: dict[str, list[float]] = {}
     for r in table.records:
         if r.score is not None:
@@ -105,8 +119,10 @@ def zscore_raters(table: RatingsTable) -> RatingsTable:
     stats: dict[str, tuple[float, float]] = {}
     dropped: set[str] = set()
     for rater, scores in by_rater.items():
-        mean = float(np.mean(scores))
-        std = float(np.std(scores))  # population
+        try:
+            mean, std = _mean_std(scores)
+        except ValueError as exc:
+            raise ValueError(f"rater {rater!r}: {exc}") from None
         if std == 0.0:
             dropped.add(rater)
             log.warning("dropping rater %s: constant scores carry no signal", rater)
@@ -202,21 +218,24 @@ def clip_standardize(values: Sequence[float], clip: float = DEFAULT_CLIP) -> np.
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot standardize an empty vector")
-    std = arr.std()
+    mean, std = _mean_std(arr)
     if std == 0.0:
         raise ValueError("cannot standardize a constant vector")
-    return np.clip((arr - arr.mean()) / std, -clip, clip)
+    return np.clip((arr - mean) / std, -clip, clip)
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions.
 
     Ties are runs of equal values in stable sorted order; a run over sorted
-    positions start..end - 1 gets (start + end + 1) / 2.
+    positions start..end - 1 gets (start + end + 1) / 2.  NaN has no rank:
+    ValueError (it sorts last, so the last sorted value shows it).
     """
     arr = np.asarray(values, dtype=np.float64)
     order = arr.argsort(kind="stable")
     ordered = arr[order]
+    if arr.size and math.isnan(ordered[-1]):
+        raise ValueError("cannot rank NaN")
     edge = np.empty(arr.size + 1, dtype=bool)  # a run starts or the array ends
     edge[0] = edge[-1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
@@ -261,19 +280,22 @@ def permutation_pvalue(x: Sequence[float], y: Sequence[float],
     """Two-sided permutation p-value for the Spearman correlation.
 
     Counts the draws whose |rho| reaches the observed |rho|, with one added
-    to numerator and denominator.  ``np.random.default_rng(seed)`` permutes
-    ``y`` once per draw.  The ranks are computed once: shuffling the centred
-    ranks of ``y`` uses the same draws as shuffling ``y``, and the ranks of a
-    permuted vector are the permuted ranks.  Draws are scored a block at a
-    time by one matrix product.
+    to numerator and denominator.  The draws are those of one
+    ``np.random.default_rng(seed).permutation(y)`` call per draw.  The ranks
+    are computed once: shuffling the centred ranks of ``y`` uses the same
+    draws as shuffling ``y``, and the ranks of a permuted vector are the
+    permuted ranks.  Each block of ``_PERMUTATION_BLOCK`` draws is filled
+    with copies of the centred ranks, shuffled row by row in one
+    ``Generator.permuted`` call (the same Fisher-Yates draws, row after
+    row, as one ``permutation`` call per row), and scored by one matrix
+    product.
 
     The result is exact, not approximate.  Average ranks are multiples of
     0.5 and their mean (n + 1) / 2 is exact, so every product of two centred
     ranks is a multiple of 0.25 and every sum of them is exact in float64,
     in any summation order, while n is below about 10**5.  Each draw's
     correlation therefore equals, bit for bit, what ``spearman`` returns
-    for that permuted ``y``.  (NaN in ``y`` is the exception: NaNs never
-    tie, so they are ranked by position and the shortcut does not hold.)
+    for that permuted ``y``.
     """
     check_permutations(permutations)
     dx, dy, scale = _rank_deviations(x, y)
@@ -283,8 +305,8 @@ def permutation_pvalue(x: Sequence[float], y: Sequence[float],
     hits = 0
     for done in range(0, permutations, _PERMUTATION_BLOCK):
         rows = block[:min(_PERMUTATION_BLOCK, permutations - done)]
-        for row in rows:
-            row[:] = rng.permutation(dy)
+        rows[:] = dy
+        rng.permuted(rows, axis=1, out=rows)
         hits += int(np.count_nonzero(np.abs((rows @ dx) / scale) >= observed))
     return (hits + 1) / (permutations + 1)
 

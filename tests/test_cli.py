@@ -938,6 +938,13 @@ class TestCorrelate:
         ("scores.jsonl", "[1, 2]\n", ":1: not a JSON object"),
         pytest.param("scores.jsonl", "[" * 100_000 + "\n", ":1: not a JSON object",
                      id="scores.jsonl-nested-too-deeply"),
+        pytest.param("scores.jsonl", '{"id": "a", "flat": 1}\n{"s_ratio": 1.0}\n',
+                     ":2: metrics without an id", id="scores.jsonl-no-id"),
+        pytest.param("scores.jsonl", '{"id": null, "s_ratio": 1.0}\n',
+                     ":1: metrics without an id", id="scores.jsonl-null-id"),
+        pytest.param("scores.jsonl", '{"id": "a"}\n{"id": "a", "s_ratio": 1.0}\n'
+                     '{"id": "b", "s_ratio": 2.0}\n{"id": "a", "s_ratio": 3.0}\n',
+                     ":4: id 'a' repeats line 2", id="scores.jsonl-repeated-id"),
     ])
     def test_malformed_input_is_one_line_data_error(self, tmp_path, capsys,
                                                     name, text, where):
@@ -1009,6 +1016,28 @@ class TestCorrelate:
             assert code in (0, 2) and "Traceback" not in err, bytes(blob)
             codes.add(code)
         assert codes == {0, 2}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target,lines,message", [
+        ("ratings.csv", ["item_id,rater_id,score", "a,r1,1e308", "b,r1,1e308",
+                         "c,r1,-1e308"],
+         "ratings.csv: rater 'r1': mean or standard deviation is not finite"),
+        ("scores.jsonl", ['{"id": "a", "m": 1e308}', '{"id": "b", "m": -1e308}',
+                          '{"id": "c", "m": 0}'],
+         "metric 'm': mean or standard deviation is not finite"),
+    ], ids=["ratings", "metric"])
+    def test_overflowing_spread_is_one_line_data_error(self, tmp_path, capsys,
+                                                       target, lines, message):
+        """Scores whose mean or spread overflows float64 are refused in one
+        line, not turned into NaN z-scores or a 'constant vector'."""
+        self._fixture_files(tmp_path, None)
+        (tmp_path / target).write_text("\n".join(lines) + "\n")
+        code = cli.main(["correlate", "--ratings", str(tmp_path / "ratings.csv"),
+                         "--scores", str(tmp_path / "scores.jsonl"),
+                         "--output", str(tmp_path / "o.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_metric_is_one_line_data_error(self, tmp_path, capsys,

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ class TestZScoreRaters:
                         ("i3", "r1", 3.0)])
         z = zscore_raters(table)
         assert z.records[1].score is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scores", [(1e308, 1e308, -1e308),  # sum
+                                        (1e200, -1e200, 0.0)])    # squares
+    def test_overflowing_rater_is_refused_by_name(self, scores):
+        table = _table([("i1", "r0", 1.0), ("i2", "r0", 2.0)]
+                       + [(f"i{k}", "r9", s) for k, s in enumerate(scores)])
+        with pytest.raises(ValueError, match="rater 'r9'.*not finite"):
+            zscore_raters(table)
 
 
 class TestFilterRaters:
@@ -135,6 +145,21 @@ class TestClipStandardize:
         with pytest.raises(ValueError):
             clip_standardize([])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [[1e308, -1e308, 0.0],
+                                        [1e308, 1e308, 0.0],
+                                        [1.0, math.nan, 2.0]])
+    def test_spread_that_is_not_finite_rejected(self, values):
+        with pytest.raises(ValueError, match="not finite"):
+            clip_standardize(values)
+
+    def test_finite_spreads_give_the_plain_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for scale in (1e-100, 1.0, 1e150):
+            arr = rng.standard_normal(200) * scale
+            expected = np.clip((arr - arr.mean()) / arr.std(), -2.0, 2.0)
+            assert np.array_equal(clip_standardize(arr), expected)
+
 
 class TestRanksAndSpearman:
     def test_tied_ranks_share_their_average(self):
@@ -181,6 +206,15 @@ class TestRanksAndSpearman:
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_nan_has_no_rank(self):
+        nan = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            spearman([1.0, 2.0, 3.0, nan], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="NaN"):
+            spearman([1.0, 2.0, 3.0, 4.0], [nan, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="NaN"):
+            permutation_pvalue([1.0, 2.0, 3.0], [1.0, nan, 3.0])
 
 
 class TestPermutationPValue:
@@ -236,6 +270,52 @@ class TestPermutationPValue:
             x, y = self._vectors(rng, n, tied)
             assert permutation_pvalue(x, y, permutations=k, seed=seed) == \
                 reference_permutation_pvalue(x, y, k, seed), (n, k, seed, tied)
+
+    @pytest.mark.parametrize("rows", [1, _PERMUTATION_BLOCK - 1,
+                                      _PERMUTATION_BLOCK, _PERMUTATION_BLOCK + 1])
+    def test_block_shuffle_is_the_per_draw_permutation_stream(self, rows):
+        """``permutation_pvalue`` shuffles a block of copied rows with one
+        ``permuted`` call and counts on it drawing what one ``permutation``
+        call per row draws.  A NumPy whose streams differ fails here."""
+        x = [float(v % 7) for v in range(37)]  # tied ranks
+        dy = average_ranks(x) - (len(x) + 1) / 2
+        seed = 2 ** 40 + rows
+        block_rng = np.random.default_rng(seed)
+        block = np.empty((rows, dy.size))
+        block[:] = dy
+        block_rng.permuted(block, axis=1, out=block)
+        row_rng = np.random.default_rng(seed)
+        per_row = np.array([row_rng.permutation(dy) for _ in range(rows)])
+        assert np.array_equal(block, per_row)
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
+    def test_one_shuffle_call_per_block(self, monkeypatch):
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.calls = Counter()
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls[name] += 1
+                    return method(*args, **kwargs)
+                return counted
+
+        rng = random.Random(8)
+        x = [rng.random() for _ in range(50)]
+        y = [rng.random() for _ in range(50)]
+        expected = permutation_pvalue(x, y, permutations=10_000, seed=4)
+        default_rng, made = np.random.default_rng, []
+
+        def counting_rng(seed):
+            made.append(CountingRng(default_rng(seed)))
+            return made[-1]
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        assert permutation_pvalue(x, y, permutations=10_000, seed=4) == expected
+        assert [m.calls for m in made] == [
+            Counter(permuted=math.ceil(10_000 / _PERMUTATION_BLOCK))]
 
     def test_permutation_count_validated(self):
         with pytest.raises(ValueError):
