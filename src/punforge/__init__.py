@@ -21,8 +21,7 @@ from .retrieval import InvertedIndex, SeedCandidate, build_index, retrieve_seeds
 from .skipgram import (SkipGramConfig, SkipGramModel, extract_pairs,
                        train_skipgram)
 from .stats import (RatingsTable, clip_standardize, filter_raters, item_means,
-                    pairwise_compare, permutation_pvalue, spearman,
-                    zscore_raters)
+                    permutation_pvalue, spearman, zscore_raters)
 from .surprisal import (PunOccurrence, PunPair, SurprisalReport, local_global,
                         s_ratio, score_occurrence, surprisal, unusualness)
 from .wordnet import SynsetGraph, load_wordnet
@@ -42,7 +41,7 @@ __all__ = [
     "InvertedIndex", "SeedCandidate", "build_index", "retrieve_seeds",
     "SkipGramConfig", "SkipGramModel", "extract_pairs", "train_skipgram",
     "RatingsTable", "clip_standardize", "filter_raters", "item_means",
-    "pairwise_compare", "permutation_pvalue", "spearman", "zscore_raters",
+    "permutation_pvalue", "spearman", "zscore_raters",
     "PunOccurrence", "PunPair", "SurprisalReport", "local_global", "s_ratio",
     "score_occurrence", "surprisal", "unusualness",
     "SynsetGraph", "load_wordnet",

@@ -17,6 +17,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -291,7 +292,6 @@ def _cmd_index(args, cfg: RunConfig) -> int:
     sentences, vocab = ingest(Path(args.corpus), min_count=cfg.min_count,
                               tagged=args.tagged)
     save_corpus(args.out, Corpus(sentences, vocab))
-    vocab.save_text(args.out + ".vocab")
     log.info("indexed %d sentences, vocabulary %d", len(sentences), len(vocab))
     return EXIT_OK
 
@@ -309,9 +309,13 @@ def _cmd_train_skipgram(args, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
     model = train_skipgram(corpus.sentences, corpus.vocab,
                            _owner_config(cfg, SkipGramConfig))
-    model.save(args.out)
     if args.export_text:
-        model.export_text(args.export_text)
+        # neither target is replaced unless both are written whole
+        with binio.replace_file(args.export_text, encoding="utf-8") as fh:
+            model.export_text(fh)
+            model.save(args.out)
+    else:
+        model.save(args.out)
     return EXIT_OK
 
 
@@ -322,6 +326,15 @@ def _describe(value: object) -> str:
     if isinstance(value, list):
         return "an array"
     return json.dumps(value)
+
+
+def _finite_float(text: str) -> float:
+    """A JSON number or constant (``NaN``, ``Infinity``, ``-Infinity``) as a
+    float; ValueError unless it is finite, as ``1e400`` is not."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite in float64")
+    return value
 
 
 def _string_field(record: dict, name: str) -> str:
@@ -386,11 +399,14 @@ def _cmd_score(args, cfg: RunConfig) -> int:
                 continue
             record_id = lineno
             try:
-                record = json.loads(line)
+                # a non-finite number would make the echoed id invalid JSON
+                record = json.loads(line, parse_float=_finite_float,
+                                    parse_constant=_finite_float)
                 if not isinstance(record, dict):
                     raise ValueError(f"record must be a JSON object, "
                                      f"got {_describe(record)}")
-                record_id = record.get("id", lineno)
+                if record.get("id") is not None:
+                    record_id = record["id"]
                 result = _score_record(record, lm, skipgram, unigram_probs,
                                        cfg.window)
                 _emit(out, {"id": record_id, **result})

@@ -179,10 +179,6 @@ class Vocabulary:
             self._hash = _vocab_hash(self.dump_text().encode("utf-8"))
         return self._hash
 
-    def save_text(self, path: str | Path) -> None:
-        with binio.replace_file(path) as fh:
-            fh.write(self.dump_text().encode("utf-8"))
-
     @classmethod
     def from_dump_lines(cls, lines: Iterable[str]) -> "Vocabulary":
         """Parse dump lines, one ``word<TAB>id<TAB>count`` each, written as
@@ -207,11 +203,6 @@ class Vocabulary:
         if len(vocab._ids) != len(words):
             raise _dump_error(lines)
         return vocab
-
-    @classmethod
-    def load_text(cls, path: str | Path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dump_lines(fh.read().removesuffix("\n").split("\n"))
 
 
 def _vocab_hash(dump: bytes) -> bytes:

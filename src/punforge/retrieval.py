@@ -49,9 +49,6 @@ class InvertedIndex:
     def lookup(self, term: str) -> list[tuple[int, tuple[int, ...]]]:
         return self.postings.get(term, [])
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.postings
-
 
 def build_index(sentences: Sequence[Sentence]) -> InvertedIndex:
     return InvertedIndex(postings_of(sentences),

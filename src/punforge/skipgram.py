@@ -42,7 +42,7 @@ import logging
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -286,13 +286,13 @@ class SkipGramModel:
             raise FormatError(f"non-finite embedding value in {path}")
         return cls(vocab, config, *(t.reshape(len(vocab), config.dim) for t in tables))
 
-    def export_text(self, path: str | Path) -> None:
-        """Input embeddings as text: header 'V dim', then word + values."""
-        with binio.replace_file(path, encoding="utf-8") as fh:
-            fh.write(f"{len(self.vocab)} {self.config.dim}\n")
-            for word, idx, _count in self.vocab.items():
-                values = " ".join(repr(float(v)) for v in self.vec_in[idx])
-                fh.write(f"{word} {values}\n")
+    def export_text(self, fh: TextIO) -> None:
+        """Write the input embeddings to ``fh`` as text: header 'V dim', then
+        word + values."""
+        fh.write(f"{len(self.vocab)} {self.config.dim}\n")
+        for word, idx, _count in self.vocab.items():
+            values = " ".join(repr(float(v)) for v in self.vec_in[idx])
+            fh.write(f"{word} {values}\n")
 
 
 def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],

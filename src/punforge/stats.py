@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,10 +98,19 @@ class RatingsTable:
 
 def _mean_std(values) -> tuple[float, float]:
     """Mean and population standard deviation; ValueError unless both are
-    finite, as when the values' sum or squares overflow float64."""
+    finite, as when the values' sum or squares overflow float64.
+
+    Values below 0.5 in magnitude are first scaled up by a power of two, so
+    that the squares of a tiny spread do not underflow to zero.  The scaling
+    is exact, so the result is the unscaled formula's bit for bit wherever
+    that formula does not underflow.
+    """
     arr = np.asarray(values, dtype=np.float64)
+    exp = min(math.frexp(float(np.abs(arr).max()))[1], 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = float(arr.mean()), float(arr.std())
+        scaled = np.ldexp(arr, -exp) if exp else arr
+        mean = math.ldexp(float(scaled.mean()), exp)
+        std = math.ldexp(float(scaled.std()), exp)
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise ValueError("mean or standard deviation is not finite in float64")
     return mean, std
@@ -309,26 +318,3 @@ def permutation_pvalue(x: Sequence[float], y: Sequence[float],
         rng.permuted(rows, axis=1, out=rows)
         hits += int(np.count_nonzero(np.abs((rows @ dx) / scale) >= observed))
     return (hits + 1) / (permutations + 1)
-
-
-def pairwise_compare(a: Mapping[str, float], b: Mapping[str, float]) -> tuple[float, float, float]:
-    """Percentages of shared items where a wins / loses / ties against b.
-
-    Requires identical item sets: comparing systems scored on different
-    items is a usage error, not a statistic.
-    """
-    if set(a) != set(b):
-        raise ValueError("pairwise comparison needs identical item sets")
-    if not a:
-        raise ValueError("pairwise comparison needs at least one item")
-    win = lose = tie = 0
-    for item, score in a.items():
-        other = b[item]
-        if score > other:
-            win += 1
-        elif score < other:
-            lose += 1
-        else:
-            tie += 1
-    n = len(a)
-    return 100.0 * win / n, 100.0 * lose / n, 100.0 * tie / n

@@ -510,6 +510,12 @@ class _HalfWrite(io.FileIO):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+def _export_text(model, path):
+    """What ``train-skipgram --export-text`` does around the export."""
+    with binio.replace_file(path, encoding="utf-8") as fh:
+        model.export_text(fh)
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("write", [
         lambda models, path: save_corpus(path, models[0]),
@@ -517,13 +523,12 @@ class TestAtomicWrites:
         lambda models, path: train_skipgram(
             models[0].sentences[:20], models[0].vocab,
             SkipGramConfig(dim=2, d1=2, d2=3, epochs=1)).save(path),
-        lambda models, path: models[0].vocab.save_text(path),
-        lambda models, path: SkipGramModel(
+        lambda models, path: _export_text(SkipGramModel(
             models[0].vocab, SkipGramConfig(dim=2),
             np.zeros((len(models[0].vocab), 2)),
-            np.zeros((len(models[0].vocab), 2))).export_text(path),
+            np.zeros((len(models[0].vocab), 2))), path),
         lambda models, path: write_demo_corpus(path),
-    ], ids=["corpus", "lm", "skipgram", "vocab", "export_text", "demo_corpus"])
+    ], ids=["corpus", "lm", "skipgram", "export_text", "demo_corpus"])
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_file(self, demo, demo_lm, tmp_path, monkeypatch,
                                          write, existing):

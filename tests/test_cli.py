@@ -19,7 +19,8 @@ import pytest
 import punforge
 from punforge import cli, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
-from punforge.corpus import Pos, TagLexicon, Vocabulary, check_min_count, ingest
+from punforge.corpus import (Pos, TagLexicon, check_min_count, ingest,
+                             load_corpus)
 from punforge.generator import GenerationConfig
 from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
 from punforge.skipgram import MAX_EPOCHS, SkipGramConfig, SkipGramModel
@@ -393,12 +394,60 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(text) in err and "UTF-8" in err
 
 
+class TestFailedRunsWriteNothing:
+    @pytest.mark.parametrize("setup,argv", [
+        pytest.param(lambda p: Path("t.txt").write_bytes(b"\xff\xfethe hare .\n"),
+                     "index --corpus t.txt --out x.pgc", id="index-not-utf8"),
+        pytest.param(lambda p: Path("t.pgc").write_bytes(
+                         p["corpus"].read_bytes()[:200]),
+                     "train-lm --corpus t.pgc --out x.pglm", id="train-lm-truncated"),
+        pytest.param(lambda p: Path("d").mkdir(),
+                     "train-skipgram --corpus {corpus} --out x.pgsg --export-text d "
+                     "--dim 2 --epochs 1", id="train-skipgram-export-to-directory"),
+        pytest.param(lambda p: Path("d").mkdir(),
+                     "train-skipgram --corpus {corpus} --out d --export-text x.vec "
+                     "--dim 2 --epochs 1", id="train-skipgram-out-to-directory"),
+        pytest.param(lambda p: Path("in.jsonl").write_text('{"sentence": "a hare ."}\n'),
+                     "score --lm missing.pglm --input in.jsonl --output out.jsonl",
+                     id="score-missing-lm"),
+        pytest.param(lambda p: None,
+                     "generate --corpus {corpus} --skipgram {skipgram} --pun hare "
+                     "--alt hair --stage SWAP+TOPIC --output out.jsonl",
+                     id="generate-topic-without-wordnet"),
+        pytest.param(lambda p: (Path("r.csv").write_text("item_id,rater_id,score\n"
+                                                         "a,r1,1\nb,r1,2\n"),
+                                Path("s.jsonl").write_text('{"id": "a", "m": 1}\n'
+                                                           '{"id": "z", "m": 2}\n')),
+                     "correlate --ratings r.csv --scores s.jsonl --output o.tsv",
+                     id="correlate-one-shared-item"),
+    ])
+    def test_no_new_file_after_a_data_error(self, pipeline, tmp_path, monkeypatch,
+                                            capsys, setup, argv):
+        """Run in an empty directory, a command that exits 2 leaves it as its
+        inputs made it: no output, no temporary file."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PUNGEN_WORDNET", raising=False)
+        setup(pipeline)
+        before = sorted(Path().rglob("*"))
+        paths = {name: str(path) for name, path in pipeline.items()}
+        assert cli.main([arg.format(**paths) for arg in argv.split()]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(Path().rglob("*")) == before
+
+
 class TestIndex:
-    def test_writes_corpus_and_vocabulary_sidecar(self, pipeline):
-        assert pipeline["corpus"].exists()
-        sidecar = pipeline["corpus"].with_name(pipeline["corpus"].name + ".vocab")
-        assert sidecar.exists()
-        vocab = Vocabulary.load_text(sidecar)
+    @pytest.mark.parametrize("vocab_dir", [False, True])
+    def test_writes_one_file(self, pipeline, tmp_path, vocab_dir):
+        """The corpus file embeds its vocabulary, so no sidecar is written,
+        and a directory where one used to go is no obstacle."""
+        if vocab_dir:
+            (tmp_path / "x.pgc.vocab").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "x.pgc"
+        assert cli.main(["index", "--corpus", str(pipeline["text"]),
+                         "--out", str(out)]) == 0
+        assert sorted(tmp_path.rglob("*")) == sorted(before + [out])
+        vocab = load_corpus(out).vocab
         assert "hare" in vocab and "hair" in vocab
 
     @pytest.fixture(scope="class")
@@ -642,8 +691,6 @@ class TestScore:
     @pytest.mark.parametrize("bad,message", [
         ("[1]", "record must be a JSON object, got an array"),
         ('"x"', 'record must be a JSON object, got "x"'),
-        ({"pun_position": float("inf")},  # JSON Infinity
-         "'pun_position' must be an integer, got Infinity"),
         ({"pun_position": True}, "'pun_position' must be an integer, got true"),
         ({"pun_position": 1.9}, "'pun_position' must be an integer, got 1.9"),
         ({"tokens": "hare cut"},
@@ -652,9 +699,8 @@ class TestScore:
         ({"tokens": None}, "'tokens' must be a list of strings, got null"),
         ({"pun_word": ["hare"]}, "'pun_word' must be a string, got an array"),
         ({"alt_word": {"w": "hair"}}, "'alt_word' must be a string, got an object"),
-    ], ids=["array", "string", "infinite-position", "bool-position",
-            "float-position", "string-tokens", "number-token", "null-tokens",
-            "list-pun-word", "object-alt-word"])
+    ], ids=["array", "string", "bool-position", "float-position", "string-tokens",
+            "number-token", "null-tokens", "list-pun-word", "object-alt-word"])
     def test_malformed_record_is_an_inline_error(self, pipeline, tmp_path,
                                                  capsys, bad, message):
         good = {"id": "ok", "tokens": ["a", "hare", "cut", "."],
@@ -669,6 +715,51 @@ class TestScore:
         bad_id = 1 if isinstance(bad, str) else "bad"
         assert json.loads(lines[0]) == {"id": bad_id, "error": message}
         assert "ambiguity" in json.loads(lines[1])
+
+    def test_ids_are_standard_json(self, pipeline, tmp_path):
+        """A null id is the line number, as a missing one is.  A line holding
+        a number that is not finite in float64, which strict JSON cannot
+        write, is an inline error with its line number as id."""
+        fields = '"sentence": "a hare cut .", "pun_word": "hare", "alt_word": "hair"'
+        heads = ['"id": null', '"id": NaN', '"id": Infinity', '"id": -Infinity',
+                 '"id": 1e400', '"id": "bad", "pun_position": Infinity',
+                 '"id": [-1e999]']
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(f"{{{head}, {fields}}}\n" for head in heads))
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--input", str(src)])
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+        records = [json.loads(line, parse_constant=refuse) for line in lines]
+        assert [r["id"] for r in records] == list(range(1, 8))
+        assert "s_ratio" in records[0]
+        assert [r["error"] for r in records[1:]] == [
+            f"number {n} is not finite in float64"
+            for n in ("NaN", "Infinity", "-Infinity", "1e400", "Infinity", "-1e999")]
+
+    def test_null_ids_are_line_numbers_correlate_accepts(self, pipeline, tmp_path):
+        sentences = ["the greyhound got a hare cut downtown .",
+                     "a greyhound chased the hare .", "she cut her hare short .",
+                     "the hare ran fast .", "my barber gave me a hare cut ."]
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps({"id": None, "sentence": s,
+                                           "pun_word": "hare", "alt_word": "hair"})
+                               + "\n" for s in sentences))
+        scores = tmp_path / "scores.jsonl"
+        assert cli.main(["score", "--lm", str(pipeline["lm"]), "--input", str(src),
+                         "--output", str(scores)]) == 0
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("item_id,rater_id,score\n"
+                           + "".join(f"{i},r1,{i % 3}\n" for i in range(1, 6)))
+        report = tmp_path / "report.tsv"
+        assert cli.main(["correlate", "--ratings", str(ratings), "--scores",
+                         str(scores), "--output", str(report),
+                         "--permutations", "10"]) == 0
+        rows = [line.split("\t") for line in report.read_text().splitlines()[1:]]
+        assert {row[0]: row[1] for row in rows} == dict.fromkeys(
+            ["s_global", "s_local", "s_ratio", "unusualness"], "5")
 
     def test_deeply_nested_line_is_an_inline_error(self, pipeline, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -1228,6 +1319,20 @@ class TestTrainSkipgramLog:
         assert [m.group(1) for m in found] == ["1", "2", "3"]
         assert all(0 < float(m.group(2)) for m in found)
         assert len({m.group(3) for m in found}) == 1
+
+
+class TestTrainSkipgramExport:
+    def test_export_comes_with_the_same_model(self, small_models, tmp_path):
+        args = ["train-skipgram", "--corpus", str(small_models[0]["pgc"]),
+                "--dim", "4", "--epochs", "1", "--d1", "2", "--d2", "4"]
+        plain, model, vec = (tmp_path / name for name in ("p.pgsg", "m.pgsg", "m.vec"))
+        assert cli.main(args + ["--out", str(plain)]) == 0
+        assert cli.main(args + ["--out", str(model), "--export-text", str(vec)]) == 0
+        assert model.read_bytes() == plain.read_bytes()
+        loaded = SkipGramModel.load(model)
+        lines = vec.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == f"{len(loaded.vocab)} 4" and len(lines) == len(loaded.vocab) + 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.pgsg", "m.vec", "p.pgsg"]
 
 
 class TestBrokenPipe:

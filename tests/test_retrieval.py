@@ -23,11 +23,6 @@ class TestBuildIndex:
         index = build_index(_sentences(["a b a", "b c"]))
         assert index.lengths == {0: 3, 1: 2}
 
-    def test_membership(self):
-        index = build_index(_sentences(["x y"]))
-        assert "x" in index
-        assert "q" not in index
-
     def test_surface_keys_keep_rare_words_retrievable(self):
         # Even words folded into the unknown id by a vocabulary cutoff
         # remain searchable, because keys are surfaces, not ids.

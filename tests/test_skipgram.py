@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import logging
 import struct
 
@@ -529,10 +530,10 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"non-finite embedding value in {path}"):
             SkipGramModel.load(path)
 
-    def test_export_text_round_trips_values(self, model, tmp_path):
-        path = tmp_path / "vec.txt"
-        model.export_text(path)
-        lines = path.read_text().splitlines()
+    def test_export_text_round_trips_values(self, model):
+        out = io.StringIO()
+        model.export_text(out)
+        lines = out.getvalue().splitlines()
         header = lines[0].split()
         assert [int(header[0]), int(header[1])] == [len(model.vocab), 6]
         first = lines[1].split()

@@ -10,8 +10,8 @@ from oracles import (reference_permutation_pvalue, reference_ranks,
                      reference_spearman)
 from punforge.stats import (_PERMUTATION_BLOCK, FilterReport, Rating,
                             RatingsTable, average_ranks, clip_standardize,
-                            filter_raters, item_means, pairwise_compare,
-                            permutation_pvalue, spearman, zscore_raters)
+                            filter_raters, item_means, permutation_pvalue,
+                            spearman, zscore_raters)
 
 
 def _table(rows):
@@ -68,6 +68,22 @@ class TestZScoreRaters:
                        + [(f"i{k}", "r9", s) for k, s in enumerate(scores)])
         with pytest.raises(ValueError, match="rater 'r9'.*not finite"):
             zscore_raters(table)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-540, -1000, -1070])
+    def test_rater_with_a_tiny_spread_is_kept(self, k):
+        """Squared deviations of about 2**(2k) underflow to zero in float64;
+        the spread is still a spread.  Down to k = -1000 the z-scores are
+        exactly those of the unscaled scores."""
+        plain = [1.0, 2.0, 3.0, 7.0]
+        table = _table([(f"i{i}", "r1", math.ldexp(s, k))
+                        for i, s in enumerate(plain)])
+        z = zscore_raters(table)
+        assert list(z.by_rater()) == ["r1"]
+        if k >= -1000:
+            expected = zscore_raters(_table([(f"i{i}", "r1", s)
+                                             for i, s in enumerate(plain)]))
+            assert z.records == expected.records
 
 
 class TestFilterRaters:
@@ -159,6 +175,15 @@ class TestClipStandardize:
             arr = rng.standard_normal(200) * scale
             expected = np.clip((arr - arr.mean()) / arr.std(), -2.0, 2.0)
             assert np.array_equal(clip_standardize(arr), expected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_spreads_are_the_unscaled_spread(self):
+        """Scaling by a power of two moves no bit while every value stays
+        normal, although from k = -540 on the squares underflow."""
+        values = np.array([1.0, 2.0, 3.0, 7.0])
+        expected = clip_standardize(values)
+        for k in range(0, -1001, -1):
+            assert np.array_equal(clip_standardize(np.ldexp(values, k)), expected), k
 
 
 class TestRanksAndSpearman:
@@ -321,19 +346,3 @@ class TestPermutationPValue:
         with pytest.raises(ValueError):
             permutation_pvalue([1.0, 2.0], [1.0, 2.0], permutations=0)
 
-
-class TestPairwiseCompare:
-    def test_percentages_by_hand(self):
-        a = {"i1": 3.0, "i2": 1.0, "i3": 2.0, "i4": 5.0}
-        b = {"i1": 1.0, "i2": 4.0, "i3": 2.0, "i4": 0.0}
-        win, lose, tie = pairwise_compare(a, b)
-        assert (win, lose, tie) == (50.0, 25.0, 25.0)
-        assert win + lose + tie == pytest.approx(100.0)
-
-    def test_item_sets_must_match(self):
-        with pytest.raises(ValueError):
-            pairwise_compare({"i1": 1.0}, {"i2": 1.0})
-
-    def test_empty_comparison_rejected(self):
-        with pytest.raises(ValueError):
-            pairwise_compare({}, {})
