@@ -138,8 +138,9 @@ def resolve_config(flag_values: Mapping[str, object],
             if raw is not None and not isinstance(raw, (int, float, bool, str)):
                 raise UsageError(f"config key {name!r} has a non-scalar value")
             if isinstance(raw, (int, float, bool)) and not _json_fits(raw, base_type):
-                raise UsageError(f"config key {name!r} needs a {base_type.__name__} "
-                                 f"value, got {json.dumps(raw)}")
+                article = "an" if base_type is int else "a"
+                raise UsageError(f"config key {name!r} needs {article} "
+                                 f"{base_type.__name__} value, got {json.dumps(raw)}")
             values[name] = (
                 None if raw is None
                 else _coerce(name, str(raw), base_type) if isinstance(raw, str)
@@ -393,6 +394,7 @@ def _cmd_score(args, cfg: RunConfig) -> int:
         skipgram = SkipGramModel.load(args.skipgram,
                                       expected_vocab_hash=lm.vocab.hash_bytes())
         unigram_probs = np.exp(lm.unigram_logprobs)
+    scored = errors = 0
     with _open_in(args.input) as fh, _output(args.output) as out:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -410,11 +412,14 @@ def _cmd_score(args, cfg: RunConfig) -> int:
                 result = _score_record(record, lm, skipgram, unigram_probs,
                                        cfg.window)
                 _emit(out, {"id": record_id, **result})
+                scored += 1
             except (PunforgeError, ValueError, KeyError, TypeError,
                     RecursionError) as exc:  # JSON nested too deeply
                 _emit(out, {"id": record_id, "error": str(exc)})
+                errors += 1
     if skipgram is not None:
         skipgram.log_relatedness_counts()
+    log.info("records scored: %d, inline errors: %d", scored, errors)
     return EXIT_OK
 
 

@@ -30,14 +30,16 @@ distinct rows of token ids with their values, so loading builds no table
 from counts; the row order is checked on the packed keys.  Queries read
 one dict per order from packed keys to values.  A trained model builds
 them on its first query and saves its rows; a loaded one builds them at
-load, keeps only them and is not saved again.  ``logprob_seq`` carries
-the longest stored n-gram from one token to the next, as KenLM's state
-does, so each walk starts at the longest context that can be stored.
+load, keeps only them and is not saved again.  A walk carries one state
+from one token to the next, as KenLM's does: the packed key of the longest
+stored n-gram found, trimmed to ``order - 1`` ids, and its length.  Each
+shorter context is a suffix of it, and its key follows from the key by one
+modulo, so each step starts at the longest context that can be stored.
 
 ``logprob_pair`` scores two sequences that differ in one slot, as the
 surprisal measures do, in one shared walk: the prefix before the slot is
 walked once, the two sequences walk apart from the slot until their carried
-contexts agree (at most ``order - 1`` tokens past it), and the rest is
+context keys agree (at most ``order - 1`` tokens past it), and the rest is
 walked once for both.  Each total adds its tokens' log-probabilities left
 to right, so both equal their own ``logprob_seq`` bit for bit.
 
@@ -53,7 +55,7 @@ import math
 from functools import cached_property, reduce
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -133,9 +135,8 @@ class NGramModel:
         for k, keys in enumerate(self._keys, start=1):
             if not (keys[1:] > keys[:-1]).all():
                 raise ValueError(f"order {k}: rows unsorted or repeated")
-        self._bos_keys = [1]  # the keys of 0, 1, ... order - 1 begin markers
-        for _ in range(order - 1):
-            self._bos_keys.append(self._bos_keys[-1] * self._radix + self.bos_id)
+        self._bos_key = reduce(lambda key, t: key * self._radix + t,
+                               [self.bos_id] * (order - 1), 1)  # the begin markers
         denom = math.log(vocab.total_count + len(vocab))
         self.unigram_logprobs = [math.log(vocab.count_of_id(i) + 1) - denom
                                  for i in range(len(vocab))]
@@ -158,6 +159,47 @@ class NGramModel:
             keys = keys * self._radix + column.astype(dtype)
         return keys
 
+    @cached_property
+    def _step(self) -> Callable[[int, int, int], tuple[float, int, int]]:
+        """The walk's one step, ``(key, length, w) -> (p, key', length')``: p,
+        not ln p, of id ``w`` after the context packed in ``key`` (its last
+        ``length`` ids, at most ``order - 1``), and the context carried on."""
+        # read once into the closure: attribute reads on every step cost more
+        tables, radix, uniform = self._tables, self._radix, self._uniform
+        longest = self.order - 1
+        powers = [radix ** j for j in range(self.order)]
+        full = powers[longest]
+
+        def step(key: int, length: int, w: int) -> tuple[float, int, int]:
+            gram = key * radix + w
+            table = tables[length]
+            p = table.get(gram)
+            # A context is stored only if it is a stored n-gram, so the next
+            # step starts at the longest n-gram found here.
+            if p is not None:
+                if length == longest:  # drop the oldest id
+                    return p, gram % full + full, length
+                return p, gram, length + 1
+            weight = table.get(key)
+            weights = [] if weight is None else [weight]
+            for j in range(length - 1, -1, -1):  # the shorter suffixes, longest first
+                ctx = powers[j] + key % powers[j]
+                gram = ctx * radix + w
+                table = tables[j]
+                p = table.get(gram)
+                if p is not None:
+                    break
+                weight = table.get(ctx)
+                if weight is not None:
+                    weights.append(weight)
+            else:
+                p, gram, j = uniform, 1, -1
+            for weight in reversed(weights):  # innermost first, as the recursion nests
+                p = weight * p
+            return p, gram, j + 1
+
+        return step
+
     def prob(self, word_id: int, context: Sequence[int]) -> float:
         """p(word | context); context may be any length and is right-trimmed."""
         if not (0 <= word_id < len(self.vocab) or word_id == self.eos_id):
@@ -167,10 +209,8 @@ class NGramModel:
             if not 0 <= ctx[i] <= self.bos_id:  # no stored context holds it
                 del ctx[:i + 1]
                 break
-        radix = self._radix
-        ctx_keys = [reduce(lambda key, t: key * radix + int(t), ctx[i:], 1)
-                    for i in range(len(ctx), -1, -1)]
-        return next(self._walk(ctx_keys, (int(word_id),)))[0]
+        key = reduce(lambda key, t: key * self._radix + int(t), ctx, 1)
+        return self._step(key, len(ctx), int(word_id))[0]
 
     def _check_ids(self, token_ids: Sequence[int]) -> None:
         """Raise ValueError unless every id is a vocabulary id; the markers
@@ -180,35 +220,9 @@ class NGramModel:
             if not 0 <= t < size:
                 raise ValueError(f"token id {t} outside the vocabulary")
 
-    def _start(self, use_boundary_markers: bool) -> list[int]:
-        """The context keys a sequence's walk starts from."""
-        return self._bos_keys if use_boundary_markers else [1]
-
-    def _walk(self, ctx_keys: list[int], seq: Iterable[int]
-              ) -> Iterator[tuple[float, list[int]]]:
-        """p, not ln p, of each token of ``seq`` walked from ``ctx_keys`` (its
-        suffixes' keys, shortest first), with the next token's ``ctx_keys``."""
-        # read once: a cached property reads slower than a plain attribute
-        radix, longest, tables = self._radix, self.order - 1, self._tables
-        for w in seq:
-            gram_keys = [c * radix + w for c in ctx_keys]
-            weights = []
-            for k in range(len(gram_keys) - 1, -1, -1):  # longest first
-                table = tables[k]
-                p = table.get(gram_keys[k])
-                if p is not None:
-                    break
-                weight = table.get(ctx_keys[k])
-                if weight is not None:
-                    weights.append(weight)
-            else:
-                p, k = self._uniform, -1
-            for weight in reversed(weights):  # innermost first, as the recursion nests
-                p = weight * p
-            # A context is stored only if it is a stored n-gram (or all begin
-            # markers), so the next walk starts at the longest one found here.
-            ctx_keys = [1] + gram_keys[:min(k + 1, longest)]
-            yield p, ctx_keys
+    def _start(self, use_boundary_markers: bool) -> tuple[int, int]:
+        """The state, (context key, length), a sequence's walk starts from."""
+        return (self._bos_key, self.order - 1) if use_boundary_markers else (1, 0)
 
     def logprob_seq(self, token_ids: Sequence[int], use_boundary_markers: bool) -> float:
         """Sum of ln p(x_i | preceding context) over the sequence.
@@ -221,8 +235,11 @@ class NGramModel:
         seq = map(int, token_ids)
         if use_boundary_markers:
             seq = chain(seq, (self.eos_id,))
+        step = self._step
+        key, length = self._start(use_boundary_markers)
         total = 0.0
-        for p, _ in self._walk(self._start(use_boundary_markers), seq):
+        for w in seq:
+            p, key, length = step(key, length, w)
             total += math.log(p)
         return total
 
@@ -243,21 +260,29 @@ class NGramModel:
         tail = ids[position + 1:]
         if use_boundary_markers:
             tail.append(self.eos_id)
-        prefix, ctx_keys = 0.0, self._start(use_boundary_markers)
-        for p, ctx_keys in self._walk(ctx_keys, ids[:position]):
-            prefix += math.log(p)
-        alt_walk = self._walk(ctx_keys, chain((int(alt_id),), tail))
-        pun_walk = self._walk(ctx_keys, chain((ids[position],), tail))
-        alt = pun = prefix
-        for (alt_p, alt_ctx), (pun_p, pun_ctx) in zip(alt_walk, pun_walk):
-            alt += math.log(alt_p)
-            pun += math.log(pun_p)
-            # A key packs a run and its length, so equal last keys mean
-            # equal contexts, and every later token has one probability.
-            if alt_ctx[-1] == pun_ctx[-1]:
-                break
-        for p, _ in pun_walk:
-            logp = math.log(p)
+        step, log = self._step, math.log
+        key, length = self._start(use_boundary_markers)
+        pun = 0.0
+        for w in ids[:position]:
+            p, key, length = step(key, length, w)
+            pun += log(p)
+        alt_p, alt_key, alt_length = step(key, length, int(alt_id))
+        p, key, length = step(key, length, ids[position])
+        alt, pun = pun + log(alt_p), pun + log(p)
+        rest = iter(tail)
+        # A key packs a run and its length, so equal keys mean equal
+        # contexts, and every later token has one probability.
+        if alt_key != key:
+            for w in rest:
+                alt_p, alt_key, alt_length = step(alt_key, alt_length, w)
+                p, key, length = step(key, length, w)
+                alt += log(alt_p)
+                pun += log(p)
+                if alt_key == key:
+                    break
+        for w in rest:
+            p, key, length = step(key, length, w)
+            logp = log(p)
             alt += logp
             pun += logp
         return alt, pun

@@ -182,6 +182,35 @@ class CountTablesKN:
         return total
 
 
+def reference_walk(tables, radix, uniform, longest, ctx_keys, seq):
+    """The n-gram walk as a list of every suffix key of its context.
+
+    ``tables[k]`` maps the keys of order-(k + 1) contexts to backoff weights
+    and of order-(k + 1) n-grams to probabilities; a run of ids packs as
+    base-``radix`` digits after a leading 1.  ``ctx_keys`` holds the keys of
+    the context's suffixes, shortest (the empty one, key 1) first.  Yields
+    p, not ln p, of each id of ``seq`` and the next id's ``ctx_keys``: the
+    suffixes of the longest n-gram found, trimmed to ``longest`` ids.
+    """
+    for w in seq:
+        gram_keys = [c * radix + w for c in ctx_keys]
+        weights = []
+        for k in range(len(gram_keys) - 1, -1, -1):  # longest first
+            table = tables[k]
+            p = table.get(gram_keys[k])
+            if p is not None:
+                break
+            weight = table.get(ctx_keys[k])
+            if weight is not None:
+                weights.append(weight)
+        else:
+            p, k = uniform, -1
+        for weight in reversed(weights):  # innermost first
+            p = weight * p
+        ctx_keys = [1] + gram_keys[:min(k + 1, longest)]
+        yield p, ctx_keys
+
+
 def reference_postings(sentences):
     """Postings from a scan of the sentences in order: each surface's
     (sentence id, positions) entries, surfaces in order of first appearance."""

@@ -106,6 +106,18 @@ class TestResolveConfig:
         with pytest.raises(UsageError, match="needs a"):
             resolve_config({}, str(path), env={})
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"window": 2.5}, "config key 'window' needs an int value, got 2.5"),
+        ({"clip": True}, "config key 'clip' needs a float value, got true"),
+        ({"rerank": 1}, "config key 'rerank' needs a bool value, got 1"),
+    ])
+    def test_wrong_type_message_names_the_type(self, tmp_path, bad, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(UsageError) as info:
+            resolve_config({}, str(path), env={})
+        assert str(info.value) == message
+
     def test_config_integer_for_float_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"clip": 3}))
@@ -800,6 +812,22 @@ class TestScore:
         assert messages == ["relatedness normalizers: 2 computed, 2 reused"]
         assert all(r.levelno == logging.INFO for r in caplog.records
                    if r.name == "punforge.skipgram")
+
+    def test_verbose_logs_record_counts(self, pipeline, tmp_path, capsys, caplog):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"id": "ok", "sentence": "a hare cut .",
+                                   "pun_word": "hare", "alt_word": "hair"}) + "\n"
+                       + json.dumps({"id": "bad", "sentence": "a hare cut .",
+                                     "pun_word": "hare", "alt_word": "hairz"}) + "\n")
+        args = ["score", "--lm", str(pipeline["lm"]), "--input", str(src)]
+        assert cli.main(args) == 0
+        quiet = capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="punforge.cli"):
+            assert cli.main(args + ["-v"]) == 0
+        assert capsys.readouterr().out == quiet.out and quiet.err == ""
+        records = [r for r in caplog.records if r.name == "punforge.cli"]
+        assert [(r.levelno, r.getMessage()) for r in records] == [
+            (logging.INFO, "records scored: 1, inline errors: 1")]
 
     def test_mismatched_model_vocabularies_rejected(self, pipeline, tmp_path,
                                                     capsys):

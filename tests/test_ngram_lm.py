@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import math
 import random
 
 import pytest
 
-from oracles import CountTablesKN, ReferenceKN
+from oracles import CountTablesKN, ReferenceKN, reference_walk
 from test_binio import assert_file_holds_tables
 from punforge.corpus import ingest
 from punforge.demo_corpus import build_demo_corpus
@@ -220,15 +221,14 @@ class TestLogprobPair:
         sentences, vocab, encoded = demo
         model = train_lm(sentences, vocab, order=3)
         walks = 0
-        walk = model._walk
+        step = model._step
 
         def counted(*args):
             nonlocal walks
-            for step in walk(*args):
-                walks += 1
-                yield step
+            walks += 1
+            return step(*args)
 
-        monkeypatch.setattr(model, "_walk", counted)
+        monkeypatch.setattr(model, "_step", counted)
         ids = vocab.encode("the woman got a hair cut downtown .".split())
         model.logprob_pair(ids, 4, vocab.id_of("hare"), True)
         # the prefix once; the slot, "cut" and "downtown" (whose context
@@ -247,6 +247,53 @@ class TestLogprobPair:
     def test_rejects_a_slot_outside_the_sequence(self, tiny_lm, position):
         with pytest.raises(ValueError, match="outside a sequence of length 3"):
             tiny_lm.logprob_pair([1, 2, 3], position, 4, True)
+
+
+def _step_mismatches(model, sequences):
+    """Where the model's walk and ``reference_walk`` part, stepped side by
+    side over each sequence with and without markers: the p or the carried
+    key differs (``==``).  The reference reads one dict per order, packed
+    here in Python ints from the rows the model was trained with."""
+    radix, longest = model.eos_id + 1, model.order - 1
+
+    def pack(row):
+        return functools.reduce(lambda key, t: key * radix + t, row, 1)
+
+    tables = [{pack(row): value for rows, values in ((ctx, backoff), (grams, probs))
+               for row, value in zip(rows.tolist(), values.tolist())}
+              for ctx, backoff, grams, probs in model._rows]
+    bos_keys = [pack([model.bos_id] * n) for n in range(longest + 1)]
+    bad = []
+    for ids in sequences:
+        for markers in (False, True):
+            seq = ids + [model.eos_id] if markers else ids
+            key, length = model._start(markers)
+            walk = reference_walk(tables, radix, 1.0 / model.n_events, longest,
+                                  bos_keys if markers else [1], seq)
+            for i, (w, (ref_p, ctx_keys)) in enumerate(zip(seq, walk)):
+                p, key, length = model._step(key, length, w)
+                if (p, key, length) != (ref_p, ctx_keys[-1], len(ctx_keys) - 1):
+                    bad.append((ids, markers, i))
+                    break
+    return bad
+
+
+class TestStep:
+    """The one-state step against the list-of-suffix-keys walk it replaced."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_equals_reference_walk_on_demo_corpus(self, demo, order):
+        sentences, vocab, encoded = demo
+        model = train_lm(sentences, vocab, order=order)
+        sequences = encoded[::6] + _random_sequences(random.Random(order), len(vocab), 200)
+        assert _step_mismatches(model, sequences) == []
+
+    def test_equals_reference_walk_with_wide_keys(self, wide, wide_lm):
+        sentences, vocab = wide
+        assert wide_lm._radix ** wide_lm.order >= 2 ** 63  # Python-int keys
+        sequences = (vocab.encode_sentences(sentences)
+                     + _random_sequences(random.Random(7), len(vocab), 200))
+        assert _step_mismatches(wide_lm, sequences) == []
 
 
 class TestQuerySemantics:
