@@ -40,7 +40,7 @@ from .skipgram import SkipGramConfig, SkipGramModel, train_skipgram
 from .surprisal import PunOccurrence, PunPair, score_occurrence
 from .wordnet import load_wordnet
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("punforge.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -498,8 +498,6 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
                 _emit(out, {"record": "candidate", "pun_word": pair.pun_word,
                             "alt_word": pair.alt_word,
                             "text": " ".join(cand.final_tokens), **record})
-    if skipgram is not None:
-        skipgram.log_relatedness_counts()
     return EXIT_OK
 
 

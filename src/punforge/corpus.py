@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import logging
 import re
 from collections import Counter
@@ -40,7 +41,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = b"PGC6"
+CORPUS_MAGIC = b"PGC7"
 
 UNK = "<unk>"
 DEFAULT_MIN_COUNT = 1
@@ -133,7 +134,7 @@ class Vocabulary:
         return len(self._words)
 
     def __contains__(self, word: str) -> bool:
-        return word == UNK or (word in self._ids and self._ids[word] != self.unk_id)
+        return word in self._ids
 
     def id_of(self, word: str) -> int:
         return self._ids.get(word, self.unk_id)
@@ -161,70 +162,13 @@ class Vocabulary:
         for i, (w, c) in enumerate(zip(self._words, self._counts)):
             yield w, i, c
 
-    def dump_lines(self) -> list[str]:
-        return [f"{w}\t{i}\t{c}" for w, i, c in self.items()]
-
-    def dump_text(self) -> str:
-        """The dump lines, each ended by a newline: what files store."""
-        if self._text is None:
-            self._text = "".join(line + "\n" for line in self.dump_lines())
-        return self._text
-
-    # dump_text and its hash, kept once known
-    _text: str | None = None
+    # the hash, kept once known
     _hash: bytes | None = None
 
     def hash_bytes(self) -> bytes:
         if self._hash is None:
-            self._hash = _vocab_hash(self.dump_text().encode("utf-8"))
+            self._hash = _vocab_hash(self._words, self._counts)
         return self._hash
-
-    @classmethod
-    def from_dump_lines(cls, lines: Iterable[str]) -> "Vocabulary":
-        """Parse dump lines, one ``word<TAB>id<TAB>count`` each, written as
-        :meth:`dump_lines` writes them: ids 0, 1, ... in decimal, counts
-        non-negative decimals without signs or padding, ``<unk>`` first, no
-        word twice."""
-        lines = list(lines)
-        rows = [line.split("\t") for line in lines]
-        if set(map(len, rows)) != {3}:
-            raise _dump_error(lines)
-        words, ids, counts = zip(*rows)
-        try:
-            values = list(map(int, counts))
-        except ValueError:
-            raise _dump_error(lines) from None
-        if (ids != tuple(map(str, range(len(ids)))) or min(values) < 0
-                or counts != tuple(map(str, values)) or words[0] != UNK):
-            raise _dump_error(lines)
-        vocab = cls.__new__(cls)
-        vocab._words, vocab._counts = list(words), values
-        vocab._ids = {w: i for i, w in enumerate(vocab._words)}
-        if len(vocab._ids) != len(words):
-            raise _dump_error(lines)
-        return vocab
-
-
-def _vocab_hash(dump: bytes) -> bytes:
-    return hashlib.sha256(dump).digest()[:16]
-
-
-def _dump_error(lines: list[str]) -> FormatError:
-    """The error for the first dump line :meth:`Vocabulary.from_dump_lines`
-    refuses."""
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            word, idx, count = line.split("\t")
-            value = int(count)
-        except ValueError:
-            return FormatError(f"bad vocabulary line {lineno}: {line!r}")
-        if idx != str(lineno - 1) or count != str(value) or value < 0:
-            return FormatError(f"bad vocabulary id or count at line {lineno}")
-        if word in seen:
-            return FormatError(f"repeated vocabulary word {word!r} at line {lineno}")
-        seen.add(word)
-    return FormatError(f"vocabulary must start with {UNK!r} at id 0")
 
 
 class TagLexicon:
@@ -302,7 +246,7 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 
 # --- binary container ------------------------------------------------------
 #
-# Layout (binio blocks): magic PGC6, hashed vocabulary (see write_vocab),
+# Layout (binio blocks): magic PGC7, hashed vocabulary (see write_vocab),
 # surface table (a string table), then one array each of sentence ids,
 # lengths, and every token's surface-table index.  Sentences keep their full
 # surfaces so that rare words survive a min_count-collapsed vocabulary.  POS
@@ -398,29 +342,54 @@ def postings_of(sentences: Sequence[Sentence]) -> PostingsView:
                         np.array(surface_idx, dtype=np.int64), surfaces)
 
 
+def _write_words_and_counts(fh: BinaryIO, words: Sequence[str],
+                            counts: Sequence[int]) -> None:
+    """The embedded vocabulary's blocks: the words as a string table in id
+    order, then the counts as a ``<u8`` array."""
+    binio.write_strings(fh, words)
+    binio.write_array(fh, counts, "<u8")
+
+
+def _vocab_hash(words: Sequence[str], counts: Sequence[int]) -> bytes:
+    """The first 16 bytes of the sha256 of the blocks a file embeds."""
+    fh = io.BytesIO()
+    _write_words_and_counts(fh, words, counts)
+    return hashlib.sha256(fh.getvalue()).digest()[:16]
+
+
 def write_vocab(fh: BinaryIO, vocab: Vocabulary) -> None:
-    """Embed a vocabulary: its hash, then its dump text as one UTF-8 blob."""
+    """Embed a vocabulary: its hash, then its words and counts."""
     binio.write_array(fh, list(vocab.hash_bytes()), "u1")
-    binio.write_blob(fh, vocab.dump_text().encode("utf-8"))
+    _write_words_and_counts(fh, vocab._words, vocab._counts)
 
 
 def read_vocab(fh: BinaryIO, what: str = "model",
                expected_hash: bytes | None = None) -> Vocabulary:
-    """Read what :func:`write_vocab` wrote; a stored hash other than
-    ``expected_hash`` is a ResourceError, a dump that fails it or does not
-    parse a FormatError."""
+    """Read what :func:`write_vocab` wrote.  A stored hash other than
+    ``expected_hash`` is a ResourceError, raised before the words are read;
+    words and counts that fail the stored hash, differ in number, repeat a
+    word or do not start with the unknown symbol are a FormatError."""
     stored = binio.read_array(fh, "u1").tobytes()
     if expected_hash is not None and stored != expected_hash:
         raise ResourceError(f"{what} was trained on a different vocabulary "
                             f"({fh.name}); retrain or pass matching resources")
-    dump = binio.read_blob(fh)
-    text = binio.decode(dump, fh, "embedded vocabulary")
-    if _vocab_hash(dump) != stored or not text.endswith("\n"):
+    words = binio.read_strings(fh)
+    counts = binio.read_array(fh, "<u8").tolist()
+    if _vocab_hash(words, counts) != stored:
         raise FormatError(f"embedded vocabulary is corrupt in {fh.name}")
-    # the parse accepts only lines as dump_lines writes them, so the text and
-    # the stored hash are the parsed vocabulary's own
-    vocab = Vocabulary.from_dump_lines(text[:-1].split("\n"))
-    vocab._text, vocab._hash = text, stored
+    ids = {w: i for i, w in enumerate(words)}
+    if len(counts) != len(words):
+        raise FormatError(f"embedded vocabulary in {fh.name} has {len(words)} "
+                          f"words but {len(counts)} counts")
+    if words[:1] != [UNK]:
+        raise FormatError(f"embedded vocabulary in {fh.name} must start with "
+                          f"{UNK!r} at id 0")
+    if len(ids) != len(words):
+        word = next(w for i, w in enumerate(words) if ids[w] != i)
+        raise FormatError(f"repeated vocabulary word {word!r} at id {ids[word]} "
+                          f"in {fh.name}")
+    vocab = Vocabulary.__new__(Vocabulary)
+    vocab._words, vocab._counts, vocab._ids, vocab._hash = words, counts, ids, stored
     return vocab
 
 

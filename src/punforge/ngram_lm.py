@@ -65,7 +65,7 @@ from .errors import FormatError, TrainingError
 
 log = logging.getLogger(__name__)
 
-LM_MAGIC = b"PGL4"
+LM_MAGIC = b"PGL5"
 
 MIN_ORDER = 2
 MAX_ORDER = 6

@@ -7,6 +7,7 @@ import inspect
 import io
 import os
 import random
+import re
 import stat
 import struct
 from pathlib import Path
@@ -15,11 +16,10 @@ import numpy as np
 import pytest
 
 from oracles import reference_postings
-from punforge import binio, skipgram
-from punforge.corpus import (CORPUS_MAGIC, Corpus, Vocabulary, ingest, load_corpus,
-                             save_corpus)
+from punforge import binio, corpus, skipgram
+from punforge.corpus import CORPUS_MAGIC, Corpus, ingest, load_corpus, save_corpus
 from punforge.demo_corpus import build_demo_corpus, write_demo_corpus
-from punforge.errors import FormatError
+from punforge.errors import FormatError, ResourceError
 from punforge.ngram_lm import LM_MAGIC, NGramModel, train_lm
 from punforge.retrieval import build_index
 from punforge.skipgram import SkipGramConfig, SkipGramModel, train_skipgram
@@ -125,26 +125,27 @@ def demo():
 
 
 def _read_vocab_section(fh):
-    """The hash and the dump lines of an embedded vocabulary."""
-    stored = binio.read_array(fh, "u1")
-    text = binio.read_blob(fh).decode("utf-8")
-    assert text.endswith("\n")
-    return stored, text[:-1].split("\n")
+    """The hash, the words and the counts of an embedded vocabulary."""
+    return (binio.read_array(fh, "u1"), binio.read_strings(fh),
+            binio.read_array(fh, "<u8").tolist())
 
 
-def _write_vocab_section(fh, lines, end="\n"):
-    """Embed ``lines`` behind their own hash, so that a loader checks them."""
-    dump = ("\n".join(lines) + end).encode("utf-8")
-    binio.write_array(fh, list(hashlib.sha256(dump).digest()[:16]), "u1")
-    binio.write_blob(fh, dump)
+def _write_vocab_section(fh, words, counts):
+    """Embed ``words`` and ``counts`` behind their own hash, so that a loader
+    checks them."""
+    block = io.BytesIO()
+    binio.write_strings(block, words)
+    binio.write_array(block, counts, "<u8")
+    binio.write_array(fh, list(hashlib.sha256(block.getvalue()).digest()[:16]), "u1")
+    fh.write(block.getvalue())
 
 
 def _read_corpus_sections(path):
     """Every section of a corpus file, in file order."""
     with open(path, "rb") as fh:
         assert fh.read(4) == CORPUS_MAGIC
-        stored, lines = _read_vocab_section(fh)
-        sections = {"vocab_hash": stored, "vocab": lines,
+        stored, words, counts = _read_vocab_section(fh)
+        sections = {"vocab_hash": stored, "words": words, "counts": counts,
                     "surfaces": binio.read_strings(fh)}
         for name in ("sent_ids", "lengths", "surface_idx"):
             sections[name] = binio.read_array(fh, "<u4")
@@ -152,10 +153,10 @@ def _read_corpus_sections(path):
     return sections
 
 
-def _write_corpus_sections(path, s, vocab_end="\n"):
+def _write_corpus_sections(path, s):
     with open(path, "wb") as fh:
         fh.write(CORPUS_MAGIC)
-        _write_vocab_section(fh, s["vocab"], vocab_end)
+        _write_vocab_section(fh, s["words"], s["counts"])
         binio.write_strings(fh, s["surfaces"])
         for name in ("sent_ids", "lengths", "surface_idx"):
             binio.write_array(fh, s[name], "<u4")
@@ -171,7 +172,7 @@ class TestCorpusFile:
         assert loaded.sentences == demo.sentences
         assert loaded.postings == demo.postings
         assert list(loaded.postings) == list(demo.postings)
-        assert loaded.vocab.dump_lines() == demo.vocab.dump_lines()
+        assert list(loaded.vocab.items()) == list(demo.vocab.items())
         save_corpus(b, loaded)
         assert a.read_bytes() == b.read_bytes()
 
@@ -182,7 +183,8 @@ class TestCorpusFile:
         assert s["sent_ids"].tolist() == [x.sent_id for x in demo.sentences]
         assert s["lengths"].sum() == len(s["surface_idx"])
         assert s["surfaces"] == list(demo.postings)  # in order of first appearance
-        assert s["vocab"] == demo.vocab.dump_lines()
+        assert list(zip(s["words"], s["counts"])) == \
+            [(w, c) for w, _, c in demo.vocab.items()]
         assert s["vocab_hash"].tobytes() == demo.vocab.hash_bytes()
 
     @pytest.mark.parametrize("name,mutate", [
@@ -201,40 +203,18 @@ class TestCorpusFile:
         with pytest.raises(FormatError, match="corrupt corpus file"):
             load_corpus(path)
 
-    def test_negative_vocabulary_count_rejected(self, demo, tmp_path):
-        path = tmp_path / "c.pgc"
-        save_corpus(path, demo)
-        sections = _read_corpus_sections(path)
-        word, idx, _count = sections["vocab"][3].split("\t")
-        sections["vocab"][3] = f"{word}\t{idx}\t-84"
-        _write_corpus_sections(path, sections)
-        with pytest.raises(FormatError, match="bad vocabulary id or count at line 4"):
-            load_corpus(path)
-
-    def test_vocabulary_without_final_newline_rejected(self, demo, tmp_path):
-        """Its hash would not be the parsed vocabulary's, whose dump ends
-        every line with a newline."""
-        path = tmp_path / "c.pgc"
-        save_corpus(path, demo)
-        sections = _read_corpus_sections(path)
-        _write_corpus_sections(path, sections)
-        assert load_corpus(path).vocab.hash_bytes() == demo.vocab.hash_bytes()
-        _write_corpus_sections(path, sections, vocab_end="")
-        with pytest.raises(FormatError, match="embedded vocabulary is corrupt"):
-            load_corpus(path)
-
     def test_one_byte_vocabulary_edit_rejected(self, demo, tmp_path):
         path = tmp_path / "c.pgc"
         save_corpus(path, demo)
         blob = path.read_bytes()
-        at = blob.index(b"hare\t") + 1
+        at = blob.index(b"hare") + 1
         path.write_bytes(blob[:at] + b"b" + blob[at + 1:])  # hare -> hbre
         with pytest.raises(FormatError, match="embedded vocabulary is corrupt"):
             load_corpus(path)
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pgc"
-        for magic in (b"PGC1", b"PGC2", b"PGC3", b"PGC4", b"PGC5"):
+        for magic in (b"PGC1", b"PGC2", b"PGC3", b"PGC4", b"PGC5", b"PGC6"):
             path.write_bytes(magic + bytes(32))
             with pytest.raises(FormatError, match=f"bad magic {magic!r}"):
                 load_corpus(path)
@@ -252,9 +232,9 @@ def _read_lm_sections(path):
         assert fh.read(4) == LM_MAGIC
         (order,) = binio.unpack(fh, "<B")
         discounts = list(binio.unpack(fh, f"<{3 * order}d"))
-        stored, lines = _read_vocab_section(fh)
+        stored, words, counts = _read_vocab_section(fh)
         s = {"order": order, "discounts": discounts, "vocab_hash": stored,
-             "vocab": lines, "tables": []}
+             "words": words, "counts": counts, "tables": []}
         for k in range(1, order + 1):
             ctx, backoff = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
             grams, probs = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
@@ -278,7 +258,7 @@ def _write_lm_sections(path, s):
         fh.write(LM_MAGIC)
         binio.pack(fh, "<B", s["order"])
         binio.pack(fh, f"<{len(s['discounts'])}d", *s["discounts"])
-        _write_vocab_section(fh, s["vocab"])
+        _write_vocab_section(fh, s["words"], s["counts"])
         for ctx, backoff, grams, probs in s["tables"]:
             binio.write_array(fh, ctx, "<u4")
             binio.write_array(fh, backoff, "<f8")
@@ -391,7 +371,7 @@ class TestLanguageModelFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
-        for magic in (b"PGLM", b"PGL2", b"PGL3"):
+        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4"):
             path.write_bytes(magic + bytes(64))
             with pytest.raises(FormatError, match=f"old.pglm is not a language model "
                                                   f"file: bad magic {magic!r}") as err:
@@ -465,30 +445,72 @@ class TestNewBlocksFuzz:
         assert {(ext, block, "refused") for ext in spans for block in spans[ext]} <= seen
 
 
-class TestEmbeddedVocabulary:
-    @pytest.mark.parametrize("ext", ["pgc", "pglm", "pgsg"])
-    def test_repeated_word_rejected(self, demo_files, tmp_path, ext):
-        """A dump that names a word twice, behind its own hash, would leave
-        the first id's statistics out of reach of every lookup."""
-        blob = demo_files[ext].read_bytes()
-        start, end = _block_spans(demo_files[ext])["vocab"]
-        _stored, lines = _read_vocab_section(_reader(blob[start:end]))
-        lines[3] = lines[1].split("\t")[0] + lines[3][lines[3].index("\t"):]
-        fh = io.BytesIO()
-        _write_vocab_section(fh, lines)
-        bad = tmp_path / f"bad.{ext}"
-        bad.write_bytes(blob[:start] + fh.getvalue() + blob[end:])
-        word = lines[1].split("\t")[0]
-        with pytest.raises(FormatError,
-                           match=f"repeated vocabulary word '{word}' at line 4"):
-            _LOADERS[ext](bad)
+def _load_vocabulary(demo_files, tmp_path, ext, change, message):
+    """Load a copy of a demo file whose words and counts ``change`` rewrites,
+    behind their own hash, and check the one-line error it gives."""
+    blob = demo_files[ext].read_bytes()
+    start, end = _block_spans(demo_files[ext])["vocab"]
+    _stored, words, counts = _read_vocab_section(_reader(blob[start:end]))
+    fh = io.BytesIO()
+    _write_vocab_section(fh, *change(words, counts))
+    bad = tmp_path / f"bad.{ext}"
+    bad.write_bytes(blob[:start] + fh.getvalue() + blob[end:])
+    with pytest.raises(FormatError, match=re.escape(message(words))) as err:
+        _LOADERS[ext](bad)
+    assert "\n" not in str(err.value) and str(bad) in str(err.value)
 
-    def test_dump_text_is_built_once_for_the_hash_and_every_file(
-            self, tmp_path, monkeypatch):
+
+_EXTS = pytest.mark.parametrize("ext", ["pgc", "pglm", "pgsg"])
+
+
+class TestEmbeddedVocabulary:
+    @_EXTS
+    @pytest.mark.parametrize("change,message", [
+        (lambda w, c: (w[:3] + w[1:2] + w[4:], c),
+         lambda w: f"repeated vocabulary word {w[1]!r} at id 3"),
+        (lambda w, c: (w[:1] * 2 + w[2:], c),
+         lambda w: "repeated vocabulary word '<unk>' at id 1"),
+    ])
+    def test_repeated_word_rejected(self, demo_files, tmp_path, ext, change, message):
+        """A word named twice would leave its first id's statistics out of
+        reach of every lookup."""
+        _load_vocabulary(demo_files, tmp_path, ext, change, message)
+
+    @_EXTS
+    @pytest.mark.parametrize("change", [lambda w, c: (w[1:], c[1:]),
+                                        lambda w, c: ([], [])])
+    def test_missing_unk_rejected(self, demo_files, tmp_path, ext, change):
+        _load_vocabulary(demo_files, tmp_path, ext, change,
+                         lambda w: "must start with '<unk>' at id 0")
+
+    @_EXTS
+    @pytest.mark.parametrize("change,message", [
+        (lambda w, c: (w, c[:-1]), lambda w: f"has {len(w)} words but {len(w) - 1} counts"),
+        (lambda w, c: (w[:-1], c), lambda w: f"has {len(w) - 1} words but {len(w)} counts"),
+    ])
+    def test_words_and_counts_of_different_lengths_rejected(
+            self, demo_files, tmp_path, ext, change, message):
+        _load_vocabulary(demo_files, tmp_path, ext, change, message)
+
+    @pytest.mark.parametrize("ext", ["pglm", "pgsg"])
+    def test_other_hash_is_refused_before_the_words_are_read(self, demo_files,
+                                                             tmp_path, ext):
+        blob = demo_files[ext].read_bytes()
+        start, _end = _block_spans(demo_files[ext])["vocab"]
+        cut = tmp_path / f"cut.{ext}"
+        cut.write_bytes(blob[:start + 4 + 16])  # the hash block, then nothing
+        with pytest.raises(ResourceError, match="trained on a different vocabulary"):
+            _LOADERS[ext](cut, expected_vocab_hash=bytes(16))
+        with pytest.raises(FormatError, match="truncated"):
+            _LOADERS[ext](cut, expected_vocab_hash=blob[start + 4:start + 20])
+
+    def test_hash_is_computed_once_for_every_file_written(self, tmp_path,
+                                                          monkeypatch):
+        """A load computes it once more, to check the file, and keeps it."""
         calls = []
-        dump_lines = Vocabulary.dump_lines
-        monkeypatch.setattr(Vocabulary, "dump_lines",
-                            lambda self: calls.append(1) or dump_lines(self))
+        vocab_hash = corpus._vocab_hash
+        monkeypatch.setattr(corpus, "_vocab_hash",
+                            lambda *a: calls.append(1) or vocab_hash(*a))
         sentences, vocab = ingest(build_demo_corpus()[::40])
         vocab.hash_bytes()
         save_corpus(tmp_path / "m.pgc", Corpus(sentences, vocab))
@@ -496,10 +518,11 @@ class TestEmbeddedVocabulary:
         train_skipgram(sentences[:20], vocab, SkipGramConfig(dim=4, epochs=1)) \
             .save(tmp_path / "m.pgsg")
         assert len(calls) == 1
-        for ext in ("pgc", "pglm", "pgsg"):  # and the text a load kept is the file's
+        for ext in ("pgc", "pglm", "pgsg"):
             loaded = _LOADERS[ext](tmp_path / f"m.{ext}")
-            assert loaded.vocab.dump_text() == vocab.dump_text()
-        assert len(calls) == 1
+            assert loaded.vocab.hash_bytes() == vocab.hash_bytes()
+            assert list(loaded.vocab.items()) == list(vocab.items())
+        assert len(calls) == 4
 
 
 class _HalfWrite(io.FileIO):

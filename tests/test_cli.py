@@ -26,6 +26,16 @@ from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_
 from punforge.skipgram import MAX_EPOCHS, SkipGramConfig, SkipGramModel
 
 
+def _python_m_cli(argv, **kwargs):
+    """Start ``python -m punforge.cli argv`` on the package under test."""
+    src = str(Path(punforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "punforge.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, **kwargs)
+
+
 def _run(tmp_path, argv):
     """Run the CLI with --output routed to a file; return (exit, lines)."""
     out = tmp_path / "out.jsonl"
@@ -829,6 +839,19 @@ class TestScore:
         assert [(r.levelno, r.getMessage()) for r in records] == [
             (logging.INFO, "records scored: 1, inline errors: 1")]
 
+    def test_log_lines_name_the_cli_logger_under_python_m(self, pipeline, tmp_path):
+        """Run with ``python -m`` the module is ``__main__``, and its log
+        lines still name ``punforge.cli``."""
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"sentence": "a hare cut .", "pun_word": "hare",
+                                   "alt_word": "hair"}) + "\n")
+        proc = _python_m_cli(["score", "--lm", str(pipeline["lm"]),
+                              "--input", str(src), "-v"], text=True)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and len(out.splitlines()) == 1
+        assert "INFO punforge.cli: records scored: 1, inline errors: 0" in \
+            err.splitlines()
+
     def test_mismatched_model_vocabularies_rejected(self, pipeline, tmp_path,
                                                     capsys):
         other_text = tmp_path / "other.txt"
@@ -898,19 +921,6 @@ class TestGenerate:
         _, first = _run(tmp_path, args)
         _, second = _run(tmp_path, args)
         assert first == second
-
-    def test_verbose_logs_relatedness_counts(self, pipeline, miniwn_dir,
-                                            tmp_path, capsys, caplog):
-        args = self._topic_args(pipeline, miniwn_dir)
-        assert cli.main(args) == 0
-        quiet = capsys.readouterr().out
-        with caplog.at_level(logging.INFO, logger="punforge.skipgram"):
-            assert cli.main(args + ["-v"]) == 0
-        assert capsys.readouterr().out == quiet != ""
-        messages = [r.getMessage() for r in caplog.records
-                    if r.name == "punforge.skipgram"]
-        # predict_topics computes the pun word's full vector, not a normalizer
-        assert messages == ["relatedness normalizers: 0 computed, 0 reused"]
 
     def test_swap_stage_needs_no_topic_resources(self, pipeline, tmp_path):
         code, lines = _run(tmp_path, ["generate",
@@ -1243,7 +1253,7 @@ class TestModelFiles:
     def test_bad_utf8_in_embedded_vocabulary(self, small_models, tmp_path,
                                              capsys, ext):
         blob = small_models[0][ext].read_bytes()
-        at = blob.index(b"hare\t")
+        at = blob.index(b"hare")
         bad = tmp_path / f"bad.{ext}"
         bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
         code = cli.main(self._command(small_models, ext, bad, tmp_path / "o"))
@@ -1251,10 +1261,30 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bad} is not UTF-8" in err
 
+    @pytest.mark.parametrize("ext", ["pgc", "pglm", "pgsg"])
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda blob, at: blob[:at + 2], "truncated file"),
+        (lambda blob, at: blob[:at + 1] + b"b" + blob[at + 2:],  # hare -> hbre
+         "embedded vocabulary is corrupt"),
+    ], ids=["truncated", "bit-flipped"])
+    def test_damaged_vocabulary_block_is_one_line_data_error(
+            self, small_models, tmp_path, capsys, ext, mutate, message):
+        blob = small_models[0][ext].read_bytes()
+        bad = tmp_path / f"bad.{ext}"
+        bad.write_bytes(mutate(blob, blob.index(b"hare")))
+        out = tmp_path / "o"
+        code = cli.main(self._command(small_models, ext, bad, out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and str(bad) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ext,magic", [("pgc", b"PGC1"), ("pgc", b"PGC3"),
                                            ("pglm", b"PGLM"), ("pglm", b"PGL2"),
                                            ("pgc", b"PGC4"), ("pglm", b"PGL3"),
-                                           ("pgsg", b"PGSG"), ("pgc", b"PGC5")])
+                                           ("pgsg", b"PGSG"), ("pgc", b"PGC5"),
+                                           ("pgc", b"PGC6"), ("pglm", b"PGL4"),
+                                           ("pgsg", b"PGS2")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"
@@ -1370,13 +1400,8 @@ class TestBrokenPipe:
                              "pun_word": "hare", "alt_word": "hair"})
         records = tmp_path / "many.jsonl"
         records.write_text((record + "\n") * 5000)  # far more than a pipe holds
-        src = str(Path(punforge.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "punforge.cli", "score", "--lm",
-             str(small_models[0]["pglm"]), "--input", str(records)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc = _python_m_cli(["score", "--lm", str(small_models[0]["pglm"]),
+                              "--input", str(records)])
         head = proc.stdout.read(300)
         proc.stdout.close()
         err = proc.stderr.read()

@@ -1,13 +1,15 @@
 import hashlib
+import io
 import random
+import struct
 
 import pytest
 
 from oracles import reference_postings
 from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, PostingsView, Sentence,
                              TagLexicon, Vocabulary, ingest, load_corpus,
-                             postings_of, save_corpus, split_sentences, tag,
-                             tokenize)
+                             postings_of, read_vocab, save_corpus, split_sentences,
+                             tag, tokenize, write_vocab)
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
 from punforge.retrieval import build_index
@@ -69,10 +71,13 @@ class TestVocabulary:
         vocab = Vocabulary({"cat": 2, "dog": 1})
         assert vocab.encode(["dog", "emu", "cat"]) == [2, 0, 1]
 
-    def test_dump_round_trip_preserves_everything(self):
-        vocab = Vocabulary({"cat": 3, "dog": 1, "bee": 2}, min_count=2)
-        clone = Vocabulary.from_dump_lines(vocab.dump_lines())
-        assert clone.dump_lines() == vocab.dump_lines()
+    def test_file_round_trip_preserves_everything(self):
+        vocab = Vocabulary({"cat": 3, "dog": 1, "bee": 2, "héé": 5}, min_count=2)
+        fh = io.BytesIO()
+        write_vocab(fh, vocab)
+        fh.seek(0)
+        clone = read_vocab(fh)
+        assert list(clone.items()) == list(vocab.items())
         assert clone.hash_bytes() == vocab.hash_bytes()
 
     def test_hash_distinguishes_vocabularies(self):
@@ -81,46 +86,16 @@ class TestVocabulary:
         assert a.hash_bytes() != b.hash_bytes()
         assert len(a.hash_bytes()) == 16
 
-    @pytest.mark.parametrize("lines", [
-        ["cat\t0\t3"],                        # unk missing
-        ["<unk>\t0\t0", "cat\t2\t3"],         # id gap
-        ["<unk>\t0\t0", "cat\tx\t3"],         # non-integer id
-        ["<unk>\t0\t0", "cat 1 3"],           # wrong separator
-        [],                                   # empty
-        ["<unk>\t0\t0", "cat\t1\t+3"],        # not as dump_lines writes them
-        ["<unk>\t0\t0", "cat\t1\t 3"],
-        ["<unk>\t0\t0", "cat\t01\t3"],
-        ["<unk>\t0\t0", "cat\t1\t3_0"],
-        ["<unk>\t0\t0", "", "cat\t1\t3"],      # a blank line
-        ["<unk>\t0\t0", "cat\t1\t3\t4"],      # four fields
-        ["<unk>\t0\t0", "cat\t1\t-3"],        # negative count
-    ])
-    def test_bad_dumps_rejected(self, lines):
-        with pytest.raises(FormatError):
-            Vocabulary.from_dump_lines(lines)
-
-    @pytest.mark.parametrize("lines,message", [
-        (["<unk>\t0\t0", "cat\t1\t3", "dog\t2"], r"bad vocabulary line 3: 'dog\\t2'"),
-        (["<unk>\t0\t0", "cat\t1\tx"], r"bad vocabulary line 2: 'cat\\t1\\tx'"),
-        (["<unk>\t0\t0", "cat\t2\t3"], "bad vocabulary id or count at line 2"),
-        (["<unk>\t0\t0", "cat\t1\t3", "dog\t2\t-1"],
-         "bad vocabulary id or count at line 3"),
-        (["cat\t0\t3"], "vocabulary must start with '<unk>' at id 0"),
-        (["<unk>\t0\t0", "a\t1\t3", "b\t2\t2", "a\t3\t1"],
-         "repeated vocabulary word 'a' at line 4"),
-        (["<unk>\t0\t0", "<unk>\t1\t3"], "repeated vocabulary word '<unk>' at line 2"),
-    ])
-    def test_bad_dump_names_its_first_bad_line(self, lines, message):
-        with pytest.raises(FormatError, match=message):
-            Vocabulary.from_dump_lines(lines)
-
-    def test_dump_text_is_the_hashed_dump(self):
+    def test_hash_covers_the_word_table_and_counts_it_precedes(self):
         vocab = Vocabulary({"cat": 3, "héé": 1})
-        text = vocab.dump_text()
-        assert text == "".join(line + "\n" for line in vocab.dump_lines())
-        assert hashlib.sha256(text.encode("utf-8")).digest()[:16] == vocab.hash_bytes()
-        clone = Vocabulary.from_dump_lines(text.removesuffix("\n").split("\n"))
-        assert clone.hash_bytes() == vocab.hash_bytes()
+        fh = io.BytesIO()
+        write_vocab(fh, vocab)
+        data = fh.getvalue()
+        words, counts = "<unk>cathéé".encode("utf-8"), struct.pack("<3Q", 0, 3, 1)
+        block = (struct.pack("<4I", 12, 5, 3, 5) + struct.pack("<I", len(words))
+                 + words + struct.pack("<I", len(counts)) + counts)
+        assert data == struct.pack("<I", 16) + vocab.hash_bytes() + block
+        assert hashlib.sha256(block).digest()[:16] == vocab.hash_bytes()
 
     def test_min_count_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -163,7 +138,7 @@ class TestIngest:
         assert sentences[0].tokens == ["the", "ice_cream", "melted", "."]
         assert ingest("the_NOUN ice_cream_VERB melted_OTHER ._UNKNOWN",
                       tagged=True)[0] == sentences
-        assert vocab.dump_lines() == ingest("the ice_cream melted .")[1].dump_lines()
+        assert list(vocab.items()) == list(ingest("the ice_cream melted .")[1].items())
 
     def test_tagged_input_rejects_unknown_tag(self):
         with pytest.raises(FormatError, match="line 2: unknown tag 'NOUNISH'"):
@@ -208,7 +183,7 @@ class TestCorpusFile:
         loaded = load_corpus(path)
         assert loaded.sentences == corpus.sentences
         assert all(type(t) is str for s in loaded.sentences for t in s.tokens)
-        assert loaded.vocab.dump_lines() == corpus.vocab.dump_lines()
+        assert list(loaded.vocab.items()) == list(corpus.vocab.items())
         assert loaded.postings == build_index(corpus.sentences).postings
 
     @pytest.mark.parametrize("make", ["demo", "random", "empty_sentence"])

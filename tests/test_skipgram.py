@@ -480,7 +480,7 @@ class TestPersistence:
         assert np.array_equal(loaded.vec_in, model.vec_in)
         assert np.array_equal(loaded.vec_out, model.vec_out)
         assert loaded.config == model.config
-        assert loaded.vocab.dump_lines() == model.vocab.dump_lines()
+        assert list(loaded.vocab.items()) == list(model.vocab.items())
 
     def test_vocab_hash_checked(self, model, tmp_path):
         path = tmp_path / "m.pgsg"
