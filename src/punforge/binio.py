@@ -7,9 +7,10 @@ items of a dtype the reader names) and string tables (an array block of
 u32 byte lengths, then one blob of the strings' UTF-8 concatenated).  A
 short read, a block that is not a whole number of items, a string table
 whose lengths do not cover its blob or a string that is not UTF-8 raises
-FormatError naming the file, and so do bytes after the last block
-(:func:`check_end`); whether the arrays of one file agree is checked by the
-module that owns the format.
+FormatError naming the file.  Every binary file is read in :func:`reading`
+and written in :func:`writing`, which check and put its magic.  The module
+that owns a format raises ValueError when its blocks disagree; ``reading``
+makes that, and bytes after the last block, one FormatError naming the file.
 
 Every file the package writes, binary or text, is written through
 :func:`replace_file`: into a temporary file beside the target that replaces
@@ -74,18 +75,30 @@ def _writer(fh: BinaryIO, encoding: str | None) -> IO:
     return fh if encoding is None else io.TextIOWrapper(fh, encoding=encoding)
 
 
-def check_magic(fh: BinaryIO, magic: bytes, what: str) -> None:
-    """Read and verify a 4-byte magic tag; raise before any state is built."""
-    got = fh.read(len(magic))
-    if got != magic:
-        raise FormatError(f"{fh.name} is not a {what} file: "
-                          f"bad magic {got!r}, expected {magic!r}")
+@contextmanager
+def reading(path: str | Path, magic: bytes, what: str) -> Iterator[BinaryIO]:
+    """Open a ``what`` file and check its magic tag.  A ValueError raised in
+    the block, and bytes after the last block read, are one FormatError
+    ``corrupt <what> <file>: <problem>``."""
+    with open(path, "rb") as fh:
+        got = fh.read(len(magic))
+        if got != magic:
+            raise FormatError(f"{fh.name} is not a {what} file: "
+                              f"bad magic {got!r}, expected {magic!r}")
+        try:
+            yield fh
+            if fh.read(1):
+                raise ValueError("bytes after the last block")
+        except ValueError as exc:
+            raise FormatError(f"corrupt {what} {fh.name}: {exc}") from None
 
 
-def check_end(fh: BinaryIO) -> None:
-    """Raise FormatError if ``fh`` holds bytes after the last block read."""
-    if fh.read(1):
-        raise FormatError(f"corrupt file {fh.name}: bytes after the last block")
+@contextmanager
+def writing(path: str | Path, magic: bytes) -> Iterator[BinaryIO]:
+    """:func:`replace_file` for a binary file that starts with ``magic``."""
+    with replace_file(path) as fh:
+        fh.write(magic)
+        yield fh
 
 
 def pack(fh: BinaryIO, fmt: str, *values) -> None:
@@ -107,15 +120,6 @@ def read_blob(fh: BinaryIO) -> bytes:
     """Read the bytes :func:`write_blob` wrote."""
     (size,) = unpack(fh, "<I")
     return _read_exact(fh, size)
-
-
-def decode(data: bytes, fh: BinaryIO, what: str) -> str:
-    """``data`` as UTF-8; bytes that are not raise FormatError."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} in {fh.name} is not UTF-8 "
-                          f"({exc.reason})") from None
 
 
 def write_array(fh: BinaryIO, values: np.typing.ArrayLike, dtype: str) -> None:
@@ -153,10 +157,8 @@ def read_strings(fh: BinaryIO) -> list[str]:
     if lengths.sum(dtype=np.int64) != len(blob):
         raise FormatError(f"corrupt string table in {fh.name}: lengths add up "
                           f"to {lengths.sum(dtype=np.int64)} bytes, not {len(blob)}")
-    # each string decodes on its own: a length may end inside a character
-    try:
+    try:  # each string on its own: a length may end inside a character
         return [b.decode("utf-8") for b in split(blob, lengths)]
-    except UnicodeDecodeError:
-        decode(blob, fh, "string table")  # names the reason if the blob is bad
+    except UnicodeDecodeError as exc:
         raise FormatError(f"string table in {fh.name} is not UTF-8 "
-                          f"(a length ends inside a character)") from None
+                          f"({exc.reason})") from None

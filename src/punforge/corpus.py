@@ -368,7 +368,7 @@ def read_vocab(fh: BinaryIO, what: str = "model",
     """Read what :func:`write_vocab` wrote.  A stored hash other than
     ``expected_hash`` is a ResourceError, raised before the words are read;
     words and counts that fail the stored hash, differ in number, repeat a
-    word or do not start with the unknown symbol are a FormatError."""
+    word or do not start with the unknown symbol are a ValueError."""
     stored = binio.read_array(fh, "u1").tobytes()
     if expected_hash is not None and stored != expected_hash:
         raise ResourceError(f"{what} was trained on a different vocabulary "
@@ -376,18 +376,16 @@ def read_vocab(fh: BinaryIO, what: str = "model",
     words = binio.read_strings(fh)
     counts = binio.read_array(fh, "<u8").tolist()
     if _vocab_hash(words, counts) != stored:
-        raise FormatError(f"embedded vocabulary is corrupt in {fh.name}")
+        raise ValueError("embedded vocabulary is corrupt")
     ids = {w: i for i, w in enumerate(words)}
     if len(counts) != len(words):
-        raise FormatError(f"embedded vocabulary in {fh.name} has {len(words)} "
-                          f"words but {len(counts)} counts")
+        raise ValueError(f"embedded vocabulary has {len(words)} words "
+                         f"but {len(counts)} counts")
     if words[:1] != [UNK]:
-        raise FormatError(f"embedded vocabulary in {fh.name} must start with "
-                          f"{UNK!r} at id 0")
+        raise ValueError(f"embedded vocabulary must start with {UNK!r} at id 0")
     if len(ids) != len(words):
         word = next(w for i, w in enumerate(words) if ids[w] != i)
-        raise FormatError(f"repeated vocabulary word {word!r} at id {ids[word]} "
-                          f"in {fh.name}")
+        raise ValueError(f"repeated vocabulary word {word!r} at id {ids[word]}")
     vocab = Vocabulary.__new__(Vocabulary)
     vocab._words, vocab._counts, vocab._ids, vocab._hash = words, counts, ids, stored
     return vocab
@@ -396,8 +394,7 @@ def read_vocab(fh: BinaryIO, what: str = "model",
 def save_corpus(path: str | Path, corpus: Corpus) -> None:
     """Write ``corpus``'s vocabulary and sentences; load derives its postings."""
     surfaces, surface_idx = _number_surfaces(corpus.sentences)
-    with binio.replace_file(path) as fh:
-        fh.write(CORPUS_MAGIC)
+    with binio.writing(path, CORPUS_MAGIC) as fh:
         write_vocab(fh, corpus.vocab)
         binio.write_strings(fh, surfaces)
         binio.write_array(fh, [s.sent_id for s in corpus.sentences], "<u4")
@@ -408,18 +405,16 @@ def save_corpus(path: str | Path, corpus: Corpus) -> None:
 def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file and check that its arrays agree; its postings are
     derived as they are looked up."""
-    with open(path, "rb") as fh:
-        binio.check_magic(fh, CORPUS_MAGIC, "corpus")
+    with binio.reading(path, CORPUS_MAGIC, "corpus") as fh:
         vocab = read_vocab(fh, what="corpus")
         surfaces = binio.read_strings(fh)
         sent_ids, lengths, surface_idx = (binio.read_array(fh, "<u4")
                                           for _ in range(3))
-        binio.check_end(fh)
-    if not (len(sent_ids) == len(lengths) == len(np.unique(sent_ids))
-            and lengths.sum(dtype=np.int64) == len(surface_idx)
-            and len(set(surfaces)) == len(surfaces)
-            and (surface_idx < len(surfaces)).all()):
-        raise FormatError(f"corrupt corpus file {path}: sentence arrays disagree")
+        if not (len(sent_ids) == len(lengths) == len(np.unique(sent_ids))
+                and lengths.sum(dtype=np.int64) == len(surface_idx)
+                and len(set(surfaces)) == len(surfaces)
+                and (surface_idx < len(surfaces)).all()):
+            raise ValueError("sentence arrays disagree")
     tokens = np.array(surfaces, dtype=object)[surface_idx].tolist()
     sentences = list(map(Sentence, sent_ids.tolist(), binio.split(tokens, lengths)))
     return Corpus(sentences, vocab,

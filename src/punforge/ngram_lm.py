@@ -61,7 +61,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
-from .errors import FormatError, TrainingError
+from .errors import TrainingError
 
 log = logging.getLogger(__name__)
 
@@ -300,8 +300,7 @@ class NGramModel:
         :data:`Tables` as four array blocks, lowest first; a loaded model has none."""
         if self._rows is None:
             raise ValueError("a loaded language model is not saved again")
-        with binio.replace_file(path) as fh:
-            fh.write(LM_MAGIC)
+        with binio.writing(path, LM_MAGIC) as fh:
             binio.pack(fh, "<B", self.order)
             binio.pack(fh, f"<{3 * self.order}d", *chain.from_iterable(self.discounts))
             write_vocab(fh, self.vocab)
@@ -312,13 +311,9 @@ class NGramModel:
     @classmethod
     def load(cls, path: str | Path,
              expected_vocab_hash: bytes | None = None) -> "NGramModel":
-        with open(path, "rb") as fh:
-            binio.check_magic(fh, LM_MAGIC, "language model")
+        with binio.reading(path, LM_MAGIC, "language model") as fh:
             (order,) = binio.unpack(fh, "<B")
-            try:
-                check_order(order)
-            except ValueError as exc:
-                raise FormatError(f"corrupt language model {fh.name}: {exc}") from None
+            check_order(order)
             flat = binio.unpack(fh, f"<{3 * order}d")
             discounts = [flat[i:i + 3] for i in range(0, len(flat), 3)]
             vocab = read_vocab(fh, what="language model",
@@ -327,31 +322,24 @@ class NGramModel:
             for k in range(1, order + 1):
                 ctx_rows, backoff = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
                 gram_rows, probs = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
-                try:  # one row of ids per value
-                    tables.append((ctx_rows.reshape(len(backoff), k - 1), backoff,
-                                   gram_rows.reshape(len(probs), k), probs))
-                except ValueError:
-                    raise FormatError(f"corrupt language model {fh.name}: order {k}: "
-                                      f"block lengths disagree") from None
-            binio.check_end(fh)
-            problem = _table_problem(discounts, tables, bos=len(vocab))
-            if problem:
-                raise FormatError(f"corrupt language model {fh.name}: {problem}")
-        try:  # every id is below the radix, so the keys show the row order
-            model = cls(order, vocab, discounts, tables)
-        except ValueError as exc:
-            raise FormatError(f"corrupt language model {fh.name}: {exc}") from None
+                if (len(ctx_rows) != len(backoff) * (k - 1)
+                        or len(gram_rows) != len(probs) * k):  # one row of ids per value
+                    raise ValueError(f"order {k}: block lengths disagree")
+                tables.append((ctx_rows.reshape(len(backoff), k - 1), backoff,
+                               gram_rows.reshape(len(probs), k), probs))
+            _check_tables(discounts, tables, bos=len(vocab))  # every id below the radix
+            model = cls(order, vocab, discounts, tables)  # so the keys show the row order
         model._tables  # build the query dicts now, and keep no arrays beside them
         model._rows = None
         return model
 
 
-def _table_problem(discounts: Sequence[tuple[float, float, float]],
-                   tables: Sequence[Tables], bos: int) -> str | None:
-    """What is wrong with a file's discounts and tables, or None."""
+def _check_tables(discounts: Sequence[tuple[float, float, float]],
+                  tables: Sequence[Tables], bos: int) -> None:
+    """Raise ValueError naming what is wrong with a file's discounts and tables."""
     for k, d in enumerate(discounts, start=1):
         if not _discounts_in_range(*d):
-            return f"order {k}: discounts {d} out of range"
+            raise ValueError(f"order {k}: discounts {d} out of range")
     for k, (ctx_rows, backoff, gram_rows, probs) in enumerate(tables, start=1):
         words = gram_rows[:, -1]
         problem = (
@@ -365,8 +353,7 @@ def _table_problem(discounts: Sequence[tuple[float, float, float]],
             else None
         )
         if problem:
-            return f"order {k}: {problem}"
-    return None
+            raise ValueError(f"order {k}: {problem}")
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
-from .errors import FormatError, TrainingError, UnknownWordError
+from .errors import TrainingError, UnknownWordError
 
 log = logging.getLogger(__name__)
 
@@ -260,8 +260,7 @@ class SkipGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with binio.replace_file(path) as fh:
-            fh.write(SKIPGRAM_MAGIC)
+        with binio.writing(path, SKIPGRAM_MAGIC) as fh:
             binio.pack(fh, _HEADER, *astuple(self.config))
             write_vocab(fh, self.vocab)
             for table in (self.vec_in, self.vec_out):
@@ -270,20 +269,15 @@ class SkipGramModel:
     @classmethod
     def load(cls, path: str | Path,
              expected_vocab_hash: bytes | None = None) -> "SkipGramModel":
-        with open(path, "rb") as fh:
-            binio.check_magic(fh, SKIPGRAM_MAGIC, "skip-gram model")
-            try:
-                config = SkipGramConfig(*binio.unpack(fh, _HEADER))
-            except ValueError as exc:
-                raise FormatError(f"bad skip-gram header in {path}: {exc}") from None
+        with binio.reading(path, SKIPGRAM_MAGIC, "skip-gram model") as fh:
+            config = SkipGramConfig(*binio.unpack(fh, _HEADER))
             vocab = read_vocab(fh, what="skip-gram model",
                                expected_hash=expected_vocab_hash)
             tables = [binio.read_array(fh, "<f8") for _ in range(2)]
-            binio.check_end(fh)
-        if any(t.size != len(vocab) * config.dim for t in tables):
-            raise FormatError(f"embedding table has wrong size in {path}")
-        if not all(np.isfinite(t).all() for t in tables):
-            raise FormatError(f"non-finite embedding value in {path}")
+            if any(t.size != len(vocab) * config.dim for t in tables):
+                raise ValueError("embedding table has the wrong size")
+            if not all(np.isfinite(t).all() for t in tables):
+                raise ValueError("non-finite embedding value")
         return cls(vocab, config, *(t.reshape(len(vocab), config.dim) for t in tables))
 
     def export_text(self, fh: TextIO) -> None:

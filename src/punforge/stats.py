@@ -77,8 +77,10 @@ class RatingsTable:
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "RatingsTable":
-        """Read ``item_id,rater_id,score`` rows; a malformed file is a FormatError."""
+        """Read ``item_id,rater_id,score`` rows; a malformed file, or a rater
+        who rates an item twice, is a FormatError."""
         records = []
+        lines: dict[tuple[str, str], int] = {}  # (item, rater) -> line of its row
         with open_text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             try:
@@ -88,6 +90,10 @@ class RatingsTable:
                     if row["item_id"] is None or row["rater_id"] is None:
                         raise FormatError(f"{path}:{reader.line_num}: "
                                           "expected item_id,rater_id,score")
+                    key = (row["item_id"], row["rater_id"])
+                    if lines.setdefault(key, reader.line_num) != reader.line_num:
+                        raise FormatError(f"{path}:{reader.line_num}: item {key[0]!r}, "
+                                          f"rater {key[1]!r} repeats line {lines[key]}")
                     score = _parse_score((row.get("score") or "").strip(),
                                          path, reader.line_num)
                     records.append(Rating(row["item_id"], row["rater_id"], score))

@@ -78,8 +78,9 @@ class TestCodec:
     def test_length_ending_inside_a_character_rejected(self):
         blob = "hé".encode("utf-8")  # 3 bytes, valid as a whole
         data = struct.pack("<3I", 8, 2, 1) + struct.pack("<I", 3) + blob
-        with pytest.raises(FormatError, match="mem.bin is not UTF-8 .a length ends"):
+        with pytest.raises(FormatError, match="string table in mem.bin is not UTF-8") as err:
             binio.read_strings(_reader(data))
+        assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("lengths,blob", [
         ([1, 2], b"ab"),    # the lengths ask for more than the blob holds
@@ -101,21 +102,61 @@ class TestCodec:
         with pytest.raises(FormatError, match="truncated"):
             binio.unpack(_reader(fh.getvalue()[:-1]), "<BdQ")
 
-    def test_bad_magic_names_the_file(self):
-        with pytest.raises(FormatError, match="mem.bin is not a thing file"):
-            binio.check_magic(_reader(b"NOPE"), b"GOOD", "thing")
-
-    def test_bytes_after_the_last_block_rejected(self):
-        fh = _reader(b"\x01\x00\x00\x00z" + b"\x00")
-        assert binio.read_blob(fh) == b"z"
-        with pytest.raises(FormatError, match="mem.bin: bytes after the last block"):
-            binio.check_end(fh)
-        binio.check_end(_reader(b""))
-
     def test_split(self):
         assert binio.split([1, 2, 3, 4, 5], np.array([2, 0, 3])) == \
             [[1, 2], [], [3, 4, 5]]
         assert binio.split((), np.array([], dtype=np.uint32)) == []
+
+
+def _framed(tmp_path, blocks: bytes) -> Path:
+    """A ``thing`` file: the magic GOOD, then ``blocks``."""
+    path = tmp_path / "f.bin"
+    with binio.writing(path, b"GOOD") as fh:
+        fh.write(blocks)
+    return path
+
+
+class TestFrame:
+    def test_writing_puts_the_magic_that_reading_checks(self, tmp_path):
+        path = _framed(tmp_path, b"\x01\x00\x00\x00z")
+        assert path.read_bytes() == b"GOOD\x01\x00\x00\x00z"
+        with binio.reading(path, b"GOOD", "thing") as fh:
+            assert binio.read_blob(fh) == b"z"
+
+    def test_bad_magic_is_one_line(self, tmp_path):
+        path = _framed(tmp_path, b"")
+        with pytest.raises(FormatError) as err:
+            with binio.reading(path, b"NOPE", "thing"):
+                pass
+        assert str(err.value) == (f"{path} is not a thing file: "
+                                  f"bad magic b'GOOD', expected b'NOPE'")
+
+    def test_bytes_after_the_last_block_rejected(self, tmp_path):
+        path = _framed(tmp_path, b"\x01\x00\x00\x00z\x00")
+        with pytest.raises(FormatError) as err:
+            with binio.reading(path, b"GOOD", "thing") as fh:
+                assert binio.read_blob(fh) == b"z"
+        assert str(err.value) == f"corrupt thing {path}: bytes after the last block"
+
+    def test_value_error_in_the_block_is_one_line_naming_the_file(self, tmp_path):
+        path = _framed(tmp_path, b"")
+        with pytest.raises(FormatError) as err:
+            with binio.reading(path, b"GOOD", "thing"):
+                raise ValueError("arrays disagree")
+        assert str(err.value) == f"corrupt thing {path}: arrays disagree"
+        assert err.value.__suppress_context__
+
+    def test_codec_and_resource_errors_pass_through(self, tmp_path):
+        path = _framed(tmp_path, b"\x05\x00\x00\x00z")
+        with pytest.raises(FormatError) as err:
+            with binio.reading(path, b"GOOD", "thing") as fh:
+                binio.read_blob(fh)
+        assert str(err.value) == f"truncated file {path}: wanted 5 bytes, got 1"
+        error = ResourceError("trained on a different vocabulary")
+        with pytest.raises(ResourceError) as err:
+            with binio.reading(path, b"GOOD", "thing"):
+                raise error
+        assert err.value is error
 
 
 @pytest.fixture(scope="module")
@@ -200,8 +241,9 @@ class TestCorpusFile:
         sections = _read_corpus_sections(path)
         sections[name] = mutate(sections[name])
         _write_corpus_sections(path, sections)
-        with pytest.raises(FormatError, match="corrupt corpus file"):
+        with pytest.raises(FormatError) as err:
             load_corpus(path)
+        assert str(err.value) == f"corrupt corpus {path}: sentence arrays disagree"
 
     def test_one_byte_vocabulary_edit_rejected(self, demo, tmp_path):
         path = tmp_path / "c.pgc"
@@ -629,3 +671,17 @@ class TestAtomicWrites:
         assert [(name, line) for name, line in writers
                 if not (name == "binio.py" and line in allowed_lines)] == []
         assert len(writers) == 2  # replace_file's: in place, and the new file
+
+    def test_binary_files_are_read_only_through_reading(self):
+        """Every ``open(…, "rb")`` in the package is the one in
+        ``binio.reading``, which checks the magic and the end of every file."""
+        package = Path(binio.__file__).parent
+        lines, first = inspect.getsourcelines(binio.reading)
+        readers = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "open"
+                        and len(node.args) > 1 and ast.unparse(node.args[1]) == "'rb'"):
+                    readers.append((path.name, node.lineno))
+        assert len(readers) == 1
+        assert readers[0][0] == "binio.py" and first <= readers[0][1] < first + len(lines)

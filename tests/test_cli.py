@@ -20,7 +20,7 @@ import punforge
 from punforge import cli, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
 from punforge.corpus import (Pos, TagLexicon, check_min_count, ingest,
-                             load_corpus)
+                             load_corpus, save_corpus)
 from punforge.generator import GenerationConfig
 from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
 from punforge.skipgram import MAX_EPOCHS, SkipGramConfig, SkipGramModel
@@ -280,7 +280,7 @@ class TestExitCodes:
         code = cli.main(argv + ["--skipgram", str(bad), "--output", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"non-finite embedding value in {bad}" in err
+        assert err == f"punforge: corrupt skip-gram model {bad}: non-finite embedding value\n"
         assert not out.exists() or "NaN" not in out.read_text()
 
     def test_diverging_train_skipgram_is_one_line_data_error(self, pipeline,
@@ -1063,6 +1063,8 @@ class TestCorrelate:
         ("ratings.csv", "item_id,rater_id,score\na,r1,nan\n", ":2: score is not finite"),
         ("ratings.csv", "item_id,rater_id,score\na\n", ":2: expected item_id"),
         ("ratings.csv", "item,rater,score\na,r1,1\n", ":1: header must name"),
+        pytest.param("ratings.csv", "item_id,rater_id,score\na,r1,1\nb,r1,2\na,r1,NA\n",
+                     ":4: item 'a', rater 'r1' repeats line 2", id="ratings.csv-repeated-row"),
         ("scores.jsonl", '{"id": "a", "s_ratio": 1.0}\nnot json\n', ":2: not a JSON"),
         ("scores.jsonl", "[1, 2]\n", ":1: not a JSON object"),
         pytest.param("scores.jsonl", "[" * 100_000 + "\n", ":1: not a JSON object",
@@ -1238,6 +1240,25 @@ def small_models(tmp_path_factory):
     return files, records
 
 
+def _write_with_format_fault(files, ext, bad):
+    """Write to ``bad`` the ``ext`` file of ``files`` with one fault that only
+    its format module finds: a repeated sentence id, unsorted top-order
+    n-gram rows, or embedding tables of another size than the header's."""
+    corpus = load_corpus(files["pgc"])
+    if ext == "pgc":
+        corpus.sentences.append(corpus.sentences[0])
+        save_corpus(bad, corpus)
+    elif ext == "pglm":
+        lm = train_lm(corpus.sentences, corpus.vocab, order=3)
+        ctx_rows, backoff, gram_rows, probs = lm._rows[-1]
+        lm._rows[-1] = (ctx_rows, backoff, gram_rows[::-1], probs[::-1])
+        lm.save(bad)
+    else:
+        model = SkipGramModel.load(files["pgsg"])
+        SkipGramModel(model.vocab, dataclasses.replace(model.config, dim=5),
+                      model.vec_in, model.vec_out).save(bad)
+
+
 class TestModelFiles:
     def _command(self, small_models, ext, path, out):
         files, records = small_models
@@ -1294,16 +1315,26 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"bad magic {magic!r}" in err
 
-    @pytest.mark.parametrize("ext", ["pgc", "pglm", "pgsg"])
-    def test_bytes_after_the_last_block_are_one_line_data_error(
-            self, small_models, tmp_path, capsys, ext):
-        padded = tmp_path / f"padded.{ext}"
-        padded.write_bytes(small_models[0][ext].read_bytes() + bytes(28))
+    @pytest.mark.parametrize("ext,kind,problem", [
+        ("pgc", "corpus", "sentence arrays disagree"),
+        ("pglm", "language model", "order 3: rows unsorted or repeated"),
+        ("pgsg", "skip-gram model", "embedding table has the wrong size"),
+    ])
+    @pytest.mark.parametrize("fault", ["format", "trailing-bytes"])
+    def test_structural_fault_is_one_corrupt_line(self, small_models, tmp_path, capsys,
+                                                  ext, kind, problem, fault):
+        """A fault the format module finds and bytes after the last block
+        both read ``corrupt <kind> <file>: <problem>``."""
+        bad = tmp_path / f"bad.{ext}"
+        if fault == "format":
+            _write_with_format_fault(small_models[0], ext, bad)
+        else:
+            bad.write_bytes(small_models[0][ext].read_bytes() + bytes(28))
+            problem = "bytes after the last block"
         out = tmp_path / "o"
-        code = cli.main(self._command(small_models, ext, padded, out))
+        code = cli.main(self._command(small_models, ext, bad, out))
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{padded}: bytes after the last block" in err
+        assert capsys.readouterr().err == f"punforge: corrupt {kind} {bad}: {problem}\n"
         assert not out.exists()
 
     def test_mutated_files_exit_0_or_2_without_traceback(self, small_models,

@@ -497,19 +497,20 @@ class TestPersistence:
             SkipGramModel.load(path)
 
     # byte offset and packed zero of each header field the config rejects at 0
-    @pytest.mark.parametrize("offset,zero", [
-        (4, struct.pack("<I", 0)),    # dim
-        (20, struct.pack("<I", 0)),   # negatives
-        (24, struct.pack("<d", 0.0)),  # step_size
+    @pytest.mark.parametrize("field,offset,zero", [
+        ("dim", 4, struct.pack("<I", 0)),
+        ("negatives", 20, struct.pack("<I", 0)),
+        ("step_size", 24, struct.pack("<d", 0.0)),
     ], ids=["dim", "negatives", "step_size"])
     def test_rejected_header_value_is_format_error(self, model, tmp_path,
-                                                   offset, zero):
+                                                   field, offset, zero):
         path = tmp_path / "m.pgsg"
         model.save(path)
         blob = path.read_bytes()
         path.write_bytes(blob[:offset] + zero + blob[offset + len(zero):])
-        with pytest.raises(FormatError, match="header"):
+        with pytest.raises(FormatError) as exc:
             SkipGramModel.load(path)
+        assert str(exc.value).startswith(f"corrupt skip-gram model {path}: {field} must be")
 
     def test_epochs_above_the_maximum_is_format_error(self, model, tmp_path):
         path = tmp_path / "m.pgsg"
@@ -518,7 +519,7 @@ class TestPersistence:
         path.write_bytes(blob[:16] + struct.pack("<I", MAX_EPOCHS + 1) + blob[20:])
         with pytest.raises(FormatError) as exc:
             SkipGramModel.load(path)
-        assert str(exc.value) == (f"bad skip-gram header in {path}: epochs must be "
+        assert str(exc.value) == (f"corrupt skip-gram model {path}: epochs must be "
                                   f"in [0, {MAX_EPOCHS}], got {MAX_EPOCHS + 1}")
 
     @pytest.mark.parametrize("table", ["vec_in", "vec_out"])
@@ -527,8 +528,9 @@ class TestPersistence:
         getattr(model, table)[2, 3] = value
         path = tmp_path / "m.pgsg"
         model.save(path)
-        with pytest.raises(FormatError, match=f"non-finite embedding value in {path}"):
+        with pytest.raises(FormatError) as exc:
             SkipGramModel.load(path)
+        assert str(exc.value) == f"corrupt skip-gram model {path}: non-finite embedding value"
 
     def test_export_text_round_trips_values(self, model):
         out = io.StringIO()

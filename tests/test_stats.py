@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (reference_permutation_pvalue, reference_ranks,
                      reference_spearman)
+from punforge.errors import FormatError
 from punforge.stats import (_PERMUTATION_BLOCK, FilterReport, Rating,
                             RatingsTable, average_ranks, clip_standardize,
                             filter_raters, item_means, permutation_pvalue,
@@ -26,6 +27,16 @@ class TestRatingsTable:
         assert RatingsTable.load_csv(path).records == [
             Rating("i1", "r1", 4.0), Rating("i2", "r1", None),
             Rating("i3", "r1", None), Rating("i1", "r2", 3.5)]
+
+    def test_rater_who_rates_an_item_twice_rejected(self, tmp_path):
+        """z-scores and item means would count both rows, while the rater
+        filter would keep only the last."""
+        path = tmp_path / "r.csv"
+        path.write_text("item_id,rater_id,score\ni1,r1,4.0\ni1,r2,3.0\n"
+                        "i2,r1,1.0\ni1,r1,5.0\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            RatingsTable.load_csv(path)
+        assert str(err.value) == f"{path}:5: item 'i1', rater 'r1' repeats line 2"
 
     def test_raters_and_items_preserve_first_seen_order(self):
         table = _table([("b", "y", 1.0), ("a", "x", 2.0), ("b", "x", 3.0)])
