@@ -269,8 +269,9 @@ def _output(path: str) -> Iterator[TextIO]:
 
 @contextmanager
 def _stdin_text() -> Iterator[TextIO]:
-    """Standard input decoded as strict UTF-8, whatever the locale says."""
-    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+    """Standard input decoded as strict UTF-8, whatever the locale says, as
+    ``open_text`` reads a file."""
+    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
     try:
         with strict_utf8("<stdin>"):
             yield fh

@@ -43,6 +43,7 @@ def strict_utf8(name: str) -> Iterator[None]:
 
 @contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open a UTF-8 text file; bytes that do not decode raise FormatError."""
-    with open(path, encoding="utf-8", newline=newline) as fh, strict_utf8(str(path)):
+    """Open a UTF-8 text file, skipping a leading byte-order mark; bytes that
+    do not decode raise FormatError."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh, strict_utf8(str(path)):
         yield fh

@@ -22,7 +22,11 @@ Training evaluates the recursion once, into one table per order (the
 ARPA/KenLM layout of Heafield 2011): the final probability
 ``kept + γ/total · p_lower`` of every stored (context, word) pair and the
 backoff weight ``γ/total`` of every stored context, whose numerator γ adds
-its words' discounts left to right in sorted word order.  A query walks
+its words' discounts left to right in sorted word order.  It finds each
+order's distinct rows by sorting packed uint64 keys once: a key holds as
+many leading ids as fit in 64 bits, so a row takes one key while
+``(V + 2) ** order <= 2 ** 64`` for V words (up to 65,534 at order 4), and
+a wider row two or three keys, sorted least significant first.  A query walks
 from its longest context down: a stored n-gram returns its value, a stored
 context on the way multiplies in its weight, innermost first, so the floats
 equal the recursion's bit for bit.  A file keeps each order as sorted,
@@ -356,21 +360,48 @@ def _check_tables(discounts: Sequence[tuple[float, float, float]],
             raise ValueError(f"order {k}: {problem}")
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows in lexicographic order, the index of each input row
-    among them, and how often each occurs."""
-    order = np.lexsort(rows.T[::-1])
-    starts, group = _runs(rows[order])
+def _column_keys(rows: np.ndarray, radix: int) -> list[np.ndarray]:
+    """Rows of ids below ``radix`` as uint64 keys, most significant first,
+    that compare as the rows do lexicographically: each key packs as many
+    leading columns as fit in 64 bits as base-``radix`` digits.  Rows of
+    order k take one key while ``radix ** k <= 2 ** 64``, and rows of no
+    columns one key of zeros."""
+    width = 1
+    while radix ** (width + 1) <= 2 ** 64:
+        width += 1
+    base = np.uint64(radix)
+    keys = []
+    for start in range(0, max(rows.shape[1], 1), width):
+        key = np.zeros(len(rows), dtype=np.uint64)
+        for column in rows.T[start:start + width]:
+            key *= base
+            key += column.astype(np.uint64)
+        keys.append(key)
+    return keys
+
+
+def _unique_rows(rows: np.ndarray, radix: int,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ids below ``radix`` in lexicographic order, the
+    index of each input row among them, and how often each occurs."""
+    keys = _column_keys(rows, radix)
+    # Least significant key first and every later sort stable, as lexsort
+    # does; equal rows form one group in any order, so the first sort, and
+    # the only one while a row fits one key, need not be stable.
+    order = np.argsort(keys[-1])
+    for key in keys[-2::-1]:
+        order = order[np.argsort(key[order], kind="stable")]
+    starts, group = _runs([key[order] for key in keys])
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = group
     return rows[order[starts]], inverse, np.bincount(group)
 
 
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _runs(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Where each run of equal consecutive rows starts, and the run each row
-    is in."""
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    is in, from the rows' :func:`_column_keys`."""
+    new = np.ones(len(keys[0]), dtype=bool)
+    new[1:] = reduce(np.logical_or, [key[1:] != key[:-1] for key in keys])
     return np.flatnonzero(new), np.cumsum(new) - 1
 
 
@@ -385,10 +416,11 @@ def _kneser_ney_tables(grams: np.ndarray, n_events: int,
     """
     # Top down: each order's sorted distinct rows, their counts and each
     # row's projection (its row one order down).
-    rows, _, counts = _unique_rows(grams)
+    radix = n_events + 1  # every id, the markers included, is below it
+    rows, _, counts = _unique_rows(grams, radix)
     levels = []
     while rows.shape[1] > 1:
-        lower, proj, lower_counts = _unique_rows(rows[:, 1:])
+        lower, proj, lower_counts = _unique_rows(rows[:, 1:], radix)
         levels.append((rows, counts, proj))
         rows, counts = lower, lower_counts
     levels.append((rows, counts, None))
@@ -400,7 +432,7 @@ def _kneser_ney_tables(grams: np.ndarray, n_events: int,
         d = estimate_discounts(counts)
         discounts.append(d)
         discount = np.array(d)[np.minimum(counts, 3) - 1]
-        starts, ctx_of = _runs(rows[:, :-1])
+        starts, ctx_of = _runs(_column_keys(rows[:, :-1], radix))
         # bincount adds each bin's weights in index order, not pairwise
         gamma = np.bincount(ctx_of, weights=discount, minlength=len(starts))
         total = np.add.reduceat(counts, starts)
@@ -432,8 +464,10 @@ def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
     targets = np.flatnonzero(flat != bos)
     grams = flat[targets[:, None] + np.arange(1 - order, 1)]
     discounts, tables = _kneser_ney_tables(grams, len(vocab) + 1)
-    for k, (d1, d2, d3) in enumerate(discounts, start=1):
+    for k, ((d1, d2, d3), (_, backoff, _, probs)) in enumerate(zip(discounts, tables),
+                                                             start=1):
         log.info("order %d discounts: D1 %.6g, D2 %.6g, D3+ %.6g", k, d1, d2, d3)
+        log.info("order %d stores %d n-grams and %d contexts", k, len(probs), len(backoff))
     fell_back = [k for k, d in enumerate(discounts, start=1)
                  if d == (FALLBACK_DISCOUNT,) * 3]
     if fell_back:

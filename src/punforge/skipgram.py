@@ -131,11 +131,17 @@ def step_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
     """
     # ndarray.dot makes the BLAS call of ``@``, with less dispatch
     scores = out_vecs.dot(center_vec)
-    # sigma(s) is 1 / (1 + e^-s) for s >= 0 and e^s / (1 + e^s) below: with
-    # e = e^-|s| both are one division that cannot overflow
-    e = np.exp(-np.abs(scores))
-    residual = np.where(scores >= 0.0, 1.0, e) / (1.0 + e) - labels
+    residual = _sigmoid(scores) - labels
     return scores, residual.dot(out_vecs), residual[:, None] * center_vec
+
+
+def _sigmoid(scores: np.ndarray) -> np.ndarray:
+    """sigma(s), elementwise: 1 / (1 + e^-s) for s >= 0, -0.0 included, and
+    e^s / (1 + e^s) below.  With e = e^-|s| both are one division by 1 + e
+    that cannot overflow; its numerator, 1 or e, is the larger of e and the
+    step function of s."""
+    e = np.exp(-np.abs(scores))
+    return np.maximum(e, np.heaviside(scores, 1.0)) / (1.0 + e)
 
 
 def step_loss_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
@@ -342,13 +348,16 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
                 scores, grad_center, grad_out = step_grads(in_vec, out_vecs, labels)
                 if track_loss:
                     epoch_scores[r] = scores
+                grad_out *= -lr
                 if once:
                     # each target row gets one term: a plain write adds it
                     # exactly as np.add.at would
-                    vec_out[rows] = out_vecs + (-lr * grad_out)
+                    grad_out += out_vecs
+                    vec_out[rows] = grad_out
                 else:
-                    np.add.at(vec_out, rows, -lr * grad_out)
-                in_vec -= lr * grad_center
+                    np.add.at(vec_out, rows, grad_out)
+                grad_center *= lr
+                in_vec -= grad_center
             if track_loss:
                 log.info("skip-gram epoch %d/%d: mean loss %.6f over %d pairs",
                          epoch + 1, config.epochs,

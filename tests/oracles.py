@@ -41,14 +41,14 @@ class ReferenceKN:
                 cont[gram[1:]] = cont.get(gram[1:], 0) + 1
             self.grams[level] = cont
         self.discounts = {
-            level: self._discounts(self.grams[level])
+            level: self._discounts(self.grams[level].values())
             for level in range(1, order + 1)
         }
 
     @staticmethod
-    def _discounts(gram_counts):
+    def _discounts(counts):
         n = [0] * 5
-        for c in gram_counts.values():
+        for c in counts:
             if 1 <= c <= 4:
                 n[c] += 1
         if 0 in (n[1], n[2], n[3], n[4]):
@@ -141,7 +141,7 @@ class CountTablesKN:
         self.levels = []
         for table in counts:
             d1, d2, d3 = ReferenceKN._discounts(
-                {(ctx, w): c for ctx, words in table.items() for w, c in words.items()})
+                c for words in table.values() for c in words.values())
             self.discounts.append((d1, d2, d3))
             level = {}
             for ctx, words in table.items():
@@ -180,6 +180,52 @@ class CountTablesKN:
                 ctx = tuple(seq[max(0, i - self.order + 1):i])
                 total += math.log(self._p(len(ctx) + 1, ctx, seq[i]))
         return total
+
+
+def _lexsort_unique_rows(rows):
+    """The distinct rows in lexicographic order, the index of each input row
+    among them, and how often each occurs, by one stable sort per column."""
+    order = np.lexsort(rows.T[::-1])
+    starts, group = _lexsort_runs(rows[order])
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = group
+    return rows[order[starts]], inverse, np.bincount(group)
+
+
+def _lexsort_runs(rows):
+    """Where each run of equal consecutive rows starts, and the run each row
+    is in, comparing every column."""
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def reference_kneser_ney_tables(grams, n_events):
+    """Every order's discounts and tables (context rows, backoff weights,
+    n-gram rows, probabilities), from one top-order row per training token,
+    with rows sorted and compared column by column.  The floats are added in
+    the order the package adds them, so the tables must be equal."""
+    rows, _, counts = _lexsort_unique_rows(grams)
+    levels = []
+    while rows.shape[1] > 1:
+        lower, proj, lower_counts = _lexsort_unique_rows(rows[:, 1:])
+        levels.append((rows, counts, proj))
+        rows, counts = lower, lower_counts
+    levels.append((rows, counts, None))
+    discounts, tables, probs = [], [], None
+    for rows, counts, proj in reversed(levels):
+        d = ReferenceKN._discounts(counts.tolist())
+        discounts.append(d)
+        discount = np.array(d)[np.minimum(counts, 3) - 1]
+        starts, ctx_of = _lexsort_runs(rows[:, :-1])
+        gamma = np.bincount(ctx_of, weights=discount, minlength=len(starts))
+        total = np.add.reduceat(counts, starts)
+        backoff = gamma / total
+        kept = (counts - discount) / total[ctx_of]
+        p_lower = 1.0 / n_events if proj is None else probs[proj]
+        probs = kept + backoff[ctx_of] * p_lower
+        tables.append((rows[starts, :-1], backoff, rows, probs))
+    return discounts, tables
 
 
 def reference_walk(tables, radix, uniform, longest, ctx_keys, seq):
@@ -273,16 +319,21 @@ def reference_predict_topics(dist, words, query_id, unk_id, k):
     return [(words[i], float(dist[i]) / total) for i in eligible[:k]]
 
 
-def reference_step_loss_grads(center_vec, out_vecs, labels):
-    """Negative-sampling loss and gradients, sigmoid by masked branches."""
-    scores = out_vecs @ center_vec
-    loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -scores, scores))))
+def reference_sigmoid(scores):
+    """The logistic sigmoid by masked branches, one per sign."""
     sig = np.empty_like(scores)
     pos = scores >= 0
     sig[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
     exp_neg = np.exp(scores[~pos])
     sig[~pos] = exp_neg / (1.0 + exp_neg)
-    residual = sig - labels
+    return sig
+
+
+def reference_step_loss_grads(center_vec, out_vecs, labels):
+    """Negative-sampling loss and gradients, sigmoid by masked branches."""
+    scores = out_vecs @ center_vec
+    loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -scores, scores))))
+    residual = reference_sigmoid(scores) - labels
     return loss, residual @ out_vecs, np.outer(residual, center_vec)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import CountTablesKN
 import punforge
 from punforge import cli, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
@@ -1211,6 +1212,59 @@ class TestTextInputsNotUtf8:
         assert err.count("\n") == 1 and f"{bad}: not UTF-8" in err
 
 
+class TestTextInputsWithByteOrderMark:
+    """A leading UTF-8 byte-order mark is not data: each text input gives
+    the same output with one as without."""
+
+    @pytest.mark.parametrize("what", ["corpus", "config", "pairs", "input",
+                                      "ratings", "scores"])
+    def test_same_output_as_the_plain_file(self, pipeline, tmp_path, what):
+        paths = {name: tmp_path / name for name in
+                 ("corpus", "config", "pairs", "input", "ratings", "scores")}
+        paths["corpus"].write_text(_FUZZ_TEXT.lstrip())  # a word comes first
+        paths["config"].write_text('{"order": 3}')
+        paths["pairs"].write_text("hare\thair\n")
+        paths["input"].write_text(json.dumps(
+            {"sentence": "a hare cut .", "pun_word": "hare", "alt_word": "hair"}) + "\n")
+        paths["ratings"].write_text("item_id,rater_id,score\n" + "".join(
+            f"{item},r{r},{(i * r) % 5}\n" for i, item in enumerate("abcde")
+            for r in (1, 2)))
+        paths["scores"].write_text("".join(
+            json.dumps({"id": item, "s": float(i)}) + "\n"
+            for i, item in enumerate("abcde")))
+        corpus, lm = str(pipeline["corpus"]), str(pipeline["lm"])
+
+        def run(out):
+            argv = {
+                "corpus": ["index", "--corpus", str(paths["corpus"]), "--out", out],
+                "config": ["train-lm", "--corpus", corpus, "--out", out,
+                           "--config", str(paths["config"])],
+                "pairs": ["generate", "--corpus", corpus, "--pairs",
+                          str(paths["pairs"]), "--stage", "SWAP", "--output", out],
+                "input": ["score", "--lm", lm, "--input", str(paths["input"]),
+                          "--output", out],
+            }.get(what, ["correlate", "--ratings", str(paths["ratings"]),
+                         "--scores", str(paths["scores"]), "--permutations", "100",
+                         "--output", out])
+            assert cli.main(argv) == 0
+            return Path(out).read_bytes()
+
+        plain = run(str(tmp_path / "plain.out"))
+        paths[what].write_bytes(b"\xef\xbb\xbf" + paths[what].read_bytes())
+        assert run(str(tmp_path / "bom.out")) == plain
+
+    def test_stdin_same_output_as_without(self, pipeline, tmp_path, monkeypatch):
+        record = (b'{"sentence": "a hare cut .", "pun_word": "hare", '
+                  b'"alt_word": "hair"}\n')
+        outputs = []
+        for data in (record, b"\xef\xbb\xbf" + record):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(data), encoding="latin-1"))
+            outputs.append(_run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                           "--input", "-"]))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 _FUZZ_TEXT = """
 the barber gave the man a hair cut today .
 she brushed her long hair before the show .
@@ -1365,8 +1419,8 @@ class TestModelFiles:
 
 
 class TestTrainLmLog:
-    def test_verbose_logs_discounts_and_fallbacks(self, small_models, tmp_path,
-                                                  capsys, caplog):
+    def test_verbose_logs_discounts_stored_rows_and_fallbacks(
+            self, small_models, tmp_path, capsys, caplog):
         corpus = str(small_models[0]["pgc"])
         quiet, verbose = tmp_path / "quiet.pglm", tmp_path / "verbose.pglm"
         assert cli.main(["train-lm", "--corpus", corpus, "--out", str(quiet)]) == 0
@@ -1381,11 +1435,19 @@ class TestTrainLmLog:
                      if d == (FALLBACK_DISCOUNT,) * 3]
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "punforge.ngram_lm"]
-        assert messages[:len(discounts)] == [
-            f"order {k} discounts: D1 {d1:.6g}, D2 {d2:.6g}, D3+ {d3:.6g}"
-            for k, (d1, d2, d3) in enumerate(discounts, start=1)]
+        # stored rows counted apart, from the recursion's tables
+        loaded = load_corpus(corpus)
+        oracle = CountTablesKN(loaded.vocab.encode_sentences(loaded.sentences),
+                               len(loaded.vocab), len(discounts))
+        assert messages[:2 * len(discounts)] == [
+            line for k, ((d1, d2, d3), level) in enumerate(zip(discounts, oracle.levels),
+                                                           start=1)
+            for line in (
+                f"order {k} discounts: D1 {d1:.6g}, D2 {d2:.6g}, D3+ {d3:.6g}",
+                f"order {k} stores {sum(len(words) for words, _, _ in level.values())}"
+                f" n-grams and {len(level)} contexts")]
         assert fell_back  # six sentences are too few for n1..n4 at some order
-        assert messages[len(discounts):] == [
+        assert messages[2 * len(discounts):] == [
             f"orders {', '.join(map(str, fell_back))} fell back to the fixed "
             f"discount 0.75 (degenerate count-of-counts)"]
 

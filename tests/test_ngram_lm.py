@@ -3,15 +3,17 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
-from oracles import CountTablesKN, ReferenceKN, reference_walk
+from oracles import (CountTablesKN, ReferenceKN, reference_kneser_ney_tables,
+                     reference_walk)
 from test_binio import assert_file_holds_tables
 from punforge.corpus import ingest
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError, ResourceError, TrainingError
-from punforge.ngram_lm import (FALLBACK_DISCOUNT, NGramModel,
-                               estimate_discounts, train_lm)
+from punforge.ngram_lm import (FALLBACK_DISCOUNT, NGramModel, _column_keys,
+                               _kneser_ney_tables, estimate_discounts, train_lm)
 
 CORPORA = [
     "the cat sat on the mat . the cat ran . a dog sat .",
@@ -145,6 +147,72 @@ class TestAgainstCountTables:
         assert [(ids, markers) for ids in encoded for markers in (True, False)
                 if model.logprob_seq(ids, markers) != oracle.logprob_seq(ids, markers)
                 ] == []
+
+
+def _grams(encoded, size, order):
+    """One row per training token: the ``order - 1`` ids before it, begin
+    markers padding the start, then the token; the end marker ends each
+    sentence."""
+    bos, eos = size, size + 1
+    return np.array([seq[i - order + 1:i + 1] for ids in encoded if ids
+                     for seq in [[bos] * (order - 1) + list(ids) + [eos]]
+                     for i in range(order - 1, len(seq))], dtype=np.int64)
+
+
+class TestTablesEqualLexsortOracle:
+    """Training's sorts of packed column keys against the lexsort over one
+    key per column that they replaced: every table equal, dtype and shape
+    included, and every discount."""
+
+    @staticmethod
+    def _assert_tables_equal(grams, n_events):
+        discounts, tables = _kneser_ney_tables(grams, n_events)
+        want_discounts, want_tables = reference_kneser_ney_tables(grams, n_events)
+        assert discounts == want_discounts
+        assert len(tables) == len(want_tables) == grams.shape[1]
+        for got, want in zip(tables, want_tables):
+            for a, b in zip(got, want):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
+        assert tables[0][0].shape == (1, 0)  # order 1: one context, of no ids
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("corpus", ["demo", "random300", "wide"])
+    def test_training_corpora(self, request, corpus, order):
+        sentences, vocab = (ingest(RANDOM_TEXT) if corpus == "random300"
+                            else request.getfixturevalue(corpus)[:2])
+        grams = _grams(vocab.encode_sentences(sentences), len(vocab), order)
+        # 2,000 words at order 6 pass 64 bits, so each row takes two keys
+        wide_keys = corpus == "wide" and order == 6
+        assert len(_column_keys(grams, len(vocab) + 2)) == (2 if wide_keys else 1)
+        self._assert_tables_equal(grams, len(vocab) + 1)
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_ids_up_to_a_radix_whose_fourth_power_is_two_to_the_64(self, order):
+        """Radix 2 ** 16: four ids fill one key to 2 ** 64 - 1, five take two."""
+        radix = 2 ** 16
+        rng = np.random.default_rng(order)
+        ids = [0, 1, 2, radix // 2, radix - 2, radix - 1]
+        base = np.array(ids, dtype=np.int64)[rng.integers(0, len(ids), (200, order))]
+        base[0] = radix - 1
+        grams = np.repeat(base, rng.integers(1, 6, len(base)), axis=0)
+        grams = grams[rng.permutation(len(grams))]
+        keys = _column_keys(grams, radix)
+        assert len(keys) == order - 3 and keys[0].max() == 2 ** 64 - 1
+        self._assert_tables_equal(grams, radix - 1)
+
+    @pytest.mark.parametrize("radix,width", [(2, 64), (3, 40), (256, 8),
+                                             (2 ** 16, 4), (2 ** 32, 2)])
+    def test_column_keys_pack_as_many_columns_as_fit(self, radix, width):
+        rng = np.random.default_rng(width)
+        for columns in (0, 1, width, width + 1, 2 * width + 1):
+            rows = rng.integers(0, radix, (20, columns), dtype=np.int64)
+            rows[0], rows[1] = radix - 1, 0
+            keys = _column_keys(rows, radix)
+            assert all(key.dtype == np.uint64 for key in keys)
+            assert [key.tolist() for key in keys] == [
+                [functools.reduce(lambda key, t: key * radix + t, row[start:start + width], 0)
+                 for row in rows.tolist()]
+                for start in range(0, max(columns, 1), width)]
 
 
 @pytest.fixture(scope="module")

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from oracles import (reference_predict_topics, reference_relatedness,
-                     reference_step_loss_grads, reference_train_skipgram)
+                     reference_sigmoid, reference_step_loss_grads,
+                     reference_train_skipgram)
 from punforge.corpus import Vocabulary, ingest
 from punforge.errors import (FormatError, ResourceError, TrainingError,
                              UnknownWordError)
 from punforge.skipgram import (MAX_EPOCHS, SkipGramConfig, SkipGramModel,
-                               extract_pairs, step_grads, step_loss_grads,
-                               train_skipgram)
+                               _sigmoid, extract_pairs, step_grads,
+                               step_loss_grads, train_skipgram)
 
 
 def _vocab(words):
@@ -218,6 +219,24 @@ class TestTrainingEqualsOracle:
             assert scores.tobytes() == (out @ center).tobytes()
             for a, b in zip(grads, got[1:]):
                 assert a.tobytes() == b.tobytes()
+
+        def assert_bytes_or_both_nan(a, b):
+            # a NaN's sign may differ, and training refuses NaN embeddings
+            nan = np.isnan(b)
+            assert (np.isnan(a) == nan).all() and a[~nan].tobytes() == b[~nan].tobytes()
+
+        # -0.0 goes to the sigmoid itself: a dot product of zeros sums to +0.0
+        planted = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -5e-324, 800.0, -800.0])
+        assert_bytes_or_both_nan(_sigmoid(planted), reference_sigmoid(planted))
+        center = np.array([1.0, 1.0])
+        out = np.array([[np.inf, 0.0], [-np.inf, 0.0], [0.0, 0.0], [1.0, 1.0],
+                        [np.nan, 0.0]])
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
+            assert step_grads(center, out, labels)[0][:2].tolist() == [np.inf, -np.inf]
+            got = step_loss_grads(center, out, labels)
+            want = reference_step_loss_grads(center, out, labels)
+        for a, b in zip((np.array(got[0]),) + got[1:], (np.array(want[0]),) + want[1:]):
+            assert_bytes_or_both_nan(a, b)
 
 
 @pytest.fixture(scope="module")
