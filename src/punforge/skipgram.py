@@ -7,21 +7,22 @@ both directions.  Nothing closer than d1 contributes.  The resulting model
 answers "which words tend to appear far away from w" - long-range topical
 association rather than collocation.
 
-Training is plain SGD with negative sampling (noise ~ unigram^0.75) and a
-linearly decaying step size.  All randomness comes from one seeded
-generator, pairs are visited in a seeded shuffle, and updates are
-sequential, so equal seeds give bitwise-equal embeddings.
-
-Each epoch lays out its updates' targets (the context, then the negatives)
-as one array and marks, with a row-wise sort, the rows whose targets are
-distinct.  An update gathers its target rows once; a distinct row is written
-back as gathered + (-lr * gradient), which is the sum ``np.add.at`` forms
-when no row repeats, and only rows that repeat a target use ``np.add.at``.
-The sigmoid is one division by 1 + e^-|s|, which gives the doubles of a
-branch per sign.  So the embeddings are byte-equal to those of a plain
-loop of one ``np.add.at`` per pair (``reference_train_skipgram`` in the
-test oracles).  When INFO logging is on, each update's scores are kept and
-the epoch's mean loss is computed from them once, at the epoch's end.
+Training is SGD with negative sampling (noise ~ unigram^0.75) and a
+linearly decaying step size, a block of pairs at a time.  All randomness
+comes from one seeded generator: pairs are visited in a seeded shuffle, and
+each block draws its negatives from the same stream as one draw per epoch
+would.  Every pair of a block reads the embeddings as they were when the
+block began; its scores and gradients come from stacked ``np.matmul`` (one
+BLAS call per pair, the call ``ndarray.dot`` makes), each pair keeps its own
+step size, and one flat ``np.add.at`` per matrix adds every term in pair
+order.  So equal seeds give bitwise-equal embeddings, and a block of one
+pair is plain sequential SGD, byte for byte (``reference_train_skipgram``
+in the test oracles, at either block).  ``block_size`` works the block out
+from the step size, the negatives and the most frequent context and noise
+word, at most ``MAX_BLOCK`` pairs.  The sigmoid is one division by
+1 + e^-|s|, which gives the doubles of a branch per sign.  When INFO
+logging is on, the epoch's mean loss is summed block by block from the
+scores the updates computed.
 
 Queries use a softmax over the output embeddings.  ``predict_topics``
 computes it in full, renormalizes it without the query word and the unknown
@@ -56,9 +57,11 @@ SKIPGRAM_MAGIC = b"PGS3"
 # The fields of SkipGramConfig in order: five u32, then f64 step_size, u64 seed.
 _HEADER = "<5IdQ"
 # An epoch walks every band pair once, and training runs 15 by default.  A
-# thousand take about 13 minutes on the walkthrough's 31,344 pairs at dim 40
-# (2-vCPU VM), where the header's u32 limit would run for about a century.
+# thousand take about 2 minutes on the walkthrough's 31,344 pairs at dim 40
+# (2-vCPU VM), where the header's u32 limit would run for over a decade.
 MAX_EPOCHS = 1_000
+# The most pairs trained from one snapshot of the embeddings (``block_size``).
+MAX_BLOCK = 64
 
 
 @dataclass
@@ -121,18 +124,28 @@ def extract_pairs(sentences: Sequence[Sequence[int]], d1: int, d2: int) -> np.nd
     return np.stack([flat[i], flat[j], flat[j], flat[i]], axis=1).reshape(-1, 2)
 
 
+def block_grads(center_vecs: np.ndarray, out_vecs: np.ndarray,
+                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores and analytic negative-sampling gradients for a block of updates.
+
+    Update r has the input embedding ``center_vecs[r]`` (shape (b, dim)) and
+    the output embeddings ``out_vecs[r]`` (shape (b, k + 1, dim)) of its true
+    context (label 1) and its sampled negatives (label 0).  Repeated rows are
+    legal and simply contribute their term twice.  Returns (scores, d/d
+    centers, d/d out rows), shaped (b, k + 1), (b, dim) and (b, k + 1, dim).
+    """
+    # Stacked matmul makes one BLAS gemv per update, the call ndarray.dot
+    # makes for one; einsum sums in another order.
+    scores = np.matmul(out_vecs, center_vecs[:, :, None])[:, :, 0]
+    residual = _sigmoid(scores) - labels
+    return (scores, np.matmul(residual[:, None, :], out_vecs)[:, 0, :],
+            residual[:, :, None] * center_vecs[:, None, :])
+
+
 def step_grads(center_vec: np.ndarray, out_vecs: np.ndarray,
                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scores and analytic negative-sampling gradients for one update.
-
-    ``out_vecs`` holds the output embeddings of the true context (label 1)
-    and the sampled negatives (label 0).  Repeated rows are legal and simply
-    contribute their term twice.  Returns (scores, d/d center, d/d out rows).
-    """
-    # ndarray.dot makes the BLAS call of ``@``, with less dispatch
-    scores = out_vecs.dot(center_vec)
-    residual = _sigmoid(scores) - labels
-    return scores, residual.dot(out_vecs), residual[:, None] * center_vec
+    """``block_grads`` for one update: (scores, d/d center, d/d out rows)."""
+    return tuple(a[0] for a in block_grads(center_vec[None], out_vecs[None], labels))
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
@@ -295,6 +308,23 @@ class SkipGramModel:
             fh.write(f"{word} {values}\n")
 
 
+def block_size(step_size: float, negatives: int, p_ctx: float,
+               p_noise: float) -> int:
+    """Pairs per training block: ⌊1 / (step_size · (p_ctx + negatives · p_noise))⌋,
+    at least 1 and at most ``MAX_BLOCK``.
+
+    ``p_ctx`` is the largest share of one word among the pairs' contexts and
+    ``p_noise`` the largest noise probability.  A block adds to its busiest
+    output row about B · (p_ctx + negatives · p_noise) terms, all computed
+    from the embeddings as the block began; the rule keeps their summed step
+    at about one.  On a vocabulary of a few words it picks 1, where a block
+    of 64 diverges.
+    """
+    # 1 / max(rate, 1 / MAX_BLOCK) is at most MAX_BLOCK and never divides by 0
+    rate = step_size * (p_ctx + negatives * p_noise)
+    return max(1, int(1.0 / max(rate, 1.0 / MAX_BLOCK)))
+
+
 def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
                    vocab: Vocabulary,
                    config: SkipGramConfig | None = None) -> SkipGramModel:
@@ -316,52 +346,52 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
     noise **= 0.75
     if noise.sum() <= 0.0:
         noise[:] = 1.0
-    noise_cdf = np.cumsum(noise / noise.sum())
+    noise /= noise.sum()
+    noise_cdf = np.cumsum(noise)
 
-    n, k, step_size = len(pairs), config.negatives, config.step_size
+    n, k, dim, step_size = len(pairs), config.negatives, config.dim, config.step_size
+    block = block_size(step_size, k, np.bincount(pairs[:, 1]).max() / n, noise.max())
     total_steps = config.epochs * n
     labels = np.zeros(k + 1)
     labels[0] = 1.0
+    cols = np.arange(dim)
+    # views: np.add.at on them writes the embeddings
+    flat_in, flat_out = vec_in.reshape(-1), vec_out.reshape(-1)
     track_loss = log.isEnabledFor(logging.INFO)
-    step = 0
+    log.debug("skip-gram blocks of %d pairs", block)
     # A step size that diverges overflows to inf and then NaN; that is
-    # reported once, below, instead of as a warning per update.
+    # reported once, below, instead of as a warning per block.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            shuffled = pairs[rng.permutation(n)]
-            # Row r's targets: its context, then its negatives.  The clip
-            # guards against a draw landing past the last cumulative value,
-            # which float rounding can leave a hair below one.
-            targets = np.empty((n, k + 1), dtype=np.int64)
-            targets[:, 0] = shuffled[:, 1]
-            targets[:, 1:] = np.minimum(
-                np.searchsorted(noise_cdf, rng.random((n, k))), v_size - 1)
-            # a row's targets are distinct when its sorted ids all differ
-            distinct = np.diff(np.sort(targets, axis=1)).all(axis=1).tolist()
-            if track_loss:
-                epoch_scores = np.empty((n, k + 1))
-            for r, (center, rows, once) in enumerate(zip(shuffled[:, 0].tolist(),
-                                                         targets, distinct)):
-                lr = step_size * max(1.0 - step / total_steps, 1e-4)
-                step += 1
-                in_vec, out_vecs = vec_in[center], vec_out.take(rows, axis=0)
-                scores, grad_center, grad_out = step_grads(in_vec, out_vecs, labels)
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, block):
+                centers, contexts = pairs[order[start:start + block]].T
+                b = len(centers)
+                # Row r's targets: its context, then its negatives.  The clip
+                # guards against a draw landing past the last cumulative
+                # value, which float rounding can leave a hair below one.
+                targets = np.empty((b, k + 1), dtype=np.int64)
+                targets[:, 0] = contexts
+                targets[:, 1:] = np.minimum(
+                    np.searchsorted(noise_cdf, rng.random((b, k))), v_size - 1)
+                step = epoch * n + start + np.arange(b)
+                lr = step_size * np.maximum(1.0 - step / total_steps, 1e-4)
+                # every pair reads the embeddings as the block began
+                scores, grad_center, grad_out = block_grads(
+                    vec_in[centers], vec_out[targets], labels)
                 if track_loss:
-                    epoch_scores[r] = scores
-                grad_out *= -lr
-                if once:
-                    # each target row gets one term: a plain write adds it
-                    # exactly as np.add.at would
-                    grad_out += out_vecs
-                    vec_out[rows] = grad_out
-                else:
-                    np.add.at(vec_out, rows, grad_out)
-                grad_center *= lr
-                in_vec -= grad_center
+                    epoch_loss += sampling_loss(scores, labels)
+                grad_out *= -lr[:, None, None]
+                grad_center *= -lr[:, None]
+                # one flat np.add.at per matrix adds every term in pair order
+                np.add.at(flat_out, ((targets * dim)[:, :, None] + cols).reshape(-1),
+                          grad_out.reshape(-1))
+                np.add.at(flat_in, ((centers * dim)[:, None] + cols).reshape(-1),
+                          grad_center.reshape(-1))
             if track_loss:
                 log.info("skip-gram epoch %d/%d: mean loss %.6f over %d pairs",
-                         epoch + 1, config.epochs,
-                         sampling_loss(epoch_scores, labels) / n, n)
+                         epoch + 1, config.epochs, epoch_loss / n, n)
     if not (np.isfinite(vec_in).all() and np.isfinite(vec_out).all()):
         raise TrainingError(
             f"skip-gram training diverged to non-finite embeddings at step "

@@ -338,14 +338,18 @@ def reference_step_loss_grads(center_vec, out_vecs, labels):
 
 
 def reference_train_skipgram(encoded, counts, dim, d1, d2, epochs, negatives,
-                             step_size, seed):
-    """Band skip-gram SGD, one row of numpy calls per pair.
+                             step_size, seed, block=1):
+    """Band skip-gram SGD, one row of numpy calls per pair, ``block`` pairs at
+    a time.
 
     ``encoded`` holds id lists and ``counts[i]`` the corpus count of id i.
-    Pairs come from a double loop over positions, every update gathers its
-    targets afresh and ``np.add.at`` writes every output row.  Returns
-    (vec_in, vec_out, updates whose targets repeat a row, each epoch's mean
-    loss).
+    Pairs come from a double loop over positions.  Each epoch's shuffled
+    pairs are cut into blocks of ``block`` pairs; every pair of a block
+    gathers its rows from a copy of the embeddings taken as the block began,
+    and ``np.add.at`` writes each pair's rows to the live embeddings in
+    turn.  A block of one is plain sequential SGD.  Returns (vec_in,
+    vec_out, updates whose targets repeat a row, blocks that repeat a
+    center, each epoch's mean loss).
     """
     out = []
     for ids in encoded:
@@ -371,7 +375,7 @@ def reference_train_skipgram(encoded, counts, dim, d1, d2, epochs, negatives,
     labels = np.zeros(negatives + 1)
     labels[0] = 1.0
     step = 0
-    repeated, epoch_losses = 0, []
+    repeated, shared_centers, epoch_losses = 0, 0, []
     for _epoch in range(epochs):
         epoch_loss = 0.0
         order = rng.permutation(len(pairs))
@@ -380,6 +384,10 @@ def reference_train_skipgram(encoded, counts, dim, d1, d2, epochs, negatives,
             v_size - 1,
         )
         for row in range(len(pairs)):
+            if row % block == 0:
+                start_in, start_out = vec_in.copy(), vec_out.copy()
+                centers = pairs[order[row:row + block], 0].tolist()
+                shared_centers += len(set(centers)) < len(centers)
             center, context = pairs[order[row]]
             lr = step_size * max(1.0 - step / total_steps, 1e-4)
             step += 1
@@ -387,14 +395,14 @@ def reference_train_skipgram(encoded, counts, dim, d1, d2, epochs, negatives,
             targets[0] = context
             targets[1:] = drawn[row]
             loss, grad_center, grad_out = reference_step_loss_grads(
-                vec_in[center], vec_out[targets], labels
+                start_in[center], start_out[targets], labels
             )
             np.add.at(vec_out, targets, -lr * grad_out)
             vec_in[center] -= lr * grad_center
             epoch_loss += loss
             repeated += len(set(targets.tolist())) < len(targets)
         epoch_losses.append(epoch_loss / len(pairs))
-    return vec_in, vec_out, repeated, epoch_losses
+    return vec_in, vec_out, repeated, shared_centers, epoch_losses
 
 
 def _reference_senses(senses, word, tag_name):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import logging
@@ -9,12 +10,14 @@ import pytest
 from oracles import (reference_predict_topics, reference_relatedness,
                      reference_sigmoid, reference_step_loss_grads,
                      reference_train_skipgram)
+from punforge import skipgram
 from punforge.corpus import Vocabulary, ingest
 from punforge.errors import (FormatError, ResourceError, TrainingError,
                              UnknownWordError)
-from punforge.skipgram import (MAX_EPOCHS, SkipGramConfig, SkipGramModel,
-                               _sigmoid, extract_pairs, step_grads,
-                               step_loss_grads, train_skipgram)
+from punforge.skipgram import (MAX_BLOCK, MAX_EPOCHS, SkipGramConfig,
+                               SkipGramModel, _sigmoid, block_grads, block_size,
+                               extract_pairs, step_grads, step_loss_grads,
+                               train_skipgram)
 
 
 def _vocab(words):
@@ -165,26 +168,70 @@ def _oracle_case(words, negatives, epochs):
     return sentences, vocab, config
 
 
-class TestTrainingEqualsOracle:
-    """``train_skipgram`` against ``reference_train_skipgram``, today's loop
-    of one gather, one masked-branch sigmoid with its loss and one
-    ``np.add.at`` per pair: every embedding byte must be equal."""
+def _rule_inputs(pairs, counts):
+    """The largest context share and noise probability, counted in Python."""
+    noise = [c ** 0.75 for c in counts]
+    p_ctx = max(collections.Counter(pairs[:, 1].tolist()).values()) / len(pairs)
+    return p_ctx, max(noise) / sum(noise)
 
-    @pytest.mark.parametrize("words,negatives,epochs", [
-        # 21 targets over 3 words: every row repeats one, so np.add.at
-        (3, 20, 0), (3, 20, 1), (3, 20, 3),
-        # 6 targets over 300 words: nearly every row is distinct
-        (300, 5, 1), (300, 5, 3),
+
+class TestBlockSize:
+    def test_rule_by_hand(self):
+        # ⌊1 / (0.25 · (0.125 + 2 · 0.0625))⌋ = ⌊16⌋
+        assert block_size(0.25, 2, 0.125, 0.0625) == 16
+        # ⌊1 / (0.25 · (0.25 + 0.0625))⌋ = ⌊12.8⌋
+        assert block_size(0.25, 1, 0.25, 0.0625) == 12
+        # below one rounds up to one pair, above MAX_BLOCK down to it
+        assert block_size(1.0, 20, 0.5, 0.5) == 1
+        assert block_size(float("inf"), 5, 0.1, 0.1) == 1
+        assert block_size(0.025, 5, 0.01, 0.01) == MAX_BLOCK
+        assert block_size(5e-324, 1, 0.5, 0.25) == MAX_BLOCK  # the rate is 0
+
+    def test_cap_is_read_when_called(self, monkeypatch):
+        monkeypatch.setattr(skipgram, "MAX_BLOCK", 1)
+        assert block_size(1e-9, 5, 0.1, 0.1) == 1
+        monkeypatch.setattr(skipgram, "MAX_BLOCK", 8)
+        assert block_size(0.25, 2, 0.125, 0.0625) == 8
+
+    def test_a_tiny_vocabulary_stays_bounded(self, monkeypatch):
+        # three words, 20 negatives: every block stacks many terms on each row
+        sentences, vocab, config = _oracle_case(3, 20, 3)
+        config = dataclasses.replace(config, step_size=0.025)
+        pairs = extract_pairs(sentences, config.d1, config.d2)
+        counts = [vocab.count_of_id(i) for i in range(len(vocab))]
+        assert block_size(0.025, 20, *_rule_inputs(pairs, counts)) == 3
+        assert np.abs(train_skipgram(sentences, vocab, config).vec_out).max() < 3
+        monkeypatch.setattr(skipgram, "block_size", lambda *args: 64)
+        assert np.abs(train_skipgram(sentences, vocab, config).vec_out).max() > 1e6
+
+
+class TestTrainingEqualsOracle:
+    """``train_skipgram`` against ``reference_train_skipgram``, a loop of one
+    gather from the block's starting embeddings, one masked-branch sigmoid
+    with its loss and one ``np.add.at`` per pair: every embedding byte must
+    be equal."""
+
+    @pytest.mark.parametrize("words,negatives,epochs,block", [
+        # 21 targets over 3 words: every update repeats a row, and the rule
+        # trains one pair at a time
+        (3, 20, 0, 1), (3, 20, 1, 1), (3, 20, 3, 1),
+        # 590 pairs in blocks of 17: the last block of an epoch holds 12
+        (40, 5, 1, 17), (40, 5, 3, 17),
+        # 662 pairs in blocks of MAX_BLOCK: the last block holds 22
+        (300, 5, 1, MAX_BLOCK), (300, 5, 3, MAX_BLOCK),
     ])
     @pytest.mark.parametrize("verbose", [False, True])
     def test_embeddings_are_bytewise_equal(self, caplog, words, negatives, epochs,
-                                           verbose):
+                                           block, verbose):
         sentences, vocab, config = _oracle_case(words, negatives, epochs)
         pairs = extract_pairs(sentences, config.d1, config.d2)
         assert (pairs[:, 0] == pairs[:, 1]).any()  # a center is its own context
         counts = [vocab.count_of_id(i) for i in range(len(vocab))]
-        vec_in, vec_out, repeated, losses = reference_train_skipgram(
-            sentences, counts, *dataclasses.astuple(config))
+        assert block_size(config.step_size, negatives,
+                          *_rule_inputs(pairs, counts)) == block
+        assert block == 1 or len(pairs) % block
+        vec_in, vec_out, repeated, shared_centers, losses = reference_train_skipgram(
+            sentences, counts, *dataclasses.astuple(config), block=block)
         level = logging.INFO if verbose else logging.WARNING
         with caplog.at_level(level, logger="punforge.skipgram"):
             model = train_skipgram(sentences, vocab, config)
@@ -194,14 +241,44 @@ class TestTrainingEqualsOracle:
         if words == 3:
             assert repeated == updates
         else:
-            assert 0 < repeated < updates / 10
+            assert 0 < repeated < updates
+            assert shared_centers > 0  # a center repeats within a block
         records = [r for r in caplog.records if r.name == "punforge.skipgram"]
         assert [r.getMessage() for r in records] == [
             f"skip-gram epoch {e}/{epochs}: mean loss {loss:.6f} over {len(pairs)} pairs"
             for e, loss in enumerate(losses, start=1)] * verbose
-        # summed once per epoch, not per update: equal to 1e-9, not bitwise
+        # summed once per block, not per update: equal to 1e-9, not bitwise
         assert [r.args[2] for r in records] == pytest.approx(losses * verbose,
                                                              rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("words", [40, 300])
+    def test_a_block_of_one_is_sequential_sgd(self, monkeypatch, words):
+        sentences, vocab, config = _oracle_case(words, 5, 3)
+        counts = [vocab.count_of_id(i) for i in range(len(vocab))]
+        vec_in, vec_out, *_ = reference_train_skipgram(
+            sentences, counts, *dataclasses.astuple(config))
+        blocked = train_skipgram(sentences, vocab, config)
+        assert blocked.vec_out.tobytes() != vec_out.tobytes()
+        monkeypatch.setattr(skipgram, "MAX_BLOCK", 1)
+        model = train_skipgram(sentences, vocab, config)
+        assert model.vec_in.tobytes() == vec_in.tobytes()
+        assert model.vec_out.tobytes() == vec_out.tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4, 16, 40, 300])
+    def test_block_rows_equal_single_steps(self, dim):
+        rng = np.random.default_rng(dim)
+        for targets in (2, 6, 21):
+            labels = np.zeros(targets)
+            labels[0] = 1.0
+            for b in (1, 2, 64):
+                centers = rng.standard_normal((b, dim))
+                out = rng.standard_normal((b, targets, dim))
+                got = block_grads(centers, out, labels)
+                for r in range(b):
+                    loss, *want = reference_step_loss_grads(centers[r], out[r], labels)
+                    assert got[0][r].tobytes() == (out[r] @ centers[r]).tobytes()
+                    for a, w in zip(got[1:], want):
+                        assert a[r].tobytes() == w.tobytes()
 
     def test_step_equals_masked_branch_sigmoid(self):
         rng = np.random.default_rng(8)
