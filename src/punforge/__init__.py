@@ -15,7 +15,7 @@ from .generator import (GenerationCandidate, GenerationConfig,
                         GenerationResources, GenerationResult, generate,
                         insertable_topics, select_deletion, swap,
                         topic_insert)
-from .kao import MeaningReport, ambiguity_of, distinctiveness_of, meaning_report
+from .kao import MeaningReport, ambiguity_of, meaning_report
 from .ngram_lm import NGramModel, estimate_discounts, train_lm
 from .retrieval import InvertedIndex, SeedCandidate, build_index, retrieve_seeds
 from .skipgram import (SkipGramConfig, SkipGramModel, extract_pairs,
@@ -23,7 +23,7 @@ from .skipgram import (SkipGramConfig, SkipGramModel, extract_pairs,
 from .stats import (RatingsTable, clip_standardize, filter_raters, item_means,
                     permutation_pvalue, spearman, zscore_raters)
 from .surprisal import (PunOccurrence, PunPair, SurprisalReport, local_global,
-                        s_ratio, score_occurrence, surprisal, unusualness)
+                        s_ratio, score_occurrence, surprisal)
 from .wordnet import SynsetGraph, load_wordnet
 
 __version__ = "0.1.0"
@@ -36,14 +36,14 @@ __all__ = [
     "GenerationCandidate", "GenerationConfig", "GenerationResources",
     "GenerationResult", "generate", "insertable_topics", "select_deletion",
     "swap", "topic_insert",
-    "MeaningReport", "ambiguity_of", "distinctiveness_of", "meaning_report",
+    "MeaningReport", "ambiguity_of", "meaning_report",
     "NGramModel", "estimate_discounts", "train_lm",
     "InvertedIndex", "SeedCandidate", "build_index", "retrieve_seeds",
     "SkipGramConfig", "SkipGramModel", "extract_pairs", "train_skipgram",
     "RatingsTable", "clip_standardize", "filter_raters", "item_means",
     "permutation_pvalue", "spearman", "zscore_raters",
     "PunOccurrence", "PunPair", "SurprisalReport", "local_global", "s_ratio",
-    "score_occurrence", "surprisal", "unusualness",
+    "score_occurrence", "surprisal",
     "SynsetGraph", "load_wordnet",
     "__version__",
 ]

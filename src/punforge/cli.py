@@ -26,7 +26,7 @@ from typing import ContextManager, Iterator, Mapping, TextIO
 
 import numpy as np
 
-from . import binio, stats
+from . import binio, runtime, stats
 from .corpus import (DEFAULT_MIN_COUNT, Corpus, TagLexicon, check_min_count,
                      ingest, load_corpus, save_corpus, tokenize)
 from .errors import (FormatError, PunforgeError, ResourceError, open_text,
@@ -581,6 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
+    runtime.log_runtime()
     try:
         flag_values = vars(args)
         cfg = resolve_config(flag_values, flag_values.get("config"))

@@ -28,6 +28,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -68,6 +70,10 @@ class Pos(Enum):
     PRONOUN = 2
     VERB = 3
     OTHER = 4
+
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with ``==``; it runs in C, where Enum's hashes the name in Python.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -121,11 +127,10 @@ class Vocabulary:
         check_min_count(min_count)
         kept = {w: c for w, c in counts.items() if c >= min_count and w != UNK}
         dropped = sum(c for w, c in counts.items() if w not in kept)
-        self._words: list[str] = [UNK]
-        self._counts: list[int] = [dropped]
-        for word, count in sorted(kept.items(), key=lambda kv: (-kv[1], kv[0])):
-            self._words.append(word)
-            self._counts.append(count)
+        ranked = sorted(kept.items())
+        ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties stay by word
+        self._words: list[str] = [UNK, *map(itemgetter(0), ranked)]
+        self._counts: list[int] = [dropped, *map(itemgetter(1), ranked)]
         self._ids: dict[str, int] = {w: i for i, w in enumerate(self._words)}
 
     unk_id = 0
@@ -139,18 +144,25 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self._ids.get(word, self.unk_id)
 
-    def word_of(self, idx: int) -> str:
-        return self._words[idx]
-
     def count_of_id(self, idx: int) -> int:
         return self._counts[idx]
+
+    @property
+    def words(self) -> list[str]:
+        """The words in id order: the list itself, not a copy."""
+        return self._words
+
+    @property
+    def counts(self) -> list[int]:
+        """The counts in id order: the list itself, not a copy."""
+        return self._counts
 
     @property
     def total_count(self) -> int:
         return sum(self._counts)
 
     def encode(self, surfaces: Iterable[str]) -> list[int]:
-        return [self.id_of(s) for s in surfaces]
+        return list(map(self._ids.get, surfaces, repeat(self.unk_id)))
 
     def encode_sentences(self, sentences: Iterable) -> list[list[int]]:
         """Id lists for Sentence objects; id sequences pass through as lists."""
@@ -179,6 +191,11 @@ class TagLexicon:
         self.nouns = frozenset(nouns)
         self.verbs = frozenset(verbs)
         self.pronouns = frozenset(pronouns)
+
+    @functools.cached_property
+    def tagged_nouns(self) -> frozenset[str]:
+        """The words :meth:`tag_word` tags NOUN, built on first use."""
+        return self.nouns - self.pronouns
 
     def tag_word(self, word: str) -> Pos:
         if word in self.pronouns:
@@ -238,9 +255,7 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
         for sent_id, piece in enumerate(split_sentences(text)):
             sentences.append(Sentence(sent_id, tokenize(piece)))
 
-    counts: Counter[str] = Counter()
-    for sentence in sentences:
-        counts.update(sentence.tokens)
+    counts = Counter(chain.from_iterable(s.tokens for s in sentences))
     return sentences, Vocabulary(counts, min_count=min_count)
 
 

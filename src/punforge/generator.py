@@ -128,8 +128,9 @@ def swap(tokens: list[str], pair: PunPair) -> tuple[list[str], int]:
 
 def select_deletion(tags: list[Pos], pun_position: int) -> int | None:
     """Index of the leftmost noun or pronoun strictly before the pun slot."""
+    deletable = (Pos.NOUN, Pos.PRONOUN)  # once: reading a member off Pos is slow
     for i in range(pun_position):
-        if tags[i] in (Pos.NOUN, Pos.PRONOUN):
+        if tags[i] in deletable:
             return i
     return None
 
@@ -141,9 +142,9 @@ def insertable_topics(topics: list[tuple[str, float]], pair: PunPair,
     A topic word qualifies when it is neither word of the pair and the
     lexicon tags it as a noun; neither test depends on the seed.
     """
+    nouns, pair_words = lexicon.tagged_nouns, (pair.pun_word, pair.alt_word)
     return [(word, score) for word, score in topics
-            if word not in (pair.pun_word, pair.alt_word)
-            and lexicon.tag_word(word) == Pos.NOUN]
+            if word in nouns and word not in pair_words]
 
 
 def topic_insert(swapped: list[str], deletion: int, deleted_tag: Pos,
@@ -156,10 +157,9 @@ def topic_insert(swapped: list[str], deletion: int, deleted_tag: Pos,
     survives when it is type-consistent with ``swapped[deletion]``, the word
     it replaces, tagged ``deleted_tag``.
     """
-    deleted = swapped[deletion]
+    deleted, noun = swapped[deletion], Pos.NOUN  # once, as in select_deletion
     for topic_word, score in topics:
-        if type_consistent(graph, topic_word, Pos.NOUN,
-                           deleted, deleted_tag, threshold):
+        if type_consistent(graph, topic_word, noun, deleted, deleted_tag, threshold):
             tokens = list(swapped)
             tokens[deletion] = topic_word
             yield tokens, topic_word, score

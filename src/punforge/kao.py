@@ -89,16 +89,6 @@ def ambiguity_of(posterior_pun: float) -> float:
     return total
 
 
-def distinctiveness_of(f_pun: Sequence[float], f_alt: Sequence[float]) -> float:
-    """Sum of symmetrized Bernoulli KL divergences over content words."""
-    if len(f_pun) != len(f_alt):
-        raise ValueError("assignment posteriors must have equal length")
-    total = 0.0
-    for a, b in zip(f_pun, f_alt):  # left to right; sum() is compensated from 3.12
-        total += _symmetric_kl(a, b)
-    return total
-
-
 def check_pair_words(pair: PunPair, vocab: Vocabulary) -> None:
     """Raise UnknownWordError unless both pair words are vocabulary words;
     the unknown-word symbol stands for no word of its own."""
@@ -141,7 +131,8 @@ def meaning_report(tokens: Sequence[str], pun_position: int, pair: PunPair,
         log_like_alt += math.log(m_alt)
         f_pun.append(MIXTURE_WEIGHT * r_pun / m_pun)
         f_alt.append(MIXTURE_WEIGHT * r_alt / m_alt)
-        distinctiveness += _symmetric_kl(f_pun[-1], f_alt[-1])  # as distinctiveness_of
+        # left to right; sum() is compensated from Python 3.12
+        distinctiveness += _symmetric_kl(f_pun[-1], f_alt[-1])
 
     # normalize the two-point posterior in log space
     top = max(log_like_pun, log_like_alt)

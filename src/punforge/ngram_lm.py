@@ -142,8 +142,7 @@ class NGramModel:
         self._bos_key = reduce(lambda key, t: key * self._radix + t,
                                [self.bos_id] * (order - 1), 1)  # the begin markers
         denom = math.log(vocab.total_count + len(vocab))
-        self.unigram_logprobs = [math.log(vocab.count_of_id(i) + 1) - denom
-                                 for i in range(len(vocab))]
+        self.unigram_logprobs = [math.log(c + 1) - denom for c in vocab.counts]
 
     @cached_property
     def _tables(self) -> list[dict[int, float]]:

@@ -239,7 +239,7 @@ class SkipGramModel:
     @functools.cached_property
     def _word_rank(self) -> np.ndarray:
         """Each id's position in Python's ``sorted`` order of the words."""
-        order = sorted(range(len(self.vocab)), key=self.vocab.word_of)
+        order = sorted(range(len(self.vocab)), key=self.vocab.words.__getitem__)
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
         return rank
@@ -273,8 +273,8 @@ class SkipGramModel:
             eligible, p, neg = eligible[cand], p[cand], neg[cand]
         top = np.lexsort((self._word_rank[eligible], neg))[:k]
         probs = (p[top] / total).tolist()
-        return [(self.vocab.word_of(i), prob)
-                for i, prob in zip(eligible[top].tolist(), probs)]
+        words = self.vocab.words
+        return [(words[i], prob) for i, prob in zip(eligible[top].tolist(), probs)]
 
     # --- persistence -------------------------------------------------------
 
@@ -342,7 +342,7 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
     vec_in = (rng.random((v_size, config.dim)) - 0.5) / config.dim
     vec_out = np.zeros((v_size, config.dim))
 
-    noise = np.array([vocab.count_of_id(i) for i in range(v_size)], dtype=np.float64)
+    noise = np.array(vocab.counts, dtype=np.float64)
     noise **= 0.75
     if noise.sum() <= 0.0:
         noise[:] = 1.0

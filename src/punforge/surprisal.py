@@ -22,10 +22,10 @@ use_boundary_markers)``, as :class:`~punforge.ngram_lm.NGramModel` has,
 gives both from one walk that shares the tokens before and after the slot;
 any other model takes two ``logprob_seq`` calls, with the same floats.
 
-``unusualness`` is a per-token log ratio between the model probability of
-the sentence and the product of add-one unigram probabilities: zero when the
-model sees no structure beyond word frequency, positive when the sentence is
-less typical than its words suggest.
+A report's ``unusualness`` is a per-token log ratio between the model
+probability of the sentence and the product of add-one unigram
+probabilities: zero when the model sees no structure beyond word frequency,
+positive when the sentence is less typical than its words suggest.
 """
 
 from __future__ import annotations
@@ -155,14 +155,6 @@ def s_ratio(s_local: float, s_global: float) -> float:
     if math.isinf(ratio):
         return sys.float_info.max
     return ratio
-
-
-def unusualness(model, tokens: Sequence[str]) -> float:
-    """Per-token atypicality of a sentence against its unigram baseline."""
-    if not tokens:
-        raise ValueError("cannot score an empty sentence")
-    ids = model.vocab.encode(list(tokens))
-    return _unusualness(model, ids, model.logprob_seq(ids, use_boundary_markers=True))
 
 
 def _unusualness(model, ids: list[int], joint: float) -> float:

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import platform
 import random
 import re
 import shutil
@@ -14,6 +15,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import CountTablesKN
@@ -23,6 +25,7 @@ from punforge.cli import RunConfig, UsageError, resolve_config
 from punforge.corpus import (Pos, TagLexicon, check_min_count, ingest,
                              load_corpus, save_corpus)
 from punforge.generator import GenerationConfig
+from punforge.runtime import runtime_state
 from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
 from punforge.skipgram import MAX_EPOCHS, SkipGramConfig, SkipGramModel
 
@@ -1501,3 +1504,24 @@ class TestBrokenPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert len(head) == 300 and err == b""
+
+
+class TestRuntimeLine:
+    def test_verbose_logs_one_runtime_line_and_keeps_stdout(self, pipeline, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"sentence": "a hare cut .", "pun_word": "hare",
+                                   "alt_word": "hair"}) + "\n")
+        argv = ["score", "--lm", str(pipeline["lm"]), "--input", str(src)]
+        (quiet_out, quiet_err), (out, err) = (
+            _python_m_cli(argv + flags, text=True).communicate(timeout=120)
+            for flags in ([], ["-v"]))
+        assert quiet_err == "" and out == quiet_out and len(out.splitlines()) == 1
+        lines = [line for line in err.splitlines() if "punforge.runtime" in line]
+        assert len(lines) == 1
+        state = runtime_state()
+        libc, version = platform.libc_ver()
+        assert lines[0] == (
+            f"INFO punforge.runtime: Python {platform.python_version()}, "
+            f"numpy {np.__version__}, SIMD {' '.join(state['simd']) or 'baseline'}, "
+            f"OpenBLAS core {state['blas_core'] or 'unknown'}, "
+            f"{f'{libc} {version}' if libc else 'libc unknown'}")

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import io
+import pickle
 import random
 import struct
 
@@ -49,7 +51,7 @@ def test_pronoun_list_is_the_fixed_closed_class():
 class TestVocabulary:
     def test_ids_by_frequency_then_lexicographic(self):
         vocab = Vocabulary({"cat": 3, "dog": 3, "bee": 2, "ant": 1})
-        assert [vocab.word_of(i) for i in range(len(vocab))] == [
+        assert vocab.words == [
             UNK, "cat", "dog", "bee", "ant",
         ]
 
@@ -70,6 +72,22 @@ class TestVocabulary:
     def test_encode_maps_unknowns_to_zero(self):
         vocab = Vocabulary({"cat": 2, "dog": 1})
         assert vocab.encode(["dog", "emu", "cat"]) == [2, 0, 1]
+
+    def test_encode_takes_any_iterable(self):
+        vocab = Vocabulary({"cat": 2, "dog": 1})
+        assert vocab.encode([]) == []
+        assert vocab.encode(t for t in ["emu", "cat", UNK, "gnu"]) == [0, 1, 0, 0]
+        assert vocab.encode(iter(())) == []
+        assert vocab.encode(["emu", "emu"]) == [vocab.id_of("emu")] * 2
+
+    def test_sorts_like_the_count_then_word_key(self):
+        counts = {f"w{i % 37}x{i}": (i * 7919) % 13 + 1 for i in range(400)}
+        vocab = Vocabulary(counts, min_count=3)
+        kept = sorted((w for w, c in counts.items() if c >= 3),
+                      key=lambda w: (-counts[w], w))
+        assert vocab.words == [UNK] + kept
+        assert vocab.counts == [sum(c for c in counts.values() if c < 3)] + [
+            counts[w] for w in kept]
 
     def test_file_round_trip_preserves_everything(self):
         vocab = Vocabulary({"cat": 3, "dog": 1, "bee": 2, "héé": 5}, min_count=2)
@@ -110,11 +128,30 @@ class TestTagging:
         assert lex.tag_word("run") is Pos.NOUN
         assert lex.tag_word("blue") is Pos.OTHER
 
+    def test_tagged_nouns_are_what_tag_word_tags_noun(self):
+        lex = TagLexicon(nouns={"her", "it", "dog", "run"}, verbs={"run", "it"})
+        assert lex.tagged_nouns == {"dog", "run"}
+        words = lex.nouns | lex.verbs | lex.pronouns | {"blue"}
+        assert lex.tagged_nouns == {w for w in words if lex.tag_word(w) is Pos.NOUN}
+
     def test_tag_gives_one_tag_per_token(self):
         lex = TagLexicon(nouns={"dog"}, verbs={"ran"})
         sent = Sentence(7, ["the", "dog", "ran"])
         assert tag(sent, lex) == [Pos.OTHER, Pos.NOUN, Pos.VERB]
         assert sent.tokens == ["the", "dog", "ran"]
+
+
+class TestPos:
+    @pytest.mark.parametrize("member", list(Pos))
+    def test_hash_is_the_identity_hash(self, member):
+        assert hash(member) == object.__hash__(member)
+
+    @pytest.mark.parametrize("member", list(Pos))
+    def test_copies_are_the_member_itself(self, member):
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.deepcopy(member) is member
+        assert copy.copy(member) is member
+        assert Pos[member.name] is member and Pos(member.value) is member
 
 
 class TestIngest:

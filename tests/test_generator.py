@@ -142,6 +142,42 @@ class TestTopicInsert:
         assert insertable_topics(topics, PAIR, LEXICON) == [("fish", 0.7)]
 
 
+
+def _tag_filter(topics, pair, lexicon):
+    """``insertable_topics`` as it was written first: one ``tag_word`` call
+    per topic."""
+    return [(word, score) for word, score in topics
+            if word not in (pair.pun_word, pair.alt_word)
+            and lexicon.tag_word(word) is Pos.NOUN]
+
+
+class TestInsertableTopicsEqualsTheTagFilter:
+    def test_pronoun_that_is_a_noun_lemma(self):
+        lexicon = TagLexicon(nouns={"it", "dog"})
+        topics = [("it", 0.4), ("dog", 0.3), ("cat", 0.2), ("she", 0.1)]
+        assert insertable_topics(topics, PAIR, lexicon) == [("dog", 0.3)]
+        assert insertable_topics(topics, PAIR, lexicon) == _tag_filter(
+            topics, PAIR, lexicon)
+
+    def test_pair_words_that_are_nouns(self):
+        topics = [("bass", 0.5), ("fish", 0.4), ("base", 0.3), ("camp", 0.2),
+                  ("fish", 0.1)]
+        assert {"bass", "base"} <= LEXICON.tagged_nouns
+        got = insertable_topics(topics, PAIR, LEXICON)
+        assert got == [("fish", 0.4), ("camp", 0.2), ("fish", 0.1)]
+        assert got == _tag_filter(topics, PAIR, LEXICON)
+
+    def test_demo_lexicon_over_its_whole_vocabulary(self, pipeline, miniwn):
+        vocab = load_corpus(pipeline["corpus"]).vocab
+        lexicon = TagLexicon(nouns=miniwn.noun_lemmas(), verbs=miniwn.verb_lemmas())
+        topics = [(w, 1.0 / (1 + i)) for i, w in enumerate(reversed(vocab.words))]
+        for pair in (PunPair("hare", "hair"), PunPair("person", "care"),
+                     PunPair("she", "he")):
+            got = insertable_topics(topics, pair, lexicon)
+            assert got == _tag_filter(topics, pair, lexicon)
+            assert 0 < len(got) < len(topics)
+
+
 class TestGenerate:
     def test_candidate_order_seed_rank_then_topic_score(self):
         result = generate(PAIR, _resources(), GenerationConfig(max_outputs=100))
@@ -330,7 +366,7 @@ class TestAgainstOracle:
     def test_topic_k_output_equals_oracle_predictions(self, demo, monkeypatch,
                                                       pun, alt):
         vocab = demo.skipgram.vocab
-        words = [vocab.word_of(i) for i in range(len(vocab))]
+        words = list(vocab.words)
 
         def oracle(model, word, k):
             return reference_predict_topics(model.relatedness_dist(word), words,

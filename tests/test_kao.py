@@ -7,8 +7,9 @@ from oracles import (reference_bernoulli_kl, reference_meaning,
                      reference_meaning_report)
 from punforge.corpus import Vocabulary
 from punforge.errors import UnknownWordError
+from punforge import kao
 from punforge.kao import (STOPWORDS, ambiguity_of, content_positions,
-                          distinctiveness_of, is_punctuation, meaning_report)
+                          is_punctuation, meaning_report)
 from punforge.surprisal import PunPair
 
 WORDS = ["hare", "hair", "greyhound", "barber", "track", "comb", "race",
@@ -68,47 +69,59 @@ class TestScalarMeasures:
         assert ambiguity_of(p) == pytest.approx(expected, abs=1e-15)
         assert 0.0 <= ambiguity_of(p) <= math.log(2)
 
-    def test_distinctiveness_is_zero_for_identical_posteriors(self):
-        assert distinctiveness_of([0.3, 0.7], [0.3, 0.7]) == 0.0
 
-    def test_distinctiveness_is_symmetric(self):
-        a, b = [0.2, 0.9, 0.5], [0.8, 0.4, 0.5]
-        assert distinctiveness_of(a, b) == pytest.approx(
-            distinctiveness_of(b, a), abs=1e-15
-        )
+class TestDistinctiveness:
+    """Distinctiveness as ``meaning_report`` reports it."""
 
-    def test_distinctiveness_matches_reference_kl(self):
-        a, b = [0.25, 0.75], [0.5, 0.1]
+    TOKENS = ["greyhound", "hare", "race", "comb", "the", "salon"]
+
+    def test_zero_when_both_meanings_relate_alike(self):
+        vocab, unigram, rel = _resources(0)
+        row = rel(vocab.id_of("hare"))
+        report = meaning_report(self.TOKENS, 1, PunPair("hare", "hair"), vocab,
+                                unigram, lambda word_id: row)
+        assert report.f_pun == report.f_alt
+        assert report.distinctiveness == 0.0
+
+    def test_symmetric_in_the_pair(self):
+        vocab, unigram, rel = _resources(1)
+        forward = meaning_report(self.TOKENS, 1, PunPair("hare", "hair"), vocab,
+                                 unigram, rel)
+        backward = meaning_report(self.TOKENS, 1, PunPair("hair", "hare"), vocab,
+                                  unigram, rel)
+        assert (forward.f_pun, forward.f_alt) == (backward.f_alt, backward.f_pun)
+        assert forward.distinctiveness == pytest.approx(backward.distinctiveness,
+                                                        abs=1e-15)
+        assert forward.distinctiveness > 0.0
+
+    def test_matches_reference_kl(self):
+        vocab, unigram, rel = _resources(2)
+        report = meaning_report(self.TOKENS, 1, PunPair("hare", "hair"), vocab,
+                                unigram, rel)
         expected = sum(
             reference_bernoulli_kl(x, y) + reference_bernoulli_kl(y, x)
-            for x, y in zip(a, b)
+            for x, y in zip(report.f_pun, report.f_alt)
         )
-        assert distinctiveness_of(a, b) == pytest.approx(expected, abs=1e-12)
+        assert report.distinctiveness == pytest.approx(expected, abs=1e-12)
 
-    def test_distinctiveness_equals_two_kl_calls_at_the_clamp(self):
+    def test_each_term_equals_two_kl_calls_at_the_clamp(self):
         edges = [0.0, 1e-12, 1e-9, 0.3, 1.0 - 1e-9, 1.0 - 1e-13, 1.0]
         for a in edges:
             for b in edges:
                 expected = 0.0 + (reference_bernoulli_kl(a, b) + reference_bernoulli_kl(b, a))
-                assert distinctiveness_of([a], [b]) == expected
+                assert 0.0 + kao._symmetric_kl(a, b) == expected
 
-    def test_distinctiveness_adds_left_to_right(self):
-        """One large term, then a hundred below half its last-place step:
-        left to right they vanish, compensated (Python 3.12's sum) not."""
-        a, b = [1.0 - 1e-9] + [0.5] * 100, [1e-9] + [0.5 + 1e-8] * 100
-        big = distinctiveness_of(a[:1], b[:1])
-        small = distinctiveness_of(a[1:2], b[1:2])
-        assert distinctiveness_of(a, b) == big
-        assert math.fsum([big] + [small] * 100) != big
-
-    def test_distinctiveness_clamps_extreme_parameters(self):
-        value = distinctiveness_of([0.0, 1.0], [1.0, 0.0])
-        assert math.isfinite(value)
-        assert value > 0
-
-    def test_distinctiveness_length_mismatch(self):
-        with pytest.raises(ValueError):
-            distinctiveness_of([0.5], [0.5, 0.5])
+    def test_adds_left_to_right(self, monkeypatch):
+        """Terms 1, 1e100, 1, -1e100 add to 0.0 left to right and to 2.0
+        compensated, as sum() adds floats from Python 3.12."""
+        terms = iter([1.0, 1e100, 1.0, -1e100])
+        monkeypatch.setattr(kao, "_symmetric_kl", lambda a, b: next(terms))
+        vocab, unigram, rel = _resources(3)
+        report = meaning_report(["greyhound", "hare", "race", "comb", "salon"], 1,
+                                PunPair("hare", "hair"), vocab, unigram, rel)
+        assert len(report.content_positions) == 4
+        assert math.fsum([1.0, 1e100, 1.0, -1e100]) == 2.0
+        assert report.distinctiveness == 0.0
 
 
 class TestMeaningReport:
@@ -136,9 +149,9 @@ class TestMeaningReport:
         assert report.ambiguity == pytest.approx(
             ambiguity_of(posterior), abs=1e-9
         )
-        assert report.distinctiveness == pytest.approx(
-            distinctiveness_of(f_pun, f_alt), abs=1e-9
-        )
+        assert report.distinctiveness == pytest.approx(sum(
+            reference_bernoulli_kl(a, b) + reference_bernoulli_kl(b, a)
+            for a, b in zip(f_pun, f_alt)), abs=1e-9)
         assert report.content_positions == positions
 
     @pytest.mark.parametrize("seed", range(12))
@@ -176,6 +189,7 @@ class TestMeaningReport:
         report = _assert_equals_reference(tokens, 3, vocab, unigram,
                                           lambda word_id: rows[word_id])
         assert {0.0, 1.0} <= set(report.f_pun) | set(report.f_alt)
+        assert math.isfinite(report.distinctiveness) and report.distinctiveness > 0
 
     def test_no_content_words_gives_even_posterior(self):
         vocab, unigram, rel = _resources(3)
@@ -185,7 +199,6 @@ class TestMeaningReport:
         assert report.ambiguity == pytest.approx(math.log(2), abs=1e-12)
         assert report.distinctiveness == 0.0
         assert type(report.distinctiveness) is float
-        assert type(distinctiveness_of([], [])) is float
 
     def test_pair_words_must_be_known(self):
         vocab, unigram, rel = _resources(4)
@@ -208,8 +221,8 @@ class TestMeaningReport:
 
 
 def _assert_equals_reference(tokens, position, vocab, unigram, rel):
-    """Check ``meaning_report`` field by field, and ``distinctiveness_of`` on
-    its posteriors, with ``==`` against the two-pass reference."""
+    """Check ``meaning_report`` field by field with ``==`` against the
+    two-pass reference."""
     report = meaning_report(tokens, position, PunPair("hare", "hair"), vocab,
                             unigram, rel)
     posterior, ambiguity, distinct, positions, f_pun, f_alt = reference_meaning_report(
@@ -219,7 +232,6 @@ def _assert_equals_reference(tokens, position, vocab, unigram, rel):
     assert report.ambiguity == ambiguity
     assert report.distinctiveness == distinct
     assert type(report.distinctiveness) is float
-    assert distinctiveness_of(report.f_pun, report.f_alt) == distinct
     assert report.content_positions == positions
     assert report.f_pun == f_pun and report.f_alt == f_alt
     return report

@@ -18,57 +18,42 @@ from pathlib import Path
 import pytest
 
 import punforge
+from punforge.runtime import runtime_state
 
 
-def runtime_state():
-    """The numpy dispatch targets in use, the OpenBLAS core and a digest of
-    libm's exp and log on 100,000 fixed arguments."""
-    import ctypes
+def libm_digest():
+    """A digest of libm's exp and log on 100,000 fixed arguments."""
     import hashlib
     import math
     import random
     import struct
 
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    core = None
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        libs = []
-    for lib in libs:
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            try:
-                get = getattr(ctypes.CDLL(lib), name)
-            except (OSError, AttributeError):
-                continue
-            get.restype = ctypes.c_char_p
-            core = get().decode()
     rng = random.Random(0)
     libm = hashlib.sha256()
     for _ in range(100_000):
         x = rng.uniform(-50.0, 0.0)
         libm.update(struct.pack("<2d", math.exp(x), math.log(-x)))
-    return {"simd": sorted(f for f in __cpu_dispatch__ if __cpu_features__.get(f)),
-            "blas_core": core, "libm": libm.hexdigest()}
+    return libm.hexdigest()
 
 
-CHILD = inspect.getsource(runtime_state) + """
+def state():
+    """The package's runtime probe, plus the libm digest."""
+    return {**runtime_state(), "libm": libm_digest()}
+
+
+CHILD = inspect.getsource(libm_digest) + inspect.getsource(state) + """
 import json
 import sys
 
 from punforge import cli
+from punforge.runtime import runtime_state
 
 text, out = sys.argv[1:]
 for argv in (["index", "--corpus", text, "--out", out + ".pgc"],
              ["train-lm", "--corpus", out + ".pgc", "--out", out + ".pglm"]):
     if cli.main(argv):
         sys.exit(f"{argv[0]} failed")
-print(json.dumps(runtime_state()))
+print(json.dumps(state()))
 """
 
 # switch -> the environment variable it sets
@@ -105,7 +90,7 @@ def children(pipeline, tmp_path_factory):
     """(this process's state, output directory, the settings, {switch: the
     child's state})."""
     root = tmp_path_factory.mktemp("portability")
-    base = runtime_state()
+    base = state()
     settings = _settings(base)
     src = str(Path(punforge.__file__).resolve().parents[1])
     procs = {}

@@ -363,7 +363,7 @@ class TestQueries:
 
 
 def _oracle_topics(model, word, k):
-    words = [model.vocab.word_of(i) for i in range(len(model.vocab))]
+    words = list(model.vocab.words)
     return reference_predict_topics(model.relatedness_dist(word), words,
                                     model.vocab.id_of(word), model.vocab.unk_id, k)
 
@@ -421,7 +421,7 @@ class TestPredictTopicsOracle:
     def _full_sort(model, word, k):
         """Every eligible word in one lexsort of (-p, word); probabilities as
         repr, since NaN equals nothing."""
-        words = [model.vocab.word_of(i) for i in range(len(model.vocab))]
+        words = list(model.vocab.words)
         rank = np.empty(len(words), dtype=np.int64)
         rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
         dist = model.relatedness_dist(word)
@@ -552,7 +552,7 @@ class TestRelatednessCache:
     def test_predict_topics_matches_oracle_cold_and_warm(self, trained):
         model = _fresh(trained)
         v = len(model.vocab)
-        words = [model.vocab.word_of(i) for i in range(v)]
+        words = list(model.vocab.words)
         for _ in range(2):
             for word, word_id, _ in model.vocab.items():
                 want = reference_predict_topics(

@@ -9,7 +9,7 @@ from punforge.demo_corpus import build_demo_corpus
 from punforge.ngram_lm import train_lm
 from punforge.surprisal import (RATIO_EPS, PunOccurrence, PunPair,
                                 local_global, s_ratio, score_occurrence,
-                                surprisal, unusualness)
+                                surprisal)
 
 BIG = sys.float_info.max
 
@@ -151,30 +151,35 @@ class TestRatioGate:
 
 
 class TestUnusualness:
+    """Unusualness as ``score_occurrence`` reports it."""
+
     def test_matches_manual_computation(self, tiny_lm):
         tokens = ["the", "cat", "sat", "on", "the", "mat", "."]
         ids = tiny_lm.vocab.encode(tokens)
         joint = _manual_logprob(tiny_lm, ids, True)
         independent = sum(tiny_lm.unigram_logprob(i) for i in ids)
         expected = -(joint - independent) / len(ids)
-        assert unusualness(tiny_lm, tokens) == pytest.approx(expected, abs=1e-9)
+        report = score_occurrence(tiny_lm, PunOccurrence(tokens, 1), PunPair("cat", "dog"))
+        assert report.unusualness == pytest.approx(expected, abs=1e-9)
 
     def test_empty_sentence_rejected(self, tiny_lm):
         with pytest.raises(ValueError):
-            unusualness(tiny_lm, [])
+            score_occurrence(tiny_lm, PunOccurrence([], 0), PunPair("cat", "dog"))
 
     def test_baseline_adds_left_to_right(self):
         """Unigram terms 1, 1e100, 1, -1e100 add to 0.0 left to right and
         to 2.0 compensated, as sum() adds floats from Python 3.12."""
         class Stub:
             vocab = SimpleNamespace(encode=lambda tokens: list(map(int, tokens)))
-            unigram_logprobs = [1.0, 1e100, -1e100]
+            unigram_logprobs = [1.0, 1e100, -1e100, 5.0]
 
             def logprob_seq(self, ids, use_boundary_markers):
                 return 0.0
 
         assert math.fsum([1.0, 1e100, 1.0, -1e100]) == 2.0
-        assert unusualness(Stub(), ["0", "1", "0", "2"]) == 0.0
+        report = score_occurrence(Stub(), PunOccurrence(["0", "1", "0", "2"], 1),
+                                  PunPair("1", "3"))
+        assert report.unusualness == 0.0
 
 
 class TestScoreOccurrence:
@@ -187,9 +192,10 @@ class TestScoreOccurrence:
         assert report.s_local == s_loc
         assert report.s_global == s_glob
         assert report.s_ratio == s_ratio(s_loc, s_glob)
+        ids = tiny_lm.vocab.encode(tokens)
+        independent = sum(tiny_lm.unigram_logprob(i) for i in ids)
         assert report.unusualness == pytest.approx(
-            unusualness(tiny_lm, tokens), abs=1e-12
-        )
+            -(tiny_lm.logprob_seq(ids, True) - independent) / len(ids), abs=1e-12)
 
     def test_symmetric_corpus_is_flagged_degenerate(self):
         text = ("the cat sat . the dog sat . a cat ran . a dog ran . "
@@ -219,7 +225,7 @@ class TestModelWithoutPairWalk:
         for k, sentence in enumerate(sentences[::15]):
             tokens = sentence.surfaces()
             for p, word in enumerate(tokens):
-                alt = "zzzz" if p == 2 else model.vocab.word_of(1 + (31 * k + p) % (size - 1))
+                alt = "zzzz" if p == 2 else model.vocab.words[1 + (31 * k + p) % (size - 1)]
                 if alt == word:
                     continue
                 pair, occ = PunPair(word, alt), PunOccurrence(tokens, p)

@@ -1,3 +1,4 @@
+import pickle
 import random
 import shutil
 
@@ -197,6 +198,18 @@ class TestMemo:
                 assert type_consistent(graph, word, Pos.NOUN, "hare",
                                        Pos.NOUN, threshold=0.2) is expected
                 assert 1 <= len(graph._type_memo) <= 3
+
+    def test_an_entry_is_hit_whichever_way_the_tag_is_named(self, miniwn_dir,
+                                                              monkeypatch):
+        graph = load_wordnet(miniwn_dir)
+        searches = []
+        search = wordnet._any_sense_pair_passes
+        monkeypatch.setattr(wordnet, "_any_sense_pair_passes",
+                            lambda *args: searches.append(args) or search(*args))
+        assert type_consistent(graph, "man", Pos.NOUN, "hare", Pos.NOUN)
+        for tag_ in (Pos["NOUN"], Pos(1), pickle.loads(pickle.dumps(Pos.NOUN))):
+            assert type_consistent(graph, "man", tag_, "hare", tag_)
+        assert len(searches) == 1 and len(graph._type_memo) == 1
 
     def test_graphs_do_not_share_answers(self, miniwn, miniwn_dir):
         assert type_consistent(miniwn, "man", Pos.NOUN, "hare", Pos.NOUN)
