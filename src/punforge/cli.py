@@ -499,6 +499,8 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
                 _emit(out, {"record": "candidate", "pun_word": pair.pun_word,
                             "alt_word": pair.alt_word,
                             "text": " ".join(cand.final_tokens), **record})
+    if graph is not None:
+        graph.log_type_row_counts()
     return EXIT_OK
 
 

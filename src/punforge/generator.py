@@ -9,7 +9,9 @@ Stages for a (pun word, alternative word) pair:
    by the distant skip-gram model, keeping only predictions the lexicon tags
    as nouns that are type-consistent with the replaced word (stage
    SWAP+TOPIC).  Seeds are plain surface lists; this is the only stage that
-   tags one.
+   tags one.  The type check is one set lookup per topic word, in the
+   nouns of the replaced word's type row, which the synset graph builds
+   once per (word, tag, threshold) and keeps.
 
 A smoothing rewrite stage would slot in after topic insertion; here it is an
 identity pass-through, so candidates leave stage 3 unchanged.
@@ -39,7 +41,9 @@ from .retrieval import (DEFAULT_KEEP, DEFAULT_POOL, InvertedIndex,
 from .skipgram import SkipGramModel, check_topic_k
 from .surprisal import (DEFAULT_WINDOW, PunOccurrence, PunPair,
                         SurprisalReport, check_window, score_occurrence)
-from .wordnet import DEFAULT_THRESHOLD, SynsetGraph, type_consistent
+from .wordnet import DEFAULT_THRESHOLD, SynsetGraph
+# unused here; bound because perfbench/spans.py traces it under this module
+from .wordnet import type_consistent  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -155,11 +159,14 @@ def topic_insert(swapped: list[str], deletion: int, deleted_tag: Pos,
 
     ``topics`` comes from :func:`insertable_topics`; of those, a topic word
     survives when it is type-consistent with ``swapped[deletion]``, the word
-    it replaces, tagged ``deleted_tag``.
+    it replaces, tagged ``deleted_tag``: when it is one of the nouns of that
+    word's type row.
     """
-    deleted, noun = swapped[deletion], Pos.NOUN  # once, as in select_deletion
+    if not topics:
+        return  # a row would answer nothing
+    nouns = graph.type_row(swapped[deletion], deleted_tag, threshold).nouns
     for topic_word, score in topics:
-        if type_consistent(graph, topic_word, noun, deleted, deleted_tag, threshold):
+        if topic_word in nouns:
             tokens = list(swapped)
             tokens[deletion] = topic_word
             yield tokens, topic_word, score

@@ -25,10 +25,11 @@ logging is on, the epoch's mean loss is summed block by block from the
 scores the updates computed.
 
 Queries use a softmax over the output embeddings.  ``predict_topics``
-computes it in full, renormalizes it without the query word and the unknown
-symbol, and sorts only the words at or above the k-th probability (found by
-a partition), by probability and then word, as a full sort would.  Rows from
-``relatedness_by_id`` compute only the entries read, from a kept max and sum.
+computes it in full, zeroes the query word and the unknown symbol in place,
+renormalizes by one in-order sum, and sorts only the words at or above the
+k-th probability (found by a partition), by probability and then word, as a
+full sort would.  Rows from ``relatedness_by_id`` compute only the entries
+read, from a kept max and sum.
 
 A model file must hold finite embeddings: ``load`` refuses NaN and
 infinite values, and ``train_skipgram`` raises TrainingError when SGD
@@ -255,26 +256,31 @@ class SkipGramModel:
         """
         check_topic_k(k)
         dist = self.relatedness_dist(word)
-        eligible = np.delete(np.arange(len(dist)),
-                             [self.vocab.id_of(word), self.vocab.unk_id])
-        p = dist[eligible]
-        # cumsum adds in index order, as a Python sum would; np.sum adds
-        # pairwise and can differ in the last bit
-        total = float(np.cumsum(p)[-1]) if len(p) else 0.0
+        excluded = [self.vocab.id_of(word), self.vocab.unk_id]
+        # cumsum adds in index order, as a Python sum would (np.sum adds
+        # pairwise and can differ in the last bit), and adding the +0.0 of
+        # an excluded id leaves every partial sum as it was
+        dist[excluded] = 0.0
+        total = float(np.cumsum(dist)[-1])
         if total <= 0.0:
             return []
-        neg = -p
-        if k < len(p):
+        neg = -dist
+        if k < len(neg):
             # A word past the k-th smallest sorts after k others.  The test
             # keeps every tie at kth, and everything when kth is NaN (NaN
             # sorts last in both routines: fewer than k values are finite).
-            kth = np.partition(neg, k - 1)[k - 1]
-            cand = np.flatnonzero(~(neg > kth))
-            eligible, p, neg = eligible[cand], p[cand], neg[cand]
-        top = np.lexsort((self._word_rank[eligible], neg))[:k]
-        probs = (p[top] / total).tolist()
+            # The excluded ids' -0.0 is no less than any other -p, so it
+            # moves kth only where kth is 0 or NaN, and there every word
+            # passes the test either way.
+            keep = ~(neg > np.partition(neg, k - 1)[k - 1])
+        else:
+            keep = np.ones(len(neg), dtype=bool)
+        keep[excluded] = False
+        cand = np.flatnonzero(keep)
+        top = cand[np.lexsort((self._word_rank[cand], neg[cand]))[:k]]
+        probs = (dist[top] / total).tolist()
         words = self.vocab.words
-        return [(words[i], prob) for i, prob in zip(eligible[top].tolist(), probs)]
+        return [(words[i], prob) for i, prob in zip(top.tolist(), probs)]
 
     # --- persistence -------------------------------------------------------
 

@@ -13,7 +13,12 @@ hypernym is attached to a per-part-of-speech virtual root, and
 so identical synsets score 1 and unreachable pairs (different parts of
 speech) score 0.  ``type_consistent`` asks whether any sense pair of two
 words clears a similarity threshold strictly; pronouns stand in for the
-first sense of "person".  Its answers are memoized on the graph.
+first sense of "person".  Similarity clears a threshold exactly when the
+distance is at most ``max_passing_distance``, so the graph answers every
+question about one word from its type row: one breadth-first search from
+all of its senses to that depth gives the ball of synsets in reach, and a
+synset to noun-lemma index gives the nouns with a sense in the ball.  Rows
+are kept on the graph, keyed by word, tag and threshold.
 
 Index file grammar (one line per lemma, license header indented):
 
@@ -30,6 +35,9 @@ pointer symbol):
 
 from __future__ import annotations
 
+import functools
+import itertools
+import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,9 +53,14 @@ DEFAULT_THRESHOLD = 0.3
 
 HYPERNYM_SYMBOLS = {"@", "@i"}
 
-# Entries a graph's type_consistent memo may hold before it is cleared.  An
-# entry takes about 120 bytes (key tuple and dict slot; the strings belong
-# to the corpus and the models), so a full memo holds under 8 MiB.
+log = logging.getLogger(__name__)
+
+# Entries a graph's type rows may hold before they are all cleared: each
+# row is one entry, plus one per synset and noun lemma it holds.  On rows of
+# a few dozen entries an entry takes about 80 bytes (set slots, and the row's
+# own sets and key; the synsets and strings belong to the graph), so full
+# rows hold about 5 MiB.  A row larger than the limit is kept alone until
+# the next one is built.
 TYPE_MEMO_LIMIT = 1 << 16
 # Distance bounds above this search the whole graph instead; any graph that
 # fits in memory has shorter paths, and the float arithmetic of the bound
@@ -62,6 +75,16 @@ def virtual_root(pos: str) -> Synset:
     return (pos, -1)
 
 
+@dataclass(frozen=True, slots=True)
+class TypeRow:
+    """What passes the type check against one word at one threshold:
+    ``ball`` holds every synset within the passing distance of one of the
+    word's senses, and ``nouns`` every noun lemma with a sense in the ball."""
+
+    ball: frozenset[Synset]
+    nouns: frozenset[str]
+
+
 @dataclass
 class SynsetGraph:
     """Hypernym graph plus lemma index for one or more parts of speech."""
@@ -71,9 +94,18 @@ class SynsetGraph:
     version: str = "unversioned"
     _adjacency: dict[Synset, set[Synset]] = field(init=False, repr=False,
                                                   compare=False)
-    # type_consistent answers keyed by all of its arguments but the graph
-    _type_memo: dict[tuple, bool] = field(default_factory=dict, init=False,
-                                          repr=False, compare=False)
+    # type rows keyed by (word, tag, threshold), and the entries they hold
+    _type_rows: dict[tuple[str, Pos, float], TypeRow] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _type_row_entries: int = field(default=0, init=False, repr=False,
+                                   compare=False)
+    type_rows_built: int = field(default=0, init=False, repr=False,
+                                 compare=False)
+    type_row_lookups: int = field(default=0, init=False, repr=False,
+                                  compare=False)
+    # (synsets, noun lemmas) of the largest row built, by synsets first
+    largest_type_row: tuple[int, int] = field(default=(0, 0), init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self) -> None:
         adj: dict[Synset, set[Synset]] = {s: set() for s in self.hypernyms}
@@ -116,8 +148,61 @@ class SynsetGraph:
             return list(self.senses.get((word, VERB), ()))
         return []
 
-    def shortest_path(self, a: Synset, b: Synset,
-                      limit: int | None = None) -> int | None:
+    @functools.cached_property
+    def _noun_lemmas_by_synset(self) -> dict[Synset, list[str]]:
+        index: dict[Synset, list[str]] = {}
+        for (lemma, pos), synsets in self.senses.items():
+            if pos == NOUN:
+                for synset in synsets:
+                    index.setdefault(synset, []).append(lemma)
+        return index
+
+    def type_row(self, word: str, tag: Pos, threshold: float) -> TypeRow:
+        """The type row of ``word`` under ``tag`` at ``threshold``.
+
+        A row is built on first use and kept until the rows reach
+        ``TYPE_MEMO_LIMIT`` entries, when they are all cleared.
+        """
+        self.type_row_lookups += 1
+        key = (word, tag, threshold)
+        row = self._type_rows.get(key)
+        if row is None:
+            row = self._build_type_row(word, tag, threshold)
+            size = 1 + len(row.ball) + len(row.nouns)
+            if self._type_row_entries + size > TYPE_MEMO_LIMIT:
+                self._type_rows.clear()
+                self._type_row_entries = 0
+            self._type_rows[key] = row
+            self._type_row_entries += size
+            self.type_rows_built += 1
+            self.largest_type_row = max(self.largest_type_row,
+                                        (len(row.ball), len(row.nouns)))
+        return row
+
+    def _build_type_row(self, word: str, tag: Pos, threshold: float) -> TypeRow:
+        """One breadth-first search from every sense of ``word`` at once."""
+        sources = self.synsets_of(word, tag)
+        depth = max_passing_distance(threshold)  # None: the whole component
+        ball = set(sources) if depth != -1 else set()
+        frontier, adj = ball, self._adjacency
+        while frontier and depth != 0:
+            frontier = {nxt for node in frontier for nxt in adj[node]
+                        if nxt not in ball}
+            ball |= frontier
+            depth = None if depth is None else depth - 1
+        lemmas = self._noun_lemmas_by_synset
+        return TypeRow(frozenset(ball), frozenset(itertools.chain.from_iterable(
+            lemmas.get(synset, ()) for synset in ball)))
+
+    def log_type_row_counts(self) -> None:
+        """Log at INFO how many type rows were built and reused, and the
+        size of the largest."""
+        synsets, nouns = self.largest_type_row
+        log.info("type rows: %d built, %d reused; largest %d synsets, "
+                 "%d noun lemmas", self.type_rows_built,
+                 self.type_row_lookups - self.type_rows_built, synsets, nouns)
+
+    def shortest_path(self, a: Synset, b: Synset) -> int | None:
         """Undirected BFS distance through hypernym edges and virtual roots."""
         for node in (a, b):
             if node not in self._adjacency:
@@ -128,8 +213,6 @@ class SynsetGraph:
         queue = deque([(a, 0)])
         while queue:
             node, dist = queue.popleft()
-            if limit is not None and dist >= limit:
-                continue
             for nxt in self._adjacency[node]:
                 if nxt in seen:
                     continue
@@ -173,34 +256,11 @@ def type_consistent(graph: SynsetGraph, word: str, word_tag: Pos, other: str,
                     other_tag: Pos, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """True if any sense pair has path similarity strictly above threshold.
 
-    Answers are memoized on ``graph``, keyed by every other argument, and
-    the memo is cleared whenever it reaches ``TYPE_MEMO_LIMIT`` entries.
+    Answered from the type row of ``other``: whether it holds a sense of
+    ``word``.
     """
-    key = (word, word_tag, other, other_tag, threshold)
-    memo = graph._type_memo
-    answer = memo.get(key)
-    if answer is None:
-        if len(memo) >= TYPE_MEMO_LIMIT:
-            memo.clear()
-        answer = memo[key] = _any_sense_pair_passes(graph, *key)
-    return answer
-
-
-def _any_sense_pair_passes(graph: SynsetGraph, word: str, word_tag: Pos,
-                           other: str, other_tag: Pos, threshold: float) -> bool:
-    senses_a = graph.synsets_of(word, word_tag)
-    senses_b = graph.synsets_of(other, other_tag)
-    # similarity > t exactly when distance <= max_passing_distance(t), so
-    # the BFS stops at that depth (2 at the default 0.3)
-    limit = max_passing_distance(threshold)
-    if not senses_a or not senses_b or limit == -1:
-        return False
-    for sa in senses_a:
-        for sb in senses_b:
-            dist = graph.shortest_path(sa, sb, limit=limit)
-            if dist is not None and 1.0 / (1.0 + dist) > threshold:
-                return True
-    return False
+    ball = graph.type_row(other, other_tag, threshold).ball
+    return any(synset in ball for synset in graph.synsets_of(word, word_tag))
 
 
 # --- database file parsing --------------------------------------------------

@@ -989,6 +989,25 @@ class TestGenerate:
         assert [(m["pun_word"], m["alt_word"]) for m in metas] == \
             [("hare", "hair"), ("flee", "flea")]
 
+    def test_verbose_logs_type_row_counts(self, pipeline, miniwn_dir, tmp_path,
+                                          capsys, caplog):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("hare\thair\nhare\thair\n")
+        args = ["generate", "--corpus", str(pipeline["corpus"]),
+                "--skipgram", str(pipeline["skipgram"]),
+                "--wordnet", str(miniwn_dir), "--pairs", str(pairs)]
+        assert cli.main(args) == 0
+        quiet = capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="punforge.wordnet"):
+            assert cli.main(args + ["-v"]) == 0
+        assert capsys.readouterr().out == quiet.out and quiet.err == ""
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "punforge.wordnet"]
+        # the first pair builds a row for each of two replaced words and
+        # the repeated pair reuses both
+        assert messages == ["type rows: 2 built, 2 reused; "
+                            "largest 11 synsets, 13 noun lemmas"]
+
     def test_pairs_file_line_with_equal_words_is_data_error(self, pipeline,
                                                             tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -16,7 +17,7 @@ from punforge.ngram_lm import train_lm
 from punforge.retrieval import build_index, retrieve_seeds
 from punforge.skipgram import SkipGramConfig, SkipGramModel
 from punforge.surprisal import PunPair
-from punforge.wordnet import NOUN, SynsetGraph
+from punforge.wordnet import DEFAULT_THRESHOLD, NOUN, SynsetGraph, load_wordnet
 
 CORPUS_TEXT = "\n".join([
     "the camp base was cold .",            # seed, deletion 'camp'
@@ -211,24 +212,21 @@ class TestGenerate:
         ]
 
     def test_later_seeds_are_not_examined_once_the_cap_is_met(self, monkeypatch):
-        tagged, checked = [], []
-        real_check = generator.type_consistent
+        tagged = []
 
         def counting_tag(sentence, lexicon):
             tagged.append(sentence.sent_id)
             return tag(sentence, lexicon)
 
-        def counting_check(*args):
-            checked.append(args[1])
-            return real_check(*args)
-
         monkeypatch.setattr(generator, "tag", counting_tag)
-        monkeypatch.setattr(generator, "type_consistent", counting_check)
-        result = generate(PAIR, _resources(), GenerationConfig(max_outputs=2))
+        resources = _resources()
+        resources.graph = SynsetGraph(GRAPH.hypernyms, GRAPH.senses)  # no rows yet
+        result = generate(PAIR, resources, GenerationConfig(max_outputs=2))
         assert [c.topic_word for c in result.candidates] == ["fish", "person"]
-        # seed 4 alone supplies both candidates; 'drum' sits between them
+        # seed 4 alone supplies both candidates: only its 'team' gets a row
         assert tagged == [4]
-        assert checked == ["fish", "drum", "person"]
+        assert list(resources.graph._type_rows) == [
+            ("team", Pos.NOUN, DEFAULT_THRESHOLD)]
 
     def test_topic_k_truncates_the_prediction_list(self):
         # top-2 predictions are fish and verby; only fish survives the filter
@@ -360,6 +358,31 @@ class TestAgainstOracle:
                     c.stage, c.deleted_word, c.topic_word, c.topic_score)
                    for c in result.candidates]
             assert got == expected[:cap], cap
+
+    def test_one_search_per_replaced_word_and_none_on_a_second_pass(
+            self, demo, miniwn_dir, monkeypatch):
+        resources = dataclasses.replace(demo, graph=load_wordnet(miniwn_dir))
+        looked_up, built = [], []
+        row, build = SynsetGraph.type_row, SynsetGraph._build_type_row
+        monkeypatch.setattr(SynsetGraph, "type_row",
+                            lambda graph, *key: looked_up.append(key) or row(graph, *key))
+        monkeypatch.setattr(SynsetGraph, "_build_type_row",
+                            lambda graph, *key: built.append(key) or build(graph, *key))
+        pairs = [PunPair(*words) for words in (
+            ("hare", "hair"), ("hair", "hare"), ("person", "care"), ("dog", "field"))]
+
+        def one_pass():
+            looked_up.clear()
+            built.clear()
+            return [generate(pair, resources, GenerationConfig(threshold=t))
+                    for t in (0.3, 0.2) for pair in pairs]
+
+        first = one_pass()
+        # each distinct (replaced word, tag, threshold) is searched once
+        assert sorted(built, key=repr) == sorted(set(looked_up), key=repr)
+        assert len(built) < len(looked_up)  # and some rows are reused
+        assert one_pass() == first
+        assert built == [] and looked_up
 
     @pytest.mark.parametrize("pun,alt", [("hare", "hair"), ("hair", "hare"),
                                          ("person", "care"), ("dog", "field")])

@@ -417,6 +417,25 @@ class TestPredictTopicsOracle:
             assert all(p == 1 / len(eligible) for _, p in top)
             assert top == _oracle_topics(model, "date", k)
 
+    def test_query_and_unknown_are_never_returned(self):
+        rng = np.random.default_rng(8)
+        words = [f"v{n}" for n in rng.permutation(40)]
+        vocab = _vocab(words)
+        v = len(vocab)
+        vec_in = rng.normal(size=(v, 3))
+        vec_in[vocab.id_of("v5")] = 0.0     # a uniform softmax
+        vec_in[vocab.id_of("v9")] = np.nan  # every probability NaN
+        model = SkipGramModel(vocab, SkipGramConfig(dim=3), vec_in,
+                              rng.normal(size=(v, 3)))
+        for word in ("v0", "v5", "v9", "<unk>"):
+            excluded = {word, "<unk>"}
+            for k in range(1, v + 2):
+                top = model.predict_topics(word, k)
+                assert not excluded & {w for w, _ in top}, (word, k)
+                assert len(top) == min(k, v - len(excluded))
+                if word != "v9":  # NaN makes the oracle's sort undefined
+                    assert top == _oracle_topics(model, word, k)
+
     @staticmethod
     def _full_sort(model, word, k):
         """Every eligible word in one lexsort of (-p, word); probabilities as

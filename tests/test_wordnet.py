@@ -4,13 +4,13 @@ import shutil
 
 import pytest
 
-from oracles import reference_bfs
+from oracles import reference_bfs, reference_type_consistent
 from punforge import wordnet
 from punforge.corpus import Pos
 from punforge.errors import FormatError, ResourceError
-from punforge.wordnet import (NOUN, VERB, SynsetGraph, load_wordnet,
-                              max_passing_distance, path_similarity,
-                              type_consistent, virtual_root)
+from punforge.wordnet import (DEFAULT_THRESHOLD, NOUN, VERB, SynsetGraph,
+                              TypeRow, load_wordnet, max_passing_distance,
+                              path_similarity, type_consistent, virtual_root)
 
 
 def _random_graph(seed, n=20):
@@ -49,16 +49,6 @@ class TestGraphDistances:
         for a in nodes:
             for b in nodes:
                 assert graph.shortest_path(a, b) == reference_bfs(adjacency, a, b)
-
-    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 5])
-    def test_limited_search_truncates_exactly(self, limit):
-        graph, adjacency = _random_graph(9)
-        nodes = [s for s in graph.hypernyms]
-        for a in nodes[:8]:
-            for b in nodes[:8]:
-                true = reference_bfs(adjacency, a, b)
-                got = graph.shortest_path(a, b, limit=limit)
-                assert got == (true if true is not None and true <= limit else None)
 
     def test_identical_synsets_are_distance_zero(self):
         graph, _ = _random_graph(2)
@@ -177,6 +167,15 @@ class TestDistanceBound:
                                threshold=threshold) is expected
 
 
+def _spy_builds(monkeypatch):
+    """Record the key of every type row built from now on."""
+    built = []
+    build = SynsetGraph._build_type_row
+    monkeypatch.setattr(SynsetGraph, "_build_type_row",
+                        lambda self, *key: built.append(key) or build(self, *key))
+    return built
+
+
 class TestMemo:
     def test_one_graph_at_two_thresholds_in_a_row(self, miniwn_dir):
         graph = load_wordnet(miniwn_dir)
@@ -188,33 +187,143 @@ class TestMemo:
         assert not type_consistent(*args[:3], "greyhound", Pos.VERB,
                                    threshold=0.33)
 
-    def test_memo_is_cleared_at_its_limit(self, miniwn_dir, monkeypatch):
+    def test_rows_are_cleared_at_their_limit(self, miniwn_dir, monkeypatch):
+        # every row at 0.2 holds more than 3 entries, so each one is kept alone
         monkeypatch.setattr(wordnet, "TYPE_MEMO_LIMIT", 3)
+        built = _spy_builds(monkeypatch)
         graph = load_wordnet(miniwn_dir)
         words = ["man", "woman", "greyhound", "hare", "barber", "ship"]
         for _ in range(2):
             for word in words:
                 expected = word != "ship"
-                assert type_consistent(graph, word, Pos.NOUN, "hare",
+                assert type_consistent(graph, "hare", Pos.NOUN, word,
                                        Pos.NOUN, threshold=0.2) is expected
-                assert 1 <= len(graph._type_memo) <= 3
+                assert list(graph._type_rows) == [(word, Pos.NOUN, 0.2)]
+        assert len(built) == 2 * len(words)
 
-    def test_an_entry_is_hit_whichever_way_the_tag_is_named(self, miniwn_dir,
-                                                              monkeypatch):
+    def test_rows_up_to_the_limit_are_kept(self, miniwn_dir, monkeypatch):
         graph = load_wordnet(miniwn_dir)
-        searches = []
-        search = wordnet._any_sense_pair_passes
-        monkeypatch.setattr(wordnet, "_any_sense_pair_passes",
-                            lambda *args: searches.append(args) or search(*args))
+        sizes = {}
+        for word in ("man", "hare", "ship"):
+            row = graph.type_row(word, Pos.NOUN, 0.3)
+            sizes[word] = 1 + len(row.ball) + len(row.nouns)  # the row and its contents
+        monkeypatch.setattr(wordnet, "TYPE_MEMO_LIMIT", sizes["man"] + sizes["hare"])
+        graph = load_wordnet(miniwn_dir)
+        for word in ("man", "hare", "man", "hare"):
+            graph.type_row(word, Pos.NOUN, 0.3)
+        assert [key[0] for key in graph._type_rows] == ["man", "hare"]
+        assert graph.type_rows_built == 2 and graph.type_row_lookups == 4
+        graph.type_row("ship", Pos.NOUN, 0.3)  # past the limit: a fresh start
+        assert [key[0] for key in graph._type_rows] == ["ship"]
+        assert graph._type_row_entries == sizes["ship"]
+
+    def test_a_row_is_hit_whichever_way_the_tag_is_named(self, miniwn_dir,
+                                                           monkeypatch):
+        graph = load_wordnet(miniwn_dir)
+        built = _spy_builds(monkeypatch)
         assert type_consistent(graph, "man", Pos.NOUN, "hare", Pos.NOUN)
         for tag_ in (Pos["NOUN"], Pos(1), pickle.loads(pickle.dumps(Pos.NOUN))):
             assert type_consistent(graph, "man", tag_, "hare", tag_)
-        assert len(searches) == 1 and len(graph._type_memo) == 1
+            assert "man" in graph.type_row("hare", tag_, DEFAULT_THRESHOLD).nouns
+        assert len(built) == 1 and len(graph._type_rows) == 1
 
-    def test_graphs_do_not_share_answers(self, miniwn, miniwn_dir):
+    def test_graphs_do_not_share_rows(self, miniwn, miniwn_dir):
         assert type_consistent(miniwn, "man", Pos.NOUN, "hare", Pos.NOUN)
         bare = SynsetGraph(load_wordnet(miniwn_dir).hypernyms, senses={})
         assert not type_consistent(bare, "man", Pos.NOUN, "hare", Pos.NOUN)
+        assert bare.type_row("hare", Pos.NOUN, DEFAULT_THRESHOLD) == TypeRow(
+            frozenset(), frozenset())
+
+
+# Thresholds at and between the distance edges: 0 searches the whole
+# component, 1/3 sits exactly at distance 2, and 1 and NaN pass nothing.
+ROW_THRESHOLDS = [0.0, 0.2, 0.3, 1 / 3, 0.5, 1.0, float("nan")]
+
+
+def _tagged_words(graph):
+    """Every lemma under its own part of speech, a pronoun, a lemma under
+    the other part of speech, an unknown word and an untagged one."""
+    tags = {NOUN: Pos.NOUN, VERB: Pos.VERB}
+    return [(lemma, tags[pos]) for lemma, pos in sorted(graph.senses)] + [
+        ("she", Pos.PRONOUN), ("person", Pos.VERB), ("xyzzy", Pos.NOUN),
+        ("the", Pos.OTHER)]
+
+
+def _random_dictionary(seed):
+    """Nouns and verbs with multiple parents, several parentless synsets
+    under each virtual root, lemmas of one to three senses and a person."""
+    rng = random.Random(seed)
+    hypernyms = {}
+    for pos, count in ((NOUN, 30), (VERB, 10)):
+        for i in range(count):
+            parents = () if i < 2 or rng.random() < 0.1 else tuple(
+                (pos, p) for p in rng.sample(range(i), min(i, rng.choice([1, 1, 2]))))
+            hypernyms[(pos, i)] = parents
+    senses = {("person", NOUN): ((NOUN, 5), (NOUN, 17))}
+    for i in range(24):
+        pos = NOUN if i < 16 else VERB
+        pool = [s for s in hypernyms if s[0] == pos]
+        senses[(f"w{i}", pos)] = tuple(rng.sample(pool, rng.choice([1, 1, 2, 3])))
+    senses[("w3", VERB)] = ((VERB, 4),)  # one lemma, both parts of speech
+    return SynsetGraph(hypernyms, senses)
+
+
+class TestTypeRowsAgainstOracle:
+    """Every row's answers against the exhaustive sense-pair scan."""
+
+    @staticmethod
+    def _check_every_pair(graph, thresholds=ROW_THRESHOLDS):
+        words = _tagged_words(graph)
+        for threshold in thresholds:
+            for other, other_tag in words:
+                row = graph.type_row(other, other_tag, threshold)
+                for word, word_tag in words:
+                    want = reference_type_consistent(
+                        graph.hypernyms, graph.senses, word, word_tag.name,
+                        other, other_tag.name, threshold)
+                    got = type_consistent(graph, word, word_tag, other,
+                                          other_tag, threshold)
+                    assert got is want, (word, word_tag, other, other_tag, threshold)
+                    if word_tag == Pos.NOUN:
+                        assert (word in row.nouns) is want
+
+    def test_mini_dictionary(self, miniwn_dir):
+        self._check_every_pair(load_wordnet(miniwn_dir))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_dictionary(self, seed):
+        self._check_every_pair(_random_dictionary(seed))
+
+    # distance bounds None, 5, 3, 2, 1 and 0
+    @pytest.mark.parametrize("threshold", [0.0, 0.15, 0.2, 0.3, 0.5, 0.9])
+    def test_ball_is_every_synset_within_the_distance(self, threshold):
+        bare, adjacency = _random_graph(5, n=40)
+        graph = SynsetGraph(bare.hypernyms, {("w", NOUN): ((NOUN, 3), (NOUN, 31))})
+        depth = max_passing_distance(threshold)
+        ball = graph.type_row("w", Pos.NOUN, threshold).ball
+        for node in adjacency:
+            dists = [reference_bfs(adjacency, source, node)
+                     for source in ((NOUN, 3), (NOUN, 31))]
+            reach = any(d is not None and (depth is None or d <= depth)
+                        for d in dists)
+            assert (node in ball) is reach, node
+
+    def test_rows_larger_than_the_limit(self, miniwn_dir, monkeypatch):
+        monkeypatch.setattr(wordnet, "TYPE_MEMO_LIMIT", 3)
+        graph = load_wordnet(miniwn_dir)
+        self._check_every_pair(graph, [0.3, 0.0, float("nan")])
+        assert graph.largest_type_row[0] > 3
+        # the last rows, at NaN, are empty: one entry each, three at most
+        assert len(graph._type_rows) == graph._type_row_entries <= 3
+
+    def test_words_without_senses_have_empty_rows(self, miniwn):
+        empty = TypeRow(frozenset(), frozenset())
+        for word, tag_ in (("xyzzy", Pos.NOUN), ("greyhound", Pos.VERB),
+                           ("the", Pos.OTHER)):
+            for threshold in ROW_THRESHOLDS:
+                assert miniwn.type_row(word, tag_, threshold) == empty
+        for threshold in (1.0, float("nan")):
+            assert miniwn.type_row("hare", Pos.NOUN, threshold) == empty
 
 
 class TestLoading:
