@@ -204,11 +204,17 @@ def _candidates(pair: PunPair, seeds: list[SeedCandidate],
 
 def generate(pair: PunPair, resources: GenerationResources,
              config: GenerationConfig | None = None) -> GenerationResult:
-    """Run the pipeline for one pair; see the module docstring for stages."""
+    """Run the pipeline for one pair; see the module docstring for stages.
+    A resource the config needs and lacks raises ValueError before any work."""
     config = config or GenerationConfig()
+    lexicon = resources.lexicon
+    if config.stage == STAGE_TOPIC and (
+            resources.skipgram is None or resources.graph is None or lexicon is None):
+        raise ValueError("topic stage needs skip-gram, synset graph, and lexicon resources")
+    if config.rerank and resources.lm is None:
+        raise ValueError("re-ranking needs a language model resource")
     result = GenerationResult(pair=pair, candidates=[])
 
-    lexicon = resources.lexicon
     if lexicon is not None:
         tag_pun = lexicon.tag_word(pair.pun_word)
         tag_alt = lexicon.tag_word(pair.alt_word)
@@ -228,10 +234,6 @@ def generate(pair: PunPair, resources: GenerationResources,
 
     topics: list[tuple[str, float]] = []
     if config.stage == STAGE_TOPIC:
-        if resources.skipgram is None or resources.graph is None or lexicon is None:
-            raise ValueError(
-                "topic stage needs skip-gram, synset graph, and lexicon resources"
-            )
         if pair.pun_word != UNK:  # the unknown-word symbol is no word of its own
             try:
                 topics = resources.skipgram.predict_topics(pair.pun_word, config.topic_k)
@@ -259,6 +261,4 @@ def generate(pair: PunPair, resources: GenerationResources,
             result.candidates.sort(
                 key=lambda c: c.report.s_ratio, reverse=True
             )
-    elif config.rerank:
-        raise ValueError("re-ranking needs a language model resource")
     return result

@@ -30,8 +30,10 @@ a wider row two or three keys, sorted least significant first.  A query walks
 from its longest context down: a stored n-gram returns its value, a stored
 context on the way multiplies in its weight, innermost first, so the floats
 equal the recursion's bit for bit.  A file keeps each order as sorted,
-distinct rows of token ids with their values, so loading builds no table
-from counts; the row order is checked on the packed keys.  Queries read
+distinct n-gram rows of token ids with their probabilities, and the backoff
+weights of their distinct contexts in row order, so loading builds no table
+from counts and reads no context: the row order is checked on the packed
+keys, whose runs without the last id are the context keys.  Queries read
 one dict per order from packed keys to values.  A trained model builds
 them on its first query and saves its rows; a loaded one builds them at
 load, keeps only them and is not saved again.  A walk carries one state
@@ -69,27 +71,23 @@ from .errors import TrainingError
 
 log = logging.getLogger(__name__)
 
-LM_MAGIC = b"PGL5"
+LM_MAGIC = b"PGL6"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
 FALLBACK_DISCOUNT = 0.75
 
-# One order's tables: context rows (order - 1 ids each) with their backoff
-# weights, then n-gram rows (context ids, word) with their probabilities;
-# both sets of rows sorted and distinct.
-Tables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# One order's tables: the backoff weights of its contexts, then its n-gram
+# rows (context ids, word), sorted and distinct, with their probabilities.
+# The contexts are the distinct context ids of the rows, in row order.
+Tables = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def check_order(order: int) -> None:
     """Raise ValueError unless ``order`` is a supported n-gram order."""
     if not MIN_ORDER <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
-
-
-def _discounts_in_range(d1: float, d2: float, d3: float) -> bool:
-    return 0.0 < d1 <= 1.0 and 0.0 < d2 <= 2.0 and 0.0 < d3 <= 3.0
 
 
 def estimate_discounts(counts: Sequence[int] | np.ndarray) -> tuple[float, float, float]:
@@ -103,42 +101,47 @@ def estimate_discounts(counts: Sequence[int] | np.ndarray) -> tuple[float, float
     d1 = 1.0 - 2.0 * y * n2 / n1
     d2 = 2.0 - 3.0 * y * n3 / n2
     d3 = 3.0 - 4.0 * y * n4 / n3
-    return (d1, d2, d3) if _discounts_in_range(d1, d2, d3) else fallback
+    in_range = 0.0 < d1 <= 1.0 and 0.0 < d2 <= 2.0 and 0.0 < d3 <= 3.0
+    return (d1, d2, d3) if in_range else fallback
 
 
 class NGramModel:
     """Kneser-Ney model over token ids; see the module docstring for rules.
 
     ``tables`` holds one :data:`Tables` per order, lowest first, as
-    :func:`train_lm` builds them and ``.pglm`` files store them; rows that
-    are not sorted and distinct raise ValueError; :meth:`save` writes them.
+    :func:`train_lm` builds them and ``.pglm`` files store them; n-gram rows
+    that are not sorted and distinct, or backoff weights that are not one
+    per context, raise ValueError; :meth:`save` writes them.
     ``unigram_logprobs`` lists :meth:`unigram_logprob` by id; it is read,
     never written.
     """
 
-    def __init__(self, order: int, vocab: Vocabulary,
-                 discounts: Sequence[tuple[float, float, float]],
-                 tables: Sequence[Tables]):
+    def __init__(self, order: int, vocab: Vocabulary, tables: Sequence[Tables]):
         check_order(order)
         self.order = order
         self.vocab = vocab
         self.bos_id = len(vocab)
         self.eos_id = len(vocab) + 1
         self.n_events = len(vocab) + 1  # vocabulary plus the end marker
-        self.discounts = [tuple(d) for d in discounts]
         self._uniform = 1.0 / self.n_events
         # A run of ids packs as base-``radix`` digits after a leading 1, so
         # runs of different lengths never share a key and a query extends a
-        # key by one id with one multiply-add.  Every context key is below
-        # every n-gram key of its order, so the rows are sorted and distinct
-        # exactly when the keys increase; the query dicts reuse these keys.
+        # key by one id with one multiply-add.  The rows are sorted and
+        # distinct exactly when the keys increase; their contexts' keys are
+        # the runs of the keys without the word; the query dicts reuse both.
         self._radix = self.eos_id + 1
         self._rows: Sequence[Tables] | None = tables
-        self._keys = [np.concatenate([self._pack(ctx_rows), self._pack(gram_rows)])
-                      for ctx_rows, _, gram_rows, _ in tables]
-        for k, keys in enumerate(self._keys, start=1):
-            if not (keys[1:] > keys[:-1]).all():
+        self._keys = []
+        for k, (backoff, gram_rows, _) in enumerate(tables, start=1):
+            grams = self._pack(gram_rows)
+            if not (grams[1:] > grams[:-1]).all():
                 raise ValueError(f"order {k}: rows unsorted or repeated")
+            contexts = grams // self._radix
+            starts, _ = _runs([contexts])
+            if len(starts) != len(backoff):
+                raise ValueError(f"order {k}: {len(backoff)} backoff weights "
+                                 f"for {len(starts)} contexts")
+            self._keys.append(np.concatenate([contexts[starts], grams]))
         self._bos_key = reduce(lambda key, t: key * self._radix + t,
                                [self.bos_id] * (order - 1), 1)  # the begin markers
         denom = math.log(vocab.total_count + len(vocab))
@@ -150,7 +153,7 @@ class NGramModel:
         keys to probabilities; it uses up the checked keys order by order."""
         keys = self.__dict__.pop("_keys")
         return [dict(zip(keys.pop(0).tolist(), chain(backoff.tolist(), probs.tolist())))
-                for _, backoff, _, probs in self._rows]
+                for backoff, _, probs in self._rows]
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
         """The keys of rows of ids (see ``__init__``); while every id is below
@@ -299,16 +302,15 @@ class NGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the order, its discounts and the vocabulary, then each order's
-        :data:`Tables` as four array blocks, lowest first; a loaded model has none."""
+        """Write the order and the vocabulary, then each order's :data:`Tables`
+        as three array blocks, lowest first; a loaded model has none."""
         if self._rows is None:
             raise ValueError("a loaded language model is not saved again")
         with binio.writing(path, LM_MAGIC) as fh:
             binio.pack(fh, "<B", self.order)
-            binio.pack(fh, f"<{3 * self.order}d", *chain.from_iterable(self.discounts))
             write_vocab(fh, self.vocab)
-            for table in self._rows:  # contexts, weights, n-grams, probabilities
-                for array, dtype in zip(table, ("<u4", "<f8", "<u4", "<f8")):
+            for table in self._rows:  # weights, n-grams, probabilities
+                for array, dtype in zip(table, ("<f8", "<u4", "<f8")):
                     binio.write_array(fh, array, dtype)
 
     @classmethod
@@ -317,37 +319,29 @@ class NGramModel:
         with binio.reading(path, LM_MAGIC, "language model") as fh:
             (order,) = binio.unpack(fh, "<B")
             check_order(order)
-            flat = binio.unpack(fh, f"<{3 * order}d")
-            discounts = [flat[i:i + 3] for i in range(0, len(flat), 3)]
             vocab = read_vocab(fh, what="language model",
                                expected_hash=expected_vocab_hash)
             tables = []
             for k in range(1, order + 1):
-                ctx_rows, backoff = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
-                gram_rows, probs = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
-                if (len(ctx_rows) != len(backoff) * (k - 1)
-                        or len(gram_rows) != len(probs) * k):  # one row of ids per value
+                backoff, gram_rows, probs = (binio.read_array(fh, dtype)
+                                             for dtype in ("<f8", "<u4", "<f8"))
+                if len(gram_rows) != len(probs) * k:  # one row of ids per probability
                     raise ValueError(f"order {k}: block lengths disagree")
-                tables.append((ctx_rows.reshape(len(backoff), k - 1), backoff,
-                               gram_rows.reshape(len(probs), k), probs))
-            _check_tables(discounts, tables, bos=len(vocab))  # every id below the radix
-            model = cls(order, vocab, discounts, tables)  # so the keys show the row order
+                tables.append((backoff, gram_rows.reshape(len(probs), k), probs))
+            _check_tables(tables, bos=len(vocab))  # every id below the radix
+            model = cls(order, vocab, tables)  # so the keys show the row order
         model._tables  # build the query dicts now, and keep no arrays beside them
         model._rows = None
         return model
 
 
-def _check_tables(discounts: Sequence[tuple[float, float, float]],
-                  tables: Sequence[Tables], bos: int) -> None:
-    """Raise ValueError naming what is wrong with a file's discounts and tables."""
-    for k, d in enumerate(discounts, start=1):
-        if not _discounts_in_range(*d):
-            raise ValueError(f"order {k}: discounts {d} out of range")
-    for k, (ctx_rows, backoff, gram_rows, probs) in enumerate(tables, start=1):
+def _check_tables(tables: Sequence[Tables], bos: int) -> None:
+    """Raise ValueError naming what is wrong with a file's tables."""
+    for k, (backoff, gram_rows, probs) in enumerate(tables, start=1):
         words = gram_rows[:, -1]
         problem = (
             "ids outside the event space"
-            if (ctx_rows > bos).any() or (gram_rows[:, :-1] > bos).any()
+            if (gram_rows[:, :-1] > bos).any()
             or ((words >= bos) & (words != bos + 1)).any()
             else "a probability outside (0, 1]"
             if not ((probs > 0.0) & (probs <= 1.0)).all()
@@ -439,7 +433,7 @@ def _kneser_ney_tables(grams: np.ndarray, n_events: int,
         kept = (counts - discount) / total[ctx_of]
         p_lower = 1.0 / n_events if proj is None else probs[proj]
         probs = kept + backoff[ctx_of] * p_lower
-        tables.append((rows[starts, :-1], backoff, rows, probs))
+        tables.append((backoff, rows, probs))
     return discounts, tables
 
 
@@ -463,8 +457,8 @@ def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
     targets = np.flatnonzero(flat != bos)
     grams = flat[targets[:, None] + np.arange(1 - order, 1)]
     discounts, tables = _kneser_ney_tables(grams, len(vocab) + 1)
-    for k, ((d1, d2, d3), (_, backoff, _, probs)) in enumerate(zip(discounts, tables),
-                                                             start=1):
+    for k, ((d1, d2, d3), (backoff, _, probs)) in enumerate(zip(discounts, tables),
+                                                          start=1):
         log.info("order %d discounts: D1 %.6g, D2 %.6g, D3+ %.6g", k, d1, d2, d3)
         log.info("order %d stores %d n-grams and %d contexts", k, len(probs), len(backoff))
     fell_back = [k for k, d in enumerate(discounts, start=1)
@@ -473,4 +467,4 @@ def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
         log.info("order%s %s fell back to the fixed discount %g "
                  "(degenerate count-of-counts)", "s" if len(fell_back) > 1 else "",
                  ", ".join(map(str, fell_back)), FALLBACK_DISCOUNT)
-    return NGramModel(order, vocab, discounts, tables)
+    return NGramModel(order, vocab, tables)

@@ -95,7 +95,7 @@ class SynsetGraph:
     _adjacency: dict[Synset, set[Synset]] = field(init=False, repr=False,
                                                   compare=False)
     # type rows keyed by (word, tag, threshold), and the entries they hold
-    _type_rows: dict[tuple[str, Pos, float], TypeRow] = field(
+    _type_rows: dict[tuple[str | None, Pos, float], TypeRow] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _type_row_entries: int = field(default=0, init=False, repr=False,
                                    compare=False)
@@ -161,10 +161,11 @@ class SynsetGraph:
         """The type row of ``word`` under ``tag`` at ``threshold``.
 
         A row is built on first use and kept until the rows reach
-        ``TYPE_MEMO_LIMIT`` entries, when they are all cleared.
+        ``TYPE_MEMO_LIMIT`` entries, when they are all cleared.  Every
+        pronoun has the senses of "person", so pronouns share one row.
         """
         self.type_row_lookups += 1
-        key = (word, tag, threshold)
+        key = (None if tag == Pos.PRONOUN else word, tag, threshold)
         row = self._type_rows.get(key)
         if row is None:
             row = self._build_type_row(word, tag, threshold)
@@ -236,7 +237,10 @@ def max_passing_distance(threshold: float) -> int | None:
 
     -1 when no distance passes (threshold 1 or more, or NaN); None when the
     bound is too large to matter, so a search should not be cut short.
+    A negative threshold raises ValueError.
     """
+    if threshold < 0.0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     if not threshold < 1.0:
         return -1
     bound = 1.0 / threshold - 1.0 if threshold > 0.0 else math.inf

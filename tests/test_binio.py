@@ -269,19 +269,17 @@ def demo_lm(demo):
 
 def _read_lm_sections(path):
     """Every section of a language model file, in file order; each order's
-    tables as [context rows, backoff weights, n-gram rows, probabilities]."""
+    tables as [backoff weights, n-gram rows, probabilities]."""
     with open(path, "rb") as fh:
         assert fh.read(4) == LM_MAGIC
         (order,) = binio.unpack(fh, "<B")
-        discounts = list(binio.unpack(fh, f"<{3 * order}d"))
         stored, words, counts = _read_vocab_section(fh)
-        s = {"order": order, "discounts": discounts, "vocab_hash": stored,
+        s = {"order": order, "vocab_hash": stored,
              "words": words, "counts": counts, "tables": []}
         for k in range(1, order + 1):
-            ctx, backoff = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
-            grams, probs = binio.read_array(fh, "<u4"), binio.read_array(fh, "<f8")
-            s["tables"].append([ctx.reshape(-1, k - 1) if k > 1 else ctx, backoff,
-                                grams.reshape(-1, k), probs])
+            backoff, grams = binio.read_array(fh, "<f8"), binio.read_array(fh, "<u4")
+            probs = binio.read_array(fh, "<f8")
+            s["tables"].append([backoff, grams.reshape(-1, k), probs])
         assert fh.read() == b""
     return s
 
@@ -290,19 +288,16 @@ def assert_file_holds_tables(path, model):
     """The file's tables are the ones the trained model was built from."""
     sections = _read_lm_sections(path)["tables"]
     assert len(sections) == len(model._rows)
-    for stored, built in zip(sections, model._rows):  # order 1 has 0-id rows
-        assert [np.array_equal(a.ravel(), b.ravel()) for a, b in zip(stored, built)
-                ] == [True] * 4
+    for stored, built in zip(sections, model._rows):
+        assert [np.array_equal(a, b) for a, b in zip(stored, built)] == [True] * 3
 
 
 def _write_lm_sections(path, s):
     with open(path, "wb") as fh:
         fh.write(LM_MAGIC)
         binio.pack(fh, "<B", s["order"])
-        binio.pack(fh, f"<{len(s['discounts'])}d", *s["discounts"])
         _write_vocab_section(fh, s["words"], s["counts"])
-        for ctx, backoff, grams, probs in s["tables"]:
-            binio.write_array(fh, ctx, "<u4")
+        for backoff, grams, probs in s["tables"]:
             binio.write_array(fh, backoff, "<f8")
             binio.write_array(fh, grams, "<u4")
             binio.write_array(fh, probs, "<f8")
@@ -319,22 +314,22 @@ def _top(index, change, k=None):
 
 class TestLanguageModelFile:
     def test_counts_are_sorted_rows(self, demo_lm, tmp_path):
-        """Each order's tables are sorted distinct rows whose values are the
-        model's own: an n-gram's probability is ``prob``, and a context's
-        backoff weight scales ``prob`` one order down for a word it lacks."""
+        """Each order's tables are sorted distinct n-gram rows and values that
+        are the model's own: an n-gram's probability is ``prob``, and the
+        backoff weight of each distinct context, in row order, scales
+        ``prob`` one order down for a word it lacks."""
         path = tmp_path / "m.pglm"
         demo_lm.save(path)
         s = _read_lm_sections(path)
         _write_lm_sections(tmp_path / "copy.pglm", s)
         assert (tmp_path / "copy.pglm").read_bytes() == path.read_bytes()
-        assert s["order"] == 3 and len(s["discounts"]) == 9
+        assert s["order"] == 3
         events = set(range(len(demo_lm.vocab))) | {demo_lm.eos_id}
-        for k, (ctx, backoff, grams, probs) in enumerate(s["tables"], start=1):
-            ctx_rows = [tuple(r) for r in ctx.tolist()] if k > 1 else [()] * len(backoff)
+        for k, (backoff, grams, probs) in enumerate(s["tables"], start=1):
             gram_rows = [tuple(r) for r in grams.tolist()]
-            assert ctx_rows == sorted(set(ctx_rows)) and len(ctx_rows) == len(backoff)
             assert gram_rows == sorted(set(gram_rows))
-            assert sorted({r[:-1] for r in gram_rows}) == ctx_rows
+            ctx_rows = sorted({r[:-1] for r in gram_rows})
+            assert len(ctx_rows) == len(backoff)
             assert probs.tolist() == [demo_lm.prob(r[-1], r[:-1]) for r in gram_rows]
             for row, weight in zip(ctx_rows, backoff.tolist()):
                 unseen = min(events - {r[-1] for r in gram_rows if r[:-1] == row},
@@ -348,10 +343,9 @@ class TestLanguageModelFile:
         path = tmp_path / "m.pglm"
         demo_lm.save(path)
         loaded = NGramModel.load(path)
-        assert loaded.discounts == demo_lm.discounts
         events = list(range(len(demo_lm.vocab))) + [demo_lm.eos_id]
-        for ctx, _, _, _ in _read_lm_sections(path)["tables"]:
-            for row in ctx.tolist() if ctx.ndim > 1 else [[]]:  # order 1: the empty one
+        for _, grams, _ in _read_lm_sections(path)["tables"]:
+            for row in {tuple(r[:-1]) for r in grams.tolist()}:  # every context
                 for w in events:
                     assert loaded.prob(w, row) == demo_lm.prob(w, row)
         assert_file_holds_tables(path, demo_lm)
@@ -360,31 +354,29 @@ class TestLanguageModelFile:
     @pytest.mark.parametrize("change", [
         {"order": 1},                                              # check_order
         {"order": 4},                                              # 3-id rows read as 4
-        {"mutate": _top(3, lambda p, bos: p[:-1])},                # fewer probabilities
-        {"mutate": _top(3, lambda p, bos: np.r_[0.0, p[1:]])},     # zero probability
-        {"mutate": _top(2, lambda g, bos: g[::-1]),                # unsorted rows
+        {"mutate": _top(2, lambda p, bos: p[:-1])},                # fewer probabilities
+        {"mutate": _top(2, lambda p, bos: np.r_[0.0, p[1:]])},     # zero probability
+        {"mutate": _top(1, lambda g, bos: g[::-1]),                # unsorted rows
          "error": "order 3: rows unsorted or repeated"},
-        {"mutate": _top(2, lambda g, bos: np.r_[g[:1], g[:1], g[2:]]),  # repeated row
+        {"mutate": _top(1, lambda g, bos: np.r_[g[:1], g[:1], g[2:]]),  # repeated row
          "error": "order 3: rows unsorted or repeated"},
-        {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]])},  # bos word
-        {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]])},  # past eos
-        {"mutate": _top(2, lambda g, bos: np.r_[g[:-1], [[bos + 1, 0, 0]]])},  # eos context
-        {"mutate": _top(3, lambda p, bos: np.r_[1.5, p[1:]])},     # probability above 1
-        {"mutate": _top(3, lambda p, bos: np.r_[np.nan, p[1:]])},  # not finite
-        {"mutate": _top(3, lambda p, bos: np.r_[np.inf, p[1:]])},
-        {"mutate": _top(1, lambda b, bos: np.r_[-0.5, b[1:]])},    # negative weight
-        {"mutate": _top(1, lambda b, bos: np.r_[0.0, b[1:]])},     # zero weight
-        {"mutate": _top(1, lambda b, bos: np.r_[np.nan, b[1:]])},  # not finite
-        {"mutate": _top(1, lambda b, bos: np.r_[np.inf, b[1:]])},
-        {"mutate": _top(1, lambda b, bos: b[:-1])},                # fewer weights
-        {"mutate": _top(0, lambda c, bos: c[::-1]),                # unsorted contexts
-         "error": "order 3: rows unsorted or repeated"},
-        {"mutate": _top(0, lambda c, bos: np.r_[c[:-1], [[bos + 1, 0]]])},  # eos context
-        {"discounts": lambda d: [np.nan] + d[1:]},                 # bad discount header
-        {"discounts": lambda d: d[:3] + [1.5] + d[4:]},            # D1 above 1
-        {"mutate": _top(1, lambda b, bos: np.r_[b, b], k=1),       # two empty contexts
-         "error": "order 1: rows unsorted or repeated"},
-        {"mutate": _top(2, lambda g, bos: g[[1, 0, *range(2, len(g))]]),  # swapped rows
+        {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]])},  # bos word
+        {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]])},  # past eos
+        {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos + 1, 0, 0]]])},  # eos context
+        {"mutate": _top(2, lambda p, bos: np.r_[1.5, p[1:]])},     # probability above 1
+        {"mutate": _top(2, lambda p, bos: np.r_[np.nan, p[1:]])},  # not finite
+        {"mutate": _top(2, lambda p, bos: np.r_[np.inf, p[1:]])},
+        {"mutate": _top(0, lambda b, bos: np.r_[-0.5, b[1:]])},    # negative weight
+        {"mutate": _top(0, lambda b, bos: np.r_[0.0, b[1:]])},     # zero weight
+        {"mutate": _top(0, lambda b, bos: np.r_[np.nan, b[1:]])},  # not finite
+        {"mutate": _top(0, lambda b, bos: np.r_[np.inf, b[1:]])},
+        {"mutate": _top(0, lambda b, bos: b[:-1]),                 # one weight too few
+         "error": r"order 3: \d+ backoff weights for \d+ contexts"},
+        {"mutate": _top(0, lambda b, bos: np.r_[b, b[:1]]),        # one weight too many
+         "error": r"order 3: \d+ backoff weights for \d+ contexts"},
+        {"mutate": _top(0, lambda b, bos: np.r_[b, b], k=1),       # two weights, one context
+         "error": "order 1: 2 backoff weights for 1 contexts"},
+        {"mutate": _top(1, lambda g, bos: g[[1, 0, *range(2, len(g))]]),  # swapped rows
          "model": "wide_lm", "error": "order 6: rows unsorted or repeated"},
     ])
     def test_bad_counts_rejected(self, request, tmp_path, change):
@@ -393,14 +385,13 @@ class TestLanguageModelFile:
         model.save(path)
         s = _read_lm_sections(path)
         s["order"] = change.get("order", s["order"])
-        if "discounts" in change:
-            s["discounts"] = change["discounts"](s["discounts"])
         if "mutate" in change:
             change["mutate"](s, model.bos_id)
         _write_lm_sections(bad, s)
         error = f": {change['error']}$" if "error" in change else ""
-        with pytest.raises(FormatError, match=f"bad.pglm{error}"):
+        with pytest.raises(FormatError, match=f"bad.pglm{error}") as err:
             NGramModel.load(bad)
+        assert "\n" not in str(err.value)
 
     def test_truncated_file_rejected(self, demo_lm, tmp_path):
         path, bad = tmp_path / "m.pglm", tmp_path / "bad.pglm"
@@ -413,7 +404,7 @@ class TestLanguageModelFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
-        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4"):
+        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5"):
             path.write_bytes(magic + bytes(64))
             with pytest.raises(FormatError, match=f"old.pglm is not a language model "
                                                   f"file: bad magic {magic!r}") as err:
@@ -436,12 +427,39 @@ def demo_files(demo, demo_lm, tmp_path_factory):
 _LOADERS = {"pgc": load_corpus, "pglm": NGramModel.load, "pgsg": SkipGramModel.load}
 
 
+class TestReadmeMagics:
+    """README's "File formats" names every current magic, and each other
+    magic it lists is refused by its loader with the one-line error."""
+
+    @staticmethod
+    def _listed():
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+        return {magic.encode() for magic in re.findall(r"\bPG[A-Z0-9]{2}\b", section)}
+
+    def test_current_magics_are_named(self):
+        assert {CORPUS_MAGIC, LM_MAGIC, skipgram.SKIPGRAM_MAGIC} <= self._listed()
+
+    def test_every_other_listed_magic_is_refused(self, tmp_path):
+        loaders = {b"PGC": load_corpus, b"PGL": NGramModel.load,
+                   b"PGS": SkipGramModel.load}
+        old = self._listed() - {CORPUS_MAGIC, LM_MAGIC, skipgram.SKIPGRAM_MAGIC}
+        assert {magic[:3] for magic in old} == set(loaders)
+        path = tmp_path / "old.bin"
+        for magic in sorted(old):
+            path.write_bytes(magic + bytes(64))
+            with pytest.raises(FormatError) as err:
+                loaders[magic[:3]](path)
+            assert re.fullmatch(f"{re.escape(str(path))} is not a [a-z -]+ file: bad magic "
+                                f"{re.escape(repr(magic))}, expected b'PG..'", str(err.value))
+
+
 def _block_spans(path):
     """The byte spans of a file's embedded vocabulary and, for a corpus, of
     its surface table."""
     blob = path.read_bytes()
     fh = _reader(blob)
-    fh.seek({"pgc": 4, "pglm": 4 + 1 + 3 * 8 * blob[4],
+    fh.seek({"pgc": 4, "pglm": 4 + 1,
              "pgsg": 4 + struct.calcsize(skipgram._HEADER)}[path.suffix[1:]])
     start = fh.tell()
     _read_vocab_section(fh)

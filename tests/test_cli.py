@@ -1326,8 +1326,8 @@ def _write_with_format_fault(files, ext, bad):
         save_corpus(bad, corpus)
     elif ext == "pglm":
         lm = train_lm(corpus.sentences, corpus.vocab, order=3)
-        ctx_rows, backoff, gram_rows, probs = lm._rows[-1]
-        lm._rows[-1] = (ctx_rows, backoff, gram_rows[::-1], probs[::-1])
+        backoff, gram_rows, probs = lm._rows[-1]
+        lm._rows[-1] = (backoff, gram_rows[::-1], probs[::-1])
         lm.save(bad)
     else:
         model = SkipGramModel.load(files["pgsg"])
@@ -1381,7 +1381,7 @@ class TestModelFiles:
                                            ("pgc", b"PGC4"), ("pglm", b"PGL3"),
                                            ("pgsg", b"PGSG"), ("pgc", b"PGC5"),
                                            ("pgc", b"PGC6"), ("pglm", b"PGL4"),
-                                           ("pgsg", b"PGS2")])
+                                           ("pgsg", b"PGS2"), ("pglm", b"PGL5")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"
@@ -1452,15 +1452,15 @@ class TestTrainLmLog:
                              "-v"]) == 0
         assert capsys.readouterr().out == quiet_out == ""
         assert verbose.read_bytes() == quiet.read_bytes()
-        discounts = NGramModel.load(quiet).discounts
-        fell_back = [k for k, d in enumerate(discounts, start=1)
-                     if d == (FALLBACK_DISCOUNT,) * 3]
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "punforge.ngram_lm"]
-        # stored rows counted apart, from the recursion's tables
+        # discounts and stored rows counted apart, from the recursion's tables
         loaded = load_corpus(corpus)
         oracle = CountTablesKN(loaded.vocab.encode_sentences(loaded.sentences),
-                               len(loaded.vocab), len(discounts))
+                               len(loaded.vocab), NGramModel.load(quiet).order)
+        discounts = oracle.discounts
+        fell_back = [k for k, d in enumerate(discounts, start=1)
+                     if d == (FALLBACK_DISCOUNT,) * 3]
         assert messages[:2 * len(discounts)] == [
             line for k, ((d1, d2, d3), level) in enumerate(zip(discounts, oracle.levels),
                                                            start=1)

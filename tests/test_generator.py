@@ -288,16 +288,20 @@ class TestGenerate:
         result = generate(PAIR, _resources())
         assert result.warnings == []
 
-    def test_topic_stage_requires_resources(self):
-        resources = _resources()
-        resources.skipgram = None
-        with pytest.raises(ValueError):
-            generate(PAIR, resources)
-
-    def test_rerank_requires_lm(self):
-        with pytest.raises(ValueError):
-            generate(PAIR, _resources(),
-                     GenerationConfig(stage=STAGE_SWAP, rerank=True))
+    @pytest.mark.parametrize("pair", [PAIR, PunPair("bass", "emu")],
+                             ids=["seeds", "no-seeds"])
+    @pytest.mark.parametrize("missing,config,message", [
+        ("skipgram", GenerationConfig(), "topic stage needs"),
+        ("graph", GenerationConfig(), "topic stage needs"),
+        ("lexicon", GenerationConfig(), "topic stage needs"),
+        ("lm", GenerationConfig(stage=STAGE_SWAP, rerank=True), "re-ranking needs"),
+    ], ids=["skipgram", "graph", "lexicon", "lm"])
+    def test_missing_resource_raises_whatever_the_pair(self, pair, missing, config,
+                                                       message):
+        resources = _resources(with_lm=True)
+        setattr(resources, missing, None)
+        with pytest.raises(ValueError, match=message):
+            generate(pair, resources, config)
 
     def test_lm_attaches_reports(self):
         result = generate(PAIR, _resources(with_lm=True),

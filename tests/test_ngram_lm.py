@@ -113,8 +113,10 @@ class TestAgainstCountTables:
     def test_prob_equals_recursion_for_every_event(self, text, order):
         sentences, vocab = ingest(text)
         model = train_lm(sentences, vocab, order=order)
-        oracle = CountTablesKN(vocab.encode_sentences(sentences), len(vocab), order)
-        assert model.discounts == oracle.discounts
+        encoded = vocab.encode_sentences(sentences)
+        oracle = CountTablesKN(encoded, len(vocab), order)
+        discounts, _ = _kneser_ney_tables(_grams(encoded, len(vocab), order), len(vocab) + 1)
+        assert discounts == oracle.discounts
         rng = random.Random(order)
         contexts = [ctx for level in oracle.levels for ctx in level]
         contexts += [_random_context(rng, model, order - 1) for _ in range(100)]
@@ -159,10 +161,28 @@ def _grams(encoded, size, order):
                      for i in range(order - 1, len(seq))], dtype=np.int64)
 
 
+def _reference_dicts(sentences, vocab, order):
+    """Per order, the query dict from the reference tables: the keys of
+    their context rows to backoff weights, then of their n-gram rows to
+    probabilities, packed in Python ints, in row order."""
+    radix = len(vocab) + 2
+
+    def pack(row):
+        return functools.reduce(lambda key, t: key * radix + t, row, 1)
+
+    grams = _grams(vocab.encode_sentences(sentences), len(vocab), order)
+    _, tables = reference_kneser_ney_tables(grams, len(vocab) + 1)
+    return [{pack(row): value for rows, values in ((ctx, backoff), (gram_rows, probs))
+             for row, value in zip(rows.tolist(), values.tolist())}
+            for ctx, backoff, gram_rows, probs in tables]
+
+
 class TestTablesEqualLexsortOracle:
     """Training's sorts of packed column keys against the lexsort over one
     key per column that they replaced: every table equal, dtype and shape
-    included, and every discount."""
+    included, and every discount.  The reference also builds the context
+    rows training leaves to the query dicts: the distinct context ids of
+    the n-gram rows, in row order."""
 
     @staticmethod
     def _assert_tables_equal(grams, n_events):
@@ -170,10 +190,13 @@ class TestTablesEqualLexsortOracle:
         want_discounts, want_tables = reference_kneser_ney_tables(grams, n_events)
         assert discounts == want_discounts
         assert len(tables) == len(want_tables) == grams.shape[1]
-        for got, want in zip(tables, want_tables):
-            for a, b in zip(got, want):
+        for got, (ctx_rows, *want) in zip(tables, want_tables):
+            for a, b in zip(got, want, strict=True):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
-        assert tables[0][0].shape == (1, 0)  # order 1: one context, of no ids
+            prefixes = [tuple(row[:-1]) for row in want[1].tolist()]
+            assert [tuple(row) for row in ctx_rows.tolist()] == list(dict.fromkeys(prefixes))
+        assert want_tables[0][0].shape == (1, 0)  # order 1: one context, of no ids
+        assert tables[0][0].shape == (1,)  # and one backoff weight
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("corpus", ["demo", "random300", "wide"])
@@ -317,19 +340,16 @@ class TestLogprobPair:
             tiny_lm.logprob_pair([1, 2, 3], position, 4, True)
 
 
-def _step_mismatches(model, sequences):
-    """Where the model's walk and ``reference_walk`` part, stepped side by
-    side over each sequence with and without markers: the p or the carried
-    key differs (``==``).  The reference reads one dict per order, packed
-    here in Python ints from the rows the model was trained with."""
+def _step_mismatches(model, tables, sequences):
+    """Where the model's walk and ``reference_walk`` over ``tables``, the
+    :func:`_reference_dicts` of the model's training corpus, part, stepped
+    side by side over each sequence with and without markers: the p or the
+    carried key differs (``==``)."""
     radix, longest = model.eos_id + 1, model.order - 1
 
     def pack(row):
         return functools.reduce(lambda key, t: key * radix + t, row, 1)
 
-    tables = [{pack(row): value for rows, values in ((ctx, backoff), (grams, probs))
-               for row, value in zip(rows.tolist(), values.tolist())}
-              for ctx, backoff, grams, probs in model._rows]
     bos_keys = [pack([model.bos_id] * n) for n in range(longest + 1)]
     bad = []
     for ids in sequences:
@@ -354,14 +374,42 @@ class TestStep:
         sentences, vocab, encoded = demo
         model = train_lm(sentences, vocab, order=order)
         sequences = encoded[::6] + _random_sequences(random.Random(order), len(vocab), 200)
-        assert _step_mismatches(model, sequences) == []
+        tables = _reference_dicts(sentences, vocab, order)
+        assert _step_mismatches(model, tables, sequences) == []
 
     def test_equals_reference_walk_with_wide_keys(self, wide, wide_lm):
         sentences, vocab = wide
         assert wide_lm._radix ** wide_lm.order >= 2 ** 63  # Python-int keys
         sequences = (vocab.encode_sentences(sentences)
                      + _random_sequences(random.Random(7), len(vocab), 200))
-        assert _step_mismatches(wide_lm, sequences) == []
+        tables = _reference_dicts(sentences, vocab, 6)
+        assert _step_mismatches(wide_lm, tables, sequences) == []
+
+
+class TestQueryDicts:
+    """The dicts a model builds from its n-gram rows alone, trained and
+    loaded, against the reference's from its stored context rows: the same
+    keys and values in the same order."""
+
+    @staticmethod
+    def _assert_dicts_equal(model, want, tmp_path):
+        path = tmp_path / "m.pglm"
+        model.save(path)
+        want = [list(table.items()) for table in want]
+        for built in (model, NGramModel.load(path)):
+            assert [list(table.items()) for table in built._tables] == want
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_demo_corpus(self, demo, order, tmp_path):
+        sentences, vocab, _ = demo
+        self._assert_dicts_equal(train_lm(sentences, vocab, order=order),
+                                 _reference_dicts(sentences, vocab, order), tmp_path)
+
+    def test_wide_keys(self, wide, tmp_path):
+        sentences, vocab = wide
+        model = train_lm(sentences, vocab, order=6)
+        assert model._radix ** model.order >= 2 ** 63  # Python-int keys
+        self._assert_dicts_equal(model, _reference_dicts(sentences, vocab, 6), tmp_path)
 
 
 class TestQuerySemantics:
@@ -452,8 +500,8 @@ class TestPersistence:
 
     # The walkthrough's outputs rest on these files, byte for byte.
     @pytest.mark.parametrize("order,digest", [
-        (2, "628ba84dd11a73b4"), (3, "51bf3727f3db0d3d"), (4, "12c9e3c22da9a1a5"),
-        (5, "77c225b3503cfef5"), (6, "cc61ee413bf51c32")])
+        (2, "e39f0af42ad7a9d1"), (3, "a1da7ba19c99d9fc"), (4, "ccc1e81b64f51515"),
+        (5, "9ab135be0de0aced"), (6, "ed44d9d0b17e2f11")])
     def test_demo_model_bytes_are_pinned(self, tmp_path, order, digest):
         sentences, vocab = ingest(build_demo_corpus())
         path = tmp_path / "demo.pglm"
@@ -511,8 +559,8 @@ class TestPersistence:
         tiny_lm.save(path)
         blob = path.read_bytes()
         # Rewrite one vocabulary word in place; the embedded hash must catch it.
-        # magic, order, discounts, hash length prefix, hash
-        header_len = 4 + 1 + 3 * 8 * tiny_lm.order + 4 + 16
+        # magic, order, hash length prefix, hash
+        header_len = 4 + 1 + 4 + 16
         at = blob.index(b"cat", header_len)
         path.write_bytes(blob[:at] + b"caX" + blob[at + 3:])
         with pytest.raises(FormatError):

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import shutil
 
 import pytest
@@ -159,6 +160,17 @@ class TestDistanceBound:
     def test_tiny_threshold_searches_unbounded(self, threshold):
         assert max_passing_distance(threshold) is None
 
+    @pytest.mark.parametrize("threshold", [-0.5, -5e-324, float("-inf")])
+    def test_negative_threshold_rejected(self, miniwn, threshold):
+        """Path similarity is never negative, so every pair would pass; the
+        threshold is refused as ``GenerationConfig`` refuses it."""
+        message = re.escape(f"threshold must be >= 0, got {threshold}")
+        with pytest.raises(ValueError, match=message):
+            max_passing_distance(threshold)
+        with pytest.raises(ValueError, match=message):
+            type_consistent(miniwn, "man", Pos.NOUN, "catch", Pos.VERB,
+                            threshold=threshold)
+
     @pytest.mark.parametrize("threshold,expected", [
         (5e-324, True), (float("inf"), False), (1.0, False)])
     def test_extreme_thresholds(self, miniwn, threshold, expected):
@@ -226,6 +238,14 @@ class TestMemo:
             assert type_consistent(graph, "man", tag_, "hare", tag_)
             assert "man" in graph.type_row("hare", tag_, DEFAULT_THRESHOLD).nouns
         assert len(built) == 1 and len(graph._type_rows) == 1
+
+    def test_pronouns_share_one_row(self, miniwn_dir, monkeypatch):
+        graph = load_wordnet(miniwn_dir)
+        built = _spy_builds(monkeypatch)
+        rows = [graph.type_row(pronoun, Pos.PRONOUN, 0.3)
+                for pronoun in ("he", "she", "someone")]
+        assert rows[0] is rows[1] is rows[2] and "girl" in rows[0].nouns
+        assert len(built) == 1 and list(graph._type_rows) == [(None, Pos.PRONOUN, 0.3)]
 
     def test_graphs_do_not_share_rows(self, miniwn, miniwn_dir):
         assert type_consistent(miniwn, "man", Pos.NOUN, "hare", Pos.NOUN)
