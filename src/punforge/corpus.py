@@ -76,6 +76,11 @@ class Pos(Enum):
     __hash__ = object.__hash__
 
 
+# Reading a member off Pos takes about 120 ns on Python 3.11, a module global
+# under 10 ns; ``TagLexicon.tag_word`` runs once per seed token.
+_NOUN, _PRONOUN, _VERB, _OTHER = Pos.NOUN, Pos.PRONOUN, Pos.VERB, Pos.OTHER
+
+
 @dataclass
 class Sentence:
     sent_id: int
@@ -199,12 +204,12 @@ class TagLexicon:
 
     def tag_word(self, word: str) -> Pos:
         if word in self.pronouns:
-            return Pos.PRONOUN
+            return _PRONOUN
         if word in self.nouns:
-            return Pos.NOUN
+            return _NOUN
         if word in self.verbs:
-            return Pos.VERB
-        return Pos.OTHER
+            return _VERB
+        return _OTHER
 
 
 def tag(sentence: Sentence, lexicon: TagLexicon) -> list[Pos]:

@@ -20,7 +20,8 @@ Candidates come out in (seed rank ascending, topic score descending) order,
 and the seed and topic loops stop as soon as ``max_outputs`` candidates
 exist, so later seeds are never tagged or type-checked; an optional re-rank
 sorts the same capped set by surprisal ratio.  The topic filters that do
-not depend on the seed (not a pair word, tagged a noun) run once per pair.
+not depend on the seed (not a pair word, tagged a noun) run once per pair,
+on the word ids of the ranked topics, before any topic word is read.
 Every emitted candidate contains the pun word exactly once, the alternative
 word not at all, and its topic word strictly before the pun slot.
 """
@@ -30,8 +31,11 @@ from __future__ import annotations
 import logging
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
+
+import numpy as np
 
 from .corpus import UNK, Corpus, Pos, TagLexicon, tag
 from .errors import UnknownWordError
@@ -92,6 +96,14 @@ class GenerationResources:
     lexicon: TagLexicon | None = None
     lm: NGramModel | None = None
 
+    @cached_property
+    def topic_nouns(self) -> np.ndarray:
+        """Whether the lexicon tags each skip-gram word a noun, by word id;
+        built on first use, so neither may change after it."""
+        nouns, words = self.lexicon.tagged_nouns, self.skipgram.vocab.words
+        return np.fromiter((word in nouns for word in words), dtype=bool,
+                           count=len(words))
+
 
 @dataclass
 class GenerationCandidate:
@@ -139,16 +151,24 @@ def select_deletion(tags: list[Pos], pun_position: int) -> int | None:
     return None
 
 
-def insertable_topics(topics: list[tuple[str, float]], pair: PunPair,
-                      lexicon: TagLexicon) -> list[tuple[str, float]]:
-    """The topic predictions that may replace a word, in the same order.
+def insertable_topics(ids: np.ndarray, probs: np.ndarray, pair: PunPair,
+                      resources: GenerationResources) -> list[tuple[str, float]]:
+    """The ranked topics that may replace a word, as (word, probability)
+    in the same order.
 
+    ``ids`` and ``probs`` are the pun word's ``SkipGramModel.rank_topics``.
     A topic word qualifies when it is neither word of the pair and the
-    lexicon tags it as a noun; neither test depends on the seed.
+    lexicon tags it as a noun; neither test depends on the seed, and both
+    read ids, the second from ``resources.topic_nouns``, so only the words
+    that qualify are read.
     """
-    nouns, pair_words = lexicon.tagged_nouns, (pair.pun_word, pair.alt_word)
-    return [(word, score) for word, score in topics
-            if word in nouns and word not in pair_words]
+    vocab = resources.skipgram.vocab
+    keep = resources.topic_nouns[ids]
+    # a word outside the vocabulary gets <unk>'s id, which is no noun
+    for word in (pair.pun_word, pair.alt_word):
+        keep &= ids != vocab.id_of(word)
+    words = vocab.words
+    return [(words[i], prob) for i, prob in zip(ids[keep].tolist(), probs[keep].tolist())]
 
 
 def topic_insert(swapped: list[str], deletion: int, deleted_tag: Pos,
@@ -234,15 +254,16 @@ def generate(pair: PunPair, resources: GenerationResources,
 
     topics: list[tuple[str, float]] = []
     if config.stage == STAGE_TOPIC:
+        ids = probs = np.empty(0)
         if pair.pun_word != UNK:  # the unknown-word symbol is no word of its own
             try:
-                topics = resources.skipgram.predict_topics(pair.pun_word, config.topic_k)
+                ids, probs = resources.skipgram.rank_topics(pair.pun_word, config.topic_k)
             except UnknownWordError:
                 pass
-        if not topics:
+        if not len(ids):
             result.failure = NO_TOPIC_WORDS
             return result
-        topics = insertable_topics(topics, pair, lexicon)
+        topics = insertable_topics(ids, probs, pair, resources)
 
     result.candidates = list(islice(
         _candidates(pair, seeds, topics, resources, config), config.max_outputs))

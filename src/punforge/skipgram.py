@@ -28,7 +28,8 @@ Queries use a softmax over the output embeddings.  ``predict_topics``
 computes it in full, zeroes the query word and the unknown symbol in place,
 renormalizes by one in-order sum, and sorts only the words at or above the
 k-th probability (found by a partition), by probability and then word, as a
-full sort would.  Rows from ``relatedness_by_id`` compute only the entries
+full sort would; ``rank_topics`` gives the same answer as word ids and
+probabilities.  Rows from ``relatedness_by_id`` compute only the entries
 read, from a kept max and sum.
 
 A model file must hold finite embeddings: ``load`` refuses NaN and
@@ -254,16 +255,24 @@ class SkipGramModel:
         words that reach it are sorted, exactly, ties at the boundary
         included; so the list equals that of a sort of every candidate.
         """
+        ids, probs = self.rank_topics(word, k)
+        words = self.vocab.words
+        return [(words[i], prob) for i, prob in zip(ids.tolist(), probs.tolist())]
+
+    def rank_topics(self, word: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict_topics` as two arrays, the word ids in order and
+        their probabilities, so a caller can filter by id before it reads a
+        word; both are empty where that list is."""
         check_topic_k(k)
         dist = self.relatedness_dist(word)
-        excluded = [self.vocab.id_of(word), self.vocab.unk_id]
+        word_id, unk_id = self.vocab.id_of(word), self.vocab.unk_id
         # cumsum adds in index order, as a Python sum would (np.sum adds
         # pairwise and can differ in the last bit), and adding the +0.0 of
         # an excluded id leaves every partial sum as it was
-        dist[excluded] = 0.0
+        dist[word_id] = dist[unk_id] = 0.0
         total = float(np.cumsum(dist)[-1])
         if total <= 0.0:
-            return []
+            return np.empty(0, dtype=np.intp), np.empty(0)
         neg = -dist
         if k < len(neg):
             # A word past the k-th smallest sorts after k others.  The test
@@ -275,12 +284,10 @@ class SkipGramModel:
             keep = ~(neg > np.partition(neg, k - 1)[k - 1])
         else:
             keep = np.ones(len(neg), dtype=bool)
-        keep[excluded] = False
+        keep[word_id] = keep[unk_id] = False
         cand = np.flatnonzero(keep)
         top = cand[np.lexsort((self._word_rank[cand], neg[cand]))[:k]]
-        probs = (dist[top] / total).tolist()
-        words = self.vocab.words
-        return [(words[i], prob) for i, prob in zip(top.tolist(), probs)]
+        return top, dist[top] / total
 
     # --- persistence -------------------------------------------------------
 

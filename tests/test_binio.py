@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import reference_postings
+from oracles import CountTablesKN, reference_postings
 from punforge import binio, corpus, skipgram
 from punforge.corpus import CORPUS_MAGIC, Corpus, ingest, load_corpus, save_corpus
 from punforge.demo_corpus import build_demo_corpus, write_demo_corpus
@@ -268,28 +268,38 @@ def demo_lm(demo):
 
 
 def _read_lm_sections(path):
-    """Every section of a language model file, in file order; each order's
-    tables as [backoff weights, n-gram rows, probabilities]."""
+    """Every section of a language model file, in file order: the distinct
+    values, then each order's tables as [backoff weight ranks, n-gram rows,
+    probability ranks]."""
     with open(path, "rb") as fh:
         assert fh.read(4) == LM_MAGIC
         (order,) = binio.unpack(fh, "<B")
         stored, words, counts = _read_vocab_section(fh)
-        s = {"order": order, "vocab_hash": stored,
-             "words": words, "counts": counts, "tables": []}
+        s = {"order": order, "vocab_hash": stored, "words": words,
+             "counts": counts, "values": binio.read_array(fh, "<f8"), "tables": []}
         for k in range(1, order + 1):
-            backoff, grams = binio.read_array(fh, "<f8"), binio.read_array(fh, "<u4")
-            probs = binio.read_array(fh, "<f8")
+            backoff, grams, probs = (binio.read_array(fh, "<u4") for _ in range(3))
             s["tables"].append([backoff, grams.reshape(-1, k), probs])
         assert fh.read() == b""
     return s
 
 
+def _float_tables(s):
+    """Each order's [backoff weights, n-gram rows, probabilities] of sections."""
+    values = s["values"]
+    return [[values[backoff], grams, values[probs]] for backoff, grams, probs in s["tables"]]
+
+
 def assert_file_holds_tables(path, model):
-    """The file's tables are the ones the trained model was built from."""
-    sections = _read_lm_sections(path)["tables"]
-    assert len(sections) == len(model._rows)
-    for stored, built in zip(sections, model._rows):
+    """The file's values and tables are the ones the trained model was built
+    from, and its values are those of ``_kneser_ney_tables``."""
+    s = _read_lm_sections(path)
+    assert s["values"].dtype == np.float64 and np.array_equal(s["values"], model._values)
+    assert len(s["tables"]) == len(model._rows)
+    for stored, built in zip(s["tables"], model._rows):
         assert [np.array_equal(a, b) for a, b in zip(stored, built)] == [True] * 3
+    all_values = np.concatenate([a for b, _, p in _float_tables(s) for a in (b, p)])
+    assert np.array_equal(np.unique(all_values), s["values"])
 
 
 def _write_lm_sections(path, s):
@@ -297,10 +307,10 @@ def _write_lm_sections(path, s):
         fh.write(LM_MAGIC)
         binio.pack(fh, "<B", s["order"])
         _write_vocab_section(fh, s["words"], s["counts"])
-        for backoff, grams, probs in s["tables"]:
-            binio.write_array(fh, backoff, "<f8")
-            binio.write_array(fh, grams, "<u4")
-            binio.write_array(fh, probs, "<f8")
+        binio.write_array(fh, s["values"], "<f8")
+        for table in s["tables"]:
+            for array in table:
+                binio.write_array(fh, array, "<u4")
 
 
 def _top(index, change, k=None):
@@ -309,6 +319,22 @@ def _top(index, change, k=None):
     def mutate(s, bos):
         table = s["tables"][-1 if k is None else k - 1]
         table[index] = change(table[index], bos)
+    return mutate
+
+
+def _values(change):
+    """Apply ``change(values)`` to the distinct values."""
+    def mutate(s, bos):
+        s["values"] = change(s["values"])
+    return mutate
+
+
+def _past_last_value(index):
+    """Make the first rank of one array of the top-order tables the number of
+    values, one past the last."""
+    def mutate(s, bos):
+        table = s["tables"][-1]
+        table[index] = np.r_[len(s["values"]), table[index][1:]]
     return mutate
 
 
@@ -325,7 +351,7 @@ class TestLanguageModelFile:
         assert (tmp_path / "copy.pglm").read_bytes() == path.read_bytes()
         assert s["order"] == 3
         events = set(range(len(demo_lm.vocab))) | {demo_lm.eos_id}
-        for k, (backoff, grams, probs) in enumerate(s["tables"], start=1):
+        for k, (backoff, grams, probs) in enumerate(_float_tables(s), start=1):
             gram_rows = [tuple(r) for r in grams.tolist()]
             assert gram_rows == sorted(set(gram_rows))
             ctx_rows = sorted({r[:-1] for r in gram_rows})
@@ -339,15 +365,19 @@ class TestLanguageModelFile:
                              else 1.0 / demo_lm.n_events)
                     assert demo_lm.prob(unseen, row) == weight * lower
 
-    def test_round_trip_keeps_every_probability(self, demo_lm, tmp_path):
+    def test_round_trip_keeps_every_probability(self, demo, demo_lm, tmp_path):
+        """Bit for bit, as the recursion over count tables gives them."""
         path = tmp_path / "m.pglm"
         demo_lm.save(path)
         loaded = NGramModel.load(path)
+        reference = CountTablesKN(demo.vocab.encode_sentences(demo.sentences),
+                                  len(demo.vocab), demo_lm.order)
         events = list(range(len(demo_lm.vocab))) + [demo_lm.eos_id]
         for _, grams, _ in _read_lm_sections(path)["tables"]:
             for row in {tuple(r[:-1]) for r in grams.tolist()}:  # every context
                 for w in events:
-                    assert loaded.prob(w, row) == demo_lm.prob(w, row)
+                    assert (loaded.prob(w, row).hex() == demo_lm.prob(w, row).hex()
+                            == reference.prob(w, row).hex())
         assert_file_holds_tables(path, demo_lm)
 
     # Each corrupts one section and keeps the rest of the file readable.
@@ -355,7 +385,26 @@ class TestLanguageModelFile:
         {"order": 1},                                              # check_order
         {"order": 4},                                              # 3-id rows read as 4
         {"mutate": _top(2, lambda p, bos: p[:-1])},                # fewer probabilities
-        {"mutate": _top(2, lambda p, bos: np.r_[0.0, p[1:]])},     # zero probability
+        {"mutate": _values(lambda v: np.r_[0.0, v[1:]]),           # zero value
+         "error": r"a value outside \(0, 1\]"},
+        {"mutate": _values(lambda v: np.r_[-0.5, v[1:]]),          # negative value
+         "error": r"a value outside \(0, 1\]"},
+        {"mutate": _values(lambda v: np.r_[v[:-1], 1.5]),          # value above 1
+         "error": r"a value outside \(0, 1\]"},
+        {"mutate": _values(lambda v: np.r_[np.nan, v[1:]]),        # not finite
+         "error": r"a value outside \(0, 1\]"},
+        {"mutate": _values(lambda v: np.r_[v[:-1], np.inf]),
+         "error": r"a value outside \(0, 1\]"},
+        {"mutate": _values(lambda v: v[::-1]),                     # decreasing values
+         "error": "values not strictly increasing"},
+        {"mutate": _values(lambda v: np.r_[v[:1], v[:-1]]),        # a repeated value
+         "error": "values not strictly increasing"},
+        {"mutate": _past_last_value(0),                            # weight rank past the last
+         "error": r"order 3: a value rank past the last of \d+ values"},
+        {"mutate": _past_last_value(2),                            # probability rank too
+         "error": r"order 3: a value rank past the last of \d+ values"},
+        {"mutate": _top(2, lambda p, bos: np.r_[p[:-1], 2 ** 32 - 1]),
+         "error": r"order 3: a value rank past the last of \d+ values"},
         {"mutate": _top(1, lambda g, bos: g[::-1]),                # unsorted rows
          "error": "order 3: rows unsorted or repeated"},
         {"mutate": _top(1, lambda g, bos: np.r_[g[:1], g[:1], g[2:]]),  # repeated row
@@ -363,13 +412,6 @@ class TestLanguageModelFile:
         {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]])},  # bos word
         {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]])},  # past eos
         {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos + 1, 0, 0]]])},  # eos context
-        {"mutate": _top(2, lambda p, bos: np.r_[1.5, p[1:]])},     # probability above 1
-        {"mutate": _top(2, lambda p, bos: np.r_[np.nan, p[1:]])},  # not finite
-        {"mutate": _top(2, lambda p, bos: np.r_[np.inf, p[1:]])},
-        {"mutate": _top(0, lambda b, bos: np.r_[-0.5, b[1:]])},    # negative weight
-        {"mutate": _top(0, lambda b, bos: np.r_[0.0, b[1:]])},     # zero weight
-        {"mutate": _top(0, lambda b, bos: np.r_[np.nan, b[1:]])},  # not finite
-        {"mutate": _top(0, lambda b, bos: np.r_[np.inf, b[1:]])},
         {"mutate": _top(0, lambda b, bos: b[:-1]),                 # one weight too few
          "error": r"order 3: \d+ backoff weights for \d+ contexts"},
         {"mutate": _top(0, lambda b, bos: np.r_[b, b[:1]]),        # one weight too many
@@ -404,7 +446,7 @@ class TestLanguageModelFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
-        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5"):
+        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5", b"PGL6"):
             path.write_bytes(magic + bytes(64))
             with pytest.raises(FormatError, match=f"old.pglm is not a language model "
                                                   f"file: bad magic {magic!r}") as err:

@@ -1441,6 +1441,27 @@ class TestModelFiles:
 
 
 class TestTrainLmLog:
+    def test_verbose_logs_distinct_values_on_the_demo_corpus(
+            self, pipeline, tmp_path, capsys, caplog):
+        quiet, verbose = tmp_path / "quiet.pglm", tmp_path / "verbose.pglm"
+        args = ["train-lm", "--corpus", str(pipeline["corpus"])]
+        assert cli.main(args + ["--out", str(quiet)]) == 0
+        with caplog.at_level(logging.INFO, logger="punforge.ngram_lm"):
+            assert cli.main(args + ["--out", str(verbose), "-v"]) == 0
+        assert capsys.readouterr().out == ""
+        assert verbose.read_bytes() == quiet.read_bytes()
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "punforge.ngram_lm"]
+        # every stored probability and backoff weight, by the recursion
+        loaded = load_corpus(pipeline["corpus"])
+        oracle = CountTablesKN(loaded.vocab.encode_sentences(loaded.sentences),
+                               len(loaded.vocab), 4)
+        stored = [value for level in oracle.levels for ctx, (words, total, gamma)
+                  in level.items()
+                  for value in [gamma / total] + [oracle.prob(w, ctx) for w in words]]
+        assert messages[-1] == f"values: {len(set(stored))} distinct of {len(stored)} stored"
+        assert messages[-1] == "values: 241 distinct of 1161 stored"
+
     def test_verbose_logs_discounts_stored_rows_and_fallbacks(
             self, small_models, tmp_path, capsys, caplog):
         corpus = str(small_models[0]["pgc"])
@@ -1469,9 +1490,10 @@ class TestTrainLmLog:
                 f"order {k} stores {sum(len(words) for words, _, _ in level.values())}"
                 f" n-grams and {len(level)} contexts")]
         assert fell_back  # six sentences are too few for n1..n4 at some order
-        assert messages[2 * len(discounts):] == [
+        assert messages[2 * len(discounts):-1] == [
             f"orders {', '.join(map(str, fell_back))} fell back to the fixed "
             f"discount 0.75 (degenerate count-of-counts)"]
+        assert messages[-1].startswith("values: ")
 
 
 class TestTrainSkipgramLog:

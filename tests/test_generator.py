@@ -6,7 +6,8 @@ import pytest
 
 from oracles import reference_generate, reference_predict_topics
 from punforge import generator
-from punforge.corpus import Pos, Sentence, TagLexicon, ingest, load_corpus, tag
+from punforge.corpus import (Pos, Sentence, TagLexicon, Vocabulary, ingest,
+                             load_corpus, tag)
 from punforge.generator import (NO_CANDIDATES, NO_SEEDS, NO_TOPIC_WORDS,
                                 STAGE_SWAP, STAGE_TOPIC, GenerationConfig,
                                 GenerationResources, generate,
@@ -124,8 +125,8 @@ class TestSelectDeletion:
 class TestTopicInsert:
     def test_filters_and_preserves_score_order(self):
         resources = _resources()
-        topics = insertable_topics(resources.skipgram.predict_topics("bass", 100),
-                                   PAIR, LEXICON)
+        topics = insertable_topics(*resources.skipgram.rank_topics("bass", 100),
+                                   PAIR, resources)
         tags = _tags("our team guarded the base today .")
         swapped = ["our", "team", "guarded", "the", "bass", "today", "."]
         out = list(topic_insert(swapped, 1, tags[1], topics, GRAPH))
@@ -140,7 +141,7 @@ class TestTopicInsert:
     def test_pair_words_never_inserted(self):
         # nor non-nouns: both filters run once per pair, before any seed
         topics = [("base", 0.9), ("verby", 0.85), ("bass", 0.8), ("fish", 0.7)]
-        assert insertable_topics(topics, PAIR, LEXICON) == [("fish", 0.7)]
+        assert _insertable(topics, PAIR, LEXICON) == [("fish", 0.7)]
 
 
 
@@ -152,20 +153,42 @@ def _tag_filter(topics, pair, lexicon):
             and lexicon.tag_word(word) is Pos.NOUN]
 
 
+def _insertable(topics, pair, lexicon, words=None):
+    """``insertable_topics`` of crafted (word, score) topics, read by id in
+    a skip-gram over ``words`` (by default the topic words)."""
+    if words is None:
+        words = [word for word, _ in topics]
+    vocab = Vocabulary(dict.fromkeys(words, 5), min_count=1)
+    vectors = np.zeros((len(vocab), 1))
+    resources = GenerationResources(
+        corpus=None, index=None, lexicon=lexicon,
+        skipgram=SkipGramModel(vocab, SkipGramConfig(dim=1), vectors, vectors))
+    ids = np.array([vocab.id_of(word) for word, _ in topics], dtype=np.intp)
+    probs = np.array([score for _, score in topics])
+    return insertable_topics(ids, probs, pair, resources)
+
+
 class TestInsertableTopicsEqualsTheTagFilter:
     def test_pronoun_that_is_a_noun_lemma(self):
         lexicon = TagLexicon(nouns={"it", "dog"})
         topics = [("it", 0.4), ("dog", 0.3), ("cat", 0.2), ("she", 0.1)]
-        assert insertable_topics(topics, PAIR, lexicon) == [("dog", 0.3)]
-        assert insertable_topics(topics, PAIR, lexicon) == _tag_filter(
+        assert _insertable(topics, PAIR, lexicon) == [("dog", 0.3)]
+        assert _insertable(topics, PAIR, lexicon) == _tag_filter(
             topics, PAIR, lexicon)
 
     def test_pair_words_that_are_nouns(self):
         topics = [("bass", 0.5), ("fish", 0.4), ("base", 0.3), ("camp", 0.2),
                   ("fish", 0.1)]
         assert {"bass", "base"} <= LEXICON.tagged_nouns
-        got = insertable_topics(topics, PAIR, LEXICON)
+        got = _insertable(topics, PAIR, LEXICON)
         assert got == [("fish", 0.4), ("camp", 0.2), ("fish", 0.1)]
+        assert got == _tag_filter(topics, PAIR, LEXICON)
+
+    def test_pair_words_outside_the_vocabulary(self):
+        # both ids would be <unk>'s, which is no noun
+        topics = [("fish", 0.4), ("verby", 0.3), ("camp", 0.2)]
+        got = _insertable(topics, PAIR, LEXICON)
+        assert got == [("fish", 0.4), ("camp", 0.2)]
         assert got == _tag_filter(topics, PAIR, LEXICON)
 
     def test_demo_lexicon_over_its_whole_vocabulary(self, pipeline, miniwn):
@@ -174,9 +197,16 @@ class TestInsertableTopicsEqualsTheTagFilter:
         topics = [(w, 1.0 / (1 + i)) for i, w in enumerate(reversed(vocab.words))]
         for pair in (PunPair("hare", "hair"), PunPair("person", "care"),
                      PunPair("she", "he")):
-            got = insertable_topics(topics, pair, lexicon)
+            got = _insertable(topics, pair, lexicon, words=vocab.words)
             assert got == _tag_filter(topics, pair, lexicon)
             assert 0 < len(got) < len(topics)
+
+    def test_topic_nouns_are_what_tag_word_tags_noun(self):
+        resources = _resources()
+        words = resources.skipgram.vocab.words
+        assert resources.topic_nouns.tolist() == [
+            LEXICON.tag_word(w) is Pos.NOUN for w in words]
+        assert resources.topic_nouns is resources.topic_nouns  # built once
 
 
 class TestGenerate:

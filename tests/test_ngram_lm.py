@@ -500,8 +500,8 @@ class TestPersistence:
 
     # The walkthrough's outputs rest on these files, byte for byte.
     @pytest.mark.parametrize("order,digest", [
-        (2, "e39f0af42ad7a9d1"), (3, "a1da7ba19c99d9fc"), (4, "ccc1e81b64f51515"),
-        (5, "9ab135be0de0aced"), (6, "ed44d9d0b17e2f11")])
+        (2, "4d15ead0bbb2d2c9"), (3, "139f07aff0148665"), (4, "7708d2287ca7685f"),
+        (5, "41516beebf5d03f4"), (6, "cb49e9c4381573b7")])
     def test_demo_model_bytes_are_pinned(self, tmp_path, order, digest):
         sentences, vocab = ingest(build_demo_corpus())
         path = tmp_path / "demo.pglm"

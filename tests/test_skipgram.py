@@ -391,6 +391,21 @@ class TestPredictTopicsOracle:
             assert (trained.predict_topics(word, len(trained.vocab))
                     == _oracle_topics(trained, word, len(trained.vocab)))
 
+    def test_rank_topics_is_predict_topics_by_id(self, trained):
+        v = len(trained.vocab)
+        for word in trained.vocab.words:
+            for k in (1, 3, v):
+                ids, probs = trained.rank_topics(word, k)
+                assert ids.dtype == np.intp and probs.dtype == np.float64
+                assert ([(trained.vocab.words[i], p) for i, p in zip(ids, probs)]
+                        == trained.predict_topics(word, k))
+        # one word and <unk>: nothing is left to rank, and both are empty
+        alone = SkipGramModel(_vocab(["solo"]), SkipGramConfig(dim=1),
+                              np.ones((2, 1)), np.ones((2, 1)))
+        ids, probs = alone.rank_topics("solo", 3)
+        assert (ids.dtype, ids.size, probs.size) == (np.intp, 0, 0)
+        assert alone.predict_topics("solo", 3) == []
+
     def test_tie_runs_across_the_kth_place_at_every_k(self):
         # 200 words over five output values: every boundary cuts a run of
         # equal probabilities, and ids do not follow spelling
