@@ -8,9 +8,12 @@ u32 byte lengths, then one blob of the strings' UTF-8 concatenated).  A
 short read, a block that is not a whole number of items, a string table
 whose lengths do not cover its blob or a string that is not UTF-8 raises
 FormatError naming the file.  Every binary file is read in :func:`reading`
-and written in :func:`writing`, which check and put its magic.  The module
-that owns a format raises ValueError when its blocks disagree; ``reading``
-makes that, and bytes after the last block, one FormatError naming the file.
+and written in :func:`writing`, which check and put its magic and, after
+the last block, a u32 CRC-32 (``zlib.crc32``) of every byte before it,
+computed as the bytes are read and written.  The module that owns a format
+raises ValueError when its blocks disagree; ``reading`` makes that, bytes
+after the checksum and a checksum that does not match one FormatError naming
+the file.  So a block's own checks fire before the checksum's.
 
 Every file the package writes, binary or text, is written through
 :func:`replace_file`: into a temporary file beside the target that replaces
@@ -24,6 +27,7 @@ import io
 import os
 import secrets
 import struct
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, BinaryIO, Iterator, Sequence
@@ -75,30 +79,55 @@ def _writer(fh: BinaryIO, encoding: str | None) -> IO:
     return fh if encoding is None else io.TextIOWrapper(fh, encoding=encoding)
 
 
+class _Checksummed:
+    """A binary file that keeps the CRC-32 of every byte read from it or
+    written to it through this object."""
+
+    def __init__(self, fh: BinaryIO):
+        self._fh, self.name, self.crc = fh, fh.name, 0
+
+    def read(self, n: int) -> bytes:
+        data = self._fh.read(n)
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def write(self, data: bytes) -> int:
+        self.crc = zlib.crc32(data, self.crc)
+        return self._fh.write(data)
+
+
 @contextmanager
 def reading(path: str | Path, magic: bytes, what: str) -> Iterator[BinaryIO]:
     """Open a ``what`` file and check its magic tag.  A ValueError raised in
-    the block, and bytes after the last block read, are one FormatError
-    ``corrupt <what> <file>: <problem>``."""
-    with open(path, "rb") as fh:
+    the block, bytes after the checksum that follows the last block read, and
+    a checksum that does not match are one FormatError ``corrupt <what>
+    <file>: <problem>``."""
+    with open(path, "rb") as raw:
+        fh = _Checksummed(raw)
         got = fh.read(len(magic))
         if got != magic:
-            raise FormatError(f"{fh.name} is not a {what} file: "
+            raise FormatError(f"{raw.name} is not a {what} file: "
                               f"bad magic {got!r}, expected {magic!r}")
         try:
             yield fh
-            if fh.read(1):
+            (stored,) = unpack(raw, "<I")
+            if raw.read(1):
                 raise ValueError("bytes after the last block")
+            if stored != fh.crc:
+                raise ValueError("checksum mismatch")
         except ValueError as exc:
-            raise FormatError(f"corrupt {what} {fh.name}: {exc}") from None
+            raise FormatError(f"corrupt {what} {raw.name}: {exc}") from None
 
 
 @contextmanager
 def writing(path: str | Path, magic: bytes) -> Iterator[BinaryIO]:
-    """:func:`replace_file` for a binary file that starts with ``magic``."""
-    with replace_file(path) as fh:
+    """:func:`replace_file` for a binary file that starts with ``magic``
+    and ends with the checksum :func:`reading` checks."""
+    with replace_file(path) as raw:
+        fh = _Checksummed(raw)
         fh.write(magic)
         yield fh
+        pack(raw, "<I", fh.crc)
 
 
 def pack(fh: BinaryIO, fmt: str, *values) -> None:

@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = b"PGC7"
+CORPUS_MAGIC = b"PGC8"
 
 UNK = "<unk>"
 DEFAULT_MIN_COUNT = 1
@@ -266,7 +266,7 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
 
 # --- binary container ------------------------------------------------------
 #
-# Layout (binio blocks): magic PGC7, hashed vocabulary (see write_vocab),
+# Layout (binio blocks): magic PGC8, hashed vocabulary (see write_vocab),
 # surface table (a string table), then one array each of sentence ids,
 # lengths, and every token's surface-table index.  Sentences keep their full
 # surfaces so that rare words survive a min_count-collapsed vocabulary.  POS

@@ -19,9 +19,12 @@ identity pass-through, so candidates leave stage 3 unchanged.
 Candidates come out in (seed rank ascending, topic score descending) order,
 and the seed and topic loops stop as soon as ``max_outputs`` candidates
 exist, so later seeds are never tagged or type-checked; an optional re-rank
-sorts the same capped set by surprisal ratio.  The topic filters that do
-not depend on the seed (not a pair word, tagged a noun) run once per pair,
-on the word ids of the ranked topics, before any topic word is read.
+sorts the same capped set by surprisal ratio.  A pair with a word the
+language model's vocabulary lacks is neither scored nor re-ranked, as
+``score`` refuses it, and its result carries the refusal as a warning.
+The topic filters that do not depend on the seed (not a pair word, tagged
+a noun) run once per pair, on the word ids of the ranked topics, before
+any topic word is read.
 Every emitted candidate contains the pun word exactly once, the alternative
 word not at all, and its topic word strictly before the pun slot.
 """
@@ -39,6 +42,7 @@ import numpy as np
 
 from .corpus import UNK, Corpus, Pos, TagLexicon, tag
 from .errors import UnknownWordError
+from .kao import check_pair_words
 from .ngram_lm import NGramModel
 from .retrieval import (DEFAULT_KEEP, DEFAULT_POOL, InvertedIndex,
                         SeedCandidate, check_pool_keep, retrieve_seeds)
@@ -245,6 +249,14 @@ def generate(pair: PunPair, resources: GenerationResources,
             )
             log.warning(message)
             result.warnings.append(message)
+    scored = resources.lm is not None
+    if scored:
+        try:
+            check_pair_words(pair, resources.lm.vocab)
+        except UnknownWordError as exc:
+            log.warning(str(exc))
+            result.warnings.append(str(exc))
+            scored = False
 
     seeds = retrieve_seeds(resources.index, pair.alt_word,
                            pool=config.pool, keep=config.keep)
@@ -271,7 +283,7 @@ def generate(pair: PunPair, resources: GenerationResources,
         result.failure = NO_CANDIDATES
         return result
 
-    if resources.lm is not None:
+    if scored:
         for cand in result.candidates:
             cand.report = score_occurrence(
                 resources.lm,

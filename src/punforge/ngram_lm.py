@@ -33,19 +33,14 @@ equal the recursion's bit for bit.  A file keeps each order as sorted,
 distinct n-gram rows of token ids with their probabilities, and the backoff
 weights of their distinct contexts in row order, so loading builds no table
 from counts and reads no context: the row order is checked on the packed
-keys, whose runs without the last id are the context keys.  Each weight and
-probability is stored as its rank among the model's distinct values, which
-the file holds once, in increasing order (the value-rank layout of Pauls &
-Klein 2011); ``train_lm`` ranks them with one ``np.unique``.  Queries read
-one dict per order from packed keys to values, built from one gather of
-the values as Python floats, so equal values share one float object.  A
-trained model builds them on its first query and saves its ranks; a loaded
-one builds them at load, keeps only them and is not saved again.  A walk
-carries one state from one token to the next, as KenLM's does: the packed
-key of the longest stored n-gram found, trimmed to ``order - 1`` ids, and
-its length.  Each shorter context is a suffix of it, and its key follows
-from the key by one modulo, so each step starts at the longest context that
-can be stored.
+keys, whose runs without the last id are the context keys.  Queries read
+one dict per order from packed keys to values.  A trained model builds
+them on its first query and saves its rows; a loaded one builds them at
+load, keeps only them and is not saved again.  A walk carries one state
+from one token to the next, as KenLM's does: the packed key of the longest
+stored n-gram found, trimmed to ``order - 1`` ids, and its length.  Each
+shorter context is a suffix of it, and its key follows from the key by one
+modulo, so each step starts at the longest context that can be stored.
 
 ``logprob_pair`` scores two sequences that differ in one slot, as the
 surprisal measures do, in one shared walk: the prefix before the slot is
@@ -76,7 +71,7 @@ from .errors import TrainingError
 
 log = logging.getLogger(__name__)
 
-LM_MAGIC = b"PGL7"
+LM_MAGIC = b"PGL8"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
@@ -86,8 +81,6 @@ FALLBACK_DISCOUNT = 0.75
 # One order's tables: the backoff weights of its contexts, then its n-gram
 # rows (context ids, word), sorted and distinct, with their probabilities.
 # The contexts are the distinct context ids of the rows, in row order.
-# ``_kneser_ney_tables`` gives weights and probabilities as floats; a model
-# and a file hold them as ranks into the model's distinct values.
 Tables = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -115,17 +108,15 @@ def estimate_discounts(counts: Sequence[int] | np.ndarray) -> tuple[float, float
 class NGramModel:
     """Kneser-Ney model over token ids; see the module docstring for rules.
 
-    ``tables`` holds one :data:`Tables` per order, lowest first, its weights
-    and probabilities as ranks into ``values``, as :func:`train_lm` builds
-    them and ``.pglm`` files store them; n-gram rows that are not sorted and
-    distinct, or backoff weights that are not one per context, raise
-    ValueError; :meth:`save` writes them.
+    ``tables`` holds one :data:`Tables` per order, lowest first, as
+    :func:`train_lm` builds them and ``.pglm`` files store them; n-gram rows
+    that are not sorted and distinct, or backoff weights that are not one
+    per context, raise ValueError; :meth:`save` writes them.
     ``unigram_logprobs`` lists :meth:`unigram_logprob` by id; it is read,
     never written.
     """
 
-    def __init__(self, order: int, vocab: Vocabulary, values: np.ndarray,
-                 tables: Sequence[Tables]):
+    def __init__(self, order: int, vocab: Vocabulary, tables: Sequence[Tables]):
         check_order(order)
         self.order = order
         self.vocab = vocab
@@ -139,7 +130,6 @@ class NGramModel:
         # distinct exactly when the keys increase; their contexts' keys are
         # the runs of the keys without the word; the query dicts reuse both.
         self._radix = self.eos_id + 1
-        self._values: np.ndarray | None = values
         self._rows: Sequence[Tables] | None = tables
         self._keys = []
         for k, (backoff, gram_rows, _) in enumerate(tables, start=1):
@@ -162,12 +152,9 @@ class NGramModel:
     @cached_property
     def _tables(self) -> list[dict[int, float]]:
         """Per order, a dict from context keys to backoff weights and n-gram
-        keys to probabilities; it uses up the checked keys order by order.
-        Every dict takes its floats from one gather of the values, so equal
-        values are one object."""
+        keys to probabilities; it uses up the checked keys order by order."""
         keys = self.__dict__.pop("_keys")
-        values = self._values.astype(object)
-        return [dict(zip(keys.pop(0).tolist(), values[np.concatenate([backoff, probs])]))
+        return [dict(zip(keys.pop(0).tolist(), chain(backoff.tolist(), probs.tolist())))
                 for backoff, _, probs in self._rows]
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
@@ -317,18 +304,16 @@ class NGramModel:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the order, the vocabulary and the distinct values, then each
-        order's :data:`Tables` as three array blocks, lowest first; a loaded
-        model has none."""
+        """Write the order and the vocabulary, then each order's :data:`Tables`
+        as three array blocks, lowest first; a loaded model has none."""
         if self._rows is None:
             raise ValueError("a loaded language model is not saved again")
         with binio.writing(path, LM_MAGIC) as fh:
             binio.pack(fh, "<B", self.order)
             write_vocab(fh, self.vocab)
-            binio.write_array(fh, self._values, "<f8")
-            for table in self._rows:  # weight ranks, n-grams, probability ranks
-                for array in table:
-                    binio.write_array(fh, array, "<u4")
+            for table in self._rows:  # weights, n-grams, probabilities
+                for array, dtype in zip(table, ("<f8", "<u4", "<f8")):
+                    binio.write_array(fh, array, dtype)
 
     @classmethod
     def load(cls, path: str | Path,
@@ -338,36 +323,32 @@ class NGramModel:
             check_order(order)
             vocab = read_vocab(fh, what="language model",
                                expected_hash=expected_vocab_hash)
-            values = binio.read_array(fh, "<f8")
             tables = []
             for k in range(1, order + 1):
-                backoff, gram_rows, probs = (binio.read_array(fh, "<u4")
-                                             for _ in range(3))
+                backoff, gram_rows, probs = (binio.read_array(fh, dtype)
+                                             for dtype in ("<f8", "<u4", "<f8"))
                 if len(gram_rows) != len(probs) * k:  # one row of ids per probability
                     raise ValueError(f"order {k}: block lengths disagree")
                 tables.append((backoff, gram_rows.reshape(len(probs), k), probs))
-            _check_tables(values, tables, bos=len(vocab))  # every id below the radix
-            model = cls(order, vocab, values, tables)  # so the keys show the row order
+            _check_tables(tables, bos=len(vocab))  # every id below the radix
+            model = cls(order, vocab, tables)  # so the keys show the row order
         model._tables  # build the query dicts now, and keep no arrays beside them
-        model._values = model._rows = None
+        model._rows = None
         return model
 
 
-def _check_tables(values: np.ndarray, tables: Sequence[Tables], bos: int) -> None:
-    """Raise ValueError naming what is wrong with a file's values or tables."""
-    # every probability and backoff weight is in (0, 1]: γ <= total, as D(c) <= c
-    if not ((values > 0.0) & (values <= 1.0)).all():
-        raise ValueError("a value outside (0, 1]")
-    if not (values[1:] > values[:-1]).all():
-        raise ValueError("values not strictly increasing")
+def _check_tables(tables: Sequence[Tables], bos: int) -> None:
+    """Raise ValueError naming what is wrong with a file's tables."""
     for k, (backoff, gram_rows, probs) in enumerate(tables, start=1):
         words = gram_rows[:, -1]
         problem = (
             "ids outside the event space"
             if (gram_rows[:, :-1] > bos).any()
             or ((words >= bos) & (words != bos + 1)).any()
-            else f"a value rank past the last of {len(values)} values"
-            if (backoff >= len(values)).any() or (probs >= len(values)).any()
+            else "a probability outside (0, 1]"
+            if not ((probs > 0.0) & (probs <= 1.0)).all()
+            else "a backoff weight outside (0, 1]"  # γ <= total, as D(c) <= c
+            if not ((backoff > 0.0) & (backoff <= 1.0)).all()
             else None
         )
         if problem:
@@ -488,10 +469,4 @@ def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
         log.info("order%s %s fell back to the fixed discount %g "
                  "(degenerate count-of-counts)", "s" if len(fell_back) > 1 else "",
                  ", ".join(map(str, fell_back)), FALLBACK_DISCOUNT)
-    stored = [array for backoff, _, probs in tables for array in (backoff, probs)]
-    values, ranks = np.unique(np.concatenate(stored), return_inverse=True)
-    log.info("values: %d distinct of %d stored", len(values), len(ranks))
-    ranks = binio.split(ranks.astype(np.uint32), [len(a) for a in stored])
-    return NGramModel(order, vocab, values,
-                      [(backoff, rows, probs) for backoff, (_, rows, _), probs
-                       in zip(ranks[::2], tables, ranks[1::2])])
+    return NGramModel(order, vocab, tables)

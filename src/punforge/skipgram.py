@@ -55,7 +55,7 @@ from .errors import TrainingError, UnknownWordError
 
 log = logging.getLogger(__name__)
 
-SKIPGRAM_MAGIC = b"PGS3"
+SKIPGRAM_MAGIC = b"PGS4"
 # The fields of SkipGramConfig in order: five u32, then f64 step_size, u64 seed.
 _HEADER = "<5IdQ"
 # An epoch walks every band pair once, and training runs 15 by default.  A

@@ -10,6 +10,7 @@ import random
 import re
 import stat
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ class TestCodec:
 
 
 def _framed(tmp_path, blocks: bytes) -> Path:
-    """A ``thing`` file: the magic GOOD, then ``blocks``."""
+    """A ``thing`` file: the magic GOOD, then ``blocks``, then the checksum."""
     path = tmp_path / "f.bin"
     with binio.writing(path, b"GOOD") as fh:
         fh.write(blocks)
@@ -117,9 +118,10 @@ def _framed(tmp_path, blocks: bytes) -> Path:
 
 
 class TestFrame:
-    def test_writing_puts_the_magic_that_reading_checks(self, tmp_path):
+    def test_writing_puts_the_magic_and_checksum_that_reading_checks(self, tmp_path):
         path = _framed(tmp_path, b"\x01\x00\x00\x00z")
-        assert path.read_bytes() == b"GOOD\x01\x00\x00\x00z"
+        body = b"GOOD\x01\x00\x00\x00z"
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
         with binio.reading(path, b"GOOD", "thing") as fh:
             assert binio.read_blob(fh) == b"z"
 
@@ -131,12 +133,36 @@ class TestFrame:
         assert str(err.value) == (f"{path} is not a thing file: "
                                   f"bad magic b'GOOD', expected b'NOPE'")
 
-    def test_bytes_after_the_last_block_rejected(self, tmp_path):
-        path = _framed(tmp_path, b"\x01\x00\x00\x00z\x00")
+    @pytest.mark.parametrize("blocks,tail", [
+        (b"\x01\x00\x00\x00z\x00", b""),   # a byte the reader leaves, then the checksum
+        (b"\x01\x00\x00\x00z", b"\x00"),   # a byte after the checksum
+    ])
+    def test_bytes_after_the_last_block_rejected(self, tmp_path, blocks, tail):
+        path = _framed(tmp_path, blocks)
+        path.write_bytes(path.read_bytes() + tail)
         with pytest.raises(FormatError) as err:
             with binio.reading(path, b"GOOD", "thing") as fh:
                 assert binio.read_blob(fh) == b"z"
         assert str(err.value) == f"corrupt thing {path}: bytes after the last block"
+
+    @pytest.mark.parametrize("at", [8, 12])  # data, checksum
+    def test_flipped_bit_is_a_checksum_mismatch(self, tmp_path, at):
+        path = _framed(tmp_path, b"\x01\x00\x00\x00z")
+        blob = bytearray(path.read_bytes())
+        blob[at] ^= 0x20
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            with binio.reading(path, b"GOOD", "thing") as fh:
+                assert binio.read_blob(fh) == (b"Z" if at == 8 else b"z")
+        assert str(err.value) == f"corrupt thing {path}: checksum mismatch"
+
+    def test_missing_checksum_is_a_truncated_file(self, tmp_path):
+        path = _framed(tmp_path, b"\x01\x00\x00\x00z")
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError) as err:
+            with binio.reading(path, b"GOOD", "thing") as fh:
+                binio.read_blob(fh)
+        assert str(err.value) == f"truncated file {path}: wanted 4 bytes, got 3"
 
     def test_value_error_in_the_block_is_one_line_naming_the_file(self, tmp_path):
         path = _framed(tmp_path, b"")
@@ -147,11 +173,11 @@ class TestFrame:
         assert err.value.__suppress_context__
 
     def test_codec_and_resource_errors_pass_through(self, tmp_path):
-        path = _framed(tmp_path, b"\x05\x00\x00\x00z")
+        path = _framed(tmp_path, b"\x09\x00\x00\x00z")  # 1 byte and the checksum's 4
         with pytest.raises(FormatError) as err:
             with binio.reading(path, b"GOOD", "thing") as fh:
                 binio.read_blob(fh)
-        assert str(err.value) == f"truncated file {path}: wanted 5 bytes, got 1"
+        assert str(err.value) == f"truncated file {path}: wanted 9 bytes, got 5"
         error = ResourceError("trained on a different vocabulary")
         with pytest.raises(ResourceError) as err:
             with binio.reading(path, b"GOOD", "thing"):
@@ -183,20 +209,17 @@ def _write_vocab_section(fh, words, counts):
 
 def _read_corpus_sections(path):
     """Every section of a corpus file, in file order."""
-    with open(path, "rb") as fh:
-        assert fh.read(4) == CORPUS_MAGIC
+    with binio.reading(path, CORPUS_MAGIC, "corpus") as fh:
         stored, words, counts = _read_vocab_section(fh)
         sections = {"vocab_hash": stored, "words": words, "counts": counts,
                     "surfaces": binio.read_strings(fh)}
         for name in ("sent_ids", "lengths", "surface_idx"):
             sections[name] = binio.read_array(fh, "<u4")
-        assert fh.read() == b""
     return sections
 
 
 def _write_corpus_sections(path, s):
-    with open(path, "wb") as fh:
-        fh.write(CORPUS_MAGIC)
+    with binio.writing(path, CORPUS_MAGIC) as fh:
         _write_vocab_section(fh, s["words"], s["counts"])
         binio.write_strings(fh, s["surfaces"])
         for name in ("sent_ids", "lengths", "surface_idx"):
@@ -256,7 +279,7 @@ class TestCorpusFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pgc"
-        for magic in (b"PGC1", b"PGC2", b"PGC3", b"PGC4", b"PGC5", b"PGC6"):
+        for magic in (b"PGC1", b"PGC2", b"PGC3", b"PGC4", b"PGC5", b"PGC6", b"PGC7"):
             path.write_bytes(magic + bytes(32))
             with pytest.raises(FormatError, match=f"bad magic {magic!r}"):
                 load_corpus(path)
@@ -268,49 +291,36 @@ def demo_lm(demo):
 
 
 def _read_lm_sections(path):
-    """Every section of a language model file, in file order: the distinct
-    values, then each order's tables as [backoff weight ranks, n-gram rows,
-    probability ranks]."""
-    with open(path, "rb") as fh:
-        assert fh.read(4) == LM_MAGIC
+    """Every section of a language model file, in file order; each order's
+    tables as [backoff weights, n-gram rows, probabilities]."""
+    with binio.reading(path, LM_MAGIC, "language model") as fh:
         (order,) = binio.unpack(fh, "<B")
         stored, words, counts = _read_vocab_section(fh)
-        s = {"order": order, "vocab_hash": stored, "words": words,
-             "counts": counts, "values": binio.read_array(fh, "<f8"), "tables": []}
+        s = {"order": order, "vocab_hash": stored,
+             "words": words, "counts": counts, "tables": []}
         for k in range(1, order + 1):
-            backoff, grams, probs = (binio.read_array(fh, "<u4") for _ in range(3))
+            backoff, grams = binio.read_array(fh, "<f8"), binio.read_array(fh, "<u4")
+            probs = binio.read_array(fh, "<f8")
             s["tables"].append([backoff, grams.reshape(-1, k), probs])
-        assert fh.read() == b""
     return s
 
 
-def _float_tables(s):
-    """Each order's [backoff weights, n-gram rows, probabilities] of sections."""
-    values = s["values"]
-    return [[values[backoff], grams, values[probs]] for backoff, grams, probs in s["tables"]]
-
-
 def assert_file_holds_tables(path, model):
-    """The file's values and tables are the ones the trained model was built
-    from, and its values are those of ``_kneser_ney_tables``."""
-    s = _read_lm_sections(path)
-    assert s["values"].dtype == np.float64 and np.array_equal(s["values"], model._values)
-    assert len(s["tables"]) == len(model._rows)
-    for stored, built in zip(s["tables"], model._rows):
+    """The file's tables are the ones the trained model was built from."""
+    sections = _read_lm_sections(path)["tables"]
+    assert len(sections) == len(model._rows)
+    for stored, built in zip(sections, model._rows):
         assert [np.array_equal(a, b) for a, b in zip(stored, built)] == [True] * 3
-    all_values = np.concatenate([a for b, _, p in _float_tables(s) for a in (b, p)])
-    assert np.array_equal(np.unique(all_values), s["values"])
 
 
 def _write_lm_sections(path, s):
-    with open(path, "wb") as fh:
-        fh.write(LM_MAGIC)
+    with binio.writing(path, LM_MAGIC) as fh:
         binio.pack(fh, "<B", s["order"])
         _write_vocab_section(fh, s["words"], s["counts"])
-        binio.write_array(fh, s["values"], "<f8")
-        for table in s["tables"]:
-            for array in table:
-                binio.write_array(fh, array, "<u4")
+        for backoff, grams, probs in s["tables"]:
+            binio.write_array(fh, backoff, "<f8")
+            binio.write_array(fh, grams, "<u4")
+            binio.write_array(fh, probs, "<f8")
 
 
 def _top(index, change, k=None):
@@ -319,22 +329,6 @@ def _top(index, change, k=None):
     def mutate(s, bos):
         table = s["tables"][-1 if k is None else k - 1]
         table[index] = change(table[index], bos)
-    return mutate
-
-
-def _values(change):
-    """Apply ``change(values)`` to the distinct values."""
-    def mutate(s, bos):
-        s["values"] = change(s["values"])
-    return mutate
-
-
-def _past_last_value(index):
-    """Make the first rank of one array of the top-order tables the number of
-    values, one past the last."""
-    def mutate(s, bos):
-        table = s["tables"][-1]
-        table[index] = np.r_[len(s["values"]), table[index][1:]]
     return mutate
 
 
@@ -351,7 +345,7 @@ class TestLanguageModelFile:
         assert (tmp_path / "copy.pglm").read_bytes() == path.read_bytes()
         assert s["order"] == 3
         events = set(range(len(demo_lm.vocab))) | {demo_lm.eos_id}
-        for k, (backoff, grams, probs) in enumerate(_float_tables(s), start=1):
+        for k, (backoff, grams, probs) in enumerate(s["tables"], start=1):
             gram_rows = [tuple(r) for r in grams.tolist()]
             assert gram_rows == sorted(set(gram_rows))
             ctx_rows = sorted({r[:-1] for r in gram_rows})
@@ -385,26 +379,8 @@ class TestLanguageModelFile:
         {"order": 1},                                              # check_order
         {"order": 4},                                              # 3-id rows read as 4
         {"mutate": _top(2, lambda p, bos: p[:-1])},                # fewer probabilities
-        {"mutate": _values(lambda v: np.r_[0.0, v[1:]]),           # zero value
-         "error": r"a value outside \(0, 1\]"},
-        {"mutate": _values(lambda v: np.r_[-0.5, v[1:]]),          # negative value
-         "error": r"a value outside \(0, 1\]"},
-        {"mutate": _values(lambda v: np.r_[v[:-1], 1.5]),          # value above 1
-         "error": r"a value outside \(0, 1\]"},
-        {"mutate": _values(lambda v: np.r_[np.nan, v[1:]]),        # not finite
-         "error": r"a value outside \(0, 1\]"},
-        {"mutate": _values(lambda v: np.r_[v[:-1], np.inf]),
-         "error": r"a value outside \(0, 1\]"},
-        {"mutate": _values(lambda v: v[::-1]),                     # decreasing values
-         "error": "values not strictly increasing"},
-        {"mutate": _values(lambda v: np.r_[v[:1], v[:-1]]),        # a repeated value
-         "error": "values not strictly increasing"},
-        {"mutate": _past_last_value(0),                            # weight rank past the last
-         "error": r"order 3: a value rank past the last of \d+ values"},
-        {"mutate": _past_last_value(2),                            # probability rank too
-         "error": r"order 3: a value rank past the last of \d+ values"},
-        {"mutate": _top(2, lambda p, bos: np.r_[p[:-1], 2 ** 32 - 1]),
-         "error": r"order 3: a value rank past the last of \d+ values"},
+        {"mutate": _top(2, lambda p, bos: np.r_[0.0, p[1:]]),      # zero probability
+         "error": r"order 3: a probability outside \(0, 1\]"},
         {"mutate": _top(1, lambda g, bos: g[::-1]),                # unsorted rows
          "error": "order 3: rows unsorted or repeated"},
         {"mutate": _top(1, lambda g, bos: np.r_[g[:1], g[:1], g[2:]]),  # repeated row
@@ -412,6 +388,20 @@ class TestLanguageModelFile:
         {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]])},  # bos word
         {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]])},  # past eos
         {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos + 1, 0, 0]]])},  # eos context
+        {"mutate": _top(2, lambda p, bos: np.r_[1.5, p[1:]]),      # probability above 1
+         "error": r"order 3: a probability outside \(0, 1\]"},
+        {"mutate": _top(2, lambda p, bos: np.r_[np.nan, p[1:]]),   # not finite
+         "error": r"order 3: a probability outside \(0, 1\]"},
+        {"mutate": _top(2, lambda p, bos: np.r_[np.inf, p[1:]]),
+         "error": r"order 3: a probability outside \(0, 1\]"},
+        {"mutate": _top(0, lambda b, bos: np.r_[-0.5, b[1:]]),     # negative weight
+         "error": r"order 3: a backoff weight outside \(0, 1\]"},
+        {"mutate": _top(0, lambda b, bos: np.r_[0.0, b[1:]]),      # zero weight
+         "error": r"order 3: a backoff weight outside \(0, 1\]"},
+        {"mutate": _top(0, lambda b, bos: np.r_[np.nan, b[1:]]),   # not finite
+         "error": r"order 3: a backoff weight outside \(0, 1\]"},
+        {"mutate": _top(0, lambda b, bos: np.r_[np.inf, b[1:]]),
+         "error": r"order 3: a backoff weight outside \(0, 1\]"},
         {"mutate": _top(0, lambda b, bos: b[:-1]),                 # one weight too few
          "error": r"order 3: \d+ backoff weights for \d+ contexts"},
         {"mutate": _top(0, lambda b, bos: np.r_[b, b[:1]]),        # one weight too many
@@ -446,7 +436,7 @@ class TestLanguageModelFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
-        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5", b"PGL6"):
+        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5", b"PGL6", b"PGL7"):
             path.write_bytes(magic + bytes(64))
             with pytest.raises(FormatError, match=f"old.pglm is not a language model "
                                                   f"file: bad magic {magic!r}") as err:
@@ -467,6 +457,7 @@ def demo_files(demo, demo_lm, tmp_path_factory):
 
 
 _LOADERS = {"pgc": load_corpus, "pglm": NGramModel.load, "pgsg": SkipGramModel.load}
+_EXTS_ALL = pytest.mark.parametrize("ext", sorted(_LOADERS))
 
 
 class TestReadmeMagics:
@@ -516,9 +507,8 @@ def _block_spans(path):
 class TestNewBlocksFuzz:
     def test_mutated_vocabulary_or_string_table_fails_at_load(self, demo_files,
                                                               tmp_path):
-        """A truncated or bit-flipped vocabulary is refused by load.  A flip in
-        the surface table is refused by load or yields a corpus every term of
-        which can be looked up: no check is deferred to a lookup."""
+        """A truncated or bit-flipped vocabulary or surface table is refused
+        by load, with one line."""
         rng = random.Random(13)
         spans = {ext: _block_spans(path) for ext, path in demo_files.items()}
         seen = set()
@@ -527,24 +517,47 @@ class TestNewBlocksFuzz:
             block = rng.choice(sorted(spans[ext]))
             start, end = spans[ext][block]
             blob = bytearray(demo_files[ext].read_bytes())
-            truncate = rng.random() < 0.25
-            if truncate:
+            if rng.random() < 0.25:
                 del blob[rng.randrange(start, end):]
             else:
                 for _ in range(rng.randint(1, 3)):
                     blob[rng.randrange(start, end)] ^= 1 << rng.randrange(8)
             bad = tmp_path / f"bad.{ext}"
             bad.write_bytes(bytes(blob))
+            with pytest.raises(FormatError) as err:
+                _LOADERS[ext](bad)
+            assert "\n" not in str(err.value)
+            seen.add((ext, block))
+        assert seen == {(ext, block) for ext in spans for block in spans[ext]}
+
+
+class TestCorruptionProbe:
+    @_EXTS_ALL
+    def test_every_flip_and_truncation_is_refused_with_one_line(self, demo_files,
+                                                                tmp_path, ext):
+        """200 seeded single-bit flips anywhere in a demo file, the magic and
+        the checksum included, and 20 truncations: none loads, and each is a
+        one-line FormatError naming the file."""
+        blob = demo_files[ext].read_bytes()
+        rng = random.Random(10)
+        bad = tmp_path / f"bad.{ext}"
+        silent, by_checksum = [], 0
+        for case in range(220):
+            if case < 200:
+                damaged = bytearray(blob)
+                damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            else:
+                damaged = blob[:rng.randrange(len(blob))]
+            bad.write_bytes(bytes(damaged))
             try:
-                loaded = _LOADERS[ext](bad)
+                _LOADERS[ext](bad)
             except FormatError as exc:
-                assert "\n" not in str(exc)
-                seen.add((ext, block, "refused"))
+                assert "\n" not in str(exc) and str(bad) in str(exc), str(exc)
+                by_checksum += str(exc).endswith(": checksum mismatch")
                 continue
-            assert block == "strings" and not truncate, (ext, block, bytes(blob))
-            assert dict(loaded.postings.items()) == reference_postings(loaded.sentences)
-            seen.add((ext, block, "loaded"))
-        assert {(ext, block, "refused") for ext in spans for block in spans[ext]} <= seen
+            silent.append(case)
+        assert silent == []
+        assert 0 < by_checksum < 200  # the blocks' own checks find some flips first
 
 
 def _load_vocabulary(demo_files, tmp_path, ext, change, message):

@@ -976,6 +976,27 @@ class TestGenerate:
         assert len(ratios) >= 2
         assert ratios == sorted(ratios, reverse=True)
 
+    def test_pair_word_outside_the_lm_is_warned_not_scored(self, pipeline, tmp_path):
+        """``score`` refuses the pair, so ``generate`` neither scores nor
+        re-ranks it: the seeds keep their order."""
+        message = "pair word 'zzzq' is not in the model vocabulary"
+        records = tmp_path / "in.jsonl"
+        records.write_text(json.dumps({"id": 1, "pun_word": "zzzq", "alt_word": "hair",
+                                       "sentence": "the woman got a zzzq cut ."}) + "\n")
+        assert cli.main(["score", "--lm", str(pipeline["lm"]), "--input", str(records),
+                         "--output", str(tmp_path / "scores.jsonl")]) == 0
+        assert message in (tmp_path / "scores.jsonl").read_text(encoding="utf-8")
+        args = ["generate", "--corpus", str(pipeline["corpus"]), "--lm", str(pipeline["lm"]),
+                "--pun", "zzzq", "--alt", "hair", "--stage", "SWAP"]
+        code, lines = _run(tmp_path, args + ["--rerank"])
+        assert code == 0
+        meta, *candidates = map(json.loads, lines)
+        assert meta["warnings"] == [message] and meta["failure"] is None
+        assert len(candidates) == meta["candidates"] >= 2
+        assert [c["seed_rank"] for c in candidates] == list(range(len(candidates)))
+        assert not any("scores" in c for c in candidates)
+        assert _run(tmp_path, args) == (0, lines)
+
     def test_pairs_file(self, pipeline, miniwn_dir, tmp_path):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("hare\thair\nflee\tflea\n")
@@ -1381,7 +1402,9 @@ class TestModelFiles:
                                            ("pgc", b"PGC4"), ("pglm", b"PGL3"),
                                            ("pgsg", b"PGSG"), ("pgc", b"PGC5"),
                                            ("pgc", b"PGC6"), ("pglm", b"PGL4"),
-                                           ("pgsg", b"PGS2"), ("pglm", b"PGL5")])
+                                           ("pgsg", b"PGS2"), ("pglm", b"PGL5"),
+                                           ("pglm", b"PGL6"), ("pgc", b"PGC7"),
+                                           ("pglm", b"PGL7"), ("pgsg", b"PGS3")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"
@@ -1413,8 +1436,9 @@ class TestModelFiles:
         assert capsys.readouterr().err == f"punforge: corrupt {kind} {bad}: {problem}\n"
         assert not out.exists()
 
-    def test_mutated_files_exit_0_or_2_without_traceback(self, small_models,
-                                                         tmp_path, capsys):
+    def test_mutated_files_exit_2_without_traceback(self, small_models,
+                                                    tmp_path, capsys):
+        """Every file carries a checksum, so no damaged file loads."""
         originals = {ext: path.read_bytes() for ext, path in small_models[0].items()}
         rng = random.Random(2025)
         codes = set()
@@ -1437,31 +1461,10 @@ class TestModelFiles:
             if code == 2:
                 assert err.count("\n") == 1, err
             codes.add((ext, code))
-        assert codes == {(ext, code) for ext in originals for code in (0, 2)}
+        assert codes == {(ext, 2) for ext in originals}
 
 
 class TestTrainLmLog:
-    def test_verbose_logs_distinct_values_on_the_demo_corpus(
-            self, pipeline, tmp_path, capsys, caplog):
-        quiet, verbose = tmp_path / "quiet.pglm", tmp_path / "verbose.pglm"
-        args = ["train-lm", "--corpus", str(pipeline["corpus"])]
-        assert cli.main(args + ["--out", str(quiet)]) == 0
-        with caplog.at_level(logging.INFO, logger="punforge.ngram_lm"):
-            assert cli.main(args + ["--out", str(verbose), "-v"]) == 0
-        assert capsys.readouterr().out == ""
-        assert verbose.read_bytes() == quiet.read_bytes()
-        messages = [r.getMessage() for r in caplog.records
-                    if r.name == "punforge.ngram_lm"]
-        # every stored probability and backoff weight, by the recursion
-        loaded = load_corpus(pipeline["corpus"])
-        oracle = CountTablesKN(loaded.vocab.encode_sentences(loaded.sentences),
-                               len(loaded.vocab), 4)
-        stored = [value for level in oracle.levels for ctx, (words, total, gamma)
-                  in level.items()
-                  for value in [gamma / total] + [oracle.prob(w, ctx) for w in words]]
-        assert messages[-1] == f"values: {len(set(stored))} distinct of {len(stored)} stored"
-        assert messages[-1] == "values: 241 distinct of 1161 stored"
-
     def test_verbose_logs_discounts_stored_rows_and_fallbacks(
             self, small_models, tmp_path, capsys, caplog):
         corpus = str(small_models[0]["pgc"])
@@ -1490,10 +1493,9 @@ class TestTrainLmLog:
                 f"order {k} stores {sum(len(words) for words, _, _ in level.values())}"
                 f" n-grams and {len(level)} contexts")]
         assert fell_back  # six sentences are too few for n1..n4 at some order
-        assert messages[2 * len(discounts):-1] == [
+        assert messages[2 * len(discounts):] == [
             f"orders {', '.join(map(str, fell_back))} fell back to the fixed "
             f"discount 0.75 (degenerate count-of-counts)"]
-        assert messages[-1].startswith("values: ")
 
 
 class TestTrainSkipgramLog:
