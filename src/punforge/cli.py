@@ -27,8 +27,8 @@ from typing import ContextManager, Iterator, Mapping, TextIO
 import numpy as np
 
 from . import binio, runtime, stats
-from .corpus import (DEFAULT_MIN_COUNT, Corpus, TagLexicon, check_min_count,
-                     ingest, load_corpus, save_corpus, tokenize)
+from .corpus import (DEFAULT_MIN_COUNT, Corpus, check_min_count, ingest,
+                     load_corpus, save_corpus, tokenize)
 from .errors import (FormatError, PunforgeError, ResourceError, open_text,
                      strict_utf8)
 from .generator import (GenerationConfig, GenerationResources, STAGE_SWAP,
@@ -38,7 +38,6 @@ from .ngram_lm import (DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, NGramModel,
                        check_order, train_lm)
 from .skipgram import SkipGramConfig, SkipGramModel, train_skipgram
 from .surprisal import PunOccurrence, PunPair, score_occurrence
-from .wordnet import load_wordnet
 
 log = logging.getLogger("punforge.cli")
 
@@ -426,6 +425,8 @@ def _cmd_score(args, cfg: RunConfig) -> int:
 
 def _read_pairs(args) -> list[PunPair]:
     if args.pairs:
+        if args.pun is not None or args.alt is not None:
+            raise UsageError("pass --pairs FILE or --pun and --alt, not both")
         pairs = []
         with open_text(args.pairs) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -438,7 +439,7 @@ def _read_pairs(args) -> list[PunPair]:
                         f"{args.pairs}:{lineno}: expected pun<TAB>alternative"
                     )
                 try:
-                    pairs.append(PunPair(parts[0].lower(), parts[1].lower()))
+                    pairs.append(PunPair(*(part.strip().lower() for part in parts)))
                 except ValueError as exc:
                     raise ResourceError(f"{args.pairs}:{lineno}: {exc}") from None
         if not pairs:
@@ -453,29 +454,23 @@ def _read_pairs(args) -> list[PunPair]:
 
 
 def _cmd_generate(args, cfg: RunConfig) -> int:
-    pairs = _read_pairs(args)
-    corpus = load_corpus(args.corpus)
-    vocab_hash = corpus.vocab.hash_bytes()
-    lm = NGramModel.load(args.lm, expected_vocab_hash=vocab_hash) if args.lm else None
-    skipgram = None
-    graph = None
-    lexicon = None
-    if cfg.stage == STAGE_TOPIC:
-        if not args.skipgram:
-            raise UsageError("topic stage needs --skipgram (or use --stage SWAP)")
-        if not cfg.wordnet:
-            raise ResourceError(
-                "topic stage needs a dictionary: pass --wordnet or set PUNGEN_WORDNET"
-            )
-        skipgram = SkipGramModel.load(args.skipgram, expected_vocab_hash=vocab_hash)
-        graph = load_wordnet(cfg.wordnet)
-        lexicon = TagLexicon(nouns=graph.noun_lemmas(), verbs=graph.verb_lemmas())
-    if cfg.rerank and lm is None:
+    # every flag is checked before any file is opened
+    pairs = None if args.pairs else _read_pairs(args)  # --pun and --alt open none
+    topic = cfg.stage == STAGE_TOPIC
+    if topic and not args.skipgram:
+        raise UsageError("topic stage needs --skipgram (or use --stage SWAP)")
+    if topic and not cfg.wordnet:
+        raise ResourceError("topic stage needs a dictionary: "
+                            "pass --wordnet or set PUNGEN_WORDNET")
+    if cfg.rerank and not args.lm:
         raise UsageError("--rerank needs --lm")
 
-    resources = GenerationResources(corpus=corpus, index=corpus.inverted_index(),
-                                    skipgram=skipgram, graph=graph,
-                                    lexicon=lexicon, lm=lm)
+    pairs = pairs or _read_pairs(args)
+    resources = GenerationResources.load(
+        args.corpus, lm=args.lm or None,
+        skipgram=args.skipgram if topic else None,
+        wordnet=cfg.wordnet if topic else None)
+    graph = resources.graph
     gen_config = _owner_config(cfg, GenerationConfig)
     with _output(args.output) as out:
         for pair in pairs:

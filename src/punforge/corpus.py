@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -31,17 +30,12 @@ from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import binio
 from .errors import FormatError, ResourceError, open_text
-
-if TYPE_CHECKING:
-    from .retrieval import InvertedIndex
-
-log = logging.getLogger(__name__)
 
 CORPUS_MAGIC = b"PGC8"
 
@@ -89,9 +83,6 @@ class Sentence:
     def surfaces(self) -> list[str]:
         """The token list itself, not a copy."""
         return self.tokens
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def tokenize(text: str) -> list[str]:
@@ -279,6 +270,8 @@ Postings = Mapping[str, list[tuple[int, tuple[int, ...]]]]
 
 @dataclass
 class Corpus:
+    """``postings`` is ``None`` only for a corpus built in memory."""
+
     sentences: list[Sentence]
     vocab: Vocabulary
     postings: Postings | None = None
@@ -287,16 +280,6 @@ class Corpus:
     def by_id(self) -> dict[int, Sentence]:
         """Sentences keyed by id, built on first use of an unchanging corpus."""
         return {s.sent_id: s for s in self.sentences}
-
-    def inverted_index(self) -> "InvertedIndex":
-        """The postings as an index, built from the sentences if there are none."""
-        from .retrieval import InvertedIndex, build_index
-
-        if self.postings is None:
-            log.info("corpus holds no postings; building them from its sentences")
-            return build_index(self.sentences)
-        return InvertedIndex(self.postings,
-                             {i: len(s) for i, s in self.by_id.items()})
 
 
 class PostingsView(Postings):

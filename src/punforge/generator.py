@@ -36,11 +36,12 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .corpus import UNK, Corpus, Pos, TagLexicon, tag
+from .corpus import UNK, Corpus, Pos, TagLexicon, load_corpus, tag
 from .errors import UnknownWordError
 from .kao import check_pair_words
 from .ngram_lm import NGramModel
@@ -49,7 +50,7 @@ from .retrieval import (DEFAULT_KEEP, DEFAULT_POOL, InvertedIndex,
 from .skipgram import SkipGramModel, check_topic_k
 from .surprisal import (DEFAULT_WINDOW, PunOccurrence, PunPair,
                         SurprisalReport, check_window, score_occurrence)
-from .wordnet import DEFAULT_THRESHOLD, SynsetGraph
+from .wordnet import DEFAULT_THRESHOLD, SynsetGraph, load_wordnet
 # unused here; bound because perfbench/spans.py traces it under this module
 from .wordnet import type_consistent  # noqa: F401
 
@@ -99,6 +100,25 @@ class GenerationResources:
     graph: SynsetGraph | None = None
     lexicon: TagLexicon | None = None
     lm: NGramModel | None = None
+
+    @classmethod
+    def load(cls, corpus: str | Path, lm: str | Path | None = None,
+             skipgram: str | Path | None = None,
+             wordnet: str | Path | None = None) -> GenerationResources:
+        """The files' resources, read in argument order; a model trained on
+        another vocabulary than the corpus's is a ResourceError."""
+        loaded = load_corpus(corpus)
+        vocab_hash = loaded.vocab.hash_bytes()
+        res = cls(loaded, InvertedIndex(
+            loaded.postings, {s.sent_id: len(s.tokens) for s in loaded.sentences}))
+        if lm is not None:
+            res.lm = NGramModel.load(lm, expected_vocab_hash=vocab_hash)
+        if skipgram is not None:
+            res.skipgram = SkipGramModel.load(skipgram, expected_vocab_hash=vocab_hash)
+        if wordnet is not None:
+            res.graph = graph = load_wordnet(wordnet)
+            res.lexicon = TagLexicon(nouns=graph.noun_lemmas(), verbs=graph.verb_lemmas())
+        return res
 
     @cached_property
     def topic_nouns(self) -> np.ndarray:

@@ -45,8 +45,9 @@ class PunPair:
     alt_word: str
 
     def __post_init__(self) -> None:
-        if not self.pun_word or not self.alt_word:
-            raise ValueError("pun and alternative words must be non-empty")
+        for word in (self.pun_word, self.alt_word):
+            if word.split() != [word]:  # no vocabulary holds such a word
+                raise ValueError(f"pair word {word!r} is empty or holds whitespace")
         if self.pun_word == self.alt_word:
             raise ValueError("pun and alternative words must differ")
 

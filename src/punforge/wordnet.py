@@ -18,7 +18,7 @@ distance is at most ``max_passing_distance``, so the graph answers every
 question about one word from its type row: one breadth-first search from
 all of its senses to that depth gives the ball of synsets in reach, and a
 synset to noun-lemma index gives the nouns with a sense in the ball.  Rows
-are kept on the graph, keyed by word, tag and threshold.
+are kept on the graph by (word, tag, threshold), one row for all pronouns.
 
 Index file grammar (one line per lemma, license header indented):
 

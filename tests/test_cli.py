@@ -20,7 +20,7 @@ import pytest
 
 from oracles import CountTablesKN
 import punforge
-from punforge import cli, stats
+from punforge import cli, generator, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
 from punforge.corpus import (Pos, TagLexicon, check_min_count, ingest,
                              load_corpus, save_corpus)
@@ -625,6 +625,19 @@ class TestScore:
             assert "'<unk>' is not in the model vocabulary" in records[1]["error"]
             assert all(set(r) == {"id", "error"} for r in records)
 
+    def test_pair_word_holding_whitespace_is_an_inline_error(self, pipeline, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps({
+            "id": i, "sentence": "The greyhound got a hare cut downtown.",
+            "pun_word": pun, "alt_word": "hair"}) + "\n"
+            for i, pun in enumerate(["hare cut", " hare", ""])))
+        code, lines = _run(tmp_path, ["score", "--lm", str(pipeline["lm"]),
+                                      "--input", str(src)])
+        assert code == 0
+        assert [json.loads(line) for line in lines] == [
+            {"id": i, "error": f"pair word {pun!r} is empty or holds whitespace"}
+            for i, pun in enumerate(["hare cut", " hare", ""])]
+
     def test_pair_words_are_lowercased(self, pipeline, tmp_path):
         sentence = "The greyhound got a Hare cut downtown."
         src = tmp_path / "in.jsonl"
@@ -934,6 +947,51 @@ class TestGenerate:
         assert code == 0
         assert all(json.loads(line)["stage"] == "SWAP" for line in lines[1:])
 
+    def test_swap_stage_loads_no_skipgram_and_no_dictionary(self, pipeline, miniwn_dir,
+                                                            tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the swap stage loaded a topic resource")
+
+        monkeypatch.setattr(SkipGramModel, "load", refuse)
+        monkeypatch.setattr(generator, "load_wordnet", refuse)
+        code, lines = _run(tmp_path, self._topic_args(pipeline, miniwn_dir)
+                           + ["--stage", "SWAP"])
+        assert code == 0 and len(lines) > 1
+        assert json.loads(lines[0])["wordnet"] is None
+
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--pun", "a", "--alt", "b"], 1,
+         "topic stage needs --skipgram (or use --stage SWAP)"),
+        (["--pairs", "PAIRS", "--pun", "zzz", "--alt", "qqq", "--stage", "SWAP"], 1,
+         "pass --pairs FILE or --pun and --alt, not both"),
+        (["--pairs", "PAIRS", "--alt", "qqq", "--stage", "SWAP"], 1,
+         "pass --pairs FILE or --pun and --alt, not both"),
+        (["--pun", "hare", "--stage", "SWAP"], 1,
+         "pass --pairs FILE or both --pun and --alt"),
+        (["--pun", "hare cut", "--alt", "hair", "--stage", "SWAP"], 1,
+         "pair word 'hare cut' is empty or holds whitespace"),
+        (["--pun", "hare", "--alt", "Hare", "--stage", "SWAP"], 1,
+         "pun and alternative words must differ"),
+        (["--pairs", "PAIRS", "--stage", "SWAP", "--rerank"], 1, "--rerank needs --lm"),
+        (["--pairs", "PAIRS", "--skipgram", "MODEL", "--wordnet", "DICT", "--rerank"],
+         1, "--rerank needs --lm"),
+        (["--pairs", "PAIRS", "--skipgram", "MODEL"], 2,
+         "topic stage needs a dictionary: pass --wordnet or set PUNGEN_WORDNET"),
+    ])
+    def test_flags_are_checked_before_any_file_is_opened(self, tmp_path, capsys,
+                                                         monkeypatch, flags, code,
+                                                         message):
+        """Every file named is missing, so a check made after a file is
+        opened would exit 2 with that file's error instead."""
+        monkeypatch.delenv("PUNGEN_WORDNET", raising=False)
+        flags = [str(tmp_path / f"absent-{f}") if f in ("PAIRS", "MODEL", "DICT") else f
+                 for f in flags]
+        assert cli.main(["generate", "--corpus", str(tmp_path / "absent.pgc"),
+                         "--output", str(tmp_path / "o.jsonl"), *flags]) == code
+        prefix = "punforge: error: " if code == 1 else "punforge: "
+        assert capsys.readouterr().err == prefix + message + "\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_topic_stage_without_skipgram_is_usage(self, pipeline, capsys):
         code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),
                          "--pun", "hare", "--alt", "hair"])
@@ -1038,6 +1096,28 @@ class TestGenerate:
                          "--output", str(tmp_path / "o.jsonl")])
         assert code == 2
         assert f"{pairs}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["hare\t hair", "hare \thair", " hare \t hair "])
+    def test_pairs_fields_are_stripped(self, pipeline, tmp_path, line):
+        outputs = []
+        for text in ("hare\thair\n", line + "\n"):
+            pairs = tmp_path / "pairs.tsv"
+            pairs.write_text(text)
+            outputs.append(_run(tmp_path, ["generate", "--corpus", str(pipeline["corpus"]),
+                                           "--pairs", str(pairs), "--stage", "SWAP"]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1][0])["failure"] is None
+
+    def test_pairs_field_holding_whitespace_is_data_error(self, pipeline, tmp_path,
+                                                          capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("hare\thair\nhare cut\thair\n")
+        code = cli.main(["generate", "--corpus", str(pipeline["corpus"]),
+                         "--pairs", str(pairs), "--stage", "SWAP",
+                         "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"punforge: {pairs}:2: pair word 'hare cut' is empty or holds whitespace\n")
 
     def test_malformed_pairs_file_is_data_error(self, pipeline, tmp_path):
         pairs = tmp_path / "pairs.tsv"

@@ -272,8 +272,7 @@ class TestCorpusFile:
                 view["no-such-term"]
             with pytest.raises(TypeError):
                 view["new"] = []  # read-only
-        assert Corpus(sentences, vocab, postings_of(sentences)).inverted_index() \
-            .lookup("no-such-term") == []
+        assert build_index(sentences).lookup("no-such-term") == []
 
     def test_postings_are_built_on_lookup(self, tmp_path):
         sentences, vocab = ingest(build_demo_corpus()[::7])
@@ -288,18 +287,6 @@ class TestCorpusFile:
         corpus = self._corpus()
         assert {i: s.surfaces() for i, s in corpus.by_id.items()} == \
             {s.sent_id: s.surfaces() for s in corpus.sentences}
-
-    def test_inverted_index_uses_stored_postings(self):
-        corpus = self._corpus()
-        index = corpus.inverted_index()
-        assert index.postings is corpus.postings
-        assert index.lengths == {0: 4, 1: 4}
-
-    def test_inverted_index_built_when_postings_absent(self):
-        corpus = self._corpus()
-        index = Corpus(corpus.sentences, corpus.vocab, None).inverted_index()
-        assert index.lookup("dog") == [(0, (1,)), (1, (1,))]
-        assert index.lengths == {0: 4, 1: 4}
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "c.pgc"

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from punforge.generator import (NO_CANDIDATES, NO_SEEDS, NO_TOPIC_WORDS,
                                 insertable_topics, select_deletion, swap,
                                 topic_insert)
 from punforge.corpus import Corpus
-from punforge.ngram_lm import train_lm
+from punforge.errors import ResourceError
+from punforge.ngram_lm import NGramModel, train_lm
 from punforge.retrieval import build_index, retrieve_seeds
-from punforge.skipgram import SkipGramConfig, SkipGramModel
+from punforge.skipgram import SkipGramConfig, SkipGramModel, train_skipgram
 from punforge.surprisal import PunPair
 from punforge.wordnet import DEFAULT_THRESHOLD, NOUN, SynsetGraph, load_wordnet
 
@@ -360,13 +362,10 @@ class TestAgainstOracle:
     topic for every seed, checks types by exhaustive BFS and cuts last."""
 
     @pytest.fixture(scope="class")
-    def demo(self, pipeline, miniwn):
-        corpus = load_corpus(pipeline["corpus"])
-        return GenerationResources(
-            corpus=corpus, index=corpus.inverted_index(),
-            skipgram=SkipGramModel.load(pipeline["skipgram"]), graph=miniwn,
-            lexicon=TagLexicon(nouns=miniwn.noun_lemmas(),
-                               verbs=miniwn.verb_lemmas()))
+    def demo(self, pipeline, miniwn_dir):
+        return GenerationResources.load(pipeline["corpus"],
+                                        skipgram=pipeline["skipgram"],
+                                        wordnet=miniwn_dir)
 
     @pytest.mark.parametrize("pun,alt,threshold", [
         ("hare", "hair", 0.3), ("hare", "hair", 0.2), ("hair", "hare", 0.3),
@@ -437,3 +436,66 @@ class TestAgainstOracle:
                 patch.setattr(SkipGramModel, "predict_topics", oracle)
                 want = generate(pair, demo, config)
             assert got == want, k
+
+
+class TestLoad:
+    def test_equals_the_resources_built_by_hand(self, pipeline, miniwn_dir):
+        loaded = GenerationResources.load(pipeline["corpus"], lm=pipeline["lm"],
+                                          skipgram=pipeline["skipgram"],
+                                          wordnet=miniwn_dir)
+        corpus = load_corpus(pipeline["corpus"])
+        graph = load_wordnet(miniwn_dir)
+        hand = GenerationResources(
+            corpus=corpus, index=build_index(corpus.sentences),
+            skipgram=SkipGramModel.load(pipeline["skipgram"]), graph=graph,
+            lexicon=TagLexicon(nouns=graph.noun_lemmas(), verbs=graph.verb_lemmas()),
+            lm=NGramModel.load(pipeline["lm"]))
+        assert loaded.corpus.sentences == hand.corpus.sentences
+        assert list(loaded.corpus.vocab.items()) == list(hand.corpus.vocab.items())
+        # the index is the corpus's own postings, with each sentence's length
+        assert loaded.index.postings is loaded.corpus.postings
+        assert loaded.index.postings == hand.index.postings
+        assert loaded.index.lengths == hand.index.lengths
+        assert np.array_equal(loaded.skipgram.vec_in, hand.skipgram.vec_in)
+        assert np.array_equal(loaded.skipgram.vec_out, hand.skipgram.vec_out)
+        assert loaded.graph == hand.graph
+        assert (loaded.lexicon.nouns, loaded.lexicon.verbs) == \
+            (hand.lexicon.nouns, hand.lexicon.verbs)
+        assert loaded.lm._tables == hand.lm._tables
+        config = GenerationConfig(max_outputs=100, rerank=True)
+        for pair in (PunPair("hare", "hair"), PunPair("person", "care")):
+            result = generate(pair, loaded, config)
+            assert result.candidates and result == generate(pair, hand, config)
+
+    def test_only_the_corpus_is_required(self, pipeline):
+        resources = GenerationResources.load(pipeline["corpus"])
+        assert (resources.lm, resources.skipgram, resources.graph,
+                resources.lexicon) == (None, None, None, None)
+        result = generate(PunPair("hare", "hair"), resources,
+                          GenerationConfig(stage=STAGE_SWAP))
+        assert result.failure is None
+
+    @pytest.mark.parametrize("model", ["lm", "skipgram"])
+    def test_model_of_another_corpus_is_a_resource_error(self, pipeline, tmp_path,
+                                                         model):
+        sentences, vocab = ingest("a completely different corpus with many more"
+                                  " words than the demo corpus has .\n" * 30)
+        path = tmp_path / f"other.{model}"
+        if model == "lm":
+            train_lm(sentences, vocab, order=2).save(path)
+        else:
+            train_skipgram(sentences, vocab, SkipGramConfig(dim=2, epochs=0)).save(path)
+        with pytest.raises(ResourceError, match="different vocabulary"):
+            GenerationResources.load(pipeline["corpus"], **{model: path})
+
+
+def test_readme_library_use_block_runs(pipeline, miniwn_dir, monkeypatch, capsys):
+    """README's "Library use" block, run on the demo files."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(pipeline["root"])
+    exec(block.replace("path/to/dict", miniwn_dir.as_posix()), {})
+    scores, *candidates = capsys.readouterr().out.splitlines()
+    assert len(scores.split()) == 3
+    assert candidates and all(c.split().count("hare") == 1 for c in candidates)

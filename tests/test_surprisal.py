@@ -47,6 +47,12 @@ class TestPairAndOccurrence:
         with pytest.raises(ValueError):
             PunPair("", "hair")
 
+    @pytest.mark.parametrize("pun,alt", [("hare cut", "hair"), ("hare", " hair"),
+                                         ("hare\t", "hair"), ("hare", "\u00a0")])
+    def test_pair_words_hold_no_whitespace(self, pun, alt):
+        with pytest.raises(ValueError, match="is empty or holds whitespace"):
+            PunPair(pun, alt)
+
     def test_occurrence_position_bounds(self):
         with pytest.raises(ValueError):
             PunOccurrence(["a", "b"], 2)
