@@ -152,7 +152,14 @@ def read_blob(fh: BinaryIO) -> bytes:
 
 
 def write_array(fh: BinaryIO, values: np.typing.ArrayLike, dtype: str) -> None:
-    """Write ``values`` as one array block of ``dtype`` items, row-major."""
+    """Write ``values`` as one array block of ``dtype`` items, row-major.  An
+    integer that an integer ``dtype`` cannot hold raises: OverflowError from a
+    Python int, ValueError from an integer array, whose cast would wrap it."""
+    if (isinstance(values, np.ndarray) and values.size and values.dtype.kind in "iu"
+            and np.dtype(dtype).kind in "iu"):
+        low, high = values.min(), values.max()
+        if low < np.iinfo(dtype).min or high > np.iinfo(dtype).max:
+            raise ValueError(f"values {low}..{high} do not fit {dtype}")
     write_blob(fh, np.ascontiguousarray(values, dtype=dtype).tobytes())
 
 

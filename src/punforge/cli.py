@@ -484,7 +484,6 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
                 "warnings": result.warnings,
                 "wordnet": graph.version if graph is not None else None,
                 "stage": cfg.stage,
-                "seed": cfg.seed,
             })
             for cand in result.candidates:
                 record = dataclasses.asdict(cand)

@@ -10,7 +10,14 @@ Conventions, fixed once and used everywhere downstream:
   lexicographically, with id 0 reserved for the unknown-word symbol;
 * words rarer than ``min_count`` map to the unknown id, whose stored count is
   the number of out-of-vocabulary token instances;
-* a sentence's tokens are its surface strings; no tag is kept with them.
+* a sentence's tokens are its surface strings; no tag is kept with them;
+* a corpus in memory is four arrays, as its file stores them: the surface
+  table in order of first appearance, each token's index into it, the
+  sentence ids and the sentence lengths.  ``ingest`` numbers each surface
+  once and returns them as :class:`Sentences`, a read-only sequence that
+  builds a :class:`Sentence` only when one is read; ``load_corpus`` returns
+  the same view.  Indexing, saving and training read the arrays, and a list
+  of Sentence objects is turned into them once, by :func:`as_sentences`.
 
 Tagging is lexicon lookup, not context disambiguation: a closed pronoun list
 wins, then noun-index membership, then verb-index membership, else OTHER.
@@ -24,11 +31,10 @@ import functools
 import hashlib
 import io
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import eq
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -123,10 +129,10 @@ class Vocabulary:
         check_min_count(min_count)
         kept = {w: c for w, c in counts.items() if c >= min_count and w != UNK}
         dropped = sum(c for w, c in counts.items() if w not in kept)
-        ranked = sorted(kept.items())
-        ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties stay by word
-        self._words: list[str] = [UNK, *map(itemgetter(0), ranked)]
-        self._counts: list[int] = [dropped, *map(itemgetter(1), ranked)]
+        ranked = sorted(kept)
+        ranked.sort(key=kept.__getitem__, reverse=True)  # stable: ties stay by word
+        self._words: list[str] = [UNK, *ranked]
+        self._counts: list[int] = [dropped, *map(kept.__getitem__, ranked)]
         self._ids: dict[str, int] = {w: i for i, w in enumerate(self._words)}
 
     unk_id = 0
@@ -160,22 +166,26 @@ class Vocabulary:
     def encode(self, surfaces: Iterable[str]) -> list[int]:
         return list(map(self._ids.get, surfaces, repeat(self.unk_id)))
 
-    def encode_sentences(self, sentences: Iterable) -> list[list[int]]:
-        """Id lists for Sentence objects; id sequences pass through as lists."""
-        return [self.encode(s.tokens) if isinstance(s, Sentence) else list(s)
-                for s in sentences]
-
     def items(self) -> Iterator[tuple[str, int, int]]:
         """Yield (word, id, count) in id order."""
         for i, (w, c) in enumerate(zip(self._words, self._counts)):
             yield w, i, c
 
-    # the hash, kept once known
+    # the blocks a file embeds (see write_vocab) and their hash, kept once known
+    _blocks: bytes | None = None
     _hash: bytes | None = None
 
+    def blocks(self) -> bytes:
+        """The bytes :func:`write_vocab` writes after the hash, which hashes
+        them."""
+        if self._blocks is None:
+            self._blocks = _vocab_blocks(self._words, self._counts)
+        return self._blocks
+
     def hash_bytes(self) -> bytes:
+        """The first 16 bytes of the sha256 of :meth:`blocks`."""
         if self._hash is None:
-            self._hash = _vocab_hash(self._words, self._counts)
+            self._hash = hashlib.sha256(self.blocks()).digest()[:16]
         return self._hash
 
 
@@ -208,8 +218,8 @@ def tag(sentence: Sentence, lexicon: TagLexicon) -> list[Pos]:
     return [lexicon.tag_word(t) for t in sentence.tokens]
 
 
-def _parse_tagged_line(line: str, lineno: int, sent_id: int) -> Sentence:
-    """A pre-tagged line's sentence; its tags are checked, then dropped."""
+def _parse_tagged_line(line: str, lineno: int) -> list[str]:
+    """A pre-tagged line's tokens; its tags are checked, then dropped."""
     tokens: list[str] = []
     for chunk in line.split():
         surface, sep, tag_name = chunk.rpartition("_")
@@ -220,16 +230,121 @@ def _parse_tagged_line(line: str, lineno: int, sent_id: int) -> Sentence:
         if tag_name.upper() not in Pos.__members__:
             raise FormatError(f"line {lineno}: unknown tag {tag_name!r}")
         tokens.append(surface.lower())
-    return Sentence(sent_id, tokens)
+    return tokens
+
+
+class Sentences(Sequence[Sentence]):
+    """Sentences as the four arrays of a corpus file, read-only.
+
+    ``surfaces`` holds the distinct surfaces in order of first appearance,
+    ``surface_idx`` each token's index into it in corpus order, and
+    ``sent_ids`` and ``lengths`` one entry per sentence.  Reading an item
+    builds its Sentence; a slice is another view, its surfaces numbered
+    again in order of first appearance.  A view equals every sequence of
+    equal sentences.
+    """
+
+    def __init__(self, surfaces: list[str], surface_idx: np.ndarray,
+                 sent_ids: np.ndarray, lengths: np.ndarray):
+        self.surfaces = surfaces
+        self.surface_idx = surface_idx
+        self.sent_ids = sent_ids
+        self.lengths = lengths
+        self._ends = np.cumsum(lengths, dtype=np.int64)  # of each sentence's tokens
+
+    @classmethod
+    def number(cls, sent_ids: Sequence[int],
+               token_lists: Sequence[list[str]]) -> Sentences:
+        """The view of sentences given as token lists: each surface is
+        numbered once, at its first appearance."""
+        table: dict[str, int] = {}
+        idx = [table.setdefault(t, len(table)) for tokens in token_lists for t in tokens]
+        return cls(list(table), np.fromiter(idx, dtype=np.int64, count=len(idx)),
+                   np.array(sent_ids, dtype=np.int64),
+                   np.fromiter(map(len, token_lists), dtype=np.int64,
+                               count=len(token_lists)))
+
+    def __len__(self) -> int:
+        return len(self.sent_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._select(np.arange(len(self))[i])
+        row = range(len(self))[i]
+        end = int(self._ends[row])
+        idx = self.surface_idx[end - int(self.lengths[row]):end].tolist()
+        return Sentence(int(self.sent_ids[row]), [self.surfaces[t] for t in idx])
+
+    def _select(self, rows: np.ndarray) -> Sentences:
+        """The view of the sentences in ``rows``, in that order."""
+        lengths = self.lengths[rows].astype(np.int64)
+        offsets = self._ends[rows] - lengths - (np.cumsum(lengths) - lengths)
+        idx = self.surface_idx[np.arange(lengths.sum()) + np.repeat(offsets, lengths)]
+        used, first = np.unique(idx, return_index=True)
+        table = used[np.argsort(first)]  # old numbers in the new order
+        renumber = np.empty(len(self.surfaces), dtype=np.int64)
+        renumber[table] = np.arange(len(table))
+        return Sentences([self.surfaces[t] for t in table.tolist()], renumber[idx],
+                         self.sent_ids[rows], lengths)
+
+    def __iter__(self) -> Iterator[Sentence]:
+        tokens = np.array(self.surfaces, dtype=object)[self.surface_idx].tolist()
+        return map(Sentence, self.sent_ids.tolist(), binio.split(tokens, self.lengths))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Sentences({list(self)!r})"
+
+    def lengths_by_id(self) -> dict[int, int]:
+        """Each sentence's length, keyed by its id."""
+        return dict(zip(self.sent_ids.tolist(), self.lengths.tolist()))
+
+
+def as_sentences(sentences: Sequence[Sentence]) -> Sentences:
+    """``sentences`` as a view: a view as it is, other Sentence objects
+    numbered once."""
+    if isinstance(sentences, Sentences):
+        return sentences
+    return Sentences.number([s.sent_id for s in sentences],
+                            [s.tokens for s in sentences])
+
+
+def flat_ids(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of ``sequences`` end to end, and each one's length, as int64
+    arrays."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    return (np.fromiter(chain.from_iterable(sequences), dtype=np.int64,
+                        count=int(lengths.sum())), lengths)
+
+
+def encode_corpus(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
+                  vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Every token's vocabulary id end to end, and each sentence's length, as
+    int64 arrays.  Sentences, as a view or Sentence objects, are encoded
+    through :func:`as_sentences`, one lookup per distinct surface and then
+    one ``np.take``; sequences of ids are taken as they are."""
+    if isinstance(sentences, Sentences) or (len(sentences)
+                                            and isinstance(sentences[0], Sentence)):
+        view = as_sentences(sentences)
+        surface_ids = np.array(vocab.encode(view.surfaces), dtype=np.int64)
+        return np.take(surface_ids, view.surface_idx), view.lengths.astype(np.int64)
+    return flat_ids(sentences)
 
 
 def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUNT,
-           tagged: bool = False) -> tuple[list[Sentence], Vocabulary]:
+           tagged: bool = False) -> tuple[Sentences, Vocabulary]:
     """Read raw or pre-tagged text into sentences plus a vocabulary.
 
     ``source`` may be a path, a text blob, or an iterable of lines.  The
     pre-tagged format is one sentence per line with ``surface_TAG`` tokens.
-    Sentence ids number the sentences in input order starting at 0.
+    Sentence ids number the sentences in input order starting at 0.  The
+    sentences come as a :class:`Sentences` view, each surface numbered once.
     """
     if isinstance(source, Path):
         with open_text(source) as fh:
@@ -239,131 +354,143 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
     else:
         text = "\n".join(source)
 
-    sentences: list[Sentence] = []
     if tagged:
-        sent_id = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            sentences.append(_parse_tagged_line(line, lineno, sent_id))
-            sent_id += 1
+        token_lists = [_parse_tagged_line(line, lineno)
+                       for lineno, line in enumerate(text.splitlines(), start=1)
+                       if line.strip()]
     else:
-        for sent_id, piece in enumerate(split_sentences(text)):
-            sentences.append(Sentence(sent_id, tokenize(piece)))
-
-    counts = Counter(chain.from_iterable(s.tokens for s in sentences))
-    return sentences, Vocabulary(counts, min_count=min_count)
+        token_lists = list(map(tokenize, split_sentences(text)))
+    sentences = Sentences.number(range(len(token_lists)), token_lists)
+    counts = np.bincount(sentences.surface_idx, minlength=len(sentences.surfaces))
+    return sentences, Vocabulary(dict(zip(sentences.surfaces, counts.tolist())),
+                                 min_count=min_count)
 
 
 # --- binary container ------------------------------------------------------
 #
 # Layout (binio blocks): magic PGC8, hashed vocabulary (see write_vocab),
 # surface table (a string table), then one array each of sentence ids,
-# lengths, and every token's surface-table index.  Sentences keep their full
-# surfaces so that rare words survive a min_count-collapsed vocabulary.  POS
-# tags are not stored: generation tags each seed with its dictionary.  The
-# inverted index is not stored either: it is derived from these arrays, each
-# term's postings when first looked up.
+# lengths, and every token's surface-table index: a Sentences view's four
+# arrays.  Sentences keep their full surfaces so that rare words survive a
+# min_count-collapsed vocabulary.  POS tags are not stored: generation tags
+# each seed with its dictionary.  The inverted index is not stored either:
+# it is derived from these arrays, each term's postings when first looked up.
 
 Postings = Mapping[str, list[tuple[int, tuple[int, ...]]]]
 
 
 @dataclass
 class Corpus:
-    """``postings`` is ``None`` only for a corpus built in memory."""
+    """Sentences, kept as a :class:`Sentences` view (see :func:`as_sentences`),
+    their vocabulary and their postings, derived from the view's arrays
+    unless given."""
 
-    sentences: list[Sentence]
+    sentences: Sentences
     vocab: Vocabulary
     postings: Postings | None = None
 
+    def __post_init__(self) -> None:
+        self.sentences = as_sentences(self.sentences)
+        if self.postings is None:
+            self.postings = PostingsView(self.sentences)
+
     @functools.cached_property
-    def by_id(self) -> dict[int, Sentence]:
-        """Sentences keyed by id, built on first use of an unchanging corpus."""
-        return {s.sent_id: s for s in self.sentences}
+    def by_id(self) -> Mapping[int, Sentence]:
+        """Sentences keyed by id; each is built on its first lookup and kept."""
+        return _SentencesById(self.sentences)
+
+
+class _SentencesById(Mapping[int, Sentence]):
+    """A view's sentences keyed by id, each built on its first lookup."""
+
+    def __init__(self, sentences: Sentences):
+        self._sentences = sentences
+        self._rows = dict(zip(sentences.sent_ids.tolist(), range(len(sentences))))
+        self._built: dict[int, Sentence] = {}
+
+    def __getitem__(self, sent_id: int) -> Sentence:
+        sentence = self._built.get(sent_id)
+        if sentence is None:
+            sentence = self._built[sent_id] = self._sentences[self._rows[sent_id]]
+        return sentence
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 class PostingsView(Postings):
-    """Every surface's postings, derived from the flat sentence arrays.
+    """Every surface's postings, derived from a :class:`Sentences` view.
 
     Terms come in surface-table order, entries in sentence order, positions
-    ascending.  One sort of (surface index, token index) keys runs here; a
-    term's entries are sliced out of it on its first lookup and kept, so a
-    command pays only for the terms it looks up.  The view is read-only and
-    equals the dict of the same entries.
+    ascending.  Making the view computes nothing; its first use sorts
+    (surface index, token index) keys once.  A term's entries are sliced out
+    of them on its first lookup and kept, so a command pays only for the
+    terms it looks up.  The view is read-only and equals the dict of the
+    same entries.
     """
 
-    def __init__(self, sent_ids: np.ndarray, lengths: np.ndarray,
-                 surface_idx: np.ndarray, surfaces: list[str]):
-        n = len(surface_idx)
-        keys = np.sort(surface_idx.astype(np.int64) << 32 | np.arange(n))
-        self._tokens = keys & 0xFFFFFFFF  # token indices, grouped by term
-        counts = np.bincount(surface_idx, minlength=len(surfaces))
-        self._starts = np.r_[0, np.cumsum(counts)].tolist()  # of each term's group
-        self._ends = np.cumsum(lengths, dtype=np.int64)  # of each sentence's tokens
-        self._firsts = self._ends - lengths
-        self._sent_ids = sent_ids
-        self._terms = {surfaces[t]: t for t in np.flatnonzero(counts).tolist()}
+    def __init__(self, sentences: Sentences):
+        self._sentences = sentences
         self._built: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
+
+    @functools.cached_property
+    def _index(self) -> tuple[dict[str, int], np.ndarray, list[int]]:
+        """Each surface that occurs keyed to its surface-table index, the
+        token indices grouped by surface, and where each group starts."""
+        s = self._sentences
+        idx = s.surface_idx
+        counts = np.bincount(idx, minlength=len(s.surfaces))
+        keys = np.sort(idx.astype(np.int64) << 32 | np.arange(len(idx)))
+        return ({s.surfaces[t]: t for t in np.flatnonzero(counts).tolist()},
+                keys & 0xFFFFFFFF, np.r_[0, np.cumsum(counts)].tolist())
 
     def __getitem__(self, term: str) -> list[tuple[int, tuple[int, ...]]]:
         entries = self._built.get(term)
         if entries is None:
-            t = self._terms[term]
-            tokens = self._tokens[self._starts[t]:self._starts[t + 1]]
-            rows = np.searchsorted(self._ends, tokens, side="right")
+            terms, grouped, starts = self._index
+            t = terms[term]
+            s = self._sentences
+            tokens = grouped[starts[t]:starts[t + 1]]
+            rows = np.searchsorted(s._ends, tokens, side="right")
             first = np.flatnonzero(np.diff(rows, prepend=-1))  # each entry's first token
-            positions = tuple((tokens - self._firsts[rows]).tolist())
-            entries = list(zip(self._sent_ids[rows[first]].tolist(),
+            positions = tuple((tokens - s._ends[rows] + s.lengths[rows]).tolist())
+            entries = list(zip(s.sent_ids[rows[first]].tolist(),
                                binio.split(positions, np.diff(first, append=len(rows)))))
             self._built[term] = entries
         return entries
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._terms)
+        return iter(self._index[0])
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._index[0])
 
     def __contains__(self, term: object) -> bool:
-        return term in self._terms
-
-
-def _number_surfaces(sentences: Iterable[Sentence]) -> tuple[list[str], list[int]]:
-    """The distinct surfaces in order of first appearance, and each token's
-    index into that table."""
-    table: dict[str, int] = {}
-    idx = [table.setdefault(t, len(table)) for s in sentences for t in s.tokens]
-    return list(table), idx
+        return term in self._index[0]
 
 
 def postings_of(sentences: Sequence[Sentence]) -> PostingsView:
     """The postings of ``sentences``, keyed by surface in order of first
     appearance, as :func:`load_corpus` derives them from a saved corpus."""
-    surfaces, surface_idx = _number_surfaces(sentences)
-    return PostingsView(np.array([s.sent_id for s in sentences], dtype=np.int64),
-                        np.array([len(s.tokens) for s in sentences], dtype=np.int64),
-                        np.array(surface_idx, dtype=np.int64), surfaces)
+    return PostingsView(as_sentences(sentences))
 
 
-def _write_words_and_counts(fh: BinaryIO, words: Sequence[str],
-                            counts: Sequence[int]) -> None:
+def _vocab_blocks(words: Sequence[str], counts: Sequence[int]) -> bytes:
     """The embedded vocabulary's blocks: the words as a string table in id
     order, then the counts as a ``<u8`` array."""
+    fh = io.BytesIO()
     binio.write_strings(fh, words)
     binio.write_array(fh, counts, "<u8")
-
-
-def _vocab_hash(words: Sequence[str], counts: Sequence[int]) -> bytes:
-    """The first 16 bytes of the sha256 of the blocks a file embeds."""
-    fh = io.BytesIO()
-    _write_words_and_counts(fh, words, counts)
-    return hashlib.sha256(fh.getvalue()).digest()[:16]
+    return fh.getvalue()
 
 
 def write_vocab(fh: BinaryIO, vocab: Vocabulary) -> None:
     """Embed a vocabulary: its hash, then its words and counts."""
     binio.write_array(fh, list(vocab.hash_bytes()), "u1")
-    _write_words_and_counts(fh, vocab._words, vocab._counts)
+    fh.write(vocab.blocks())
 
 
 def read_vocab(fh: BinaryIO, what: str = "model",
@@ -378,7 +505,9 @@ def read_vocab(fh: BinaryIO, what: str = "model",
                             f"({fh.name}); retrain or pass matching resources")
     words = binio.read_strings(fh)
     counts = binio.read_array(fh, "<u8").tolist()
-    if _vocab_hash(words, counts) != stored:
+    vocab = Vocabulary.__new__(Vocabulary)
+    vocab._words, vocab._counts = words, counts
+    if vocab.hash_bytes() != stored:
         raise ValueError("embedded vocabulary is corrupt")
     ids = {w: i for i, w in enumerate(words)}
     if len(counts) != len(words):
@@ -389,25 +518,25 @@ def read_vocab(fh: BinaryIO, what: str = "model",
     if len(ids) != len(words):
         word = next(w for i, w in enumerate(words) if ids[w] != i)
         raise ValueError(f"repeated vocabulary word {word!r} at id {ids[word]}")
-    vocab = Vocabulary.__new__(Vocabulary)
-    vocab._words, vocab._counts, vocab._ids, vocab._hash = words, counts, ids, stored
+    vocab._ids = ids
     return vocab
 
 
 def save_corpus(path: str | Path, corpus: Corpus) -> None:
-    """Write ``corpus``'s vocabulary and sentences; load derives its postings."""
-    surfaces, surface_idx = _number_surfaces(corpus.sentences)
+    """Write ``corpus``'s vocabulary and its sentences' arrays; load derives
+    its postings."""
+    s = corpus.sentences
     with binio.writing(path, CORPUS_MAGIC) as fh:
         write_vocab(fh, corpus.vocab)
-        binio.write_strings(fh, surfaces)
-        binio.write_array(fh, [s.sent_id for s in corpus.sentences], "<u4")
-        binio.write_array(fh, [len(s.tokens) for s in corpus.sentences], "<u4")
-        binio.write_array(fh, surface_idx, "<u4")
+        binio.write_strings(fh, s.surfaces)
+        for array in (s.sent_ids, s.lengths, s.surface_idx):
+            binio.write_array(fh, array, "<u4")
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a corpus file and check that its arrays agree; its postings are
-    derived as they are looked up."""
+    """Read a corpus file and check that its arrays agree; its sentences are
+    a :class:`Sentences` view of them, and its postings are derived as they
+    are looked up."""
     with binio.reading(path, CORPUS_MAGIC, "corpus") as fh:
         vocab = read_vocab(fh, what="corpus")
         surfaces = binio.read_strings(fh)
@@ -418,7 +547,4 @@ def load_corpus(path: str | Path) -> Corpus:
                 and len(set(surfaces)) == len(surfaces)
                 and (surface_idx < len(surfaces)).all()):
             raise ValueError("sentence arrays disagree")
-    tokens = np.array(surfaces, dtype=object)[surface_idx].tolist()
-    sentences = list(map(Sentence, sent_ids.tolist(), binio.split(tokens, lengths)))
-    return Corpus(sentences, vocab,
-                  PostingsView(sent_ids, lengths, surface_idx, surfaces))
+    return Corpus(Sentences(surfaces, surface_idx, sent_ids, lengths), vocab)

@@ -109,8 +109,8 @@ class GenerationResources:
         another vocabulary than the corpus's is a ResourceError."""
         loaded = load_corpus(corpus)
         vocab_hash = loaded.vocab.hash_bytes()
-        res = cls(loaded, InvertedIndex(
-            loaded.postings, {s.sent_id: len(s.tokens) for s in loaded.sentences}))
+        res = cls(loaded, InvertedIndex(loaded.postings,
+                                        loaded.sentences.lengths_by_id()))
         if lm is not None:
             res.lm = NGramModel.load(lm, expected_vocab_hash=vocab_hash)
         if skipgram is not None:

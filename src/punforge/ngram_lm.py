@@ -66,7 +66,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import binio
-from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
+from .corpus import Sentence, Vocabulary, encode_corpus, read_vocab, write_vocab
 from .errors import TrainingError
 
 log = logging.getLogger(__name__)
@@ -441,21 +441,28 @@ def _kneser_ney_tables(grams: np.ndarray, n_events: int,
 
 def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
              vocab: Vocabulary, order: int = DEFAULT_ORDER) -> NGramModel:
-    """Count n-grams over marker-padded sentences and build the model."""
+    """Count n-grams over marker-padded sentences and build the model.
+
+    ``sentences`` are encoded by :func:`corpus.encode_corpus`: a corpus's
+    sentences by surface, sequences of ids as they are."""
     check_order(order)
-    encoded = [ids for ids in vocab.encode_sentences(sentences) if ids]
-    n_tokens = sum(map(len, encoded))
+    ids, lengths = encode_corpus(sentences, vocab)
+    n_tokens = len(ids)
     if n_tokens < order:
         raise TrainingError(
             f"corpus has {n_tokens} tokens, fewer than the model order {order}"
         )
     bos = len(vocab)
     eos = len(vocab) + 1
-    pad = [bos] * (order - 1)
-    flat = np.fromiter(chain.from_iterable(pad + ids + [eos] for ids in encoded),
-                       dtype=np.int64, count=n_tokens + len(encoded) * order)
-    if flat.min() < 0 or np.count_nonzero(flat < bos) != n_tokens:
+    if ids.min() < 0 or ids.max() >= bos:
         raise ValueError("a token id outside the vocabulary")
+    # Each nonempty sentence becomes order - 1 begin markers, its ids and an
+    # end marker, so sentence s's ids move s * order + order - 1 places on.
+    lengths = lengths[lengths > 0]
+    shift = np.arange(len(lengths)) * order + order - 1
+    flat = np.full(n_tokens + len(lengths) * order, bos, dtype=np.int64)
+    flat[np.arange(n_tokens) + np.repeat(shift, lengths)] = ids
+    flat[np.cumsum(lengths) + shift] = eos
     targets = np.flatnonzero(flat != bos)
     grams = flat[targets[:, None] + np.arange(1 - order, 1)]
     discounts, tables = _kneser_ney_tables(grams, len(vocab) + 1)

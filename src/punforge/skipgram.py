@@ -40,7 +40,6 @@ diverges to them.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import sys
 from dataclasses import astuple, dataclass
@@ -50,7 +49,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import binio
-from .corpus import Sentence, Vocabulary, read_vocab, write_vocab
+from .corpus import Sentence, Vocabulary, encode_corpus, flat_ids, read_vocab, write_vocab
 from .errors import TrainingError, UnknownWordError
 
 log = logging.getLogger(__name__)
@@ -110,13 +109,16 @@ def extract_pairs(sentences: Sequence[Sequence[int]], d1: int, d2: int) -> np.nd
     order, i ascending, j ascending, which fixes the pair order used by
     training.  Returns an (n, 2) int64 array.
     """
+    return _band_pairs(*flat_ids(sentences), d1, d2)
+
+
+def _band_pairs(flat: np.ndarray, lengths: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """:func:`extract_pairs` of sentences given as their ids end to end and
+    their lengths."""
     check_band(d1, d2)
-    lengths = [len(ids) for ids in sentences]
-    flat = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64,
-                       count=sum(lengths))
     sent = np.repeat(np.arange(len(lengths)), lengths)
     # valid[i, d - d1]: position i + d exists and lies in i's sentence
-    top = min(d2, max(lengths, default=0) - 1)
+    top = min(d2, int(lengths.max(initial=0)) - 1)
     valid = np.zeros((len(flat), max(top - d1 + 1, 0)), dtype=bool)
     for d in range(d1, top + 1):
         valid[:-d, d - d1] = sent[:-d] == sent[d:]
@@ -341,9 +343,10 @@ def block_size(step_size: float, negatives: int, p_ctx: float,
 def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
                    vocab: Vocabulary,
                    config: SkipGramConfig | None = None) -> SkipGramModel:
-    """Train band skip-gram embeddings; equal seeds give equal models."""
+    """Train band skip-gram embeddings; equal seeds give equal models.
+    ``sentences`` are encoded as :func:`corpus.encode_corpus` encodes them."""
     config = config or SkipGramConfig()
-    pairs = extract_pairs(vocab.encode_sentences(sentences), config.d1, config.d2)
+    pairs = _band_pairs(*encode_corpus(sentences, vocab), config.d1, config.d2)
     if len(pairs) == 0:
         raise TrainingError(
             f"no training pairs: no two tokens at distance in "

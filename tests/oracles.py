@@ -8,6 +8,8 @@ the two codebases is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -255,6 +257,30 @@ def reference_walk(tables, radix, uniform, longest, ctx_keys, seq):
             p = weight * p
         ctx_keys = [1] + gram_keys[:min(k + 1, longest)]
         yield p, ctx_keys
+
+
+_TOKEN_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]")
+_SENT_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
+
+
+def reference_ingest(text, tagged=False):
+    """The list-building reader: each sentence of raw or pre-tagged text as
+    (sentence id, tokens), one at a time, and every surface's count.  Raw
+    text splits at newlines and at terminal punctuation before whitespace,
+    lowercased, into words and lone punctuation marks; a pre-tagged line is
+    one sentence of ``surface_TAG`` tokens whose tags are dropped."""
+    sentences = []
+    for line in text.splitlines():
+        if tagged:
+            if line.strip():
+                tokens = [chunk.rpartition("_")[0].lower() for chunk in line.split()]
+                sentences.append((len(sentences), tokens))
+            continue
+        for piece in _SENT_BOUNDARY_RE.split(line):
+            if piece.strip():
+                sentences.append((len(sentences), _TOKEN_RE.findall(piece.strip().lower())))
+    counts = Counter(t for _, tokens in sentences for t in tokens)
+    return sentences, counts
 
 
 def reference_postings(sentences):

@@ -49,6 +49,11 @@ class TestCodec:
         got = binio.read_array(_reader(data), dtype)
         assert got.tolist() == values and got.flags.writeable
 
+    @pytest.mark.parametrize("values", [np.array([0, -1]), np.array([2**32, 1])])
+    def test_integer_array_outside_the_dtype_rejected(self, values):
+        with pytest.raises(ValueError, match="do not fit <u4"):
+            binio.write_array(io.BytesIO(), values, "<u4")
+
     def test_two_dimensional_array_is_row_major(self):
         fh = io.BytesIO()
         binio.write_array(fh, [[1, 2], [3, 4]], "<u4")
@@ -364,7 +369,7 @@ class TestLanguageModelFile:
         path = tmp_path / "m.pglm"
         demo_lm.save(path)
         loaded = NGramModel.load(path)
-        reference = CountTablesKN(demo.vocab.encode_sentences(demo.sentences),
+        reference = CountTablesKN([demo.vocab.encode(s.tokens) for s in demo.sentences],
                                   len(demo.vocab), demo_lm.order)
         events = list(range(len(demo_lm.vocab))) + [demo_lm.eos_id]
         for _, grams, _ in _read_lm_sections(path)["tables"]:
@@ -621,11 +626,13 @@ class TestEmbeddedVocabulary:
 
     def test_hash_is_computed_once_for_every_file_written(self, tmp_path,
                                                           monkeypatch):
-        """A load computes it once more, to check the file, and keeps it."""
+        """The vocabulary's blocks are serialized once, for the hash and every
+        file; a load serializes them once more, to check the file, and keeps
+        them."""
         calls = []
-        vocab_hash = corpus._vocab_hash
-        monkeypatch.setattr(corpus, "_vocab_hash",
-                            lambda *a: calls.append(1) or vocab_hash(*a))
+        vocab_blocks = corpus._vocab_blocks
+        monkeypatch.setattr(corpus, "_vocab_blocks",
+                            lambda *a: calls.append(1) or vocab_blocks(*a))
         sentences, vocab = ingest(build_demo_corpus()[::40])
         vocab.hash_bytes()
         save_corpus(tmp_path / "m.pgc", Corpus(sentences, vocab))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -22,7 +23,7 @@ from oracles import CountTablesKN
 import punforge
 from punforge import cli, generator, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
-from punforge.corpus import (Pos, TagLexicon, check_min_count, ingest,
+from punforge.corpus import (Corpus, Pos, TagLexicon, check_min_count, ingest,
                              load_corpus, save_corpus)
 from punforge.generator import GenerationConfig
 from punforge.runtime import runtime_state
@@ -689,6 +690,15 @@ class TestScore:
         assert code == 0
         assert '"distinctiveness": 0.0,' in lines[0]
 
+    # The walkthrough's files, byte for byte.  The .pgsg digest holds for one
+    # machine type, numpy build and BLAS core, as the README says.
+    @pytest.mark.parametrize("name,digest", [
+        ("corpus", "14c05151b07ab819"), ("lm", "a7ca21bb379709f5"),
+        ("skipgram", "a8d7e542b98bc1db")])
+    def test_readme_walkthrough_files_are_pinned(self, pipeline, name, digest):
+        data = pipeline[name].read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+
     def test_readme_walkthrough_lm_fields(self, pipeline, tmp_path):
         """The surprisal fields of the README walkthrough's score line.  They
         depend only on the .pglm bytes and left-to-right sums; the skip-gram
@@ -902,6 +912,9 @@ class TestGenerate:
         code, lines = _run(tmp_path, self._topic_args(pipeline, miniwn_dir))
         assert code == 0
         meta = json.loads(lines[0])
+        # generate draws no random number, so the meta record names no seed
+        assert sorted(meta) == ["alt_word", "candidates", "failure", "pun_word",
+                                "record", "stage", "warnings", "wordnet"]
         assert meta["record"] == "meta"
         assert meta["failure"] is None
         assert meta["candidates"] == len(lines) - 1
@@ -1423,8 +1436,8 @@ def _write_with_format_fault(files, ext, bad):
     n-gram rows, or embedding tables of another size than the header's."""
     corpus = load_corpus(files["pgc"])
     if ext == "pgc":
-        corpus.sentences.append(corpus.sentences[0])
-        save_corpus(bad, corpus)
+        repeated = [*corpus.sentences, corpus.sentences[0]]
+        save_corpus(bad, Corpus(repeated, corpus.vocab))
     elif ext == "pglm":
         lm = train_lm(corpus.sentences, corpus.vocab, order=3)
         backoff, gram_rows, probs = lm._rows[-1]
@@ -1560,7 +1573,7 @@ class TestTrainLmLog:
                     if r.name == "punforge.ngram_lm"]
         # discounts and stored rows counted apart, from the recursion's tables
         loaded = load_corpus(corpus)
-        oracle = CountTablesKN(loaded.vocab.encode_sentences(loaded.sentences),
+        oracle = CountTablesKN([loaded.vocab.encode(s.tokens) for s in loaded.sentences],
                                len(loaded.vocab), NGramModel.load(quiet).order)
         discounts = oracle.discounts
         fell_back = [k for k, d in enumerate(discounts, start=1)

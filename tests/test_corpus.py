@@ -7,14 +7,17 @@ import struct
 
 import pytest
 
-from oracles import reference_postings
+from oracles import reference_ingest, reference_postings
 from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, PostingsView, Sentence,
-                             TagLexicon, Vocabulary, ingest, load_corpus,
-                             postings_of, read_vocab, save_corpus, split_sentences,
-                             tag, tokenize, write_vocab)
+                             Sentences, TagLexicon, Vocabulary, as_sentences, ingest,
+                             load_corpus, postings_of, read_vocab, save_corpus,
+                             split_sentences, tag, tokenize, write_vocab)
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
+from punforge.generator import GenerationResources
+from punforge.ngram_lm import train_lm
 from punforge.retrieval import build_index
+from punforge.skipgram import SkipGramConfig, train_skipgram
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -196,12 +199,145 @@ class TestIngest:
         text = "a_OTHER dog_NOUN ran_VERB" if tagged else "a dog ran"
         sentences, _ = ingest(text, tagged=tagged)
         assert sentences == [Sentence(0, ["a", "dog", "ran"])]
-        assert all(type(t) is str for t in sentences[0].tokens)
-        assert sentences[0].surfaces() is sentences[0].tokens
+        first = sentences[0]  # each read builds the sentence anew
+        assert all(type(t) is str for t in first.tokens)
+        assert first.surfaces() is first.tokens
 
     def test_iterable_of_lines_accepted(self):
         sentences, _ = ingest(iter(["one line here", "two lines here"]))
         assert len(sentences) == 2
+
+
+def _random_text(seed):
+    """Words, apostrophes, digits, punctuation, a non-ASCII letter, runs of
+    spaces and blank lines, drawn from ``seed``."""
+    rng = random.Random(seed)
+    pieces = ["the", "Cat", "dog's", "naïve", "42", ",", ".", "!", "?", "  ",
+              "\n", "\n\n", "x", "O'Leary", ";", "end."]
+    return " ".join(rng.choice(pieces) for _ in range(rng.randrange(50, 400)))
+
+
+def _tagged_text(seed):
+    rng = random.Random(seed)
+    words = ["the", "Ice_cream", "dog", "RAN", ".", "naïve", "a_b_c"]
+    tags = ["NOUN", "VERB", "OTHER", "pronoun", "UNKNOWN"]
+    return "\n".join(" ".join(f"{rng.choice(words)}_{rng.choice(tags)}"
+                              for _ in range(rng.randrange(0, 12)))
+                     for _ in range(60))
+
+
+class TestSentencesView:
+    """``ingest``'s view against the list-building reader it replaced."""
+
+    @pytest.mark.parametrize("text,tagged", [
+        ("\n".join(build_demo_corpus()), False),
+        *[(_random_text(seed), False) for seed in range(5)],
+        *[(_tagged_text(seed), True) for seed in range(3)],
+        ("", False), ("\n\n", True),
+    ], ids=["demo", *[f"random{seed}" for seed in range(5)],
+            *[f"tagged{seed}" for seed in range(3)], "empty", "empty_tagged"])
+    def test_view_equals_the_list_building_reader(self, text, tagged):
+        sentences, vocab = ingest(text, tagged=tagged)
+        want, counts = reference_ingest(text, tagged=tagged)
+        assert isinstance(sentences, Sentences) and len(sentences) == len(want)
+        for i, (sent_id, tokens) in enumerate(want):
+            got = sentences[i]
+            assert (got.sent_id, got.tokens, got.surfaces()) == (sent_id, tokens, tokens)
+        assert [(s.sent_id, s.tokens) for s in sentences] == want
+        assert sentences == [Sentence(*item) for item in want]
+        ranked = sorted(counts, key=lambda w: (-counts[w], w))
+        assert list(vocab.items()) == [(w, i, counts.get(w, 0)) for i, w in
+                                       enumerate([UNK, *ranked])]
+        rng = random.Random(len(want))
+        for _ in range(20):
+            cut = slice(rng.randrange(-5, len(want) + 5), rng.randrange(-5, len(want) + 5),
+                        rng.choice([None, 1, 2, 3, -1]))
+            part = sentences[cut]
+            listed = [Sentence(*item) for item in want[cut]]
+            assert isinstance(part, Sentences) and part == listed
+            assert part.surfaces == list(dict.fromkeys(t for s in listed for t in s.tokens))
+            assert list(postings_of(part).items()) == list(reference_postings(listed).items())
+
+    def test_items_read_as_a_list_reads_them(self):
+        sentences, _ = ingest("a b .\nc d e .\nf")
+        assert sentences[-1] == Sentence(2, ["f"]) and sentences[-3] == sentences[0]
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                sentences[bad]
+        with pytest.raises(TypeError):
+            sentences[0] = Sentence(0, ["z"])
+        assert sentences != [Sentence(0, ["a", "b", "."])] and sentences != "abc"
+
+    def test_a_list_of_sentences_is_numbered_once(self):
+        listed = [Sentence(7, ["b", "a"]), Sentence(3, []), Sentence(5, ["a", "c"])]
+        view = as_sentences(listed)
+        assert view.surfaces == ["b", "a", "c"]
+        assert view.surface_idx.tolist() == [0, 1, 1, 2]
+        assert view.sent_ids.tolist() == [7, 3, 5] and view.lengths.tolist() == [2, 0, 2]
+        assert as_sentences(view) is view and view == listed
+        corpus = Corpus(listed, Vocabulary({"a": 2, "b": 1, "c": 1}))
+        assert isinstance(corpus.sentences, Sentences) and corpus.sentences == listed
+
+    @pytest.mark.parametrize("make", ["ingest", "list", "load"])
+    def test_postings_are_derived_unless_given(self, tmp_path, make):
+        sentences, vocab = ingest(build_demo_corpus()[::9])
+        if make == "list":
+            sentences = list(sentences)
+        corpus = Corpus(sentences, vocab)
+        if make == "load":
+            save_corpus(tmp_path / "c.pgc", corpus)
+            corpus = load_corpus(tmp_path / "c.pgc")
+        assert isinstance(corpus.postings, PostingsView)
+        assert corpus.postings == reference_postings(sentences)
+        given = {"x": [(0, (0,))]}
+        assert Corpus(sentences, vocab, given).postings is given
+
+    @pytest.mark.parametrize("sent_id", [-1, 2**32])
+    def test_a_sentence_id_the_file_cannot_hold_rejected(self, tmp_path, sent_id):
+        corpus = Corpus([Sentence(0, ["a"]), Sentence(sent_id, ["b"])],
+                        Vocabulary({"a": 1, "b": 1}))
+        with pytest.raises(ValueError, match="do not fit <u4"):
+            save_corpus(tmp_path / "c.pgc", corpus)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_by_id_builds_only_the_sentence_read(self, tmp_path, monkeypatch):
+        sentences, vocab = ingest(build_demo_corpus())
+        save_corpus(tmp_path / "c.pgc", Corpus(sentences, vocab))
+        built = _count_sentences(monkeypatch)
+        corpus = load_corpus(tmp_path / "c.pgc")
+        assert built == []
+        first = corpus.by_id[17]
+        assert first == sentences[17] and corpus.by_id[17] is first
+        assert len(built) == 2  # one by by_id, one by the comparison
+        assert len(corpus.by_id) == len(sentences) and 10**6 not in corpus.by_id
+
+
+def _count_sentences(monkeypatch):
+    """A list that gets one item for every Sentence built from now on."""
+    built = []
+    init = Sentence.__init__
+    monkeypatch.setattr(Sentence, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    return built
+
+
+def test_write_side_builds_no_sentence(tmp_path, monkeypatch):
+    """Indexing, saving and training read the corpus arrays: the bench's
+    train operation and the CLI's index, train-lm and train-skipgram build no
+    Sentence object."""
+    text = build_demo_corpus()
+    built = _count_sentences(monkeypatch)
+    sentences, vocab = ingest(text)
+    index = build_index(sentences)
+    save_corpus(tmp_path / "c.pgc", Corpus(sentences, vocab, index.postings))
+    train_lm(sentences, vocab, order=4)
+    config = SkipGramConfig(dim=4, epochs=1)
+    train_skipgram(sentences[:50], vocab, config)
+    loaded = load_corpus(tmp_path / "c.pgc")
+    train_lm(loaded.sentences, loaded.vocab, order=3)
+    train_skipgram(loaded.sentences, loaded.vocab, config)
+    GenerationResources.load(tmp_path / "c.pgc")
+    assert built == []
 
 
 class TestCorpusFile:

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -499,3 +500,17 @@ def test_readme_library_use_block_runs(pipeline, miniwn_dir, monkeypatch, capsys
     scores, *candidates = capsys.readouterr().out.splitlines()
     assert len(scores.split()) == 3
     assert candidates and all(c.split().count("hare") == 1 for c in candidates)
+
+
+def test_readme_library_build_block_writes_the_cli_files(pipeline, tmp_path,
+                                                         monkeypatch):
+    """README's "Library use" block that builds the files, run on the demo
+    text: it writes the bytes that index, train-lm and train-skipgram wrote."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n")[2].split("\n```", 1)[0]
+    shutil.copy(pipeline["text"], tmp_path / "demo.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+    for name, ext in (("corpus", "pgc"), ("lm", "pglm"), ("skipgram", "pgsg")):
+        assert (tmp_path / f"demo.{ext}").read_bytes() == pipeline[name].read_bytes()

@@ -113,7 +113,7 @@ class TestAgainstCountTables:
     def test_prob_equals_recursion_for_every_event(self, text, order):
         sentences, vocab = ingest(text)
         model = train_lm(sentences, vocab, order=order)
-        encoded = vocab.encode_sentences(sentences)
+        encoded = [vocab.encode(s.tokens) for s in sentences]
         oracle = CountTablesKN(encoded, len(vocab), order)
         discounts, _ = _kneser_ney_tables(_grams(encoded, len(vocab), order), len(vocab) + 1)
         assert discounts == oracle.discounts
@@ -132,7 +132,7 @@ class TestAgainstCountTables:
         path = tmp_path / "m.pglm"
         model.save(path)
         loaded = NGramModel.load(path)
-        oracle = CountTablesKN(vocab.encode_sentences(sentences), len(vocab), 6)
+        oracle = CountTablesKN([vocab.encode(s.tokens) for s in sentences], len(vocab), 6)
         rng = random.Random(6)
         sampled = rng.sample(range(len(vocab)), 10) + [model.eos_id]
         for level in oracle.levels:
@@ -144,7 +144,7 @@ class TestAgainstCountTables:
     def test_logprob_seq_equals_recursion_on_demo_corpus(self):
         sentences, vocab = ingest(build_demo_corpus())
         model = train_lm(sentences, vocab)
-        encoded = vocab.encode_sentences(sentences)
+        encoded = [vocab.encode(s.tokens) for s in sentences]
         oracle = CountTablesKN(encoded, len(vocab), model.order)
         assert [(ids, markers) for ids in encoded for markers in (True, False)
                 if model.logprob_seq(ids, markers) != oracle.logprob_seq(ids, markers)
@@ -170,7 +170,7 @@ def _reference_dicts(sentences, vocab, order):
     def pack(row):
         return functools.reduce(lambda key, t: key * radix + t, row, 1)
 
-    grams = _grams(vocab.encode_sentences(sentences), len(vocab), order)
+    grams = _grams([vocab.encode(s.tokens) for s in sentences], len(vocab), order)
     _, tables = reference_kneser_ney_tables(grams, len(vocab) + 1)
     return [{pack(row): value for rows, values in ((ctx, backoff), (gram_rows, probs))
              for row, value in zip(rows.tolist(), values.tolist())}
@@ -203,7 +203,7 @@ class TestTablesEqualLexsortOracle:
     def test_training_corpora(self, request, corpus, order):
         sentences, vocab = (ingest(RANDOM_TEXT) if corpus == "random300"
                             else request.getfixturevalue(corpus)[:2])
-        grams = _grams(vocab.encode_sentences(sentences), len(vocab), order)
+        grams = _grams([vocab.encode(s.tokens) for s in sentences], len(vocab), order)
         # 2,000 words at order 6 pass 64 bits, so each row takes two keys
         wide_keys = corpus == "wide" and order == 6
         assert len(_column_keys(grams, len(vocab) + 2)) == (2 if wide_keys else 1)
@@ -242,7 +242,7 @@ class TestTablesEqualLexsortOracle:
 def demo():
     """(sentences, vocab, encoded sentences) of the demo corpus."""
     sentences, vocab = ingest(build_demo_corpus())
-    return sentences, vocab, vocab.encode_sentences(sentences)
+    return sentences, vocab, [vocab.encode(s.tokens) for s in sentences]
 
 
 def _pair_cases(model, sequences, rng):
@@ -290,7 +290,7 @@ class TestLogprobPair:
 
     def test_equals_two_walks_with_wide_keys(self, wide, wide_lm):
         sentences, vocab = wide
-        encoded = vocab.encode_sentences(sentences)
+        encoded = [vocab.encode(s.tokens) for s in sentences]
         oracle = CountTablesKN(encoded, len(vocab), 6)
         rng = random.Random(6)
         sequences = encoded[::10] + _random_sequences(rng, len(vocab), 40)
@@ -380,7 +380,7 @@ class TestStep:
     def test_equals_reference_walk_with_wide_keys(self, wide, wide_lm):
         sentences, vocab = wide
         assert wide_lm._radix ** wide_lm.order >= 2 ** 63  # Python-int keys
-        sequences = (vocab.encode_sentences(sentences)
+        sequences = ([vocab.encode(s.tokens) for s in sentences]
                      + _random_sequences(random.Random(7), len(vocab), 200))
         tables = _reference_dicts(sentences, vocab, 6)
         assert _step_mismatches(wide_lm, tables, sequences) == []
@@ -489,7 +489,7 @@ class TestPersistence:
         path = tmp_path / "m.pglm"
         model.save(path)
         loaded = NGramModel.load(path)
-        encoded = vocab.encode_sentences(sentences)
+        encoded = [vocab.encode(s.tokens) for s in sentences]
         oracle = CountTablesKN(encoded, len(vocab), 4)
         events = list(range(len(vocab))) + [model.eos_id]
         assert [(w, ctx) for level in oracle.levels for ctx in level for w in events
@@ -519,7 +519,7 @@ class TestPersistence:
         model = train_lm(sentences, vocab, order=3)
         before, after = tmp_path / "before.pglm", tmp_path / "after.pglm"
         model.save(before)
-        model.logprob_seq(vocab.encode_sentences(sentences)[0], True)
+        model.logprob_seq(vocab.encode(sentences[0].tokens), True)
         assert "_tables" in vars(model)
         model.save(after)
         assert after.read_bytes() == before.read_bytes()
