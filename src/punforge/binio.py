@@ -160,7 +160,9 @@ def write_array(fh: BinaryIO, values: np.typing.ArrayLike, dtype: str) -> None:
         low, high = values.min(), values.max()
         if low < np.iinfo(dtype).min or high > np.iinfo(dtype).max:
             raise ValueError(f"values {low}..{high} do not fit {dtype}")
-    write_blob(fh, np.ascontiguousarray(values, dtype=dtype).tobytes())
+    array = np.ascontiguousarray(values, dtype=dtype)
+    fh.write(struct.pack("<I", array.nbytes))
+    fh.write(array)  # its own buffer: the bytes write_blob would write, uncopied
 
 
 def read_array(fh: BinaryIO, dtype: str) -> np.ndarray:

@@ -6,6 +6,16 @@ Conventions, fixed once and used everywhere downstream:
 * punctuation characters become their own tokens;
 * sentences end at ASCII terminal punctuation (``.`` ``!`` ``?``) followed by
   whitespace, and at every newline;
+* raw text is read in one pass (``_scan``), each line's lowercased
+  whitespace chunks (``str.split``) in turn.  A chunk that ``isalnum()`` is
+  one token, the one match ``_TOKEN_RE`` finds in it, since ``\\w`` is
+  ``isalnum()`` plus ``_`` and ``\\s`` is ``isspace()``, what ``str.split``
+  splits on; any other chunk goes through ``_TOKEN_RE``, which stays the one
+  definition of a token.  No token spans whitespace, and whitespace bounds
+  the context that lowercasing a final sigma reads, so these are the
+  regex's tokens of each lowercased sentence.  A chunk ending in ``.``,
+  ``!`` or ``?`` closes the sentence, and so does the end of the line: the
+  sentences are those of :func:`split_sentences`;
 * the vocabulary assigns ids by descending frequency, ties broken
   lexicographically, with id 0 reserved for the unknown-word symbol;
 * words rarer than ``min_count`` map to the unknown id, whose stored count is
@@ -13,10 +23,10 @@ Conventions, fixed once and used everywhere downstream:
 * a sentence's tokens are its surface strings; no tag is kept with them;
 * a corpus in memory is four arrays, as its file stores them: the surface
   table in order of first appearance, each token's index into it, the
-  sentence ids and the sentence lengths.  ``ingest`` numbers each surface
-  once and returns them as :class:`Sentences`, a read-only sequence that
-  builds a :class:`Sentence` only when one is read; ``load_corpus`` returns
-  the same view.  Indexing, saving and training read the arrays, and a list
+  sentence ids and the sentence lengths.  ``ingest`` numbers each token
+  into the surface table as it is seen and returns them as
+  :class:`Sentences`, a read-only sequence that builds a :class:`Sentence`
+  only when one is read; ``load_corpus`` returns the same view.  Indexing, saving and training read the arrays, and a list
   of Sentence objects is turned into them once, by :func:`as_sentences`.
 
 Tagging is lexicon lookup, not context disambiguation: a closed pronoun list
@@ -92,8 +102,12 @@ class Sentence:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split; punctuation marks come out as single tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase and split; punctuation marks come out as single tokens.
+    The tokens are ``_TOKEN_RE``'s, found chunk by chunk as :func:`ingest`
+    finds them."""
+    findall = _TOKEN_RE.findall
+    return [token for chunk in text.lower().split()
+            for token in ((chunk,) if chunk.isalnum() else findall(chunk))]
 
 
 def split_sentences(text: str) -> list[str]:
@@ -337,6 +351,33 @@ def encode_corpus(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
     return flat_ids(sentences)
 
 
+def _scan(text: str) -> Sentences:
+    """Raw text's sentences in one pass over its lowercased whitespace
+    chunks, each token numbered as it is seen (see the module docstring)."""
+    findall = _TOKEN_RE.findall
+    table: dict[str, int] = {}
+    number = table.setdefault
+    idx: list[int] = []
+    lengths: list[int] = []
+    start = 0  # the first token of the open sentence
+    for line in text.lower().splitlines():
+        for chunk in line.split():
+            if chunk.isalnum():
+                idx.append(number(chunk, len(table)))
+                continue
+            for token in findall(chunk):
+                idx.append(number(token, len(table)))
+            if chunk[-1] in ".!?":
+                lengths.append(len(idx) - start)
+                start = len(idx)
+        if len(idx) > start:
+            lengths.append(len(idx) - start)
+            start = len(idx)
+    return Sentences(list(table), np.array(idx, dtype=np.int64),
+                     np.arange(len(lengths), dtype=np.int64),
+                     np.array(lengths, dtype=np.int64))
+
+
 def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUNT,
            tagged: bool = False) -> tuple[Sentences, Vocabulary]:
     """Read raw or pre-tagged text into sentences plus a vocabulary.
@@ -358,9 +399,9 @@ def ingest(source: str | Path | Iterable[str], min_count: int = DEFAULT_MIN_COUN
         token_lists = [_parse_tagged_line(line, lineno)
                        for lineno, line in enumerate(text.splitlines(), start=1)
                        if line.strip()]
+        sentences = Sentences.number(range(len(token_lists)), token_lists)
     else:
-        token_lists = list(map(tokenize, split_sentences(text)))
-    sentences = Sentences.number(range(len(token_lists)), token_lists)
+        sentences = _scan(text)
     counts = np.bincount(sentences.surface_idx, minlength=len(sentences.surfaces))
     return sentences, Vocabulary(dict(zip(sentences.surfaces, counts.tolist())),
                                  min_count=min_count)

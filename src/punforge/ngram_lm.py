@@ -146,8 +146,12 @@ class NGramModel:
             self._keys.append(np.concatenate([contexts[starts], grams]))
         self._bos_key = reduce(lambda key, t: key * self._radix + t,
                                [self.bos_id] * (order - 1), 1)  # the begin markers
-        denom = math.log(vocab.total_count + len(vocab))
-        self.unigram_logprobs = [math.log(c + 1) - denom for c in vocab.counts]
+
+    @cached_property
+    def unigram_logprobs(self) -> list[float]:
+        """:meth:`unigram_logprob` of every id, built on first read."""
+        denom = math.log(self.vocab.total_count + len(self.vocab))
+        return [math.log(c + 1) - denom for c in self.vocab.counts]
 
     @cached_property
     def _tables(self) -> list[dict[int, float]]:
@@ -334,6 +338,7 @@ class NGramModel:
             model = cls(order, vocab, tables)  # so the keys show the row order
         model._tables  # build the query dicts now, and keep no arrays beside them
         model._rows = None
+        model.unigram_logprobs  # scoring reads it, so a load builds it too
         return model
 
 

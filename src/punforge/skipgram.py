@@ -10,16 +10,20 @@ association rather than collocation.
 Training is SGD with negative sampling (noise ~ unigram^0.75) and a
 linearly decaying step size, a block of pairs at a time.  All randomness
 comes from one seeded generator: pairs are visited in a seeded shuffle, and
-each block draws its negatives from the same stream as one draw per epoch
-would.  Every pair of a block reads the embeddings as they were when the
-block began; its scores and gradients come from stacked ``np.matmul`` (one
-BLAS call per pair, the call ``ndarray.dot`` makes), each pair keeps its own
-step size, and one flat ``np.add.at`` per matrix adds every term in pair
-order.  So equal seeds give bitwise-equal embeddings, and a block of one
-pair is plain sequential SGD, byte for byte (``reference_train_skipgram``
-in the test oracles, at either block).  ``block_size`` works the block out
-from the step size, the negatives and the most frequent context and noise
-word, at most ``MAX_BLOCK`` pairs.  The sigmoid is one division by
+the negatives and step sizes of ``MAX_BLOCK`` blocks at a time (a chunk)
+are drawn and computed at once, one ``rng.random`` and one
+``searchsorted`` a chunk, from the same stream in the same order as one
+draw per epoch would; so a block of one pair pays no draw of its own, and
+memory stays bounded by one chunk.  Every pair of a block reads the
+embeddings as they were when the block began; its scores and gradients
+come from stacked ``np.matmul`` (one BLAS call per pair, the call
+``ndarray.dot`` makes), each pair keeps its own step size, and one flat
+``np.add.at`` per matrix adds every term in pair order.  So equal seeds
+give bitwise-equal embeddings, and a block of one pair is plain sequential
+SGD, byte for byte (``reference_train_skipgram`` in the test oracles, at
+either block).  ``block_size`` works the block out from the step size, the
+negatives and the most frequent context and noise word, at most
+``MAX_BLOCK`` pairs.  The sigmoid is one division by
 1 + e^-|s|, which gives the doubles of a branch per sign.  When INFO
 logging is on, the epoch's mean loss is summed block by block from the
 scores the updates computed.
@@ -367,6 +371,7 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
 
     n, k, dim, step_size = len(pairs), config.negatives, config.dim, config.step_size
     block = block_size(step_size, k, np.bincount(pairs[:, 1]).max() / n, noise.max())
+    chunk = block * MAX_BLOCK  # pairs whose draws and step sizes are made at once
     total_steps = config.epochs * n
     labels = np.zeros(k + 1)
     labels[0] = 1.0
@@ -381,30 +386,33 @@ def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
-            for start in range(0, n, block):
-                centers, contexts = pairs[order[start:start + block]].T
-                b = len(centers)
+            for first in range(0, n, chunk):
+                centers, contexts = pairs[order[first:first + chunk]].T
+                c = len(centers)
                 # Row r's targets: its context, then its negatives.  The clip
                 # guards against a draw landing past the last cumulative
                 # value, which float rounding can leave a hair below one.
-                targets = np.empty((b, k + 1), dtype=np.int64)
+                targets = np.empty((c, k + 1), dtype=np.int64)
                 targets[:, 0] = contexts
                 targets[:, 1:] = np.minimum(
-                    np.searchsorted(noise_cdf, rng.random((b, k))), v_size - 1)
-                step = epoch * n + start + np.arange(b)
-                lr = step_size * np.maximum(1.0 - step / total_steps, 1e-4)
-                # every pair reads the embeddings as the block began
-                scores, grad_center, grad_out = block_grads(
-                    vec_in[centers], vec_out[targets], labels)
-                if track_loss:
-                    epoch_loss += sampling_loss(scores, labels)
-                grad_out *= -lr[:, None, None]
-                grad_center *= -lr[:, None]
-                # one flat np.add.at per matrix adds every term in pair order
-                np.add.at(flat_out, ((targets * dim)[:, :, None] + cols).reshape(-1),
-                          grad_out.reshape(-1))
-                np.add.at(flat_in, ((centers * dim)[:, None] + cols).reshape(-1),
-                          grad_center.reshape(-1))
+                    np.searchsorted(noise_cdf, rng.random((c, k))), v_size - 1)
+                step = epoch * n + first + np.arange(c)
+                neg_lr = -(step_size * np.maximum(1.0 - step / total_steps, 1e-4))
+                in_rows, out_rows = centers * dim, targets * dim
+                for start in range(0, c, block):
+                    end = start + block
+                    # every pair reads the embeddings as the block began
+                    scores, grad_center, grad_out = block_grads(
+                        vec_in[centers[start:end]], vec_out[targets[start:end]], labels)
+                    if track_loss:
+                        epoch_loss += sampling_loss(scores, labels)
+                    grad_out *= neg_lr[start:end, None, None]
+                    grad_center *= neg_lr[start:end, None]
+                    # one flat np.add.at per matrix adds every term in pair order
+                    np.add.at(flat_out, (out_rows[start:end, :, None] + cols).reshape(-1),
+                              grad_out.reshape(-1))
+                    np.add.at(flat_in, (in_rows[start:end, None] + cols).reshape(-1),
+                              grad_center.reshape(-1))
             if track_loss:
                 log.info("skip-gram epoch %d/%d: mean loss %.6f over %d pairs",
                          epoch + 1, config.epochs, epoch_loss / n, n)

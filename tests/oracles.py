@@ -263,6 +263,11 @@ _TOKEN_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]")
 _SENT_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
 
 
+def reference_tokenize(text):
+    """The regex's tokens of lowercased text."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 def reference_ingest(text, tagged=False):
     """The list-building reader: each sentence of raw or pre-tagged text as
     (sentence id, tokens), one at a time, and every surface's count.  Raw
@@ -278,7 +283,7 @@ def reference_ingest(text, tagged=False):
             continue
         for piece in _SENT_BOUNDARY_RE.split(line):
             if piece.strip():
-                sentences.append((len(sentences), _TOKEN_RE.findall(piece.strip().lower())))
+                sentences.append((len(sentences), reference_tokenize(piece.strip())))
     counts = Counter(t for _, tokens in sentences for t in tokens)
     return sentences, counts
 

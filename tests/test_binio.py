@@ -59,6 +59,19 @@ class TestCodec:
         binio.write_array(fh, [[1, 2], [3, 4]], "<u4")
         assert fh.getvalue()[4:] == struct.pack("<4I", 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("values,dtype", [
+        (np.arange(12, dtype=np.int64).reshape(3, 4).T, "<u4"),  # transposed view
+        (np.arange(20.0)[::3], "<f8"),  # stepped view
+        (np.arange(5, dtype=">f8"), "<f8"),  # byte-swapped
+        (np.arange(6, dtype=np.uint8), "u1"),
+        (np.empty(0, dtype=np.int64), "<u8"),
+    ])
+    def test_array_block_is_its_length_then_its_items(self, values, dtype):
+        fh = io.BytesIO()
+        binio.write_array(fh, values, dtype)
+        items = np.ascontiguousarray(values, dtype=dtype).tobytes()
+        assert fh.getvalue() == struct.pack("<I", len(items)) + items
+
     def test_ragged_array_block_rejected(self):
         with pytest.raises(FormatError, match="mem.bin.*whole number"):
             binio.read_array(_reader(struct.pack("<I", 6) + bytes(6)), "<u4")

@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import io
@@ -7,7 +8,8 @@ import struct
 
 import pytest
 
-from oracles import reference_ingest, reference_postings
+from oracles import reference_ingest, reference_postings, reference_tokenize
+from punforge import corpus
 from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, PostingsView, Sentence,
                              Sentences, TagLexicon, Vocabulary, as_sentences, ingest,
                              load_corpus, postings_of, read_vocab, save_corpus,
@@ -226,6 +228,22 @@ def _tagged_text(seed):
                      for _ in range(60))
 
 
+# Texts where reading whitespace chunks could part from the regexes: each
+# kind of whitespace and line break, "_" in words, letters whose lowercase
+# is longer or depends on the next character, apostrophes at word edges,
+# and terminal punctuation before every kind of whitespace.
+_ADVERSARIAL = {
+    "spaces": "A\tb. c\xa0d! e\u3000f? g\x1fh.\x1fi \t\xa0\u3000 j",
+    "line_breaks": "one\r\ntwo.\x1cthree\x1dfour!\x1efive\x85six?\u2028seven"
+                   "\u2029eight\x0bnine\x0cten\rend",
+    "underscores": "snake_case words_ _lead __ a_b. x_1! _ 3_000?",
+    "cased": "İstanbul İ. ΟΔΟΣ. ΟΔΟΣ.Α ΟΔΟΣ'Α ΣΑΣ! AΣ? Σ. ǅ ﬁne ß.",
+    "apostrophes": "'tis rock'n'roll dogs' ' '' o'clock' 'quoted' a''b x'. y'!",
+    "terminals": "end.\nx!\ty?\xa0z.\u3000w?\x1fq.\x0bv!\x0cu?\x85t."
+                 "\u2028s!\r\nr. ... ?! .! . ! ? .a !b ?c\n?\n.\n \t ",
+}
+
+
 class TestSentencesView:
     """``ingest``'s view against the list-building reader it replaced."""
 
@@ -234,8 +252,10 @@ class TestSentencesView:
         *[(_random_text(seed), False) for seed in range(5)],
         *[(_tagged_text(seed), True) for seed in range(3)],
         ("", False), ("\n\n", True),
+        *[(text, False) for text in _ADVERSARIAL.values()],
     ], ids=["demo", *[f"random{seed}" for seed in range(5)],
-            *[f"tagged{seed}" for seed in range(3)], "empty", "empty_tagged"])
+            *[f"tagged{seed}" for seed in range(3)], "empty", "empty_tagged",
+            *_ADVERSARIAL])
     def test_view_equals_the_list_building_reader(self, text, tagged):
         sentences, vocab = ingest(text, tagged=tagged)
         want, counts = reference_ingest(text, tagged=tagged)
@@ -257,6 +277,34 @@ class TestSentencesView:
             assert isinstance(part, Sentences) and part == listed
             assert part.surfaces == list(dict.fromkeys(t for s in listed for t in s.tokens))
             assert list(postings_of(part).items()) == list(reference_postings(listed).items())
+
+    @pytest.mark.parametrize("text", [
+        "\n".join(build_demo_corpus()), *map(_random_text, range(5)),
+        *_ADVERSARIAL.values(), "".join(_ADVERSARIAL.values()), "",
+    ])
+    def test_tokenize_finds_the_regex_tokens(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+        for line in text.splitlines():
+            assert tokenize(line) == reference_tokenize(line)
+
+    def test_the_regex_runs_once_per_chunk_that_is_not_one_word(self, monkeypatch):
+        """The scan hands ``_TOKEN_RE`` only whitespace chunks that are not
+        ``isalnum()``, each once: never a sentence or a line."""
+        text = "\n".join(build_demo_corpus())
+        regex, searched = corpus._TOKEN_RE, []
+
+        class Counting:
+            def findall(self, chunk):
+                searched.append(chunk)
+                return regex.findall(chunk)
+
+        monkeypatch.setattr(corpus, "_TOKEN_RE", Counting())
+        sentences, _ = ingest(text)
+        chunks = text.lower().split()
+        others = collections.Counter(c for c in chunks if not c.isalnum())
+        assert collections.Counter(searched) <= others
+        assert 0 < len(others) < len(chunks) / 4  # most chunks are one word
+        assert sentences == [Sentence(*item) for item in reference_ingest(text)[0]]
 
     def test_items_read_as_a_list_reads_them(self):
         sentences, _ = ingest("a b .\nc d e .\nf")

@@ -470,6 +470,17 @@ class TestUnigramBaseline:
         with pytest.raises(ValueError):
             tiny_lm.unigram_logprob(tiny_lm.eos_id)
 
+    def test_built_on_first_read_when_trained_and_at_load(self, tmp_path):
+        sentences, vocab = ingest("a a b c")
+        model = train_lm(sentences, vocab, order=2)
+        model.save(tmp_path / "m.pglm")  # training and saving never read it
+        assert "unigram_logprobs" not in vars(model)
+        loaded = NGramModel.load(tmp_path / "m.pglm")
+        assert "unigram_logprobs" in vars(loaded)
+        assert model.unigram_logprobs == loaded.unigram_logprobs
+        assert model.unigram_logprobs == pytest.approx(
+            [math.log((c + 1) / 8) for c in (0, 2, 1, 1)])
+
 
 class TestPersistence:
     def test_round_trip_preserves_probabilities(self, tiny_lm, tmp_path):

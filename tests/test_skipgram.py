@@ -151,17 +151,18 @@ class TestTraining:
         assert "echo" in top
 
 
-def _oracle_case(words, negatives, epochs):
+def _oracle_case(words, negatives, epochs, drawn=30):
     """Id sentences, vocabulary and config for a training-equality case.
 
-    Sentences include empty ones, ones shorter than d1, and one whose first
-    and last ids are equal and d1 apart, so a center is its own context.
+    ``drawn`` random sentences come first.  Then come an empty one, ones
+    shorter than d1, and one whose first and last ids are equal and d1
+    apart, so a center is its own context.
     """
     rng = np.random.default_rng(words * 100 + negatives)
     vocab = Vocabulary({f"w{i:03d}": int(c)
                         for i, c in enumerate(rng.integers(1, 50, size=words))})
     sentences = [rng.integers(1, words + 1, size=int(rng.integers(0, 16))).tolist()
-                 for _ in range(30)]
+                 for _ in range(drawn)]
     sentences += [[], [1], [2, 1], [3, 2, 1, 3]]
     config = SkipGramConfig(dim=6, d1=3, d2=5, epochs=epochs, negatives=negatives,
                             step_size=0.2, seed=words + epochs)
@@ -223,7 +224,18 @@ class TestTrainingEqualsOracle:
     @pytest.mark.parametrize("verbose", [False, True])
     def test_embeddings_are_bytewise_equal(self, caplog, words, negatives, epochs,
                                            block, verbose):
-        sentences, vocab, config = _oracle_case(words, negatives, epochs)
+        self._check(caplog, words, negatives, epochs, block, verbose)
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_an_epoch_of_several_chunks_is_bytewise_equal(self, caplog, verbose):
+        # 4,646 pairs: a chunk of MAX_BLOCK full blocks, then one of 550
+        # pairs whose last block holds 38
+        pairs = self._check(caplog, 300, 5, 2, MAX_BLOCK, verbose, drawn=200)
+        assert MAX_BLOCK ** 2 < len(pairs) < 2 * MAX_BLOCK ** 2
+
+    def _check(self, caplog, words, negatives, epochs, block, verbose, drawn=30):
+        """Train the case both ways and compare; returns its pairs."""
+        sentences, vocab, config = _oracle_case(words, negatives, epochs, drawn)
         pairs = extract_pairs(sentences, config.d1, config.d2)
         assert (pairs[:, 0] == pairs[:, 1]).any()  # a center is its own context
         counts = [vocab.count_of_id(i) for i in range(len(vocab))]
@@ -250,6 +262,7 @@ class TestTrainingEqualsOracle:
         # summed once per block, not per update: equal to 1e-9, not bitwise
         assert [r.args[2] for r in records] == pytest.approx(losses * verbose,
                                                              rel=1e-9, abs=0)
+        return pairs
 
     @pytest.mark.parametrize("words", [40, 300])
     def test_a_block_of_one_is_sequential_sgd(self, monkeypatch, words):
