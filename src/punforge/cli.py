@@ -172,7 +172,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file with option defaults")
-    sub.add_argument("--seed", type=int, help="random seed for all stochastic steps")
     sub.add_argument("-v", "--verbose", action="count", default=0,
                      help="log progress to stderr (-vv for debug)")
 
@@ -209,6 +208,8 @@ def build_parser() -> _Parser:
                    help="initial SGD step size")
     p.add_argument("--export-text", dest="export_text",
                    help="also write embeddings as text to this path")
+    p.add_argument("--seed", type=int,
+                   help="seed of the initial vectors, the pair order and the negatives")
     _add_common(p)
 
     p = subs.add_parser("score", help="score pun sentences from JSON lines")
@@ -250,6 +251,7 @@ def build_parser() -> _Parser:
                    help="drop raters whose best agreement is below this")
     p.add_argument("--permutations", type=int, help="permutation test draws")
     p.add_argument("--clip", type=float, help="clip standardized metrics at +/- this")
+    p.add_argument("--seed", type=int, help="seed of the permutation test's draws")
     _add_common(p)
 
     return parser

@@ -513,12 +513,6 @@ class PostingsView(Postings):
         return term in self._index[0]
 
 
-def postings_of(sentences: Sequence[Sentence]) -> PostingsView:
-    """The postings of ``sentences``, keyed by surface in order of first
-    appearance, as :func:`load_corpus` derives them from a saved corpus."""
-    return PostingsView(as_sentences(sentences))
-
-
 def _vocab_blocks(words: Sequence[str], counts: Sequence[int]) -> bytes:
     """The embedded vocabulary's blocks: the words as a string table in id
     order, then the counts as a ``<u8`` array."""

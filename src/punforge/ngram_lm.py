@@ -32,15 +32,16 @@ context on the way multiplies in its weight, innermost first, so the floats
 equal the recursion's bit for bit.  A file keeps each order as sorted,
 distinct n-gram rows of token ids with their probabilities, and the backoff
 weights of their distinct contexts in row order, so loading builds no table
-from counts and reads no context: the row order is checked on the packed
-keys, whose runs without the last id are the context keys.  Queries read
-one dict per order from packed keys to values.  A trained model builds
-them on its first query and saves its rows; a loaded one builds them at
-load, keeps only them and is not saved again.  A walk carries one state
-from one token to the next, as KenLM's does: the packed key of the longest
-stored n-gram found, trimmed to ``order - 1`` ids, and its length.  Each
-shorter context is a suffix of it, and its key follows from the key by one
-modulo, so each step starts at the longest context that can be stored.
+from counts and reads no context.  Queries read one dict per order from
+packed keys to values; building it checks that order's ids, values, key
+order and one weight per context (the keys' runs without the last id).  A
+trained model packs no key until its first query and saves its rows; a
+loaded one builds the dicts at load, keeps only them and is not saved
+again.  A walk carries one state from one token to the next, as KenLM's
+does: the packed key of the longest stored n-gram found, trimmed to
+``order - 1`` ids, and its length.  Each shorter context is a suffix of
+it, and its key follows from the key by one modulo, so each step starts at
+the longest context that can be stored.
 
 ``logprob_pair`` scores two sequences that differ in one slot, as the
 surprisal measures do, in one shared walk: the prefix before the slot is
@@ -109,9 +110,9 @@ class NGramModel:
     """Kneser-Ney model over token ids; see the module docstring for rules.
 
     ``tables`` holds one :data:`Tables` per order, lowest first, as
-    :func:`train_lm` builds them and ``.pglm`` files store them; n-gram rows
-    that are not sorted and distinct, or backoff weights that are not one
-    per context, raise ValueError; :meth:`save` writes them.
+    :func:`train_lm` builds them and ``.pglm`` files store them, and
+    :meth:`save` writes them; tables that break a rule raise ValueError
+    where the query dicts are built: at :meth:`load` or the first query.
     ``unigram_logprobs`` lists :meth:`unigram_logprob` by id; it is read,
     never written.
     """
@@ -126,24 +127,9 @@ class NGramModel:
         self._uniform = 1.0 / self.n_events
         # A run of ids packs as base-``radix`` digits after a leading 1, so
         # runs of different lengths never share a key and a query extends a
-        # key by one id with one multiply-add.  The rows are sorted and
-        # distinct exactly when the keys increase; their contexts' keys are
-        # the runs of the keys without the word; the query dicts reuse both.
+        # key by one id with one multiply-add.
         self._radix = self.eos_id + 1
         self._rows: Sequence[Tables] | None = tables
-        self._keys = []
-        for k, (backoff, gram_rows, _) in enumerate(tables, start=1):
-            grams = self._pack(gram_rows)
-            if not (grams[1:] > grams[:-1]).all():
-                raise ValueError(f"order {k}: rows unsorted or repeated")
-            contexts = grams // self._radix
-            new = np.ones(len(contexts), dtype=bool)
-            new[1:] = contexts[1:] != contexts[:-1]
-            starts = np.flatnonzero(new)
-            if len(starts) != len(backoff):
-                raise ValueError(f"order {k}: {len(backoff)} backoff weights "
-                                 f"for {len(starts)} contexts")
-            self._keys.append(np.concatenate([contexts[starts], grams]))
         self._bos_key = reduce(lambda key, t: key * self._radix + t,
                                [self.bos_id] * (order - 1), 1)  # the begin markers
 
@@ -156,10 +142,41 @@ class NGramModel:
     @cached_property
     def _tables(self) -> list[dict[int, float]]:
         """Per order, a dict from context keys to backoff weights and n-gram
-        keys to probabilities; it uses up the checked keys order by order."""
-        keys = self.__dict__.pop("_keys")
-        return [dict(zip(keys.pop(0).tolist(), chain(backoff.tolist(), probs.tolist())))
-                for backoff, _, probs in self._rows]
+        keys to probabilities, each order checked as it is built."""
+        return [dict(zip(self._checked_keys(k, table).tolist(),
+                         chain(table[0].tolist(), table[2].tolist())))
+                for k, table in enumerate(self._rows, start=1)]
+
+    def _checked_keys(self, k: int, table: Tables) -> np.ndarray:
+        """The context keys, then the n-gram keys, of order ``k``'s table;
+        raise ValueError naming the first rule the table breaks."""
+        backoff, gram_rows, probs = table
+        bos, words = self.bos_id, gram_rows[:, -1]
+        problem = (
+            "ids outside the event space"
+            if (gram_rows[:, :-1] > bos).any()
+            or ((words >= bos) & (words != self.eos_id)).any()
+            else "a probability outside (0, 1]"
+            if not ((probs > 0.0) & (probs <= 1.0)).all()
+            else "a backoff weight outside (0, 1]"  # γ <= total, as D(c) <= c
+            if not ((backoff > 0.0) & (backoff <= 1.0)).all()
+            else None
+        )
+        if problem:
+            raise ValueError(f"order {k}: {problem}")
+        # Every id is below the radix, so the rows are sorted and distinct
+        # exactly when the keys increase; a context's key drops the word.
+        grams = self._pack(gram_rows)
+        if not (grams[1:] > grams[:-1]).all():
+            raise ValueError(f"order {k}: rows unsorted or repeated")
+        contexts = grams // self._radix
+        new = np.ones(len(contexts), dtype=bool)
+        new[1:] = contexts[1:] != contexts[:-1]
+        starts = np.flatnonzero(new)
+        if len(starts) != len(backoff):
+            raise ValueError(f"order {k}: {len(backoff)} backoff weights "
+                             f"for {len(starts)} contexts")
+        return np.concatenate([contexts[starts], grams])
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
         """The keys of rows of ids (see ``__init__``); while every id is below
@@ -334,30 +351,11 @@ class NGramModel:
                 if len(gram_rows) != len(probs) * k:  # one row of ids per probability
                     raise ValueError(f"order {k}: block lengths disagree")
                 tables.append((backoff, gram_rows.reshape(len(probs), k), probs))
-            _check_tables(tables, bos=len(vocab))  # every id below the radix
-            model = cls(order, vocab, tables)  # so the keys show the row order
-        model._tables  # build the query dicts now, and keep no arrays beside them
-        model._rows = None
+            model = cls(order, vocab, tables)
+            model._tables  # check the tables and build the query dicts now
+        model._rows = None  # and keep no arrays beside them
         model.unigram_logprobs  # scoring reads it, so a load builds it too
         return model
-
-
-def _check_tables(tables: Sequence[Tables], bos: int) -> None:
-    """Raise ValueError naming what is wrong with a file's tables."""
-    for k, (backoff, gram_rows, probs) in enumerate(tables, start=1):
-        words = gram_rows[:, -1]
-        problem = (
-            "ids outside the event space"
-            if (gram_rows[:, :-1] > bos).any()
-            or ((words >= bos) & (words != bos + 1)).any()
-            else "a probability outside (0, 1]"
-            if not ((probs > 0.0) & (probs <= 1.0)).all()
-            else "a backoff weight outside (0, 1]"  # γ <= total, as D(c) <= c
-            if not ((backoff > 0.0) & (backoff <= 1.0)).all()
-            else None
-        )
-        if problem:
-            raise ValueError(f"order {k}: {problem}")
 
 
 def _column_keys(rows: np.ndarray, radix: int) -> list[np.ndarray]:

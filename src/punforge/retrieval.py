@@ -3,9 +3,9 @@
 Postings are keyed by exact surface form so a rare word stays retrievable
 even when the vocabulary has collapsed it to the unknown id.  Each posting
 is (sentence id, positions ascending); postings lists are in corpus order.
-``corpus.postings_of`` builds them as a ``corpus.PostingsView`` of the
-sentences' arrays, the view a loaded corpus also has, which builds a term's
-list on its first lookup.
+``build_index`` makes them a ``corpus.PostingsView`` of the sentences'
+arrays, the view a loaded corpus also has, which builds a term's list on
+its first lookup.
 
 A seed for an alternative word is a sentence that contains the word exactly
 once and has an acceptable length.  Candidates are gathered in corpus order
@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Postings, Sentence, as_sentences, postings_of
+from .corpus import Postings, PostingsView, Sentence, as_sentences
 
 DEFAULT_POOL = 500
 DEFAULT_KEEP = 100
@@ -53,7 +53,7 @@ class InvertedIndex:
 
 def build_index(sentences: Sequence[Sentence]) -> InvertedIndex:
     view = as_sentences(sentences)
-    return InvertedIndex(postings_of(view), view.lengths_by_id())
+    return InvertedIndex(PostingsView(view), view.lengths_by_id())
 
 
 def retrieve_seeds(index: InvertedIndex, alt_word: str, pool: int = DEFAULT_POOL,

@@ -226,6 +226,33 @@ class TestExitCodes:
             cli.main(["index", "--corpus", "x", "--out", "y", "--what"])
         assert err.value.code == 1
 
+    # --seed belongs to the commands that draw random numbers: train-skipgram
+    # and correlate.  The others refuse it as an unknown flag.
+    @pytest.mark.parametrize("argv", [
+        ["index", "--corpus", "x", "--out", "y"],
+        ["train-lm", "--corpus", "x", "--out", "y"],
+        ["score", "--lm", "x"],
+        ["generate", "--corpus", "x", "--pun", "hare", "--alt", "hair"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_flag_without_random_draws_is_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--seed", "1"])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert [line for line in err_text.splitlines() if "error:" in line] == [
+            "punforge: error: unrecognized arguments: --seed 1"]
+        assert "Traceback" not in err_text
+
+    def test_seed_config_key_and_variable_hold_for_every_command(
+            self, pipeline, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3}))
+        monkeypatch.setenv("PUNGEN_SEED", "4")
+        assert cli.main(["index", "--corpus", str(pipeline["text"]),
+                         "--out", str(tmp_path / "c.pgc"), "--config", str(config)]) == 0
+        assert cli.main(["train-lm", "--corpus", str(tmp_path / "c.pgc"),
+                         "--out", str(tmp_path / "m.pglm")]) == 0
+
     def test_missing_required_flag_is_usage(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["train-lm", "--out", "y"])

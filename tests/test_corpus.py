@@ -12,7 +12,7 @@ from oracles import reference_ingest, reference_postings, reference_tokenize
 from punforge import corpus
 from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, PostingsView, Sentence,
                              Sentences, TagLexicon, Vocabulary, as_sentences, ingest,
-                             load_corpus, postings_of, read_vocab, save_corpus,
+                             load_corpus, read_vocab, save_corpus,
                              split_sentences, tag, tokenize, write_vocab)
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
@@ -276,7 +276,7 @@ class TestSentencesView:
             listed = [Sentence(*item) for item in want[cut]]
             assert isinstance(part, Sentences) and part == listed
             assert part.surfaces == list(dict.fromkeys(t for s in listed for t in s.tokens))
-            assert list(postings_of(part).items()) == list(reference_postings(listed).items())
+            assert list(PostingsView(part).items()) == list(reference_postings(listed).items())
 
     @pytest.mark.parametrize("text", [
         "\n".join(build_demo_corpus()), *map(_random_text, range(5)),
@@ -443,7 +443,7 @@ class TestCorpusFile:
         path = tmp_path / "c.pgc"
         save_corpus(path, Corpus(sentences, vocab))
         want = reference_postings(sentences)
-        for view in (load_corpus(path).postings, postings_of(sentences)):
+        for view in (load_corpus(path).postings, build_index(sentences).postings):
             assert isinstance(view, PostingsView) and len(view) == len(want)
             assert list(view) == list(want)
             for term, entries in want.items():  # each built on this lookup

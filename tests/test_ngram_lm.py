@@ -411,6 +411,23 @@ class TestQueryDicts:
         assert model._radix ** model.order >= 2 ** 63  # Python-int keys
         self._assert_dicts_equal(model, _reference_dicts(sentences, vocab, 6), tmp_path)
 
+    # A hand-built model's tables are checked where a loaded one's are:
+    # when its query dicts are built, here at its first query.
+    @pytest.mark.parametrize("query", ["prob", "logprob_seq"])
+    @pytest.mark.parametrize("mutate,error", [
+        (lambda b, g, p: (b, g[::-1], p), "rows unsorted or repeated"),
+        (lambda b, g, p: (b[:-1], g, p), r"\d+ backoff weights for \d+ contexts"),
+    ])
+    def test_bad_tables_raise_at_the_first_query(self, tiny_lm, query, mutate, error):
+        tables = [*tiny_lm._rows[:-1], mutate(*tiny_lm._rows[-1])]
+        model = NGramModel(tiny_lm.order, tiny_lm.vocab, tables)
+        with pytest.raises(ValueError, match=f"^order {tiny_lm.order}: {error}$"):
+            if query == "prob":
+                model.prob(0, [])
+            else:
+                model.logprob_seq([0], True)
+        assert "_tables" not in vars(model)
+
 
 class TestQuerySemantics:
     def test_context_is_right_trimmed(self, tiny_lm):
@@ -523,7 +540,7 @@ class TestPersistence:
         sentences, vocab = ingest(RANDOM_TEXT)
         model = train_lm(sentences, vocab, order=3)
         model.save(tmp_path / "m.pglm")
-        assert "_tables" not in vars(model)
+        assert "_tables" not in vars(model) and "_keys" not in vars(model)
 
     def test_save_gives_the_same_bytes_before_and_after_a_query(self, tmp_path):
         sentences, vocab = ingest(RANDOM_TEXT)

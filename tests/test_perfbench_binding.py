@@ -1,11 +1,13 @@
 """The benchmark harness under ``perfbench/`` still binds to the package.
 
 The harness imports the package by name and wraps public functions under
-``--trace 1``, so renaming one of them breaks a bench run long after the
-test suite passed.  These checks read ``perfbench/`` and run none of it.
+``--trace 1``, so renaming one of them, or changing how it is called,
+breaks a bench run long after the test suite passed.  These checks read
+``perfbench/`` and run none of it.
 """
 
 import ast
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -49,3 +51,42 @@ def test_workloads_name_only_package_attributes_that_exist(bench_modules):
                 looked_up.add((module.__name__, node.attr))
                 assert hasattr(module, node.attr), (module.__name__, node.attr)
     assert ("punforge.corpus", "load_corpus") in looked_up
+
+
+def _resolve(node, namespace):
+    """The object a name or dotted attribute names in ``namespace``, or None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+def test_calls_into_the_package_bind_to_their_signatures(bench_modules):
+    """Every call in ``workloads`` and ``inputs`` whose target is a package
+    function, class or method binds to its signature with as many
+    positional arguments and the same keywords; calls that spread ``*`` or
+    ``**`` arguments cannot be counted and are skipped."""
+    _spans, workloads = bench_modules
+    bound = set()
+    for module in (workloads, sys.modules["inputs"]):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _resolve(node.func, vars(module))
+            if not (callable(target)
+                    and (getattr(target, "__module__", None) or "").startswith("punforge")):
+                continue
+            keywords = [k.arg for k in node.keywords]
+            if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                continue
+            where = f"{Path(module.__file__).name}:{node.lineno} {ast.unparse(node.func)}"
+            try:
+                inspect.signature(target).bind(*[None] * len(node.args),
+                                                **dict.fromkeys(keywords))
+            except TypeError as exc:
+                pytest.fail(f"{where}: {exc}")
+            bound.add(target.__qualname__)
+    assert {"Corpus", "GenerationResources", "NGramModel.load", "SkipGramModel.load",
+            "build_index", "train_lm"} <= bound
