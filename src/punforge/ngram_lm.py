@@ -22,31 +22,39 @@ Training evaluates the recursion once, into one table per order (the
 ARPA/KenLM layout of Heafield 2011): the final probability
 ``kept + γ/total · p_lower`` of every stored (context, word) pair and the
 backoff weight ``γ/total`` of every stored context, whose numerator γ adds
-its words' discounts left to right in sorted word order.  It finds each
-order's distinct rows by sorting packed uint64 keys once: a key holds as
-many leading ids as fit in 64 bits, so a row takes one key while
-``(V + 2) ** order <= 2 ** 64`` for V words (up to 65,534 at order 4), and
-a wider row two or three keys, sorted least significant first.  A query walks
-from its longest context down: a stored n-gram returns its value, a stored
-context on the way multiplies in its weight, innermost first, so the floats
-equal the recursion's bit for bit.  A file keeps each order as sorted,
-distinct n-gram rows of token ids with their probabilities, and the backoff
-weights of their distinct contexts in row order, so loading builds no table
-from counts and reads no context.  Queries read one dict per order from
-packed keys to values; building it checks that order's ids, values, key
-order and one weight per context (the keys' runs without the last id).  A
-trained model packs no key until its first query and saves its rows; a
-loaded one builds the dicts at load, keeps only them and is not saved
+its words' discounts left to right in sorted word order.
+
+Every n-gram has one key, the context encoding of Pauls & Klein 2011: an
+order-k n-gram's key is its context's row in order k - 1 times the radix
+(the end marker's id plus one), plus its word.  Each order numbers its
+rows in sorted order.  The run of k - 1 begin markers is never predicted,
+so it is never a stored row: it takes the number one past order k - 1's
+last row, which is where it sorts (row 0, the empty context, at order 0).
+Rows and the radix are below 2 ** 32, so every key is one uint64 at every
+width, and the keys sort as the n-grams' ids do.  Training counts bottom-up
+with one sort per order: order k's key at a token is order k - 1's row at
+the token before it times the radix plus the token, and a row's suffix row
+(its n-gram without the oldest id) is order k - 1's row at the same token.
+
+A file keeps each order's backoff weights, one per distinct context in key
+order, its sorted keys and their probabilities.  Queries read, per order, a
+dict from key to row and flat columns: each row's probability, each order
+k - 1 row's backoff weight as a context (1.0 where it is none, and
+multiplying by 1.0 is exact) and each row's suffix row, which one
+``searchsorted`` per order derives.  Building them checks that order's
+tables.  A trained model builds them at its first query and saves its
+tables; a loaded one builds them as each order is read and is not saved
 again.  A walk carries one state from one token to the next, as KenLM's
-does: the packed key of the longest stored n-gram found, trimmed to
-``order - 1`` ids, and its length.  Each shorter context is a suffix of
-it, and its key follows from the key by one modulo, so each step starts at
-the longest context that can be stored.
+does: the row of the longest stored n-gram found, trimmed to ``order - 1``
+ids, and its length.  Each shorter context is a suffix row away, so each
+step starts at the longest context that can be stored, and the weights it
+meets multiply in innermost first, so the floats equal the recursion's bit
+for bit.
 
 ``logprob_pair`` scores two sequences that differ in one slot, as the
 surprisal measures do, in one shared walk: the prefix before the slot is
 walked once, the two sequences walk apart from the slot until their carried
-context keys agree (at most ``order - 1`` tokens past it), and the rest is
+states agree (at most ``order - 1`` tokens past it), and the rest is
 walked once for both.  Each total adds its tokens' log-probabilities left
 to right, so both equal their own ``logprob_seq`` bit for bit.
 
@@ -59,10 +67,11 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import cached_property, reduce
+from array import array
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,17 +81,27 @@ from .errors import TrainingError
 
 log = logging.getLogger(__name__)
 
-LM_MAGIC = b"PGL8"
+LM_MAGIC = b"PGL9"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
 FALLBACK_DISCOUNT = 0.75
 
-# One order's tables: the backoff weights of its contexts, then its n-gram
-# rows (context ids, word), sorted and distinct, with their probabilities.
-# The contexts are the distinct context ids of the rows, in row order.
+# One order's tables: the backoff weights of its contexts, then its sorted
+# n-gram keys (see the module docstring) with their probabilities.  The
+# contexts are the distinct keys' contexts, in key order.
 Tables = tuple[np.ndarray, np.ndarray, np.ndarray]
+_BLOCKS = ("<f8", "<u8", "<f8")  # how a file stores each of them
+
+
+class _Index(NamedTuple):
+    """The query columns, one per order, lowest first."""
+
+    grams: list[dict[int, int]]  # an n-gram's key to its row
+    probs: list[array]  # a row's probability
+    backoff: list[array]  # an order k - 1 row's backoff weight as a context
+    suffix: list[array]  # a row's suffix row; the begin-marker row's last
 
 
 def check_order(order: int) -> None:
@@ -106,18 +125,26 @@ def estimate_discounts(counts: Sequence[int] | np.ndarray) -> tuple[float, float
     return (d1, d2, d3) if in_range else fallback
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal consecutive values starts, and the run each
+    value is in."""
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
 class NGramModel:
     """Kneser-Ney model over token ids; see the module docstring for rules.
 
     ``tables`` holds one :data:`Tables` per order, lowest first, as
     :func:`train_lm` builds them and ``.pglm`` files store them, and
     :meth:`save` writes them; tables that break a rule raise ValueError
-    where the query dicts are built: at :meth:`load` or the first query.
+    where the query columns are built: at :meth:`load` or the first query.
     ``unigram_logprobs`` lists :meth:`unigram_logprob` by id; it is read,
     never written.
     """
 
-    def __init__(self, order: int, vocab: Vocabulary, tables: Sequence[Tables]):
+    def __init__(self, order: int, vocab: Vocabulary, tables: Iterable[Tables]):
         check_order(order)
         self.order = order
         self.vocab = vocab
@@ -125,13 +152,8 @@ class NGramModel:
         self.eos_id = len(vocab) + 1
         self.n_events = len(vocab) + 1  # vocabulary plus the end marker
         self._uniform = 1.0 / self.n_events
-        # A run of ids packs as base-``radix`` digits after a leading 1, so
-        # runs of different lengths never share a key and a query extends a
-        # key by one id with one multiply-add.
-        self._radix = self.eos_id + 1
-        self._rows: Sequence[Tables] | None = tables
-        self._bos_key = reduce(lambda key, t: key * self._radix + t,
-                               [self.bos_id] * (order - 1), 1)  # the begin markers
+        self._radix = self.eos_id + 1  # every id is below it
+        self._stored: Iterable[Tables] | None = tables
 
     @cached_property
     def unigram_logprobs(self) -> list[float]:
@@ -140,92 +162,98 @@ class NGramModel:
         return [math.log(c + 1) - denom for c in self.vocab.counts]
 
     @cached_property
-    def _tables(self) -> list[dict[int, float]]:
-        """Per order, a dict from context keys to backoff weights and n-gram
-        keys to probabilities, each order checked as it is built."""
-        return [dict(zip(self._checked_keys(k, table).tolist(),
-                         chain(table[0].tolist(), table[2].tolist())))
-                for k, table in enumerate(self._rows, start=1)]
+    def _index(self) -> _Index:
+        """Every order's query columns, lowest first, each order checked as
+        it is built; a load reads each order's arrays as it comes to them
+        and keeps none of them past the next order."""
+        index = _Index([], [], [], [])
+        lower = np.zeros(0, dtype=np.uint64), None  # order 0 stores no row
+        for k, table in enumerate(self._stored, start=1):
+            _, keys, probs = table
+            weights, suffix = self._checked_columns(k, table, *lower)
+            index.grams.append(dict(zip(keys.tolist(), range(len(keys)))))
+            for column, typecode, values in ((index.probs, "d", probs),
+                                             (index.backoff, "d", weights),
+                                             (index.suffix, "I", suffix)):
+                column.append(array(typecode))
+                column[-1].frombytes(np.ascontiguousarray(values, dtype=typecode).view(np.uint8))
+            lower = keys, suffix  # what order k + 1 is checked against
+        return index
 
-    def _checked_keys(self, k: int, table: Tables) -> np.ndarray:
-        """The context keys, then the n-gram keys, of order ``k``'s table;
-        raise ValueError naming the first rule the table breaks."""
-        backoff, gram_rows, probs = table
-        bos, words = self.bos_id, gram_rows[:, -1]
+    def _checked_columns(self, k: int, table: Tables, lower_keys: np.ndarray,
+                         lower_suffix: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The backoff weight of each order k - 1 row as a context, 1.0 where
+        it is none, and each order-k row's suffix row, the begin-marker
+        row's last; raise ValueError naming the first rule the tables of
+        order ``k`` break, given order k - 1's keys and suffix rows."""
+        backoff, keys, probs = table
+        marker_row = len(lower_keys)  # of k - 1 begin markers, in order k - 1
+        contexts, words = np.divmod(keys, np.uint64(self._radix))
         problem = (
-            "ids outside the event space"
-            if (gram_rows[:, :-1] > bos).any()
-            or ((words >= bos) & (words != self.eos_id)).any()
+            "block lengths disagree" if len(keys) != len(probs)
             else "a probability outside (0, 1]"
             if not ((probs > 0.0) & (probs <= 1.0)).all()
             else "a backoff weight outside (0, 1]"  # γ <= total, as D(c) <= c
             if not ((backoff > 0.0) & (backoff <= 1.0)).all()
+            else "keys do not strictly increase" if not (keys[1:] > keys[:-1]).all()
+            else f"a context row past order {k - 1}'s begin-marker row {marker_row}"
+            if (contexts > marker_row).any()
+            else "a word outside the event space"  # no other non-word is below the radix
+            if (words == self.bos_id).any()
             else None
         )
         if problem:
             raise ValueError(f"order {k}: {problem}")
-        # Every id is below the radix, so the rows are sorted and distinct
-        # exactly when the keys increase; a context's key drops the word.
-        grams = self._pack(gram_rows)
-        if not (grams[1:] > grams[:-1]).all():
-            raise ValueError(f"order {k}: rows unsorted or repeated")
-        contexts = grams // self._radix
-        new = np.ones(len(contexts), dtype=bool)
-        new[1:] = contexts[1:] != contexts[:-1]
-        starts = np.flatnonzero(new)
+        # the begin-marker row's suffix; at order 1 every row's, the empty context
+        suffix = np.full(len(keys) + 1, marker_row, dtype=np.uint64)
+        if k > 1:  # the suffix of (context, word) is (the context's suffix, word)
+            wanted = lower_suffix[contexts] * self._radix + words
+            rows = suffix[:-1]
+            rows[:] = np.searchsorted(lower_keys, wanted)
+            if (rows >= marker_row).any() or (lower_keys[rows] != wanted).any():
+                raise ValueError(f"order {k}: a row whose suffix is not stored")
+        starts, _ = _runs(contexts)
         if len(starts) != len(backoff):
             raise ValueError(f"order {k}: {len(backoff)} backoff weights "
                              f"for {len(starts)} contexts")
-        return np.concatenate([contexts[starts], grams])
+        weights = np.ones(marker_row + 1)
+        weights[contexts[starts]] = backoff
+        return weights, suffix
 
-    def _pack(self, rows: np.ndarray) -> np.ndarray:
-        """The keys of rows of ids (see ``__init__``); while every id is below
-        the radix, the keys are in the rows' lexicographic order.  They are
-        uint64 while every key fits, else Python ints in object arrays."""
-        dtype = np.uint64 if self._radix ** self.order < 2 ** 63 else object
-        keys = np.ones(len(rows), dtype=dtype)
-        for column in rows.T:
-            keys = keys * self._radix + column.astype(dtype)
-        return keys
+    def _marker_row(self, length: int) -> int:
+        """The row of a run of ``length`` begin markers in order ``length``."""
+        return len(self._index.probs[length - 1]) if length else 0
 
     @cached_property
     def _step(self) -> Callable[[int, int, int], tuple[float, int, int]]:
-        """The walk's one step, ``(key, length, w) -> (p, key', length')``: p,
-        not ln p, of id ``w`` after the context packed in ``key`` (its last
-        ``length`` ids, at most ``order - 1``), and the context carried on."""
+        """The walk's one step, ``(row, length, w) -> (p, row', length')``: p,
+        not ln p, of id ``w`` after the context in ``row`` of order
+        ``length`` (at most ``order - 1``), and the context carried on."""
         # read once into the closure: attribute reads on every step cost more
-        tables, radix, uniform = self._tables, self._radix, self._uniform
-        longest = self.order - 1
-        powers = [radix ** j for j in range(self.order)]
-        full = powers[longest]
+        grams, probs, backoff, suffix = self._index
+        radix, uniform, longest = self._radix, self._uniform, self.order - 1
 
-        def step(key: int, length: int, w: int) -> tuple[float, int, int]:
-            gram = key * radix + w
-            table = tables[length]
-            p = table.get(gram)
-            # A context is stored only if it is a stored n-gram, so the next
-            # step starts at the longest n-gram found here.
-            if p is not None:
+        def step(row: int, length: int, w: int) -> tuple[float, int, int]:
+            r = grams[length].get(row * radix + w)
+            # A context is a stored n-gram one order down or a run of begin
+            # markers, so the next step starts at the longest n-gram found.
+            if r is not None:
                 if length == longest:  # drop the oldest id
-                    return p, gram % full + full, length
-                return p, gram, length + 1
-            weight = table.get(key)
-            weights = [] if weight is None else [weight]
+                    return probs[length][r], suffix[length][r], length
+                return probs[length][r], r, length + 1
+            weights = [backoff[length][row]]
             for j in range(length - 1, -1, -1):  # the shorter suffixes, longest first
-                ctx = powers[j] + key % powers[j]
-                gram = ctx * radix + w
-                table = tables[j]
-                p = table.get(gram)
-                if p is not None:
+                row = suffix[j][row]
+                r = grams[j].get(row * radix + w)
+                if r is not None:
+                    p = probs[j][r]
                     break
-                weight = table.get(ctx)
-                if weight is not None:
-                    weights.append(weight)
+                weights.append(backoff[j][row])
             else:
-                p, gram, j = uniform, 1, -1
+                p, r, j = uniform, 0, -1
             for weight in reversed(weights):  # innermost first, as the recursion nests
                 p = weight * p
-            return p, gram, j + 1
+            return p, r, j + 1
 
         return step
 
@@ -233,13 +261,21 @@ class NGramModel:
         """p(word | context); context may be any length and is right-trimmed."""
         if not (0 <= word_id < len(self.vocab) or word_id == self.eos_id):
             raise ValueError(f"word id {word_id} outside the event space")
-        ctx = list(context[-(self.order - 1):])
-        for i in range(len(ctx) - 1, -1, -1):
-            if not 0 <= ctx[i] <= self.bos_id:  # no stored context holds it
-                del ctx[:i + 1]
-                break
-        key = reduce(lambda key, t: key * self._radix + int(t), ctx, 1)
-        return self._step(key, len(ctx), int(word_id))[0]
+        ctx, bos = context[-(self.order - 1):], self.bos_id
+        start = len(ctx)  # of the words after the last marker or other non-word
+        while start and 0 <= ctx[start - 1] < bos:
+            start -= 1
+        run = start
+        while run and ctx[run - 1] == bos:
+            run -= 1
+        # A stored context holds begin markers only as a leading run, so
+        # the walk starts at the row of the last run and steps through the
+        # words after it; no stored context holds any other non-word.
+        step = self._step
+        row, length = self._marker_row(start - run), start - run
+        for t in ctx[start:]:
+            _, row, length = step(row, length, int(t))
+        return step(row, length, int(word_id))[0]
 
     def _check_ids(self, token_ids: Sequence[int]) -> None:
         """Raise ValueError unless every id is a vocabulary id; the markers
@@ -250,8 +286,9 @@ class NGramModel:
                 raise ValueError(f"token id {t} outside the vocabulary")
 
     def _start(self, use_boundary_markers: bool) -> tuple[int, int]:
-        """The state, (context key, length), a sequence's walk starts from."""
-        return (self._bos_key, self.order - 1) if use_boundary_markers else (1, 0)
+        """The state, (row, length), a sequence's walk starts from."""
+        length = self.order - 1 if use_boundary_markers else 0
+        return self._marker_row(length), length
 
     def logprob_seq(self, token_ids: Sequence[int], use_boundary_markers: bool) -> float:
         """Sum of ln p(x_i | preceding context) over the sequence.
@@ -265,10 +302,10 @@ class NGramModel:
         if use_boundary_markers:
             seq = chain(seq, (self.eos_id,))
         step = self._step
-        key, length = self._start(use_boundary_markers)
+        row, length = self._start(use_boundary_markers)
         total = 0.0
         for w in seq:
-            p, key, length = step(key, length, w)
+            p, row, length = step(row, length, w)
             total += math.log(p)
         return total
 
@@ -290,27 +327,27 @@ class NGramModel:
         if use_boundary_markers:
             tail.append(self.eos_id)
         step, log = self._step, math.log
-        key, length = self._start(use_boundary_markers)
+        row, length = self._start(use_boundary_markers)
         pun = 0.0
         for w in ids[:position]:
-            p, key, length = step(key, length, w)
+            p, row, length = step(row, length, w)
             pun += log(p)
-        alt_p, alt_key, alt_length = step(key, length, int(alt_id))
-        p, key, length = step(key, length, ids[position])
+        alt_p, alt_row, alt_length = step(row, length, int(alt_id))
+        p, row, length = step(row, length, ids[position])
         alt, pun = pun + log(alt_p), pun + log(p)
         rest = iter(tail)
-        # A key packs a run and its length, so equal keys mean equal
-        # contexts, and every later token has one probability.
-        if alt_key != key:
+        # Equal states mean equal contexts, so every later token has one
+        # probability.
+        if (alt_row, alt_length) != (row, length):
             for w in rest:
-                alt_p, alt_key, alt_length = step(alt_key, alt_length, w)
-                p, key, length = step(key, length, w)
+                alt_p, alt_row, alt_length = step(alt_row, alt_length, w)
+                p, row, length = step(row, length, w)
                 alt += log(alt_p)
                 pun += log(p)
-                if alt_key == key:
+                if (alt_row, alt_length) == (row, length):
                     break
         for w in rest:
-            p, key, length = step(key, length, w)
+            p, row, length = step(row, length, w)
             logp = log(p)
             alt += logp
             pun += logp
@@ -327,14 +364,14 @@ class NGramModel:
     def save(self, path: str | Path) -> None:
         """Write the order and the vocabulary, then each order's :data:`Tables`
         as three array blocks, lowest first; a loaded model has none."""
-        if self._rows is None:
+        if self._stored is None:
             raise ValueError("a loaded language model is not saved again")
         with binio.writing(path, LM_MAGIC) as fh:
             binio.pack(fh, "<B", self.order)
             write_vocab(fh, self.vocab)
-            for table in self._rows:  # weights, n-grams, probabilities
-                for array, dtype in zip(table, ("<f8", "<u4", "<f8")):
-                    binio.write_array(fh, array, dtype)
+            for table in self._stored:  # weights, keys, probabilities
+                for values, dtype in zip(table, _BLOCKS):
+                    binio.write_array(fh, values, dtype)
 
     @classmethod
     def load(cls, path: str | Path,
@@ -344,101 +381,64 @@ class NGramModel:
             check_order(order)
             vocab = read_vocab(fh, what="language model",
                                expected_hash=expected_vocab_hash)
-            tables = []
-            for k in range(1, order + 1):
-                backoff, gram_rows, probs = (binio.read_array(fh, dtype)
-                                             for dtype in ("<f8", "<u4", "<f8"))
-                if len(gram_rows) != len(probs) * k:  # one row of ids per probability
-                    raise ValueError(f"order {k}: block lengths disagree")
-                tables.append((backoff, gram_rows.reshape(len(probs), k), probs))
-            model = cls(order, vocab, tables)
-            model._tables  # check the tables and build the query dicts now
-        model._rows = None  # and keep no arrays beside them
+            # each order's blocks are read as its columns are built
+            model = cls(order, vocab, (tuple(binio.read_array(fh, dtype) for dtype in _BLOCKS)
+                                       for _ in range(order)))
+            model._index  # check the tables and build the query columns now
+        model._stored = None
         model.unigram_logprobs  # scoring reads it, so a load builds it too
         return model
 
 
-def _column_keys(rows: np.ndarray, radix: int) -> list[np.ndarray]:
-    """Rows of ids below ``radix`` as uint64 keys, most significant first,
-    that compare as the rows do lexicographically: each key packs as many
-    leading columns as fit in 64 bits as base-``radix`` digits.  Rows of
-    order k take one key while ``radix ** k <= 2 ** 64``, and rows of no
-    columns one key of zeros."""
-    width = 1
-    while radix ** (width + 1) <= 2 ** 64:
-        width += 1
-    base = np.uint64(radix)
-    keys = []
-    for start in range(0, max(rows.shape[1], 1), width):
-        key = np.zeros(len(rows), dtype=np.uint64)
-        for column in rows.T[start:start + width]:
-            key *= base
-            key += column.astype(np.uint64)
-        keys.append(key)
-    return keys
-
-
-def _unique_rows(rows: np.ndarray, radix: int,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of ids below ``radix`` in lexicographic order, the
-    index of each input row among them, and how often each occurs."""
-    keys = _column_keys(rows, radix)
-    # Least significant key first and every later sort stable, as lexsort
-    # does; equal rows form one group in any order, so the first sort, and
-    # the only one while a row fits one key, need not be stable.
-    order = np.argsort(keys[-1])
-    for key in keys[-2::-1]:
-        order = order[np.argsort(key[order], kind="stable")]
-    starts, group = _runs([key[order] for key in keys])
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = group
-    return rows[order[starts]], inverse, np.bincount(group)
-
-
-def _runs(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal consecutive rows starts, and the run each row
-    is in, from the rows' :func:`_column_keys`."""
-    new = np.ones(len(keys[0]), dtype=bool)
-    new[1:] = reduce(np.logical_or, [key[1:] != key[:-1] for key in keys])
-    return np.flatnonzero(new), np.cumsum(new) - 1
-
-
-def _kneser_ney_tables(grams: np.ndarray, n_events: int,
+def _kneser_ney_tables(ids: np.ndarray, order: int, n_events: int,
                        ) -> tuple[list[tuple[float, float, float]], list[Tables]]:
-    """Every order's discounts and :data:`Tables` from the top-order n-gram
-    of every training token (one row each, the token last).
+    """Every order's discounts and :data:`Tables` from the training ids,
+    each sentence padded with ``order - 1`` begin markers (``n_events - 1``)
+    before it and an end marker (``n_events``) after it.
 
     Each order is computed from the stored probabilities of the order below.
     The backoff numerator γ of a context adds its words' discounts left to
     right in sorted word order, as a loop over the stored rows would.
     """
-    # Top down: each order's sorted distinct rows, their counts and each
-    # row's projection (its row one order down).
-    radix = n_events + 1  # every id, the markers included, is below it
-    rows, _, counts = _unique_rows(grams, radix)
+    # Bottom up: each order's sorted distinct keys and their suffix rows,
+    # from each token's row one order down.
+    radix, bos = n_events + 1, n_events - 1
+    targets = np.flatnonzero(ids != bos)
+    tokens = ids[targets].astype(np.uint64)
+    opens = ids[targets - 1] == bos  # the tokens after a run of begin markers
+    rows = np.zeros(len(tokens), dtype=np.uint64)  # order 0's: the empty context
     levels = []
-    while rows.shape[1] > 1:
-        lower, proj, lower_counts = _unique_rows(rows[:, 1:], radix)
-        levels.append((rows, counts, proj))
-        rows, counts = lower, lower_counts
-    levels.append((rows, counts, None))
+    for _ in range(order):
+        before = np.roll(rows, 1)  # the rows at the tokens before
+        before[opens] = len(levels[-1][0]) if levels else 0  # the begin-marker row
+        keys = before * radix + tokens
+        sort = np.argsort(keys)
+        starts, group = _runs(keys[sort])
+        firsts = sort[starts]
+        levels.append((keys[firsts], rows[firsts]))
+        rows[sort] = group
+    top_counts = np.bincount(group)
 
     discounts: list[tuple[float, float, float]] = []
     tables: list[Tables] = []
     probs = None  # of the order below
-    for rows, counts, proj in reversed(levels):
+    for k, (keys, suffix) in enumerate(levels, start=1):
+        # below the top, continuation counts: the distinct n-grams one order
+        # up that end in the row
+        counts = (top_counts if k == order
+                  else np.bincount(levels[k][1].astype(np.int64), minlength=len(keys)))
         d = estimate_discounts(counts)
         discounts.append(d)
         discount = np.array(d)[np.minimum(counts, 3) - 1]
-        starts, ctx_of = _runs(_column_keys(rows[:, :-1], radix))
+        starts, ctx_of = _runs(keys // radix)
         # bincount adds each bin's weights in index order, not pairwise
         gamma = np.bincount(ctx_of, weights=discount, minlength=len(starts))
         total = np.add.reduceat(counts, starts)
         backoff = gamma / total
         kept = (counts - discount) / total[ctx_of]
-        p_lower = 1.0 / n_events if proj is None else probs[proj]
+        p_lower = 1.0 / n_events if k == 1 else probs[suffix]
         probs = kept + backoff[ctx_of] * p_lower
-        tables.append((backoff, rows, probs))
+        tables.append((backoff, keys, probs))
     return discounts, tables
 
 
@@ -466,9 +466,7 @@ def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
     flat = np.full(n_tokens + len(lengths) * order, bos, dtype=np.int64)
     flat[np.arange(n_tokens) + np.repeat(shift, lengths)] = ids
     flat[np.cumsum(lengths) + shift] = eos
-    targets = np.flatnonzero(flat != bos)
-    grams = flat[targets[:, None] + np.arange(1 - order, 1)]
-    discounts, tables = _kneser_ney_tables(grams, len(vocab) + 1)
+    discounts, tables = _kneser_ney_tables(flat, order, len(vocab) + 1)
     for k, ((d1, d2, d3), (backoff, _, probs)) in enumerate(zip(discounts, tables),
                                                           start=1):
         log.info("order %d discounts: D1 %.6g, D2 %.6g, D3+ %.6g", k, d1, d2, d3)

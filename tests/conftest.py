@@ -17,14 +17,14 @@ the old dog saw a bird . a bird sat on the old mat .
 """
 
 # 2,000 words, each sentence ten of them in a row, twice with different
-# endings: at order 6 the packed keys pass 64 bits.
+# endings: at order 6 six ids take more than 64 bits.
 WIDE_TEXT = "\n".join(" ".join(f"w{i}" for i in range(start, start + 10)) + " ."
                       for start in range(0, 2000, 10))
 
 
 @pytest.fixture(scope="session")
 def wide():
-    """(sentences, vocab) whose order-6 keys are Python ints."""
+    """(sentences, vocab) whose order-6 n-grams take more than 64 bits of ids."""
     return ingest(WIDE_TEXT + "\n" + WIDE_TEXT.replace(" .", " end ."))
 
 

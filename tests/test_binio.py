@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import CountTablesKN, reference_postings
-from punforge import binio, corpus, skipgram
+from punforge import binio, cli, corpus, skipgram
 from punforge.corpus import CORPUS_MAGIC, Corpus, ingest, load_corpus, save_corpus
 from punforge.demo_corpus import build_demo_corpus, write_demo_corpus
 from punforge.errors import FormatError, ResourceError
@@ -310,24 +310,35 @@ def demo_lm(demo):
 
 def _read_lm_sections(path):
     """Every section of a language model file, in file order; each order's
-    tables as [backoff weights, n-gram rows, probabilities]."""
+    tables as [backoff weights, n-gram keys, probabilities]."""
     with binio.reading(path, LM_MAGIC, "language model") as fh:
         (order,) = binio.unpack(fh, "<B")
         stored, words, counts = _read_vocab_section(fh)
         s = {"order": order, "vocab_hash": stored,
              "words": words, "counts": counts, "tables": []}
-        for k in range(1, order + 1):
-            backoff, grams = binio.read_array(fh, "<f8"), binio.read_array(fh, "<u4")
-            probs = binio.read_array(fh, "<f8")
-            s["tables"].append([backoff, grams.reshape(-1, k), probs])
+        for _ in range(order):
+            s["tables"].append([binio.read_array(fh, dtype) for dtype in ("<f8", "<u8", "<f8")])
     return s
+
+
+def key_rows(tables, bos):
+    """Each order's keys as rows of ids, lowest order first: a key is its
+    context's row one order down times the radix (the end marker plus one)
+    plus its word, and the row one past that order's last is its run of
+    begin markers (row 0, the empty context, at order 0)."""
+    radix, rows = bos + 2, np.zeros((0, 0), dtype=np.int64)  # order 0 stores none
+    for k, (_, keys, _) in enumerate(tables, start=1):
+        contexts = np.vstack([rows, np.full((1, k - 1), bos)])
+        rows = np.hstack([contexts[(keys // radix).astype(np.int64)],
+                          (keys % radix).astype(np.int64)[:, None]])
+        yield rows
 
 
 def assert_file_holds_tables(path, model):
     """The file's tables are the ones the trained model was built from."""
     sections = _read_lm_sections(path)["tables"]
-    assert len(sections) == len(model._rows)
-    for stored, built in zip(sections, model._rows):
+    assert len(sections) == len(model._stored)
+    for stored, built in zip(sections, model._stored):
         assert [np.array_equal(a, b) for a, b in zip(stored, built)] == [True] * 3
 
 
@@ -335,26 +346,38 @@ def _write_lm_sections(path, s):
     with binio.writing(path, LM_MAGIC) as fh:
         binio.pack(fh, "<B", s["order"])
         _write_vocab_section(fh, s["words"], s["counts"])
-        for backoff, grams, probs in s["tables"]:
-            binio.write_array(fh, backoff, "<f8")
-            binio.write_array(fh, grams, "<u4")
-            binio.write_array(fh, probs, "<f8")
+        for table in s["tables"]:
+            for values, dtype in zip(table, ("<f8", "<u8", "<f8")):
+                binio.write_array(fh, values, dtype)
 
 
-def _top(index, change, k=None):
-    """Apply ``change(array, bos)`` to one array of the top-order tables, or
-    of order ``k``'s."""
+def _change(index, change, k=None):
+    """Apply ``change(array, bos, lower)`` to one array of the top-order
+    tables, or of order ``k``'s, where ``lower`` is how many rows the order
+    below stores: the row of its run of begin markers."""
     def mutate(s, bos):
-        table = s["tables"][-1 if k is None else k - 1]
-        table[index] = change(table[index], bos)
+        order = k or s["order"]
+        table = s["tables"][order - 1]
+        lower = len(s["tables"][order - 2][1]) if order > 1 else 0
+        table[index] = change(table[index], bos, lower)
     return mutate
+
+
+def _last_key(key):
+    """The keys with the last one replaced by ``key(last, bos, lower)``."""
+    return lambda g, bos, lower: np.r_[g[:-1], key(int(g[-1]), bos, lower)]
+
+
+def _last_word(word):
+    """The keys with the last one's word replaced by ``word(bos)``."""
+    return _last_key(lambda key, bos, lower: key - key % (bos + 2) + word(bos))
 
 
 class TestLanguageModelFile:
     def test_counts_are_sorted_rows(self, demo_lm, tmp_path):
-        """Each order's tables are sorted distinct n-gram rows and values that
-        are the model's own: an n-gram's probability is ``prob``, and the
-        backoff weight of each distinct context, in row order, scales
+        """Each order's tables are sorted distinct n-gram keys and values
+        that are the model's own: an n-gram's probability is ``prob``, and
+        the backoff weight of each distinct context, in key order, scales
         ``prob`` one order down for a word it lacks."""
         path = tmp_path / "m.pglm"
         demo_lm.save(path)
@@ -363,9 +386,11 @@ class TestLanguageModelFile:
         assert (tmp_path / "copy.pglm").read_bytes() == path.read_bytes()
         assert s["order"] == 3
         events = set(range(len(demo_lm.vocab))) | {demo_lm.eos_id}
-        for k, (backoff, grams, probs) in enumerate(s["tables"], start=1):
-            gram_rows = [tuple(r) for r in grams.tolist()]
-            assert gram_rows == sorted(set(gram_rows))
+        rows_of = key_rows(s["tables"], demo_lm.bos_id)
+        for k, ((backoff, keys, probs), rows) in enumerate(zip(s["tables"], rows_of), start=1):
+            assert keys.dtype == np.uint64 and (keys[1:] > keys[:-1]).all()
+            gram_rows = [tuple(r) for r in rows.tolist()]
+            assert gram_rows == sorted(set(gram_rows))  # keys sort as their ids
             ctx_rows = sorted({r[:-1] for r in gram_rows})
             assert len(ctx_rows) == len(backoff)
             assert probs.tolist() == [demo_lm.prob(r[-1], r[:-1]) for r in gram_rows]
@@ -385,8 +410,8 @@ class TestLanguageModelFile:
         reference = CountTablesKN([demo.vocab.encode(s.tokens) for s in demo.sentences],
                                   len(demo.vocab), demo_lm.order)
         events = list(range(len(demo_lm.vocab))) + [demo_lm.eos_id]
-        for _, grams, _ in _read_lm_sections(path)["tables"]:
-            for row in {tuple(r[:-1]) for r in grams.tolist()}:  # every context
+        for rows in key_rows(_read_lm_sections(path)["tables"], demo_lm.bos_id):
+            for row in {tuple(r[:-1]) for r in rows.tolist()}:  # every context
                 for w in events:
                     assert (loaded.prob(w, row).hex() == demo_lm.prob(w, row).hex()
                             == reference.prob(w, row).hex())
@@ -395,41 +420,52 @@ class TestLanguageModelFile:
     # Each corrupts one section and keeps the rest of the file readable.
     @pytest.mark.parametrize("change", [
         {"order": 1},                                              # check_order
-        {"order": 4},                                              # 3-id rows read as 4
-        {"mutate": _top(2, lambda p, bos: p[:-1])},                # fewer probabilities
-        {"mutate": _top(2, lambda p, bos: np.r_[0.0, p[1:]]),      # zero probability
+        {"order": 4},                                              # a fourth order missing
+        {"mutate": _change(2, lambda p, bos, lower: p[:-1]),       # fewer probabilities
+         "error": "order 3: block lengths disagree"},
+        {"mutate": _change(2, lambda p, bos, lower: np.r_[0.0, p[1:]]),  # zero probability
          "error": r"order 3: a probability outside \(0, 1\]"},
-        {"mutate": _top(1, lambda g, bos: g[::-1]),                # unsorted rows
-         "error": "order 3: rows unsorted or repeated"},
-        {"mutate": _top(1, lambda g, bos: np.r_[g[:1], g[:1], g[2:]]),  # repeated row
-         "error": "order 3: rows unsorted or repeated"},
-        {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos]]])},  # bos word
-        {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos, bos, bos + 2]]])},  # past eos
-        {"mutate": _top(1, lambda g, bos: np.r_[g[:-1], [[bos + 1, 0, 0]]])},  # eos context
-        {"mutate": _top(2, lambda p, bos: np.r_[1.5, p[1:]]),      # probability above 1
+        {"mutate": _change(2, lambda p, bos, lower: np.r_[1.5, p[1:]]),  # above 1
          "error": r"order 3: a probability outside \(0, 1\]"},
-        {"mutate": _top(2, lambda p, bos: np.r_[np.nan, p[1:]]),   # not finite
+        {"mutate": _change(2, lambda p, bos, lower: np.r_[np.nan, p[1:]]),  # not finite
          "error": r"order 3: a probability outside \(0, 1\]"},
-        {"mutate": _top(2, lambda p, bos: np.r_[np.inf, p[1:]]),
+        {"mutate": _change(2, lambda p, bos, lower: np.r_[np.inf, p[1:]]),
          "error": r"order 3: a probability outside \(0, 1\]"},
-        {"mutate": _top(0, lambda b, bos: np.r_[-0.5, b[1:]]),     # negative weight
+        {"mutate": _change(0, lambda b, bos, lower: np.r_[-0.5, b[1:]]),  # negative weight
          "error": r"order 3: a backoff weight outside \(0, 1\]"},
-        {"mutate": _top(0, lambda b, bos: np.r_[0.0, b[1:]]),      # zero weight
+        {"mutate": _change(0, lambda b, bos, lower: np.r_[0.0, b[1:]]),  # zero weight
          "error": r"order 3: a backoff weight outside \(0, 1\]"},
-        {"mutate": _top(0, lambda b, bos: np.r_[np.nan, b[1:]]),   # not finite
+        {"mutate": _change(0, lambda b, bos, lower: np.r_[np.nan, b[1:]]),  # not finite
          "error": r"order 3: a backoff weight outside \(0, 1\]"},
-        {"mutate": _top(0, lambda b, bos: np.r_[np.inf, b[1:]]),
+        {"mutate": _change(0, lambda b, bos, lower: np.r_[np.inf, b[1:]]),
          "error": r"order 3: a backoff weight outside \(0, 1\]"},
-        {"mutate": _top(0, lambda b, bos: b[:-1]),                 # one weight too few
+        {"mutate": _change(1, lambda g, bos, lower: g[::-1]),      # keys decrease
+         "error": "order 3: keys do not strictly increase"},
+        {"mutate": _change(1, lambda g, bos, lower: np.r_[g[:1], g[:1], g[2:]]),  # repeated
+         "error": "order 3: keys do not strictly increase"},
+        {"mutate": _change(1, lambda g, bos, lower: g[[1, 0, *range(2, len(g))]]),  # swapped
+         "model": "wide_lm", "error": "order 6: keys do not strictly increase"},
+        {"mutate": _change(1, _last_key(lambda key, bos, lower: (lower + 1) * (bos + 2))),
+         "error": r"order 3: a context row past order 2's begin-marker row \d+"},
+        {"mutate": _change(1, _last_key(lambda key, bos, lower: bos + 2), k=1),  # row 1
+         "error": "order 1: a context row past order 0's begin-marker row 0"},
+        {"mutate": _change(1, _last_word(lambda bos: bos)),        # the begin marker as a word
+         "error": "order 3: a word outside the event space"},
+        {"mutate": _change(1, _last_word(lambda bos: bos), k=1),
+         "error": "order 1: a word outside the event space"},
+        {"mutate": _change(1, _last_word(lambda bos: bos + 1)),    # (bos, eos): no suffix
+         "error": "order 3: a row whose suffix is not stored"},
+        {"mutate": _change(0, lambda b, bos, lower: b[:-1]),       # one weight too few
          "error": r"order 3: \d+ backoff weights for \d+ contexts"},
-        {"mutate": _top(0, lambda b, bos: np.r_[b, b[:1]]),        # one weight too many
+        {"mutate": _change(0, lambda b, bos, lower: np.r_[b, b[:1]]),  # one weight too many
          "error": r"order 3: \d+ backoff weights for \d+ contexts"},
-        {"mutate": _top(0, lambda b, bos: np.r_[b, b], k=1),       # two weights, one context
+        {"mutate": _change(0, lambda b, bos, lower: np.r_[b, b], k=1),  # two weights, one context
          "error": "order 1: 2 backoff weights for 1 contexts"},
-        {"mutate": _top(1, lambda g, bos: g[[1, 0, *range(2, len(g))]]),  # swapped rows
-         "model": "wide_lm", "error": "order 6: rows unsorted or repeated"},
     ])
-    def test_bad_counts_rejected(self, request, tmp_path, change):
+    def test_bad_counts_rejected(self, request, tmp_path, capsys, change):
+        """A loader's FormatError, and through the CLI exit code 2 with one
+        line on standard error: ``corrupt language model <file>: <rule>``
+        for each rule the tables break."""
         model = request.getfixturevalue(change.get("model", "demo_lm"))
         path, bad = tmp_path / "m.pglm", tmp_path / "bad.pglm"
         model.save(path)
@@ -437,11 +473,20 @@ class TestLanguageModelFile:
         s["order"] = change.get("order", s["order"])
         if "mutate" in change:
             change["mutate"](s, model.bos_id)
-        _write_lm_sections(bad, s)
+        _write_lm_sections(bad, s)  # with its checksum recomputed
         error = f": {change['error']}$" if "error" in change else ""
         with pytest.raises(FormatError, match=f"bad.pglm{error}") as err:
             NGramModel.load(bad)
         assert "\n" not in str(err.value)
+        records = tmp_path / "in.jsonl"
+        records.write_text('{"sentence": "a hare .", "pun_word": "hare", "alt_word": "hair"}\n')
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["score", "--lm", str(bad), "--input", str(records),
+                         "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"punforge: {err.value}\n"
+        if "error" in change:
+            assert str(err.value).startswith(f"corrupt language model {bad}: order ")
+        assert not out.exists()
 
     def test_truncated_file_rejected(self, demo_lm, tmp_path):
         path, bad = tmp_path / "m.pglm", tmp_path / "bad.pglm"
@@ -454,7 +499,8 @@ class TestLanguageModelFile:
 
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
-        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5", b"PGL6", b"PGL7"):
+        for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5", b"PGL6", b"PGL7",
+                      b"PGL8"):
             path.write_bytes(magic + bytes(64))
             with pytest.raises(FormatError, match=f"old.pglm is not a language model "
                                                   f"file: bad magic {magic!r}") as err:

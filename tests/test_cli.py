@@ -720,7 +720,7 @@ class TestScore:
     # The walkthrough's files, byte for byte.  The .pgsg digest holds for one
     # machine type, numpy build and BLAS core, as the README says.
     @pytest.mark.parametrize("name,digest", [
-        ("corpus", "14c05151b07ab819"), ("lm", "a7ca21bb379709f5"),
+        ("corpus", "14c05151b07ab819"), ("lm", "c3d016e4d94a3eb9"),
         ("skipgram", "a8d7e542b98bc1db")])
     def test_readme_walkthrough_files_are_pinned(self, pipeline, name, digest):
         data = pipeline[name].read_bytes()
@@ -1460,15 +1460,15 @@ def small_models(tmp_path_factory):
 def _write_with_format_fault(files, ext, bad):
     """Write to ``bad`` the ``ext`` file of ``files`` with one fault that only
     its format module finds: a repeated sentence id, unsorted top-order
-    n-gram rows, or embedding tables of another size than the header's."""
+    n-gram keys, or embedding tables of another size than the header's."""
     corpus = load_corpus(files["pgc"])
     if ext == "pgc":
         repeated = [*corpus.sentences, corpus.sentences[0]]
         save_corpus(bad, Corpus(repeated, corpus.vocab))
     elif ext == "pglm":
         lm = train_lm(corpus.sentences, corpus.vocab, order=3)
-        backoff, gram_rows, probs = lm._rows[-1]
-        lm._rows[-1] = (backoff, gram_rows[::-1], probs[::-1])
+        backoff, keys, probs = lm._stored[-1]
+        lm._stored[-1] = (backoff, keys[::-1], probs[::-1])
         lm.save(bad)
     else:
         model = SkipGramModel.load(files["pgsg"])
@@ -1524,7 +1524,8 @@ class TestModelFiles:
                                            ("pgc", b"PGC6"), ("pglm", b"PGL4"),
                                            ("pgsg", b"PGS2"), ("pglm", b"PGL5"),
                                            ("pglm", b"PGL6"), ("pgc", b"PGC7"),
-                                           ("pglm", b"PGL7"), ("pgsg", b"PGS3")])
+                                           ("pglm", b"PGL7"), ("pgsg", b"PGS3"),
+                                           ("pglm", b"PGL8")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"
@@ -1536,7 +1537,7 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("ext,kind,problem", [
         ("pgc", "corpus", "sentence arrays disagree"),
-        ("pglm", "language model", "order 3: rows unsorted or repeated"),
+        ("pglm", "language model", "order 3: keys do not strictly increase"),
         ("pgsg", "skip-gram model", "embedding table has the wrong size"),
     ])
     @pytest.mark.parametrize("fault", ["format", "trailing-bytes"])

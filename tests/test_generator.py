@@ -462,7 +462,7 @@ class TestLoad:
         assert loaded.graph == hand.graph
         assert (loaded.lexicon.nouns, loaded.lexicon.verbs) == \
             (hand.lexicon.nouns, hand.lexicon.verbs)
-        assert loaded.lm._tables == hand.lm._tables
+        assert loaded.lm._index == hand.lm._index
         config = GenerationConfig(max_outputs=100, rerank=True)
         for pair in (PunPair("hare", "hair"), PunPair("person", "care")):
             result = generate(pair, loaded, config)

@@ -8,12 +8,12 @@ import pytest
 
 from oracles import (CountTablesKN, ReferenceKN, reference_kneser_ney_tables,
                      reference_walk)
-from test_binio import assert_file_holds_tables
+from test_binio import assert_file_holds_tables, key_rows
 from punforge.corpus import ingest
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError, ResourceError, TrainingError
-from punforge.ngram_lm import (FALLBACK_DISCOUNT, NGramModel, _column_keys,
-                               _kneser_ney_tables, estimate_discounts, train_lm)
+from punforge.ngram_lm import (FALLBACK_DISCOUNT, NGramModel, _kneser_ney_tables,
+                               estimate_discounts, train_lm)
 
 CORPORA = [
     "the cat sat on the mat . the cat ran . a dog sat .",
@@ -115,7 +115,8 @@ class TestAgainstCountTables:
         model = train_lm(sentences, vocab, order=order)
         encoded = [vocab.encode(s.tokens) for s in sentences]
         oracle = CountTablesKN(encoded, len(vocab), order)
-        discounts, _ = _kneser_ney_tables(_grams(encoded, len(vocab), order), len(vocab) + 1)
+        discounts, _ = _kneser_ney_tables(_padded(encoded, len(vocab), order), order,
+                                          len(vocab) + 1)
         assert discounts == oracle.discounts
         rng = random.Random(order)
         contexts = [ctx for level in oracle.levels for ctx in level]
@@ -124,11 +125,13 @@ class TestAgainstCountTables:
         assert [(w, ctx) for ctx in contexts for w in events
                 if model.prob(w, ctx) != oracle.prob(w, ctx)] == []
 
-    def test_keys_wider_than_64_bits(self, wide, wide_lm, tmp_path):
-        """2,000 words at order 6 pack into keys past 64 bits."""
+    def test_ids_wider_than_64_bits(self, wide, wide_lm, tmp_path):
+        """2,000 words at order 6: six ids take more than 64 bits, and
+        every key is still one uint64."""
         sentences, vocab = wide
         model = wide_lm
         assert (len(vocab) + 2) ** 6 > 2 ** 64
+        assert [keys.dtype for _, keys, _ in model._stored] == [np.uint64] * 6
         path = tmp_path / "m.pglm"
         model.save(path)
         loaded = NGramModel.load(path)
@@ -151,47 +154,63 @@ class TestAgainstCountTables:
                 ] == []
 
 
-def _grams(encoded, size, order):
-    """One row per training token: the ``order - 1`` ids before it, begin
-    markers padding the start, then the token; the end marker ends each
-    sentence."""
+def _padded(encoded, size, order):
+    """The training ids as ``train_lm`` pads them: ``order - 1`` begin
+    markers before each nonempty sentence and an end marker after it."""
     bos, eos = size, size + 1
-    return np.array([seq[i - order + 1:i + 1] for ids in encoded if ids
-                     for seq in [[bos] * (order - 1) + list(ids) + [eos]]
-                     for i in range(order - 1, len(seq))], dtype=np.int64)
+    return np.array([t for ids in encoded if ids
+                     for t in [bos] * (order - 1) + list(ids) + [eos]], dtype=np.int64)
 
 
-def _reference_dicts(sentences, vocab, order):
-    """Per order, the query dict from the reference tables: the keys of
-    their context rows to backoff weights, then of their n-gram rows to
-    probabilities, packed in Python ints, in row order."""
-    radix = len(vocab) + 2
+def _grams(padded, order, bos):
+    """One row per training token of ``padded``: the ``order - 1`` ids
+    before it, then the token."""
+    targets = np.flatnonzero(padded != bos)
+    return padded[targets[:, None] + np.arange(1 - order, 1)]
 
-    def pack(row):
-        return functools.reduce(lambda key, t: key * radix + t, row, 1)
 
-    grams = _grams([vocab.encode(s.tokens) for s in sentences], len(vocab), order)
-    _, tables = reference_kneser_ney_tables(grams, len(vocab) + 1)
-    return [{pack(row): value for rows, values in ((ctx, backoff), (gram_rows, probs))
+def _reference_tables(sentences, vocab, order):
+    """The lexsort reference's tables of a corpus: per order, its context
+    rows, backoff weights, n-gram rows and probabilities."""
+    size = len(vocab)
+    padded = _padded([vocab.encode(s.tokens) for s in sentences], size, order)
+    return reference_kneser_ney_tables(_grams(padded, order, size), size + 1)[1]
+
+
+def _packed(row, radix):
+    """A run of ids as ``reference_walk`` keys it: base-``radix`` digits
+    after a leading 1."""
+    return functools.reduce(lambda key, t: key * radix + t, row, 1)
+
+
+def _reference_dicts(tables, radix):
+    """Per order, the query dict ``reference_walk`` reads: the packed keys
+    of the reference's context rows to backoff weights, then of its n-gram
+    rows to probabilities."""
+    return [{_packed(row, radix): value
+             for rows, values in ((ctx, backoff), (gram_rows, probs))
              for row, value in zip(rows.tolist(), values.tolist())}
             for ctx, backoff, gram_rows, probs in tables]
 
 
 class TestTablesEqualLexsortOracle:
-    """Training's sorts of packed column keys against the lexsort over one
-    key per column that they replaced: every table equal, dtype and shape
-    included, and every discount.  The reference also builds the context
-    rows training leaves to the query dicts: the distinct context ids of
-    the n-gram rows, in row order."""
+    """Training's one sort of row keys per order against the lexsort over
+    one key per column of the id rows: every table equal, dtype and shape
+    included, its keys read back as id rows, and every discount.  The
+    reference also builds the context rows the file leaves out: the
+    distinct context ids of the n-gram rows, in row order."""
 
     @staticmethod
-    def _assert_tables_equal(grams, n_events):
-        discounts, tables = _kneser_ney_tables(grams, n_events)
-        want_discounts, want_tables = reference_kneser_ney_tables(grams, n_events)
+    def _assert_tables_equal(padded, order, n_events):
+        discounts, tables = _kneser_ney_tables(padded, order, n_events)
+        want_discounts, want_tables = reference_kneser_ney_tables(
+            _grams(padded, order, n_events - 1), n_events)
         assert discounts == want_discounts
-        assert len(tables) == len(want_tables) == grams.shape[1]
-        for got, (ctx_rows, *want) in zip(tables, want_tables):
-            for a, b in zip(got, want, strict=True):
+        assert len(tables) == len(want_tables) == order
+        for (backoff, keys, probs), rows, (ctx_rows, *want) in zip(
+                tables, key_rows(tables, n_events - 1), want_tables):
+            assert keys.dtype == np.uint64
+            for a, b in zip((backoff, rows, probs), want, strict=True):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
             prefixes = [tuple(row[:-1]) for row in want[1].tolist()]
             assert [tuple(row) for row in ctx_rows.tolist()] == list(dict.fromkeys(prefixes))
@@ -203,39 +222,21 @@ class TestTablesEqualLexsortOracle:
     def test_training_corpora(self, request, corpus, order):
         sentences, vocab = (ingest(RANDOM_TEXT) if corpus == "random300"
                             else request.getfixturevalue(corpus)[:2])
-        grams = _grams([vocab.encode(s.tokens) for s in sentences], len(vocab), order)
-        # 2,000 words at order 6 pass 64 bits, so each row takes two keys
-        wide_keys = corpus == "wide" and order == 6
-        assert len(_column_keys(grams, len(vocab) + 2)) == (2 if wide_keys else 1)
-        self._assert_tables_equal(grams, len(vocab) + 1)
+        padded = _padded([vocab.encode(s.tokens) for s in sentences], len(vocab), order)
+        self._assert_tables_equal(padded, order, len(vocab) + 1)
 
     @pytest.mark.parametrize("order", [4, 5])
     def test_ids_up_to_a_radix_whose_fourth_power_is_two_to_the_64(self, order):
-        """Radix 2 ** 16: four ids fill one key to 2 ** 64 - 1, five take two."""
+        """Radix 2 ** 16: the widest ids fill 64 bits in four ids, and every
+        key is still one uint64 of a row and a word."""
         radix = 2 ** 16
         rng = np.random.default_rng(order)
-        ids = [0, 1, 2, radix // 2, radix - 2, radix - 1]
-        base = np.array(ids, dtype=np.int64)[rng.integers(0, len(ids), (200, order))]
-        base[0] = radix - 1
-        grams = np.repeat(base, rng.integers(1, 6, len(base)), axis=0)
-        grams = grams[rng.permutation(len(grams))]
-        keys = _column_keys(grams, radix)
-        assert len(keys) == order - 3 and keys[0].max() == 2 ** 64 - 1
-        self._assert_tables_equal(grams, radix - 1)
-
-    @pytest.mark.parametrize("radix,width", [(2, 64), (3, 40), (256, 8),
-                                             (2 ** 16, 4), (2 ** 32, 2)])
-    def test_column_keys_pack_as_many_columns_as_fit(self, radix, width):
-        rng = np.random.default_rng(width)
-        for columns in (0, 1, width, width + 1, 2 * width + 1):
-            rows = rng.integers(0, radix, (20, columns), dtype=np.int64)
-            rows[0], rows[1] = radix - 1, 0
-            keys = _column_keys(rows, radix)
-            assert all(key.dtype == np.uint64 for key in keys)
-            assert [key.tolist() for key in keys] == [
-                [functools.reduce(lambda key, t: key * radix + t, row[start:start + width], 0)
-                 for row in rows.tolist()]
-                for start in range(0, max(columns, 1), width)]
+        words = np.array([0, 1, 2, radix // 2, radix - 3])  # the markers are radix - 2, - 1
+        sentences = [words[rng.integers(0, len(words), rng.integers(1, 8))].tolist()
+                     for _ in range(150)]
+        sentences = [ids for ids in sentences for _ in range(rng.integers(1, 4))]
+        sentences = [sentences[i] for i in rng.permutation(len(sentences))]
+        self._assert_tables_equal(_padded(sentences, radix - 2, order), order, radix - 1)
 
 
 @pytest.fixture(scope="module")
@@ -341,26 +342,28 @@ class TestLogprobPair:
 
 
 def _step_mismatches(model, tables, sequences):
-    """Where the model's walk and ``reference_walk`` over ``tables``, the
-    :func:`_reference_dicts` of the model's training corpus, part, stepped
-    side by side over each sequence with and without markers: the p or the
-    carried key differs (``==``)."""
-    radix, longest = model.eos_id + 1, model.order - 1
-
-    def pack(row):
-        return functools.reduce(lambda key, t: key * radix + t, row, 1)
-
-    bos_keys = [pack([model.bos_id] * n) for n in range(longest + 1)]
+    """Where the model's walk and ``reference_walk`` over the
+    :func:`_reference_dicts` of ``tables``, the reference tables of the
+    model's training corpus, part, stepped side by side over each sequence
+    with and without markers: the p differs (``==``), or the ids of the
+    carried state differ from those of the reference's longest context."""
+    radix, longest, bos = model.eos_id + 1, model.order - 1, model.bos_id
+    markers_of = [_packed([bos] * n, radix) for n in range(longest + 1)]
+    # per length, the packed ids of each row, then of the run of begin markers
+    state_keys = [[_packed(row, radix) for row in (tables[n - 1][2].tolist() if n else [])]
+                  + [markers_of[n]] for n in range(longest + 1)]
+    dicts = _reference_dicts(tables, radix)
     bad = []
     for ids in sequences:
         for markers in (False, True):
             seq = ids + [model.eos_id] if markers else ids
-            key, length = model._start(markers)
-            walk = reference_walk(tables, radix, 1.0 / model.n_events, longest,
-                                  bos_keys if markers else [1], seq)
+            row, length = model._start(markers)
+            walk = reference_walk(dicts, radix, 1.0 / model.n_events, longest,
+                                  markers_of if markers else [1], seq)
             for i, (w, (ref_p, ctx_keys)) in enumerate(zip(seq, walk)):
-                p, key, length = model._step(key, length, w)
-                if (p, key, length) != (ref_p, ctx_keys[-1], len(ctx_keys) - 1):
+                p, row, length = model._step(row, length, w)
+                if (p, state_keys[length][row], length) != (ref_p, ctx_keys[-1],
+                                                           len(ctx_keys) - 1):
                     bad.append((ids, markers, i))
                     break
     return bad
@@ -374,59 +377,84 @@ class TestStep:
         sentences, vocab, encoded = demo
         model = train_lm(sentences, vocab, order=order)
         sequences = encoded[::6] + _random_sequences(random.Random(order), len(vocab), 200)
-        tables = _reference_dicts(sentences, vocab, order)
+        tables = _reference_tables(sentences, vocab, order)
         assert _step_mismatches(model, tables, sequences) == []
 
     def test_equals_reference_walk_with_wide_keys(self, wide, wide_lm):
         sentences, vocab = wide
-        assert wide_lm._radix ** wide_lm.order >= 2 ** 63  # Python-int keys
+        assert wide_lm._radix ** wide_lm.order >= 2 ** 64
+        assert [keys.dtype for _, keys, _ in wide_lm._stored] == [np.uint64] * 6
         sequences = ([vocab.encode(s.tokens) for s in sentences]
                      + _random_sequences(random.Random(7), len(vocab), 200))
-        tables = _reference_dicts(sentences, vocab, 6)
+        tables = _reference_tables(sentences, vocab, 6)
         assert _step_mismatches(wide_lm, tables, sequences) == []
 
 
-class TestQueryDicts:
-    """The dicts a model builds from its n-gram rows alone, trained and
-    loaded, against the reference's from its stored context rows: the same
-    keys and values in the same order."""
+def _reference_columns(tables, bos):
+    """Per order, the query columns from the reference tables' id rows: a
+    dict from each n-gram's key to its row, each row's probability, each
+    order k - 1 row's backoff weight as a context (1.0 where it is none)
+    and each row's suffix row, the run of begin markers last in both."""
+    radix, lower = bos + 2, {}
+    columns = ([], [], [], [])
+    for k, (ctx_rows, backoff, gram_rows, probs) in enumerate(tables, start=1):
+        rows = {tuple(row): i for i, row in enumerate(gram_rows.tolist())}
+        contexts = {**lower, (bos,) * (k - 1): len(lower)}
+        weights = [1.0] * len(contexts)
+        for ctx, weight in zip(ctx_rows.tolist(), backoff.tolist()):
+            weights[contexts[tuple(ctx)]] = weight
+        for column, values in zip(columns, (
+                {contexts[row[:-1]] * radix + row[-1]: i for row, i in rows.items()},
+                probs.tolist(), weights, [contexts[row[1:]] for row in rows] + [len(lower)])):
+            column.append(values)
+        lower = rows
+    return columns
+
+
+class TestQueryColumns:
+    """The columns a model builds from its keys alone, trained and loaded,
+    against those of the reference's id rows and context rows: the same
+    keys, rows and values in the same order."""
 
     @staticmethod
-    def _assert_dicts_equal(model, want, tmp_path):
+    def _assert_columns_equal(model, tables, tmp_path):
         path = tmp_path / "m.pglm"
         model.save(path)
-        want = [list(table.items()) for table in want]
+        grams, *want = _reference_columns(tables, model.bos_id)
         for built in (model, NGramModel.load(path)):
-            assert [list(table.items()) for table in built._tables] == want
+            got_grams, *got = built._index
+            assert [list(d.items()) for d in got_grams] == [list(d.items()) for d in grams]
+            assert [[column.tolist() for column in columns] for columns in got] == want
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_demo_corpus(self, demo, order, tmp_path):
         sentences, vocab, _ = demo
-        self._assert_dicts_equal(train_lm(sentences, vocab, order=order),
-                                 _reference_dicts(sentences, vocab, order), tmp_path)
+        self._assert_columns_equal(train_lm(sentences, vocab, order=order),
+                                   _reference_tables(sentences, vocab, order), tmp_path)
 
     def test_wide_keys(self, wide, tmp_path):
         sentences, vocab = wide
         model = train_lm(sentences, vocab, order=6)
-        assert model._radix ** model.order >= 2 ** 63  # Python-int keys
-        self._assert_dicts_equal(model, _reference_dicts(sentences, vocab, 6), tmp_path)
+        assert model._radix ** model.order >= 2 ** 64
+        assert [keys.dtype for _, keys, _ in model._stored] == [np.uint64] * 6
+        self._assert_columns_equal(model, _reference_tables(sentences, vocab, 6), tmp_path)
 
     # A hand-built model's tables are checked where a loaded one's are:
     # when its query dicts are built, here at its first query.
     @pytest.mark.parametrize("query", ["prob", "logprob_seq"])
     @pytest.mark.parametrize("mutate,error", [
-        (lambda b, g, p: (b, g[::-1], p), "rows unsorted or repeated"),
+        (lambda b, g, p: (b, g[::-1], p), "keys do not strictly increase"),
         (lambda b, g, p: (b[:-1], g, p), r"\d+ backoff weights for \d+ contexts"),
     ])
     def test_bad_tables_raise_at_the_first_query(self, tiny_lm, query, mutate, error):
-        tables = [*tiny_lm._rows[:-1], mutate(*tiny_lm._rows[-1])]
+        tables = [*tiny_lm._stored[:-1], mutate(*tiny_lm._stored[-1])]
         model = NGramModel(tiny_lm.order, tiny_lm.vocab, tables)
         with pytest.raises(ValueError, match=f"^order {tiny_lm.order}: {error}$"):
             if query == "prob":
                 model.prob(0, [])
             else:
                 model.logprob_seq([0], True)
-        assert "_tables" not in vars(model)
+        assert "_index" not in vars(model)
 
 
 class TestQuerySemantics:
@@ -464,6 +492,33 @@ class TestQuerySemantics:
         assert model.logprob_seq([fish], False) == pytest.approx(
             math.log(reference._p(1, (), fish)), abs=1e-12
         )
+
+
+class TestProbContexts:
+    """``prob`` against the count recursion, compared with ``==``, on
+    contexts no training sentence pads: the walk starts at the row of the
+    last run of begin markers and steps through the words after it."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 6])
+    def test_equals_recursion(self, demo, order):
+        sentences, vocab, encoded = demo
+        model = train_lm(sentences, vocab, order=order)
+        oracle = CountTablesKN(encoded, len(vocab), order)
+        bos, eos = model.bos_id, model.eos_id
+        first, second, _, later = encoded[0][:4]  # a sentence's first words
+        contexts = {
+            "a leading run": [[bos] * n for n in range(1, order)]
+            + [[bos] * n + [first] for n in range(1, order - 1)] + [[bos, first, second]],
+            "a marker in the middle": [[later, bos, first], [later, bos, bos, first],
+                                       [first, bos], [later, first, bos, second]],
+            "an id outside the event space": [[first, eos, second], [bos, -1, first],
+                                              [bos, bos + 7, bos], [first, eos], [eos]],
+            "more than order - 1 ids": [[later] * 8 + [bos, first], [bos] * (order + 2),
+                                        [first] * (order + 3)],
+        }
+        events = list(range(len(vocab))) + [eos]
+        assert [(case, ctx, w) for case, group in contexts.items() for ctx in group
+                for w in events if model.prob(w, ctx) != oracle.prob(w, ctx)] == []
 
 
 class TestUnigramBaseline:
@@ -528,8 +583,8 @@ class TestPersistence:
 
     # The walkthrough's outputs rest on these files, byte for byte.
     @pytest.mark.parametrize("order,digest", [
-        (2, "ad82acf384196538"), (3, "0f7013a2c4009892"), (4, "a7ca21bb379709f5"),
-        (5, "a0716e8b0a96d117"), (6, "f5794298bc135513")])
+        (2, "efdeb4959b4e55c0"), (3, "79fb24fc31063964"), (4, "c3d016e4d94a3eb9"),
+        (5, "00a22e586e247121"), (6, "2991ea898d008868")])
     def test_demo_model_bytes_are_pinned(self, tmp_path, order, digest):
         sentences, vocab = ingest(build_demo_corpus())
         path = tmp_path / "demo.pglm"
@@ -540,7 +595,7 @@ class TestPersistence:
         sentences, vocab = ingest(RANDOM_TEXT)
         model = train_lm(sentences, vocab, order=3)
         model.save(tmp_path / "m.pglm")
-        assert "_tables" not in vars(model) and "_keys" not in vars(model)
+        assert "_index" not in vars(model)
 
     def test_save_gives_the_same_bytes_before_and_after_a_query(self, tmp_path):
         sentences, vocab = ingest(RANDOM_TEXT)
@@ -548,7 +603,7 @@ class TestPersistence:
         before, after = tmp_path / "before.pglm", tmp_path / "after.pglm"
         model.save(before)
         model.logprob_seq(vocab.encode(sentences[0].tokens), True)
-        assert "_tables" in vars(model)
+        assert "_index" in vars(model)
         model.save(after)
         assert after.read_bytes() == before.read_bytes()
 
@@ -556,7 +611,7 @@ class TestPersistence:
         path, again = tmp_path / "m.pglm", tmp_path / "again.pglm"
         tiny_lm.save(path)
         loaded = NGramModel.load(path)
-        assert "_tables" in vars(loaded) and "_keys" not in vars(loaded)
+        assert "_index" in vars(loaded) and loaded._stored is None
         with pytest.raises(ValueError, match="^a loaded language model is not saved"):
             loaded.save(again)
         assert not again.exists()
