@@ -26,8 +26,8 @@ Conventions, fixed once and used everywhere downstream:
   sentence ids and the sentence lengths.  ``ingest`` numbers each token
   into the surface table as it is seen and returns them as
   :class:`Sentences`, a read-only sequence that builds a :class:`Sentence`
-  only when one is read; ``load_corpus`` returns the same view.  Indexing, saving and training read the arrays, and a list
-  of Sentence objects is turned into them once, by :func:`as_sentences`.
+  only when one is read; ``load_corpus`` returns the same view.  Indexing,
+  saving and training take that view and read its arrays.
 
 Tagging is lexicon lookup, not context disambiguation: a closed pronoun list
 wins, then noun-index membership, then verb-index membership, else OTHER.
@@ -43,7 +43,7 @@ import io
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from operator import eq
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
@@ -320,35 +320,12 @@ class Sentences(Sequence[Sentence]):
         return dict(zip(self.sent_ids.tolist(), self.lengths.tolist()))
 
 
-def as_sentences(sentences: Sequence[Sentence]) -> Sentences:
-    """``sentences`` as a view: a view as it is, other Sentence objects
-    numbered once."""
-    if isinstance(sentences, Sentences):
-        return sentences
-    return Sentences.number([s.sent_id for s in sentences],
-                            [s.tokens for s in sentences])
-
-
-def flat_ids(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of ``sequences`` end to end, and each one's length, as int64
-    arrays."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    return (np.fromiter(chain.from_iterable(sequences), dtype=np.int64,
-                        count=int(lengths.sum())), lengths)
-
-
-def encode_corpus(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
+def encode_corpus(sentences: Sentences,
                   vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Every token's vocabulary id end to end, and each sentence's length, as
-    int64 arrays.  Sentences, as a view or Sentence objects, are encoded
-    through :func:`as_sentences`, one lookup per distinct surface and then
-    one ``np.take``; sequences of ids are taken as they are."""
-    if isinstance(sentences, Sentences) or (len(sentences)
-                                            and isinstance(sentences[0], Sentence)):
-        view = as_sentences(sentences)
-        surface_ids = np.array(vocab.encode(view.surfaces), dtype=np.int64)
-        return np.take(surface_ids, view.surface_idx), view.lengths.astype(np.int64)
-    return flat_ids(sentences)
+    int64 arrays: one lookup per distinct surface, then one ``np.take``."""
+    surface_ids = np.array(vocab.encode(sentences.surfaces), dtype=np.int64)
+    return np.take(surface_ids, sentences.surface_idx), sentences.lengths.astype(np.int64)
 
 
 def _scan(text: str) -> Sentences:
@@ -422,16 +399,14 @@ Postings = Mapping[str, list[tuple[int, tuple[int, ...]]]]
 
 @dataclass
 class Corpus:
-    """Sentences, kept as a :class:`Sentences` view (see :func:`as_sentences`),
-    their vocabulary and their postings, derived from the view's arrays
-    unless given."""
+    """Sentences as a :class:`Sentences` view, their vocabulary and their
+    postings, derived from the view's arrays unless given."""
 
     sentences: Sentences
     vocab: Vocabulary
     postings: Postings | None = None
 
     def __post_init__(self) -> None:
-        self.sentences = as_sentences(self.sentences)
         if self.postings is None:
             self.postings = PostingsView(self.sentences)
 

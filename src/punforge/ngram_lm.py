@@ -2,9 +2,9 @@
 
 The model is count-based and fully deterministic.  Conventions:
 
-* Training pads every sentence with ``order - 1`` begin markers and one end
-  marker; begin markers are context only and are never predicted, the end
-  marker is an ordinary prediction target.  The event space is therefore the
+* Training reads every sentence as padded with ``order - 1`` begin markers
+  and one end marker; begin markers are context only and are never
+  predicted, the end marker is an ordinary prediction target.  The event space is therefore the
   vocabulary (unknown symbol included) plus the end marker.
 * The highest order uses raw counts; every lower order uses continuation
   counts (number of distinct one-token left extensions), the standard
@@ -76,7 +76,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import binio
-from .corpus import Sentence, Vocabulary, encode_corpus, read_vocab, write_vocab
+from .corpus import Sentences, Vocabulary, encode_corpus, read_vocab, write_vocab
 from .errors import TrainingError
 
 log = logging.getLogger(__name__)
@@ -390,11 +390,12 @@ class NGramModel:
         return model
 
 
-def _kneser_ney_tables(ids: np.ndarray, order: int, n_events: int,
+def _kneser_ney_tables(ids: np.ndarray, lengths: np.ndarray, order: int, n_events: int,
                        ) -> tuple[list[tuple[float, float, float]], list[Tables]]:
-    """Every order's discounts and :data:`Tables` from the training ids,
-    each sentence padded with ``order - 1`` begin markers (``n_events - 1``)
-    before it and an end marker (``n_events``) after it.
+    """Every order's discounts and :data:`Tables` from the training ids end to
+    end, each below ``n_events - 1``, and each sentence's length.  A nonempty
+    sentence is read as ``order - 1`` begin markers (``n_events - 1``), its
+    ids and an end marker (``n_events``); an empty one adds nothing.
 
     Each order is computed from the stored probabilities of the order below.
     The backoff numerator γ of a context adds its words' discounts left to
@@ -402,10 +403,12 @@ def _kneser_ney_tables(ids: np.ndarray, order: int, n_events: int,
     """
     # Bottom up: each order's sorted distinct keys and their suffix rows,
     # from each token's row one order down.
-    radix, bos = n_events + 1, n_events - 1
-    targets = np.flatnonzero(ids != bos)
-    tokens = ids[targets].astype(np.uint64)
-    opens = ids[targets - 1] == bos  # the tokens after a run of begin markers
+    radix = n_events + 1
+    # the predicted tokens: each nonempty sentence's ids, then its end marker
+    tokens = np.insert(ids, np.cumsum(lengths[lengths > 0]), n_events).astype(np.uint64)
+    # each sentence's first token, which follows its begin markers: the token
+    # after an end marker (cyclically, so the first token too)
+    opens = np.roll(tokens == n_events, 1)
     rows = np.zeros(len(tokens), dtype=np.uint64)  # order 0's: the empty context
     levels = []
     for _ in range(order):
@@ -442,31 +445,18 @@ def _kneser_ney_tables(ids: np.ndarray, order: int, n_events: int,
     return discounts, tables
 
 
-def train_lm(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
-             vocab: Vocabulary, order: int = DEFAULT_ORDER) -> NGramModel:
-    """Count n-grams over marker-padded sentences and build the model.
-
-    ``sentences`` are encoded by :func:`corpus.encode_corpus`: a corpus's
-    sentences by surface, sequences of ids as they are."""
+def train_lm(sentences: Sentences, vocab: Vocabulary,
+             order: int = DEFAULT_ORDER) -> NGramModel:
+    """Count n-grams over ``sentences``, each read as padded with begin and
+    end markers, and build the model.  The ids and lengths that
+    :func:`corpus.encode_corpus` gives are counted as they are."""
     check_order(order)
     ids, lengths = encode_corpus(sentences, vocab)
-    n_tokens = len(ids)
-    if n_tokens < order:
+    if len(ids) < order:
         raise TrainingError(
-            f"corpus has {n_tokens} tokens, fewer than the model order {order}"
+            f"corpus has {len(ids)} tokens, fewer than the model order {order}"
         )
-    bos = len(vocab)
-    eos = len(vocab) + 1
-    if ids.min() < 0 or ids.max() >= bos:
-        raise ValueError("a token id outside the vocabulary")
-    # Each nonempty sentence becomes order - 1 begin markers, its ids and an
-    # end marker, so sentence s's ids move s * order + order - 1 places on.
-    lengths = lengths[lengths > 0]
-    shift = np.arange(len(lengths)) * order + order - 1
-    flat = np.full(n_tokens + len(lengths) * order, bos, dtype=np.int64)
-    flat[np.arange(n_tokens) + np.repeat(shift, lengths)] = ids
-    flat[np.cumsum(lengths) + shift] = eos
-    discounts, tables = _kneser_ney_tables(flat, order, len(vocab) + 1)
+    discounts, tables = _kneser_ney_tables(ids, lengths, order, len(vocab) + 1)
     for k, ((d1, d2, d3), (backoff, _, probs)) in enumerate(zip(discounts, tables),
                                                           start=1):
         log.info("order %d discounts: D1 %.6g, D2 %.6g, D3+ %.6g", k, d1, d2, d3)

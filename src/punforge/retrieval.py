@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
-from .corpus import Postings, PostingsView, Sentence, as_sentences
+from .corpus import Postings, PostingsView, Sentences
 
 DEFAULT_POOL = 500
 DEFAULT_KEEP = 100
@@ -51,9 +50,8 @@ class InvertedIndex:
         return self.postings.get(term, [])
 
 
-def build_index(sentences: Sequence[Sentence]) -> InvertedIndex:
-    view = as_sentences(sentences)
-    return InvertedIndex(PostingsView(view), view.lengths_by_id())
+def build_index(sentences: Sentences) -> InvertedIndex:
+    return InvertedIndex(PostingsView(sentences), sentences.lengths_by_id())
 
 
 def retrieve_seeds(index: InvertedIndex, alt_word: str, pool: int = DEFAULT_POOL,

@@ -47,13 +47,14 @@ import functools
 import logging
 import sys
 from dataclasses import astuple, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from . import binio
-from .corpus import Sentence, Vocabulary, encode_corpus, flat_ids, read_vocab, write_vocab
+from .corpus import Sentences, Vocabulary, encode_corpus, read_vocab, write_vocab
 from .errors import TrainingError, UnknownWordError
 
 log = logging.getLogger(__name__)
@@ -113,7 +114,10 @@ def extract_pairs(sentences: Sequence[Sequence[int]], d1: int, d2: int) -> np.nd
     order, i ascending, j ascending, which fixes the pair order used by
     training.  Returns an (n, 2) int64 array.
     """
-    return _band_pairs(*flat_ids(sentences), d1, d2)
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.int64,
+                       count=int(lengths.sum()))
+    return _band_pairs(flat, lengths, d1, d2)
 
 
 def _band_pairs(flat: np.ndarray, lengths: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -344,11 +348,10 @@ def block_size(step_size: float, negatives: int, p_ctx: float,
     return max(1, int(1.0 / max(rate, 1.0 / MAX_BLOCK)))
 
 
-def train_skipgram(sentences: Sequence[Sentence] | Sequence[Sequence[int]],
-                   vocab: Vocabulary,
+def train_skipgram(sentences: Sentences, vocab: Vocabulary,
                    config: SkipGramConfig | None = None) -> SkipGramModel:
     """Train band skip-gram embeddings; equal seeds give equal models.
-    ``sentences`` are encoded as :func:`corpus.encode_corpus` encodes them."""
+    ``sentences`` are encoded by :func:`corpus.encode_corpus`."""
     config = config or SkipGramConfig()
     pairs = _band_pairs(*encode_corpus(sentences, vocab), config.d1, config.d2)
     if len(pairs) == 0:

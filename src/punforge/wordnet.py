@@ -42,7 +42,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .corpus import Pos
 from .errors import FormatError, ResourceError, open_text

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from punforge import cli
-from punforge.corpus import ingest
+from punforge.corpus import Sentences, ingest
 from punforge.demo_corpus import write_demo_corpus
 from punforge.ngram_lm import train_lm
 from punforge.wordnet import load_wordnet
@@ -20,6 +20,13 @@ the old dog saw a bird . a bird sat on the old mat .
 # endings: at order 6 six ids take more than 64 bits.
 WIDE_TEXT = "\n".join(" ".join(f"w{i}" for i in range(start, start + 10)) + " ."
                       for start in range(0, 2000, 10))
+
+
+def id_view(vocab, id_lists):
+    """The view of sentences given as vocabulary ids, numbered from 0: each
+    id's word, which the vocabulary encodes back to that id."""
+    return Sentences.number(range(len(id_lists)),
+                            [[vocab.words[i] for i in ids] for ids in id_lists])
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,8 @@ from oracles import CountTablesKN
 import punforge
 from punforge import cli, generator, stats
 from punforge.cli import RunConfig, UsageError, resolve_config
-from punforge.corpus import (Corpus, Pos, TagLexicon, check_min_count, ingest,
-                             load_corpus, save_corpus)
+from punforge.corpus import (Corpus, Pos, Sentences, TagLexicon, check_min_count,
+                             ingest, load_corpus, save_corpus)
 from punforge.generator import GenerationConfig
 from punforge.runtime import runtime_state
 from punforge.ngram_lm import FALLBACK_DISCOUNT, NGramModel, check_order, train_lm
@@ -1463,7 +1463,9 @@ def _write_with_format_fault(files, ext, bad):
     n-gram keys, or embedding tables of another size than the header's."""
     corpus = load_corpus(files["pgc"])
     if ext == "pgc":
-        repeated = [*corpus.sentences, corpus.sentences[0]]
+        s = corpus.sentences
+        repeated = Sentences.number([*s.sent_ids.tolist(), int(s.sent_ids[0])],
+                                    [t.tokens for t in [*s, s[0]]])
         save_corpus(bad, Corpus(repeated, corpus.vocab))
     elif ext == "pglm":
         lm = train_lm(corpus.sentences, corpus.vocab, order=3)

@@ -11,9 +11,9 @@ import pytest
 from oracles import reference_ingest, reference_postings, reference_tokenize
 from punforge import corpus
 from punforge.corpus import (PRONOUNS, UNK, Corpus, Pos, PostingsView, Sentence,
-                             Sentences, TagLexicon, Vocabulary, as_sentences, ingest,
-                             load_corpus, read_vocab, save_corpus,
-                             split_sentences, tag, tokenize, write_vocab)
+                             Sentences, TagLexicon, Vocabulary, ingest, load_corpus,
+                             read_vocab, save_corpus, split_sentences, tag, tokenize,
+                             write_vocab)
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError
 from punforge.generator import GenerationResources
@@ -318,19 +318,17 @@ class TestSentencesView:
 
     def test_a_list_of_sentences_is_numbered_once(self):
         listed = [Sentence(7, ["b", "a"]), Sentence(3, []), Sentence(5, ["a", "c"])]
-        view = as_sentences(listed)
+        view = Sentences.number([7, 3, 5], [["b", "a"], [], ["a", "c"]])
         assert view.surfaces == ["b", "a", "c"]
         assert view.surface_idx.tolist() == [0, 1, 1, 2]
         assert view.sent_ids.tolist() == [7, 3, 5] and view.lengths.tolist() == [2, 0, 2]
-        assert as_sentences(view) is view and view == listed
-        corpus = Corpus(listed, Vocabulary({"a": 2, "b": 1, "c": 1}))
-        assert isinstance(corpus.sentences, Sentences) and corpus.sentences == listed
+        assert view == listed
 
     @pytest.mark.parametrize("make", ["ingest", "list", "load"])
     def test_postings_are_derived_unless_given(self, tmp_path, make):
         sentences, vocab = ingest(build_demo_corpus()[::9])
-        if make == "list":
-            sentences = list(sentences)
+        if make == "list":  # numbered again from token lists
+            sentences = Sentences.number(sentences.sent_ids, [s.tokens for s in sentences])
         corpus = Corpus(sentences, vocab)
         if make == "load":
             save_corpus(tmp_path / "c.pgc", corpus)
@@ -342,7 +340,7 @@ class TestSentencesView:
 
     @pytest.mark.parametrize("sent_id", [-1, 2**32])
     def test_a_sentence_id_the_file_cannot_hold_rejected(self, tmp_path, sent_id):
-        corpus = Corpus([Sentence(0, ["a"]), Sentence(sent_id, ["b"])],
+        corpus = Corpus(Sentences.number([0, sent_id], [["a"], ["b"]]),
                         Vocabulary({"a": 1, "b": 1}))
         with pytest.raises(ValueError, match="do not fit <u4"):
             save_corpus(tmp_path / "c.pgc", corpus)
@@ -417,8 +415,7 @@ class TestCorpusFile:
                                                 for _ in range(rng.randrange(1, 30)))
                                        for _ in range(300)])
         else:
-            sentences = [Sentence(5, ["a", "b", "a"]), Sentence(2, []),
-                         Sentence(9, ["b", "c"])]
+            sentences = Sentences.number([5, 2, 9], [["a", "b", "a"], [], ["b", "c"]])
             vocab = Vocabulary({"a": 2, "b": 2, "c": 1})
         path = tmp_path / "c.pgc"
         save_corpus(path, Corpus(sentences, vocab))
@@ -436,9 +433,9 @@ class TestCorpusFile:
             words = [f"w{i}" for i in range(400)]
             weights = [1.0 / (i + 1) for i in range(len(words))]
             ids = rng.sample(range(5000), 600)
-            sentences = [Sentence(i, rng.choices(
-                             words, weights, k=rng.choice([0, rng.randrange(1, 41)])))
-                         for i in ids]
+            sentences = Sentences.number(ids, [
+                rng.choices(words, weights, k=rng.choice([0, rng.randrange(1, 41)]))
+                for _ in ids])
             vocab = Vocabulary(dict.fromkeys(words, 1))
         path = tmp_path / "c.pgc"
         save_corpus(path, Corpus(sentences, vocab))

@@ -6,10 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from conftest import id_view
 from oracles import (CountTablesKN, ReferenceKN, reference_kneser_ney_tables,
                      reference_walk)
 from test_binio import assert_file_holds_tables, key_rows
-from punforge.corpus import ingest
+from punforge.corpus import encode_corpus, ingest
 from punforge.demo_corpus import build_demo_corpus
 from punforge.errors import FormatError, ResourceError, TrainingError
 from punforge.ngram_lm import (FALLBACK_DISCOUNT, NGramModel, _kneser_ney_tables,
@@ -115,7 +116,7 @@ class TestAgainstCountTables:
         model = train_lm(sentences, vocab, order=order)
         encoded = [vocab.encode(s.tokens) for s in sentences]
         oracle = CountTablesKN(encoded, len(vocab), order)
-        discounts, _ = _kneser_ney_tables(_padded(encoded, len(vocab), order), order,
+        discounts, _ = _kneser_ney_tables(*encode_corpus(sentences, vocab), order,
                                           len(vocab) + 1)
         assert discounts == oracle.discounts
         rng = random.Random(order)
@@ -155,7 +156,7 @@ class TestAgainstCountTables:
 
 
 def _padded(encoded, size, order):
-    """The training ids as ``train_lm`` pads them: ``order - 1`` begin
+    """The training ids as the model reads them: ``order - 1`` begin
     markers before each nonempty sentence and an end marker after it."""
     bos, eos = size, size + 1
     return np.array([t for ids in encoded if ids
@@ -201,8 +202,11 @@ class TestTablesEqualLexsortOracle:
     distinct context ids of the n-gram rows, in row order."""
 
     @staticmethod
-    def _assert_tables_equal(padded, order, n_events):
-        discounts, tables = _kneser_ney_tables(padded, order, n_events)
+    def _assert_tables_equal(id_lists, order, n_events):
+        ids = np.array([t for s in id_lists for t in s], dtype=np.int64)
+        lengths = np.array([len(s) for s in id_lists], dtype=np.int64)
+        discounts, tables = _kneser_ney_tables(ids, lengths, order, n_events)
+        padded = _padded(id_lists, n_events - 1, order)
         want_discounts, want_tables = reference_kneser_ney_tables(
             _grams(padded, order, n_events - 1), n_events)
         assert discounts == want_discounts
@@ -218,12 +222,17 @@ class TestTablesEqualLexsortOracle:
         assert tables[0][0].shape == (1,)  # and one backoff weight
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("corpus", ["demo", "random300", "wide"])
+    @pytest.mark.parametrize("corpus", ["demo", "random300", "wide", "empty_gaps",
+                                        "one_token_ends"])
     def test_training_corpora(self, request, corpus, order):
-        sentences, vocab = (ingest(RANDOM_TEXT) if corpus == "random300"
-                            else request.getfixturevalue(corpus)[:2])
-        padded = _padded([vocab.encode(s.tokens) for s in sentences], len(vocab), order)
-        self._assert_tables_equal(padded, order, len(vocab) + 1)
+        sentences, vocab = (request.getfixturevalue(corpus)[:2]
+                            if corpus in ("demo", "wide") else ingest(RANDOM_TEXT))
+        id_lists = [vocab.encode(s.tokens) for s in sentences]
+        if corpus == "empty_gaps":  # before, between and after the others
+            id_lists = [[]] + id_lists[:150] + [[], []] + id_lists[150:] + [[]]
+        elif corpus == "one_token_ends":
+            id_lists = [[id_lists[0][0]]] + id_lists + [[id_lists[-1][-1]]]
+        self._assert_tables_equal(id_lists, order, len(vocab) + 1)
 
     @pytest.mark.parametrize("order", [4, 5])
     def test_ids_up_to_a_radix_whose_fourth_power_is_two_to_the_64(self, order):
@@ -236,7 +245,7 @@ class TestTablesEqualLexsortOracle:
                      for _ in range(150)]
         sentences = [ids for ids in sentences for _ in range(rng.integers(1, 4))]
         sentences = [sentences[i] for i in rng.permutation(len(sentences))]
-        self._assert_tables_equal(_padded(sentences, radix - 2, order), order, radix - 1)
+        self._assert_tables_equal(sentences, order, radix - 1)
 
 
 @pytest.fixture(scope="module")
@@ -671,17 +680,10 @@ class TestTraining:
     def test_empty_sentences_are_ignored(self):
         sentences, vocab = ingest(CORPORA[0])
         ids = [vocab.encode(s.surfaces()) for s in sentences]
-        a = train_lm(ids, vocab, order=3)
-        b = train_lm([[]] + ids + [[]], vocab, order=3)
+        a = train_lm(id_view(vocab, ids), vocab, order=3)
+        b = train_lm(id_view(vocab, [[]] + ids + [[]]), vocab, order=3)
         rng = random.Random(11)
         for _ in range(50):
             ctx = _random_context(rng, a, 2)
             w = rng.randrange(0, len(vocab))
             assert a.prob(w, ctx) == b.prob(w, ctx)
-
-    def test_accepts_raw_id_lists(self, tiny):
-        sentences, vocab = tiny
-        ids = [vocab.encode(s.surfaces()) for s in sentences]
-        model = train_lm(ids, vocab, order=4)
-        direct = train_lm(sentences, vocab, order=4)
-        assert model.prob(1, [2]) == direct.prob(1, [2])

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from punforge.corpus import Sentence, ingest
+from punforge.corpus import Sentences, ingest
 from punforge.retrieval import (InvertedIndex, SeedCandidate, build_index,
                                 retrieve_seeds)
 
 
 def _sentences(lines):
-    return [Sentence(i, line.split()) for i, line in enumerate(lines)]
+    return Sentences.number(range(len(lines)), [line.split() for line in lines])
 
 
 class TestBuildIndex:

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import id_view
 from oracles import (reference_predict_topics, reference_relatedness,
                      reference_sigmoid, reference_step_loss_grads,
                      reference_train_skipgram)
@@ -152,7 +153,8 @@ class TestTraining:
 
 
 def _oracle_case(words, negatives, epochs, drawn=30):
-    """Id sentences, vocabulary and config for a training-equality case.
+    """Id lists, their view, the vocabulary and the config for a
+    training-equality case.
 
     ``drawn`` random sentences come first.  Then come an empty one, ones
     shorter than d1, and one whose first and last ids are equal and d1
@@ -166,7 +168,7 @@ def _oracle_case(words, negatives, epochs, drawn=30):
     sentences += [[], [1], [2, 1], [3, 2, 1, 3]]
     config = SkipGramConfig(dim=6, d1=3, d2=5, epochs=epochs, negatives=negatives,
                             step_size=0.2, seed=words + epochs)
-    return sentences, vocab, config
+    return sentences, id_view(vocab, sentences), vocab, config
 
 
 def _rule_inputs(pairs, counts):
@@ -196,14 +198,14 @@ class TestBlockSize:
 
     def test_a_tiny_vocabulary_stays_bounded(self, monkeypatch):
         # three words, 20 negatives: every block stacks many terms on each row
-        sentences, vocab, config = _oracle_case(3, 20, 3)
+        sentences, view, vocab, config = _oracle_case(3, 20, 3)
         config = dataclasses.replace(config, step_size=0.025)
         pairs = extract_pairs(sentences, config.d1, config.d2)
         counts = [vocab.count_of_id(i) for i in range(len(vocab))]
         assert block_size(0.025, 20, *_rule_inputs(pairs, counts)) == 3
-        assert np.abs(train_skipgram(sentences, vocab, config).vec_out).max() < 3
+        assert np.abs(train_skipgram(view, vocab, config).vec_out).max() < 3
         monkeypatch.setattr(skipgram, "block_size", lambda *args: 64)
-        assert np.abs(train_skipgram(sentences, vocab, config).vec_out).max() > 1e6
+        assert np.abs(train_skipgram(view, vocab, config).vec_out).max() > 1e6
 
 
 class TestTrainingEqualsOracle:
@@ -235,7 +237,7 @@ class TestTrainingEqualsOracle:
 
     def _check(self, caplog, words, negatives, epochs, block, verbose, drawn=30):
         """Train the case both ways and compare; returns its pairs."""
-        sentences, vocab, config = _oracle_case(words, negatives, epochs, drawn)
+        sentences, view, vocab, config = _oracle_case(words, negatives, epochs, drawn)
         pairs = extract_pairs(sentences, config.d1, config.d2)
         assert (pairs[:, 0] == pairs[:, 1]).any()  # a center is its own context
         counts = [vocab.count_of_id(i) for i in range(len(vocab))]
@@ -246,7 +248,7 @@ class TestTrainingEqualsOracle:
             sentences, counts, *dataclasses.astuple(config), block=block)
         level = logging.INFO if verbose else logging.WARNING
         with caplog.at_level(level, logger="punforge.skipgram"):
-            model = train_skipgram(sentences, vocab, config)
+            model = train_skipgram(view, vocab, config)
         assert model.vec_in.tobytes() == vec_in.tobytes()
         assert model.vec_out.tobytes() == vec_out.tobytes()
         updates = epochs * len(pairs)
@@ -266,14 +268,14 @@ class TestTrainingEqualsOracle:
 
     @pytest.mark.parametrize("words", [40, 300])
     def test_a_block_of_one_is_sequential_sgd(self, monkeypatch, words):
-        sentences, vocab, config = _oracle_case(words, 5, 3)
+        sentences, view, vocab, config = _oracle_case(words, 5, 3)
         counts = [vocab.count_of_id(i) for i in range(len(vocab))]
         vec_in, vec_out, *_ = reference_train_skipgram(
             sentences, counts, *dataclasses.astuple(config))
-        blocked = train_skipgram(sentences, vocab, config)
+        blocked = train_skipgram(view, vocab, config)
         assert blocked.vec_out.tobytes() != vec_out.tobytes()
         monkeypatch.setattr(skipgram, "MAX_BLOCK", 1)
-        model = train_skipgram(sentences, vocab, config)
+        model = train_skipgram(view, vocab, config)
         assert model.vec_in.tobytes() == vec_in.tobytes()
         assert model.vec_out.tobytes() == vec_out.tobytes()
 
