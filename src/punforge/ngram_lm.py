@@ -37,11 +37,11 @@ the token before it times the radix plus the token, and a row's suffix row
 (its n-gram without the oldest id) is order k - 1's row at the same token.
 
 A file keeps each order's backoff weights, one per distinct context in key
-order, its sorted keys and their probabilities.  Queries read, per order, a
-dict from key to row and flat columns: each row's probability, each order
-k - 1 row's backoff weight as a context (1.0 where it is none, and
-multiplying by 1.0 is exact) and each row's suffix row, which one
-``searchsorted`` per order derives.  Building them checks that order's
+order, its sorted keys, their probabilities and their suffix rows.  Queries
+read, per order, a dict from key to row and flat columns: each row's
+probability, each order k - 1 row's backoff weight as a context (1.0 where
+it is none, and multiplying by 1.0 is exact) and each row's suffix row,
+stored, and checked against the keys.  Building them checks that order's
 tables.  A trained model builds them at its first query and saves its
 tables; a loaded one builds them as each order is read and is not saved
 again.  A walk carries one state from one token to the next, as KenLM's
@@ -81,7 +81,7 @@ from .errors import TrainingError
 
 log = logging.getLogger(__name__)
 
-LM_MAGIC = b"PGL9"
+LM_MAGIC = b"PGLA"
 
 MIN_ORDER = 2
 MAX_ORDER = 6
@@ -89,10 +89,10 @@ DEFAULT_ORDER = 4
 FALLBACK_DISCOUNT = 0.75
 
 # One order's tables: the backoff weights of its contexts, then its sorted
-# n-gram keys (see the module docstring) with their probabilities.  The
-# contexts are the distinct keys' contexts, in key order.
-Tables = tuple[np.ndarray, np.ndarray, np.ndarray]
-_BLOCKS = ("<f8", "<u8", "<f8")  # how a file stores each of them
+# n-gram keys (see the module docstring) with their probabilities and suffix
+# rows.  The contexts are the distinct keys' contexts, in key order.
+Tables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_BLOCKS = ("<f8", "<u8", "<f8", "<u4")  # how a file stores each of them
 
 
 class _Index(NamedTuple):
@@ -125,12 +125,20 @@ def estimate_discounts(counts: Sequence[int] | np.ndarray) -> tuple[float, float
     return (d1, d2, d3) if in_range else fallback
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Which values start a run of equal consecutive values."""
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    return new
+
+
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each run of equal consecutive values starts, and the run each
     value is in."""
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = values[1:] != values[:-1]
-    return np.flatnonzero(new), np.cumsum(new) - 1
+    new = _run_starts(values)
+    group = np.cumsum(new)
+    group -= 1
+    return np.flatnonzero(new), group
 
 
 class NGramModel:
@@ -169,7 +177,7 @@ class NGramModel:
         index = _Index([], [], [], [])
         lower = np.zeros(0, dtype=np.uint64), None  # order 0 stores no row
         for k, table in enumerate(self._stored, start=1):
-            _, keys, probs = table
+            _, keys, probs, _ = table
             weights, suffix = self._checked_columns(k, table, *lower)
             index.grams.append(dict(zip(keys.tolist(), range(len(keys)))))
             for column, typecode, values in ((index.probs, "d", probs),
@@ -186,11 +194,11 @@ class NGramModel:
         it is none, and each order-k row's suffix row, the begin-marker
         row's last; raise ValueError naming the first rule the tables of
         order ``k`` break, given order k - 1's keys and suffix rows."""
-        backoff, keys, probs = table
+        backoff, keys, probs, stored = table
         marker_row = len(lower_keys)  # of k - 1 begin markers, in order k - 1
         contexts, words = np.divmod(keys, np.uint64(self._radix))
         problem = (
-            "block lengths disagree" if len(keys) != len(probs)
+            "block lengths disagree" if not len(keys) == len(probs) == len(stored)
             else "a probability outside (0, 1]"
             if not ((probs > 0.0) & (probs <= 1.0)).all()
             else "a backoff weight outside (0, 1]"  # γ <= total, as D(c) <= c
@@ -204,20 +212,24 @@ class NGramModel:
         )
         if problem:
             raise ValueError(f"order {k}: {problem}")
-        # the begin-marker row's suffix; at order 1 every row's, the empty context
-        suffix = np.full(len(keys) + 1, marker_row, dtype=np.uint64)
-        if k > 1:  # the suffix of (context, word) is (the context's suffix, word)
-            wanted = lower_suffix[contexts] * self._radix + words
-            rows = suffix[:-1]
-            rows[:] = np.searchsorted(lower_keys, wanted)
-            if (rows >= marker_row).any() or (lower_keys[rows] != wanted).any():
-                raise ValueError(f"order {k}: a row whose suffix is not stored")
-        starts, _ = _runs(contexts)
-        if len(starts) != len(backoff):
+        if k == 1:  # every row's suffix is the empty context
+            misplaced = stored.any()
+        else:  # the suffix of (context, word) is (the context's suffix, word)
+            wanted = lower_suffix[contexts].astype(np.uint64) * self._radix + words
+            # the keys strictly increase, so only one row can hold it
+            misplaced = (stored >= marker_row).any() or (lower_keys[stored] != wanted).any()
+        if misplaced:
+            raise ValueError(f"order {k}: a row whose suffix is not stored")
+        starts = _run_starts(contexts)
+        n_contexts = np.count_nonzero(starts)
+        if n_contexts != len(backoff):
             raise ValueError(f"order {k}: {len(backoff)} backoff weights "
-                             f"for {len(starts)} contexts")
+                             f"for {n_contexts} contexts")
         weights = np.ones(marker_row + 1)
         weights[contexts[starts]] = backoff
+        suffix = np.empty(len(keys) + 1, dtype="I")
+        suffix[:-1] = stored
+        suffix[-1] = marker_row  # the begin-marker row's, k - 1 begin markers
         return weights, suffix
 
     def _marker_row(self, length: int) -> int:
@@ -363,13 +375,13 @@ class NGramModel:
 
     def save(self, path: str | Path) -> None:
         """Write the order and the vocabulary, then each order's :data:`Tables`
-        as three array blocks, lowest first; a loaded model has none."""
+        as four array blocks, lowest first; a loaded model has none."""
         if self._stored is None:
             raise ValueError("a loaded language model is not saved again")
         with binio.writing(path, LM_MAGIC) as fh:
             binio.pack(fh, "<B", self.order)
             write_vocab(fh, self.vocab)
-            for table in self._stored:  # weights, keys, probabilities
+            for table in self._stored:  # weights, keys, probabilities, suffix rows
                 for values, dtype in zip(table, _BLOCKS):
                     binio.write_array(fh, values, dtype)
 
@@ -412,15 +424,17 @@ def _kneser_ney_tables(ids: np.ndarray, lengths: np.ndarray, order: int, n_event
     rows = np.zeros(len(tokens), dtype=np.uint64)  # order 0's: the empty context
     levels = []
     for _ in range(order):
-        before = np.roll(rows, 1)  # the rows at the tokens before
-        before[opens] = len(levels[-1][0]) if levels else 0  # the begin-marker row
-        keys = before * radix + tokens
+        keys = np.roll(rows, 1)  # the rows at the tokens before
+        keys[opens] = len(levels[-1][0]) if levels else 0  # the begin-marker row
+        keys *= radix
+        keys += tokens
         sort = np.argsort(keys)
-        starts, group = _runs(keys[sort])
-        firsts = sort[starts]
-        levels.append((keys[firsts], rows[firsts]))
+        keys = keys[sort]
+        starts, group = _runs(keys)
+        levels.append((keys[starts], rows[sort[starts]].astype(np.uint32)))
         rows[sort] = group
-    top_counts = np.bincount(group)
+        del keys, sort, starts, group  # before the next order's are built
+    top_counts = np.bincount(rows.view(np.int64))  # each top-order row's tokens
 
     discounts: list[tuple[float, float, float]] = []
     tables: list[Tables] = []
@@ -428,8 +442,7 @@ def _kneser_ney_tables(ids: np.ndarray, lengths: np.ndarray, order: int, n_event
     for k, (keys, suffix) in enumerate(levels, start=1):
         # below the top, continuation counts: the distinct n-grams one order
         # up that end in the row
-        counts = (top_counts if k == order
-                  else np.bincount(levels[k][1].astype(np.int64), minlength=len(keys)))
+        counts = top_counts if k == order else np.bincount(levels[k][1], minlength=len(keys))
         d = estimate_discounts(counts)
         discounts.append(d)
         discount = np.array(d)[np.minimum(counts, 3) - 1]
@@ -441,7 +454,7 @@ def _kneser_ney_tables(ids: np.ndarray, lengths: np.ndarray, order: int, n_event
         kept = (counts - discount) / total[ctx_of]
         p_lower = 1.0 / n_events if k == 1 else probs[suffix]
         probs = kept + backoff[ctx_of] * p_lower
-        tables.append((backoff, keys, probs))
+        tables.append((backoff, keys, probs, suffix))
     return discounts, tables
 
 
@@ -457,8 +470,8 @@ def train_lm(sentences: Sentences, vocab: Vocabulary,
             f"corpus has {len(ids)} tokens, fewer than the model order {order}"
         )
     discounts, tables = _kneser_ney_tables(ids, lengths, order, len(vocab) + 1)
-    for k, ((d1, d2, d3), (backoff, _, probs)) in enumerate(zip(discounts, tables),
-                                                          start=1):
+    for k, ((d1, d2, d3), (backoff, _, probs, _)) in enumerate(zip(discounts, tables),
+                                                             start=1):
         log.info("order %d discounts: D1 %.6g, D2 %.6g, D3+ %.6g", k, d1, d2, d3)
         log.info("order %d stores %d n-grams and %d contexts", k, len(probs), len(backoff))
     fell_back = [k for k, d in enumerate(discounts, start=1)

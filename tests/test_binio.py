@@ -308,16 +308,19 @@ def demo_lm(demo):
     return train_lm(demo.sentences, demo.vocab, order=3)
 
 
+_LM_BLOCKS = ("<f8", "<u8", "<f8", "<u4")  # each order's four blocks
+
+
 def _read_lm_sections(path):
     """Every section of a language model file, in file order; each order's
-    tables as [backoff weights, n-gram keys, probabilities]."""
+    tables as [backoff weights, n-gram keys, probabilities, suffix rows]."""
     with binio.reading(path, LM_MAGIC, "language model") as fh:
         (order,) = binio.unpack(fh, "<B")
         stored, words, counts = _read_vocab_section(fh)
         s = {"order": order, "vocab_hash": stored,
              "words": words, "counts": counts, "tables": []}
         for _ in range(order):
-            s["tables"].append([binio.read_array(fh, dtype) for dtype in ("<f8", "<u8", "<f8")])
+            s["tables"].append([binio.read_array(fh, dtype) for dtype in _LM_BLOCKS])
     return s
 
 
@@ -327,7 +330,7 @@ def key_rows(tables, bos):
     plus its word, and the row one past that order's last is its run of
     begin markers (row 0, the empty context, at order 0)."""
     radix, rows = bos + 2, np.zeros((0, 0), dtype=np.int64)  # order 0 stores none
-    for k, (_, keys, _) in enumerate(tables, start=1):
+    for k, (_, keys, *_) in enumerate(tables, start=1):
         contexts = np.vstack([rows, np.full((1, k - 1), bos)])
         rows = np.hstack([contexts[(keys // radix).astype(np.int64)],
                           (keys % radix).astype(np.int64)[:, None]])
@@ -339,7 +342,7 @@ def assert_file_holds_tables(path, model):
     sections = _read_lm_sections(path)["tables"]
     assert len(sections) == len(model._stored)
     for stored, built in zip(sections, model._stored):
-        assert [np.array_equal(a, b) for a, b in zip(stored, built)] == [True] * 3
+        assert [np.array_equal(a, b) for a, b in zip(stored, built, strict=True)] == [True] * 4
 
 
 def _write_lm_sections(path, s):
@@ -347,7 +350,7 @@ def _write_lm_sections(path, s):
         binio.pack(fh, "<B", s["order"])
         _write_vocab_section(fh, s["words"], s["counts"])
         for table in s["tables"]:
-            for values, dtype in zip(table, ("<f8", "<u8", "<f8")):
+            for values, dtype in zip(table, _LM_BLOCKS, strict=True):
                 binio.write_array(fh, values, dtype)
 
 
@@ -387,7 +390,8 @@ class TestLanguageModelFile:
         assert s["order"] == 3
         events = set(range(len(demo_lm.vocab))) | {demo_lm.eos_id}
         rows_of = key_rows(s["tables"], demo_lm.bos_id)
-        for k, ((backoff, keys, probs), rows) in enumerate(zip(s["tables"], rows_of), start=1):
+        for k, ((backoff, keys, probs, _), rows) in enumerate(zip(s["tables"], rows_of),
+                                                              start=1):
             assert keys.dtype == np.uint64 and (keys[1:] > keys[:-1]).all()
             gram_rows = [tuple(r) for r in rows.tolist()]
             assert gram_rows == sorted(set(gram_rows))  # keys sort as their ids
@@ -461,6 +465,14 @@ class TestLanguageModelFile:
          "error": r"order 3: \d+ backoff weights for \d+ contexts"},
         {"mutate": _change(0, lambda b, bos, lower: np.r_[b, b], k=1),  # two weights, one context
          "error": "order 1: 2 backoff weights for 1 contexts"},
+        {"mutate": _change(3, lambda s, bos, lower: np.r_[s[:-1], lower]),  # the begin-marker row
+         "error": "order 3: a row whose suffix is not stored"},
+        {"mutate": _change(3, lambda s, bos, lower: s[[1, 0, *range(2, len(s))]]),  # swapped
+         "error": "order 3: a row whose suffix is not stored"},
+        {"mutate": _change(3, lambda s, bos, lower: np.r_[s[:-1], 1], k=1),  # not the empty context
+         "error": "order 1: a row whose suffix is not stored"},
+        {"mutate": _change(3, lambda s, bos, lower: s[:-1]),       # one suffix row too few
+         "error": "order 3: block lengths disagree"},
     ])
     def test_bad_counts_rejected(self, request, tmp_path, capsys, change):
         """A loader's FormatError, and through the CLI exit code 2 with one
@@ -500,7 +512,7 @@ class TestLanguageModelFile:
     def test_old_format_rejected(self, tmp_path):
         path = tmp_path / "old.pglm"
         for magic in (b"PGLM", b"PGL2", b"PGL3", b"PGL4", b"PGL5", b"PGL6", b"PGL7",
-                      b"PGL8"):
+                      b"PGL8", b"PGL9"):
             path.write_bytes(magic + bytes(64))
             with pytest.raises(FormatError, match=f"old.pglm is not a language model "
                                                   f"file: bad magic {magic!r}") as err:

@@ -720,7 +720,7 @@ class TestScore:
     # The walkthrough's files, byte for byte.  The .pgsg digest holds for one
     # machine type, numpy build and BLAS core, as the README says.
     @pytest.mark.parametrize("name,digest", [
-        ("corpus", "14c05151b07ab819"), ("lm", "c3d016e4d94a3eb9"),
+        ("corpus", "14c05151b07ab819"), ("lm", "4e2e265e562f9278"),
         ("skipgram", "a8d7e542b98bc1db")])
     def test_readme_walkthrough_files_are_pinned(self, pipeline, name, digest):
         data = pipeline[name].read_bytes()
@@ -1457,10 +1457,11 @@ def small_models(tmp_path_factory):
     return files, records
 
 
-def _write_with_format_fault(files, ext, bad):
+def _write_with_format_fault(files, ext, bad, problem):
     """Write to ``bad`` the ``ext`` file of ``files`` with one fault that only
     its format module finds: a repeated sentence id, unsorted top-order
-    n-gram keys, or embedding tables of another size than the header's."""
+    n-gram keys or two of their suffix rows swapped, as ``problem`` names,
+    or embedding tables of another size than the header's."""
     corpus = load_corpus(files["pgc"])
     if ext == "pgc":
         s = corpus.sentences
@@ -1469,8 +1470,10 @@ def _write_with_format_fault(files, ext, bad):
         save_corpus(bad, Corpus(repeated, corpus.vocab))
     elif ext == "pglm":
         lm = train_lm(corpus.sentences, corpus.vocab, order=3)
-        backoff, keys, probs = lm._stored[-1]
-        lm._stored[-1] = (backoff, keys[::-1], probs[::-1])
+        backoff, keys, probs, suffix = lm._stored[-1]
+        lm._stored[-1] = ((backoff, keys, probs, suffix[[1, 0, *range(2, len(suffix))]])
+                          if "suffix" in problem
+                          else (backoff, keys[::-1], probs[::-1], suffix[::-1]))
         lm.save(bad)
     else:
         model = SkipGramModel.load(files["pgsg"])
@@ -1527,7 +1530,7 @@ class TestModelFiles:
                                            ("pgsg", b"PGS2"), ("pglm", b"PGL5"),
                                            ("pglm", b"PGL6"), ("pgc", b"PGC7"),
                                            ("pglm", b"PGL7"), ("pgsg", b"PGS3"),
-                                           ("pglm", b"PGL8")])
+                                           ("pglm", b"PGL8"), ("pglm", b"PGL9")])
     def test_old_format_is_one_line_data_error(self, small_models, tmp_path,
                                                capsys, ext, magic):
         old = tmp_path / f"old.{ext}"
@@ -1540,6 +1543,7 @@ class TestModelFiles:
     @pytest.mark.parametrize("ext,kind,problem", [
         ("pgc", "corpus", "sentence arrays disagree"),
         ("pglm", "language model", "order 3: keys do not strictly increase"),
+        ("pglm", "language model", "order 3: a row whose suffix is not stored"),
         ("pgsg", "skip-gram model", "embedding table has the wrong size"),
     ])
     @pytest.mark.parametrize("fault", ["format", "trailing-bytes"])
@@ -1549,7 +1553,7 @@ class TestModelFiles:
         both read ``corrupt <kind> <file>: <problem>``."""
         bad = tmp_path / f"bad.{ext}"
         if fault == "format":
-            _write_with_format_fault(small_models[0], ext, bad)
+            _write_with_format_fault(small_models[0], ext, bad, problem)
         else:
             bad.write_bytes(small_models[0][ext].read_bytes() + bytes(28))
             problem = "bytes after the last block"

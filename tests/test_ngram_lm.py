@@ -132,7 +132,7 @@ class TestAgainstCountTables:
         sentences, vocab = wide
         model = wide_lm
         assert (len(vocab) + 2) ** 6 > 2 ** 64
-        assert [keys.dtype for _, keys, _ in model._stored] == [np.uint64] * 6
+        assert [keys.dtype for _, keys, *_ in model._stored] == [np.uint64] * 6
         path = tmp_path / "m.pglm"
         model.save(path)
         loaded = NGramModel.load(path)
@@ -144,6 +144,7 @@ class TestAgainstCountTables:
                 for w in list(level[ctx][0]) + sampled:  # stored words first
                     assert model.prob(w, ctx) == loaded.prob(w, ctx) == oracle.prob(w, ctx)
         assert_file_holds_tables(path, model)
+        assert loaded._index == model._index  # the file gives the trained model's columns
 
     def test_logprob_seq_equals_recursion_on_demo_corpus(self):
         sentences, vocab = ingest(build_demo_corpus())
@@ -197,9 +198,10 @@ def _reference_dicts(tables, radix):
 class TestTablesEqualLexsortOracle:
     """Training's one sort of row keys per order against the lexsort over
     one key per column of the id rows: every table equal, dtype and shape
-    included, its keys read back as id rows, and every discount.  The
-    reference also builds the context rows the file leaves out: the
-    distinct context ids of the n-gram rows, in row order."""
+    included, its keys read back as id rows, and every discount.  A row's
+    suffix row is where its id row without the oldest id sits one order
+    down.  The reference also builds the context rows the file leaves out:
+    the distinct context ids of the n-gram rows, in row order."""
 
     @staticmethod
     def _assert_tables_equal(id_lists, order, n_events):
@@ -211,12 +213,17 @@ class TestTablesEqualLexsortOracle:
             _grams(padded, order, n_events - 1), n_events)
         assert discounts == want_discounts
         assert len(tables) == len(want_tables) == order
-        for (backoff, keys, probs), rows, (ctx_rows, *want) in zip(
+        lower = {(): 0}  # order 0's one row, the empty context
+        for (backoff, keys, probs, suffix), rows, (ctx_rows, *want) in zip(
                 tables, key_rows(tables, n_events - 1), want_tables):
             assert keys.dtype == np.uint64
             for a, b in zip((backoff, rows, probs), want, strict=True):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
-            prefixes = [tuple(row[:-1]) for row in want[1].tolist()]
+            gram_rows = [tuple(row) for row in want[1].tolist()]
+            assert suffix.dtype == np.uint32
+            assert suffix.tolist() == [lower[row[1:]] for row in gram_rows]
+            lower = {row: i for i, row in enumerate(gram_rows)}
+            prefixes = [row[:-1] for row in gram_rows]
             assert [tuple(row) for row in ctx_rows.tolist()] == list(dict.fromkeys(prefixes))
         assert want_tables[0][0].shape == (1, 0)  # order 1: one context, of no ids
         assert tables[0][0].shape == (1,)  # and one backoff weight
@@ -392,7 +399,7 @@ class TestStep:
     def test_equals_reference_walk_with_wide_keys(self, wide, wide_lm):
         sentences, vocab = wide
         assert wide_lm._radix ** wide_lm.order >= 2 ** 64
-        assert [keys.dtype for _, keys, _ in wide_lm._stored] == [np.uint64] * 6
+        assert [keys.dtype for _, keys, *_ in wide_lm._stored] == [np.uint64] * 6
         sequences = ([vocab.encode(s.tokens) for s in sentences]
                      + _random_sequences(random.Random(7), len(vocab), 200))
         tables = _reference_tables(sentences, vocab, 6)
@@ -445,15 +452,16 @@ class TestQueryColumns:
         sentences, vocab = wide
         model = train_lm(sentences, vocab, order=6)
         assert model._radix ** model.order >= 2 ** 64
-        assert [keys.dtype for _, keys, _ in model._stored] == [np.uint64] * 6
+        assert [keys.dtype for _, keys, *_ in model._stored] == [np.uint64] * 6
         self._assert_columns_equal(model, _reference_tables(sentences, vocab, 6), tmp_path)
 
     # A hand-built model's tables are checked where a loaded one's are:
     # when its query dicts are built, here at its first query.
     @pytest.mark.parametrize("query", ["prob", "logprob_seq"])
     @pytest.mark.parametrize("mutate,error", [
-        (lambda b, g, p: (b, g[::-1], p), "keys do not strictly increase"),
-        (lambda b, g, p: (b[:-1], g, p), r"\d+ backoff weights for \d+ contexts"),
+        (lambda b, g, p, s: (b, g[::-1], p, s), "keys do not strictly increase"),
+        (lambda b, g, p, s: (b[:-1], g, p, s), r"\d+ backoff weights for \d+ contexts"),
+        (lambda b, g, p, s: (b, g, p, s[::-1]), "a row whose suffix is not stored"),
     ])
     def test_bad_tables_raise_at_the_first_query(self, tiny_lm, query, mutate, error):
         tables = [*tiny_lm._stored[:-1], mutate(*tiny_lm._stored[-1])]
@@ -592,13 +600,26 @@ class TestPersistence:
 
     # The walkthrough's outputs rest on these files, byte for byte.
     @pytest.mark.parametrize("order,digest", [
-        (2, "efdeb4959b4e55c0"), (3, "79fb24fc31063964"), (4, "c3d016e4d94a3eb9"),
-        (5, "00a22e586e247121"), (6, "2991ea898d008868")])
+        (2, "7b1ea8850a2116ea"), (3, "af0221524efd28cc"), (4, "4e2e265e562f9278"),
+        (5, "594aaa7b14af22f0"), (6, "adb667887c2b2416")])
     def test_demo_model_bytes_are_pinned(self, tmp_path, order, digest):
         sentences, vocab = ingest(build_demo_corpus())
         path = tmp_path / "demo.pglm"
         train_lm(sentences, vocab, order=order).save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+    def test_load_searches_for_no_row(self, tmp_path, monkeypatch):
+        """A load reads the suffix rows and checks them; it searches for none."""
+        sentences, vocab = ingest(build_demo_corpus())
+        path = tmp_path / "demo.pglm"
+        train_lm(sentences, vocab).save(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a load searched the keys")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        loaded = NGramModel.load(path)
+        assert loaded.logprob_seq(vocab.encode(sentences[0].tokens), True) < 0.0
 
     def test_save_builds_no_query_dicts(self, tmp_path):
         sentences, vocab = ingest(RANDOM_TEXT)
